@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientSegments
+from .errors import CorruptArtifact, InsufficientSegments
 from .rng import Rng
 
 # Oracle label sentinels. Known speakers are dense ids 0..n_speakers-1;
@@ -319,10 +319,10 @@ def load_manifest(directory: str | Path) -> Corpus:
     directory = Path(directory)
     raw = (directory / FEAT_NAME).read_bytes()
     if raw[:4] != FEAT_MAGIC:
-        raise ValueError(f"bad feature-file magic in {directory / FEAT_NAME}")
+        raise CorruptArtifact(f"bad feature-file magic in {directory / FEAT_NAME}")
     version, feat_dim, _ = struct.unpack("<III", raw[4:16])
     if version != FEAT_VERSION:
-        raise ValueError(f"unsupported feature-file version {version}")
+        raise CorruptArtifact(f"unsupported feature-file version {version} in {directory / FEAT_NAME}")
     flat = np.frombuffer(raw, dtype="<f4", offset=16).reshape(-1, feat_dim)
 
     recordings: list[Recording] = []
@@ -338,12 +338,13 @@ def load_manifest(directory: str | Path) -> Corpus:
             declared = int(parts[3])
             current.clusters = [[] for _ in range(declared)]
         elif parts[0] == "C":
-            assert current is not None, "C line before any R line"
+            if current is None:
+                raise CorruptArtifact(f"C line before any R line in {directory / IDX_NAME}")
             current.clusters[int(parts[1])] = [int(s) for s in parts[2:]]
         elif parts[0] == "S":
             seg_meta.append((int(parts[1]), int(parts[2]), int(parts[3]), int(parts[4])))
         else:
-            raise ValueError(f"unknown record type {parts[0]!r} in {directory / IDX_NAME}")
+            raise CorruptArtifact(f"unknown record type {parts[0]!r} in {directory / IDX_NAME}")
 
     membership: dict[int, tuple[int, int]] = {}
     for rec in recordings:

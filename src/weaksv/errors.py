@@ -9,6 +9,10 @@ class DegenerateConfig(WeaksvError):
     """A configuration that cannot produce a valid artifact."""
 
 
+class CorruptArtifact(WeaksvError):
+    """A saved artifact that does not follow its file format."""
+
+
 class UnresolvedReference(WeaksvError):
     """A manifest entry points at a segment that does not exist."""
 

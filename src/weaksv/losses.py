@@ -13,6 +13,12 @@ The log-sum-exp pool is mean-normalized, tau * ln((1/N) sum exp(v/tau)),
 which keeps outputs at or below the max (and therefore inside [-1, 1]
 for cosine inputs); its gradient is the softmax of v/tau, identical to
 the unnormalized form.
+
+Every function works on a whole mini-batch at once: `aggregate` pools
+all bags of a stage-1 batch given their start offsets, and the margin
+losses take one row per bag or segment with a target per row. A
+training step therefore makes one loss call (two on stage-1 and
+unknown-class steps) instead of one per bag or row.
 """
 
 from __future__ import annotations
@@ -83,97 +89,122 @@ def lse_tau(values: np.ndarray, tau: float) -> float:
 
 @dataclass
 class Aggregation:
-    """Recording-level similarities plus what backward needs for routing."""
+    """Recording-level similarities plus what backward needs for routing.
 
-    c_rec: np.ndarray  # (n_classes,)
+    Arrays are per bag: c_rec and argmax are (n_bags, n_classes), or
+    (n_classes,) for an aggregate taken without offsets.
+    """
+
+    c_rec: np.ndarray
     kind: str
-    argmax: np.ndarray | None = None  # (n_classes,) rows picked by MAX
-    weights: np.ndarray | None = None  # (bag, n_classes) softmax weights for LSE
+    bag_of_row: np.ndarray  # (rows,) index of the bag each segment row belongs to
+    argmax: np.ndarray | None = None  # rows picked by MAX, shaped like c_rec
+    weights: np.ndarray | None = None  # (rows, n_classes) softmax weights for LSE
 
-    def backward(self, d_rec: np.ndarray, bag_size: int) -> np.ndarray:
+    def backward(self, d_rec: np.ndarray) -> np.ndarray:
         """d loss / d segment-cosines from d loss / d recording-cosines."""
-        d_seg = np.zeros((bag_size, d_rec.shape[0]))
+        d_rec = np.asarray(d_rec, dtype=np.float64).reshape(-1, self.c_rec.shape[-1])
         if self.kind == MAX:
-            d_seg[self.argmax, np.arange(d_rec.shape[0])] = d_rec
-        else:
-            d_seg[:] = self.weights * d_rec[None, :]
-        return d_seg
+            d_seg = np.zeros((self.bag_of_row.size, d_rec.shape[1]))
+            # bags are disjoint row ranges, so no two bags write one cell
+            d_seg[self.argmax.reshape(d_rec.shape), np.arange(d_rec.shape[1])] = d_rec
+            return d_seg
+        return self.weights * d_rec[self.bag_of_row]
 
 
-def aggregate(c_seg: np.ndarray, kind: str, tau: float | None = None) -> Aggregation:
-    """Per-class reduction of a (bag, n_classes) cosine matrix.
+def aggregate(
+    c_seg: np.ndarray, kind: str, tau: float | None = None, offsets: np.ndarray | None = None
+) -> Aggregation:
+    """Per-class reduction of a (rows, n_classes) cosine matrix, bag by bag.
 
-    MAX keeps the per-class argmax rows so gradients flow only through
-    the highest-similarity segment; LSE spreads them with softmax(v/tau)
-    weights.
+    offsets holds the first row of each bag (strictly increasing from 0);
+    without it the whole matrix is one bag and the result is 1-D. MAX
+    keeps, per bag and class, the first row attaining the maximum (the
+    np.argmax tie rule) so gradients flow only through it; LSE spreads
+    them with softmax(v/tau) weights.
     """
     c_seg = np.atleast_2d(np.asarray(c_seg, dtype=np.float64))
-    if c_seg.shape[0] < 1:
+    n_rows = c_seg.shape[0]
+    single = offsets is None
+    starts = np.zeros(1, dtype=np.intp) if single else np.asarray(offsets, dtype=np.intp).ravel()
+    if (n_rows < 1 or starts.size < 1 or starts[0] != 0 or starts[-1] >= n_rows
+            or np.any(np.diff(starts) <= 0)):
         raise EmptyInput("empty bag")
+    sizes = np.diff(np.append(starts, n_rows))
+    bag_of_row = np.repeat(np.arange(starts.size), sizes)
+    vmax = np.maximum.reduceat(c_seg, starts, axis=0)
     if kind == MAX:
-        idx = np.argmax(c_seg, axis=0)
-        return Aggregation(c_seg[idx, np.arange(c_seg.shape[1])], MAX, argmax=idx)
+        rows = np.arange(n_rows)[:, None]
+        hit = np.where(c_seg == vmax[bag_of_row], rows, n_rows)
+        idx = np.minimum.reduceat(hit, starts, axis=0)
+        if single:
+            return Aggregation(vmax[0], MAX, bag_of_row, argmax=idx[0])
+        return Aggregation(vmax, MAX, bag_of_row, argmax=idx)
     if kind == LSE:
         if tau is None or tau <= 0:
             raise ValueError("LSE aggregation needs a positive tau")
-        vmax = c_seg.max(axis=0)
-        ex = np.exp((c_seg - vmax[None, :]) / tau)
-        c_rec = vmax + tau * np.log(ex.mean(axis=0))
-        return Aggregation(c_rec, LSE, weights=ex / ex.sum(axis=0, keepdims=True))
+        ex = np.exp((c_seg - vmax[bag_of_row]) / tau)
+        sums = np.add.reduceat(ex, starts, axis=0)
+        c_rec = vmax + tau * np.log(sums / sizes[:, None])
+        weights = ex / sums[bag_of_row]
+        return Aggregation(c_rec[0] if single else c_rec, LSE, bag_of_row, weights=weights)
     raise ValueError(f"unknown aggregation {kind!r}")
 
 
-def aam_margin(c: float, m: float) -> float:
-    """cos(arccos(c) + m), computed without trig on the clamped cosine."""
-    c = min(max(c, -_COS_CLAMP), _COS_CLAMP)
+def aam_margin(c: float | np.ndarray, m: float) -> float | np.ndarray:
+    """cos(arccos(c) + m), computed without trig on the clamped cosine; elementwise."""
+    c = np.clip(c, -_COS_CLAMP, _COS_CLAMP)
     return c * np.cos(m) - np.sqrt(1.0 - c * c) * np.sin(m)
 
 
-def _aam_margin_grad(c: float, m: float) -> tuple[float, float]:
-    """(psi, d psi / d c); the derivative is zero outside the clamp range."""
-    if c > _COS_CLAMP or c < -_COS_CLAMP:
-        cc = min(max(c, -_COS_CLAMP), _COS_CLAMP)
-        return aam_margin(cc, m), 0.0
-    root = np.sqrt(1.0 - c * c)
-    return c * np.cos(m) - root * np.sin(m), float(np.cos(m) + c / root * np.sin(m))
+def _aam_margin_grad(c: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
+    """(psi, d psi / d c) elementwise; the derivative is zero outside the clamp range."""
+    cc = np.clip(c, -_COS_CLAMP, _COS_CLAMP)
+    root = np.sqrt(1.0 - cc * cc)
+    psi = cc * np.cos(m) - root * np.sin(m)
+    outside = (c > _COS_CLAMP) | (c < -_COS_CLAMP)
+    return psi, np.where(outside, 0.0, np.cos(m) + cc / root * np.sin(m))
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
-def _logsumexp(logits: np.ndarray) -> float:
-    m = logits.max()
-    return float(m + np.log(np.exp(logits - m).sum()))
+def _cross_entropy(logits: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise softmax cross-entropy: (loss per row, softmax probabilities)."""
+    mx = logits.max(axis=1)
+    e = np.exp(logits - mx[:, None])
+    total = e.sum(axis=1)
+    loss = mx + np.log(total) - logits[np.arange(logits.shape[0]), target]
+    return loss, e / total[:, None]
 
 
 def weak_recording_loss(
-    c_rec: np.ndarray, target: int, s: float, m: float
-) -> tuple[float, np.ndarray]:
+    c_rec: np.ndarray, target: int | np.ndarray, s: float, m: float
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Margin cross-entropy on recording-level similarities.
 
-    Logits are s*c for non-target classes and s*psi(c) for the target.
-    Returns (loss, d loss / d c_rec).
+    c_rec is (rows, n_classes) with one target per row, or a single
+    (n_classes,) row with an int target. Logits are s*c for non-target
+    classes and s*psi(c) for the target. Returns (loss, d loss / d c_rec):
+    per-row losses for a matrix, a float for a single row.
     """
     c_rec = np.asarray(c_rec, dtype=np.float64)
-    logits = s * c_rec.copy()
-    psi, dpsi = _aam_margin_grad(float(c_rec[target]), m)
-    logits[target] = s * psi
-    loss = _logsumexp(logits) - float(logits[target])
-    p = _softmax(logits)
-    d_logits = p.copy()
-    d_logits[target] -= 1.0
-    d_rec = s * d_logits
-    d_rec[target] *= dpsi
+    single = c_rec.ndim == 1
+    c = np.atleast_2d(c_rec)
+    rows = np.arange(c.shape[0])
+    t = np.asarray(target, dtype=np.intp).reshape(-1)
+    psi, dpsi = _aam_margin_grad(c[rows, t], m)
+    logits = s * c
+    logits[rows, t] = s * psi
+    loss, p = _cross_entropy(logits, t)
+    d_rec = s * p
+    d_rec[rows, t] = s * (p[rows, t] - 1.0) * dpsi
+    if single:
+        return float(loss[0]), d_rec[0]
     return loss, d_rec
 
 
 def segment_aam_loss(
-    c: np.ndarray, target: int, s: float, m: float
-) -> tuple[float, np.ndarray]:
-    """Per-segment margin cross-entropy; a bag of size one."""
+    c: np.ndarray, target: int | np.ndarray, s: float, m: float
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """Per-segment margin cross-entropy: every row is a bag of size one."""
     return weak_recording_loss(c, target, s, m)
 
 
@@ -218,29 +249,18 @@ def extended_ce_loss(
     (the appended column is constant, so nothing flows through it).
     """
     L_ext = np.atleast_2d(np.asarray(L_ext, dtype=np.float64))
-    labels = np.asarray(labels)
     known_mask = np.asarray(known_mask, dtype=bool)
     n_rows, n_ext = L_ext.shape
     n_classes = n_ext - 1
-    losses = np.empty(n_rows)
-    d_L = np.zeros((n_rows, n_classes))
-    for i in range(n_rows):
-        row = L_ext[i].copy()
-        if known_mask[i]:
-            t = int(labels[i])
-            c_t = row[t] / s
-            psi, dpsi = _aam_margin_grad(float(c_t), m)
-            row[t] = s * psi
-            loss = _logsumexp(row) - row[t]
-            p = _softmax(row)
-            d = p[:n_classes].copy()
-            d[t] -= 1.0
-            d[t] *= dpsi
-            losses[i] = loss
-            d_L[i] = d
-        else:
-            loss = _logsumexp(row) - row[n_classes]
-            p = _softmax(row)
-            losses[i] = loss
-            d_L[i] = p[:n_classes]
+    known = np.flatnonzero(known_mask)
+    t = np.asarray(labels)[known_mask].astype(np.intp)
+    psi, dpsi = _aam_margin_grad(L_ext[known, t] / s, m)
+    logits = L_ext.copy()
+    logits[known, t] = s * psi
+    # unknown rows target the appended class
+    target = np.full(n_rows, n_classes, dtype=np.intp)
+    target[known] = t
+    losses, p = _cross_entropy(logits, target)
+    d_L = p[:, :n_classes].copy()
+    d_L[known, t] = (d_L[known, t] - 1.0) * dpsi
     return losses, d_L

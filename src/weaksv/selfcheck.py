@@ -40,14 +40,11 @@ def _composite(theta, cfg, n_spk, xbar, path, target, s, m, tau, labels=None, ma
     if path == "stage1-max" or path == "stage1-lse":
         agg = aggregate(cos, "max" if path.endswith("max") else "lse", tau)
         loss, d_rec = weak_recording_loss(agg.c_rec, target, s, m)
-        d_cos = agg.backward(d_rec, cos.shape[0])
+        d_cos = agg.backward(d_rec)
     elif path == "stage2":
-        loss = 0.0
-        d_cos = np.zeros_like(cos)
-        for i in range(cos.shape[0]):
-            li, di = segment_aam_loss(cos[i], target, s, m)
-            loss += li / cos.shape[0]
-            d_cos[i] = di / cos.shape[0]
+        losses, d_cos = segment_aam_loss(cos, np.full(cos.shape[0], target), s, m)
+        loss = float(losses.mean())
+        d_cos /= cos.shape[0]
     else:
         # the appended logit is a detached constant, so the differenced
         # function must hold it at its base-point value

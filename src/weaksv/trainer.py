@@ -212,19 +212,16 @@ def train_stage1(
             rows = [row_of[sid] for bag in batch.bags for sid in bag.segment_ids]
             emb, cache = forward_pooled(pooled[rows], opt.params)
             c_all = emb @ opt.prototypes.T
-            d_c = np.zeros_like(c_all)
-            loss_sum = 0.0
-            offset = 0
-            for bag in batch.bags:
-                agg = aggregate(c_all[offset:offset + bag.size], stage.loss.aggregation, tau)
-                loss, d_rec = weak_recording_loss(agg.c_rec, bag.target, s, margin)
-                d_c[offset:offset + bag.size] = agg.backward(d_rec, bag.size)
-                loss_sum += loss
-                offset += bag.size
+            sizes = [bag.size for bag in batch.bags]
+            agg = aggregate(c_all, stage.loss.aggregation, tau,
+                            offsets=np.cumsum([0] + sizes[:-1]))
+            targets = np.array([bag.target for bag in batch.bags])
+            losses, d_rec = weak_recording_loss(agg.c_rec, targets, s, margin)
             n_bags = len(batch.bags)
-            loss_value = loss_sum / n_bags
+            loss_value = float(losses.mean())
             if not np.isfinite(loss_value):
                 raise NonFiniteGradient(f"non-finite loss at step {opt.step + 1}")
+            d_c = agg.backward(d_rec)
             d_c /= n_bags
             grads = backward_pooled(d_c @ opt.prototypes, cache, opt.params)
             grads["P"] = d_c.T @ emb
@@ -280,18 +277,12 @@ def train_stage2(
             known_mask = np.array([r.known for r in batch.rows])
             labels = np.array([r.label for r in batch.rows])
             if known_mask.all():
-                d_c = np.zeros_like(c_all)
-                loss_sum = 0.0
-                for i in range(len(batch.rows)):
-                    loss, d_row = segment_aam_loss(c_all[i], int(labels[i]), s, margin)
-                    d_c[i] = d_row
-                    loss_sum += loss
-                loss_value = loss_sum / len(batch.rows)
+                losses, d_c = segment_aam_loss(c_all, labels, s, margin)
             else:
                 logits_ext = extend_logits_unknown(s * c_all, labels, known_mask)
                 losses, d_logits = extended_ce_loss(logits_ext, labels, known_mask, s, margin)
                 d_c = s * d_logits
-                loss_value = float(losses.mean())
+            loss_value = float(losses.mean())
             if not np.isfinite(loss_value):
                 raise NonFiniteGradient(f"non-finite loss at step {opt.step + 1}")
             d_c /= len(batch.rows)

@@ -92,14 +92,11 @@ def composite_loss(theta, cfg, n_speakers, xbar, path, *, target=0, s=30.0, m=0.
     if path in ("max", "lse"):
         agg = aggregate(cos, path, tau)
         loss, d_rec = weak_recording_loss(agg.c_rec, target, s, m)
-        d_cos = agg.backward(d_rec, n_rows)
+        d_cos = agg.backward(d_rec)
     elif path == "stage2":
-        loss = 0.0
-        d_cos = np.zeros_like(cos)
-        for i in range(n_rows):
-            li, di = segment_aam_loss(cos[i], target, s, m)
-            loss += li / n_rows
-            d_cos[i] = di / n_rows
+        losses, d_cos = segment_aam_loss(cos, np.full(n_rows, target), s, m)
+        loss = float(losses.mean())
+        d_cos /= n_rows
     elif path == "extended":
         if extra_col is None:
             ext = extend_logits_unknown(s * cos, labels, known_mask)

@@ -1,8 +1,14 @@
 import json
+import os
+import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weaksv
 from weaksv.cli import main
 from weaksv.config import SCHEMA, load_run_config, parse_config_text, render_config, render_schema
 from weaksv.errors import ConfigError
@@ -169,6 +175,58 @@ class TestExitCodes:
     def test_schema_prints(self, capsys):
         assert main(["schema"]) == 0
         assert "synth.n_speakers" in capsys.readouterr().out
+
+
+def _patch_feat(run, offset, data):
+    path = run / "corpus.feat"
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + len(data)] = data
+    path.write_bytes(bytes(raw))
+
+
+def _edit_idx(run, edit):
+    path = run / "corpus.idx"
+    path.write_text(edit(path.read_text()))
+
+
+CORRUPTIONS = {
+    "bad_magic": lambda run: _patch_feat(run, 0, b"XXXX"),
+    "bad_version": lambda run: _patch_feat(run, 4, struct.pack("<I", 99)),
+    "unknown_record": lambda run: _edit_idx(run, lambda text: text + "Q 1 2\n"),
+    "cluster_before_recording": lambda run: _edit_idx(run, lambda text: "C 0 1\n" + text),
+}
+
+
+class TestCorruptArtifact:
+    """A damaged corpus is reported as an error, never as a traceback."""
+
+    @pytest.fixture(scope="class")
+    def generated(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("corrupt")
+        cfg_path = root / "small.cfg"
+        cfg_path.write_text(SMALL)
+        out = root / "gen"
+        assert main(["gen", "--config", str(cfg_path), "--out", str(out)]) == 0
+        return cfg_path, out
+
+    # -O strips assert statements, so the checks must not rely on them
+    @pytest.mark.parametrize("case, flags", [
+        *(pytest.param(case, [], id=case) for case in CORRUPTIONS),
+        pytest.param("cluster_before_recording", ["-O"], id="cluster_before_recording-O"),
+    ])
+    def test_diar_reports_error(self, generated, tmp_path, case, flags):
+        cfg_path, clean = generated
+        run = tmp_path / "run"
+        shutil.copytree(clean, run)
+        CORRUPTIONS[case](run)
+        env = dict(os.environ, PYTHONPATH=str(Path(weaksv.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "weaksv", "diar", "--config", str(cfg_path),
+             "--out", str(run)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert any(line.startswith("error:") for line in proc.stderr.splitlines())
+        assert "Traceback" not in proc.stderr
 
 
 class TestDeterminism:

@@ -98,13 +98,13 @@ class TestAggregate:
     def test_max_routes_gradient_to_argmax_rows(self):
         c = np.array([[0.8, -0.1], [0.2, 0.5]])
         agg = aggregate(c, MAX)
-        d = agg.backward(np.array([1.0, 2.0]), 2)
+        d = agg.backward(np.array([1.0, 2.0]))
         assert np.array_equal(d, [[1.0, 0.0], [0.0, 2.0]])
 
     def test_lse_gradient_is_columnwise_softmax(self):
         c = np.array([[0.8, -0.1], [0.2, 0.5]])
         agg = aggregate(c, LSE, 0.5)
-        d = agg.backward(np.ones(2), 2)
+        d = agg.backward(np.ones(2))
         assert np.allclose(d.sum(axis=0), [1.0, 1.0])
         ref = np.exp(c / 0.5) / np.exp(c / 0.5).sum(axis=0, keepdims=True)
         assert np.allclose(d, ref, atol=1e-12)
@@ -282,6 +282,182 @@ class TestExtendedCeLoss:
                     ld, _ = extended_ce_loss(down_ext, labels, mask, 30.0, 0.2)
                     fd = (lu[i] - ld[i]) / (2 * h)
                     assert d[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Batched calls against a per-bag / per-row reference loop
+# ---------------------------------------------------------------------------
+
+CLAMP = 1.0 - 1e-7
+# exact repeats make MAX ties; the last six sit at and beyond the clamp
+EDGE_COSINES = [0.5, -0.25, 0.0, CLAMP, -CLAMP, 1.0, -1.0, 1.0 - 5e-8, -(1.0 - 5e-8)]
+cosines = st.one_of(st.sampled_from(EDGE_COSINES), finite_floats)
+
+
+def ref_margin(c, m):
+    """(psi, d psi / d c) of one cosine; zero derivative beyond the clamp."""
+    if c > CLAMP or c < -CLAMP:
+        cc = min(max(c, -CLAMP), CLAMP)
+        return cc * np.cos(m) - np.sqrt(1.0 - cc * cc) * np.sin(m), 0.0
+    root = np.sqrt(1.0 - c * c)
+    return c * np.cos(m) - root * np.sin(m), np.cos(m) + c / root * np.sin(m)
+
+
+def ref_cross_entropy(logits, t):
+    mx = logits.max()
+    e = np.exp(logits - mx)
+    total = e.sum()
+    return mx + np.log(total) - logits[t], e / total
+
+
+def ref_margin_ce(c, t, s, m):
+    """One row of margin cross-entropy: (loss, d loss / d c)."""
+    psi, dpsi = ref_margin(float(c[t]), m)
+    logits = s * c
+    logits[t] = s * psi
+    loss, p = ref_cross_entropy(logits, t)
+    d = s * p
+    d[t] = s * (p[t] - 1.0) * dpsi
+    return loss, d
+
+
+def ref_stage1(c, sizes, targets, kind, tau, s, m):
+    """Bag by bag: pool, margin loss, route the gradient back to the rows."""
+    losses, d_seg, start = [], np.zeros_like(c), 0
+    for size, t in zip(sizes, targets):
+        bag = c[start:start + size]
+        cols = np.arange(c.shape[1])
+        if kind == MAX:
+            idx = np.argmax(bag, axis=0)
+            loss, d_rec = ref_margin_ce(bag[idx, cols], t, s, m)
+            d_seg[start + idx, cols] = d_rec
+        else:
+            vmax = bag.max(axis=0)
+            ex = np.exp((bag - vmax) / tau)
+            c_rec = vmax + tau * np.log(ex.mean(axis=0))
+            loss, d_rec = ref_margin_ce(c_rec, t, s, m)
+            d_seg[start:start + size] = ex / ex.sum(axis=0) * d_rec
+        losses.append(loss)
+        start += size
+    return np.array(losses), d_seg
+
+
+def ref_extended(L_ext, labels, known, s, m):
+    """Row by row: margin on a known row's target, the appended class otherwise."""
+    n_classes = L_ext.shape[1] - 1
+    losses, d_L = np.empty(L_ext.shape[0]), np.zeros((L_ext.shape[0], n_classes))
+    for i, row in enumerate(L_ext):
+        row = row.copy()
+        if known[i]:
+            t = int(labels[i])
+            psi, dpsi = ref_margin(float(row[t] / s), m)
+            row[t] = s * psi
+            losses[i], p = ref_cross_entropy(row, t)
+            d_L[i] = p[:n_classes]
+            d_L[i, t] = (p[t] - 1.0) * dpsi
+        else:
+            losses[i], p = ref_cross_entropy(row, n_classes)
+            d_L[i] = p[:n_classes]
+    return losses, d_L
+
+
+@st.composite
+def segment_batches(draw):
+    """(cosines, bag sizes, one target per bag, one label per row, margin)."""
+    n_classes = draw(st.integers(min_value=2, max_value=6))
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=5))
+    n_rows = sum(sizes)
+    c = np.array(draw(st.lists(cosines, min_size=n_rows * n_classes,
+                               max_size=n_rows * n_classes))).reshape(n_rows, n_classes)
+    targets = draw(st.lists(st.integers(0, n_classes - 1), min_size=len(sizes),
+                            max_size=len(sizes)))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n_rows, max_size=n_rows))
+    m = draw(st.floats(min_value=0.0, max_value=0.5))
+    return c, sizes, np.array(targets), np.array(labels), m
+
+
+def _offsets(sizes):
+    return np.cumsum([0] + list(sizes[:-1]))
+
+
+class TestBatchedParity:
+    @settings(max_examples=150, deadline=None)
+    @given(segment_batches())
+    def test_max_pooling_is_bitwise_equal(self, batch):
+        c, sizes, targets, _, m = batch
+        agg = aggregate(c, MAX, offsets=_offsets(sizes))
+        losses, d_rec = weak_recording_loss(agg.c_rec, targets, 30.0, m)
+        ref_losses, ref_d = ref_stage1(c, sizes, targets, MAX, None, 30.0, m)
+        assert np.array_equal(losses, ref_losses)
+        assert np.array_equal(agg.backward(d_rec), ref_d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(segment_batches(), st.floats(min_value=0.05, max_value=2.0))
+    def test_lse_pooling_within_1e12(self, batch, tau):
+        c, sizes, targets, _, m = batch
+        agg = aggregate(c, LSE, tau, offsets=_offsets(sizes))
+        losses, d_rec = weak_recording_loss(agg.c_rec, targets, 30.0, m)
+        ref_losses, ref_d = ref_stage1(c, sizes, targets, LSE, tau, 30.0, m)
+        # the per-bag sums accumulate in another order; atol covers values near 0
+        np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(agg.backward(d_rec), ref_d, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(segment_batches())
+    def test_segment_loss_is_bitwise_equal(self, batch):
+        c, _, _, labels, m = batch
+        losses, d_c = segment_aam_loss(c, labels, 30.0, m)
+        for i in range(c.shape[0]):
+            loss, d = ref_margin_ce(c[i], labels[i], 30.0, m)
+            assert losses[i] == loss and np.array_equal(d_c[i], d)
+        beyond = np.abs(c[np.arange(c.shape[0]), labels]) > CLAMP
+        assert np.all(d_c[beyond, labels[beyond]] == 0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(segment_batches(), st.data())
+    def test_extended_loss_is_bitwise_equal(self, batch, data):
+        c, _, _, labels, m = batch
+        known = np.array(data.draw(st.lists(st.booleans(), min_size=c.shape[0],
+                                            max_size=c.shape[0])))
+        known[data.draw(st.integers(0, c.shape[0] - 1))] = True
+        labels = np.where(known, labels, -1)
+        ext = extend_logits_unknown(30.0 * c, labels, known)
+        losses, d_L = extended_ce_loss(ext, labels, known, 30.0, m)
+        ref_losses, ref_d = ref_extended(ext, labels, known, 30.0, m)
+        assert np.array_equal(losses, ref_losses) and np.array_equal(d_L, ref_d)
+
+    def test_max_tie_routes_to_first_row_of_each_bag(self):
+        c = np.array([[0.5, 0.1], [0.5, 0.3], [0.2, 0.3], [0.2, 0.3]])
+        agg = aggregate(c, MAX, offsets=[0, 2])
+        assert agg.argmax.tolist() == [[0, 1], [2, 2]]
+        d = agg.backward(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert np.array_equal(d, [[1.0, 0.0], [0.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("offsets", [[1, 2], [0, 2, 2], [0, 4], [0, 3, 1], []])
+    def test_bad_offsets_rejected(self, offsets):
+        with pytest.raises(EmptyInput):
+            aggregate(np.zeros((4, 2)), MAX, offsets=offsets)
+
+    @pytest.mark.parametrize("kind", [MAX, LSE])
+    def test_multi_bag_gradient_matches_finite_differences(self, kind):
+        rng = Rng.from_seed(8)
+        c = rng.floats(7 * 4).reshape(7, 4) * 1.8 - 0.9
+        offsets, targets = [0, 3, 4], np.array([2, 0, 3])
+
+        def total_loss(x):
+            agg = aggregate(x, kind, 0.3, offsets=offsets)
+            return weak_recording_loss(agg.c_rec, targets, 30.0, 0.15)[0].sum()
+
+        agg = aggregate(c, kind, 0.3, offsets=offsets)
+        grad = agg.backward(weak_recording_loss(agg.c_rec, targets, 30.0, 0.15)[1])
+        h = 1e-7
+        for i in range(c.shape[0]):
+            for j in range(c.shape[1]):
+                up, down = c.copy(), c.copy()
+                up[i, j] += h
+                down[i, j] -= h
+                fd = (total_loss(up) - total_loss(down)) / (2 * h)
+                assert grad[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
 
 def test_schedule_endpoints_and_midpoint():
