@@ -82,16 +82,19 @@ def plan_epoch_stage1(corpus: Corpus, target_batch_size: int, seed: int) -> list
     lo = 0.9 * target_batch_size
     batches: list[BagBatch] = []
     current = BagBatch()
+    open_size = 0  # current.size, kept as a running count
     for idx in order:
         rec = recordings[idx]
         bag = build_bag(rec, rng.spawn("bag", rec.recording_id))
         if bag.size > 1.1 * target_batch_size:
             raise BagTooLarge(
                 f"recording {rec.recording_id} needs {bag.size} segments, over 1.1x target {target_batch_size}")
-        if current.bags and current.size + bag.size > target_batch_size and current.size >= lo:
+        if current.bags and open_size + bag.size > target_batch_size and open_size >= lo:
             batches.append(current)
             current = BagBatch()
+            open_size = 0
         current.bags.append(bag)
+        open_size += bag.size
     if current.bags:
         batches.append(current)
     return batches

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import os
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import CorruptArtifact, InsufficientSegments
+from .errors import CorruptArtifact, EmptyInput, InsufficientSegments
 from .rng import Rng
 
 # Oracle label sentinels. Known speakers are dense ids 0..n_speakers-1;
@@ -68,6 +70,12 @@ class Corpus:
     recordings: list[Recording]
     segments: dict[int, Segment]
     unknown_pool_present: bool = False
+    # Built on first use: a corpus is not edited after construction
+    # (diarization and splitting build a new one).
+    _recording_index: dict[int, Recording] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _pooled: tuple[np.ndarray, Mapping[int, int]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def feat_dim(self) -> int:
@@ -81,22 +89,47 @@ class Corpus:
         return [r for r in self.recordings if r.heldout]
 
     def recording(self, recording_id: int) -> Recording:
-        return self._by_id()[recording_id]
+        if self._recording_index is None:
+            self._recording_index = {r.recording_id: r for r in self.recordings}
+        return self._recording_index[recording_id]
 
-    def _by_id(self) -> dict[int, Recording]:
-        return {r.recording_id: r for r in self.recordings}
-
-    def mean_frames(self) -> tuple[np.ndarray, dict[int, int]]:
+    def mean_frames(self) -> tuple[np.ndarray, Mapping[int, int]]:
         """Per-segment frame means as a float64 matrix plus id -> row map.
 
         Features are fixed for the lifetime of a corpus, so pooled means
-        are computed once and reused by training and scoring.
+        are computed once and reused by training and scoring. Every call
+        returns the same read-only matrix and map; rows follow ascending
+        segment id. Raises EmptyInput for a segment without frames.
         """
-        ids = sorted(self.segments)
-        mat = np.empty((len(ids), self.feat_dim), dtype=np.float64)
-        for row, sid in enumerate(ids):
-            mat[row] = self.segments[sid].features.astype(np.float64).mean(axis=0)
-        return mat, {sid: row for row, sid in enumerate(ids)}
+        if self._pooled is None:
+            self._pooled = _pool_means(self.segments, self.feat_dim)
+        return self._pooled
+
+
+# Segments pooled per reduceat call: bounds the float64 copy of their frames.
+POOL_BLOCK = 256
+
+
+def _pool_means(segments: dict[int, Segment], feat_dim: int) -> tuple[np.ndarray, Mapping[int, int]]:
+    """Frame means in ascending segment-id order, one reduceat per block.
+
+    reduceat adds a block's rows in frame order and the division is by the
+    frame count, the same arithmetic as features.astype(float64).mean(0),
+    so the means are bitwise equal to it.
+    """
+    ids = sorted(segments)
+    mat = np.empty((len(ids), feat_dim), dtype=np.float64)
+    for start in range(0, len(ids), POOL_BLOCK):
+        block = [segments[sid].features for sid in ids[start:start + POOL_BLOCK]]
+        lengths = np.array([f.shape[0] for f in block])
+        if lengths.min() < 1:
+            raise EmptyInput(f"segment {ids[start + int(np.argmin(lengths))]} has no frames")
+        starts = np.cumsum(lengths) - lengths
+        out = mat[start:start + len(block)]
+        np.add.reduceat(np.concatenate(block, dtype=np.float64), starts, axis=0, out=out)
+        out /= lengths[:, None]
+    mat.flags.writeable = False
+    return mat, MappingProxyType({sid: row for row, sid in enumerate(ids)})
 
 
 @dataclass(frozen=True)
@@ -315,36 +348,63 @@ def load_manifest(directory: str | Path) -> Corpus:
 
     Segments not referenced by any cluster (e.g. noise dropped by a
     diarization rewrite) come back with recording_id = cluster_id = -1.
+    Raises CorruptArtifact for a damaged header, a body that is not whole
+    rows, a malformed index line, or a segment without frames or reaching
+    past the frame matrix.
     """
     directory = Path(directory)
-    raw = (directory / FEAT_NAME).read_bytes()
+    feat_path, idx_path = directory / FEAT_NAME, directory / IDX_NAME
+    raw = feat_path.read_bytes()
     if raw[:4] != FEAT_MAGIC:
-        raise CorruptArtifact(f"bad feature-file magic in {directory / FEAT_NAME}")
+        raise CorruptArtifact(f"bad feature-file magic in {feat_path}")
+    if len(raw) < 16:
+        raise CorruptArtifact(f"{feat_path} is shorter than its 16-byte header")
     version, feat_dim, _ = struct.unpack("<III", raw[4:16])
     if version != FEAT_VERSION:
-        raise CorruptArtifact(f"unsupported feature-file version {version} in {directory / FEAT_NAME}")
+        raise CorruptArtifact(f"unsupported feature-file version {version} in {feat_path}")
+    if feat_dim < 1 or (len(raw) - 16) % (4 * feat_dim):
+        raise CorruptArtifact(
+            f"{feat_path}: {len(raw) - 16} body bytes are not whole rows of {feat_dim} float32")
     flat = np.frombuffer(raw, dtype="<f4", offset=16).reshape(-1, feat_dim)
 
     recordings: list[Recording] = []
     seg_meta: list[tuple[int, int, int, int]] = []
     current: Recording | None = None
-    for line in (directory / IDX_NAME).read_text("utf-8").splitlines():
-        if not line.strip():
-            continue
+    for lineno, line in enumerate(idx_path.read_text("utf-8").splitlines(), 1):
         parts = line.split()
-        if parts[0] == "R":
-            current = Recording(int(parts[1]), int(parts[2]), [], parts[4] == "heldout")
-            recordings.append(current)
-            declared = int(parts[3])
-            current.clusters = [[] for _ in range(declared)]
-        elif parts[0] == "C":
-            if current is None:
-                raise CorruptArtifact(f"C line before any R line in {directory / IDX_NAME}")
-            current.clusters[int(parts[1])] = [int(s) for s in parts[2:]]
-        elif parts[0] == "S":
-            seg_meta.append((int(parts[1]), int(parts[2]), int(parts[3]), int(parts[4])))
-        else:
-            raise CorruptArtifact(f"unknown record type {parts[0]!r} in {directory / IDX_NAME}")
+        if not parts:
+            continue
+        kind, n_fields = parts[0], len(parts)
+        try:
+            if kind == "S" and n_fields == 5:
+                seg_meta.append((int(parts[1]), int(parts[2]), int(parts[3]), int(parts[4])))
+            elif kind == "C" and n_fields >= 2 and current is not None:
+                cid = int(parts[1])
+                if not 0 <= cid < len(current.clusters):
+                    raise CorruptArtifact(
+                        f"cluster {cid} outside the declared count in {idx_path} line {lineno}")
+                current.clusters[cid] = [int(s) for s in parts[2:]]
+            elif kind == "R" and n_fields == 5 and parts[4] in ("train", "heldout"):
+                current = Recording(int(parts[1]), int(parts[2]), [], parts[4] == "heldout")
+                current.clusters = [[] for _ in range(int(parts[3]))]
+                recordings.append(current)
+            else:
+                raise CorruptArtifact(f"{_index_line_problem(parts, current)} in {idx_path} line {lineno}")
+        except ValueError:
+            raise CorruptArtifact(f"non-integer field in {idx_path} line {lineno}") from None
+
+    # Every segment must cover at least one frame inside the frame matrix.
+    try:
+        meta = np.array(seg_meta, dtype=np.int64).reshape(-1, 4)
+    except OverflowError:
+        raise CorruptArtifact(f"S record field out of range in {idx_path}") from None
+    n_rows = flat.shape[0]
+    n_frames, offsets = meta[:, 2], meta[:, 3]
+    bad = (n_frames < 1) | (n_frames > n_rows) | (offsets < 0) | (offsets > n_rows - n_frames)
+    if bad.any():
+        sid, _, n, offset = seg_meta[int(np.argmax(bad))]
+        raise CorruptArtifact(
+            f"segment {sid} ({n} frames at row {offset}) does not fit the {n_rows} rows of {feat_path}")
 
     membership: dict[int, tuple[int, int]] = {}
     for rec in recordings:
@@ -361,6 +421,17 @@ def load_manifest(directory: str | Path) -> Corpus:
     n_speakers = max((r.target for r in recordings), default=-1) + 1
     unknown_present = any(s.oracle_speaker == UNKNOWN for s in segments.values())
     return Corpus(n_speakers, recordings, segments, unknown_present)
+
+
+def _index_line_problem(parts: list[str], current: Recording | None) -> str:
+    """Why load_manifest rejected an index line."""
+    if parts[0] not in ("R", "C", "S"):
+        return f"unknown record type {parts[0]!r}"
+    if parts[0] == "C" and current is None:
+        return "C line before any R line"
+    if parts[0] == "R" and len(parts) == 5:
+        return f"unknown split {parts[4]!r}"
+    return "wrong field count"
 
 
 def save_oracle(corpus: Corpus, directory: str | Path) -> None:

@@ -10,6 +10,13 @@ The unknown pool collects not-selected segments whose recording target is
 absent from the model's top-k predictions (it might otherwise still be
 the target speaking), ranked by the unnormalized log-sum-exp of their
 scaled logits as a confidence score, truncated to the top fraction.
+
+Both run as array code over one walk of the training recordings, which
+yields every segment's target next to its row: no per-segment recording
+lookup. The unknown pool ranks rejected rows in fixed-size blocks, so its
+scratch memory does not grow with the corpus; per row the arithmetic
+(rank tie rule, max-shifted exp sum, math.log) is that of a row-by-row
+loop, so its scores equal that loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +31,10 @@ import numpy as np
 from .corpus import Corpus
 from .embedder import Checkpoint, forward_pooled
 from .errors import DegenerateConfig
+
+# Candidate rows ranked per block in select_unknown_pool: bounds the
+# scratch memory for their logits.
+ROW_BLOCK = 1024
 
 
 @dataclass
@@ -55,25 +66,27 @@ class UnknownPool:
 
 
 def _train_segment_cosines(corpus: Corpus, checkpoint: Checkpoint):
-    """Cosines against all prototypes for every diarized training segment."""
+    """Cosines against all prototypes for every diarized training segment.
+
+    Returns the segment ids in ascending order, the recording target of
+    each as an int array, and the cosine matrix.
+    """
     pooled, row_of = corpus.mean_frames()
-    sids = [sid for rec in corpus.train_recordings() for sid in rec.segment_ids()]
-    sids.sort()
+    pairs = sorted((sid, rec.target) for rec in corpus.train_recordings() for sid in rec.segment_ids())
+    sids = [sid for sid, _ in pairs]
+    targets = np.array([target for _, target in pairs], dtype=np.int64)
     emb, _ = forward_pooled(pooled[[row_of[s] for s in sids]], checkpoint.params)
-    return sids, emb @ checkpoint.prototypes.T
+    return sids, targets, emb @ checkpoint.prototypes.T
 
 
 def self_label(corpus: Corpus, checkpoint: Checkpoint) -> SelectionResult:
     """Keep each diarized segment iff its argmax class equals the target."""
-    sids, cosines = _train_segment_cosines(corpus, checkpoint)
-    preds = np.argmax(cosines, axis=1)
-    selected: list[tuple[int, int]] = []
-    scores: dict[int, float] = {}
-    for i, sid in enumerate(sids):
-        target = corpus.recording(corpus.segments[sid].recording_id).target
-        if int(preds[i]) == target:
-            selected.append((sid, target))
-            scores[sid] = float(cosines[i, target])
+    sids, targets, cosines = _train_segment_cosines(corpus, checkpoint)
+    rows = np.flatnonzero(np.argmax(cosines, axis=1) == targets)
+    labels = targets[rows]
+    kept = [sids[i] for i in rows.tolist()]
+    selected = list(zip(kept, labels.tolist()))
+    scores = dict(zip(kept, cosines[rows, labels].tolist()))
     result = SelectionResult(selected, scores)
     result.stats = selection_stats(result, corpus)
     return result
@@ -121,23 +134,26 @@ def select_unknown_pool(
         raise DegenerateConfig(f"top_k={top_k} needs more than {top_k} known speakers")
     if not (0.0 < fraction <= 1.0):
         raise DegenerateConfig("fraction must lie in (0, 1]")
-    sids, cosines = _train_segment_cosines(corpus, checkpoint)
-    logits = scale * cosines
-    preds = np.argmax(cosines, axis=1)
+    sids, targets, cosines = _train_segment_cosines(corpus, checkpoint)
+    candidates = np.flatnonzero(np.argmax(cosines, axis=1) != targets)  # rejected by self_label
+    cols = np.arange(cosines.shape[1])
 
-    survivors: list[tuple[float, int, int]] = []  # (-lse, sid, rank)
-    for i, sid in enumerate(sids):
-        target = corpus.recording(corpus.segments[sid].recording_id).target
-        if int(preds[i]) == target:
-            continue  # selected by self_label
-        row = logits[i]
-        t_logit = row[target]
-        rank = int(np.sum(row > t_logit) + np.sum(row[:target] == t_logit))
-        if rank < top_k:
-            continue  # target among the top-k predictions
-        m = row.max()
-        lse = float(m + math.log(np.exp(row - m).sum()))
-        survivors.append((lse, sid, rank))
+    survivors: list[tuple[float, int, int]] = []  # (lse, sid, rank)
+    for start in range(0, candidates.size, ROW_BLOCK):
+        rows = candidates[start:start + ROW_BLOCK]
+        tgt = targets[rows]
+        block = scale * cosines[rows]  # the rows' logits
+        t_logit = block[np.arange(rows.size), tgt][:, None]
+        ranks = (np.count_nonzero(block > t_logit, axis=1)
+                 + np.count_nonzero((block == t_logit) & (cols < tgt[:, None]), axis=1))
+        outside = ranks >= top_k  # target not among the top-k predictions
+        block = block[outside]
+        m = block.max(axis=1)
+        block -= m[:, None]
+        np.exp(block, out=block)
+        for i, mi, total, rank in zip(rows[outside].tolist(), m, block.sum(axis=1).tolist(),
+                                      ranks[outside].tolist()):
+            survivors.append((float(mi + math.log(total)), sids[i], rank))
 
     survivors.sort(key=lambda t: (-t[0], t[1]))
     keep = math.ceil(fraction * len(survivors)) if survivors else 0

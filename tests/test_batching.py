@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weaksv.batching import build_bag, plan_epoch_stage1, plan_epoch_stage2
+from weaksv.batching import BagBatch, build_bag, plan_epoch_stage1, plan_epoch_stage2
 from weaksv.corpus import Recording, UNKNOWN
 from weaksv.errors import BagTooLarge, DegenerateConfig, EmptyCluster
 from weaksv.rng import Rng
@@ -102,6 +102,26 @@ class TestPlanEpochStage1:
         for batch in batches:
             ids = [s for b in batch.bags for s in b.segment_ids]
             assert len(ids) == len(set(ids))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("target", [7, 11, 16, 40])
+    def test_packing_matches_resummed_reference(self, seed, target):
+        # Re-pack the planned bags, in plan order, with the greedy rule
+        # evaluated on BagBatch.size re-summed at every step.
+        corpus = generate_corpus(SynthConfig(
+            n_speakers=6, recordings_per_speaker=5, segments_per_recording=(2, 6),
+            frames_per_segment=(1, 3), seed=seed))
+        plan = plan_epoch_stage1(corpus, target, seed=seed)
+        reference: list[BagBatch] = []
+        current = BagBatch()
+        for bag in [bag for batch in plan for bag in batch.bags]:
+            if current.bags and current.size + bag.size > target and current.size >= 0.9 * target:
+                reference.append(current)
+                current = BagBatch()
+            current.bags.append(bag)
+        if current.bags:
+            reference.append(current)
+        assert [batch.bags for batch in plan] == [batch.bags for batch in reference]
 
 
 class TestPlanEpochStage2:

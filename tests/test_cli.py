@@ -189,11 +189,38 @@ def _edit_idx(run, edit):
     path.write_text(edit(path.read_text()))
 
 
+def _truncate_feat(run, keep):
+    path = run / "corpus.feat"
+    raw = path.read_bytes()
+    path.write_bytes(raw[:keep(raw)])
+
+
+def _feat_dim(raw):
+    return struct.unpack("<I", raw[8:12])[0]
+
+
+def _edit_first(kind, edit):
+    """Rewrite the first index line of the given record kind."""
+    def apply(text):
+        lines = text.splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith(kind + " "))
+        lines[i] = edit(lines[i].split())
+        return "\n".join(lines) + "\n"
+    return lambda run: _edit_idx(run, apply)
+
+
 CORRUPTIONS = {
     "bad_magic": lambda run: _patch_feat(run, 0, b"XXXX"),
     "bad_version": lambda run: _patch_feat(run, 4, struct.pack("<I", 99)),
     "unknown_record": lambda run: _edit_idx(run, lambda text: text + "Q 1 2\n"),
     "cluster_before_recording": lambda run: _edit_idx(run, lambda text: "C 0 1\n" + text),
+    "short_header": lambda run: _truncate_feat(run, lambda raw: 10),
+    "ragged_body": lambda run: _truncate_feat(run, lambda raw: len(raw) - 3),
+    "row_aligned_truncation": lambda run: _truncate_feat(
+        run, lambda raw: len(raw) - 5 * 4 * _feat_dim(raw)),
+    "non_integer_field": _edit_first("R", lambda f: " ".join([f[0], "x", *f[2:]])),
+    "missing_field": _edit_first("S", lambda f: " ".join(f[:-1])),
+    "zero_frames": _edit_first("S", lambda f: " ".join([*f[:3], "0", f[4]])),
 }
 
 

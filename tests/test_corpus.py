@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import weaksv.corpus
 from weaksv.corpus import (
+    POOL_BLOCK,
+    Corpus,
     Recording,
+    Segment,
     assign_heldout_split,
     load_manifest,
     load_trials,
@@ -12,7 +16,7 @@ from weaksv.corpus import (
     split_trials,
     validate_corpus,
 )
-from weaksv.errors import InsufficientSegments
+from weaksv.errors import CorruptArtifact, EmptyInput, InsufficientSegments
 from weaksv.synth import SynthConfig, generate_corpus
 
 from conftest import make_segment
@@ -162,4 +166,93 @@ def test_mean_frames_matches_direct_average(tiny_corpus):
     mat, row_of = tiny_corpus.mean_frames()
     for sid, seg in tiny_corpus.segments.items():
         expected = seg.features.astype(np.float64).mean(axis=0)
-        assert np.allclose(mat[row_of[sid]], expected)
+        assert np.array_equal(mat[row_of[sid]], expected)
+
+
+def _ragged_corpus(n_segments, seed=0, feat_dim=5):
+    """Segments of 1..40 frames (a third with one frame), ids sparse and unsorted."""
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(np.arange(n_segments) * 3 + 7).tolist()
+    segments = {}
+    for sid in ids:
+        n = 1 if rng.random() < 0.33 else int(rng.integers(2, 41))
+        feats = (rng.standard_normal((n, feat_dim)) * rng.uniform(0.01, 50)).astype(np.float32)
+        segments[sid] = Segment(sid, 0, 0, feats, 0)
+    return Corpus(1, [Recording(0, 0, [ids])], segments)
+
+
+class TestMeanFrames:
+    def test_bitwise_equal_to_per_segment_mean(self):
+        corpus = _ragged_corpus(2 * POOL_BLOCK + 37)
+        mat, row_of = corpus.mean_frames()
+        assert list(row_of) == sorted(corpus.segments)
+        reference = np.stack([corpus.segments[sid].features.astype(np.float64).mean(axis=0)
+                              for sid in row_of])
+        assert np.array_equal(mat, reference)
+        assert [row_of[sid] for sid in sorted(corpus.segments)] == list(range(len(row_of)))
+
+    def test_second_call_returns_same_read_only_result(self):
+        corpus = _ragged_corpus(10)
+        mat, row_of = corpus.mean_frames()
+        again = corpus.mean_frames()
+        assert again[0] is mat and again[1] is row_of
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            row_of[0] = 0
+
+    def test_zero_frame_segment_raises(self):
+        corpus = _ragged_corpus(POOL_BLOCK + 5)
+        victim = sorted(corpus.segments)[POOL_BLOCK + 2]
+        corpus.segments[victim] = Segment(victim, 0, 0, np.zeros((0, 5), np.float32), 0)
+        with pytest.raises(EmptyInput, match=f"segment {victim} "):
+            corpus.mean_frames()
+
+    def test_pooling_runs_once_per_corpus(self, monkeypatch):
+        calls = []
+        real = weaksv.corpus._pool_means
+        monkeypatch.setattr(weaksv.corpus, "_pool_means", lambda *a: calls.append(1) or real(*a))
+        corpus = _ragged_corpus(20)
+        for _ in range(4):
+            corpus.mean_frames()
+        assert len(calls) == 1
+        _ragged_corpus(20).mean_frames()
+        assert len(calls) == 2
+
+
+def _replace_first(kind, fields):
+    def edit(text):
+        lines = text.splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith(kind + " "))
+        lines[i] = fields(lines[i].split())
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _replace_first("R", lambda f: " ".join([*f[:4], "dev"])),
+    _replace_first("R", lambda f: " ".join(f + ["extra"])),
+    _replace_first("C", lambda f: " ".join(["C", "-1", *f[2:]])),
+    _replace_first("C", lambda f: " ".join(["C", "9", *f[2:]])),
+    _replace_first("C", lambda f: " ".join(["C", *f[1:], "7.5"])),
+    _replace_first("S", lambda f: " ".join([*f[:4], str(2**70)])),
+    _replace_first("S", lambda f: " ".join([*f[:4], "-1"])),
+    _replace_first("S", lambda f: " ".join([*f[:3], "-2", f[4]])),
+], ids=["split", "extra_field", "negative_cluster", "cluster_past_declared", "float_segment",
+        "offset_overflow", "negative_offset", "negative_frames"])
+def test_load_manifest_rejects_malformed_index(tmp_path, tiny_corpus, edit):
+    save_manifest(tiny_corpus, tmp_path)
+    idx = tmp_path / "corpus.idx"
+    idx.write_text(edit(idx.read_text()))
+    with pytest.raises(CorruptArtifact):
+        load_manifest(tmp_path)
+
+
+def test_load_manifest_rejects_zero_feature_dim(tmp_path, tiny_corpus):
+    save_manifest(tiny_corpus, tmp_path)
+    feat = tmp_path / "corpus.feat"
+    raw = bytearray(feat.read_bytes())
+    raw[8:12] = bytes(4)
+    feat.write_bytes(bytes(raw))
+    with pytest.raises(CorruptArtifact):
+        load_manifest(tmp_path)

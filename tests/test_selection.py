@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
-from weaksv.corpus import assign_heldout_split
+import weaksv.corpus
+import weaksv.selection
+from weaksv.corpus import Corpus, assign_heldout_split
 from weaksv.diarize import PRESETS, apply_diarization
-from weaksv.embedder import Checkpoint, EmbedderConfig, init_params
+from weaksv.embedder import Checkpoint, EmbedderConfig, forward_pooled, init_params
 from weaksv.errors import DegenerateConfig
 from weaksv.selection import (
     SelectionResult,
+    UnknownPool,
     load_selection,
     load_unknown_pool,
     save_selection,
@@ -181,3 +186,116 @@ def test_selection_artifacts_round_trip(tmp_path, trained):
     assert load_unknown_pool(tmp_path) == pool.segment_ids
     stats_text = (tmp_path / "selection_stats.json").read_text()
     assert '"precision"' in stats_text and '"recall"' in stats_text
+
+
+# ---------------------------------------------------------------------------
+# Array code against the per-row loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_cosines(corpus, ckpt):
+    pooled, row_of = corpus.mean_frames()
+    sids = sorted(sid for rec in corpus.train_recordings() for sid in rec.segment_ids())
+    emb, _ = forward_pooled(pooled[[row_of[s] for s in sids]], ckpt.params)
+    return sids, emb @ ckpt.prototypes.T
+
+
+def _target_of(corpus, sid):
+    return corpus.recording(corpus.segments[sid].recording_id).target
+
+
+def _reference_self_label(corpus, ckpt):
+    sids, cosines = _reference_cosines(corpus, ckpt)
+    preds = np.argmax(cosines, axis=1)
+    selected, scores = [], {}
+    for i, sid in enumerate(sids):
+        target = _target_of(corpus, sid)
+        if int(preds[i]) == target:
+            selected.append((sid, target))
+            scores[sid] = float(cosines[i, target])
+    return selected, scores
+
+
+def _reference_unknown_pool(corpus, ckpt, top_k, fraction, scale=30.0):
+    sids, cosines = _reference_cosines(corpus, ckpt)
+    logits = scale * cosines
+    preds = np.argmax(cosines, axis=1)
+    survivors = []
+    for i, sid in enumerate(sids):
+        target = _target_of(corpus, sid)
+        if int(preds[i]) == target:
+            continue
+        row = logits[i]
+        t_logit = row[target]
+        rank = int(np.sum(row > t_logit) + np.sum(row[:target] == t_logit))
+        if rank < top_k:
+            continue
+        m = row.max()
+        survivors.append((float(m + math.log(np.exp(row - m).sum())), sid, rank))
+    survivors.sort(key=lambda t: (-t[0], t[1]))
+    kept = survivors[:math.ceil(fraction * len(survivors))]
+    return UnknownPool([sid for _, sid, _ in kept], {sid: lse for lse, sid, _ in kept},
+                       {sid: rank for _, sid, rank in kept})
+
+
+def _tied_checkpoint(ckpt):
+    """Zero prototypes for every other class: their cosines are exactly 0.
+
+    A segment whose target has a zero prototype then ties at the target
+    with every other zero-prototype class, so the rank tie rule decides.
+    """
+    prototypes = ckpt.prototypes.copy()
+    prototypes[::2] = 0.0
+    return Checkpoint(ckpt.config, ckpt.params, prototypes)
+
+
+class TestArrayParity:
+    @pytest.fixture(params=["trained", "ties"])
+    def case(self, request, trained):
+        corpus, ckpt = trained
+        return corpus, _tied_checkpoint(ckpt) if request.param == "ties" else ckpt
+
+    @pytest.mark.parametrize("row_block", [weaksv.selection.ROW_BLOCK, 7])
+    @pytest.mark.parametrize("top_k, fraction", [(1, 1.0), (3, 1.0), (3, 0.3), (5, 0.5)])
+    def test_unknown_pool_matches_row_loop(self, case, monkeypatch, row_block, top_k, fraction):
+        corpus, ckpt = case
+        monkeypatch.setattr(weaksv.selection, "ROW_BLOCK", row_block)
+        got = select_unknown_pool(corpus, ckpt, top_k=top_k, fraction=fraction)
+        want = _reference_unknown_pool(corpus, ckpt, top_k, fraction)
+        assert got.segment_ids == want.segment_ids
+        assert got.lse_scores == want.lse_scores
+        assert got.target_ranks == want.target_ranks
+
+    def test_self_label_matches_row_loop(self, case):
+        corpus, ckpt = case
+        got = self_label(corpus, ckpt)
+        selected, scores = _reference_self_label(corpus, ckpt)
+        assert got.selected == selected
+        assert got.scores == scores
+        assert got.stats == selection_stats(SelectionResult(selected, scores), corpus)
+
+    def test_cases_cover_ties_and_several_blocks(self, trained):
+        corpus, ckpt = trained
+        sids, cosines = _reference_cosines(corpus, _tied_checkpoint(ckpt))
+        targets = np.array([_target_of(corpus, sid) for sid in sids])
+        t_cos = cosines[np.arange(len(sids)), targets]
+        tied_below = (cosines == t_cos[:, None]) & (np.arange(cosines.shape[1]) < targets[:, None])
+        rejected = np.argmax(cosines, axis=1) != targets
+        assert np.count_nonzero(tied_below.any(axis=1) & rejected) > 0
+        assert np.count_nonzero(rejected) > 3 * 7
+
+
+def test_selection_makes_no_per_segment_lookups(trained, monkeypatch):
+    corpus, ckpt = trained
+    fresh = Corpus(corpus.n_speakers, corpus.recordings, corpus.segments)
+    lookups, poolings = [], []
+    real_recording, real_pool = Corpus.recording, weaksv.corpus._pool_means
+    monkeypatch.setattr(Corpus, "recording",
+                        lambda self, rid: lookups.append(rid) or real_recording(self, rid))
+    monkeypatch.setattr(weaksv.corpus, "_pool_means",
+                        lambda *a: poolings.append(1) or real_pool(*a))
+    self_label(fresh, ckpt)
+    select_unknown_pool(fresh, ckpt, top_k=3, fraction=0.5)
+    fresh.mean_frames()
+    assert lookups == []
+    assert len(poolings) == 1
