@@ -225,6 +225,18 @@ def cmd_selfcheck() -> None:
     run_selfcheck()
 
 
+def _no_hugepage_advice() -> None:
+    """Stop numpy from asking the kernel for huge pages (madvise) on big arrays.
+
+    With the advice, arrays of 4 MiB and more are backed by 2 MiB pages when
+    the kernel has some free and khugepaged gets round to them, so the same
+    run's resident memory moved by whole huge pages from one process to the
+    next. Without it, memory use depends on the data alone.
+    """
+    core = getattr(np, "_core", None) or np.core
+    core.multiarray._set_madvise_hugepage(False)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="weaksv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -253,6 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("schema", help="print the configuration schema")
 
     args = parser.parse_args(argv)
+    _no_hugepage_advice()
     try:
         if args.command == "schema":
             print(cfgmod.render_schema())

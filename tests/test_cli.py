@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import weaksv
@@ -175,6 +176,15 @@ class TestExitCodes:
     def test_schema_prints(self, capsys):
         assert main(["schema"]) == 0
         assert "synth.n_speakers" in capsys.readouterr().out
+
+    def test_no_hugepage_advice(self):
+        multiarray = (getattr(np, "_core", None) or np.core).multiarray
+        before = multiarray._set_madvise_hugepage(True)
+        try:
+            assert main(["schema"]) == 0
+            assert multiarray._get_madvise_hugepage() is False
+        finally:
+            multiarray._set_madvise_hugepage(before)
 
 
 def _patch_feat(run, offset, data):
