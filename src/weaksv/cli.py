@@ -10,6 +10,7 @@ snapshot of the configuration it ran under. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -24,6 +25,7 @@ from .corpus import load_manifest, load_trials, save_manifest, save_oracle, save
 from .diarize import PRESETS, apply_diarization
 from .embedder import load_checkpoint, save_checkpoint
 from .errors import ConfigError, MissingArtifacts, WeaksvError
+from .fileio import atomic_write
 from .rng import derive_key, mix64
 from .synth import generate_corpus
 from .trainer import ablation_stage1_configs, save_metrics_csv, train_stage1, train_stage2
@@ -38,9 +40,7 @@ def _snapshot_config(cfg: cfgmod.RunConfig, config_path: str | None, out: Path) 
         values[""]["seed"] = cfg.seed
         values[""]["out"] = str(cfg.out)
         text = cfgmod.render_config(values)
-    tmp = out / ".config.snapshot.tmp"
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(out / "config.snapshot")
+    atomic_write(out / "config.snapshot", text)
 
 
 def _require(path: Path, what: str) -> Path:
@@ -142,11 +142,7 @@ def _eval_checkpoint(cfg: cfgmod.RunConfig, corpus, trials, ckpt_path: Path, out
         "n_target": int(np.sum(scores.labels)),
         "n_nontarget": int(np.sum(~scores.labels)),
     }
-    import json
-
-    tmp = out / f".eval_{stem}.json.tmp"
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    tmp.replace(out / f"eval_{stem}.json")
+    atomic_write(out / f"eval_{stem}.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload
 
 
@@ -246,7 +242,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", default=None, help="configuration file (defaults apply if omitted)")
         p.add_argument("--out", default=None, help="run directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="global seed (overrides config)")
-        p.add_argument("--threads", type=int, default=None, help="reserved; must be >= 1")
         if checkpoint:
             p.add_argument("--checkpoint", default=None, help="checkpoint to score (default: all stage*.ckpt)")
         if preset:
@@ -273,8 +268,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "selfcheck":
             cmd_selfcheck()
             return 0
-        if getattr(args, "threads", None) is not None and args.threads < 1:
-            raise ConfigError("threads must be >= 1")
         cfg = cfgmod.load_run_config(args.config, seed=args.seed, out=args.out)
         if args.command == "gen":
             cmd_gen(cfg, args.config)

@@ -32,7 +32,6 @@ SCHEMA: dict[str, dict[str, Key]] = {
     "": {
         "seed": Key("int", 1234, "global seed; every stage derives its own stream from it"),
         "out": Key("str", "runs/default", "run directory for all artifacts"),
-        "threads": Key("int", 1, "reserved; execution is sequential and bit-reproducible"),
     },
     "synth": {
         "n_speakers": Key("int", 40, "known speakers (targets)"),
@@ -171,7 +170,6 @@ def parse_config_text(text: str) -> dict[str, dict[str, object]]:
 class RunConfig:
     seed: int
     out: Path
-    threads: int
     synth: SynthConfig
     heldout_fraction: float
     n_target_trials: int
@@ -245,10 +243,9 @@ def build_run_config(values: dict[str, dict[str, object]]) -> RunConfig:
 
     if v["stage1"]["aggregation"] not in ("max", "lse"):
         raise ConfigError("stage1.aggregation must be max or lse")
-    cfg = RunConfig(
+    return RunConfig(
         seed=v[""]["seed"],
         out=Path(v[""]["out"]),
-        threads=v[""]["threads"],
         synth=synth,
         heldout_fraction=v["trials"]["heldout_fraction"],
         n_target_trials=v["trials"]["n_target"],
@@ -265,9 +262,6 @@ def build_run_config(values: dict[str, dict[str, object]]) -> RunConfig:
         eval_c_miss=v["eval"]["c_miss"],
         eval_c_fa=v["eval"]["c_fa"],
     )
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
-    return cfg
 
 
 def load_run_config(path: str | Path | None, seed: int | None = None, out: str | None = None) -> RunConfig:

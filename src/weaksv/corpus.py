@@ -14,7 +14,6 @@ On-disk layout (one directory):
 
 from __future__ import annotations
 
-import os
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -24,6 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import CorruptArtifact, EmptyInput, InsufficientSegments
+from .fileio import atomic_write
 from .rng import Rng
 
 # Oracle label sentinels. Known speakers are dense ids 0..n_speakers-1;
@@ -300,12 +300,6 @@ def split_trials(corpus: Corpus, n_target: int, n_nontarget: int, seed: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    tmp = path.with_name("." + path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
 def save_manifest(corpus: Corpus, directory: str | Path) -> None:
     """Write corpus.idx and corpus.feat.
 
@@ -339,8 +333,8 @@ def save_manifest(corpus: Corpus, directory: str | Path) -> None:
         blob += feats.tobytes()
         offset += seg.n_frames
 
-    _atomic_write(directory / IDX_NAME, ("\n".join(lines) + "\n").encode("utf-8"))
-    _atomic_write(directory / FEAT_NAME, bytes(blob))
+    atomic_write(directory / IDX_NAME, "\n".join(lines) + "\n")
+    atomic_write(directory / FEAT_NAME, bytes(blob))
 
 
 def load_manifest(directory: str | Path) -> Corpus:
@@ -437,12 +431,12 @@ def _index_line_problem(parts: list[str], current: Recording | None) -> str:
 def save_oracle(corpus: Corpus, directory: str | Path) -> None:
     directory = Path(directory)
     lines = [f"{sid}\t{corpus.segments[sid].oracle_speaker}" for sid in sorted(corpus.segments)]
-    _atomic_write(directory / ORACLE_NAME, ("\n".join(lines) + "\n").encode("utf-8"))
+    atomic_write(directory / ORACLE_NAME, "\n".join(lines) + "\n")
 
 
 def save_trials(trials: list[Trial], path: str | Path) -> None:
     lines = [f"{t.enroll_id}\t{t.test_id}\t{1 if t.is_target else 0}" for t in trials]
-    _atomic_write(Path(path), ("\n".join(lines) + "\n").encode("utf-8"))
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_trials(path: str | Path) -> list[Trial]:

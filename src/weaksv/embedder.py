@@ -1,33 +1,45 @@
 """Trainable embedding model: frame-mean pooling, a 2-layer network with
 relu, L2-normalized output embeddings, and unit-norm speaker prototypes.
 
-forward/backward are pure functions of (params, input); the backward pass
-is exact analytic chain rule, including the normalization Jacobian
-(I - e e^T)/||z||, and is verified against central finite differences in
-the test suite.
+Every trainable array lives in one ordered name -> array mapping, in
+PARAM_NAMES order: W1 (hidden, feat), b1, W2 (emb, hidden), b2 and the
+prototypes P (n_speakers, emb). The same mapping feeds forward/backward,
+the SGD update, checkpoints and, through flatten_params/unflatten_params,
+the finite-difference gradient checks.
+
+forward_pooled/backward_pooled are pure functions of (params, input); the
+backward pass is exact analytic chain rule, including the normalization
+Jacobian (I - e e^T)/||z||, and is verified against central finite
+differences in the test suite.
 
 Checkpoint format: header magic WMLC, u32 version, u32 feat_dim,
 u32 hidden_dim, u32 emb_dim, u32 n_speakers, then all parameters as
-little-endian float64 in order W1, b1, W2, b2, prototypes. A trailing
-optimizer section (magic OPTS, u64 step, u32 epoch, 32-byte config hash,
-velocities in the same parameter order) is appended by the trainer and
-ignored by embedding-only readers.
+little-endian float64 in PARAM_NAMES order. A trailing optimizer section
+(magic OPTS, u64 step, u32 epoch, 32-byte config hash, velocities in the
+same order) is appended by the trainer and ignored by embedding-only
+readers. A file of any other length is rejected as corrupt.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateEmbedding
+from .errors import CorruptArtifact, DegenerateEmbedding
+from .fileio import atomic_write
 from .rng import Rng
 
 CKPT_MAGIC = b"WMLC"
 CKPT_VERSION = 1
 OPT_MAGIC = b"OPTS"
+_HEADER = struct.Struct("<4sIIIII")
+_OPT_HEADER = struct.Struct("<4sQI32s")
+
+PARAM_NAMES = ("W1", "b1", "W2", "b2", "P")
 
 _NORM_FLOOR = 1e-8
 
@@ -39,18 +51,24 @@ class EmbedderConfig:
     emb_dim: int = 32
 
 
-@dataclass
-class EmbedderParams:
-    W1: np.ndarray  # (hidden, feat)
-    b1: np.ndarray  # (hidden,)
-    W2: np.ndarray  # (emb, hidden)
-    b2: np.ndarray  # (emb,)
+def _param_shapes(cfg: EmbedderConfig, n_speakers: int) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter, in PARAM_NAMES order."""
+    return {"W1": (cfg.hidden_dim, cfg.feat_dim), "b1": (cfg.hidden_dim,),
+            "W2": (cfg.emb_dim, cfg.hidden_dim), "b2": (cfg.emb_dim,),
+            "P": (n_speakers, cfg.emb_dim)}
 
-    def copy(self) -> "EmbedderParams":
-        return EmbedderParams(self.W1.copy(), self.b1.copy(), self.W2.copy(), self.b2.copy())
 
-    def names(self) -> tuple[str, ...]:
-        return ("W1", "b1", "W2", "b2")
+def flatten_params(params: dict[str, np.ndarray]) -> np.ndarray:
+    """All parameters (or gradients) as one float64 vector, in PARAM_NAMES order."""
+    return np.concatenate([params[name].ravel() for name in PARAM_NAMES])
+
+
+def unflatten_params(theta: np.ndarray, cfg: EmbedderConfig, n_speakers: int) -> dict[str, np.ndarray]:
+    """Inverse of flatten_params: views of theta, shaped per parameter."""
+    shapes = _param_shapes(cfg, n_speakers)
+    parts = np.split(np.asarray(theta, dtype=np.float64),
+                     np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1])
+    return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
 
 
 @dataclass
@@ -65,33 +83,26 @@ class ForwardCache:
     emb: np.ndarray  # (k, emb)
 
 
-def init_params(cfg: EmbedderConfig, seed: int) -> EmbedderParams:
-    """Gaussian init scaled by 1/sqrt(fan_in)."""
+def init_params(cfg: EmbedderConfig, n_speakers: int, seed: int) -> dict[str, np.ndarray]:
+    """Gaussian weights scaled by 1/sqrt(fan_in), zero biases, random unit prototypes."""
     rng = Rng.from_seed(seed, "params")
     W1 = rng.normals(cfg.hidden_dim * cfg.feat_dim).reshape(cfg.hidden_dim, cfg.feat_dim) / np.sqrt(cfg.feat_dim)
-    b1 = np.zeros(cfg.hidden_dim)
     W2 = rng.normals(cfg.emb_dim * cfg.hidden_dim).reshape(cfg.emb_dim, cfg.hidden_dim) / np.sqrt(cfg.hidden_dim)
-    b2 = np.zeros(cfg.emb_dim)
-    return EmbedderParams(W1, b1, W2, b2)
+    P = Rng.from_seed(seed, "prototypes").normals(n_speakers * cfg.emb_dim).reshape(n_speakers, cfg.emb_dim)
+    return {"W1": W1, "b1": np.zeros(cfg.hidden_dim), "W2": W2, "b2": np.zeros(cfg.emb_dim),
+            "P": P / np.linalg.norm(P, axis=1, keepdims=True)}
 
 
-def init_prototypes(n_speakers: int, emb_dim: int, seed: int) -> np.ndarray:
-    """(n_speakers, emb_dim) random unit rows."""
-    rng = Rng.from_seed(seed, "prototypes")
-    P = rng.normals(n_speakers * emb_dim).reshape(n_speakers, emb_dim)
-    return P / np.linalg.norm(P, axis=1, keepdims=True)
-
-
-def forward_pooled(xbar: np.ndarray, params: EmbedderParams) -> tuple[np.ndarray, ForwardCache]:
+def forward_pooled(xbar: np.ndarray, params: dict[str, np.ndarray]) -> tuple[np.ndarray, ForwardCache]:
     """Embed a batch of already frame-averaged feature vectors.
 
     xbar: (k, feat_dim) float64. Returns unit-norm embeddings (k, emb_dim)
     plus the cache needed for gradients.
     """
     xbar = np.atleast_2d(np.asarray(xbar, dtype=np.float64))
-    a1 = xbar @ params.W1.T + params.b1
+    a1 = xbar @ params["W1"].T + params["b1"]
     h = np.maximum(a1, 0.0)
-    z = h @ params.W2.T + params.b2
+    z = h @ params["W2"].T + params["b2"]
     norms = np.linalg.norm(z, axis=1)
     if np.any(norms < _NORM_FLOOR):
         raise DegenerateEmbedding("pre-normalization embedding norm below 1e-8")
@@ -99,20 +110,13 @@ def forward_pooled(xbar: np.ndarray, params: EmbedderParams) -> tuple[np.ndarray
     return emb, ForwardCache(xbar, a1, h, z, norms, emb)
 
 
-def forward(features: np.ndarray, params: EmbedderParams) -> tuple[np.ndarray, ForwardCache]:
-    """Embed one segment given its (n_frames, feat_dim) feature matrix."""
-    xbar = np.asarray(features, dtype=np.float64).mean(axis=0)
-    emb, cache = forward_pooled(xbar[None, :], params)
-    return emb[0], cache
-
-
 def cosine_similarities(emb: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
     """Cosines of an embedding (or batch) against every prototype row."""
     return np.asarray(emb, dtype=np.float64) @ prototypes.T
 
 
-def backward_pooled(d_emb: np.ndarray, cache: ForwardCache, params: EmbedderParams) -> dict[str, np.ndarray]:
-    """Exact parameter gradients from upstream d loss / d embedding.
+def backward_pooled(d_emb: np.ndarray, cache: ForwardCache, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Exact network gradients (W1, b1, W2, b2) from upstream d loss / d embedding.
 
     The radial direction is annihilated by the normalization Jacobian:
     dz = (d_emb - (d_emb . e) e) / ||z||.
@@ -122,7 +126,7 @@ def backward_pooled(d_emb: np.ndarray, cache: ForwardCache, params: EmbedderPara
     dz = (d_emb - radial * cache.emb) / cache.norms[:, None]
     dW2 = dz.T @ cache.h
     db2 = dz.sum(axis=0)
-    dh = dz @ params.W2
+    dh = dz @ params["W2"]
     da1 = dh * (cache.a1 > 0.0)
     dW1 = da1.T @ cache.xbar
     db1 = da1.sum(axis=0)
@@ -137,75 +141,57 @@ def backward_pooled(d_emb: np.ndarray, cache: ForwardCache, params: EmbedderPara
 @dataclass
 class Checkpoint:
     config: EmbedderConfig
-    params: EmbedderParams
-    prototypes: np.ndarray  # (n_speakers, emb_dim)
-    velocities: dict[str, np.ndarray] | None = None  # W1,b1,W2,b2,P
+    params: dict[str, np.ndarray]  # PARAM_NAMES order
+    velocities: dict[str, np.ndarray] | None = None  # same keys as params
     step: int = 0
     epoch: int = 0
     config_hash: bytes = b"\x00" * 32
 
     @property
     def n_speakers(self) -> int:
-        return self.prototypes.shape[0]
-
-    def copy(self) -> "Checkpoint":
-        vel = {k: v.copy() for k, v in self.velocities.items()} if self.velocities else None
-        return Checkpoint(self.config, self.params.copy(), self.prototypes.copy(),
-                          vel, self.step, self.epoch, self.config_hash)
-
-
-def _param_arrays(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
-    p = ckpt.params
-    return [("W1", p.W1), ("b1", p.b1), ("W2", p.W2), ("b2", p.b2), ("P", ckpt.prototypes)]
+        return self.params["P"].shape[0]
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     cfg = ckpt.config
-    blob = bytearray()
-    blob += CKPT_MAGIC
-    blob += struct.pack("<IIIII", CKPT_VERSION, cfg.feat_dim, cfg.hidden_dim, cfg.emb_dim, ckpt.n_speakers)
-    for _, arr in _param_arrays(ckpt):
-        blob += np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    blob = bytearray(_HEADER.pack(CKPT_MAGIC, CKPT_VERSION, cfg.feat_dim, cfg.hidden_dim,
+                                  cfg.emb_dim, ckpt.n_speakers))
+    blob += flatten_params(ckpt.params).astype("<f8").tobytes()
     if ckpt.velocities is not None:
-        blob += OPT_MAGIC
-        blob += struct.pack("<QI", ckpt.step, ckpt.epoch)
-        blob += ckpt.config_hash
-        for name, arr in _param_arrays(ckpt):
-            blob += np.ascontiguousarray(ckpt.velocities[name], dtype="<f8").tobytes()
-    path = Path(path)
-    tmp = path.with_name("." + path.name + ".tmp")
-    tmp.write_bytes(bytes(blob))
-    tmp.replace(path)
+        blob += _OPT_HEADER.pack(OPT_MAGIC, ckpt.step, ckpt.epoch, ckpt.config_hash)
+        blob += flatten_params(ckpt.velocities).astype("<f8").tobytes()
+    atomic_write(path, bytes(blob))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint, raising CorruptArtifact unless it is exactly well formed."""
     raw = Path(path).read_bytes()
-    if raw[:4] != CKPT_MAGIC:
-        raise ValueError(f"bad checkpoint magic in {path}")
-    version, feat, hidden, emb, n_spk = struct.unpack("<IIIII", raw[4:24])
+    if len(raw) < _HEADER.size:
+        raise CorruptArtifact(f"{path}: {len(raw)} bytes, shorter than the {_HEADER.size}-byte header")
+    magic, version, feat, hidden, emb, n_spk = _HEADER.unpack_from(raw)
+    if magic != CKPT_MAGIC:
+        raise CorruptArtifact(f"{path}: bad checkpoint magic {magic!r}")
     if version != CKPT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
+        raise CorruptArtifact(f"{path}: unsupported checkpoint version {version}")
+    if 0 in (feat, hidden, emb, n_spk):
+        raise CorruptArtifact(f"{path}: zero dimension in header (feat {feat}, hidden {hidden}, "
+                              f"emb {emb}, speakers {n_spk})")
     cfg = EmbedderConfig(feat, hidden, emb)
-    shapes = [("W1", (hidden, feat)), ("b1", (hidden,)), ("W2", (emb, hidden)),
-              ("b2", (emb,)), ("P", (n_spk, emb))]
+    count = sum(math.prod(shape) for shape in _param_shapes(cfg, n_spk).values())
+    opt_at = _HEADER.size + 8 * count
+    full = opt_at + _OPT_HEADER.size + 8 * count
+    if len(raw) not in (opt_at, full):
+        raise CorruptArtifact(f"{path}: {len(raw)} bytes, but its header implies {opt_at} "
+                              f"(parameters) or {full} (with optimizer state)")
 
-    def read_block(offset: int) -> tuple[dict[str, np.ndarray], int]:
-        out = {}
-        for name, shape in shapes:
-            count = int(np.prod(shape))
-            out[name] = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-            offset += count * 8
-        return out, offset
+    def read_block(offset: int) -> dict[str, np.ndarray]:
+        flat = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).astype(np.float64)
+        return unflatten_params(flat, cfg, n_spk)
 
-    arrays, offset = read_block(24)
-    params = EmbedderParams(arrays["W1"], arrays["b1"], arrays["W2"], arrays["b2"])
-    ckpt = Checkpoint(cfg, params, arrays["P"])
-    if offset < len(raw) and raw[offset:offset + 4] == OPT_MAGIC:
-        step, epoch = struct.unpack("<QI", raw[offset + 4:offset + 16])
-        config_hash = raw[offset + 16:offset + 48]
-        velocities, _ = read_block(offset + 48)
-        ckpt.velocities = velocities
-        ckpt.step = step
-        ckpt.epoch = epoch
-        ckpt.config_hash = bytes(config_hash)
-    return ckpt
+    if len(raw) == opt_at:
+        return Checkpoint(cfg, read_block(_HEADER.size))
+    magic, step, epoch, config_hash = _OPT_HEADER.unpack_from(raw, opt_at)
+    if magic != OPT_MAGIC:
+        raise CorruptArtifact(f"{path}: bad optimizer-section magic {magic!r}")
+    return Checkpoint(cfg, read_block(_HEADER.size), read_block(opt_at + _OPT_HEADER.size),
+                      step, epoch, config_hash)

@@ -53,10 +53,6 @@ class SingleClass(WeaksvError):
     """A score set lacks target or non-target trials."""
 
 
-class EmptySelection(WeaksvError):
-    pass
-
-
 class MissingArtifacts(WeaksvError):
     """A pipeline command ran before its inputs were produced."""
 

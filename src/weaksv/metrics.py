@@ -18,6 +18,7 @@ import numpy as np
 from .corpus import Corpus, Trial
 from .embedder import Checkpoint, forward_pooled
 from .errors import MissingArtifacts, SingleClass
+from .fileio import atomic_write
 
 
 @dataclass
@@ -91,10 +92,7 @@ def save_scores(score_set: ScoreSet, trials: list[Trial], path: str | Path) -> N
         f"{t.enroll_id}\t{t.test_id}\t{float(s)!r}\t{1 if t.is_target else 0}"
         for t, s in zip(trials, score_set.scores)
     ]
-    p = Path(path)
-    tmp = p.with_name("." + p.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tmp.replace(p)
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_scores(path: str | Path) -> ScoreSet:
@@ -169,8 +167,5 @@ def make_report(run_dir: str | Path) -> dict:
             report["ablation"] = grid
     if not report:
         raise MissingArtifacts(f"nothing to report in {run_dir}")
-    path = run_dir / "report.json"
-    tmp = path.with_name("." + path.name + ".tmp")
-    tmp.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    atomic_write(run_dir / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report

@@ -31,6 +31,7 @@ import numpy as np
 from .corpus import Corpus
 from .embedder import Checkpoint, forward_pooled
 from .errors import DegenerateConfig
+from .fileio import atomic_write
 
 # Candidate rows ranked per block in select_unknown_pool: bounds the
 # scratch memory for their logits.
@@ -76,7 +77,7 @@ def _train_segment_cosines(corpus: Corpus, checkpoint: Checkpoint):
     sids = [sid for sid, _ in pairs]
     targets = np.array([target for _, target in pairs], dtype=np.int64)
     emb, _ = forward_pooled(pooled[[row_of[s] for s in sids]], checkpoint.params)
-    return sids, targets, emb @ checkpoint.prototypes.T
+    return sids, targets, emb @ checkpoint.params["P"].T
 
 
 def self_label(corpus: Corpus, checkpoint: Checkpoint) -> SelectionResult:
@@ -170,17 +171,11 @@ def select_unknown_pool(
 # ---------------------------------------------------------------------------
 
 
-def _atomic_text(path: Path, text: str) -> None:
-    tmp = path.with_name("." + path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
-
-
 def save_selection(result: SelectionResult, directory: str | Path) -> None:
     directory = Path(directory)
     lines = [json.dumps({"segment_id": sid, "label": lab, "score": result.scores.get(sid)})
              for sid, lab in sorted(result.selected)]
-    _atomic_text(directory / "selection.jsonl", "\n".join(lines) + ("\n" if lines else ""))
+    atomic_write(directory / "selection.jsonl", "\n".join(lines) + ("\n" if lines else ""))
     st = result.stats
     payload = {
         "precision": st.precision,
@@ -192,7 +187,7 @@ def save_selection(result: SelectionResult, directory: str | Path) -> None:
         "per_speaker_coverage": {str(k): v for k, v in sorted(st.per_speaker_coverage.items())},
         "empty_selection": st.empty_selection,
     }
-    _atomic_text(directory / "selection_stats.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(directory / "selection_stats.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_selection(directory: str | Path) -> list[tuple[int, int]]:
@@ -209,7 +204,7 @@ def save_unknown_pool(pool: UnknownPool, directory: str | Path) -> None:
     lines = [json.dumps({"segment_id": sid, "lse_score": pool.lse_scores[sid],
                          "target_rank": pool.target_ranks[sid]})
              for sid in pool.segment_ids]
-    _atomic_text(Path(directory) / "unknown_pool.jsonl", "\n".join(lines) + ("\n" if lines else ""))
+    atomic_write(Path(directory) / "unknown_pool.jsonl", "\n".join(lines) + ("\n" if lines else ""))
 
 
 def load_unknown_pool(directory: str | Path) -> list[int]:

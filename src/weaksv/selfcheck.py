@@ -5,61 +5,48 @@ central finite differences, the soft-max pooling bounds, agreement of the
 EER/minDCF implementations with direct threshold sweeps, the extended
 logit column rules, and generator reproducibility. Raises WeaksvError on
 the first failure.
+
+The gradient check differences `composite_loss`, which runs the trainer's
+own training step (`loss_and_grads` with a stage's batch loss) at a flat
+parameter vector; the test suite's gradient criteria difference the same
+function with their own finite-difference oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .embedder import EmbedderConfig, EmbedderParams, backward_pooled, forward_pooled, init_params, init_prototypes
+from .embedder import EmbedderConfig, flatten_params, forward_pooled, init_params, unflatten_params
 from .errors import WeaksvError
-from .losses import aggregate, extend_logits_unknown, extended_ce_loss, lse_tau, segment_aam_loss, weak_recording_loss
+from .losses import extend_logits_unknown, lse_tau
 from .metrics import ScoreSet, compute_eer, compute_mindcf
 from .rng import Rng
+from .trainer import loss_and_grads, recording_batch_loss, segment_batch_loss
 
 
-def _flatten(params: EmbedderParams, prototypes: np.ndarray) -> np.ndarray:
-    return np.concatenate([params.W1.ravel(), params.b1, params.W2.ravel(),
-                           params.b2, prototypes.ravel()])
+def composite_loss(theta, cfg, n_speakers, xbar, path, *, target=0, s=30.0, m=0.1,
+                   tau=0.5, labels=None, known_mask=None, extra_col=None):
+    """(loss, flat analytic gradient) of one training step at parameters theta.
 
-
-def _unflatten(theta: np.ndarray, cfg: EmbedderConfig, n_spk: int):
-    sizes = [cfg.hidden_dim * cfg.feat_dim, cfg.hidden_dim,
-             cfg.emb_dim * cfg.hidden_dim, cfg.emb_dim, n_spk * cfg.emb_dim]
-    parts = np.split(theta, np.cumsum(sizes)[:-1])
-    params = EmbedderParams(parts[0].reshape(cfg.hidden_dim, cfg.feat_dim), parts[1].copy(),
-                            parts[2].reshape(cfg.emb_dim, cfg.hidden_dim), parts[3].copy())
-    return params, parts[4].reshape(n_spk, cfg.emb_dim)
-
-
-def _composite(theta, cfg, n_spk, xbar, path, target, s, m, tau, labels=None, mask=None,
-               extra_col=None):
-    params, prototypes = _unflatten(theta, cfg, n_spk)
-    emb, cache = forward_pooled(xbar, params)
-    cos = emb @ prototypes.T
-    if path == "stage1-max" or path == "stage1-lse":
-        agg = aggregate(cos, "max" if path.endswith("max") else "lse", tau)
-        loss, d_rec = weak_recording_loss(agg.c_rec, target, s, m)
-        d_cos = agg.backward(d_rec)
+    path selects the batch loss: "max" or "lse" (stage 1, the rows form one
+    bag of recording label target), "stage2" (every row labelled target)
+    or "extended" (labels with known_mask; the unknown class). For the
+    extended path, extra_col (the detached appended logit column) must be
+    precomputed at the base point so differencing respects the
+    stop-gradient semantics.
+    """
+    n_rows = len(xbar)
+    if path in ("max", "lse"):
+        batch_loss = recording_batch_loss(path, s, np.zeros(1, dtype=np.intp), np.array([target]))
     elif path == "stage2":
-        losses, d_cos = segment_aam_loss(cos, np.full(cos.shape[0], target), s, m)
-        loss = float(losses.mean())
-        d_cos /= cos.shape[0]
+        batch_loss = segment_batch_loss(s, np.full(n_rows, target), np.ones(n_rows, dtype=bool))
+    elif path == "extended":
+        batch_loss = segment_batch_loss(s, labels, known_mask,
+                                        None if extra_col is None else np.asarray(extra_col))
     else:
-        # the appended logit is a detached constant, so the differenced
-        # function must hold it at its base-point value
-        if extra_col is None:
-            ext = extend_logits_unknown(s * cos, labels, mask)
-        else:
-            ext = np.concatenate([s * cos, extra_col[:, None]], axis=1)
-        losses, d_logits = extended_ce_loss(ext, labels, mask, s, m)
-        loss = float(losses.mean())
-        d_cos = s * d_logits / cos.shape[0]
-    grads = backward_pooled(d_cos @ prototypes, cache, params)
-    grads["P"] = d_cos.T @ emb
-    flat_grad = np.concatenate([grads["W1"].ravel(), grads["b1"], grads["W2"].ravel(),
-                                grads["b2"], grads["P"].ravel()])
-    return loss, flat_grad
+        raise ValueError(path)
+    loss, grads = loss_and_grads(unflatten_params(theta, cfg, n_speakers), xbar, batch_loss, m, tau)
+    return loss, flatten_params(grads)
 
 
 def _check_gradients() -> None:
@@ -68,30 +55,28 @@ def _check_gradients() -> None:
     h = 1e-5
     for seed in range(3):
         rng = Rng.from_seed(seed, "selfcheck")
-        params = init_params(cfg, seed)
-        prototypes = init_prototypes(n_spk, cfg.emb_dim, seed)
+        params = init_params(cfg, n_spk, seed)
         xbar = rng.normals(bag * cfg.feat_dim).reshape(bag, cfg.feat_dim)
-        theta = _flatten(params, prototypes)
+        theta = flatten_params(params)
+        labels, mask = np.array([0, 1, 0]), np.array([True, True, False])
+        emb0, _ = forward_pooled(xbar, params)
+        extra = extend_logits_unknown(30.0 * (emb0 @ params["P"].T), labels, mask)[:, -1]
         cases = [
-            ("stage1-max", None, None),
-            ("stage1-lse", None, None),
-            ("stage2", None, None),
-            ("extended", np.array([0, 1, 0]), np.array([True, True, False])),
+            ("max", {}),
+            ("lse", {}),
+            ("stage2", {}),
+            ("extended", dict(labels=labels, known_mask=mask, extra_col=extra)),
         ]
-        for path, labels, mask in cases:
-            extra = None
-            if path == "extended":
-                p0, pr0 = _unflatten(theta, cfg, n_spk)
-                emb0, _ = forward_pooled(xbar, p0)
-                extra = extend_logits_unknown(30.0 * (emb0 @ pr0.T), labels, mask)[:, -1]
-            args = (cfg, n_spk, xbar, path, 1, 30.0, 0.1, 0.3, labels, mask, extra)
-            _, grad = _composite(theta, *args)
+        for path, extra_kw in cases:
+            kw = dict(target=1, s=30.0, m=0.1, tau=0.3, **extra_kw)
+            _, grad = composite_loss(theta, cfg, n_spk, xbar, path, **kw)
             fd = np.empty_like(grad)
             for i in range(theta.size):
                 tp, tm = theta.copy(), theta.copy()
                 tp[i] += h
                 tm[i] -= h
-                fd[i] = (_composite(tp, *args)[0] - _composite(tm, *args)[0]) / (2 * h)
+                fd[i] = (composite_loss(tp, cfg, n_spk, xbar, path, **kw)[0]
+                         - composite_loss(tm, cfg, n_spk, xbar, path, **kw)[0]) / (2 * h)
             err = np.max(np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-3))
             if err >= 1e-5:
                 raise WeaksvError(f"gradient check failed for {path} (seed {seed}): rel err {err:.2e}")

@@ -1,9 +1,14 @@
-"""Optimization loops for both stages.
+"""Optimization for both stages: one loop, two batch losses.
 
-SGD with momentum, linear warm-up followed by exponential learning-rate
-decay, per-epoch margin and temperature schedules, optional mid-training
-activation of the unknown class in stage 2, resumable checkpoints, and
-the stage-1 ablation grid definitions.
+Stage 1 (multi-instance, recording-level labels) and stage 2 (supervised
+on self-labeled segments, optionally with the extra unknown class) share
+the model, SGD with momentum, the warm-up + exponential-decay learning
+rate and the resumable checkpoint. `_fit` is the loop; each stage hands
+it its epoch plans and, per batch, the segment ids and a batch loss
+(cosines, margin, tau) -> (per-row losses, d loss / d cosines).
+`loss_and_grads` is the step's math, shared with `weaksv selfcheck` and
+the gradient tests. Also: per-epoch margin and temperature schedules and
+the stage-1 ablation grid.
 
 Runs are deterministic given (corpus, configs, seed): epoch plans derive
 their randomness from (seed, epoch), so resuming from an epoch-boundary
@@ -14,21 +19,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from .batching import plan_epoch_stage1, plan_epoch_stage2
 from .corpus import Corpus
-from .embedder import (
-    Checkpoint,
-    EmbedderConfig,
-    backward_pooled,
-    forward_pooled,
-    init_params,
-    init_prototypes,
-)
+from .embedder import Checkpoint, EmbedderConfig, backward_pooled, forward_pooled, init_params
 from .errors import ConfigError, NonFiniteGradient
+from .fileio import atomic_write
 from .losses import (
     LossConfig,
     Schedule,
@@ -39,23 +37,6 @@ from .losses import (
     weak_recording_loss,
 )
 from .rng import derive_key, mix64
-
-
-@dataclass(frozen=True)
-class OptimConfig:
-    momentum: float = 0.9
-    lr_max: float = 0.05
-    lr_final: float = 1e-4
-    warmup_steps: int = 0
-    total_steps: int = 0
-
-    def validate(self) -> None:
-        if not (0.0 <= self.momentum < 1.0):
-            raise ConfigError("momentum must lie in [0, 1)")
-        if self.lr_max <= 0 or self.lr_final <= 0 or self.lr_final > self.lr_max:
-            raise ConfigError("need 0 < lr_final <= lr_max")
-        if not (0 <= self.warmup_steps <= self.total_steps):
-            raise ConfigError("warmup_steps must lie in [0, total_steps]")
 
 
 @dataclass(frozen=True)
@@ -82,14 +63,18 @@ class StepMetrics:
     loss: float
 
 
-def lr_at(step: int, cfg: OptimConfig) -> float:
-    """Linear 0 -> lr_max over the warm-up, then exponential decay to lr_final."""
-    if step < cfg.warmup_steps:
-        return cfg.lr_max * step / cfg.warmup_steps
-    if cfg.total_steps <= cfg.warmup_steps:
-        return cfg.lr_max
-    frac = (step - cfg.warmup_steps) / (cfg.total_steps - cfg.warmup_steps)
-    return cfg.lr_max * (cfg.lr_final / cfg.lr_max) ** frac
+def lr_at(step: int, stage: StageConfig, total_steps: int) -> float:
+    """Linear 0 -> lr_max over the warm-up, then exponential decay to lr_final.
+
+    The warm-up lasts round(warmup_frac * total_steps) steps.
+    """
+    warmup = round(stage.warmup_frac * total_steps)
+    if step < warmup:
+        return stage.lr_max * step / warmup
+    if total_steps <= warmup:
+        return stage.lr_max
+    frac = (step - warmup) / (total_steps - warmup)
+    return stage.lr_max * (stage.lr_final / stage.lr_max) ** frac
 
 
 def schedule_value(epoch: int, total_epochs: int, schedule: Schedule) -> float:
@@ -132,52 +117,97 @@ class TrainResult:
     metrics: list[StepMetrics]
 
 
-class _Optimizer:
-    """Shared state-holder for both stage loops."""
+def recording_batch_loss(kind: str, s: float, offsets: np.ndarray, targets: np.ndarray):
+    """Stage 1: pool each bag's rows per class, then margin cross-entropy per bag.
 
-    def __init__(
-        self,
-        model: EmbedderConfig,
-        n_speakers: int,
-        stage: StageConfig,
-        seed: int,
-        tag: str,
-        total_steps: int,
-        resume_from: Checkpoint | None,
-    ):
-        self.fingerprint = config_fingerprint(stage, model, seed, tag)
-        if resume_from is not None:
-            if resume_from.config_hash != self.fingerprint:
-                raise ConfigError("checkpoint was produced under a different configuration")
-            ck = resume_from.copy()
-            self.params, self.prototypes = ck.params, ck.prototypes
-            self.velocities = ck.velocities
-            self.step, self.start_epoch = ck.step, ck.epoch
+    offsets holds each bag's first row, targets its recording's label.
+    """
+    def batch_loss(cos: np.ndarray, margin: float, tau: float):
+        agg = aggregate(cos, kind, tau, offsets=offsets)
+        losses, d_rec = weak_recording_loss(agg.c_rec, targets, s, margin)
+        return losses, agg.backward(d_rec)
+
+    return batch_loss
+
+
+def segment_batch_loss(s: float, labels: np.ndarray, known: np.ndarray,
+                       unknown_col: np.ndarray | None = None):
+    """Stage 2: margin cross-entropy per row; rows with known False use the unknown class.
+
+    unknown_col, if given, fixes that class's detached logit column, so a
+    finite-difference check can hold it at its base-point value.
+    """
+    def batch_loss(cos: np.ndarray, margin: float, tau: float):
+        if known.all():
+            return segment_aam_loss(cos, labels, s, margin)
+        if unknown_col is None:
+            logits_ext = extend_logits_unknown(s * cos, labels, known)
         else:
-            self.params = init_params(model, derive_key(mix64(seed), tag, "init"))
-            self.prototypes = init_prototypes(n_speakers, model.emb_dim, derive_key(mix64(seed), tag, "init"))
-            self.velocities = None
-            self.step, self.start_epoch = 0, 0
-        self.arrays = {"W1": self.params.W1, "b1": self.params.b1,
-                       "W2": self.params.W2, "b2": self.params.b2, "P": self.prototypes}
-        if self.velocities is None:
-            self.velocities = {k: np.zeros_like(v) for k, v in self.arrays.items()}
-        self.optim = OptimConfig(
-            momentum=stage.momentum, lr_max=stage.lr_max, lr_final=stage.lr_final,
-            warmup_steps=round(stage.warmup_frac * total_steps), total_steps=total_steps)
-        self.optim.validate()
-        self.model = model
+            logits_ext = np.concatenate([s * cos, unknown_col[:, None]], axis=1)
+        losses, d_logits = extended_ce_loss(logits_ext, labels, known, s, margin)
+        return losses, s * d_logits
 
-    def apply(self, grads: dict[str, np.ndarray]) -> float:
-        self.step += 1
-        lr = lr_at(self.step, self.optim)
-        sgd_step(self.arrays, grads, self.velocities, lr, self.optim.momentum)
-        self.prototypes /= np.linalg.norm(self.prototypes, axis=1, keepdims=True)
-        return lr
+    return batch_loss
 
-    def checkpoint(self, epoch: int) -> Checkpoint:
-        return Checkpoint(self.model, self.params, self.prototypes,
-                          self.velocities, self.step, epoch, self.fingerprint).copy()
+
+def loss_and_grads(params: dict[str, np.ndarray], xbar: np.ndarray, batch_loss,
+                   margin: float, tau: float) -> tuple[float, dict[str, np.ndarray]]:
+    """One training step's math: the batch's mean loss and its gradients, keyed like params."""
+    emb, cache = forward_pooled(xbar, params)
+    losses, d_c = batch_loss(emb @ params["P"].T, margin, tau)
+    d_c /= losses.shape[0]
+    grads = backward_pooled(d_c @ params["P"], cache, params)
+    grads["P"] = d_c.T @ emb
+    return float(losses.mean()), grads
+
+
+def _fit(corpus: Corpus, stage: StageConfig, model: EmbedderConfig, seed: int, tag: str,
+         plan_epoch, batch_of, resume_from: Checkpoint | None,
+         stop_after_epoch: int | None) -> TrainResult:
+    """SGD over the batches of plan_epoch(epoch); batch_of(batch) -> (segment ids, batch loss).
+
+    Only stage 1 pools with a temperature; stage 2 logs tau as 0.
+    """
+    pooled, row_of = corpus.mean_frames()
+    plans = [plan_epoch(e) for e in range(stage.epochs)]
+    total_steps = sum(len(p) for p in plans)
+    fingerprint = config_fingerprint(stage, model, seed, tag)
+    if resume_from is not None:
+        if resume_from.config_hash != fingerprint:
+            raise ConfigError("checkpoint was produced under a different configuration")
+        params = {k: v.copy() for k, v in resume_from.params.items()}
+        velocities = {k: v.copy() for k, v in resume_from.velocities.items()}
+        step, start_epoch = resume_from.step, resume_from.epoch
+    else:
+        params = init_params(model, corpus.n_speakers, derive_key(mix64(seed), tag, "init"))
+        velocities = {k: np.zeros_like(v) for k, v in params.items()}
+        step, start_epoch = 0, 0
+    if not (0.0 <= stage.momentum < 1.0):
+        raise ConfigError("momentum must lie in [0, 1)")
+    if stage.lr_max <= 0 or stage.lr_final <= 0 or stage.lr_final > stage.lr_max:
+        raise ConfigError("need 0 < lr_final <= lr_max")
+    if not (0 <= round(stage.warmup_frac * total_steps) <= total_steps):
+        raise ConfigError("warm-up must lie in [0, total_steps]")
+    end_epoch = stage.epochs if stop_after_epoch is None else min(stage.epochs, stop_after_epoch)
+
+    denom = max(1, stage.epochs - 1)
+    metrics: list[StepMetrics] = []
+    for epoch in range(start_epoch, end_epoch):
+        margin = schedule_value(epoch, denom, stage.loss.margin)
+        tau = schedule_value(epoch, denom, stage.loss.tau) if tag == "stage1" else 0.0
+        for batch in plans[epoch]:
+            segment_ids, batch_loss = batch_of(batch)
+            loss, grads = loss_and_grads(params, pooled[[row_of[sid] for sid in segment_ids]],
+                                         batch_loss, margin, tau)
+            if not np.isfinite(loss):
+                raise NonFiniteGradient(f"non-finite loss at step {step + 1}")
+            step += 1
+            lr = lr_at(step, stage, total_steps)
+            sgd_step(params, grads, velocities, lr, stage.momentum)
+            P = params["P"]
+            P /= np.linalg.norm(P, axis=1, keepdims=True)
+            metrics.append(StepMetrics(step, epoch, lr, margin, tau, loss))
+    return TrainResult(Checkpoint(model, params, velocities, step, end_epoch, fingerprint), metrics)
 
 
 def train_stage1(
@@ -195,39 +225,19 @@ def train_stage1(
     reproduces the uninterrupted run exactly.
     """
     stage.loss.validate()
-    pooled, row_of = corpus.mean_frames()
-    plans = [plan_epoch_stage1(corpus, stage.batch_size, _epoch_seed(seed, "s1-epoch", e))
-             for e in range(stage.epochs)]
-    total_steps = sum(len(p) for p in plans)
-    opt = _Optimizer(model, corpus.n_speakers, stage, seed, "stage1", total_steps, resume_from)
-    end_epoch = stage.epochs if stop_after_epoch is None else min(stage.epochs, stop_after_epoch)
 
-    s = stage.loss.scale
-    denom = max(1, stage.epochs - 1)
-    metrics: list[StepMetrics] = []
-    for epoch in range(opt.start_epoch, end_epoch):
-        margin = schedule_value(epoch, denom, stage.loss.margin)
-        tau = schedule_value(epoch, denom, stage.loss.tau)
-        for batch in plans[epoch]:
-            rows = [row_of[sid] for bag in batch.bags for sid in bag.segment_ids]
-            emb, cache = forward_pooled(pooled[rows], opt.params)
-            c_all = emb @ opt.prototypes.T
-            sizes = [bag.size for bag in batch.bags]
-            agg = aggregate(c_all, stage.loss.aggregation, tau,
-                            offsets=np.cumsum([0] + sizes[:-1]))
-            targets = np.array([bag.target for bag in batch.bags])
-            losses, d_rec = weak_recording_loss(agg.c_rec, targets, s, margin)
-            n_bags = len(batch.bags)
-            loss_value = float(losses.mean())
-            if not np.isfinite(loss_value):
-                raise NonFiniteGradient(f"non-finite loss at step {opt.step + 1}")
-            d_c = agg.backward(d_rec)
-            d_c /= n_bags
-            grads = backward_pooled(d_c @ opt.prototypes, cache, opt.params)
-            grads["P"] = d_c.T @ emb
-            lr = opt.apply(grads)
-            metrics.append(StepMetrics(opt.step, epoch, lr, margin, tau, loss_value))
-    return TrainResult(opt.checkpoint(end_epoch), metrics)
+    def plan_epoch(epoch):
+        return plan_epoch_stage1(corpus, stage.batch_size, _epoch_seed(seed, "s1-epoch", epoch))
+
+    def batch_of(batch):
+        sizes = [bag.size for bag in batch.bags]
+        targets = np.array([bag.target for bag in batch.bags])
+        batch_loss = recording_batch_loss(stage.loss.aggregation, stage.loss.scale,
+                                          np.cumsum([0] + sizes[:-1]), targets)
+        return [sid for bag in batch.bags for sid in bag.segment_ids], batch_loss
+
+    return _fit(corpus, stage, model, seed, "stage1", plan_epoch, batch_of, resume_from,
+                stop_after_epoch)
 
 
 def train_stage2(
@@ -249,48 +259,22 @@ def train_stage2(
     stage.loss.validate()
     if not selected:
         raise ConfigError("stage-2 selection is empty")
-    pooled, row_of = corpus.mean_frames()
 
-    def unknown_active(epoch: int) -> bool:
-        return bool(unknown_pool) and stage.unknown_start_epoch >= 0 and epoch >= stage.unknown_start_epoch
+    def plan_epoch(epoch):
+        active = bool(unknown_pool) and 0 <= stage.unknown_start_epoch <= epoch
+        return plan_epoch_stage2(
+            selected, stage.batch_size, _epoch_seed(seed, "s2-epoch", epoch),
+            unknown_pool=unknown_pool if active else None,
+            mix_fraction=stage.unknown_mix_fraction if active else 0.0)
 
-    plans = [
-        plan_epoch_stage2(
-            selected, stage.batch_size, _epoch_seed(seed, "s2-epoch", e),
-            unknown_pool=unknown_pool if unknown_active(e) else None,
-            mix_fraction=stage.unknown_mix_fraction if unknown_active(e) else 0.0)
-        for e in range(stage.epochs)
-    ]
-    total_steps = sum(len(p) for p in plans)
-    opt = _Optimizer(model, corpus.n_speakers, stage, seed, "stage2", total_steps, resume_from)
-    end_epoch = stage.epochs if stop_after_epoch is None else min(stage.epochs, stop_after_epoch)
+    def batch_of(batch):
+        known = np.array([r.known for r in batch.rows])
+        labels = np.array([r.label for r in batch.rows])
+        batch_loss = segment_batch_loss(stage.loss.scale, labels, known)
+        return [r.segment_id for r in batch.rows], batch_loss
 
-    s = stage.loss.scale
-    denom = max(1, stage.epochs - 1)
-    metrics: list[StepMetrics] = []
-    for epoch in range(opt.start_epoch, end_epoch):
-        margin = schedule_value(epoch, denom, stage.loss.margin)
-        for batch in plans[epoch]:
-            rows = [row_of[r.segment_id] for r in batch.rows]
-            emb, cache = forward_pooled(pooled[rows], opt.params)
-            c_all = emb @ opt.prototypes.T
-            known_mask = np.array([r.known for r in batch.rows])
-            labels = np.array([r.label for r in batch.rows])
-            if known_mask.all():
-                losses, d_c = segment_aam_loss(c_all, labels, s, margin)
-            else:
-                logits_ext = extend_logits_unknown(s * c_all, labels, known_mask)
-                losses, d_logits = extended_ce_loss(logits_ext, labels, known_mask, s, margin)
-                d_c = s * d_logits
-            loss_value = float(losses.mean())
-            if not np.isfinite(loss_value):
-                raise NonFiniteGradient(f"non-finite loss at step {opt.step + 1}")
-            d_c /= len(batch.rows)
-            grads = backward_pooled(d_c @ opt.prototypes, cache, opt.params)
-            grads["P"] = d_c.T @ emb
-            lr = opt.apply(grads)
-            metrics.append(StepMetrics(opt.step, epoch, lr, margin, 0.0, loss_value))
-    return TrainResult(opt.checkpoint(end_epoch), metrics)
+    return _fit(corpus, stage, model, seed, "stage2", plan_epoch, batch_of, resume_from,
+                stop_after_epoch)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +305,4 @@ def ablation_stage1_configs(base: StageConfig) -> dict[str, StageConfig]:
 def save_metrics_csv(metrics: list[StepMetrics], path) -> None:
     lines = ["step,epoch,lr,margin,tau,loss"]
     lines += [f"{m.step},{m.epoch},{m.lr!r},{m.margin!r},{m.tau!r},{m.loss!r}" for m in metrics]
-    p = Path(path)
-    tmp = p.with_name("." + p.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tmp.replace(p)
+    atomic_write(path, "\n".join(lines) + "\n")

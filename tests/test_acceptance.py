@@ -19,17 +19,18 @@ from weaksv.batching import plan_epoch_stage1
 from weaksv.cli import main as cli_main
 from weaksv.corpus import assign_heldout_split, split_trials
 from weaksv.diarize import PRESETS, apply_diarization
-from weaksv.embedder import EmbedderConfig, forward_pooled, init_params, init_prototypes
+from weaksv.embedder import EmbedderConfig, flatten_params, forward_pooled, init_params
 from weaksv.errors import DegenerateEmbedding, NoKnownExamples
 from weaksv.losses import extend_logits_unknown, lse_tau
 from weaksv.metrics import ScoreSet, compute_eer, compute_mindcf, score_trials
 from weaksv.rng import Rng
 from weaksv.selection import select_unknown_pool, self_label
+from weaksv.selfcheck import composite_loss
 from weaksv.synth import SynthConfig, generate_corpus
 from weaksv.trainer import train_stage1, train_stage2
 from weaksv.config import load_run_config
 
-from conftest import central_difference, composite_loss, flatten_model, max_relative_error
+from conftest import central_difference, max_relative_error
 
 
 # ---------------------------------------------------------------------------
@@ -42,14 +43,14 @@ def _sample_gradcheck_case(seed: int, path: str, tau: float):
     cfg = EmbedderConfig(feat_dim=5, hidden_dim=6, emb_dim=4)
     n_spk, bag = 4, 3
     rng = Rng.from_seed(seed, "acceptance-grad")
-    params = init_params(cfg, seed * 7919 + 13)
-    prototypes = init_prototypes(n_spk, cfg.emb_dim, seed * 104729 + 7)
+    params = init_params(cfg, n_spk, seed * 7919 + 13)
+    params["P"] = init_params(cfg, n_spk, seed * 104729 + 7)["P"]
     xbar = rng.normals(bag * cfg.feat_dim).reshape(bag, cfg.feat_dim)
     try:
         emb, cache = forward_pooled(xbar, params)
     except DegenerateEmbedding:
         return None
-    cosines = emb @ prototypes.T
+    cosines = emb @ params["P"].T
     if np.min(np.abs(cache.a1)) < 1e-3:  # relu kink too close
         return None
     if np.min(cache.norms) < 1e-2 or np.max(np.abs(cosines)) > 1.0 - 1e-3:
@@ -64,7 +65,7 @@ def _sample_gradcheck_case(seed: int, path: str, tau: float):
         mask = np.array([True, True, False])
         extra = extend_logits_unknown(30.0 * cosines, labels, mask)[:, -1]
     target = rng.randint(n_spk)
-    theta = flatten_model(params, prototypes)
+    theta = flatten_params(params)
     kwargs = dict(target=target, s=30.0, m=0.1, tau=tau, labels=labels,
                   known_mask=mask, extra_col=extra)
     return cfg, n_spk, xbar, theta, kwargs

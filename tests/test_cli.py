@@ -90,6 +90,10 @@ class TestConfig:
         values = parse_config_text(text)
         assert values["synth"]["n_speakers"] == SCHEMA["synth"]["n_speakers"].default
 
+    def test_schema_file_is_current(self):
+        schema = Path(__file__).resolve().parents[1] / "schema.txt"
+        assert schema.read_text("utf-8") == render_schema() + "\n"
+
     def test_schema_mentions_every_key(self):
         text = render_schema()
         for section, keys in SCHEMA.items():
@@ -148,7 +152,7 @@ class TestPipeline:
 
         ckpt = load_checkpoint(run_dir / "stage2.ckpt")
         assert ckpt.velocities is not None
-        assert ckpt.prototypes.shape[0] == 6
+        assert ckpt.params["P"].shape[0] == 6
 
 
 class TestExitCodes:
@@ -256,14 +260,35 @@ class TestCorruptArtifact:
         run = tmp_path / "run"
         shutil.copytree(clean, run)
         CORRUPTIONS[case](run)
-        env = dict(os.environ, PYTHONPATH=str(Path(weaksv.__file__).resolve().parents[1]))
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "weaksv", "diar", "--config", str(cfg_path),
-             "--out", str(run)],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 1, proc.stderr
-        assert any(line.startswith("error:") for line in proc.stderr.splitlines())
-        assert "Traceback" not in proc.stderr
+        _assert_reported_error(flags, "diar", cfg_path, run)
+
+
+def _assert_reported_error(flags, command, cfg_path, run):
+    """Run one CLI command in a fresh interpreter: exit 1, an error: line, no traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(weaksv.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "weaksv", command, "--config", str(cfg_path),
+         "--out", str(run)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert any(line.startswith("error:") for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
+
+
+CHECKPOINT_CORRUPTIONS = {
+    "truncated": lambda raw: raw[:len(raw) // 2],
+    "bad_magic": lambda raw: b"XXXX" + raw[4:],
+    "trailing_bytes": lambda raw: raw + b"\x00" * 8,
+}
+
+
+@pytest.mark.parametrize("case", CHECKPOINT_CORRUPTIONS)
+def test_select_reports_corrupt_checkpoint(run_dir, tmp_path, case):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    ckpt = run / "stage1.ckpt"
+    ckpt.write_bytes(CHECKPOINT_CORRUPTIONS[case](ckpt.read_bytes()))
+    _assert_reported_error([], "select", run_dir.parent / "small.cfg", run)
 
 
 class TestDeterminism:

@@ -1,56 +1,51 @@
+import struct
+
 import numpy as np
 import pytest
 
 from weaksv.embedder import (
+    PARAM_NAMES,
     Checkpoint,
     EmbedderConfig,
     backward_pooled,
     cosine_similarities,
-    forward,
+    flatten_params,
     forward_pooled,
     init_params,
-    init_prototypes,
     load_checkpoint,
     save_checkpoint,
+    unflatten_params,
 )
-from weaksv.errors import DegenerateEmbedding
+from weaksv.errors import CorruptArtifact, DegenerateEmbedding
 from weaksv.rng import Rng
 
-from conftest import central_difference, flatten_model, max_relative_error, unflatten_model
+from conftest import central_difference, max_relative_error
 
 CFG = EmbedderConfig(feat_dim=6, hidden_dim=7, emb_dim=5)
 
 
 def _random_model(seed):
-    return init_params(CFG, seed), init_prototypes(4, CFG.emb_dim, seed)
+    return init_params(CFG, 4, seed)
 
 
 def test_embedding_is_unit_norm():
-    params, _ = _random_model(0)
-    feats = Rng.from_seed(1).normals(8 * CFG.feat_dim).reshape(8, CFG.feat_dim)
-    emb, _ = forward(feats, params)
-    assert abs(np.linalg.norm(emb) - 1.0) < 1e-6
-
-
-def test_mean_pooling_idempotent_on_constant_frames():
-    params, _ = _random_model(0)
-    frame = Rng.from_seed(2).normals(CFG.feat_dim)
-    one, _ = forward(frame[None, :], params)
-    many, _ = forward(np.tile(frame, (5, 1)), params)
-    assert np.allclose(one, many, atol=1e-12)
+    params = _random_model(0)
+    xbar = Rng.from_seed(1).normals(8 * CFG.feat_dim).reshape(8, CFG.feat_dim)
+    emb, _ = forward_pooled(xbar, params)
+    assert np.all(np.abs(np.linalg.norm(emb, axis=1) - 1.0) < 1e-6)
 
 
 def test_zero_output_layer_is_degenerate():
-    params, _ = _random_model(0)
-    params.W2[:] = 0.0
-    params.b2[:] = 0.0
+    params = _random_model(0)
+    params["W2"][:] = 0.0
+    params["b2"][:] = 0.0
     with pytest.raises(DegenerateEmbedding):
-        forward(np.ones((2, CFG.feat_dim)), params)
+        forward_pooled(np.ones((2, CFG.feat_dim)), params)
 
 
 class TestCosineSimilarities:
     def test_matching_prototype(self):
-        _, prototypes = _random_model(3)
+        prototypes = _random_model(3)["P"]
         c = cosine_similarities(prototypes[2], prototypes)
         assert abs(c[2] - 1.0) < 1e-6
 
@@ -63,7 +58,7 @@ class TestCosineSimilarities:
 
     def test_bounded(self):
         rng = Rng.from_seed(5)
-        _, prototypes = _random_model(5)
+        prototypes = _random_model(5)["P"]
         for _ in range(100):
             e = rng.normals(CFG.emb_dim)
             e /= np.linalg.norm(e)
@@ -72,14 +67,14 @@ class TestCosineSimilarities:
 
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
-        params, _ = _random_model(1)
+        params = _random_model(1)
         xbar = Rng.from_seed(3).normals(3 * CFG.feat_dim).reshape(3, CFG.feat_dim)
         _, cache = forward_pooled(xbar, params)
         grads = backward_pooled(np.zeros((3, CFG.emb_dim)), cache, params)
         assert all(np.all(g == 0.0) for g in grads.values())
 
     def test_radial_upstream_annihilated(self):
-        params, _ = _random_model(1)
+        params = _random_model(1)
         xbar = Rng.from_seed(4).normals(CFG.feat_dim)[None, :]
         emb, cache = forward_pooled(xbar, params)
         grads = backward_pooled(2.5 * emb, cache, params)
@@ -89,23 +84,20 @@ class TestBackward:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_finite_differences(self, seed):
         # oracle: central differences on a scalar projection of the embedding
-        params = init_params(CFG, seed)
-        prototypes = init_prototypes(4, CFG.emb_dim, seed)
+        params = init_params(CFG, 4, seed)
         rng = Rng.from_seed(seed, "fdtest")
         xbar = rng.normals(2 * CFG.feat_dim).reshape(2, CFG.feat_dim)
         probe = rng.normals(2 * CFG.emb_dim).reshape(2, CFG.emb_dim)
 
         def scalar_loss(theta):
-            p, _ = unflatten_model(theta, CFG, 4)
-            emb, _ = forward_pooled(xbar, p)
+            emb, _ = forward_pooled(xbar, unflatten_params(theta, CFG, 4))
             return float(np.sum(probe * emb))
 
-        theta = flatten_model(params, prototypes)
+        theta = flatten_params(params)
         _, cache = forward_pooled(xbar, params)
         grads = backward_pooled(probe, cache, params)
-        analytic = np.concatenate(
-            [grads["W1"].ravel(), grads["b1"], grads["W2"].ravel(), grads["b2"],
-             np.zeros(prototypes.size)])
+        grads["P"] = np.zeros_like(params["P"])
+        analytic = flatten_params(grads)
         numeric = central_difference(scalar_loss, theta)
         assert max_relative_error(analytic, numeric) < 1e-5
 
@@ -126,11 +118,10 @@ def test_prototype_renormalization_preserves_argmax():
 
 class TestCheckpointIO:
     def _checkpoint(self):
-        params, prototypes = _random_model(7)
-        vel = {"W1": params.W1 * 0.1, "b1": params.b1 + 1, "W2": params.W2 * 0.2,
-               "b2": params.b2 - 1, "P": prototypes * 0.3}
-        return Checkpoint(CFG, params, prototypes, vel, step=123, epoch=4,
-                          config_hash=bytes(range(32)))
+        params = _random_model(7)
+        vel = {"W1": params["W1"] * 0.1, "b1": params["b1"] + 1, "W2": params["W2"] * 0.2,
+               "b2": params["b2"] - 1, "P": params["P"] * 0.3}
+        return Checkpoint(CFG, params, vel, step=123, epoch=4, config_hash=bytes(range(32)))
 
     def test_round_trip_bit_exact(self, tmp_path):
         ckpt = self._checkpoint()
@@ -139,21 +130,39 @@ class TestCheckpointIO:
         assert loaded.config == CFG
         assert loaded.step == 123 and loaded.epoch == 4
         assert loaded.config_hash == bytes(range(32))
-        for name in ("W1", "b1", "W2", "b2"):
-            assert np.array_equal(getattr(loaded.params, name), getattr(ckpt.params, name))
+        assert list(loaded.params) == list(PARAM_NAMES)
+        for name in PARAM_NAMES:
+            assert np.array_equal(loaded.params[name], ckpt.params[name])
             assert np.array_equal(loaded.velocities[name], ckpt.velocities[name])
-        assert np.array_equal(loaded.prototypes, ckpt.prototypes)
-        assert np.array_equal(loaded.velocities["P"], ckpt.velocities["P"])
 
     def test_params_only_round_trip(self, tmp_path):
-        params, prototypes = _random_model(8)
-        ckpt = Checkpoint(CFG, params, prototypes)
-        save_checkpoint(ckpt, tmp_path / "bare.ckpt")
+        params = _random_model(8)
+        save_checkpoint(Checkpoint(CFG, params), tmp_path / "bare.ckpt")
         loaded = load_checkpoint(tmp_path / "bare.ckpt")
         assert loaded.velocities is None
-        assert np.array_equal(loaded.prototypes, prototypes)
+        assert np.array_equal(loaded.params["P"], params["P"])
 
     def test_rejects_wrong_magic(self, tmp_path):
         (tmp_path / "bad.ckpt").write_bytes(b"XXXX" + b"\x00" * 64)
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptArtifact):
             load_checkpoint(tmp_path / "bad.ckpt")
+
+    @pytest.mark.parametrize("case", ["short_header", "bad_version", "zero_dim", "truncated",
+                                      "truncated_optimizer", "trailing_bytes", "bad_opt_magic"])
+    def test_rejects_damage(self, tmp_path, case):
+        save_checkpoint(self._checkpoint(), tmp_path / "model.ckpt")
+        raw = bytearray((tmp_path / "model.ckpt").read_bytes())
+        n_params = flatten_params(self._checkpoint().params).size
+        opt_at = 24 + 8 * n_params
+        damaged = {
+            "short_header": lambda: raw[:20],
+            "bad_version": lambda: raw[:4] + struct.pack("<I", 2) + raw[8:],
+            "zero_dim": lambda: raw[:20] + struct.pack("<I", 0) + raw[24:],
+            "truncated": lambda: raw[:opt_at - 8],
+            "truncated_optimizer": lambda: raw[:-8],
+            "trailing_bytes": lambda: raw + b"\x00" * 8,
+            "bad_opt_magic": lambda: raw[:opt_at] + b"XXXX" + raw[opt_at + 4:],
+        }[case]()
+        (tmp_path / "model.ckpt").write_bytes(bytes(damaged))
+        with pytest.raises(CorruptArtifact):
+            load_checkpoint(tmp_path / "model.ckpt")

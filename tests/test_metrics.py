@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weaksv.corpus import Trial, assign_heldout_split, split_trials
-from weaksv.embedder import Checkpoint, EmbedderConfig, init_params, init_prototypes
+from weaksv.embedder import Checkpoint, EmbedderConfig, init_params
 from weaksv.errors import MissingArtifacts, SingleClass
 from weaksv.metrics import (
     ScoreSet,
@@ -140,7 +140,7 @@ def setup(small_corpus):
     corpus = assign_heldout_split(small_corpus, 0.4, seed=4)
     trials = split_trials(corpus, 30, 30, seed=5)
     cfg = EmbedderConfig(feat_dim=corpus.feat_dim, hidden_dim=16, emb_dim=8)
-    ckpt = Checkpoint(cfg, init_params(cfg, 1), init_prototypes(corpus.n_speakers, 8, 1))
+    ckpt = Checkpoint(cfg, init_params(cfg, corpus.n_speakers, 1))
     return corpus, trials, ckpt
 
 

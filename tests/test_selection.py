@@ -59,12 +59,13 @@ def _oracle_setup():
     corpus = Corpus(n_spk, recordings, segments)
 
     cfg = EmbedderConfig(feat_dim=feat, hidden_dim=5, emb_dim=4)
-    params = init_params(cfg, seed=0)
+    params = init_params(cfg, n_spk, seed=0)
     from weaksv.embedder import forward_pooled
 
     emb, _ = forward_pooled(canon, params)
     assert np.max(emb @ emb.T - np.eye(n_spk)) < 0.999  # prototypes distinct
-    return corpus, Checkpoint(cfg, params, emb.copy())
+    params["P"] = emb.copy()
+    return corpus, Checkpoint(cfg, params)
 
 
 class TestSelfLabel:
@@ -78,7 +79,7 @@ class TestSelfLabel:
         for rec in corpus.train_recordings():
             for sid in rec.segment_ids():
                 emb, _ = forward_pooled(pooled[row_of[sid]][None, :], ckpt.params)
-                pred = int(np.argmax(emb[0] @ ckpt.prototypes.T))
+                pred = int(np.argmax(emb[0] @ ckpt.params["P"].T))
                 assert (sid in selected_ids) == (pred == rec.target)
 
     def test_labels_are_recording_targets(self, trained):
@@ -157,7 +158,7 @@ class TestUnknownPool:
         for sid in pool.segment_ids:
             target = corpus.recording(corpus.segments[sid].recording_id).target
             emb, _ = forward_pooled(pooled[row_of[sid]][None, :], ckpt.params)
-            logits = 30.0 * (emb[0] @ ckpt.prototypes.T)
+            logits = 30.0 * (emb[0] @ ckpt.params["P"].T)
             assert int(np.sum(logits > logits[target])) >= 3
 
     def test_fraction_truncates_by_confidence(self, trained):
@@ -197,7 +198,7 @@ def _reference_cosines(corpus, ckpt):
     pooled, row_of = corpus.mean_frames()
     sids = sorted(sid for rec in corpus.train_recordings() for sid in rec.segment_ids())
     emb, _ = forward_pooled(pooled[[row_of[s] for s in sids]], ckpt.params)
-    return sids, emb @ ckpt.prototypes.T
+    return sids, emb @ ckpt.params["P"].T
 
 
 def _target_of(corpus, sid):
@@ -244,9 +245,9 @@ def _tied_checkpoint(ckpt):
     A segment whose target has a zero prototype then ties at the target
     with every other zero-prototype class, so the rank tie rule decides.
     """
-    prototypes = ckpt.prototypes.copy()
+    prototypes = ckpt.params["P"].copy()
     prototypes[::2] = 0.0
-    return Checkpoint(ckpt.config, ckpt.params, prototypes)
+    return Checkpoint(ckpt.config, dict(ckpt.params, P=prototypes))
 
 
 class TestArrayParity:

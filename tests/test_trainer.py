@@ -8,7 +8,6 @@ from weaksv.errors import ConfigError, NonFiniteGradient
 from weaksv.losses import LossConfig, Schedule
 from weaksv.trainer import (
     ABLATION_GRID,
-    OptimConfig,
     StageConfig,
     ablation_stage1_configs,
     lr_at,
@@ -23,26 +22,28 @@ MODEL = EmbedderConfig(feat_dim=20, hidden_dim=24, emb_dim=12)
 
 
 class TestLrSchedule:
-    CFG = OptimConfig(momentum=0.9, lr_max=0.2, lr_final=5e-5, warmup_steps=100, total_steps=1100)
+    # 1100 steps with a 100-step warm-up
+    CFG = StageConfig(momentum=0.9, lr_max=0.2, lr_final=5e-5, warmup_frac=1 / 11)
+    TOTAL = 1100
 
     def test_peak_at_warmup_end(self):
-        assert lr_at(100, self.CFG) == pytest.approx(0.2)
+        assert lr_at(100, self.CFG, self.TOTAL) == pytest.approx(0.2)
 
     def test_final_value(self):
-        assert lr_at(1100, self.CFG) == pytest.approx(5e-5)
+        assert lr_at(1100, self.CFG, self.TOTAL) == pytest.approx(5e-5)
 
     def test_decay_midpoint_closed_form(self):
         # closed form: lr_max * (lr_final / lr_max) ** 0.5
-        got = lr_at(600, self.CFG)
+        got = lr_at(600, self.CFG, self.TOTAL)
         assert got == pytest.approx(0.2 * (2.5e-4) ** 0.5, rel=1e-12)
         assert got == pytest.approx(3.162e-3, rel=1e-3)
 
     def test_linear_warmup(self):
-        assert lr_at(0, self.CFG) == 0.0
-        assert lr_at(50, self.CFG) == pytest.approx(0.1)
+        assert lr_at(0, self.CFG, self.TOTAL) == 0.0
+        assert lr_at(50, self.CFG, self.TOTAL) == pytest.approx(0.1)
 
     def test_monotone_decay_after_peak(self):
-        values = [lr_at(s, self.CFG) for s in range(100, 1101)]
+        values = [lr_at(s, self.CFG, self.TOTAL) for s in range(100, 1101)]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
 
@@ -103,13 +104,13 @@ class TestTrainStage1:
     def test_deterministic(self, training_corpus):
         a = train_stage1(training_corpus, STAGE1, MODEL, seed=3)
         b = train_stage1(training_corpus, STAGE1, MODEL, seed=3)
-        assert np.array_equal(a.checkpoint.params.W1, b.checkpoint.params.W1)
-        assert np.array_equal(a.checkpoint.prototypes, b.checkpoint.prototypes)
+        assert np.array_equal(a.checkpoint.params["W1"], b.checkpoint.params["W1"])
+        assert np.array_equal(a.checkpoint.params["P"], b.checkpoint.params["P"])
         assert [m.loss for m in a.metrics] == [m.loss for m in b.metrics]
 
     def test_prototypes_stay_unit_norm(self, training_corpus):
         result = train_stage1(training_corpus, STAGE1, MODEL, seed=4)
-        norms = np.linalg.norm(result.checkpoint.prototypes, axis=1)
+        norms = np.linalg.norm(result.checkpoint.params["P"], axis=1)
         assert np.allclose(norms, 1.0, atol=1e-9)
 
     def test_schedules_logged(self, training_corpus):
@@ -136,9 +137,9 @@ class TestTrainStage1:
         save_checkpoint(first.checkpoint, tmp_path / "half.ckpt")
         resumed = train_stage1(training_corpus, STAGE1, MODEL, seed=7,
                                resume_from=load_checkpoint(tmp_path / "half.ckpt"))
-        assert np.array_equal(full.checkpoint.params.W1, resumed.checkpoint.params.W1)
-        assert np.array_equal(full.checkpoint.params.b2, resumed.checkpoint.params.b2)
-        assert np.array_equal(full.checkpoint.prototypes, resumed.checkpoint.prototypes)
+        assert np.array_equal(full.checkpoint.params["W1"], resumed.checkpoint.params["W1"])
+        assert np.array_equal(full.checkpoint.params["b2"], resumed.checkpoint.params["b2"])
+        assert np.array_equal(full.checkpoint.params["P"], resumed.checkpoint.params["P"])
         assert full.checkpoint.step == resumed.checkpoint.step
 
 
@@ -180,7 +181,7 @@ class TestTrainStage2:
         no_pool = train_stage2(training_corpus, selected, STAGE2, MODEL, seed=10)
         with_pool_off = train_stage2(training_corpus, selected, STAGE2, MODEL, seed=10,
                                      unknown_pool=pool)
-        assert np.array_equal(no_pool.checkpoint.params.W1, with_pool_off.checkpoint.params.W1)
+        assert np.array_equal(no_pool.checkpoint.params["W1"], with_pool_off.checkpoint.params["W1"])
 
     def test_empty_selection_rejected(self, training_corpus):
         with pytest.raises(ConfigError):
