@@ -17,7 +17,7 @@ from weaksv.config import load_run_config
 from weaksv.corpus import assign_heldout_split, split_trials
 from weaksv.diarize import PRESETS, apply_diarization
 from weaksv.metrics import compute_eer, score_trials
-from weaksv.selection import select_unknown_pool, self_label
+from weaksv.selection import score_train_segments, select_unknown_pool, self_label
 from weaksv.synth import generate_corpus
 from weaksv.trainer import train_stage1, train_stage2
 
@@ -40,8 +40,9 @@ def run_seed(seed: int) -> dict:
         out[f"stage1_{preset}"] = eer
 
     diarized, ckpt = diar_runs["baseline"]
-    selection = self_label(diarized, ckpt)
-    pool = select_unknown_pool(diarized, ckpt, cfg.select_top_k, cfg.select_fraction,
+    scored = score_train_segments(diarized, ckpt)
+    selection = self_label(diarized, scored)
+    pool = select_unknown_pool(scored, cfg.select_top_k, cfg.select_fraction,
                                scale=cfg.stage1.loss.scale)
     out["precision"] = selection.stats.precision
     out["recall"] = selection.stats.recall

@@ -99,8 +99,9 @@ def cmd_select(cfg: cfgmod.RunConfig, config_path: str | None) -> None:
     _require(out / corpusmod.IDX_NAME, "corpus manifest")
     ckpt = load_checkpoint(_require(out / "stage1.ckpt", "stage-1 checkpoint"))
     corpus = load_manifest(out)
-    result = selmod.self_label(corpus, ckpt)
-    pool = selmod.select_unknown_pool(corpus, ckpt, cfg.select_top_k, cfg.select_fraction,
+    scored = selmod.score_train_segments(corpus, ckpt)
+    result = selmod.self_label(corpus, scored)
+    pool = selmod.select_unknown_pool(scored, cfg.select_top_k, cfg.select_fraction,
                                       scale=cfg.stage1.loss.scale)
     _snapshot_config(cfg, config_path, out)
     selmod.save_selection(result, out)
@@ -190,8 +191,9 @@ def cmd_ablate(cfg: cfgmod.RunConfig, config_path: str | None) -> None:
 
     # stage-2 comparisons off the margin-free max-pooling run (m4)
     base_ckpt = checkpoints["m4"]
-    result = selmod.self_label(corpus, base_ckpt)
-    pool = selmod.select_unknown_pool(corpus, base_ckpt, cfg.select_top_k, cfg.select_fraction,
+    scored = selmod.score_train_segments(corpus, base_ckpt)
+    result = selmod.self_label(corpus, scored)
+    pool = selmod.select_unknown_pool(scored, cfg.select_top_k, cfg.select_fraction,
                                       scale=cfg.stage1.loss.scale)
     for name, use_unknown in (("stage2_plain", False), ("stage2_unknown", True)):
         sub = out / "ablation" / name

@@ -170,8 +170,8 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
             feat_dim = seg.features.shape[1]
         elif seg.features.shape[1] != feat_dim:
             report.add("FeatDimMismatch", f"segment {sid} has dim {seg.features.shape[1]} != {feat_dim}")
-        if not np.all(np.isfinite(seg.features)):
-            report.add("NonFiniteFeatures", f"segment {sid} contains NaN or inf")
+    for sid in _non_finite_segments(corpus.segments):
+        report.add("NonFiniteFeatures", f"segment {sid} contains NaN or inf")
 
     targeted: set[int] = set()
     seen_segments: set[int] = set()
@@ -203,6 +203,24 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
         if spk not in targeted:
             report.add("UntargetedSpeaker", f"speaker {spk} is the target of no recording")
     return report
+
+
+def _non_finite_segments(segments: dict[int, Segment]) -> list[int]:
+    """Ids of segments holding a NaN or inf, in store order.
+
+    Segments whose features are views of one frame matrix (a generated
+    corpus) share a single check of that matrix; segments are looked at
+    one by one only inside a matrix that fails it.
+    """
+    stores: dict[int, tuple[np.ndarray, list[int]]] = {}
+    for sid, seg in segments.items():
+        base = seg.features.base
+        same = isinstance(base, np.ndarray) and base.dtype == seg.features.dtype
+        store = base if same else seg.features
+        stores.setdefault(id(store), (store, []))[1].append(sid)
+    bad = {sid for store, sids in stores.values() if not np.isfinite(store).all()
+           for sid in sids if not np.isfinite(segments[sid].features).all()}
+    return [sid for sid in segments if sid in bad]
 
 
 def assign_heldout_split(corpus: Corpus, heldout_fraction: float, seed: int) -> Corpus:
@@ -321,20 +339,17 @@ def save_manifest(corpus: Corpus, directory: str | Path) -> None:
         for cid, cluster in enumerate(rec.clusters):
             lines.append("C " + str(cid) + " " + " ".join(str(s) for s in cluster))
 
-    feat_dim = corpus.feat_dim
-    blob = bytearray()
-    blob += FEAT_MAGIC
-    blob += struct.pack("<III", FEAT_VERSION, feat_dim, 0)
+    parts = [FEAT_MAGIC + struct.pack("<III", FEAT_VERSION, corpus.feat_dim, 0)]
     offset = 0
     for sid in sorted(corpus.segments):
         seg = corpus.segments[sid]
         lines.append(f"S {sid} {seg.oracle_speaker} {seg.n_frames} {offset}")
-        feats = np.ascontiguousarray(seg.features, dtype="<f4")
-        blob += feats.tobytes()
+        parts.append(np.ascontiguousarray(seg.features, dtype="<f4"))
         offset += seg.n_frames
 
     atomic_write(directory / IDX_NAME, "\n".join(lines) + "\n")
-    atomic_write(directory / FEAT_NAME, bytes(blob))
+    # the frame arrays go to the file as they are: no joined copy of the frame bytes
+    atomic_write(directory / FEAT_NAME, parts)
 
 
 def load_manifest(directory: str | Path) -> Corpus:
@@ -343,8 +358,8 @@ def load_manifest(directory: str | Path) -> Corpus:
     Segments not referenced by any cluster (e.g. noise dropped by a
     diarization rewrite) come back with recording_id = cluster_id = -1.
     Raises CorruptArtifact for a damaged header, a body that is not whole
-    rows, a malformed index line, or a segment without frames or reaching
-    past the frame matrix.
+    rows, a NaN or inf feature, a malformed index line, or a segment
+    without frames or reaching past the frame matrix.
     """
     directory = Path(directory)
     feat_path, idx_path = directory / FEAT_NAME, directory / IDX_NAME
@@ -360,6 +375,9 @@ def load_manifest(directory: str | Path) -> Corpus:
         raise CorruptArtifact(
             f"{feat_path}: {len(raw) - 16} body bytes are not whole rows of {feat_dim} float32")
     flat = np.frombuffer(raw, dtype="<f4", offset=16).reshape(-1, feat_dim)
+    if not np.isfinite(flat).all():
+        row = int(np.argmin(np.isfinite(flat).all(axis=1)))
+        raise CorruptArtifact(f"{feat_path}: frame row {row} holds NaN or inf")
 
     recordings: list[Recording] = []
     seg_meta: list[tuple[int, int, int, int]] = []

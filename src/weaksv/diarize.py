@@ -14,7 +14,7 @@ Two presets mirror a weak untrained diarizer and a strong pretrained one:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 from .corpus import Corpus, NOISE, Recording, Segment
 from .errors import DegenerateConfig, EmptyRecording
@@ -152,9 +152,11 @@ def apply_diarization(corpus: Corpus, cfg: DiarConfig) -> Corpus:
         new_recordings.append(Recording(rec.recording_id, rec.target, clusters, rec.heldout))
         for cid, cluster in enumerate(clusters):
             for sid in cluster:
-                new_segments[sid] = dc_replace(corpus.segments[sid], recording_id=rec.recording_id, cluster_id=cid)
+                seg = corpus.segments[sid]
+                new_segments[sid] = Segment(seg.segment_id, rec.recording_id, cid, seg.features,
+                                            seg.oracle_speaker)
                 clustered.add(sid)
     for sid, seg in corpus.segments.items():
         if sid not in clustered:
-            new_segments[sid] = dc_replace(seg, recording_id=-1, cluster_id=-1)
+            new_segments[sid] = Segment(seg.segment_id, -1, -1, seg.features, seg.oracle_speaker)
     return Corpus(corpus.n_speakers, new_recordings, new_segments, corpus.unknown_pool_present)

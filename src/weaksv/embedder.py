@@ -78,7 +78,6 @@ class ForwardCache:
     xbar: np.ndarray  # (k, feat)
     a1: np.ndarray  # pre-relu, (k, hidden)
     h: np.ndarray  # (k, hidden)
-    z: np.ndarray  # pre-norm, (k, emb)
     norms: np.ndarray  # (k,)
     emb: np.ndarray  # (k, emb)
 
@@ -107,7 +106,7 @@ def forward_pooled(xbar: np.ndarray, params: dict[str, np.ndarray]) -> tuple[np.
     if np.any(norms < _NORM_FLOOR):
         raise DegenerateEmbedding("pre-normalization embedding norm below 1e-8")
     emb = z / norms[:, None]
-    return emb, ForwardCache(xbar, a1, h, z, norms, emb)
+    return emb, ForwardCache(xbar, a1, h, norms, emb)
 
 
 def cosine_similarities(emb: np.ndarray, prototypes: np.ndarray) -> np.ndarray:

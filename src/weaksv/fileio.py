@@ -3,16 +3,23 @@
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from pathlib import Path
 
 
-def atomic_write(path: str | Path, data: str | bytes) -> None:
-    """Write data (text as UTF-8) to `.<name>.tmp` beside path, then rename it over path.
+def atomic_write(path: str | Path, data: str | bytes | Iterable) -> None:
+    """Write data to `.<name>.tmp` beside path, then rename it over path.
 
-    A reader never sees a half-written artifact: the rename is atomic
+    data is text (written as UTF-8), bytes, or bytes-like parts (such as
+    C-contiguous arrays) written one after another, so large arrays reach
+    the file without first being joined into one copy in memory. A
+    reader never sees a half-written artifact: the rename is atomic
     within one file system.
     """
     path = Path(path)
     tmp = path.with_name("." + path.name + ".tmp")
-    tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    with tmp.open("wb") as f:
+        f.writelines([data] if isinstance(data, bytes) else data)
     os.replace(tmp, path)

@@ -12,7 +12,9 @@ FNV-1a) into a child key, so parallel and serial generation orders agree.
 
 Floats take the top 53 bits of a block; normals use Box-Muller on pairs
 of uniforms. A stream is reproducible given the same sequence of draw
-calls.
+calls. Because a draw depends only on (key, counter), a caller may
+reserve normals calls on a stream (``skip_normals``) and draw many of
+them later in one array pass (``normals_at``) with the same values.
 """
 
 from __future__ import annotations
@@ -66,6 +68,41 @@ def derive_key(key: int, *tokens: int | str) -> int:
     return k
 
 
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Standard normals from an even number of blocks, two per pair."""
+    # u1 in (0, 1] so the log is finite; u2 in [0, 1)
+    u1 = ((u[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
+    u2 = ((u[1::2] >> np.uint64(11)).astype(np.float64)) * _INV_2_53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = _TWO_PI * u2
+    out = np.empty(u.size, dtype=np.float64)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return out
+
+
+def normals_at(keys, counters, sizes) -> np.ndarray:
+    """Many normals calls on any streams in one Box-Muller pass.
+
+    Call i is Rng(keys[i]).normals(sizes[i]) started at counter
+    counters[i] (see Rng.skip_normals); the result is the calls' values
+    concatenated in order, bitwise equal to making them one by one. An
+    odd-sized call still consumes a whole pair, whose second value is
+    dropped.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    blocks = 2 * ((sizes + 1) // 2)
+    ends = np.cumsum(blocks)
+    total = int(ends[-1]) if ends.size else 0
+    # block j of call i sits at counter counters[i] + 1 + j of stream keys[i]
+    ctr = np.arange(total, dtype=np.uint64) + np.repeat(
+        np.asarray(counters, dtype=np.uint64) + np.uint64(1) - (ends - blocks).astype(np.uint64), blocks)
+    out = _box_muller(_mix64_array(np.repeat(np.asarray(keys, dtype=np.uint64), blocks)
+                                   + ctr * np.uint64(_GAMMA)))
+    padded = ends[sizes % 2 == 1] - 1
+    return np.delete(out, padded) if padded.size else out
+
+
 class Rng:
     """One stream of the counter-based generator."""
 
@@ -106,20 +143,17 @@ class Rng:
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller; consumes 2*ceil(n/2) blocks."""
-        half = (n + 1) // 2
-        u = self._block(2 * half)
-        # u1 in (0, 1] so the log is finite; u2 in [0, 1)
-        u1 = ((u[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
-        u2 = ((u[1::2] >> np.uint64(11)).astype(np.float64)) * _INV_2_53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = _TWO_PI * u2
-        out = np.empty(2 * half, dtype=np.float64)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:n]
+        return _box_muller(self._block(2 * ((n + 1) // 2)))[:n]
 
-    def normal(self) -> float:
-        return float(self.normals(1)[0])
+    def skip_normals(self, n: int) -> int:
+        """Advance past a normals(n) call without drawing it.
+
+        Returns the counter the call starts from; normals_at with this
+        stream's key and that counter draws the same n values.
+        """
+        start = self._ctr
+        self._ctr += 2 * ((n + 1) // 2)
+        return start
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n). Modulo bias is < n / 2**64."""

@@ -11,12 +11,14 @@ absent from the model's top-k predictions (it might otherwise still be
 the target speaking), ranked by the unnormalized log-sum-exp of their
 scaled logits as a confidence score, truncated to the top fraction.
 
-Both run as array code over one walk of the training recordings, which
-yields every segment's target next to its row: no per-segment recording
-lookup. The unknown pool ranks rejected rows in fixed-size blocks, so its
-scratch memory does not grow with the corpus; per row the arithmetic
-(rank tie rule, max-shifted exp sum, math.log) is that of a row-by-row
-loop, so its scores equal that loop's bit for bit.
+Both read one scoring of the training segments (score_train_segments:
+one embedding pass and one cosine matrix), built on one walk of the
+training recordings, which yields every segment's target next to its
+row: no per-segment recording lookup. The unknown pool ranks rejected
+rows in fixed-size blocks, so its scratch memory does not grow with the
+corpus; per row the arithmetic (rank tie rule, max-shifted exp sum,
+math.log) is that of a row-by-row loop, so its scores equal that loop's
+bit for bit.
 """
 
 from __future__ import annotations
@@ -66,26 +68,35 @@ class UnknownPool:
     target_ranks: dict[int, int] = field(default_factory=dict)
 
 
-def _train_segment_cosines(corpus: Corpus, checkpoint: Checkpoint):
-    """Cosines against all prototypes for every diarized training segment.
+@dataclass
+class ScoredSegments:
+    """Every diarized training segment scored against all prototypes.
 
-    Returns the segment ids in ascending order, the recording target of
-    each as an int array, and the cosine matrix.
+    Rows follow ascending segment id; self_label and select_unknown_pool
+    both read the same scoring.
     """
+
+    segment_ids: list[int]
+    targets: np.ndarray  # recording target per row, int64
+    cosines: np.ndarray  # (rows, n_speakers)
+
+
+def score_train_segments(corpus: Corpus, checkpoint: Checkpoint) -> ScoredSegments:
+    """Embed every diarized training segment once and take its prototype cosines."""
     pooled, row_of = corpus.mean_frames()
     pairs = sorted((sid, rec.target) for rec in corpus.train_recordings() for sid in rec.segment_ids())
     sids = [sid for sid, _ in pairs]
     targets = np.array([target for _, target in pairs], dtype=np.int64)
     emb, _ = forward_pooled(pooled[[row_of[s] for s in sids]], checkpoint.params)
-    return sids, targets, emb @ checkpoint.params["P"].T
+    return ScoredSegments(sids, targets, emb @ checkpoint.params["P"].T)
 
 
-def self_label(corpus: Corpus, checkpoint: Checkpoint) -> SelectionResult:
+def self_label(corpus: Corpus, scored: ScoredSegments) -> SelectionResult:
     """Keep each diarized segment iff its argmax class equals the target."""
-    sids, targets, cosines = _train_segment_cosines(corpus, checkpoint)
+    targets, cosines = scored.targets, scored.cosines
     rows = np.flatnonzero(np.argmax(cosines, axis=1) == targets)
     labels = targets[rows]
-    kept = [sids[i] for i in rows.tolist()]
+    kept = [scored.segment_ids[i] for i in rows.tolist()]
     selected = list(zip(kept, labels.tolist()))
     scores = dict(zip(kept, cosines[rows, labels].tolist()))
     result = SelectionResult(selected, scores)
@@ -117,8 +128,7 @@ def selection_stats(result: SelectionResult, corpus: Corpus) -> SelectionStats:
 
 
 def select_unknown_pool(
-    corpus: Corpus,
-    checkpoint: Checkpoint,
+    scored: ScoredSegments,
     top_k: int = 10,
     fraction: float = 0.05,
     scale: float = 30.0,
@@ -131,11 +141,11 @@ def select_unknown_pool(
     the top ceil(fraction * survivors) kept. Rank ties break toward the
     lower class index.
     """
-    if checkpoint.n_speakers <= top_k:
+    sids, targets, cosines = scored.segment_ids, scored.targets, scored.cosines
+    if cosines.shape[1] <= top_k:
         raise DegenerateConfig(f"top_k={top_k} needs more than {top_k} known speakers")
     if not (0.0 < fraction <= 1.0):
         raise DegenerateConfig("fraction must lie in (0, 1]")
-    sids, targets, cosines = _train_segment_cosines(corpus, checkpoint)
     candidates = np.flatnonzero(np.argmax(cosines, axis=1) != targets)  # rejected by self_label
     cols = np.arange(cosines.shape[1])
 

@@ -10,6 +10,14 @@ every recording belongs to its target.
 
 Generation is deterministic: every recording draws from an RNG substream
 keyed by (seed, recording_id), so serial and parallel generation agree.
+It runs in two passes. The plan pass walks the recordings in order and
+makes each stream's scalar draws (segment plan, frame counts), only
+reserving the position of each normals call. The render pass then draws
+those normals for ~RENDER_BLOCK frames at a time in one array pass,
+lifts the block's latents in one call and writes the rows straight into
+one preallocated float32 (total_frames, feat_dim) matrix; every
+segment's features are a row view of it. The values are bitwise those of
+rendering each segment on its own.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import numpy as np
 
 from .corpus import Corpus, NOISE, Recording, Segment, UNKNOWN
 from .errors import DegenerateConfig
-from .rng import Rng
+from .rng import Rng, normals_at
 
 _LIFT_GAIN = 2.0
 _LIFT_BIAS_STD = 0.2
@@ -65,6 +73,8 @@ class SynthConfig:
                 raise DegenerateConfig(f"bad range for {name}: {lo}..{hi}")
         if self.segments_per_recording[0] < 1:
             raise DegenerateConfig("recordings need at least one segment")
+        if self.frames_per_segment[0] < 1:
+            raise DegenerateConfig("segments need at least one frame")
         if self.recordings_per_speaker < 1:
             raise DegenerateConfig("recordings_per_speaker must be >= 1")
 
@@ -111,23 +121,6 @@ def make_lift(cfg: SynthConfig) -> FeatureLift:
     return FeatureLift(matrix, bias)
 
 
-def render_segment(
-    voice: VoicePrint,
-    n_frames: int,
-    cfg: SynthConfig,
-    rng: Rng,
-    lift: FeatureLift | None = None,
-) -> np.ndarray:
-    """(n_frames, feat_dim) float32 feature matrix for one segment."""
-    if n_frames < 1:
-        raise DegenerateConfig("segments need at least one frame")
-    if lift is None:
-        lift = make_lift(cfg)
-    noise = rng.normals(n_frames * cfg.latent_dim).reshape(n_frames, cfg.latent_dim)
-    latents = voice.latent[None, :] + cfg.within_speaker_noise * noise
-    return lift.apply(latents).astype(np.float32)
-
-
 def _segment_plan(cfg: SynthConfig, target: int, rng: Rng) -> tuple[list[int], list[int]]:
     """Oracle labels and rendering identities for one recording.
 
@@ -161,37 +154,60 @@ def _segment_plan(cfg: SynthConfig, target: int, rng: Rng) -> tuple[list[int], l
     return oracle, render_ids
 
 
-def generate_corpus(cfg: SynthConfig) -> Corpus:
-    """Full corpus: recordings, oracle-grouped initial clusters, features."""
-    cfg.validate()
-    voices = generate_speakers(cfg.n_speakers + cfg.unknown_speaker_count, cfg.latent_dim, cfg.seed)
-    lift = make_lift(cfg)
+# Frames rendered per block: bounds the float64 scratch of one block.
+RENDER_BLOCK = 4096
 
+
+@dataclass
+class _Plan:
+    """Pass-1 output: the recordings plus per-segment columns in segment-id order.
+
+    `segments` holds (recording_id, cluster_id, oracle) per segment. Its
+    frame noise is the normals(n_frames * latent_dim) call of stream
+    `key` at `counter`; a noise segment (`render_id` NOISE, else the
+    voiceprint index) draws its latent first, the normals(latent_dim)
+    call at `latent_counter` (-1 for speech).
+    """
+
+    recordings: list[Recording]
+    segments: list[tuple[int, int, int]]
+    render_id: np.ndarray
+    n_frames: np.ndarray
+    key: np.ndarray
+    counter: np.ndarray
+    latent_counter: np.ndarray
+
+
+def _plan_corpus(cfg: SynthConfig) -> _Plan:
+    """Every recording's segments and their draw positions, without rendering.
+
+    Each recording's stream makes the same draws, in the same order, as
+    when its segments are rendered one by one; normals calls are only
+    reserved (Rng.skip_normals).
+    """
     recordings: list[Recording] = []
-    segments: dict[int, Segment] = {}
-    next_sid = 0
+    segments: list[tuple[int, int, int]] = []
+    render_ids: list[int] = []
+    n_frames: list[int] = []
+    keys: list[int] = []
+    counters: list[int] = []
+    latent_counters: list[int] = []
     for target in range(cfg.n_speakers):
         for r in range(cfg.recordings_per_speaker):
             rec_id = target * cfg.recordings_per_speaker + r
             rng = Rng.from_seed(cfg.seed, "rec", rec_id)
-            oracle, render_ids = _segment_plan(cfg, target, rng)
-
-            sids = list(range(next_sid, next_sid + len(render_ids)))
-            next_sid += len(render_ids)
-            for sid, lab, rid in zip(sids, oracle, render_ids):
-                n_frames = rng.randrange(*cfg.frames_per_segment)
-                if rid == NOISE:
-                    latent = rng.normals(cfg.latent_dim) / np.sqrt(cfg.latent_dim)
-                    feats = lift.apply(latent[None, :].repeat(n_frames, 0)
-                                       + cfg.within_speaker_noise
-                                       * rng.normals(n_frames * cfg.latent_dim).reshape(n_frames, -1))
-                    feats = feats.astype(np.float32)
-                else:
-                    feats = render_segment(voices[rid], n_frames, cfg, rng, lift)
-                segments[sid] = Segment(sid, rec_id, -1, feats, lab)
+            oracle, rids = _segment_plan(cfg, target, rng)
+            for rid in rids:
+                n = rng.randrange(*cfg.frames_per_segment)
+                latent_counters.append(rng.skip_normals(cfg.latent_dim) if rid == NOISE else -1)
+                counters.append(rng.skip_normals(n * cfg.latent_dim))
+                n_frames.append(n)
+            render_ids += rids
+            keys += [rng.key] * len(rids)
 
             # initial clusters group segments by oracle label: the target
             # first, known distractors ascending, then UNKNOWN, then NOISE
+            sids = range(len(segments), len(segments) + len(oracle))
             order: list[int] = [target]
             order += sorted({l for l in oracle if l >= 0 and l != target})
             for sentinel in (UNKNOWN, NOISE):
@@ -202,10 +218,64 @@ def generate_corpus(cfg: SynthConfig) -> Corpus:
                 members = [sid for sid, o in zip(sids, oracle) if o == lab]
                 if members:
                     clusters.append(members)
-            for cid, cluster in enumerate(clusters):
-                for sid in cluster:
-                    segments[sid].cluster_id = cid
+            cluster_of = {sid: cid for cid, members in enumerate(clusters) for sid in members}
+            segments += [(rec_id, cluster_of[sid], lab) for sid, lab in zip(sids, oracle)]
             recordings.append(Recording(rec_id, target, clusters))
+    return _Plan(recordings, segments, np.array(render_ids), np.array(n_frames),
+                 np.array(keys, dtype=np.uint64), np.array(counters), np.array(latent_counters))
 
-    unknown_present = any(s.oracle_speaker == UNKNOWN for s in segments.values())
-    return Corpus(cfg.n_speakers, recordings, segments, unknown_present)
+
+def _render(plan: _Plan, voices: np.ndarray, cfg: SynthConfig, lift: FeatureLift,
+            frames: np.ndarray) -> None:
+    """Render every segment into its rows of frames, RENDER_BLOCK frames at a time.
+
+    Per segment the arithmetic is base + within_speaker_noise * noise
+    under the lift, as for a segment rendered alone, so the rows are
+    bitwise the same.
+    """
+    dim = cfg.latent_dim
+    ends = np.cumsum(plan.n_frames)
+    a = 0
+    while a < ends.size:
+        row_a = int(ends[a - 1]) if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, row_a + RENDER_BLOCK, side="right")))
+        n_frames = plan.n_frames[a:b]
+        noise = plan.render_id[a:b] == NOISE
+        n_noise = int(np.count_nonzero(noise))
+        z = normals_at(
+            np.concatenate([plan.key[a:b][noise], plan.key[a:b]]),
+            np.concatenate([plan.latent_counter[a:b][noise], plan.counter[a:b]]),
+            np.concatenate([np.full(n_noise, dim), n_frames * dim]))
+        bases = voices[np.where(noise, 0, plan.render_id[a:b])]
+        bases[noise] = z[:n_noise * dim].reshape(n_noise, dim) / np.sqrt(dim)
+        noise_frames = z[n_noise * dim:].reshape(-1, dim)
+        latents = np.repeat(bases, n_frames, axis=0) + cfg.within_speaker_noise * noise_frames
+        out = frames[row_a:int(ends[b - 1])]
+        out[...] = lift.apply(latents)
+        # numpy hands a one-row product to BLAS gemv, whose sums may differ
+        # in the last bit from gemm's: lift one-frame segments row by row
+        single = (ends[a:b] - row_a - 1)[n_frames == 1]
+        if single.size:
+            out[single] = lift.apply(latents[single, None, :])[:, 0]
+        a = b
+
+
+def generate_corpus(cfg: SynthConfig) -> Corpus:
+    """Full corpus: recordings, oracle-grouped initial clusters, features.
+
+    Every segment's features are a row view of one float32 frame matrix.
+    """
+    cfg.validate()
+    voices = generate_speakers(cfg.n_speakers + cfg.unknown_speaker_count, cfg.latent_dim, cfg.seed)
+    lift = make_lift(cfg)
+    plan = _plan_corpus(cfg)
+    frames = np.empty((int(plan.n_frames.sum()), cfg.feat_dim), dtype=np.float32)
+    _render(plan, np.stack([v.latent for v in voices]), cfg, lift, frames)
+
+    ends = np.cumsum(plan.n_frames).tolist()
+    segments = {
+        sid: Segment(sid, rec_id, cid, frames[end - n:end], lab)
+        for sid, ((rec_id, cid, lab), n, end) in enumerate(zip(plan.segments, plan.n_frames.tolist(), ends))
+    }
+    unknown_present = any(lab == UNKNOWN for _, _, lab in plan.segments)
+    return Corpus(cfg.n_speakers, plan.recordings, segments, unknown_present)

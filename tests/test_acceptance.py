@@ -24,7 +24,7 @@ from weaksv.errors import DegenerateEmbedding, NoKnownExamples
 from weaksv.losses import extend_logits_unknown, lse_tau
 from weaksv.metrics import ScoreSet, compute_eer, compute_mindcf, score_trials
 from weaksv.rng import Rng
-from weaksv.selection import select_unknown_pool, self_label
+from weaksv.selection import score_train_segments, select_unknown_pool, self_label
 from weaksv.selfcheck import composite_loss
 from weaksv.synth import SynthConfig, generate_corpus
 from weaksv.trainer import train_stage1, train_stage2
@@ -260,8 +260,9 @@ def pipeline_matrix():
             row[f"stage1_{preset}"] = compute_eer(score_trials(result.checkpoint, diarized, trials))
 
         diarized, ckpt = runs["baseline"]
-        selection = self_label(diarized, ckpt)
-        pool = select_unknown_pool(diarized, ckpt, cfg.select_top_k, cfg.select_fraction,
+        scored = score_train_segments(diarized, ckpt)
+        selection = self_label(diarized, scored)
+        pool = select_unknown_pool(scored, cfg.select_top_k, cfg.select_fraction,
                                    scale=cfg.stage1.loss.scale)
         row["precision"] = selection.stats.precision
         row["recall"] = selection.stats.recall

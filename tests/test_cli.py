@@ -235,6 +235,7 @@ CORRUPTIONS = {
     "non_integer_field": _edit_first("R", lambda f: " ".join([f[0], "x", *f[2:]])),
     "missing_field": _edit_first("S", lambda f: " ".join(f[:-1])),
     "zero_frames": _edit_first("S", lambda f: " ".join([*f[:3], "0", f[4]])),
+    "nan_feature": lambda run: _patch_feat(run, 16 + 4 * 7, struct.pack("<f", float("nan"))),
 }
 
 

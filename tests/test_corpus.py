@@ -1,9 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import weaksv.corpus
 from weaksv.corpus import (
+    FEAT_MAGIC,
+    FEAT_VERSION,
     POOL_BLOCK,
     Corpus,
     Recording,
@@ -61,6 +65,71 @@ def test_synthetic_corpora_validate():
     for seed in (1, 2):
         corpus = generate_corpus(SynthConfig(n_speakers=6, recordings_per_speaker=4, seed=seed))
         assert validate_corpus(corpus).ok
+
+
+class TestNonFiniteFeatures:
+    def test_separate_arrays(self, tiny_corpus):
+        tiny_corpus.segments[5].features[1, 2] = np.nan
+        tiny_corpus.segments[2].features[0, 0] = -np.inf
+        report = validate_corpus(tiny_corpus)
+        assert [(i.kind, i.message) for i in report.issues] == [
+            ("NonFiniteFeatures", "segment 2 contains NaN or inf"),
+            ("NonFiniteFeatures", "segment 5 contains NaN or inf")]
+
+    def test_shared_frame_matrix(self):
+        corpus = generate_corpus(SynthConfig(n_speakers=4, recordings_per_speaker=2, seed=8))
+        assert validate_corpus(corpus).ok
+        corpus.segments[3].features[-1, 0] = np.nan
+        corpus.segments[11].features[0, -1] = np.inf
+        report = validate_corpus(corpus)
+        assert [i.message for i in report.issues] == [
+            "segment 3 contains NaN or inf", "segment 11 contains NaN or inf"]
+
+    def test_rows_outside_every_segment_are_not_reported(self, tiny_corpus):
+        store = np.full((40, 4), np.nan, dtype=np.float32)
+        for sid, seg in tiny_corpus.segments.items():
+            store[3 * sid:3 * sid + 3] = seg.features
+            seg.features = store[3 * sid:3 * sid + 3]
+        assert validate_corpus(tiny_corpus).ok
+
+    def test_view_of_a_buffer_of_another_dtype(self, tiny_corpus):
+        bits = np.zeros(12, dtype=np.uint32)
+        bits[5] = 0x7FC00000  # a float32 NaN; as an integer it is finite
+        tiny_corpus.segments[7].features = bits.view(np.float32).reshape(3, 4)
+        assert [i.message for i in validate_corpus(tiny_corpus).issues] == [
+            "segment 7 contains NaN or inf"]
+
+    def test_load_manifest_rejects_nan(self, tmp_path, small_corpus):
+        save_manifest(small_corpus, tmp_path)
+        feat = tmp_path / "corpus.feat"
+        raw = bytearray(feat.read_bytes())
+        raw[16 + 4 * 45:16 + 4 * 46] = struct.pack("<f", float("nan"))
+        feat.write_bytes(bytes(raw))
+        with pytest.raises(CorruptArtifact, match="row 2 holds NaN or inf"):
+            load_manifest(tmp_path)
+
+
+def _reference_feat_bytes(corpus):
+    """corpus.feat as a bytearray grown segment by segment."""
+    blob = bytearray(FEAT_MAGIC)
+    blob += struct.pack("<III", FEAT_VERSION, corpus.feat_dim, 0)
+    for sid in sorted(corpus.segments):
+        blob += np.ascontiguousarray(corpus.segments[sid].features, dtype="<f4").tobytes()
+    return bytes(blob)
+
+
+def test_save_manifest_feature_bytes(tmp_path, small_corpus, tiny_corpus):
+    save_manifest(small_corpus, tmp_path / "generated")
+    loaded = load_manifest(tmp_path / "generated")  # one array per segment
+    save_manifest(loaded, tmp_path / "loaded")
+    # float64 and column-major features are converted as they are written
+    tiny_corpus.segments[0].features = tiny_corpus.segments[0].features.astype(np.float64)
+    tiny_corpus.segments[4].features = np.asfortranarray(np.arange(12, dtype=np.float32).reshape(3, 4))
+    save_manifest(tiny_corpus, tmp_path / "mixed")
+    for name, corpus in (("generated", small_corpus), ("loaded", loaded), ("mixed", tiny_corpus)):
+        assert (tmp_path / name / "corpus.feat").read_bytes() == _reference_feat_bytes(corpus), name
+    assert (tmp_path / "generated" / "corpus.idx").read_bytes() == (
+        tmp_path / "loaded" / "corpus.idx").read_bytes()
 
 
 def test_manifest_round_trip(tmp_path, small_corpus):

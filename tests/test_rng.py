@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
-from weaksv.rng import Rng, derive_key, fnv1a64, mix64
+from weaksv.rng import Rng, derive_key, fnv1a64, mix64, normals_at
 
 
 def test_scalar_and_vector_streams_agree():
@@ -71,3 +71,33 @@ def test_fnv1a64_known_value():
     # standard FNV-1a test vector
     assert fnv1a64("") == 0xCBF29CE484222325
     assert fnv1a64("a") == 0xAF63DC4C8601EC8C
+
+
+def _stream_at(key, counter):
+    rng = Rng(key)
+    rng._ctr = counter
+    return rng
+
+
+_calls = st.lists(st.tuples(st.integers(min_value=0, max_value=2**64 - 1),
+                            st.integers(min_value=0, max_value=2**62),
+                            st.integers(min_value=0, max_value=41)), max_size=12)
+
+
+@given(_calls)
+def test_normals_at_matches_one_call_at_a_time(calls):
+    got = normals_at([k for k, _, _ in calls], [c for _, c, _ in calls], [n for _, _, n in calls])
+    want = [_stream_at(k, c).normals(n) for k, c, n in calls]
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.concatenate([np.empty(0), *want]).tobytes()
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.lists(st.integers(0, 21), max_size=8))
+def test_skip_normals_reserves_the_draws_of_a_stream(key, sizes):
+    # reserving the calls and drawing them later gives the stream's own draws
+    drawn, reserved = Rng(key), Rng(key)
+    want = [drawn.normals(n) for n in sizes]
+    counters = [reserved.skip_normals(n) for n in sizes]
+    assert reserved.u64() == drawn.u64()
+    got = normals_at([key] * len(sizes), counters, sizes)
+    assert got.tobytes() == np.concatenate([np.empty(0), *want]).tobytes()

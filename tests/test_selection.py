@@ -16,6 +16,7 @@ from weaksv.selection import (
     load_unknown_pool,
     save_selection,
     save_unknown_pool,
+    score_train_segments,
     select_unknown_pool,
     selection_stats,
     self_label,
@@ -74,7 +75,7 @@ class TestSelfLabel:
         pooled, row_of = corpus.mean_frames()
         from weaksv.embedder import forward_pooled
 
-        result = self_label(corpus, ckpt)
+        result = self_label(corpus, score_train_segments(corpus, ckpt))
         selected_ids = {sid for sid, _ in result.selected}
         for rec in corpus.train_recordings():
             for sid in rec.segment_ids():
@@ -84,17 +85,18 @@ class TestSelfLabel:
 
     def test_labels_are_recording_targets(self, trained):
         corpus, ckpt = trained
-        for sid, label in self_label(corpus, ckpt).selected:
+        for sid, label in self_label(corpus, score_train_segments(corpus, ckpt)).selected:
             assert label == corpus.recording(corpus.segments[sid].recording_id).target
 
     def test_heldout_segments_never_selected(self, trained):
         corpus, ckpt = trained
         heldout = {s for r in corpus.heldout_recordings() for s in r.segment_ids()}
-        assert not {sid for sid, _ in self_label(corpus, ckpt).selected} & heldout
+        selected = self_label(corpus, score_train_segments(corpus, ckpt)).selected
+        assert not {sid for sid, _ in selected} & heldout
 
     def test_oracle_classifier_yields_perfect_stats(self):
         corpus, ckpt = _oracle_setup()
-        result = self_label(corpus, ckpt)
+        result = self_label(corpus, score_train_segments(corpus, ckpt))
         assert result.stats.precision == 1.0
         assert result.stats.recall == 1.0
 
@@ -137,7 +139,7 @@ class TestSelectionStats:
 
     def test_frames_counted(self, trained):
         corpus, ckpt = trained
-        stats = self_label(corpus, ckpt).stats
+        stats = self_label(corpus, score_train_segments(corpus, ckpt)).stats
         assert stats.selected_frames > 0
         assert stats.oracle_target_frames >= stats.selected_frames * stats.precision * 0.5
 
@@ -145,13 +147,14 @@ class TestSelectionStats:
 class TestUnknownPool:
     def test_disjoint_from_selection(self, trained):
         corpus, ckpt = trained
-        selected = {sid for sid, _ in self_label(corpus, ckpt).selected}
-        pool = select_unknown_pool(corpus, ckpt, top_k=3, fraction=0.5)
+        scored = score_train_segments(corpus, ckpt)
+        selected = {sid for sid, _ in self_label(corpus, scored).selected}
+        pool = select_unknown_pool(scored, top_k=3, fraction=0.5)
         assert not set(pool.segment_ids) & selected
 
     def test_rank_filter(self, trained):
         corpus, ckpt = trained
-        pool = select_unknown_pool(corpus, ckpt, top_k=3, fraction=1.0)
+        pool = select_unknown_pool(score_train_segments(corpus, ckpt), top_k=3, fraction=1.0)
         pooled, row_of = corpus.mean_frames()
         from weaksv.embedder import forward_pooled
 
@@ -163,8 +166,9 @@ class TestUnknownPool:
 
     def test_fraction_truncates_by_confidence(self, trained):
         corpus, ckpt = trained
-        full = select_unknown_pool(corpus, ckpt, top_k=3, fraction=1.0)
-        frac = select_unknown_pool(corpus, ckpt, top_k=3, fraction=0.25)
+        scored = score_train_segments(corpus, ckpt)
+        full = select_unknown_pool(scored, top_k=3, fraction=1.0)
+        frac = select_unknown_pool(scored, top_k=3, fraction=0.25)
         expected = int(np.ceil(0.25 * len(full.segment_ids)))
         assert len(frac.segment_ids) == expected
         assert frac.segment_ids == full.segment_ids[:expected]
@@ -174,13 +178,15 @@ class TestUnknownPool:
     def test_too_few_speakers_rejected(self, trained):
         corpus, ckpt = trained
         with pytest.raises(DegenerateConfig):
-            select_unknown_pool(corpus, ckpt, top_k=corpus.n_speakers, fraction=0.1)
+            select_unknown_pool(score_train_segments(corpus, ckpt), top_k=corpus.n_speakers,
+                                fraction=0.1)
 
 
 def test_selection_artifacts_round_trip(tmp_path, trained):
     corpus, ckpt = trained
-    result = self_label(corpus, ckpt)
-    pool = select_unknown_pool(corpus, ckpt, top_k=3, fraction=0.5)
+    scored = score_train_segments(corpus, ckpt)
+    result = self_label(corpus, scored)
+    pool = select_unknown_pool(scored, top_k=3, fraction=0.5)
     save_selection(result, tmp_path)
     save_unknown_pool(pool, tmp_path)
     assert load_selection(tmp_path) == sorted(result.selected)
@@ -261,7 +267,7 @@ class TestArrayParity:
     def test_unknown_pool_matches_row_loop(self, case, monkeypatch, row_block, top_k, fraction):
         corpus, ckpt = case
         monkeypatch.setattr(weaksv.selection, "ROW_BLOCK", row_block)
-        got = select_unknown_pool(corpus, ckpt, top_k=top_k, fraction=fraction)
+        got = select_unknown_pool(score_train_segments(corpus, ckpt), top_k=top_k, fraction=fraction)
         want = _reference_unknown_pool(corpus, ckpt, top_k, fraction)
         assert got.segment_ids == want.segment_ids
         assert got.lse_scores == want.lse_scores
@@ -269,7 +275,7 @@ class TestArrayParity:
 
     def test_self_label_matches_row_loop(self, case):
         corpus, ckpt = case
-        got = self_label(corpus, ckpt)
+        got = self_label(corpus, score_train_segments(corpus, ckpt))
         selected, scores = _reference_self_label(corpus, ckpt)
         assert got.selected == selected
         assert got.scores == scores
@@ -295,8 +301,14 @@ def test_selection_makes_no_per_segment_lookups(trained, monkeypatch):
                         lambda self, rid: lookups.append(rid) or real_recording(self, rid))
     monkeypatch.setattr(weaksv.corpus, "_pool_means",
                         lambda *a: poolings.append(1) or real_pool(*a))
-    self_label(fresh, ckpt)
-    select_unknown_pool(fresh, ckpt, top_k=3, fraction=0.5)
+    embedded, real_forward = [], weaksv.selection.forward_pooled
+    monkeypatch.setattr(weaksv.selection, "forward_pooled",
+                        lambda x, params: embedded.append(len(x)) or real_forward(x, params))
+    scored = score_train_segments(fresh, ckpt)
+    self_label(fresh, scored)
+    select_unknown_pool(scored, top_k=3, fraction=0.5)
     fresh.mean_frames()
     assert lookups == []
     assert len(poolings) == 1
+    # one embedding pass over the training segments serves both selections
+    assert embedded == [len(scored.segment_ids)]

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from weaksv.corpus import NOISE, UNKNOWN, validate_corpus
+from weaksv.corpus import NOISE, UNKNOWN, Corpus, Recording, Segment, validate_corpus
 from weaksv.errors import DegenerateConfig
 from weaksv.rng import Rng
+import weaksv.synth
 from weaksv.synth import (
     SynthConfig,
     generate_corpus,
     generate_speakers,
     make_lift,
-    render_segment,
 )
 
 
@@ -40,30 +40,33 @@ class TestGenerateSpeakers:
 
 class TestRenderSegment:
     def test_noise_free_rendering_is_deterministic(self):
-        cfg = SynthConfig(within_speaker_noise=1e-12)
-        voice = generate_speakers(2, cfg.latent_dim, cfg.seed)[0]
+        cfg = SynthConfig(n_speakers=4, recordings_per_speaker=2, within_speaker_noise=1e-12,
+                          unknown_speaker_count=0, noise_segment_prob=0.0, seed=5)
+        a, b = generate_corpus(cfg), generate_corpus(cfg)
+        voices = generate_speakers(cfg.n_speakers, cfg.latent_dim, cfg.seed)
         lift = make_lift(cfg)
-        a = render_segment(voice, 4, cfg, Rng.from_seed(5), lift)
-        b = render_segment(voice, 4, cfg, Rng.from_seed(5), lift)
-        assert np.array_equal(a, b)
-        # effectively noiseless: every frame is the lifted latent
-        assert np.allclose(a, a[0], atol=1e-9)
+        for sid, seg in a.segments.items():
+            assert np.array_equal(seg.features, b.segments[sid].features)
+            # effectively noiseless: every frame is the lifted latent
+            lifted = lift.apply(voices[seg.oracle_speaker].latent[None, :])[0]
+            assert np.allclose(seg.features, lifted, atol=1e-6)
 
     def test_distinct_speakers_render_distinct_features(self):
-        cfg = SynthConfig(within_speaker_noise=1e-12)
-        v1, v2 = generate_speakers(2, cfg.latent_dim, cfg.seed)[:2]
-        lift = make_lift(cfg)
-        a = render_segment(v1, 6, cfg, Rng.from_seed(1), lift).mean(axis=0)
-        b = render_segment(v2, 6, cfg, Rng.from_seed(1), lift).mean(axis=0)
+        cfg = SynthConfig(n_speakers=2, recordings_per_speaker=2, within_speaker_noise=1e-12,
+                          noise_segment_prob=0.0, unknown_speaker_count=0, seed=1)
+        corpus = generate_corpus(cfg)
+        a, b = (np.concatenate([s.features for s in corpus.segments.values()
+                                if s.oracle_speaker == spk]).mean(axis=0) for spk in (0, 1))
         cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
         assert 1.0 - cos > 1e-3
 
     def test_values_finite_and_bounded(self):
-        cfg = SynthConfig()
-        voice = generate_speakers(2, cfg.latent_dim, cfg.seed)[0]
-        feats = render_segment(voice, 50, cfg, Rng.from_seed(2), make_lift(cfg))
-        assert np.all(np.isfinite(feats))
-        assert np.all(np.abs(feats) <= 1.0)  # tanh range
+        corpus = generate_corpus(SynthConfig(n_speakers=6, recordings_per_speaker=3,
+                                             frames_per_segment=(50, 50), seed=2))
+        frames = next(iter(corpus.segments.values())).features.base
+        assert frames.dtype == np.float32
+        assert np.all(np.isfinite(frames))
+        assert np.all(np.abs(frames) <= 1.0)  # tanh range
 
     def test_default_noise_keeps_speakers_separable(self):
         # nearest-centroid oracle: classify each segment's mean frame
@@ -145,3 +148,125 @@ class TestGenerateCorpus:
             generate_corpus(SynthConfig(feat_dim=4, latent_dim=8))
         with pytest.raises(DegenerateConfig):
             generate_corpus(SynthConfig(noise_segment_prob=1.5))
+        with pytest.raises(DegenerateConfig):
+            generate_corpus(SynthConfig(frames_per_segment=(0, 3)))
+
+
+# ---------------------------------------------------------------------------
+# Block rendering against the per-segment loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_render_segment(voice, n_frames, cfg, rng, lift, dtype):
+    noise = rng.normals(n_frames * cfg.latent_dim).reshape(n_frames, cfg.latent_dim)
+    latents = voice.latent[None, :] + cfg.within_speaker_noise * noise
+    return lift.apply(latents).astype(dtype)
+
+
+def _reference_corpus(cfg, dtype=np.float32):
+    """Each segment rendered on its own, drawing from its recording's stream in turn."""
+    voices = generate_speakers(cfg.n_speakers + cfg.unknown_speaker_count, cfg.latent_dim, cfg.seed)
+    lift = make_lift(cfg)
+    recordings, segments, next_sid = [], {}, 0
+    for target in range(cfg.n_speakers):
+        for r in range(cfg.recordings_per_speaker):
+            rec_id = target * cfg.recordings_per_speaker + r
+            rng = Rng.from_seed(cfg.seed, "rec", rec_id)
+            oracle, render_ids = weaksv.synth._segment_plan(cfg, target, rng)
+            sids = list(range(next_sid, next_sid + len(render_ids)))
+            next_sid += len(render_ids)
+            for sid, lab, rid in zip(sids, oracle, render_ids):
+                n_frames = rng.randrange(*cfg.frames_per_segment)
+                if rid == NOISE:
+                    latent = rng.normals(cfg.latent_dim) / np.sqrt(cfg.latent_dim)
+                    feats = lift.apply(latent[None, :].repeat(n_frames, 0)
+                                       + cfg.within_speaker_noise
+                                       * rng.normals(n_frames * cfg.latent_dim).reshape(n_frames, -1))
+                    feats = feats.astype(dtype)
+                else:
+                    feats = _reference_render_segment(voices[rid], n_frames, cfg, rng, lift, dtype)
+                segments[sid] = Segment(sid, rec_id, -1, feats, lab)
+            order = [target] + sorted({l for l in oracle if l >= 0 and l != target})
+            order += [s for s in (UNKNOWN, NOISE) if s in oracle]
+            clusters = [m for lab in order if (m := [s for s, o in zip(sids, oracle) if o == lab])]
+            for cid, cluster in enumerate(clusters):
+                for sid in cluster:
+                    segments[sid].cluster_id = cid
+            recordings.append(Recording(rec_id, target, clusters))
+    unknown_present = any(s.oracle_speaker == UNKNOWN for s in segments.values())
+    return Corpus(cfg.n_speakers, recordings, segments, unknown_present)
+
+
+def _assert_same_corpus(got, want):
+    assert list(got.segments) == list(want.segments)
+    for sid, w in want.segments.items():
+        g = got.segments[sid]
+        assert (g.segment_id, g.recording_id, g.cluster_id, g.oracle_speaker) == (
+            w.segment_id, w.recording_id, w.cluster_id, w.oracle_speaker), sid
+        assert g.features.dtype == w.features.dtype and g.features.shape == w.features.shape, sid
+        assert g.features.tobytes() == w.features.tobytes(), sid
+    assert [(r.recording_id, r.target, r.clusters, r.heldout) for r in got.recordings] == [
+        (r.recording_id, r.target, r.clusters, r.heldout) for r in want.recordings]
+    assert got.n_speakers == want.n_speakers
+    assert got.unknown_pool_present == want.unknown_pool_present
+
+
+_SMALL = dict(n_speakers=6, recordings_per_speaker=3)
+
+PARITY_CONFIGS = {
+    "default": SynthConfig(),
+    "latent3_odd_frames": SynthConfig(**_SMALL, latent_dim=3, frames_per_segment=(3, 9), seed=31),
+    "latent5_odd_frames": SynthConfig(**_SMALL, latent_dim=5, frames_per_segment=(1, 7), seed=32),
+    "no_noise": SynthConfig(**_SMALL, noise_segment_prob=0.0, seed=33),
+    "all_noise": SynthConfig(**_SMALL, noise_segment_prob=1.0, seed=34),
+    "no_unknowns": SynthConfig(**_SMALL, unknown_speaker_count=0, seed=35),
+    "one_frame": SynthConfig(**_SMALL, frames_per_segment=(1, 1), seed=36),
+    "short_segments": SynthConfig(n_speakers=12, recordings_per_speaker=4, latent_dim=5,
+                                  frames_per_segment=(1, 3), seed=37),
+}
+
+
+class TestBlockParity:
+    @pytest.mark.parametrize("name", PARITY_CONFIGS)
+    def test_matches_per_segment_loop(self, name):
+        cfg = PARITY_CONFIGS[name]
+        _assert_same_corpus(generate_corpus(cfg), _reference_corpus(cfg))
+
+    def test_default_corpus_spans_many_blocks(self):
+        corpus = generate_corpus(SynthConfig())
+        total = sum(s.n_frames for s in corpus.segments.values())
+        assert total > 5 * weaksv.synth.RENDER_BLOCK
+
+    # 1: every segment is longer than a block; 37: blocks end mid-recording
+    @pytest.mark.parametrize("block", [1, 37, 10**9])
+    def test_block_size_does_not_change_the_corpus(self, monkeypatch, block):
+        cfg = SynthConfig(**_SMALL, frames_per_segment=(1, 40), seed=38)
+        want = _reference_corpus(cfg)
+        monkeypatch.setattr(weaksv.synth, "RENDER_BLOCK", block)
+        _assert_same_corpus(generate_corpus(cfg), want)
+
+    @pytest.mark.parametrize("name", ["one_frame", "short_segments", "latent3_odd_frames"])
+    def test_float64_rows_match_per_segment_lift(self, name):
+        # rendered into a float64 matrix, no float32 rounding can hide a
+        # last-bit difference of the lift (e.g. BLAS gemv against gemm)
+        cfg = PARITY_CONFIGS[name]
+        plan = weaksv.synth._plan_corpus(cfg)
+        voices = generate_speakers(cfg.n_speakers + cfg.unknown_speaker_count, cfg.latent_dim, cfg.seed)
+        frames = np.empty((int(plan.n_frames.sum()), cfg.feat_dim))
+        weaksv.synth._render(plan, np.stack([v.latent for v in voices]), cfg, make_lift(cfg), frames)
+        want = _reference_corpus(cfg, dtype=np.float64)
+        assert np.array_equal(frames, np.concatenate([want.segments[sid].features
+                                                      for sid in sorted(want.segments)]))
+
+    def test_segments_are_consecutive_rows_of_one_frame_matrix(self):
+        corpus = generate_corpus(PARITY_CONFIGS["latent3_odd_frames"])
+        frames = corpus.segments[0].features.base
+        assert frames.dtype == np.float32 and frames.flags.c_contiguous
+        assert frames.shape == (sum(s.n_frames for s in corpus.segments.values()), corpus.feat_dim)
+        row = 0
+        for sid in sorted(corpus.segments):
+            feats = corpus.segments[sid].features
+            assert feats.base is frames
+            assert feats.__array_interface__["data"][0] == frames[row:].__array_interface__["data"][0]
+            row += feats.shape[0]
+        assert row == frames.shape[0]
