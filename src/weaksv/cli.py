@@ -119,6 +119,12 @@ def cmd_train2(cfg: cfgmod.RunConfig, config_path: str | None) -> None:
     if cfg.stage2.unknown_start_epoch >= 0:
         pool = selmod.load_unknown_pool(Path(_require(out / "unknown_pool.jsonl", "unknown pool")).parent)
     corpus = load_manifest(out)
+    n_segments = len(corpus.segments)
+    corpusmod.require_in_range((sid for sid, _ in selected), n_segments, "segment id", "selection.jsonl")
+    corpusmod.require_in_range((label for _, label in selected), corpus.n_speakers, "label",
+                               "selection.jsonl")
+    if pool is not None:
+        corpusmod.require_in_range(pool, n_segments, "segment id", "unknown_pool.jsonl")
     result = train_stage2(corpus, selected, cfg.stage2, cfg.embedder_config(), cfg.seed,
                           unknown_pool=pool)
     _snapshot_config(cfg, config_path, out)
@@ -126,6 +132,11 @@ def cmd_train2(cfg: cfgmod.RunConfig, config_path: str | None) -> None:
     save_metrics_csv(result.metrics, out / "metrics_stage2.csv")
     print(f"train2: {result.checkpoint.step} steps, "
           f"final loss {result.metrics[-1].loss:.4f} -> stage2.ckpt")
+
+
+def _check_trials(trials, corpus) -> None:
+    ids = (sid for t in trials for sid in (t.enroll_id, t.test_id))
+    corpusmod.require_in_range(ids, len(corpus.segments), "segment id", corpusmod.TRIALS_NAME)
 
 
 def _eval_checkpoint(cfg: cfgmod.RunConfig, corpus, trials, ckpt_path: Path, out: Path) -> dict:
@@ -152,6 +163,7 @@ def cmd_eval(cfg: cfgmod.RunConfig, config_path: str | None, checkpoint: str | N
     _require(out / corpusmod.IDX_NAME, "corpus manifest")
     trials = load_trials(_require(out / corpusmod.TRIALS_NAME, "trial list"))
     corpus = load_manifest(out)
+    _check_trials(trials, corpus)
     if checkpoint:
         paths = [Path(checkpoint)]
         _require(paths[0], "checkpoint")
@@ -173,6 +185,7 @@ def cmd_ablate(cfg: cfgmod.RunConfig, config_path: str | None) -> None:
     _require(out / corpusmod.IDX_NAME, "corpus manifest")
     trials = load_trials(_require(out / corpusmod.TRIALS_NAME, "trial list"))
     corpus = load_manifest(out)
+    _check_trials(trials, corpus)
     model = cfg.embedder_config()
     _snapshot_config(cfg, config_path, out)
 

@@ -5,9 +5,16 @@ target speaker and a partition of its segments into diarized clusters.
 Per-segment oracle speaker identities are retained alongside for
 evaluation only; training code never consults them.
 
+Segments live in one table (`Segments`), indexed by segment id 0..n-1:
+a float32 (total_frames, feat_dim) frame matrix, an (n+1,) row-bounds
+array and an (n,) oracle array. The segments tile the matrix in id
+order: segment i is rows bounds[i]:bounds[i+1], bounds[0] is 0 and
+bounds[n] the row count, exactly as corpus.feat stores them. So an id
+is also a row of any per-segment array, such as the pooled means.
+
 On-disk layout (one directory):
   corpus.idx   line-oriented text: R/C/S records (see save_manifest)
-  corpus.feat  16-byte header + float32 little-endian frame matrices
+  corpus.feat  16-byte header + float32 little-endian frame matrix
   oracle.tsv   segment_id <tab> oracle_label (evaluation sidecar)
   trials.tsv   enroll_id <tab> test_id <tab> {0,1}
 """
@@ -15,10 +22,9 @@ On-disk layout (one directory):
 from __future__ import annotations
 
 import struct
-from collections.abc import Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from types import MappingProxyType
 
 import numpy as np
 
@@ -41,16 +47,15 @@ TRIALS_NAME = "trials.tsv"
 
 
 @dataclass(eq=False)
-class Segment:
-    segment_id: int
-    recording_id: int
-    cluster_id: int
-    features: np.ndarray  # (n_frames, feat_dim) float32
-    oracle_speaker: int
+class Segments:
+    """The segment table: segment i is frames[bounds[i]:bounds[i+1]], oracle label oracle[i]."""
 
-    @property
-    def n_frames(self) -> int:
-        return self.features.shape[0]
+    frames: np.ndarray  # (total_frames, feat_dim) float32
+    bounds: np.ndarray  # (n + 1,) int64, bounds[0] == 0, bounds[n] == total_frames
+    oracle: np.ndarray  # (n,) int64
+
+    def __len__(self) -> int:
+        return self.oracle.shape[0]
 
 
 @dataclass
@@ -68,19 +73,17 @@ class Recording:
 class Corpus:
     n_speakers: int
     recordings: list[Recording]
-    segments: dict[int, Segment]
+    segments: Segments
     unknown_pool_present: bool = False
     # Built on first use: a corpus is not edited after construction
     # (diarization and splitting build a new one).
     _recording_index: dict[int, Recording] | None = field(
         default=None, init=False, repr=False, compare=False)
-    _pooled: tuple[np.ndarray, Mapping[int, int]] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    _pooled: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def feat_dim(self) -> int:
-        first = next(iter(self.segments.values()))
-        return first.features.shape[1]
+        return self.segments.frames.shape[1]
 
     def train_recordings(self) -> list[Recording]:
         return [r for r in self.recordings if not r.heldout]
@@ -93,43 +96,55 @@ class Corpus:
             self._recording_index = {r.recording_id: r for r in self.recordings}
         return self._recording_index[recording_id]
 
-    def mean_frames(self) -> tuple[np.ndarray, Mapping[int, int]]:
-        """Per-segment frame means as a float64 matrix plus id -> row map.
+    def mean_frames(self) -> np.ndarray:
+        """Per-segment frame means as a float64 matrix; row i is segment i.
 
         Features are fixed for the lifetime of a corpus, so pooled means
         are computed once and reused by training and scoring. Every call
-        returns the same read-only matrix and map; rows follow ascending
-        segment id. Raises EmptyInput for a segment without frames.
+        returns the same read-only matrix. Raises EmptyInput for a
+        segment without frames.
         """
         if self._pooled is None:
-            self._pooled = _pool_means(self.segments, self.feat_dim)
+            self._pooled = _pool_means(self.segments)
         return self._pooled
+
+
+def require_in_range(values: Iterable[int], limit: int, what: str, source: str) -> None:
+    """Raise CorruptArtifact unless every value lies in 0..limit-1.
+
+    Segment ids and labels read from a file index array rows (segments,
+    prototypes), so they are checked before use: a negative one would
+    silently select another row.
+    """
+    bad = next((v for v in values if not 0 <= v < limit), None)
+    if bad is not None:
+        raise CorruptArtifact(f"{source}: {what} {bad} outside 0..{limit - 1}")
 
 
 # Segments pooled per reduceat call: bounds the float64 copy of their frames.
 POOL_BLOCK = 256
 
 
-def _pool_means(segments: dict[int, Segment], feat_dim: int) -> tuple[np.ndarray, Mapping[int, int]]:
-    """Frame means in ascending segment-id order, one reduceat per block.
+def _pool_means(segments: Segments) -> np.ndarray:
+    """Frame means in segment-id order, one reduceat per block of segments.
 
     reduceat adds a block's rows in frame order and the division is by the
     frame count, the same arithmetic as features.astype(float64).mean(0),
     so the means are bitwise equal to it.
     """
-    ids = sorted(segments)
-    mat = np.empty((len(ids), feat_dim), dtype=np.float64)
-    for start in range(0, len(ids), POOL_BLOCK):
-        block = [segments[sid].features for sid in ids[start:start + POOL_BLOCK]]
-        lengths = np.array([f.shape[0] for f in block])
-        if lengths.min() < 1:
-            raise EmptyInput(f"segment {ids[start + int(np.argmin(lengths))]} has no frames")
-        starts = np.cumsum(lengths) - lengths
-        out = mat[start:start + len(block)]
-        np.add.reduceat(np.concatenate(block, dtype=np.float64), starts, axis=0, out=out)
-        out /= lengths[:, None]
+    bounds = segments.bounds
+    lengths = np.diff(bounds)
+    if lengths.size and lengths.min() < 1:
+        raise EmptyInput(f"segment {int(np.argmin(lengths))} has no frames")
+    mat = np.empty((len(segments), segments.frames.shape[1]), dtype=np.float64)
+    for a in range(0, len(segments), POOL_BLOCK):
+        b = min(a + POOL_BLOCK, len(segments))
+        out = mat[a:b]
+        block = segments.frames[bounds[a]:bounds[b]].astype(np.float64)
+        np.add.reduceat(block, bounds[a:b] - bounds[a], axis=0, out=out)
+        out /= lengths[a:b, None]
     mat.flags.writeable = False
-    return mat, MappingProxyType({sid: row for row, sid in enumerate(ids)})
+    return mat
 
 
 @dataclass(frozen=True)
@@ -160,19 +175,13 @@ class ValidationReport:
 def validate_corpus(corpus: Corpus) -> ValidationReport:
     """Check every structural invariant; an empty report means all hold."""
     report = ValidationReport()
-    feat_dim = None
-    for sid, seg in corpus.segments.items():
-        if seg.segment_id != sid:
-            report.add("InconsistentStore", f"store key {sid} holds segment {seg.segment_id}")
-        if seg.n_frames < 1:
-            report.add("EmptySegment", f"segment {sid} has no frames")
-        if feat_dim is None:
-            feat_dim = seg.features.shape[1]
-        elif seg.features.shape[1] != feat_dim:
-            report.add("FeatDimMismatch", f"segment {sid} has dim {seg.features.shape[1]} != {feat_dim}")
-    for sid in _non_finite_segments(corpus.segments):
+    segments = corpus.segments
+    for sid in np.flatnonzero(np.diff(segments.bounds) < 1).tolist():
+        report.add("EmptySegment", f"segment {sid} has no frames")
+    for sid in _non_finite_segments(segments):
         report.add("NonFiniteFeatures", f"segment {sid} contains NaN or inf")
 
+    oracle = segments.oracle.tolist()
     targeted: set[int] = set()
     seen_segments: set[int] = set()
     for rec in corpus.recordings:
@@ -187,14 +196,13 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
             if not cluster:
                 report.add("EmptyCluster", f"recording {rec.recording_id} cluster {cid} is empty")
             for sid in cluster:
-                seg = corpus.segments.get(sid)
-                if seg is None:
+                if not 0 <= sid < len(oracle):
                     report.add("UnresolvedReference", f"recording {rec.recording_id} references missing segment {sid}")
                     continue
                 if sid in seen_segments:
                     report.add("DuplicateSegment", f"segment {sid} appears in more than one cluster")
                 seen_segments.add(sid)
-                if seg.oracle_speaker == rec.target:
+                if oracle[sid] == rec.target:
                     has_target_speech = True
         if not has_target_speech:
             report.add("MissingTargetSpeech", f"recording {rec.recording_id} has no segment of its target {rec.target}")
@@ -205,22 +213,10 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
     return report
 
 
-def _non_finite_segments(segments: dict[int, Segment]) -> list[int]:
-    """Ids of segments holding a NaN or inf, in store order.
-
-    Segments whose features are views of one frame matrix (a generated
-    corpus) share a single check of that matrix; segments are looked at
-    one by one only inside a matrix that fails it.
-    """
-    stores: dict[int, tuple[np.ndarray, list[int]]] = {}
-    for sid, seg in segments.items():
-        base = seg.features.base
-        same = isinstance(base, np.ndarray) and base.dtype == seg.features.dtype
-        store = base if same else seg.features
-        stores.setdefault(id(store), (store, []))[1].append(sid)
-    bad = {sid for store, sids in stores.values() if not np.isfinite(store).all()
-           for sid in sids if not np.isfinite(segments[sid].features).all()}
-    return [sid for sid in segments if sid in bad]
+def _non_finite_segments(segments: Segments) -> list[int]:
+    """Ids of segments holding a NaN or inf, ascending: one pass over the frame matrix."""
+    bad_rows = np.flatnonzero(~np.isfinite(segments.frames).all(axis=1))
+    return np.unique(np.searchsorted(segments.bounds, bad_rows, side="right") - 1).tolist()
 
 
 def assign_heldout_split(corpus: Corpus, heldout_fraction: float, seed: int) -> Corpus:
@@ -257,9 +253,10 @@ def split_trials(corpus: Corpus, n_target: int, n_nontarget: int, seed: int) -> 
     rng = Rng.from_seed(seed, "trials")
     # speaker -> recording -> held-out segments with that oracle label
     pools: dict[int, dict[int, list[int]]] = {}
+    oracle = corpus.segments.oracle.tolist()
     for rec in corpus.heldout_recordings():
         for sid in rec.segment_ids():
-            spk = corpus.segments[sid].oracle_speaker
+            spk = oracle[sid]
             if spk >= 0:
                 pools.setdefault(spk, {}).setdefault(rec.recording_id, []).append(sid)
 
@@ -338,28 +335,25 @@ def save_manifest(corpus: Corpus, directory: str | Path) -> None:
         lines.append(f"R {rec.recording_id} {rec.target} {len(rec.clusters)} {split}")
         for cid, cluster in enumerate(rec.clusters):
             lines.append("C " + str(cid) + " " + " ".join(str(s) for s in cluster))
-
-    parts = [FEAT_MAGIC + struct.pack("<III", FEAT_VERSION, corpus.feat_dim, 0)]
-    offset = 0
-    for sid in sorted(corpus.segments):
-        seg = corpus.segments[sid]
-        lines.append(f"S {sid} {seg.oracle_speaker} {seg.n_frames} {offset}")
-        parts.append(np.ascontiguousarray(seg.features, dtype="<f4"))
-        offset += seg.n_frames
+    segments = corpus.segments
+    starts, ends = segments.bounds[:-1].tolist(), segments.bounds[1:].tolist()
+    lines += [f"S {sid} {oracle} {end - start} {start}"
+              for sid, (oracle, start, end) in enumerate(zip(segments.oracle.tolist(), starts, ends))]
 
     atomic_write(directory / IDX_NAME, "\n".join(lines) + "\n")
-    # the frame arrays go to the file as they are: no joined copy of the frame bytes
-    atomic_write(directory / FEAT_NAME, parts)
+    header = FEAT_MAGIC + struct.pack("<III", FEAT_VERSION, corpus.feat_dim, 0)
+    atomic_write(directory / FEAT_NAME, [header, np.ascontiguousarray(segments.frames, dtype="<f4")])
 
 
 def load_manifest(directory: str | Path) -> Corpus:
     """Read a corpus back; exact inverse of save_manifest.
 
-    Segments not referenced by any cluster (e.g. noise dropped by a
-    diarization rewrite) come back with recording_id = cluster_id = -1.
-    Raises CorruptArtifact for a damaged header, a body that is not whole
-    rows, a NaN or inf feature, a malformed index line, or a segment
-    without frames or reaching past the frame matrix.
+    The frame matrix is a read-only view of the file's bytes. Raises
+    CorruptArtifact for a damaged header, a body that is not whole rows,
+    a NaN or inf feature, a malformed index line, S ids other than
+    0..n-1 in order, segments that do not tile the frame matrix in id
+    order with at least one frame each, or a cluster member that is no
+    segment or sits in more than one cluster.
     """
     directory = Path(directory)
     feat_path, idx_path = directory / FEAT_NAME, directory / IDX_NAME
@@ -374,15 +368,15 @@ def load_manifest(directory: str | Path) -> Corpus:
     if feat_dim < 1 or (len(raw) - 16) % (4 * feat_dim):
         raise CorruptArtifact(
             f"{feat_path}: {len(raw) - 16} body bytes are not whole rows of {feat_dim} float32")
-    flat = np.frombuffer(raw, dtype="<f4", offset=16).reshape(-1, feat_dim)
-    if not np.isfinite(flat).all():
-        row = int(np.argmin(np.isfinite(flat).all(axis=1)))
+    frames = np.frombuffer(raw, dtype="<f4", offset=16).reshape(-1, feat_dim)
+    if not np.isfinite(frames).all():
+        row = int(np.argmin(np.isfinite(frames).all(axis=1)))
         raise CorruptArtifact(f"{feat_path}: frame row {row} holds NaN or inf")
 
     recordings: list[Recording] = []
     seg_meta: list[tuple[int, int, int, int]] = []
     current: Recording | None = None
-    for lineno, line in enumerate(idx_path.read_text("utf-8").splitlines(), 1):
+    for lineno, line in enumerate(idx_path.read_text("utf-8", errors="replace").splitlines(), 1):
         parts = line.split()
         if not parts:
             continue
@@ -405,34 +399,39 @@ def load_manifest(directory: str | Path) -> Corpus:
         except ValueError:
             raise CorruptArtifact(f"non-integer field in {idx_path} line {lineno}") from None
 
-    # Every segment must cover at least one frame inside the frame matrix.
     try:
         meta = np.array(seg_meta, dtype=np.int64).reshape(-1, 4)
+        members = np.array([sid for rec in recordings for sid in rec.segment_ids()], dtype=np.int64)
     except OverflowError:
-        raise CorruptArtifact(f"S record field out of range in {idx_path}") from None
-    n_rows = flat.shape[0]
+        raise CorruptArtifact(f"index field out of range in {idx_path}") from None
+    n = meta.shape[0]
+    misplaced = meta[:, 0] != np.arange(n)
+    if misplaced.any():
+        i = int(np.argmax(misplaced))
+        raise CorruptArtifact(f"S record {i} of {idx_path} has id {seg_meta[i][0]}, not {i}")
+    # Segment i must cover rows bounds[i]:bounds[i+1], at least one, of the frame matrix.
+    n_rows = frames.shape[0]
     n_frames, offsets = meta[:, 2], meta[:, 3]
-    bad = (n_frames < 1) | (n_frames > n_rows) | (offsets < 0) | (offsets > n_rows - n_frames)
+    bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.clip(n_frames, 0, n_rows), out=bounds[1:])  # clipped: the sum cannot overflow
+    bad = (n_frames < 1) | (n_frames > n_rows) | (offsets != bounds[:-1])
     if bad.any():
-        sid, _, n, offset = seg_meta[int(np.argmax(bad))]
+        sid, _, count, offset = seg_meta[int(np.argmax(bad))]
+        raise CorruptArtifact(f"segment {sid} ({count} frames at row {offset}) does not tile "
+                              f"the {n_rows} rows of {feat_path} in id order")
+    if bounds[-1] != n_rows:
         raise CorruptArtifact(
-            f"segment {sid} ({n} frames at row {offset}) does not fit the {n_rows} rows of {feat_path}")
+            f"the segments of {idx_path} cover {bounds[-1]} of the {n_rows} rows of {feat_path}")
+    if members.size and (members.min() < 0 or members.max() >= n):
+        stray = members[(members < 0) | (members >= n)][0]
+        raise CorruptArtifact(f"cluster member {stray} of {idx_path} is not an S record")
+    shared = np.bincount(members, minlength=n) > 1
+    if shared.any():
+        raise CorruptArtifact(f"segment {int(np.argmax(shared))} sits in more than one cluster of {idx_path}")
 
-    membership: dict[int, tuple[int, int]] = {}
-    for rec in recordings:
-        for cid, cluster in enumerate(rec.clusters):
-            for sid in cluster:
-                membership[sid] = (rec.recording_id, cid)
-
-    segments: dict[int, Segment] = {}
-    for sid, oracle, n_frames, offset in seg_meta:
-        rec_id, cid = membership.get(sid, (-1, -1))
-        feats = np.array(flat[offset:offset + n_frames], dtype=np.float32)
-        segments[sid] = Segment(sid, rec_id, cid, feats, oracle)
-
+    oracle = meta[:, 1].copy()
     n_speakers = max((r.target for r in recordings), default=-1) + 1
-    unknown_present = any(s.oracle_speaker == UNKNOWN for s in segments.values())
-    return Corpus(n_speakers, recordings, segments, unknown_present)
+    return Corpus(n_speakers, recordings, Segments(frames, bounds, oracle), bool((oracle == UNKNOWN).any()))
 
 
 def _index_line_problem(parts: list[str], current: Recording | None) -> str:
@@ -448,7 +447,7 @@ def _index_line_problem(parts: list[str], current: Recording | None) -> str:
 
 def save_oracle(corpus: Corpus, directory: str | Path) -> None:
     directory = Path(directory)
-    lines = [f"{sid}\t{corpus.segments[sid].oracle_speaker}" for sid in sorted(corpus.segments)]
+    lines = [f"{sid}\t{oracle}" for sid, oracle in enumerate(corpus.segments.oracle.tolist())]
     atomic_write(directory / ORACLE_NAME, "\n".join(lines) + "\n")
 
 
@@ -458,10 +457,14 @@ def save_trials(trials: list[Trial], path: str | Path) -> None:
 
 
 def load_trials(path: str | Path) -> list[Trial]:
+    """Read trials.tsv; CorruptArtifact for a line that is not two integers and a 0/1 label."""
     trials = []
-    for line in Path(path).read_text("utf-8").splitlines():
+    for lineno, line in enumerate(Path(path).read_text("utf-8", errors="replace").splitlines(), 1):
         if not line.strip():
             continue
-        e, t, lab = line.split("\t")
-        trials.append(Trial(int(e), int(t), lab == "1"))
+        try:
+            enroll, test, label = line.split("\t")
+            trials.append(Trial(int(enroll), int(test), {"0": False, "1": True}[label]))
+        except (ValueError, KeyError):
+            raise CorruptArtifact(f"{path} line {lineno} is not <enroll id> <test id> <0|1>") from None
     return trials

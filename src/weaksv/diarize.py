@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Corpus, NOISE, Recording, Segment
+from .corpus import Corpus, NOISE, Recording
 from .errors import DegenerateConfig, EmptyRecording
 from .rng import Rng
 
@@ -136,27 +136,16 @@ def cluster_purity(clusters: list[list[int]], oracle_of: dict[int, int]) -> list
 
 
 def apply_diarization(corpus: Corpus, cfg: DiarConfig) -> Corpus:
-    """Rewrite every recording's clusters; features and oracle untouched.
+    """Rewrite every recording's clusters; the segment table is shared unchanged.
 
-    Segments dropped in drop_noise mode stay in the segment store with
-    recording_id = cluster_id = -1, matching what a manifest round trip
-    would reconstruct.
+    Segments dropped in drop_noise mode stay in the table but belong to
+    no cluster, as a manifest round trip reconstructs them.
     """
-    oracle_of = {sid: seg.oracle_speaker for sid, seg in corpus.segments.items()}
-    new_recordings: list[Recording] = []
-    new_segments: dict[int, Segment] = dict(corpus.segments)
-    clustered: set[int] = set()
-    for rec in corpus.recordings:
-        rng = Rng.from_seed(cfg.seed, "diar", rec.recording_id)
-        clusters = simulate_diarization(rec.segment_ids(), oracle_of, cfg, rng)
-        new_recordings.append(Recording(rec.recording_id, rec.target, clusters, rec.heldout))
-        for cid, cluster in enumerate(clusters):
-            for sid in cluster:
-                seg = corpus.segments[sid]
-                new_segments[sid] = Segment(seg.segment_id, rec.recording_id, cid, seg.features,
-                                            seg.oracle_speaker)
-                clustered.add(sid)
-    for sid, seg in corpus.segments.items():
-        if sid not in clustered:
-            new_segments[sid] = Segment(seg.segment_id, -1, -1, seg.features, seg.oracle_speaker)
-    return Corpus(corpus.n_speakers, new_recordings, new_segments, corpus.unknown_pool_present)
+    oracle_of = dict(enumerate(corpus.segments.oracle.tolist()))
+    recordings = [
+        Recording(rec.recording_id, rec.target,
+                  simulate_diarization(rec.segment_ids(), oracle_of, cfg,
+                                       Rng.from_seed(cfg.seed, "diar", rec.recording_id)),
+                  rec.heldout)
+        for rec in corpus.recordings]
+    return Corpus(corpus.n_speakers, recordings, corpus.segments, corpus.unknown_pool_present)

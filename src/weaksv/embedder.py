@@ -109,11 +109,6 @@ def forward_pooled(xbar: np.ndarray, params: dict[str, np.ndarray]) -> tuple[np.
     return emb, ForwardCache(xbar, a1, h, norms, emb)
 
 
-def cosine_similarities(emb: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
-    """Cosines of an embedding (or batch) against every prototype row."""
-    return np.asarray(emb, dtype=np.float64) @ prototypes.T
-
-
 def backward_pooled(d_emb: np.ndarray, cache: ForwardCache, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Exact network gradients (W1, b1, W2, b2) from upstream d loss / d embedding.
 

@@ -91,8 +91,7 @@ def lse_tau(values: np.ndarray, tau: float) -> float:
 class Aggregation:
     """Recording-level similarities plus what backward needs for routing.
 
-    Arrays are per bag: c_rec and argmax are (n_bags, n_classes), or
-    (n_classes,) for an aggregate taken without offsets.
+    Arrays are per bag: c_rec and argmax are (n_bags, n_classes).
     """
 
     c_rec: np.ndarray
@@ -103,30 +102,28 @@ class Aggregation:
 
     def backward(self, d_rec: np.ndarray) -> np.ndarray:
         """d loss / d segment-cosines from d loss / d recording-cosines."""
-        d_rec = np.asarray(d_rec, dtype=np.float64).reshape(-1, self.c_rec.shape[-1])
+        d_rec = np.asarray(d_rec, dtype=np.float64)
         if self.kind == MAX:
             d_seg = np.zeros((self.bag_of_row.size, d_rec.shape[1]))
             # bags are disjoint row ranges, so no two bags write one cell
-            d_seg[self.argmax.reshape(d_rec.shape), np.arange(d_rec.shape[1])] = d_rec
+            d_seg[self.argmax, np.arange(d_rec.shape[1])] = d_rec
             return d_seg
         return self.weights * d_rec[self.bag_of_row]
 
 
 def aggregate(
-    c_seg: np.ndarray, kind: str, tau: float | None = None, offsets: np.ndarray | None = None
+    c_seg: np.ndarray, kind: str, tau: float | None = None, *, offsets: np.ndarray
 ) -> Aggregation:
     """Per-class reduction of a (rows, n_classes) cosine matrix, bag by bag.
 
-    offsets holds the first row of each bag (strictly increasing from 0);
-    without it the whole matrix is one bag and the result is 1-D. MAX
-    keeps, per bag and class, the first row attaining the maximum (the
+    offsets holds the first row of each bag (strictly increasing from 0).
+    MAX keeps, per bag and class, the first row attaining the maximum (the
     np.argmax tie rule) so gradients flow only through it; LSE spreads
     them with softmax(v/tau) weights.
     """
-    c_seg = np.atleast_2d(np.asarray(c_seg, dtype=np.float64))
+    c_seg = np.asarray(c_seg, dtype=np.float64)
     n_rows = c_seg.shape[0]
-    single = offsets is None
-    starts = np.zeros(1, dtype=np.intp) if single else np.asarray(offsets, dtype=np.intp).ravel()
+    starts = np.asarray(offsets, dtype=np.intp).ravel()
     if (n_rows < 1 or starts.size < 1 or starts[0] != 0 or starts[-1] >= n_rows
             or np.any(np.diff(starts) <= 0)):
         raise EmptyInput("empty bag")
@@ -137,8 +134,6 @@ def aggregate(
         rows = np.arange(n_rows)[:, None]
         hit = np.where(c_seg == vmax[bag_of_row], rows, n_rows)
         idx = np.minimum.reduceat(hit, starts, axis=0)
-        if single:
-            return Aggregation(vmax[0], MAX, bag_of_row, argmax=idx[0])
         return Aggregation(vmax, MAX, bag_of_row, argmax=idx)
     if kind == LSE:
         if tau is None or tau <= 0:
@@ -147,7 +142,7 @@ def aggregate(
         sums = np.add.reduceat(ex, starts, axis=0)
         c_rec = vmax + tau * np.log(sums / sizes[:, None])
         weights = ex / sums[bag_of_row]
-        return Aggregation(c_rec[0] if single else c_rec, LSE, bag_of_row, weights=weights)
+        return Aggregation(c_rec, LSE, bag_of_row, weights=weights)
     raise ValueError(f"unknown aggregation {kind!r}")
 
 
@@ -176,18 +171,15 @@ def _cross_entropy(logits: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, 
 
 
 def weak_recording_loss(
-    c_rec: np.ndarray, target: int | np.ndarray, s: float, m: float
-) -> tuple[float | np.ndarray, np.ndarray]:
+    c_rec: np.ndarray, target: np.ndarray, s: float, m: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Margin cross-entropy on recording-level similarities.
 
-    c_rec is (rows, n_classes) with one target per row, or a single
-    (n_classes,) row with an int target. Logits are s*c for non-target
-    classes and s*psi(c) for the target. Returns (loss, d loss / d c_rec):
-    per-row losses for a matrix, a float for a single row.
+    c_rec is (rows, n_classes) with one target per row. Logits are s*c
+    for non-target classes and s*psi(c) for the target. Returns per-row
+    losses and d loss / d c_rec.
     """
-    c_rec = np.asarray(c_rec, dtype=np.float64)
-    single = c_rec.ndim == 1
-    c = np.atleast_2d(c_rec)
+    c = np.asarray(c_rec, dtype=np.float64)
     rows = np.arange(c.shape[0])
     t = np.asarray(target, dtype=np.intp).reshape(-1)
     psi, dpsi = _aam_margin_grad(c[rows, t], m)
@@ -196,14 +188,12 @@ def weak_recording_loss(
     loss, p = _cross_entropy(logits, t)
     d_rec = s * p
     d_rec[rows, t] = s * (p[rows, t] - 1.0) * dpsi
-    if single:
-        return float(loss[0]), d_rec[0]
     return loss, d_rec
 
 
 def segment_aam_loss(
-    c: np.ndarray, target: int | np.ndarray, s: float, m: float
-) -> tuple[float | np.ndarray, np.ndarray]:
+    c: np.ndarray, target: np.ndarray, s: float, m: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-segment margin cross-entropy: every row is a bag of size one."""
     return weak_recording_loss(c, target, s, m)
 

@@ -35,9 +35,8 @@ class ScoreSet:
 
 def score_trials(checkpoint: Checkpoint, corpus: Corpus, trials: list[Trial]) -> ScoreSet:
     """Cosine between the embeddings of each trial's two segments."""
-    pooled, row_of = corpus.mean_frames()
     needed = sorted({t.enroll_id for t in trials} | {t.test_id for t in trials})
-    emb, _ = forward_pooled(pooled[[row_of[s] for s in needed]], checkpoint.params)
+    emb, _ = forward_pooled(corpus.mean_frames()[needed], checkpoint.params)
     emb_of = {sid: emb[i] for i, sid in enumerate(needed)}
     scores = np.array([float(emb_of[t.enroll_id] @ emb_of[t.test_id]) for t in trials])
     labels = np.array([t.is_target for t in trials])

@@ -32,7 +32,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .embedder import Checkpoint, forward_pooled
-from .errors import DegenerateConfig
+from .errors import CorruptArtifact, DegenerateConfig
 from .fileio import atomic_write
 
 # Candidate rows ranked per block in select_unknown_pool: bounds the
@@ -83,11 +83,11 @@ class ScoredSegments:
 
 def score_train_segments(corpus: Corpus, checkpoint: Checkpoint) -> ScoredSegments:
     """Embed every diarized training segment once and take its prototype cosines."""
-    pooled, row_of = corpus.mean_frames()
+    pooled = corpus.mean_frames()
     pairs = sorted((sid, rec.target) for rec in corpus.train_recordings() for sid in rec.segment_ids())
     sids = [sid for sid, _ in pairs]
     targets = np.array([target for _, target in pairs], dtype=np.int64)
-    emb, _ = forward_pooled(pooled[[row_of[s] for s in sids]], checkpoint.params)
+    emb, _ = forward_pooled(pooled[sids], checkpoint.params)
     return ScoredSegments(sids, targets, emb @ checkpoint.params["P"].T)
 
 
@@ -106,20 +106,21 @@ def self_label(corpus: Corpus, scored: ScoredSegments) -> SelectionResult:
 
 def selection_stats(result: SelectionResult, corpus: Corpus) -> SelectionStats:
     """Precision/recall of the selection against the oracle labels."""
+    oracle = corpus.segments.oracle.tolist()
+    n_frames = np.diff(corpus.segments.bounds).tolist()
     oracle_target: set[int] = set()
     oracle_frames = 0
     for rec in corpus.train_recordings():
         for sid in rec.segment_ids():
-            seg = corpus.segments[sid]
-            if seg.oracle_speaker == rec.target:
+            if oracle[sid] == rec.target:
                 oracle_target.add(sid)
-                oracle_frames += seg.n_frames
+                oracle_frames += n_frames[sid]
     correct = sum(1 for sid, _ in result.selected if sid in oracle_target)
     coverage: dict[int, int] = {}
     frames = 0
     for sid, label in result.selected:
         coverage[label] = coverage.get(label, 0) + 1
-        frames += corpus.segments[sid].n_frames
+        frames += n_frames[sid]
     empty = not result.selected
     precision = 0.0 if empty else correct / len(result.selected)
     recall = 0.0 if not oracle_target else correct / len(oracle_target)
@@ -200,14 +201,29 @@ def save_selection(result: SelectionResult, directory: str | Path) -> None:
     atomic_write(directory / "selection_stats.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def load_selection(directory: str | Path) -> list[tuple[int, int]]:
-    path = Path(directory) / "selection.jsonl"
+def _read_int_records(path: Path, keys: tuple[str, ...]) -> list[tuple[int, ...]]:
+    """The integer fields keys of every record of a JSON-lines file, in file order.
+
+    Raises CorruptArtifact for a line that is not a JSON object holding
+    every key with an integer value.
+    """
     out = []
-    for line in path.read_text("utf-8").splitlines():
-        if line.strip():
+    for lineno, line in enumerate(path.read_text("utf-8", errors="replace").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
             rec = json.loads(line)
-            out.append((rec["segment_id"], rec["label"]))
+            values = tuple(rec[key] for key in keys)
+        except (ValueError, KeyError, TypeError):
+            values = None
+        if values is None or any(type(v) is not int for v in values):
+            raise CorruptArtifact(f"{path} line {lineno} is not a record with integer {', '.join(keys)}")
+        out.append(values)
     return out
+
+
+def load_selection(directory: str | Path) -> list[tuple[int, int]]:
+    return _read_int_records(Path(directory) / "selection.jsonl", ("segment_id", "label"))
 
 
 def save_unknown_pool(pool: UnknownPool, directory: str | Path) -> None:
@@ -218,9 +234,4 @@ def save_unknown_pool(pool: UnknownPool, directory: str | Path) -> None:
 
 
 def load_unknown_pool(directory: str | Path) -> list[int]:
-    path = Path(directory) / "unknown_pool.jsonl"
-    out = []
-    for line in path.read_text("utf-8").splitlines():
-        if line.strip():
-            out.append(json.loads(line)["segment_id"])
-    return out
+    return [sid for sid, in _read_int_records(Path(directory) / "unknown_pool.jsonl", ("segment_id",))]

@@ -15,9 +15,9 @@ makes each stream's scalar draws (segment plan, frame counts), only
 reserving the position of each normals call. The render pass then draws
 those normals for ~RENDER_BLOCK frames at a time in one array pass,
 lifts the block's latents in one call and writes the rows straight into
-one preallocated float32 (total_frames, feat_dim) matrix; every
-segment's features are a row view of it. The values are bitwise those of
-rendering each segment on its own.
+one preallocated float32 (total_frames, feat_dim) matrix, which becomes
+the corpus's segment table. The values are bitwise those of rendering
+each segment on its own.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, NOISE, Recording, Segment, UNKNOWN
+from .corpus import Corpus, NOISE, Recording, Segments, UNKNOWN
 from .errors import DegenerateConfig
 from .rng import Rng, normals_at
 
@@ -162,15 +162,15 @@ RENDER_BLOCK = 4096
 class _Plan:
     """Pass-1 output: the recordings plus per-segment columns in segment-id order.
 
-    `segments` holds (recording_id, cluster_id, oracle) per segment. Its
-    frame noise is the normals(n_frames * latent_dim) call of stream
-    `key` at `counter`; a noise segment (`render_id` NOISE, else the
-    voiceprint index) draws its latent first, the normals(latent_dim)
-    call at `latent_counter` (-1 for speech).
+    `oracle` holds each segment's oracle label. Its frame noise is the
+    normals(n_frames * latent_dim) call of stream `key` at `counter`; a
+    noise segment (`render_id` NOISE, else the voiceprint index) draws
+    its latent first, the normals(latent_dim) call at `latent_counter`
+    (-1 for speech).
     """
 
     recordings: list[Recording]
-    segments: list[tuple[int, int, int]]
+    oracle: list[int]
     render_id: np.ndarray
     n_frames: np.ndarray
     key: np.ndarray
@@ -186,7 +186,7 @@ def _plan_corpus(cfg: SynthConfig) -> _Plan:
     reserved (Rng.skip_normals).
     """
     recordings: list[Recording] = []
-    segments: list[tuple[int, int, int]] = []
+    oracles: list[int] = []
     render_ids: list[int] = []
     n_frames: list[int] = []
     keys: list[int] = []
@@ -207,7 +207,7 @@ def _plan_corpus(cfg: SynthConfig) -> _Plan:
 
             # initial clusters group segments by oracle label: the target
             # first, known distractors ascending, then UNKNOWN, then NOISE
-            sids = range(len(segments), len(segments) + len(oracle))
+            sids = range(len(oracles), len(oracles) + len(oracle))
             order: list[int] = [target]
             order += sorted({l for l in oracle if l >= 0 and l != target})
             for sentinel in (UNKNOWN, NOISE):
@@ -218,10 +218,9 @@ def _plan_corpus(cfg: SynthConfig) -> _Plan:
                 members = [sid for sid, o in zip(sids, oracle) if o == lab]
                 if members:
                     clusters.append(members)
-            cluster_of = {sid: cid for cid, members in enumerate(clusters) for sid in members}
-            segments += [(rec_id, cluster_of[sid], lab) for sid, lab in zip(sids, oracle)]
+            oracles += oracle
             recordings.append(Recording(rec_id, target, clusters))
-    return _Plan(recordings, segments, np.array(render_ids), np.array(n_frames),
+    return _Plan(recordings, oracles, np.array(render_ids), np.array(n_frames),
                  np.array(keys, dtype=np.uint64), np.array(counters), np.array(latent_counters))
 
 
@@ -261,10 +260,7 @@ def _render(plan: _Plan, voices: np.ndarray, cfg: SynthConfig, lift: FeatureLift
 
 
 def generate_corpus(cfg: SynthConfig) -> Corpus:
-    """Full corpus: recordings, oracle-grouped initial clusters, features.
-
-    Every segment's features are a row view of one float32 frame matrix.
-    """
+    """Full corpus: recordings, oracle-grouped initial clusters, features."""
     cfg.validate()
     voices = generate_speakers(cfg.n_speakers + cfg.unknown_speaker_count, cfg.latent_dim, cfg.seed)
     lift = make_lift(cfg)
@@ -272,10 +268,6 @@ def generate_corpus(cfg: SynthConfig) -> Corpus:
     frames = np.empty((int(plan.n_frames.sum()), cfg.feat_dim), dtype=np.float32)
     _render(plan, np.stack([v.latent for v in voices]), cfg, lift, frames)
 
-    ends = np.cumsum(plan.n_frames).tolist()
-    segments = {
-        sid: Segment(sid, rec_id, cid, frames[end - n:end], lab)
-        for sid, ((rec_id, cid, lab), n, end) in enumerate(zip(plan.segments, plan.n_frames.tolist(), ends))
-    }
-    unknown_present = any(lab == UNKNOWN for _, _, lab in plan.segments)
-    return Corpus(cfg.n_speakers, plan.recordings, segments, unknown_present)
+    bounds = np.concatenate([[0], np.cumsum(plan.n_frames)])
+    segments = Segments(frames, bounds, np.array(plan.oracle, dtype=np.int64))
+    return Corpus(cfg.n_speakers, plan.recordings, segments, UNKNOWN in plan.oracle)

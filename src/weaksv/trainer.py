@@ -168,7 +168,7 @@ def _fit(corpus: Corpus, stage: StageConfig, model: EmbedderConfig, seed: int, t
 
     Only stage 1 pools with a temperature; stage 2 logs tau as 0.
     """
-    pooled, row_of = corpus.mean_frames()
+    pooled = corpus.mean_frames()
     plans = [plan_epoch(e) for e in range(stage.epochs)]
     total_steps = sum(len(p) for p in plans)
     fingerprint = config_fingerprint(stage, model, seed, tag)
@@ -197,8 +197,7 @@ def _fit(corpus: Corpus, stage: StageConfig, model: EmbedderConfig, seed: int, t
         tau = schedule_value(epoch, denom, stage.loss.tau) if tag == "stage1" else 0.0
         for batch in plans[epoch]:
             segment_ids, batch_loss = batch_of(batch)
-            loss, grads = loss_and_grads(params, pooled[[row_of[sid] for sid in segment_ids]],
-                                         batch_loss, margin, tau)
+            loss, grads = loss_and_grads(params, pooled[segment_ids], batch_loss, margin, tau)
             if not np.isfinite(loss):
                 raise NonFiniteGradient(f"non-finite loss at step {step + 1}")
             step += 1

@@ -1,29 +1,32 @@
 import numpy as np
 import pytest
 
-from weaksv.corpus import Corpus, NOISE, Recording, Segment, UNKNOWN
+from weaksv.corpus import Corpus, NOISE, Recording, Segments, UNKNOWN
 from weaksv.synth import SynthConfig, generate_corpus
 
 
-def make_segment(sid, rec_id, cid, oracle, value=0.5, n_frames=3, feat_dim=4):
-    feats = np.full((n_frames, feat_dim), value, dtype=np.float32)
-    return Segment(sid, rec_id, cid, feats, oracle)
+def make_segments(features, oracle):
+    """A segment table from per-segment (n_frames, feat_dim) arrays; ids follow list order."""
+    bounds = np.concatenate([[0], np.cumsum([f.shape[0] for f in features])]).astype(np.int64)
+    return Segments(np.concatenate(features), bounds, np.array(oracle, dtype=np.int64))
+
+
+def segment_features(segments, sid):
+    """Segment sid's rows of the frame matrix (a view)."""
+    return segments.frames[segments.bounds[sid]:segments.bounds[sid + 1]]
+
+
+def constant_segments(oracle, values=None, n_frames=3, feat_dim=4):
+    """One (n_frames, feat_dim) float32 segment per oracle label, filled with its value."""
+    values = [0.5] * len(oracle) if values is None else values
+    return make_segments([np.full((n_frames, feat_dim), v, dtype=np.float32) for v in values], oracle)
 
 
 @pytest.fixture
 def tiny_corpus():
     """Two speakers, two recordings each, with one unknown and one noise segment."""
-    segments = {
-        0: make_segment(0, 0, 0, 0, 0.1),
-        1: make_segment(1, 0, 0, 0, 0.2),
-        2: make_segment(2, 0, 1, 1, 0.3),
-        3: make_segment(3, 1, 0, 0, 0.4),
-        4: make_segment(4, 1, 1, NOISE, 0.5),
-        5: make_segment(5, 2, 0, 1, 0.6),
-        6: make_segment(6, 2, 1, UNKNOWN, 0.7),
-        7: make_segment(7, 3, 0, 1, 0.8),
-        8: make_segment(8, 3, 1, 0, 0.9),
-    }
+    segments = constant_segments([0, 0, 1, 0, NOISE, 1, UNKNOWN, 1, 0],
+                                 [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
     recordings = [
         Recording(0, 0, [[0, 1], [2]]),
         Recording(1, 0, [[3], [4]]),

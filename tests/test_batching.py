@@ -54,22 +54,20 @@ class TestPlanEpochStage1:
             assert 0.9 * target <= batch.size <= 1.1 * target
 
     def test_unit_bags_pack_exactly(self):
-        recs = [Recording(i, i % 2, [[100 + i]]) for i in range(25)]
+        recs = [Recording(i, i % 2, [[i]]) for i in range(25)]
         from weaksv.corpus import Corpus
-        from conftest import make_segment
+        from conftest import constant_segments
 
-        segs = {100 + i: make_segment(100 + i, i, 0, i % 2) for i in range(25)}
-        corpus = Corpus(2, recs, segs)
+        corpus = Corpus(2, recs, constant_segments([i % 2 for i in range(25)]))
         batches = plan_epoch_stage1(corpus, 10, seed=7)
         assert [b.size for b in batches] == [10, 10, 5]
 
     def test_oversized_bag_rejected(self):
         rec = Recording(0, 0, [[i] for i in range(80)])
         from weaksv.corpus import Corpus
-        from conftest import make_segment
+        from conftest import constant_segments
 
-        segs = {i: make_segment(i, 0, i, 0) for i in range(80)}
-        corpus = Corpus(1, [rec], segs)
+        corpus = Corpus(1, [rec], constant_segments([0] * 80))
         with pytest.raises(BagTooLarge):
             plan_epoch_stage1(corpus, 64, seed=8)
 

@@ -213,6 +213,20 @@ def _feat_dim(raw):
     return struct.unpack("<I", raw[8:12])[0]
 
 
+def _append_feat_row(run):
+    path = run / "corpus.feat"
+    raw = path.read_bytes()
+    path.write_bytes(raw + bytes(4 * _feat_dim(raw)))
+
+
+def _share_first_member(text):
+    """Add the first cluster's first member to the second cluster too."""
+    lines = text.splitlines()
+    first, second = [i for i, line in enumerate(lines) if line.startswith("C ")][:2]
+    lines[second] += " " + lines[first].split()[2]
+    return "\n".join(lines) + "\n"
+
+
 def _edit_first(kind, edit):
     """Rewrite the first index line of the given record kind."""
     def apply(text):
@@ -236,6 +250,12 @@ CORRUPTIONS = {
     "missing_field": _edit_first("S", lambda f: " ".join(f[:-1])),
     "zero_frames": _edit_first("S", lambda f: " ".join([*f[:3], "0", f[4]])),
     "nan_feature": lambda run: _patch_feat(run, 16 + 4 * 7, struct.pack("<f", float("nan"))),
+    "duplicate_segment_id": lambda run: _edit_idx(run, lambda text: text.replace("\nS 1 ", "\nS 0 ", 1)),
+    "member_not_a_segment": _edit_first("C", lambda f: " ".join(f + ["99999"])),
+    "member_in_two_clusters": lambda run: _edit_idx(run, _share_first_member),
+    "trailing_frame_row": _append_feat_row,
+    "index_not_utf8": lambda run: (run / "corpus.idx").write_bytes(
+        (run / "corpus.idx").read_bytes().replace(b"S 1 ", b"S \xff ", 1)),
 }
 
 
@@ -274,6 +294,46 @@ def _assert_reported_error(flags, command, cfg_path, run):
     assert proc.returncode == 1, proc.stderr
     assert any(line.startswith("error:") for line in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr
+
+
+def _prepend(line):
+    return lambda data: line.encode() + b"\n" + data
+
+
+# case -> (command, artifact, edit of its bytes); ids index the segment table,
+# so a negative or past-the-end one would read another segment's row
+ARTIFACT_CORRUPTIONS = {
+    "trials_id_past_end": ("eval", "trials.tsv", _prepend("99999\t0\t1")),
+    "trials_negative_id": ("eval", "trials.tsv", _prepend("0\t-1\t0")),
+    "trials_missing_field": ("eval", "trials.tsv", _prepend("0\t1")),
+    "trials_non_integer": ("eval", "trials.tsv", _prepend("0\t1.5\t0")),
+    "trials_bad_label": ("eval", "trials.tsv", _prepend("0\t1\t2")),
+    "trials_not_utf8": ("eval", "trials.tsv", lambda data: b"0\t\xff1\t1\n" + data),
+    "selection_id_past_end": ("train2", "selection.jsonl", _prepend('{"segment_id": 99999, "label": 0}')),
+    "selection_negative_id": ("train2", "selection.jsonl", _prepend('{"segment_id": -1, "label": 0}')),
+    "selection_negative_label": ("train2", "selection.jsonl", _prepend('{"segment_id": 0, "label": -1}')),
+    "selection_label_past_end": ("train2", "selection.jsonl", _prepend('{"segment_id": 0, "label": 6}')),
+    "selection_cut_mid_line": ("train2", "selection.jsonl", lambda data: data.rstrip(b"\n")[:-4]),
+    "selection_not_utf8": ("train2", "selection.jsonl", lambda data: data.replace(b'"label"', b'"\xffabel"', 1)),
+    "selection_missing_key": ("train2", "selection.jsonl", _prepend('{"segment_id": 0}')),
+    "selection_non_integer": ("train2", "selection.jsonl", _prepend('{"segment_id": "0", "label": 0}')),
+    "selection_not_a_record": ("train2", "selection.jsonl", _prepend("[0, 0]")),
+    "unknown_pool_id_past_end": ("train2", "unknown_pool.jsonl", _prepend('{"segment_id": 99999}')),
+    "unknown_pool_negative_id": ("train2", "unknown_pool.jsonl", _prepend('{"segment_id": -1}')),
+    "unknown_pool_non_integer": ("train2", "unknown_pool.jsonl", _prepend('{"segment_id": 0.5}')),
+}
+
+
+@pytest.mark.parametrize("case", ARTIFACT_CORRUPTIONS)
+def test_bad_secondary_artifact_is_an_error(run_dir, tmp_path, capsys, case):
+    command, name, edit = ARTIFACT_CORRUPTIONS[case]
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    (run / name).write_bytes(edit((run / name).read_bytes()))
+    cfg_path = tmp_path / "unknown.cfg"  # train2 reads the unknown pool too
+    cfg_path.write_text(SMALL + "\n[stage2]\nunknown_start_epoch = 2\n")
+    assert main([command, "--config", str(cfg_path), "--out", str(run)]) == 1
+    assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
 
 
 CHECKPOINT_CORRUPTIONS = {

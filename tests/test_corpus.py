@@ -8,10 +8,11 @@ import weaksv.corpus
 from weaksv.corpus import (
     FEAT_MAGIC,
     FEAT_VERSION,
+    NOISE,
     POOL_BLOCK,
+    UNKNOWN,
     Corpus,
     Recording,
-    Segment,
     assign_heldout_split,
     load_manifest,
     load_trials,
@@ -23,7 +24,7 @@ from weaksv.corpus import (
 from weaksv.errors import CorruptArtifact, EmptyInput, InsufficientSegments
 from weaksv.synth import SynthConfig, generate_corpus
 
-from conftest import make_segment
+from conftest import constant_segments, make_segments, segment_features
 
 
 def test_wellformed_corpus_validates(tiny_corpus):
@@ -32,7 +33,7 @@ def test_wellformed_corpus_validates(tiny_corpus):
 
 def test_missing_target_speech_detected(tiny_corpus):
     # recording 1's only speech segment switched to the wrong speaker
-    tiny_corpus.segments[3].oracle_speaker = 1
+    tiny_corpus.segments.oracle[3] = 1
     report = validate_corpus(tiny_corpus)
     assert any(i.kind == "MissingTargetSpeech" for i in report.issues)
 
@@ -69,8 +70,9 @@ def test_synthetic_corpora_validate():
 
 class TestNonFiniteFeatures:
     def test_separate_arrays(self, tiny_corpus):
-        tiny_corpus.segments[5].features[1, 2] = np.nan
-        tiny_corpus.segments[2].features[0, 0] = -np.inf
+        # the table was joined from one array per segment
+        segment_features(tiny_corpus.segments, 5)[1, 2] = np.nan
+        segment_features(tiny_corpus.segments, 2)[0, 0] = -np.inf
         report = validate_corpus(tiny_corpus)
         assert [(i.kind, i.message) for i in report.issues] == [
             ("NonFiniteFeatures", "segment 2 contains NaN or inf"),
@@ -79,25 +81,11 @@ class TestNonFiniteFeatures:
     def test_shared_frame_matrix(self):
         corpus = generate_corpus(SynthConfig(n_speakers=4, recordings_per_speaker=2, seed=8))
         assert validate_corpus(corpus).ok
-        corpus.segments[3].features[-1, 0] = np.nan
-        corpus.segments[11].features[0, -1] = np.inf
+        segment_features(corpus.segments, 3)[-1, 0] = np.nan
+        segment_features(corpus.segments, 11)[0, -1] = np.inf
         report = validate_corpus(corpus)
         assert [i.message for i in report.issues] == [
             "segment 3 contains NaN or inf", "segment 11 contains NaN or inf"]
-
-    def test_rows_outside_every_segment_are_not_reported(self, tiny_corpus):
-        store = np.full((40, 4), np.nan, dtype=np.float32)
-        for sid, seg in tiny_corpus.segments.items():
-            store[3 * sid:3 * sid + 3] = seg.features
-            seg.features = store[3 * sid:3 * sid + 3]
-        assert validate_corpus(tiny_corpus).ok
-
-    def test_view_of_a_buffer_of_another_dtype(self, tiny_corpus):
-        bits = np.zeros(12, dtype=np.uint32)
-        bits[5] = 0x7FC00000  # a float32 NaN; as an integer it is finite
-        tiny_corpus.segments[7].features = bits.view(np.float32).reshape(3, 4)
-        assert [i.message for i in validate_corpus(tiny_corpus).issues] == [
-            "segment 7 contains NaN or inf"]
 
     def test_load_manifest_rejects_nan(self, tmp_path, small_corpus):
         save_manifest(small_corpus, tmp_path)
@@ -113,18 +101,19 @@ def _reference_feat_bytes(corpus):
     """corpus.feat as a bytearray grown segment by segment."""
     blob = bytearray(FEAT_MAGIC)
     blob += struct.pack("<III", FEAT_VERSION, corpus.feat_dim, 0)
-    for sid in sorted(corpus.segments):
-        blob += np.ascontiguousarray(corpus.segments[sid].features, dtype="<f4").tobytes()
+    for sid in range(len(corpus.segments)):
+        blob += np.ascontiguousarray(segment_features(corpus.segments, sid), dtype="<f4").tobytes()
     return bytes(blob)
 
 
 def test_save_manifest_feature_bytes(tmp_path, small_corpus, tiny_corpus):
     save_manifest(small_corpus, tmp_path / "generated")
-    loaded = load_manifest(tmp_path / "generated")  # one array per segment
+    loaded = load_manifest(tmp_path / "generated")  # a read-only view of the file
     save_manifest(loaded, tmp_path / "loaded")
-    # float64 and column-major features are converted as they are written
-    tiny_corpus.segments[0].features = tiny_corpus.segments[0].features.astype(np.float64)
-    tiny_corpus.segments[4].features = np.asfortranarray(np.arange(12, dtype=np.float32).reshape(3, 4))
+    # a float64, column-major frame matrix is converted as it is written
+    frames = tiny_corpus.segments.frames
+    frames[12:15] = np.arange(12, dtype=np.float32).reshape(3, 4)
+    tiny_corpus.segments.frames = np.asfortranarray(frames.astype(np.float64))
     save_manifest(tiny_corpus, tmp_path / "mixed")
     for name, corpus in (("generated", small_corpus), ("loaded", loaded), ("mixed", tiny_corpus)):
         assert (tmp_path / name / "corpus.feat").read_bytes() == _reference_feat_bytes(corpus), name
@@ -141,14 +130,11 @@ def test_manifest_round_trip(tmp_path, small_corpus):
     for a, b in zip(loaded.recordings, small_corpus.recordings):
         assert (a.recording_id, a.target, a.heldout) == (b.recording_id, b.target, b.heldout)
         assert a.clusters == b.clusters
-    assert set(loaded.segments) == set(small_corpus.segments)
-    for sid, seg in small_corpus.segments.items():
-        got = loaded.segments[sid]
-        assert got.recording_id == seg.recording_id
-        assert got.cluster_id == seg.cluster_id
-        assert got.oracle_speaker == seg.oracle_speaker
-        assert got.features.dtype == np.float32
-        assert np.array_equal(got.features, seg.features)  # bit-exact
+    got, want = loaded.segments, small_corpus.segments
+    assert got.frames.dtype == np.float32
+    assert np.array_equal(got.frames, want.frames)  # bit-exact
+    assert np.array_equal(got.bounds, want.bounds)
+    assert np.array_equal(got.oracle, want.oracle)
 
 
 def test_manifest_round_trip_preserves_heldout(tmp_path, small_corpus):
@@ -169,9 +155,9 @@ def test_manifest_round_trip_property(tmp_path_factory, seed):
     path = tmp_path_factory.mktemp("rt")
     save_manifest(corpus, path)
     loaded = load_manifest(path)
-    for sid, seg in corpus.segments.items():
-        assert np.array_equal(loaded.segments[sid].features, seg.features)
-        assert loaded.segments[sid].recording_id == seg.recording_id
+    assert np.array_equal(loaded.segments.frames, corpus.segments.frames)
+    assert np.array_equal(loaded.segments.bounds, corpus.segments.bounds)
+    assert [r.clusters for r in loaded.recordings] == [r.clusters for r in corpus.recordings]
 
 
 def test_heldout_split_is_deterministic_and_per_speaker(small_corpus):
@@ -201,21 +187,19 @@ class TestSplitTrials:
         corpus = self._held(small_corpus)
         trials = split_trials(corpus, 40, 40, seed=1)
         heldout_ids = {s for r in corpus.heldout_recordings() for s in r.segment_ids()}
+        recording_of = {s: r.recording_id for r in corpus.recordings for s in r.segment_ids()}
+        oracle = corpus.segments.oracle
         for t in trials:
-            ea, eb = corpus.segments[t.enroll_id], corpus.segments[t.test_id]
             assert t.enroll_id != t.test_id
-            assert ea.recording_id != eb.recording_id
+            assert recording_of[t.enroll_id] != recording_of[t.test_id]
             assert t.enroll_id in heldout_ids and t.test_id in heldout_ids
-            same = ea.oracle_speaker == eb.oracle_speaker
+            same = oracle[t.enroll_id] == oracle[t.test_id]
             assert same == t.is_target
 
     def test_insufficient_segments(self):
         # one speaker only: non-target pairs are impossible
-        segments = {i: make_segment(i, i // 2, 0, 0) for i in range(8)}
         recordings = [Recording(r, 0, [[2 * r, 2 * r + 1]], heldout=r >= 2) for r in range(4)]
-        from weaksv.corpus import Corpus
-
-        corpus = Corpus(1, recordings, segments)
+        corpus = Corpus(1, recordings, constant_segments([0] * 8))
         with pytest.raises(InsufficientSegments):
             split_trials(corpus, 5, 10, seed=3)
 
@@ -231,49 +215,43 @@ def test_trials_tsv_round_trip(tmp_path, small_corpus):
     assert load_trials(tmp_path / "trials.tsv") == trials
 
 
+def _per_segment_means(segments):
+    """Reference: each segment's frames averaged on their own."""
+    return np.stack([segment_features(segments, sid).astype(np.float64).mean(axis=0)
+                     for sid in range(len(segments))])
+
+
 def test_mean_frames_matches_direct_average(tiny_corpus):
-    mat, row_of = tiny_corpus.mean_frames()
-    for sid, seg in tiny_corpus.segments.items():
-        expected = seg.features.astype(np.float64).mean(axis=0)
-        assert np.array_equal(mat[row_of[sid]], expected)
+    assert np.array_equal(tiny_corpus.mean_frames(), _per_segment_means(tiny_corpus.segments))
 
 
-def _ragged_corpus(n_segments, seed=0, feat_dim=5):
-    """Segments of 1..40 frames (a third with one frame), ids sparse and unsorted."""
+def _ragged_corpus(n_segments, seed=0, feat_dim=5, empty=None):
+    """Segments of 1..40 frames (a third with one frame); segment `empty` has none."""
     rng = np.random.default_rng(seed)
-    ids = rng.permutation(np.arange(n_segments) * 3 + 7).tolist()
-    segments = {}
-    for sid in ids:
-        n = 1 if rng.random() < 0.33 else int(rng.integers(2, 41))
-        feats = (rng.standard_normal((n, feat_dim)) * rng.uniform(0.01, 50)).astype(np.float32)
-        segments[sid] = Segment(sid, 0, 0, feats, 0)
-    return Corpus(1, [Recording(0, 0, [ids])], segments)
+    features = []
+    for sid in range(n_segments):
+        n = 0 if sid == empty else 1 if rng.random() < 0.33 else int(rng.integers(2, 41))
+        features.append((rng.standard_normal((n, feat_dim)) * rng.uniform(0.01, 50)).astype(np.float32))
+    return Corpus(1, [Recording(0, 0, [list(range(n_segments))])], make_segments(features, [0] * n_segments))
 
 
 class TestMeanFrames:
     def test_bitwise_equal_to_per_segment_mean(self):
         corpus = _ragged_corpus(2 * POOL_BLOCK + 37)
-        mat, row_of = corpus.mean_frames()
-        assert list(row_of) == sorted(corpus.segments)
-        reference = np.stack([corpus.segments[sid].features.astype(np.float64).mean(axis=0)
-                              for sid in row_of])
-        assert np.array_equal(mat, reference)
-        assert [row_of[sid] for sid in sorted(corpus.segments)] == list(range(len(row_of)))
+        mat = corpus.mean_frames()
+        assert mat.shape == (len(corpus.segments), 5)
+        assert np.array_equal(mat, _per_segment_means(corpus.segments))
 
     def test_second_call_returns_same_read_only_result(self):
         corpus = _ragged_corpus(10)
-        mat, row_of = corpus.mean_frames()
-        again = corpus.mean_frames()
-        assert again[0] is mat and again[1] is row_of
+        mat = corpus.mean_frames()
+        assert corpus.mean_frames() is mat
         with pytest.raises(ValueError):
             mat[0, 0] = 1.0
-        with pytest.raises(TypeError):
-            row_of[0] = 0
 
     def test_zero_frame_segment_raises(self):
-        corpus = _ragged_corpus(POOL_BLOCK + 5)
-        victim = sorted(corpus.segments)[POOL_BLOCK + 2]
-        corpus.segments[victim] = Segment(victim, 0, 0, np.zeros((0, 5), np.float32), 0)
+        victim = POOL_BLOCK + 2
+        corpus = _ragged_corpus(POOL_BLOCK + 5, empty=victim)
         with pytest.raises(EmptyInput, match=f"segment {victim} "):
             corpus.mean_frames()
 
@@ -325,3 +303,72 @@ def test_load_manifest_rejects_zero_feature_dim(tmp_path, tiny_corpus):
     feat.write_bytes(bytes(raw))
     with pytest.raises(CorruptArtifact):
         load_manifest(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# Property tests over random segment tables
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def segment_tables(draw):
+    """A corpus over a random segment table: 1..12 segments, or more than POOL_BLOCK.
+
+    Frame counts are 1..6 and oracle labels known, UNKNOWN or NOISE. A
+    random subset of the segments is split into recordings of one or two
+    clusters; the rest belong to no cluster, as noise that diarization
+    dropped does.
+    """
+    n = draw(st.one_of(st.integers(1, 12), st.integers(POOL_BLOCK + 1, POOL_BLOCK + 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = rng.uniform(0.01, 50)
+    features = [(rng.standard_normal((k, 3)) * scale).astype(np.float32)
+                for k in rng.integers(1, 7, size=n)]
+    segments = make_segments(features, rng.integers(NOISE, 3, size=n))
+    members = rng.permutation(n)[:rng.integers(1, n + 1)].tolist()
+    recordings = []
+    while members:
+        k = int(rng.integers(1, 6))
+        take, members = members[:k], members[k:]
+        clusters = [take[0::2], take[1::2]] if len(take) > 1 else [take]
+        recordings.append(Recording(len(recordings), int(rng.integers(3)), clusters,
+                                    heldout=bool(rng.integers(2))))
+    n_speakers = max(r.target for r in recordings) + 1
+    return Corpus(n_speakers, recordings, segments, bool((segments.oracle == UNKNOWN).any()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(segment_tables())
+def test_segment_table_manifest_round_trip(tmp_path_factory, corpus):
+    first, second = tmp_path_factory.mktemp("first"), tmp_path_factory.mktemp("second")
+    save_manifest(corpus, first)
+    loaded = load_manifest(first)
+    assert loaded.segments.frames.tobytes() == corpus.segments.frames.tobytes()
+    assert loaded.segments.bounds.tolist() == corpus.segments.bounds.tolist()
+    assert loaded.segments.oracle.tolist() == corpus.segments.oracle.tolist()
+    assert [(r.recording_id, r.target, r.clusters, r.heldout) for r in loaded.recordings] == [
+        (r.recording_id, r.target, r.clusters, r.heldout) for r in corpus.recordings]
+    assert (loaded.n_speakers, loaded.unknown_pool_present) == (
+        corpus.n_speakers, corpus.unknown_pool_present)
+    save_manifest(loaded, second)
+    for name in ("corpus.idx", "corpus.feat"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+@settings(max_examples=25, deadline=None)
+@given(segment_tables())
+def test_segment_table_mean_frames_is_per_segment_mean(corpus):
+    assert np.array_equal(corpus.mean_frames(), _per_segment_means(corpus.segments))
+
+
+@settings(max_examples=25, deadline=None)
+@given(segment_tables(), st.data())
+def test_validate_names_exactly_the_segments_with_non_finite_frames(corpus, data):
+    segments = corpus.segments
+    rows = data.draw(st.sets(st.integers(0, segments.frames.shape[0] - 1), max_size=6))
+    for row in rows:
+        segments.frames[row, row % 3] = [np.nan, np.inf, -np.inf][row % 3]
+    owner = np.repeat(np.arange(len(segments)), np.diff(segments.bounds))  # frame row -> segment
+    want = sorted({int(owner[row]) for row in rows})
+    issues = [i.message for i in validate_corpus(corpus).issues if i.kind == "NonFiniteFeatures"]
+    assert issues == [f"segment {sid} contains NaN or inf" for sid in want]

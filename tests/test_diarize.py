@@ -135,13 +135,12 @@ class TestApplyDiarization:
     def test_drop_noise_orphans_only_noise(self, small_corpus):
         diarized = apply_diarization(small_corpus, PRESETS["pyannote-like"])
         assert validate_corpus(diarized).ok
-        for sid, seg in diarized.segments.items():
-            original = small_corpus.segments[sid]
-            if seg.cluster_id == -1:
-                assert original.oracle_speaker == NOISE
-                assert seg.recording_id == -1
-            else:
-                assert seg.recording_id == original.recording_id
+        assert diarized.segments is small_corpus.segments
+        clustered = {sid for rec in diarized.recordings for sid in rec.segment_ids()}
+        orphans = set(range(len(diarized.segments))) - clustered
+        assert orphans and all(diarized.segments.oracle[sid] == NOISE for sid in orphans)
+        for rec_a, rec_b in zip(small_corpus.recordings, diarized.recordings):
+            assert set(rec_b.segment_ids()) <= set(rec_a.segment_ids())
 
     def test_cap_respected(self, small_corpus):
         diarized = apply_diarization(small_corpus, PRESETS["pyannote-like"])

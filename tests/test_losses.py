@@ -66,19 +66,19 @@ class TestLseTau:
 class TestAggregate:
     def test_single_row_is_identity(self):
         row = np.array([[0.4, -0.2, 0.1]])
-        assert np.allclose(aggregate(row, MAX).c_rec, row[0])
-        assert np.allclose(aggregate(row, LSE, 0.5).c_rec, row[0])
+        assert np.allclose(aggregate(row, MAX, offsets=[0]).c_rec, row)
+        assert np.allclose(aggregate(row, LSE, 0.5, offsets=[0]).c_rec, row)
 
     def test_max_per_class_with_argmax(self):
         c = np.array([[0.8, -0.1], [0.2, 0.5]])
-        agg = aggregate(c, MAX)
-        assert np.allclose(agg.c_rec, [0.8, 0.5])
-        assert agg.argmax.tolist() == [0, 1]
+        agg = aggregate(c, MAX, offsets=[0])
+        assert np.allclose(agg.c_rec, [[0.8, 0.5]])
+        assert agg.argmax.tolist() == [[0, 1]]
 
     def test_lse_below_max_above_mean(self):
         c = np.array([[0.8, -0.1], [0.2, 0.5]])
-        mx = aggregate(c, MAX).c_rec
-        ls = aggregate(c, LSE, 0.5).c_rec
+        mx = aggregate(c, MAX, offsets=[0]).c_rec
+        ls = aggregate(c, LSE, 0.5, offsets=[0]).c_rec
         assert np.all(ls <= mx + 1e-12)
         assert np.all(ls >= c.mean(axis=0) - 1e-12)
 
@@ -91,20 +91,20 @@ class TestAggregate:
         perm = list(range(bag))
         rng.shuffle(perm)
         for kind, tau in ((MAX, None), (LSE, 0.3)):
-            a = aggregate(c, kind, tau).c_rec
-            b = aggregate(c[perm], kind, tau).c_rec
+            a = aggregate(c, kind, tau, offsets=[0]).c_rec
+            b = aggregate(c[perm], kind, tau, offsets=[0]).c_rec
             assert np.allclose(a, b, atol=1e-12)
 
     def test_max_routes_gradient_to_argmax_rows(self):
         c = np.array([[0.8, -0.1], [0.2, 0.5]])
-        agg = aggregate(c, MAX)
-        d = agg.backward(np.array([1.0, 2.0]))
+        agg = aggregate(c, MAX, offsets=[0])
+        d = agg.backward(np.array([[1.0, 2.0]]))
         assert np.array_equal(d, [[1.0, 0.0], [0.0, 2.0]])
 
     def test_lse_gradient_is_columnwise_softmax(self):
         c = np.array([[0.8, -0.1], [0.2, 0.5]])
-        agg = aggregate(c, LSE, 0.5)
-        d = agg.backward(np.ones(2))
+        agg = aggregate(c, LSE, 0.5, offsets=[0])
+        d = agg.backward(np.ones((1, 2)))
         assert np.allclose(d.sum(axis=0), [1.0, 1.0])
         ref = np.exp(c / 0.5) / np.exp(c / 0.5).sum(axis=0, keepdims=True)
         assert np.allclose(d, ref, atol=1e-12)
@@ -132,49 +132,49 @@ class TestAamMargin:
 
 class TestWeakRecordingLoss:
     def test_reference_value(self):
-        c = np.array([0.8, 0.1, -0.3])
-        loss, _ = weak_recording_loss(c, 0, s=30.0, m=0.0)
+        c = np.array([[0.8, 0.1, -0.3]])
+        loss, _ = weak_recording_loss(c, np.array([0]), s=30.0, m=0.0)
         expected = math.log(1.0 + math.exp(-21.0) + math.exp(-33.0))
-        assert loss == pytest.approx(expected, rel=1e-9)
+        assert loss[0] == pytest.approx(expected, rel=1e-9)
 
     def test_zero_margin_equals_plain_softmax_ce(self):
         rng = Rng.from_seed(4)
         for _ in range(50):
             c = rng.floats(6) * 2 - 1
             t = rng.randint(6)
-            loss, _ = weak_recording_loss(c, t, s=30.0, m=0.0)
+            loss, _ = weak_recording_loss(c[None, :], np.array([t]), s=30.0, m=0.0)
             logits = 30.0 * c
             ref = math.log(np.exp(logits - logits.max()).sum()) + logits.max() - logits[t]
-            assert loss == pytest.approx(ref, abs=1e-12)
+            assert loss[0] == pytest.approx(ref, abs=1e-12)
 
     def test_uniform_similarities_give_log_n(self):
-        c = np.full(7, 0.25)
-        loss, _ = weak_recording_loss(c, 3, s=30.0, m=0.0)
-        assert loss == pytest.approx(math.log(7), abs=1e-12)
+        c = np.full((1, 7), 0.25)
+        loss, _ = weak_recording_loss(c, np.array([3]), s=30.0, m=0.0)
+        assert loss[0] == pytest.approx(math.log(7), abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = Rng.from_seed(5)
         for trial in range(20):
-            c = (rng.floats(5) * 1.8 - 0.9).astype(np.float64)
-            t = rng.randint(5)
+            c = (rng.floats(5) * 1.8 - 0.9).astype(np.float64)[None, :]
+            t = np.array([rng.randint(5)])
             m = 0.15
             _, grad = weak_recording_loss(c, t, s=30.0, m=m)
             h = 1e-7
             for j in range(5):
                 up, down = c.copy(), c.copy()
-                up[j] += h
-                down[j] -= h
-                fd = (weak_recording_loss(up, t, 30.0, m)[0]
-                      - weak_recording_loss(down, t, 30.0, m)[0]) / (2 * h)
-                assert grad[j] == pytest.approx(fd, rel=1e-4, abs=1e-6)
+                up[0, j] += h
+                down[0, j] -= h
+                fd = (weak_recording_loss(up, t, 30.0, m)[0][0]
+                      - weak_recording_loss(down, t, 30.0, m)[0][0]) / (2 * h)
+                assert grad[0, j] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
 
 class TestSegmentAamLoss:
     def test_coincides_with_recording_loss(self):
-        c = np.array([0.8, 0.1, -0.3])
-        a = segment_aam_loss(c, 0, 30.0, 0.0)
-        b = weak_recording_loss(c, 0, 30.0, 0.0)
-        assert a[0] == b[0] and np.array_equal(a[1], b[1])
+        c = np.array([[0.8, 0.1, -0.3]])
+        a = segment_aam_loss(c, np.array([0]), 30.0, 0.0)
+        b = weak_recording_loss(c, np.array([0]), 30.0, 0.0)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     @settings(max_examples=150)
     @given(st.lists(st.floats(min_value=-0.8, max_value=0.999), min_size=2, max_size=8),
@@ -186,8 +186,8 @@ class TestSegmentAamLoss:
         t = Rng.from_seed(seed).randint(len(values))
         if c[t] <= -math.cos(m) + 1e-6:
             c[t] = 0.5
-        _, grad = segment_aam_loss(c, t, 30.0, m)
-        assert grad[t] <= 1e-12
+        _, grad = segment_aam_loss(c[None, :], np.array([t]), 30.0, m)
+        assert grad[0, t] <= 1e-12
 
 
 class TestExtendLogits:

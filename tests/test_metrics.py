@@ -147,8 +147,7 @@ def setup(small_corpus):
 class TestScoreTrials:
     def test_identical_segments_score_one(self, setup):
         corpus, _, ckpt = setup
-        sids = sorted(corpus.segments)
-        trials = [Trial(sids[0], sids[0], True)]
+        trials = [Trial(0, 0, True)]
         ss = score_trials(ckpt, corpus, trials)
         assert ss.scores[0] == pytest.approx(1.0, abs=1e-6)
 

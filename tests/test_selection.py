@@ -23,6 +23,8 @@ from weaksv.selection import (
 )
 from weaksv.trainer import StageConfig, train_stage1
 
+from conftest import make_segments
+
 MODEL = EmbedderConfig(feat_dim=20, hidden_dim=24, emb_dim=12)
 
 
@@ -41,23 +43,21 @@ def _oracle_setup():
     noise, and the prototypes are the embeddings of those canonical
     vectors, so each segment scores cosine 1 with its own speaker.
     """
-    from weaksv.corpus import Corpus, Recording, Segment
+    from weaksv.corpus import Corpus, Recording
 
     n_spk, feat = 3, 4
     canon = 0.1 + 0.8 * np.eye(n_spk, feat)
-    segments, recordings = {}, []
-    sid = 0
+    features, oracle, recordings = [], [], []
     for rec_id in range(6):
         target = rec_id % n_spk
         distractor = (target + 1) % n_spk
         clusters = []
-        for cid, spk in enumerate((target, distractor)):
-            feats = np.tile(canon[spk], (3, 1)).astype(np.float32)
-            segments[sid] = Segment(sid, rec_id, cid, feats, spk)
-            clusters.append([sid])
-            sid += 1
+        for spk in (target, distractor):
+            clusters.append([len(oracle)])
+            features.append(np.tile(canon[spk], (3, 1)).astype(np.float32))
+            oracle.append(spk)
         recordings.append(Recording(rec_id, target, clusters))
-    corpus = Corpus(n_spk, recordings, segments)
+    corpus = Corpus(n_spk, recordings, make_segments(features, oracle))
 
     cfg = EmbedderConfig(feat_dim=feat, hidden_dim=5, emb_dim=4)
     params = init_params(cfg, n_spk, seed=0)
@@ -72,21 +72,21 @@ def _oracle_setup():
 class TestSelfLabel:
     def test_rule_keep_iff_argmax_is_target(self, trained):
         corpus, ckpt = trained
-        pooled, row_of = corpus.mean_frames()
+        pooled = corpus.mean_frames()
         from weaksv.embedder import forward_pooled
 
         result = self_label(corpus, score_train_segments(corpus, ckpt))
         selected_ids = {sid for sid, _ in result.selected}
         for rec in corpus.train_recordings():
             for sid in rec.segment_ids():
-                emb, _ = forward_pooled(pooled[row_of[sid]][None, :], ckpt.params)
+                emb, _ = forward_pooled(pooled[sid][None, :], ckpt.params)
                 pred = int(np.argmax(emb[0] @ ckpt.params["P"].T))
                 assert (sid in selected_ids) == (pred == rec.target)
 
     def test_labels_are_recording_targets(self, trained):
         corpus, ckpt = trained
         for sid, label in self_label(corpus, score_train_segments(corpus, ckpt)).selected:
-            assert label == corpus.recording(corpus.segments[sid].recording_id).target
+            assert label == _target_of(corpus, sid)
 
     def test_heldout_segments_never_selected(self, trained):
         corpus, ckpt = trained
@@ -108,14 +108,14 @@ class TestSelectionStats:
             (sid, rec.target)
             for rec in corpus.train_recordings()
             for sid in rec.segment_ids()
-            if corpus.segments[sid].oracle_speaker == rec.target
+            if corpus.segments.oracle[sid] == rec.target
         ]
         # 10 selected, 9 correct: drop one correct and add one wrong label
         wrong = next(
             (sid, rec.target)
             for rec in corpus.train_recordings()
             for sid in rec.segment_ids()
-            if corpus.segments[sid].oracle_speaker != rec.target
+            if corpus.segments.oracle[sid] != rec.target
         )
         chosen = oracle_target[:9] + [wrong]
         stats = selection_stats(SelectionResult(chosen), corpus)
@@ -155,12 +155,12 @@ class TestUnknownPool:
     def test_rank_filter(self, trained):
         corpus, ckpt = trained
         pool = select_unknown_pool(score_train_segments(corpus, ckpt), top_k=3, fraction=1.0)
-        pooled, row_of = corpus.mean_frames()
+        pooled = corpus.mean_frames()
         from weaksv.embedder import forward_pooled
 
         for sid in pool.segment_ids:
-            target = corpus.recording(corpus.segments[sid].recording_id).target
-            emb, _ = forward_pooled(pooled[row_of[sid]][None, :], ckpt.params)
+            target = _target_of(corpus, sid)
+            emb, _ = forward_pooled(pooled[sid][None, :], ckpt.params)
             logits = 30.0 * (emb[0] @ ckpt.params["P"].T)
             assert int(np.sum(logits > logits[target])) >= 3
 
@@ -201,14 +201,14 @@ def test_selection_artifacts_round_trip(tmp_path, trained):
 
 
 def _reference_cosines(corpus, ckpt):
-    pooled, row_of = corpus.mean_frames()
     sids = sorted(sid for rec in corpus.train_recordings() for sid in rec.segment_ids())
-    emb, _ = forward_pooled(pooled[[row_of[s] for s in sids]], ckpt.params)
+    emb, _ = forward_pooled(corpus.mean_frames()[sids], ckpt.params)
     return sids, emb @ ckpt.params["P"].T
 
 
 def _target_of(corpus, sid):
-    return corpus.recording(corpus.segments[sid].recording_id).target
+    """The target of the recording one of whose clusters holds sid."""
+    return next(rec.target for rec in corpus.recordings if sid in rec.segment_ids())
 
 
 def _reference_self_label(corpus, ckpt):

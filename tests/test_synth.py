@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from weaksv.corpus import NOISE, UNKNOWN, Corpus, Recording, Segment, validate_corpus
+from weaksv.corpus import NOISE, UNKNOWN, Corpus, Recording, validate_corpus
 from weaksv.errors import DegenerateConfig
 from weaksv.rng import Rng
 import weaksv.synth
@@ -11,6 +11,8 @@ from weaksv.synth import (
     generate_speakers,
     make_lift,
 )
+
+from conftest import make_segments, segment_features
 
 
 class TestGenerateSpeakers:
@@ -45,25 +47,25 @@ class TestRenderSegment:
         a, b = generate_corpus(cfg), generate_corpus(cfg)
         voices = generate_speakers(cfg.n_speakers, cfg.latent_dim, cfg.seed)
         lift = make_lift(cfg)
-        for sid, seg in a.segments.items():
-            assert np.array_equal(seg.features, b.segments[sid].features)
+        assert np.array_equal(a.segments.frames, b.segments.frames)
+        for sid, spk in enumerate(a.segments.oracle.tolist()):
             # effectively noiseless: every frame is the lifted latent
-            lifted = lift.apply(voices[seg.oracle_speaker].latent[None, :])[0]
-            assert np.allclose(seg.features, lifted, atol=1e-6)
+            lifted = lift.apply(voices[spk].latent[None, :])[0]
+            assert np.allclose(segment_features(a.segments, sid), lifted, atol=1e-6)
 
     def test_distinct_speakers_render_distinct_features(self):
         cfg = SynthConfig(n_speakers=2, recordings_per_speaker=2, within_speaker_noise=1e-12,
                           noise_segment_prob=0.0, unknown_speaker_count=0, seed=1)
         corpus = generate_corpus(cfg)
-        a, b = (np.concatenate([s.features for s in corpus.segments.values()
-                                if s.oracle_speaker == spk]).mean(axis=0) for spk in (0, 1))
+        speaker_of_row = np.repeat(corpus.segments.oracle, np.diff(corpus.segments.bounds))
+        a, b = (corpus.segments.frames[speaker_of_row == spk].mean(axis=0) for spk in (0, 1))
         cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
         assert 1.0 - cos > 1e-3
 
     def test_values_finite_and_bounded(self):
         corpus = generate_corpus(SynthConfig(n_speakers=6, recordings_per_speaker=3,
                                              frames_per_segment=(50, 50), seed=2))
-        frames = next(iter(corpus.segments.values())).features.base
+        frames = corpus.segments.frames
         assert frames.dtype == np.float32
         assert np.all(np.isfinite(frames))
         assert np.all(np.abs(frames) <= 1.0)  # tanh range
@@ -78,13 +80,14 @@ class TestRenderSegment:
                                    cfg.latent_dim, cfg.seed)
         lift = make_lift(cfg)
         centroids = np.stack([lift.apply(v.latent[None, :])[0] for v in voices[: cfg.n_speakers]])
-        known = [s for s in corpus.segments.values() if s.oracle_speaker >= 0]
+        oracle = corpus.segments.oracle.tolist()
+        known = [sid for sid, spk in enumerate(oracle) if spk >= 0]
         assert len(known) >= 1000
         hits = 0
-        for seg in known:
-            mean = seg.features.astype(np.float64).mean(axis=0)
+        for sid in known:
+            mean = segment_features(corpus.segments, sid).astype(np.float64).mean(axis=0)
             pred = int(np.argmin(((centroids - mean) ** 2).sum(axis=1)))
-            hits += pred == seg.oracle_speaker
+            hits += pred == oracle[sid]
         assert hits / len(known) > 0.95
 
 
@@ -104,27 +107,27 @@ class TestGenerateCorpus:
     def test_no_noise_when_probability_zero(self):
         cfg = SynthConfig(n_speakers=5, recordings_per_speaker=3, noise_segment_prob=0.0, seed=4)
         corpus = generate_corpus(cfg)
-        assert all(s.oracle_speaker != NOISE for s in corpus.segments.values())
+        assert not (corpus.segments.oracle == NOISE).any()
 
     def test_unknown_segments_present_and_never_targets(self):
         cfg = SynthConfig(n_speakers=10, recordings_per_speaker=6, unknown_speaker_count=10, seed=5)
         corpus = generate_corpus(cfg)
-        unknown = [s for s in corpus.segments.values() if s.oracle_speaker == UNKNOWN]
-        assert unknown
+        assert (corpus.segments.oracle == UNKNOWN).any()
         assert corpus.unknown_pool_present
         assert all(0 <= r.target < 10 for r in corpus.recordings)
 
     def test_no_unknowns_when_pool_empty(self):
         cfg = SynthConfig(n_speakers=5, recordings_per_speaker=3, unknown_speaker_count=0, seed=6)
         corpus = generate_corpus(cfg)
-        assert all(s.oracle_speaker != UNKNOWN for s in corpus.segments.values())
+        assert not (corpus.segments.oracle == UNKNOWN).any()
         assert not corpus.unknown_pool_present
 
     def test_generation_is_bit_identical(self):
         cfg = SynthConfig(n_speakers=5, recordings_per_speaker=3, seed=11)
         a = generate_corpus(cfg)
         b = generate_corpus(cfg)
-        assert all(np.array_equal(a.segments[i].features, b.segments[i].features) for i in a.segments)
+        assert np.array_equal(a.segments.frames, b.segments.frames)
+        assert np.array_equal(a.segments.bounds, b.segments.bounds)
         assert all(ra.clusters == rb.clusters for ra, rb in zip(a.recordings, b.recordings))
 
     def test_validates(self, small_corpus):
@@ -137,7 +140,7 @@ class TestGenerateCorpus:
         cfg = SynthConfig(n_speakers=20, recordings_per_speaker=10, noise_segment_prob=p, seed=13)
         corpus = generate_corpus(cfg)
         n = len(corpus.segments)
-        k = sum(s.oracle_speaker == NOISE for s in corpus.segments.values())
+        k = int((corpus.segments.oracle == NOISE).sum())
         half_width = 2.58 * np.sqrt(p * (1 - p) / n)
         assert abs(k / n - p) < half_width + 0.002
 
@@ -167,15 +170,14 @@ def _reference_corpus(cfg, dtype=np.float32):
     """Each segment rendered on its own, drawing from its recording's stream in turn."""
     voices = generate_speakers(cfg.n_speakers + cfg.unknown_speaker_count, cfg.latent_dim, cfg.seed)
     lift = make_lift(cfg)
-    recordings, segments, next_sid = [], {}, 0
+    recordings, features, oracles = [], [], []
     for target in range(cfg.n_speakers):
         for r in range(cfg.recordings_per_speaker):
             rec_id = target * cfg.recordings_per_speaker + r
             rng = Rng.from_seed(cfg.seed, "rec", rec_id)
             oracle, render_ids = weaksv.synth._segment_plan(cfg, target, rng)
-            sids = list(range(next_sid, next_sid + len(render_ids)))
-            next_sid += len(render_ids)
-            for sid, lab, rid in zip(sids, oracle, render_ids):
+            sids = list(range(len(oracles), len(oracles) + len(render_ids)))
+            for rid in render_ids:
                 n_frames = rng.randrange(*cfg.frames_per_segment)
                 if rid == NOISE:
                     latent = rng.normals(cfg.latent_dim) / np.sqrt(cfg.latent_dim)
@@ -185,26 +187,22 @@ def _reference_corpus(cfg, dtype=np.float32):
                     feats = feats.astype(dtype)
                 else:
                     feats = _reference_render_segment(voices[rid], n_frames, cfg, rng, lift, dtype)
-                segments[sid] = Segment(sid, rec_id, -1, feats, lab)
+                features.append(feats)
+            oracles += oracle
             order = [target] + sorted({l for l in oracle if l >= 0 and l != target})
             order += [s for s in (UNKNOWN, NOISE) if s in oracle]
             clusters = [m for lab in order if (m := [s for s, o in zip(sids, oracle) if o == lab])]
-            for cid, cluster in enumerate(clusters):
-                for sid in cluster:
-                    segments[sid].cluster_id = cid
             recordings.append(Recording(rec_id, target, clusters))
-    unknown_present = any(s.oracle_speaker == UNKNOWN for s in segments.values())
-    return Corpus(cfg.n_speakers, recordings, segments, unknown_present)
+    return Corpus(cfg.n_speakers, recordings, make_segments(features, oracles), UNKNOWN in oracles)
 
 
 def _assert_same_corpus(got, want):
-    assert list(got.segments) == list(want.segments)
-    for sid, w in want.segments.items():
-        g = got.segments[sid]
-        assert (g.segment_id, g.recording_id, g.cluster_id, g.oracle_speaker) == (
-            w.segment_id, w.recording_id, w.cluster_id, w.oracle_speaker), sid
-        assert g.features.dtype == w.features.dtype and g.features.shape == w.features.shape, sid
-        assert g.features.tobytes() == w.features.tobytes(), sid
+    g, w = got.segments, want.segments
+    assert g.bounds.tolist() == w.bounds.tolist()
+    assert g.oracle.tolist() == w.oracle.tolist()
+    assert g.frames.dtype == w.frames.dtype and g.frames.shape == w.frames.shape
+    for sid in range(len(w)):
+        assert segment_features(g, sid).tobytes() == segment_features(w, sid).tobytes(), sid
     assert [(r.recording_id, r.target, r.clusters, r.heldout) for r in got.recordings] == [
         (r.recording_id, r.target, r.clusters, r.heldout) for r in want.recordings]
     assert got.n_speakers == want.n_speakers
@@ -234,7 +232,7 @@ class TestBlockParity:
 
     def test_default_corpus_spans_many_blocks(self):
         corpus = generate_corpus(SynthConfig())
-        total = sum(s.n_frames for s in corpus.segments.values())
+        total = corpus.segments.frames.shape[0]
         assert total > 5 * weaksv.synth.RENDER_BLOCK
 
     # 1: every segment is longer than a block; 37: blocks end mid-recording
@@ -255,18 +253,12 @@ class TestBlockParity:
         frames = np.empty((int(plan.n_frames.sum()), cfg.feat_dim))
         weaksv.synth._render(plan, np.stack([v.latent for v in voices]), cfg, make_lift(cfg), frames)
         want = _reference_corpus(cfg, dtype=np.float64)
-        assert np.array_equal(frames, np.concatenate([want.segments[sid].features
-                                                      for sid in sorted(want.segments)]))
+        assert np.array_equal(frames, want.segments.frames)
 
     def test_segments_are_consecutive_rows_of_one_frame_matrix(self):
         corpus = generate_corpus(PARITY_CONFIGS["latent3_odd_frames"])
-        frames = corpus.segments[0].features.base
+        frames, bounds = corpus.segments.frames, corpus.segments.bounds
         assert frames.dtype == np.float32 and frames.flags.c_contiguous
-        assert frames.shape == (sum(s.n_frames for s in corpus.segments.values()), corpus.feat_dim)
-        row = 0
-        for sid in sorted(corpus.segments):
-            feats = corpus.segments[sid].features
-            assert feats.base is frames
-            assert feats.__array_interface__["data"][0] == frames[row:].__array_interface__["data"][0]
-            row += feats.shape[0]
-        assert row == frames.shape[0]
+        assert frames.shape == (bounds[-1], corpus.feat_dim)
+        assert bounds.dtype == np.int64 and bounds.shape == (len(corpus.segments) + 1,)
+        assert bounds[0] == 0 and np.all(np.diff(bounds) >= 1)

@@ -148,10 +148,10 @@ def stage2_inputs(training_corpus):
     selected = []
     for rec in training_corpus.train_recordings():
         for sid in rec.segment_ids():
-            if training_corpus.segments[sid].oracle_speaker == rec.target:
+            if training_corpus.segments.oracle[sid] == rec.target:
                 selected.append((sid, rec.target))
     pool = [sid for rec in training_corpus.train_recordings() for sid in rec.segment_ids()
-            if training_corpus.segments[sid].oracle_speaker < 0][:20]
+            if training_corpus.segments.oracle[sid] < 0][:20]
     return selected, pool
 
 
