@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .corpus import Corpus, Recording, UNKNOWN
-from .errors import BagTooLarge, DegenerateConfig, EmptyCluster
+from .errors import BagTooLarge, EmptyCluster
 from .rng import Rng
 
 
@@ -110,21 +110,12 @@ def plan_epoch_stage2(
     """Fixed-size segment batches over (segment_id, label) pairs.
 
     With an active unknown pool, each batch holds round(mix_fraction *
-    batch size) rows sampled from the pool (with replacement) and keeps
-    at least one known row.
+    batch size) rows sampled from the pool (with replacement); that count
+    must stay below the batch size, as the run configuration's rules
+    require, so every batch keeps a known row.
     """
-    if not selected:
-        raise DegenerateConfig("stage-2 selection is empty")
-    n_unknown = 0
-    if unknown_pool:
-        if not (0.0 <= mix_fraction < 1.0):
-            raise DegenerateConfig("mix_fraction must lie in [0, 1)")
-        n_unknown = round(mix_fraction * target_batch_size)
-        if n_unknown >= target_batch_size:
-            raise DegenerateConfig("mix_fraction leaves no room for known rows")
+    n_unknown = round(mix_fraction * target_batch_size) if unknown_pool else 0
     known_per_batch = target_batch_size - n_unknown
-    if known_per_batch < 1:
-        raise DegenerateConfig("batch size too small")
 
     rng = Rng.from_seed(seed, "plan2")
     order = list(range(len(selected)))
@@ -134,7 +125,7 @@ def plan_epoch_stage2(
     for start in range(0, len(order), known_per_batch):
         chunk = order[start:start + known_per_batch]
         rows = [SegmentRow(selected[i][0], selected[i][1], True) for i in chunk]
-        for _ in range(n_unknown if unknown_pool else 0):
+        for _ in range(n_unknown):
             rows.append(SegmentRow(rng.choice(unknown_pool), UNKNOWN, False))
         batches.append(SegmentBatch(rows))
     return batches

@@ -4,7 +4,8 @@ Subcommands: gen, diar, train1, select, train2, eval, ablate, selfcheck,
 schema. Each consumes the artifacts of the previous stage from the run
 directory and writes its own atomically (temp file + rename), plus a
 snapshot of the configuration it ran under. Exit codes: 0 success,
-1 runtime/missing-artifact failure, 2 configuration error.
+1 runtime/missing-artifact failure, 2 configuration error (the whole
+configuration is checked on load, before any file is written).
 """
 
 from __future__ import annotations
@@ -31,16 +32,9 @@ from .synth import generate_corpus
 from .trainer import ablation_stage1_configs, save_metrics_csv, train_stage1, train_stage2
 
 
-def _snapshot_config(cfg: cfgmod.RunConfig, config_path: str | None, out: Path) -> None:
+def _snapshot_config(cfg: cfgmod.RunConfig, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    if config_path:
-        text = Path(config_path).read_text("utf-8")
-    else:
-        values = cfgmod.parse_config_text("")
-        values[""]["seed"] = cfg.seed
-        values[""]["out"] = str(cfg.out)
-        text = cfgmod.render_config(values)
-    atomic_write(out / "config.snapshot", text)
+    atomic_write(out / "config.snapshot", cfg.text)
 
 
 def _require(path: Path, what: str) -> Path:
@@ -49,7 +43,7 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
-def cmd_gen(cfg: cfgmod.RunConfig, config_path: str | None) -> None:
+def cmd_gen(cfg: cfgmod.RunConfig) -> None:
     corpus = generate_corpus(cfg.synth)
     corpus = corpusmod.assign_heldout_split(corpus, cfg.heldout_fraction, cfg.seed)
     report = validate_corpus(corpus)
@@ -57,7 +51,7 @@ def cmd_gen(cfg: cfgmod.RunConfig, config_path: str | None) -> None:
         raise WeaksvError(f"generated corpus failed validation: {report.issues[:3]}")
     trials = corpusmod.split_trials(corpus, cfg.n_target_trials, cfg.n_nontarget_trials, cfg.seed)
     out = cfg.out
-    _snapshot_config(cfg, config_path, out)
+    _snapshot_config(cfg, out)
     save_manifest(corpus, out)
     save_oracle(corpus, out)
     save_trials(trials, out / corpusmod.TRIALS_NAME)
@@ -65,36 +59,32 @@ def cmd_gen(cfg: cfgmod.RunConfig, config_path: str | None) -> None:
           f"{len(trials)} trials -> {out}")
 
 
-def cmd_diar(cfg: cfgmod.RunConfig, config_path: str | None, preset: str | None) -> None:
+def cmd_diar(cfg: cfgmod.RunConfig, preset: str | None) -> None:
     out = cfg.out
     _require(out / corpusmod.IDX_NAME, "corpus manifest")
-    diar = cfg.diar
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-        diar = PRESETS[preset]
+    diar = cfg.diar if preset is None else PRESETS[preset]
     diar = replace(diar, seed=derive_key(mix64(cfg.seed), "diar"))
     corpus = load_manifest(out)
     corpus = apply_diarization(corpus, diar)
-    _snapshot_config(cfg, config_path, out)
+    _snapshot_config(cfg, out)
     save_manifest(corpus, out)
     n_clusters = sum(len(r.clusters) for r in corpus.recordings)
     print(f"diar: rewrote clusters for {len(corpus.recordings)} recordings ({n_clusters} clusters)")
 
 
-def cmd_train1(cfg: cfgmod.RunConfig, config_path: str | None) -> None:
+def cmd_train1(cfg: cfgmod.RunConfig) -> None:
     out = cfg.out
     _require(out / corpusmod.IDX_NAME, "corpus manifest")
     corpus = load_manifest(out)
     result = train_stage1(corpus, cfg.stage1, cfg.embedder_config(), cfg.seed)
-    _snapshot_config(cfg, config_path, out)
+    _snapshot_config(cfg, out)
     save_checkpoint(result.checkpoint, out / "stage1.ckpt")
     save_metrics_csv(result.metrics, out / "metrics_stage1.csv")
     print(f"train1: {result.checkpoint.step} steps, "
           f"final loss {result.metrics[-1].loss:.4f} -> stage1.ckpt")
 
 
-def cmd_select(cfg: cfgmod.RunConfig, config_path: str | None) -> None:
+def cmd_select(cfg: cfgmod.RunConfig) -> None:
     out = cfg.out
     _require(out / corpusmod.IDX_NAME, "corpus manifest")
     ckpt = load_checkpoint(_require(out / "stage1.ckpt", "stage-1 checkpoint"))
@@ -103,7 +93,7 @@ def cmd_select(cfg: cfgmod.RunConfig, config_path: str | None) -> None:
     result = selmod.self_label(corpus, scored)
     pool = selmod.select_unknown_pool(scored, cfg.select_top_k, cfg.select_fraction,
                                       scale=cfg.stage1.loss.scale)
-    _snapshot_config(cfg, config_path, out)
+    _snapshot_config(cfg, out)
     selmod.save_selection(result, out)
     selmod.save_unknown_pool(pool, out)
     st = result.stats
@@ -111,7 +101,7 @@ def cmd_select(cfg: cfgmod.RunConfig, config_path: str | None) -> None:
           f"recall {st.recall:.4f}); unknown pool {len(pool.segment_ids)}")
 
 
-def cmd_train2(cfg: cfgmod.RunConfig, config_path: str | None) -> None:
+def cmd_train2(cfg: cfgmod.RunConfig) -> None:
     out = cfg.out
     _require(out / corpusmod.IDX_NAME, "corpus manifest")
     selected = selmod.load_selection(Path(_require(out / "selection.jsonl", "selection")).parent)
@@ -127,7 +117,7 @@ def cmd_train2(cfg: cfgmod.RunConfig, config_path: str | None) -> None:
         corpusmod.require_in_range(pool, n_segments, "segment id", "unknown_pool.jsonl")
     result = train_stage2(corpus, selected, cfg.stage2, cfg.embedder_config(), cfg.seed,
                           unknown_pool=pool)
-    _snapshot_config(cfg, config_path, out)
+    _snapshot_config(cfg, out)
     save_checkpoint(result.checkpoint, out / "stage2.ckpt")
     save_metrics_csv(result.metrics, out / "metrics_stage2.csv")
     print(f"train2: {result.checkpoint.step} steps, "
@@ -158,7 +148,7 @@ def _eval_checkpoint(cfg: cfgmod.RunConfig, corpus, trials, ckpt_path: Path, out
     return payload
 
 
-def cmd_eval(cfg: cfgmod.RunConfig, config_path: str | None, checkpoint: str | None) -> None:
+def cmd_eval(cfg: cfgmod.RunConfig, checkpoint: str | None) -> None:
     out = cfg.out
     _require(out / corpusmod.IDX_NAME, "corpus manifest")
     trials = load_trials(_require(out / corpusmod.TRIALS_NAME, "trial list"))
@@ -171,7 +161,7 @@ def cmd_eval(cfg: cfgmod.RunConfig, config_path: str | None, checkpoint: str | N
         paths = sorted(out.glob("stage*.ckpt"))
         if not paths:
             raise MissingArtifacts(f"no stage checkpoints in {out}")
-    _snapshot_config(cfg, config_path, out)
+    _snapshot_config(cfg, out)
     for path in paths:
         payload = _eval_checkpoint(cfg, corpus, trials, path, out)
         print(f"eval {path.name}: EER {payload['eer'] * 100:.2f}%  minDCF {payload['mindcf']:.4f}")
@@ -179,7 +169,7 @@ def cmd_eval(cfg: cfgmod.RunConfig, config_path: str | None, checkpoint: str | N
     print(f"eval: report.json updated in {out}")
 
 
-def cmd_ablate(cfg: cfgmod.RunConfig, config_path: str | None) -> None:
+def cmd_ablate(cfg: cfgmod.RunConfig) -> None:
     """Stage-1 aggregation x margin grid plus stage-2 comparisons."""
     out = cfg.out
     _require(out / corpusmod.IDX_NAME, "corpus manifest")
@@ -187,7 +177,7 @@ def cmd_ablate(cfg: cfgmod.RunConfig, config_path: str | None) -> None:
     corpus = load_manifest(out)
     _check_trials(trials, corpus)
     model = cfg.embedder_config()
-    _snapshot_config(cfg, config_path, out)
+    _snapshot_config(cfg, out)
 
     grid = ablation_stage1_configs(cfg.stage1)
     checkpoints = {}
@@ -285,19 +275,19 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         cfg = cfgmod.load_run_config(args.config, seed=args.seed, out=args.out)
         if args.command == "gen":
-            cmd_gen(cfg, args.config)
+            cmd_gen(cfg)
         elif args.command == "diar":
-            cmd_diar(cfg, args.config, args.preset)
+            cmd_diar(cfg, args.preset)
         elif args.command == "train1":
-            cmd_train1(cfg, args.config)
+            cmd_train1(cfg)
         elif args.command == "select":
-            cmd_select(cfg, args.config)
+            cmd_select(cfg)
         elif args.command == "train2":
-            cmd_train2(cfg, args.config)
+            cmd_train2(cfg)
         elif args.command == "eval":
-            cmd_eval(cfg, args.config, args.checkpoint)
+            cmd_eval(cfg, args.checkpoint)
         elif args.command == "ablate":
-            cmd_ablate(cfg, args.config)
+            cmd_ablate(cfg)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,12 +5,17 @@ key is schema-checked (unknown sections or keys are rejected) and typed:
 int, float, bool (true/false), str, range (`lo..hi`, inclusive), or
 schedule (`start->end`, or a single number for a constant).
 
+The schema alone decides which runs are valid: each value must lie in
+its key's allowed set and the values must satisfy CROSS_RULES. The
+modules that consume a config trust it and check nothing again.
+
 The same schema renders schema.txt, the authoritative key reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .diarize import DiarConfig, PRESETS
@@ -25,77 +30,104 @@ from .trainer import StageConfig
 class Key:
     kind: str  # int | float | bool | str | range | schedule
     default: object
+    # Valid values: an interval such as "[0, 1)" or "(0, inf)" for numbers,
+    # holding for both ends of a range or schedule; choices such as
+    # "max | lse" for str; "" when every value of the kind is valid.
+    allowed: str
     help: str
 
 
 SCHEMA: dict[str, dict[str, Key]] = {
     "": {
-        "seed": Key("int", 1234, "global seed; every stage derives its own stream from it"),
-        "out": Key("str", "runs/default", "run directory for all artifacts"),
+        "seed": Key("int", 1234, "", "global seed; every stage derives its own stream from it"),
+        "out": Key("str", "runs/default", "", "run directory for all artifacts"),
     },
     "synth": {
-        "n_speakers": Key("int", 40, "known speakers (targets)"),
-        "latent_dim": Key("int", 8, "dimension of the hidden speaker latents"),
-        "feat_dim": Key("int", 20, "feature dimension after the frozen tanh lift"),
-        "recordings_per_speaker": Key("int", 8, "recordings in which each speaker is the target"),
-        "segments_per_recording": Key("range", (6, 10), "total segments per recording"),
-        "frames_per_segment": Key("range", (10, 30), "frames per segment"),
-        "distractors_per_recording": Key("range", (0, 2), "non-target speakers per recording"),
-        "noise_segment_prob": Key("float", 0.1, "probability a segment is pure noise"),
-        "within_speaker_noise": Key("float", 0.3, "per-frame latent noise stddev"),
-        "unknown_speaker_count": Key("int", 10, "extra speakers outside the known set"),
-        "target_weight": Key("float", 0.5, "probability a speech segment voices the target when distractors exist"),
+        "n_speakers": Key("int", 40, "[2, inf)", "known speakers (targets)"),
+        "latent_dim": Key("int", 8, "[2, inf)", "dimension of the hidden speaker latents"),
+        "feat_dim": Key("int", 20, "[2, inf)", "feature dimension after the frozen tanh lift"),
+        "recordings_per_speaker": Key("int", 8, "[1, inf)",
+                                      "recordings in which each speaker is the target"),
+        "segments_per_recording": Key("range", (6, 10), "[1, inf)", "total segments per recording"),
+        "frames_per_segment": Key("range", (10, 30), "[1, inf)", "frames per segment"),
+        "distractors_per_recording": Key("range", (0, 2), "[0, inf)",
+                                         "non-target speakers per recording"),
+        "noise_segment_prob": Key("float", 0.1, "[0, 1]", "probability a segment is pure noise"),
+        "within_speaker_noise": Key("float", 0.3, "(0, inf)", "per-frame latent noise stddev"),
+        "unknown_speaker_count": Key("int", 10, "[0, inf)", "extra speakers outside the known set"),
+        "target_weight": Key("float", 0.5, "(0, 1]",
+                             "probability a speech segment voices the target when distractors exist"),
     },
     "trials": {
-        "heldout_fraction": Key("float", 0.2, "per-speaker fraction of recordings held out for trials"),
-        "n_target": Key("int", 250, "same-speaker trials"),
-        "n_nontarget": Key("int", 250, "different-speaker trials"),
+        "heldout_fraction": Key("float", 0.2, "[0, 1)",
+                                "per-speaker fraction of recordings held out for trials"),
+        "n_target": Key("int", 250, "[1, inf)", "same-speaker trials"),
+        "n_nontarget": Key("int", 250, "[1, inf)", "different-speaker trials"),
     },
     "diar": {
-        "preset": Key("str", "baseline", "baseline | pyannote-like | custom"),
-        "purity": Key("float", 0.85, "cluster purity (custom preset)"),
-        "split_factor": Key("float", 2.0, "expected clusters per present speaker (custom preset)"),
-        "max_clusters": Key("int", 0, "cluster cap per recording, 0 = unlimited (custom preset)"),
-        "drop_noise": Key("bool", False, "remove pure-noise segments from clusters (custom preset)"),
+        "preset": Key("str", "baseline", "baseline | pyannote-like | custom",
+                      "simulated diarizer; keys set below override a preset"),
+        "purity": Key("float", 0.85, "(0, 1]", "cluster purity (custom preset)"),
+        "split_factor": Key("float", 2.0, "[1, inf)",
+                            "expected clusters per present speaker (custom preset)"),
+        "max_clusters": Key("int", 0, "[0, inf)", "cluster cap per recording, 0 = unlimited (custom preset)"),
+        "drop_noise": Key("bool", False, "", "remove pure-noise segments from clusters (custom preset)"),
     },
     "model": {
-        "hidden_dim": Key("int", 64, "hidden layer width"),
-        "emb_dim": Key("int", 32, "embedding dimension"),
+        "hidden_dim": Key("int", 64, "[1, inf)", "hidden layer width"),
+        "emb_dim": Key("int", 32, "[1, inf)", "embedding dimension"),
     },
     "stage1": {
-        "aggregation": Key("str", "max", "max | lse"),
-        "margin": Key("schedule", Schedule.fixed(0.0), "additive angular margin, per-epoch linear schedule"),
-        "tau": Key("schedule", Schedule(0.5, 0.1), "LSE temperature, per-epoch linear schedule"),
-        "scale": Key("float", 30.0, "cosine logit scale"),
-        "epochs": Key("int", 30, "training epochs"),
-        "batch_size": Key("int", 64, "target segments per mini-batch (+-10%)"),
-        "lr_max": Key("float", 0.05, "peak learning rate"),
-        "lr_final": Key("float", 1e-4, "learning rate at the last step"),
-        "warmup_frac": Key("float", 0.05, "fraction of steps spent in linear warm-up"),
-        "momentum": Key("float", 0.9, "SGD momentum"),
+        "aggregation": Key("str", "max", "max | lse", "recording-level pooling of segment cosines"),
+        "margin": Key("schedule", Schedule.fixed(0.0), "[0, 0.5]",
+                      "additive angular margin, per-epoch linear schedule"),
+        "tau": Key("schedule", Schedule(0.5, 0.1), "(0, inf)", "LSE temperature, per-epoch linear schedule"),
+        "scale": Key("float", 30.0, "(0, inf)", "cosine logit scale"),
+        "epochs": Key("int", 30, "[1, inf)", "training epochs"),
+        "batch_size": Key("int", 64, "[1, inf)", "target segments per mini-batch (+-10%)"),
+        "lr_max": Key("float", 0.05, "(0, inf)", "peak learning rate"),
+        "lr_final": Key("float", 1e-4, "(0, inf)", "learning rate at the last step"),
+        "warmup_frac": Key("float", 0.05, "[0, 1]", "fraction of steps spent in linear warm-up"),
+        "momentum": Key("float", 0.9, "[0, 1)", "SGD momentum"),
     },
     "stage2": {
-        "margin": Key("schedule", Schedule(0.1, 0.3), "additive angular margin schedule"),
-        "scale": Key("float", 30.0, "cosine logit scale"),
-        "epochs": Key("int", 20, "training epochs"),
-        "batch_size": Key("int", 64, "segments per mini-batch"),
-        "lr_max": Key("float", 0.05, "peak learning rate"),
-        "lr_final": Key("float", 1e-4, "learning rate at the last step"),
-        "warmup_frac": Key("float", 0.05, "fraction of steps spent in linear warm-up"),
-        "momentum": Key("float", 0.9, "SGD momentum"),
-        "unknown_start_epoch": Key("int", -1, "epoch at which the extra unknown class activates; -1 = off"),
-        "unknown_mix_fraction": Key("float", 0.1, "fraction of each batch drawn from the unknown pool"),
+        "margin": Key("schedule", Schedule(0.1, 0.3), "[0, 0.5]", "additive angular margin schedule"),
+        "scale": Key("float", 30.0, "(0, inf)", "cosine logit scale"),
+        "epochs": Key("int", 20, "[1, inf)", "training epochs"),
+        "batch_size": Key("int", 64, "[1, inf)", "segments per mini-batch"),
+        "lr_max": Key("float", 0.05, "(0, inf)", "peak learning rate"),
+        "lr_final": Key("float", 1e-4, "(0, inf)", "learning rate at the last step"),
+        "warmup_frac": Key("float", 0.05, "[0, 1]", "fraction of steps spent in linear warm-up"),
+        "momentum": Key("float", 0.9, "[0, 1)", "SGD momentum"),
+        "unknown_start_epoch": Key("int", -1, "[-1, inf)",
+                                   "epoch at which the extra unknown class activates; -1 = off"),
+        "unknown_mix_fraction": Key("float", 0.1, "[0, 1)",
+                                    "fraction of each batch drawn from the unknown pool"),
     },
     "select": {
-        "top_k": Key("int", 10, "discard candidates whose target ranks inside the top k predictions"),
-        "fraction": Key("float", 0.05, "fraction of surviving candidates kept, by descending logit LSE"),
+        "top_k": Key("int", 10, "[1, inf)",
+                     "discard candidates whose target ranks inside the top k predictions"),
+        "fraction": Key("float", 0.05, "(0, 1]",
+                        "fraction of surviving candidates kept, by descending logit LSE"),
     },
     "eval": {
-        "p_target": Key("float", 0.05, "target-trial prior for minDCF"),
-        "c_miss": Key("float", 1.0, "miss cost"),
-        "c_fa": Key("float", 1.0, "false-acceptance cost"),
+        "p_target": Key("float", 0.05, "(0, 1)", "target-trial prior for minDCF"),
+        "c_miss": Key("float", 1.0, "(0, inf)", "miss cost"),
+        "c_fa": Key("float", 1.0, "(0, inf)", "false-acceptance cost"),
     },
 }
+
+# Rules between keys, checked once every key is in its allowed set. The
+# last holds even with the unknown class off: `ablate` turns it on anyway.
+CROSS_RULES = (
+    ("synth.feat_dim >= synth.latent_dim", lambda v: v["synth"]["feat_dim"] >= v["synth"]["latent_dim"]),
+    ("stage1.lr_final <= stage1.lr_max", lambda v: v["stage1"]["lr_final"] <= v["stage1"]["lr_max"]),
+    ("stage2.lr_final <= stage2.lr_max", lambda v: v["stage2"]["lr_final"] <= v["stage2"]["lr_max"]),
+    ("select.top_k < synth.n_speakers", lambda v: v["select"]["top_k"] < v["synth"]["n_speakers"]),
+    ("round(stage2.unknown_mix_fraction * stage2.batch_size) < stage2.batch_size",
+     lambda v: round(v["stage2"]["unknown_mix_fraction"] * v["stage2"]["batch_size"])
+     < v["stage2"]["batch_size"]),
+)
 
 
 def _parse_value(kind: str, raw: str, where: str):
@@ -174,7 +206,6 @@ class RunConfig:
     heldout_fraction: float
     n_target_trials: int
     n_nontarget_trials: int
-    diar_preset: str
     diar: DiarConfig
     model_hidden: int
     model_emb: int
@@ -185,94 +216,97 @@ class RunConfig:
     eval_p_target: float
     eval_c_miss: float
     eval_c_fa: float
+    text: str  # the configuration text, as config.snapshot records it
 
     def embedder_config(self) -> EmbedderConfig:
         return EmbedderConfig(self.synth.feat_dim, self.model_hidden, self.model_emb)
 
 
-def build_run_config(values: dict[str, dict[str, object]]) -> RunConfig:
+def _allows(allowed: str, value) -> bool:
+    """Whether value lies in an interval such as "[0, 1)", or is one of "a | b"."""
+    if allowed[0] not in "[(":
+        return value in allowed.split(" | ")
+    lo, hi = (float(end) for end in allowed[1:-1].split(","))
+    return ((lo <= value if allowed[0] == "[" else lo < value)
+            and (value <= hi if allowed[-1] == "]" else value < hi))
+
+
+def _ends(kind: str, value) -> tuple:
+    """The values an allowed set must hold: both ends of a range or schedule, else the value."""
+    if kind == "schedule":
+        return (value.start, value.end)
+    return value if kind == "range" else (value,)
+
+
+def _check(values: dict[str, dict[str, object]]) -> None:
+    """Raise ConfigError for the first value outside its key's allowed set, or the first broken rule."""
+    for section, keys in SCHEMA.items():
+        for name, key in keys.items():
+            value = values[section][name]
+            if key.allowed and not all(_allows(key.allowed, end) for end in _ends(key.kind, value)):
+                problem = f"is outside the allowed {key.allowed}"
+            elif key.kind == "range" and value[0] > value[1]:
+                problem = "has its low end above its high end"
+            else:
+                continue
+            raise ConfigError(f"{section}.{name} = {_format_value(key.kind, value)} {problem}")
+    for rule, holds in CROSS_RULES:
+        if not holds(values):
+            named = dict.fromkeys(re.findall(r"(\w+)\.(\w+)", rule))
+            raise ConfigError(", ".join(f"{sec}.{k} = {values[sec][k]:g}" for sec, k in named)
+                              + f": need {rule}")
+
+
+def build_run_config(values: dict[str, dict[str, object]], text: str) -> RunConfig:
+    """The checked RunConfig of parsed values; text is what they were parsed from."""
+    _check(values)
     v = values
-    explicit = v.get("_explicit", {})
-    synth = SynthConfig(
-        n_speakers=v["synth"]["n_speakers"],
-        latent_dim=v["synth"]["latent_dim"],
-        feat_dim=v["synth"]["feat_dim"],
-        recordings_per_speaker=v["synth"]["recordings_per_speaker"],
-        segments_per_recording=v["synth"]["segments_per_recording"],
-        frames_per_segment=v["synth"]["frames_per_segment"],
-        distractors_per_recording=v["synth"]["distractors_per_recording"],
-        noise_segment_prob=v["synth"]["noise_segment_prob"],
-        within_speaker_noise=v["synth"]["within_speaker_noise"],
-        unknown_speaker_count=v["synth"]["unknown_speaker_count"],
-        target_weight=v["synth"]["target_weight"],
-        seed=v[""]["seed"],
-    )
-    preset = v["diar"]["preset"]
-    if preset == "custom":
-        diar = DiarConfig(
-            purity=v["diar"]["purity"], split_factor=v["diar"]["split_factor"],
-            max_clusters=v["diar"]["max_clusters"], drop_noise=v["diar"]["drop_noise"])
-    elif preset in PRESETS:
-        diar = PRESETS[preset]
-        # explicit keys override the preset
-        overrides = {k: v["diar"][k] for k in ("purity", "split_factor", "max_clusters", "drop_noise")
-                     if k in explicit.get("diar", set())}
-        if overrides:
-            from dataclasses import replace
-            diar = replace(diar, **overrides)
-    else:
-        raise ConfigError(f"unknown diar preset {preset!r}")
+    preset, explicit = v["diar"]["preset"], v.get("_explicit", {}).get("diar", set())
+    # a preset fixes each diarizer key the config does not set itself
+    diar = replace(PRESETS.get(preset, DiarConfig()), **{
+        k: x for k, x in v["diar"].items() if k != "preset" and (preset == "custom" or k in explicit)})
 
-    def stage(section: str, aggregation: str | None) -> StageConfig:
-        s = v[section]
-        loss = LossConfig(
-            scale=s["scale"], margin=s["margin"],
-            tau=s.get("tau", Schedule(0.5, 0.1)),
-            aggregation=aggregation if aggregation is not None else "max")
-        loss.validate()
-        extra = {}
-        if section == "stage2":
-            extra = dict(unknown_start_epoch=s["unknown_start_epoch"],
-                         unknown_mix_fraction=s["unknown_mix_fraction"])
-            if not (0.0 <= extra["unknown_mix_fraction"] < 1.0):
-                raise ConfigError("stage2.unknown_mix_fraction must lie in [0, 1)")
-        return StageConfig(
-            loss=loss, epochs=s["epochs"], batch_size=s["batch_size"],
-            lr_max=s["lr_max"], lr_final=s["lr_final"],
-            warmup_frac=s["warmup_frac"], momentum=s["momentum"], **extra)
+    def stage(section: str) -> StageConfig:
+        rest = dict(v[section])
+        loss = LossConfig(**{k: rest.pop(k) for k in ("scale", "margin", "tau", "aggregation") if k in rest})
+        return StageConfig(loss=loss, **rest)
 
-    if v["stage1"]["aggregation"] not in ("max", "lse"):
-        raise ConfigError("stage1.aggregation must be max or lse")
     return RunConfig(
         seed=v[""]["seed"],
         out=Path(v[""]["out"]),
-        synth=synth,
+        synth=SynthConfig(**v["synth"], seed=v[""]["seed"]),
         heldout_fraction=v["trials"]["heldout_fraction"],
         n_target_trials=v["trials"]["n_target"],
         n_nontarget_trials=v["trials"]["n_nontarget"],
-        diar_preset=preset,
         diar=diar,
         model_hidden=v["model"]["hidden_dim"],
         model_emb=v["model"]["emb_dim"],
-        stage1=stage("stage1", v["stage1"]["aggregation"]),
-        stage2=stage("stage2", None),
+        stage1=stage("stage1"),
+        stage2=stage("stage2"),
         select_top_k=v["select"]["top_k"],
         select_fraction=v["select"]["fraction"],
         eval_p_target=v["eval"]["p_target"],
         eval_c_miss=v["eval"]["c_miss"],
         eval_c_fa=v["eval"]["c_fa"],
+        text=text,
     )
 
 
 def load_run_config(path: str | Path | None, seed: int | None = None, out: str | None = None) -> RunConfig:
-    text = Path(path).read_text("utf-8") if path else ""
-    values = parse_config_text(text)
+    """The checked config of a file, or of the defaults rendered as text; seed and out override it."""
+    try:
+        text = Path(path).read_text("utf-8") if path else None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    values = parse_config_text(text or "")
     if seed is not None:
         values[""]["seed"] = seed
     if out is not None:
         values[""]["out"] = out
-    cfg = build_run_config(values)
-    return cfg
+    if text is None:
+        values[""]["out"] = str(Path(values[""]["out"]))
+        text = render_config(values)
+    return build_run_config(values, text)
 
 
 def render_config(values: dict[str, dict[str, object]] | None = None) -> str:
@@ -289,7 +323,7 @@ def render_config(values: dict[str, dict[str, object]] | None = None) -> str:
 
 
 def render_schema() -> str:
-    """schema.txt body: every key with type, default and description."""
+    """schema.txt body: every key with type, default, allowed set and description; then CROSS_RULES."""
     width = max(len(f"{sec}.{name}" if sec else name)
                 for sec, keys in SCHEMA.items() for name in keys)
     lines = [
@@ -298,13 +332,20 @@ def render_schema() -> str:
         "Format: INI-style sections, 'key = value' lines, '#' comments.",
         "Types: int, float, bool (true/false), str, range (lo..hi),",
         "schedule (start->end, or one number for a constant).",
-        "Unknown sections or keys are rejected.",
+        "Allowed: an interval for numbers, holding for both ends of a range",
+        "or schedule; the choices for str; '-' for any value of the type.",
+        "Unknown sections or keys, and values outside the allowed set or the",
+        "rules at the end, are rejected before any file is written.",
         "",
     ]
     for section, keys in SCHEMA.items():
         for name, key in keys.items():
             full = f"{section}.{name}" if section else name
             default = _format_value(key.kind, key.default)
-            lines.append(f"{full:<{width}}  {key.kind:<8}  default {default:<10}  {key.help}")
+            lines.append(f"{full:<{width}}  {key.kind:<8}  default {default:<10}  "
+                         f"{key.allowed or '-':<10}  {key.help}")
         lines.append("")
+    lines.append("Rules between keys (a range also needs lo <= hi):")
+    lines += [f"  {rule}" for rule, _ in CROSS_RULES]
+    lines.append("")
     return "\n".join(lines)

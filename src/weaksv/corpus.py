@@ -74,7 +74,6 @@ class Corpus:
     n_speakers: int
     recordings: list[Recording]
     segments: Segments
-    unknown_pool_present: bool = False
     # Built on first use: a corpus is not edited after construction
     # (diarization and splitting build a new one).
     _recording_index: dict[int, Recording] | None = field(
@@ -197,7 +196,7 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
                 report.add("EmptyCluster", f"recording {rec.recording_id} cluster {cid} is empty")
             for sid in cluster:
                 if not 0 <= sid < len(oracle):
-                    report.add("UnresolvedReference", f"recording {rec.recording_id} references missing segment {sid}")
+                    report.add("MissingSegment", f"recording {rec.recording_id} references missing segment {sid}")
                     continue
                 if sid in seen_segments:
                     report.add("DuplicateSegment", f"segment {sid} appears in more than one cluster")
@@ -240,7 +239,7 @@ def assign_heldout_split(corpus: Corpus, heldout_fraction: float, seed: int) -> 
         Rng.from_seed(seed, "heldout", spk).shuffle(order)
         heldout_ids.update(recs[i].recording_id for i in order[:k])
     recordings = [replace(rec, heldout=rec.recording_id in heldout_ids) for rec in corpus.recordings]
-    return Corpus(corpus.n_speakers, recordings, corpus.segments, corpus.unknown_pool_present)
+    return Corpus(corpus.n_speakers, recordings, corpus.segments)
 
 
 def split_trials(corpus: Corpus, n_target: int, n_nontarget: int, seed: int) -> list[Trial]:
@@ -392,6 +391,8 @@ def load_manifest(directory: str | Path) -> Corpus:
                 current.clusters[cid] = [int(s) for s in parts[2:]]
             elif kind == "R" and n_fields == 5 and parts[4] in ("train", "heldout"):
                 current = Recording(int(parts[1]), int(parts[2]), [], parts[4] == "heldout")
+                if current.target < 0:
+                    raise CorruptArtifact(f"negative target in {idx_path} line {lineno}")
                 current.clusters = [[] for _ in range(int(parts[3]))]
                 recordings.append(current)
             else:
@@ -431,7 +432,7 @@ def load_manifest(directory: str | Path) -> Corpus:
 
     oracle = meta[:, 1].copy()
     n_speakers = max((r.target for r in recordings), default=-1) + 1
-    return Corpus(n_speakers, recordings, Segments(frames, bounds, oracle), bool((oracle == UNKNOWN).any()))
+    return Corpus(n_speakers, recordings, Segments(frames, bounds, oracle))
 
 
 def _index_line_problem(parts: list[str], current: Recording | None) -> str:

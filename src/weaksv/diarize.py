@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import Corpus, NOISE, Recording
-from .errors import DegenerateConfig, EmptyRecording
+from .errors import EmptyRecording
 from .rng import Rng
 
 
@@ -29,13 +29,6 @@ class DiarConfig:
     drop_noise: bool = False
     seed: int = 0
 
-    def validate(self) -> None:
-        if not (0.0 < self.purity <= 1.0):
-            raise DegenerateConfig("purity must lie in (0, 1]")
-        if self.split_factor < 1.0:
-            raise DegenerateConfig("split_factor must be >= 1")
-        if self.max_clusters < 0:
-            raise DegenerateConfig("max_clusters must be >= 0")
 
 
 PRESETS: dict[str, DiarConfig] = {
@@ -56,7 +49,6 @@ def simulate_diarization(
     known set share one UNKNOWN label and are clustered as one pseudo
     speaker, as are NOISE segments when kept.
     """
-    cfg.validate()
     if not segment_ids:
         raise EmptyRecording("recording has no segments")
     kept = [s for s in segment_ids if not (cfg.drop_noise and oracle_of[s] == NOISE)]
@@ -148,4 +140,4 @@ def apply_diarization(corpus: Corpus, cfg: DiarConfig) -> Corpus:
                                        Rng.from_seed(cfg.seed, "diar", rec.recording_id)),
                   rec.heldout)
         for rec in corpus.recordings]
-    return Corpus(corpus.n_speakers, recordings, corpus.segments, corpus.unknown_pool_present)
+    return Corpus(corpus.n_speakers, recordings, corpus.segments)

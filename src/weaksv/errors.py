@@ -5,16 +5,8 @@ class WeaksvError(Exception):
     """Base class for all package errors."""
 
 
-class DegenerateConfig(WeaksvError):
-    """A configuration that cannot produce a valid artifact."""
-
-
 class CorruptArtifact(WeaksvError):
     """A saved artifact that does not follow its file format."""
-
-
-class UnresolvedReference(WeaksvError):
-    """A manifest entry points at a segment that does not exist."""
 
 
 class EmptyCluster(WeaksvError):

@@ -59,17 +59,6 @@ class LossConfig:
     tau: Schedule = Schedule(0.5, 0.1)
     aggregation: str = MAX
 
-    def validate(self) -> None:
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        for m in (self.margin.start, self.margin.end):
-            if not (0.0 <= m <= 0.5):
-                raise ValueError("margin must lie in [0, 0.5]")
-        for t in (self.tau.start, self.tau.end):
-            if t <= 0:
-                raise ValueError("tau must be positive")
-        if self.aggregation not in (MAX, LSE):
-            raise ValueError(f"unknown aggregation {self.aggregation!r}")
 
 
 def lse_tau(values: np.ndarray, tau: float) -> float:

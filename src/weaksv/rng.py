@@ -138,9 +138,6 @@ class Rng:
     def floats(self, n: int) -> np.ndarray:
         return ((self._block(n) >> np.uint64(11)).astype(np.float64)) * _INV_2_53
 
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.float()
-
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller; consumes 2*ceil(n/2) blocks."""
         return _box_muller(self._block(2 * ((n + 1) // 2)))[:n]

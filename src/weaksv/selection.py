@@ -32,7 +32,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .embedder import Checkpoint, forward_pooled
-from .errors import CorruptArtifact, DegenerateConfig
+from .errors import ConfigError, CorruptArtifact
 from .fileio import atomic_write
 
 # Candidate rows ranked per block in select_unknown_pool: bounds the
@@ -144,9 +144,7 @@ def select_unknown_pool(
     """
     sids, targets, cosines = scored.segment_ids, scored.targets, scored.cosines
     if cosines.shape[1] <= top_k:
-        raise DegenerateConfig(f"top_k={top_k} needs more than {top_k} known speakers")
-    if not (0.0 < fraction <= 1.0):
-        raise DegenerateConfig("fraction must lie in (0, 1]")
+        raise ConfigError(f"top_k={top_k} needs more than {top_k} known speakers")
     candidates = np.flatnonzero(np.argmax(cosines, axis=1) != targets)  # rejected by self_label
     cols = np.arange(cosines.shape[1])
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, NOISE, Recording, Segments, UNKNOWN
-from .errors import DegenerateConfig
 from .rng import Rng, normals_at
 
 _LIFT_GAIN = 2.0
@@ -51,33 +50,6 @@ class SynthConfig:
     target_weight: float = 0.5
     seed: int = 1234
 
-    def validate(self) -> None:
-        if self.n_speakers < 2:
-            raise DegenerateConfig("need at least 2 speakers")
-        if self.latent_dim < 2:
-            raise DegenerateConfig("latent_dim must be >= 2")
-        if self.feat_dim < self.latent_dim:
-            raise DegenerateConfig("feat_dim must be >= latent_dim")
-        if not (0.0 <= self.noise_segment_prob <= 1.0):
-            raise DegenerateConfig("noise_segment_prob must lie in [0, 1]")
-        if not (0.0 < self.target_weight <= 1.0):
-            raise DegenerateConfig("target_weight must lie in (0, 1]")
-        if self.within_speaker_noise <= 0:
-            raise DegenerateConfig("within_speaker_noise must be positive")
-        for lo, hi, name in (
-            (*self.segments_per_recording, "segments_per_recording"),
-            (*self.frames_per_segment, "frames_per_segment"),
-            (*self.distractors_per_recording, "distractors_per_recording"),
-        ):
-            if lo > hi or lo < 0:
-                raise DegenerateConfig(f"bad range for {name}: {lo}..{hi}")
-        if self.segments_per_recording[0] < 1:
-            raise DegenerateConfig("recordings need at least one segment")
-        if self.frames_per_segment[0] < 1:
-            raise DegenerateConfig("segments need at least one frame")
-        if self.recordings_per_speaker < 1:
-            raise DegenerateConfig("recordings_per_speaker must be >= 1")
-
 
 @dataclass(frozen=True)
 class VoicePrint:
@@ -97,10 +69,6 @@ class FeatureLift:
 
 def generate_speakers(n: int, latent_dim: int, seed: int) -> list[VoicePrint]:
     """n unit latent vectors, deterministic given seed, pairwise distinct."""
-    if n < 2:
-        raise DegenerateConfig("need at least 2 speakers")
-    if latent_dim < 2:
-        raise DegenerateConfig("latent_dim must be >= 2")
     rng = Rng.from_seed(seed, "speakers")
     voices = []
     for _ in range(n):
@@ -261,7 +229,6 @@ def _render(plan: _Plan, voices: np.ndarray, cfg: SynthConfig, lift: FeatureLift
 
 def generate_corpus(cfg: SynthConfig) -> Corpus:
     """Full corpus: recordings, oracle-grouped initial clusters, features."""
-    cfg.validate()
     voices = generate_speakers(cfg.n_speakers + cfg.unknown_speaker_count, cfg.latent_dim, cfg.seed)
     lift = make_lift(cfg)
     plan = _plan_corpus(cfg)
@@ -270,4 +237,4 @@ def generate_corpus(cfg: SynthConfig) -> Corpus:
 
     bounds = np.concatenate([[0], np.cumsum(plan.n_frames)])
     segments = Segments(frames, bounds, np.array(plan.oracle, dtype=np.int64))
-    return Corpus(cfg.n_speakers, plan.recordings, segments, UNKNOWN in plan.oracle)
+    return Corpus(cfg.n_speakers, plan.recordings, segments)

@@ -182,12 +182,6 @@ def _fit(corpus: Corpus, stage: StageConfig, model: EmbedderConfig, seed: int, t
         params = init_params(model, corpus.n_speakers, derive_key(mix64(seed), tag, "init"))
         velocities = {k: np.zeros_like(v) for k, v in params.items()}
         step, start_epoch = 0, 0
-    if not (0.0 <= stage.momentum < 1.0):
-        raise ConfigError("momentum must lie in [0, 1)")
-    if stage.lr_max <= 0 or stage.lr_final <= 0 or stage.lr_final > stage.lr_max:
-        raise ConfigError("need 0 < lr_final <= lr_max")
-    if not (0 <= round(stage.warmup_frac * total_steps) <= total_steps):
-        raise ConfigError("warm-up must lie in [0, total_steps]")
     end_epoch = stage.epochs if stop_after_epoch is None else min(stage.epochs, stop_after_epoch)
 
     denom = max(1, stage.epochs - 1)
@@ -223,7 +217,6 @@ def train_stage1(
     full configured horizon); resuming from the returned checkpoint
     reproduces the uninterrupted run exactly.
     """
-    stage.loss.validate()
 
     def plan_epoch(epoch):
         return plan_epoch_stage1(corpus, stage.batch_size, _epoch_seed(seed, "s1-epoch", epoch))
@@ -255,7 +248,6 @@ def train_stage2(
     unknown-pool rows and the loss switches to the extended cross-entropy
     with the extra prototype-free class.
     """
-    stage.loss.validate()
     if not selected:
         raise ConfigError("stage-2 selection is empty")
 

@@ -33,7 +33,7 @@ def tiny_corpus():
         Recording(2, 1, [[5], [6]]),
         Recording(3, 1, [[7], [8]]),
     ]
-    return Corpus(2, recordings, segments, unknown_pool_present=True)
+    return Corpus(2, recordings, segments)
 
 
 @pytest.fixture(scope="session")

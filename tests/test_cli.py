@@ -104,7 +104,7 @@ class TestConfig:
 def _build(values):
     from weaksv.config import build_run_config
 
-    return build_run_config(values)
+    return build_run_config(values, "")
 
 
 class TestPipeline:
@@ -191,6 +191,137 @@ class TestExitCodes:
             multiarray._set_madvise_hugepage(before)
 
 
+def _edge_values(key):
+    """(inside, outside) value pairs at each bound of key.allowed, one step apart."""
+    if key.kind == "str":
+        return [(choice, "bogus") for choice in key.allowed.split(" | ")]
+    step = 1 if key.kind in ("int", "range") else 1e-6
+    kind = int if step == 1 else float
+    lo, hi = key.allowed[1:-1].split(", ")
+    pairs = []
+    if lo != "-inf":
+        lo = kind(float(lo))
+        pairs.append((lo, lo - step) if key.allowed[0] == "[" else (lo + step, lo))
+    if hi != "inf":
+        hi = kind(float(hi))
+        pairs.append((hi, hi + step) if key.allowed[-1] == "]" else (hi - step, hi))
+    return pairs
+
+
+def _config_line(section, name, value):
+    kind = SCHEMA[section][name].kind
+    text = f"{value}..{value}" if kind == "range" else value if kind == "str" else repr(value)
+    return f"[{section}]\n{name} = {text}\n"
+
+
+def _keys_with_allowed():
+    return [(sec, name) for sec, keys in SCHEMA.items() for name, key in keys.items() if key.allowed]
+
+
+# (id, config text, the key its config error must name): one row per cross
+# rule, the range and schedule ends, and values a later stage would trip over
+BAD_CONFIGS = [
+    ("feat_dim_below_latent_dim", "[synth]\nfeat_dim = 4\nlatent_dim = 8\n", "synth.feat_dim"),
+    ("range_lo_above_hi", "[synth]\nframes_per_segment = 5..3\n", "synth.frames_per_segment"),
+    ("range_low_end_outside", "[synth]\nframes_per_segment = 0..3\n", "synth.frames_per_segment"),
+    ("schedule_end_outside", "[stage1]\ntau = 0.5->0\n", "stage1.tau"),
+    ("stage1_lr_final_above_lr_max", "[stage1]\nlr_final = 0.1\n", "stage1.lr_final"),
+    ("stage2_lr_final_above_lr_max", "[stage2]\nlr_max = 0.01\nlr_final = 0.02\n", "stage2.lr_final"),
+    ("top_k_not_below_n_speakers", "[select]\ntop_k = 40\n", "select.top_k"),
+    ("mix_leaves_no_known_row", "[stage2]\nbatch_size = 4\nunknown_mix_fraction = 0.9\n",
+     "stage2.unknown_mix_fraction"),
+    ("mix_checked_with_unknown_class_off", "[stage2]\nunknown_start_epoch = -1\nbatch_size = 1\n"
+     "unknown_mix_fraction = 0.6\n", "stage2.unknown_mix_fraction"),
+    ("stage1_scale_negative", "[stage1]\nscale = -1\n", "stage1.scale"),
+    ("stage2_margin_too_large", "[stage2]\nmargin = 0.9\n", "stage2.margin"),
+    ("stage1_no_epochs", "[stage1]\nepochs = 0\n", "stage1.epochs"),
+    ("stage2_negative_epochs", "[stage2]\nepochs = -1\n", "stage2.epochs"),
+    ("p_target_zero", "[eval]\np_target = 0\n", "eval.p_target"),
+    ("one_speaker", "[synth]\nn_speakers = 1\n", "synth.n_speakers"),
+    ("custom_purity_zero", "[diar]\npreset = custom\npurity = 0\n", "diar.purity"),
+    ("preset_purity_zero", "[diar]\npurity = 0\n", "diar.purity"),
+    ("momentum_above_one", "[stage1]\nmomentum = 1.5\n", "stage1.momentum"),
+    ("lr_max_negative", "[stage1]\nlr_max = -1\n", "stage1.lr_max"),
+    ("heldout_fraction_above_one", "[trials]\nheldout_fraction = 1.5\n", "trials.heldout_fraction"),
+    ("nan_value", "[stage2]\nscale = nan\n", "stage2.scale"),
+]
+
+# Loads with every value at the edge of its allowed set: the rules between
+# keys hold for each edge value of one key with the others at these values.
+EDGE_BASE = """
+[synth]
+latent_dim = 2
+[stage1]
+lr_final = 1e-9
+[stage2]
+lr_final = 1e-9
+batch_size = 10000000
+[select]
+top_k = 1
+"""
+
+
+def _assert_rejected_by_gen(tmp_path, capsys, text, key):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "run"
+    assert main(["gen", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and key in err[0], err
+    assert not out.exists() or not any(out.iterdir())
+
+
+class TestAllowedValues:
+    """The schema decides every valid run: a bad value exits 2 before any file is written."""
+
+    @pytest.mark.parametrize("section, name", _keys_with_allowed())
+    def test_default_is_allowed(self, section, name):
+        from weaksv.config import _allows, _ends
+
+        key = SCHEMA[section][name]
+        assert all(_allows(key.allowed, end) for end in _ends(key.kind, key.default))
+
+    @pytest.mark.parametrize("section, name, inside, outside", [
+        pytest.param(sec, name, inside, outside, id=f"{sec}.{name}={outside}")
+        for sec, name in _keys_with_allowed() for inside, outside in _edge_values(SCHEMA[sec][name])])
+    def test_edge_of_allowed_set(self, tmp_path, capsys, section, name, inside, outside):
+        _assert_rejected_by_gen(tmp_path, capsys, _config_line(section, name, outside), f"{section}.{name}")
+        cfg_path = tmp_path / "edge.cfg"
+        cfg_path.write_text(EDGE_BASE + _config_line(section, name, inside))
+        load_run_config(cfg_path)
+
+    @pytest.mark.parametrize("text, key", [pytest.param(t, k, id=i) for i, t, k in BAD_CONFIGS])
+    def test_bad_config(self, tmp_path, capsys, text, key):
+        _assert_rejected_by_gen(tmp_path, capsys, text, key)
+
+
+@pytest.mark.parametrize("case, write", [
+    ("missing", lambda path: None),
+    ("not_utf8", lambda path: path.write_bytes(b"# \xff\n")),
+    ("directory", lambda path: path.mkdir()),
+])
+def test_unreadable_config_is_exit_2(tmp_path, case, write):
+    cfg_path = tmp_path / "c.cfg"
+    write(cfg_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(weaksv.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "weaksv", "gen", "--config", str(cfg_path), "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "run").exists()
+
+
+def test_snapshot_is_the_parsed_text(tmp_path):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(SMALL + "# trailing comment\n")
+    assert main(["gen", "--config", str(cfg_path), "--out", str(tmp_path / "a"), "--seed", "5"]) == 0
+    assert (tmp_path / "a" / "config.snapshot").read_text() == cfg_path.read_text()
+    values = parse_config_text("")
+    values[""].update(seed=5, out=str(tmp_path / "b"))
+    assert load_run_config(None, seed=5, out=str(tmp_path / "b") + "/").text == render_config(values)
+
+
 def _patch_feat(run, offset, data):
     path = run / "corpus.feat"
     raw = bytearray(path.read_bytes())
@@ -256,6 +387,7 @@ CORRUPTIONS = {
     "trailing_frame_row": _append_feat_row,
     "index_not_utf8": lambda run: (run / "corpus.idx").write_bytes(
         (run / "corpus.idx").read_bytes().replace(b"S 1 ", b"S \xff ", 1)),
+    "negative_target": _edit_first("R", lambda f: " ".join([f[0], f[1], "-1", *f[3:]])),
 }
 
 

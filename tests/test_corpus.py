@@ -41,7 +41,7 @@ def test_missing_target_speech_detected(tiny_corpus):
 def test_dangling_reference_detected(tiny_corpus):
     tiny_corpus.recordings[0].clusters[0].append(999)
     report = validate_corpus(tiny_corpus)
-    assert any(i.kind == "UnresolvedReference" for i in report.issues)
+    assert any(i.kind == "MissingSegment" for i in report.issues)
 
 
 def test_empty_cluster_detected(tiny_corpus):
@@ -125,7 +125,7 @@ def test_manifest_round_trip(tmp_path, small_corpus):
     save_manifest(small_corpus, tmp_path)
     loaded = load_manifest(tmp_path)
     assert loaded.n_speakers == small_corpus.n_speakers
-    assert loaded.unknown_pool_present == small_corpus.unknown_pool_present
+    assert (loaded.segments.oracle == UNKNOWN).any() == (small_corpus.segments.oracle == UNKNOWN).any()
     assert len(loaded.recordings) == len(small_corpus.recordings)
     for a, b in zip(loaded.recordings, small_corpus.recordings):
         assert (a.recording_id, a.target, a.heldout) == (b.recording_id, b.target, b.heldout)
@@ -334,7 +334,7 @@ def segment_tables(draw):
         recordings.append(Recording(len(recordings), int(rng.integers(3)), clusters,
                                     heldout=bool(rng.integers(2))))
     n_speakers = max(r.target for r in recordings) + 1
-    return Corpus(n_speakers, recordings, segments, bool((segments.oracle == UNKNOWN).any()))
+    return Corpus(n_speakers, recordings, segments)
 
 
 @settings(max_examples=25, deadline=None)
@@ -348,8 +348,7 @@ def test_segment_table_manifest_round_trip(tmp_path_factory, corpus):
     assert loaded.segments.oracle.tolist() == corpus.segments.oracle.tolist()
     assert [(r.recording_id, r.target, r.clusters, r.heldout) for r in loaded.recordings] == [
         (r.recording_id, r.target, r.clusters, r.heldout) for r in corpus.recordings]
-    assert (loaded.n_speakers, loaded.unknown_pool_present) == (
-        corpus.n_speakers, corpus.unknown_pool_present)
+    assert loaded.n_speakers == corpus.n_speakers
     save_manifest(loaded, second)
     for name in ("corpus.idx", "corpus.feat"):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name

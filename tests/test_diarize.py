@@ -3,7 +3,7 @@ import pytest
 
 from weaksv.corpus import NOISE, validate_corpus
 from weaksv.diarize import DiarConfig, PRESETS, apply_diarization, cluster_purity, simulate_diarization
-from weaksv.errors import DegenerateConfig, EmptyRecording
+from weaksv.errors import EmptyRecording
 from weaksv.rng import Rng
 
 
@@ -99,14 +99,6 @@ def test_noise_kept_as_pseudo_speaker_by_default():
 def test_empty_recording_rejected():
     with pytest.raises(EmptyRecording):
         simulate_diarization([], {}, DiarConfig(), Rng.from_seed(1))
-
-
-def test_bad_config_rejected():
-    sids, oracle = _recording(2, 2)
-    with pytest.raises(DegenerateConfig):
-        simulate_diarization(sids, oracle, DiarConfig(purity=0.0), Rng.from_seed(1))
-    with pytest.raises(DegenerateConfig):
-        simulate_diarization(sids, oracle, DiarConfig(split_factor=0.5), Rng.from_seed(1))
 
 
 def test_cluster_purity_counts():

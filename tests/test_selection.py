@@ -8,7 +8,7 @@ import weaksv.selection
 from weaksv.corpus import Corpus, assign_heldout_split
 from weaksv.diarize import PRESETS, apply_diarization
 from weaksv.embedder import Checkpoint, EmbedderConfig, forward_pooled, init_params
-from weaksv.errors import DegenerateConfig
+from weaksv.errors import ConfigError
 from weaksv.selection import (
     SelectionResult,
     UnknownPool,
@@ -177,7 +177,7 @@ class TestUnknownPool:
 
     def test_too_few_speakers_rejected(self, trained):
         corpus, ckpt = trained
-        with pytest.raises(DegenerateConfig):
+        with pytest.raises(ConfigError):
             select_unknown_pool(score_train_segments(corpus, ckpt), top_k=corpus.n_speakers,
                                 fraction=0.1)
 
