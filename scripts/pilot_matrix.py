@@ -13,7 +13,7 @@ import sys
 import time
 from dataclasses import replace
 
-from weaksv.config import load_run_config
+from weaksv.config import RunConfig, load_run_config
 from weaksv.corpus import assign_heldout_split, split_trials
 from weaksv.diarize import PRESETS, apply_diarization
 from weaksv.metrics import compute_eer, score_trials
@@ -22,8 +22,12 @@ from weaksv.synth import generate_corpus
 from weaksv.trainer import train_stage1, train_stage2
 
 
-def run_seed(seed: int) -> dict:
-    cfg = load_run_config(None, seed=seed)
+def run_seed(seed: int, cfg: RunConfig | None = None) -> dict:
+    """One seed's row of the matrix; cfg defaults to the default config at that seed."""
+    if cfg is None:
+        cfg = load_run_config(None, seed=seed)
+    elif cfg.seed != seed:
+        raise ValueError(f"cfg.seed = {cfg.seed} is not the row's seed {seed}")
     corpus = generate_corpus(cfg.synth)
     corpus = assign_heldout_split(corpus, cfg.heldout_fraction, seed)
     trials = split_trials(corpus, cfg.n_target_trials, cfg.n_nontarget_trials, seed)
@@ -40,10 +44,9 @@ def run_seed(seed: int) -> dict:
         out[f"stage1_{preset}"] = eer
 
     diarized, ckpt = diar_runs["baseline"]
-    scored = score_train_segments(diarized, ckpt)
+    scored = score_train_segments(diarized, ckpt, cfg.stage1.loss.scale)
     selection = self_label(diarized, scored)
-    pool = select_unknown_pool(scored, cfg.select_top_k, cfg.select_fraction,
-                               scale=cfg.stage1.loss.scale)
+    pool = select_unknown_pool(scored, cfg.select_top_k, cfg.select_fraction)
     out["precision"] = selection.stats.precision
     out["recall"] = selection.stats.recall
     out["pool_size"] = len(pool.segment_ids)

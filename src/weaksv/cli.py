@@ -59,11 +59,10 @@ def cmd_gen(cfg: cfgmod.RunConfig) -> None:
           f"{len(trials)} trials -> {out}")
 
 
-def cmd_diar(cfg: cfgmod.RunConfig, preset: str | None) -> None:
+def cmd_diar(cfg: cfgmod.RunConfig) -> None:
     out = cfg.out
     _require(out / corpusmod.IDX_NAME, "corpus manifest")
-    diar = cfg.diar if preset is None else PRESETS[preset]
-    diar = replace(diar, seed=derive_key(mix64(cfg.seed), "diar"))
+    diar = replace(cfg.diar, seed=derive_key(mix64(cfg.seed), "diar"))
     corpus = load_manifest(out)
     corpus = apply_diarization(corpus, diar)
     _snapshot_config(cfg, out)
@@ -89,10 +88,9 @@ def cmd_select(cfg: cfgmod.RunConfig) -> None:
     _require(out / corpusmod.IDX_NAME, "corpus manifest")
     ckpt = load_checkpoint(_require(out / "stage1.ckpt", "stage-1 checkpoint"))
     corpus = load_manifest(out)
-    scored = selmod.score_train_segments(corpus, ckpt)
+    scored = selmod.score_train_segments(corpus, ckpt, cfg.stage1.loss.scale)
     result = selmod.self_label(corpus, scored)
-    pool = selmod.select_unknown_pool(scored, cfg.select_top_k, cfg.select_fraction,
-                                      scale=cfg.stage1.loss.scale)
+    pool = selmod.select_unknown_pool(scored, cfg.select_top_k, cfg.select_fraction)
     _snapshot_config(cfg, out)
     selmod.save_selection(result, out)
     selmod.save_unknown_pool(pool, out)
@@ -194,10 +192,9 @@ def cmd_ablate(cfg: cfgmod.RunConfig) -> None:
 
     # stage-2 comparisons off the margin-free max-pooling run (m4)
     base_ckpt = checkpoints["m4"]
-    scored = selmod.score_train_segments(corpus, base_ckpt)
+    scored = selmod.score_train_segments(corpus, base_ckpt, cfg.stage1.loss.scale)
     result = selmod.self_label(corpus, scored)
-    pool = selmod.select_unknown_pool(scored, cfg.select_top_k, cfg.select_fraction,
-                                      scale=cfg.stage1.loss.scale)
+    pool = selmod.select_unknown_pool(scored, cfg.select_top_k, cfg.select_fraction)
     for name, use_unknown in (("stage2_plain", False), ("stage2_unknown", True)):
         sub = out / "ablation" / name
         sub.mkdir(parents=True, exist_ok=True)
@@ -273,11 +270,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "selfcheck":
             cmd_selfcheck()
             return 0
-        cfg = cfgmod.load_run_config(args.config, seed=args.seed, out=args.out)
+        cfg = cfgmod.load_run_config(args.config, seed=args.seed, out=args.out,
+                                     preset=getattr(args, "preset", None))
         if args.command == "gen":
             cmd_gen(cfg)
         elif args.command == "diar":
-            cmd_diar(cfg, args.preset)
+            cmd_diar(cfg)
         elif args.command == "train1":
             cmd_train1(cfg)
         elif args.command == "select":

@@ -292,17 +292,18 @@ def build_run_config(values: dict[str, dict[str, object]], text: str) -> RunConf
     )
 
 
-def load_run_config(path: str | Path | None, seed: int | None = None, out: str | None = None) -> RunConfig:
-    """The checked config of a file, or of the defaults rendered as text; seed and out override it."""
+def load_run_config(path: str | Path | None, seed: int | None = None, out: str | None = None,
+                    preset: str | None = None) -> RunConfig:
+    """The checked config of a file, or of the defaults rendered as text; seed, out and preset
+    override it, a preset as if the config named it (so [diar] keys the config sets still win)."""
     try:
         text = Path(path).read_text("utf-8") if path else None
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     values = parse_config_text(text or "")
-    if seed is not None:
-        values[""]["seed"] = seed
-    if out is not None:
-        values[""]["out"] = out
+    for section, key, value in (("", "seed", seed), ("", "out", out), ("diar", "preset", preset)):
+        if value is not None:
+            values[section][key] = value
     if text is None:
         values[""]["out"] = str(Path(values[""]["out"]))
         text = render_config(values)

@@ -11,14 +11,16 @@ absent from the model's top-k predictions (it might otherwise still be
 the target speaking), ranked by the unnormalized log-sum-exp of their
 scaled logits as a confidence score, truncated to the top fraction.
 
-Both read one scoring of the training segments (score_train_segments:
-one embedding pass and one cosine matrix), built on one walk of the
-training recordings, which yields every segment's target next to its
-row: no per-segment recording lookup. The unknown pool ranks rejected
-rows in fixed-size blocks, so its scratch memory does not grow with the
-corpus; per row the arithmetic (rank tie rule, max-shifted exp sum,
-math.log) is that of a row-by-row loop, so its scores equal that loop's
-bit for bit.
+Both read one scoring of the training segments (score_train_segments),
+built on one walk of the training recordings, which yields every
+segment's target next to its row: no per-segment recording lookup. The
+scoring embeds the rows ROW_BLOCK at a time and reduces each block's
+cosines to the per-row values the two read (predicted class, target
+cosine, target rank, logit log-sum-exp), so its scratch memory is
+O(ROW_BLOCK x speakers + rows), never rows x speakers. Per row the
+arithmetic (rank tie rule, max-shifted exp sum, math.log) is that of a
+row-by-row loop over the whole cosine matrix, so its results equal that
+loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from .embedder import Checkpoint, forward_pooled
 from .errors import ConfigError, CorruptArtifact
 from .fileio import atomic_write
 
-# Candidate rows ranked per block in select_unknown_pool: bounds the
-# scratch memory for their logits.
+# Training rows embedded and scored per block in score_train_segments:
+# bounds the scratch memory for their cosines and logits.
 ROW_BLOCK = 1024
 
 
@@ -72,33 +74,59 @@ class UnknownPool:
 class ScoredSegments:
     """Every diarized training segment scored against all prototypes.
 
-    Rows follow ascending segment id; self_label and select_unknown_pool
-    both read the same scoring.
+    Rows follow ascending segment id. Each row keeps only what self_label
+    and select_unknown_pool read, not its cosines.
     """
 
-    segment_ids: list[int]
+    segment_ids: np.ndarray  # int64
+    n_speakers: int
     targets: np.ndarray  # recording target per row, int64
-    cosines: np.ndarray  # (rows, n_speakers)
+    predicted: np.ndarray  # argmax class of the cosines, int64
+    target_cosines: np.ndarray  # cosine with the target's prototype
+    target_ranks: np.ndarray  # classes above the target by scaled logit; a tie ranks the lower class first
+    lse: np.ndarray  # ln sum_j exp(L_j) over the scaled logits L
 
 
-def score_train_segments(corpus: Corpus, checkpoint: Checkpoint) -> ScoredSegments:
-    """Embed every diarized training segment once and take its prototype cosines."""
+def score_train_segments(corpus: Corpus, checkpoint: Checkpoint, scale: float = 30.0) -> ScoredSegments:
+    """Embed every diarized training segment once and reduce its prototype cosines.
+
+    Rows are scored ROW_BLOCK at a time; scale turns cosines into logits.
+    A one-row tail joins the block before it, since numpy hands a one-row
+    product to BLAS gemv, whose last bit can differ from gemm's.
+    """
     pooled = corpus.mean_frames()
-    pairs = sorted((sid, rec.target) for rec in corpus.train_recordings() for sid in rec.segment_ids())
-    sids = [sid for sid, _ in pairs]
-    targets = np.array([target for _, target in pairs], dtype=np.int64)
-    emb, _ = forward_pooled(pooled[sids], checkpoint.params)
-    return ScoredSegments(sids, targets, emb @ checkpoint.params["P"].T)
+    owner_target = np.full(len(corpus.segments), -1, dtype=np.int64)
+    for rec in corpus.train_recordings():
+        owner_target[rec.segment_ids()] = rec.target
+    sids = np.flatnonzero(owner_target >= 0)
+    targets = owner_target[sids]
+    n, cols = len(sids), np.arange(checkpoint.n_speakers)
+    predicted, ranks = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    target_cosines, lse = np.empty(n), np.empty(n)
+    stops = [*range(ROW_BLOCK, n - 1, ROW_BLOCK), n]  # a one-row tail joins the last block
+    for start, stop in zip([0] + stops, stops):
+        emb, _ = forward_pooled(pooled[sids[start:stop]], checkpoint.params)
+        cos = emb @ checkpoint.params["P"].T
+        tgt, at = targets[start:stop], np.arange(stop - start)
+        predicted[start:stop] = np.argmax(cos, axis=1)
+        target_cosines[start:stop] = cos[at, tgt]
+        logits = np.multiply(scale, cos, out=cos)
+        t_logit = logits[at, tgt][:, None]
+        ranks[start:stop] = (np.count_nonzero(logits > t_logit, axis=1)
+                             + np.count_nonzero((logits == t_logit) & (cols < tgt[:, None]), axis=1))
+        m = logits.max(axis=1)
+        logits -= m[:, None]
+        np.exp(logits, out=logits)
+        lse[start:stop] = [mi + math.log(total) for mi, total in zip(m.tolist(), logits.sum(axis=1).tolist())]
+    return ScoredSegments(sids, len(cols), targets, predicted, target_cosines, ranks, lse)
 
 
 def self_label(corpus: Corpus, scored: ScoredSegments) -> SelectionResult:
     """Keep each diarized segment iff its argmax class equals the target."""
-    targets, cosines = scored.targets, scored.cosines
-    rows = np.flatnonzero(np.argmax(cosines, axis=1) == targets)
-    labels = targets[rows]
-    kept = [scored.segment_ids[i] for i in rows.tolist()]
-    selected = list(zip(kept, labels.tolist()))
-    scores = dict(zip(kept, cosines[rows, labels].tolist()))
+    rows = np.flatnonzero(scored.predicted == scored.targets)
+    kept = scored.segment_ids[rows].tolist()
+    selected = list(zip(kept, scored.targets[rows].tolist()))
+    scores = dict(zip(kept, scored.target_cosines[rows].tolist()))
     result = SelectionResult(selected, scores)
     result.stats = selection_stats(result, corpus)
     return result
@@ -128,12 +156,7 @@ def selection_stats(result: SelectionResult, corpus: Corpus) -> SelectionStats:
                           frames, oracle_frames, coverage, empty)
 
 
-def select_unknown_pool(
-    scored: ScoredSegments,
-    top_k: int = 10,
-    fraction: float = 0.05,
-    scale: float = 30.0,
-) -> UnknownPool:
+def select_unknown_pool(scored: ScoredSegments, top_k: int = 10, fraction: float = 0.05) -> UnknownPool:
     """Confident non-target segments for the extra-class training data.
 
     Candidates are the diarized segments self-labeling rejected; any whose
@@ -142,37 +165,15 @@ def select_unknown_pool(
     the top ceil(fraction * survivors) kept. Rank ties break toward the
     lower class index.
     """
-    sids, targets, cosines = scored.segment_ids, scored.targets, scored.cosines
-    if cosines.shape[1] <= top_k:
+    if scored.n_speakers <= top_k:
         raise ConfigError(f"top_k={top_k} needs more than {top_k} known speakers")
-    candidates = np.flatnonzero(np.argmax(cosines, axis=1) != targets)  # rejected by self_label
-    cols = np.arange(cosines.shape[1])
-
-    survivors: list[tuple[float, int, int]] = []  # (lse, sid, rank)
-    for start in range(0, candidates.size, ROW_BLOCK):
-        rows = candidates[start:start + ROW_BLOCK]
-        tgt = targets[rows]
-        block = scale * cosines[rows]  # the rows' logits
-        t_logit = block[np.arange(rows.size), tgt][:, None]
-        ranks = (np.count_nonzero(block > t_logit, axis=1)
-                 + np.count_nonzero((block == t_logit) & (cols < tgt[:, None]), axis=1))
-        outside = ranks >= top_k  # target not among the top-k predictions
-        block = block[outside]
-        m = block.max(axis=1)
-        block -= m[:, None]
-        np.exp(block, out=block)
-        for i, mi, total, rank in zip(rows[outside].tolist(), m, block.sum(axis=1).tolist(),
-                                      ranks[outside].tolist()):
-            survivors.append((float(mi + math.log(total)), sids[i], rank))
-
-    survivors.sort(key=lambda t: (-t[0], t[1]))
-    keep = math.ceil(fraction * len(survivors)) if survivors else 0
-    kept = survivors[:keep]
-    return UnknownPool(
-        [sid for _, sid, _ in kept],
-        {sid: lse for lse, sid, _ in kept},
-        {sid: rank for _, sid, rank in kept},
-    )
+    rows = np.flatnonzero((scored.predicted != scored.targets) & (scored.target_ranks >= top_k))
+    # descending LSE, ties by ascending segment id
+    rows = rows[np.lexsort((scored.segment_ids[rows], -scored.lse[rows]))]
+    kept = rows[:math.ceil(fraction * rows.size)]
+    sids = scored.segment_ids[kept].tolist()
+    return UnknownPool(sids, dict(zip(sids, scored.lse[kept].tolist())),
+                       dict(zip(sids, scored.target_ranks[kept].tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -260,10 +260,9 @@ def pipeline_matrix():
             row[f"stage1_{preset}"] = compute_eer(score_trials(result.checkpoint, diarized, trials))
 
         diarized, ckpt = runs["baseline"]
-        scored = score_train_segments(diarized, ckpt)
+        scored = score_train_segments(diarized, ckpt, cfg.stage1.loss.scale)
         selection = self_label(diarized, scored)
-        pool = select_unknown_pool(scored, cfg.select_top_k, cfg.select_fraction,
-                                   scale=cfg.stage1.loss.scale)
+        pool = select_unknown_pool(scored, cfg.select_top_k, cfg.select_fraction)
         row["precision"] = selection.stats.precision
         row["recall"] = selection.stats.recall
 

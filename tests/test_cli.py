@@ -533,3 +533,21 @@ def test_diar_preset_flag(tmp_path):
 
     corpus = load_manifest(out)
     assert max(len(r.clusters) for r in corpus.recordings) <= 4
+
+
+def test_diar_preset_flag_keeps_explicit_keys(tmp_path):
+    """`diar --preset P` resolves like a config naming `preset = P`: keys set in the config win."""
+    runs = {}
+    for name, diar_text, flags in (("flag", "max_clusters = 6\n", ["--preset", "pyannote-like"]),
+                                   ("named", "preset = pyannote-like\nmax_clusters = 6\n", [])):
+        cfg_path = tmp_path / f"{name}.cfg"
+        cfg_path.write_text(SMALL + "[synth]\nsegments_per_recording = 10..12\n[diar]\n" + diar_text)
+        out = tmp_path / name
+        assert main(["gen", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert main(["diar", "--config", str(cfg_path), "--out", str(out), *flags]) == 0
+        runs[name] = (out / "corpus.idx").read_text("utf-8")
+    from weaksv.corpus import load_manifest
+
+    assert runs["flag"] == runs["named"]
+    # the explicit cap, not the preset's 4, bounds the clusters
+    assert max(len(r.clusters) for r in load_manifest(tmp_path / "flag").recordings) > 4

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from weaksv.selection import (
     selection_stats,
     self_label,
 )
+from weaksv.synth import SynthConfig, generate_corpus
 from weaksv.trainer import StageConfig, train_stage1
 
 from conftest import make_segments
@@ -256,17 +258,31 @@ def _tied_checkpoint(ckpt):
     return Checkpoint(ckpt.config, dict(ckpt.params, P=prototypes))
 
 
+def _one_row_tail_block(corpus):
+    """The smallest ROW_BLOCK of at least 5 that leaves a one-row last block."""
+    n_rows = sum(len(rec.segment_ids()) for rec in corpus.train_recordings())
+    return next(b for b in range(5, n_rows) if n_rows % b == 1)
+
+
+def _set_row_block(monkeypatch, corpus, row_block):
+    if row_block == "tail1":
+        row_block = _one_row_tail_block(corpus)
+    monkeypatch.setattr(weaksv.selection, "ROW_BLOCK", row_block)
+    return row_block
+
+
 class TestArrayParity:
     @pytest.fixture(params=["trained", "ties"])
     def case(self, request, trained):
         corpus, ckpt = trained
         return corpus, _tied_checkpoint(ckpt) if request.param == "ties" else ckpt
 
-    @pytest.mark.parametrize("row_block", [weaksv.selection.ROW_BLOCK, 7])
+    # "tail1": a block size that leaves a one-row last block
+    @pytest.mark.parametrize("row_block", [weaksv.selection.ROW_BLOCK, 7, "tail1"])
     @pytest.mark.parametrize("top_k, fraction", [(1, 1.0), (3, 1.0), (3, 0.3), (5, 0.5)])
     def test_unknown_pool_matches_row_loop(self, case, monkeypatch, row_block, top_k, fraction):
         corpus, ckpt = case
-        monkeypatch.setattr(weaksv.selection, "ROW_BLOCK", row_block)
+        _set_row_block(monkeypatch, corpus, row_block)
         got = select_unknown_pool(score_train_segments(corpus, ckpt), top_k=top_k, fraction=fraction)
         want = _reference_unknown_pool(corpus, ckpt, top_k, fraction)
         assert got.segment_ids == want.segment_ids
@@ -280,6 +296,15 @@ class TestArrayParity:
         assert got.selected == selected
         assert got.scores == scores
         assert got.stats == selection_stats(SelectionResult(selected, scores), corpus)
+
+    @pytest.mark.parametrize("row_block", [7, "tail1"])
+    def test_self_label_in_blocks_matches_row_loop(self, case, monkeypatch, row_block):
+        corpus, ckpt = case
+        _set_row_block(monkeypatch, corpus, row_block)
+        got = self_label(corpus, score_train_segments(corpus, ckpt))
+        selected, scores = _reference_self_label(corpus, ckpt)
+        assert got.selected == selected
+        assert got.scores == scores
 
     def test_cases_cover_ties_and_several_blocks(self, trained):
         corpus, ckpt = trained
@@ -301,14 +326,41 @@ def test_selection_makes_no_per_segment_lookups(trained, monkeypatch):
                         lambda self, rid: lookups.append(rid) or real_recording(self, rid))
     monkeypatch.setattr(weaksv.corpus, "_pool_means",
                         lambda *a: poolings.append(1) or real_pool(*a))
+    row_block = _set_row_block(monkeypatch, corpus, "tail1")
     embedded, real_forward = [], weaksv.selection.forward_pooled
     monkeypatch.setattr(weaksv.selection, "forward_pooled",
-                        lambda x, params: embedded.append(len(x)) or real_forward(x, params))
+                        lambda x, params: embedded.append(x.copy()) or real_forward(x, params))
     scored = score_train_segments(fresh, ckpt)
     self_label(fresh, scored)
     select_unknown_pool(scored, top_k=3, fraction=0.5)
-    fresh.mean_frames()
+    pooled = fresh.mean_frames()
     assert lookups == []
     assert len(poolings) == 1
-    # one embedding pass over the training segments serves both selections
-    assert embedded == [len(scored.segment_ids)]
+    # one embedding pass over the training segments, in ascending id order,
+    # serves both selections: every row exactly once, in blocks of at most
+    # ROW_BLOCK rows but for the last, which takes in a one-row tail
+    assert np.array_equal(np.concatenate(embedded), pooled[scored.segment_ids])
+    sizes = [len(x) for x in embedded]
+    assert max(sizes[:-1]) <= row_block and sizes[-1] == row_block + 1
+
+
+def test_scoring_never_holds_the_cosine_matrix(monkeypatch):
+    """Selection's traced peak stays below half of a rows x speakers float64 matrix."""
+    corpus = generate_corpus(SynthConfig(n_speakers=64, recordings_per_speaker=3,
+                                         segments_per_recording=(6, 8), frames_per_segment=(2, 3),
+                                         unknown_speaker_count=0, seed=7))
+    model = EmbedderConfig(feat_dim=20, hidden_dim=16, emb_dim=8)
+    ckpt = Checkpoint(model, init_params(model, corpus.n_speakers, seed=3))
+    monkeypatch.setattr(weaksv.selection, "ROW_BLOCK", 32)
+    corpus.mean_frames()  # cached per corpus; not part of the scoring
+    n_rows = sum(len(rec.segment_ids()) for rec in corpus.train_recordings())
+    matrix_bytes = n_rows * corpus.n_speakers * 8
+    tracemalloc.start()
+    try:
+        scored = score_train_segments(corpus, ckpt)
+        self_label(corpus, scored)
+        select_unknown_pool(scored, top_k=3, fraction=0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix_bytes / 2, (peak, matrix_bytes)
