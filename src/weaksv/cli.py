@@ -46,9 +46,9 @@ def _require(path: Path, what: str) -> Path:
 def cmd_gen(cfg: cfgmod.RunConfig) -> None:
     corpus = generate_corpus(cfg.synth)
     corpus = corpusmod.assign_heldout_split(corpus, cfg.heldout_fraction, cfg.seed)
-    report = validate_corpus(corpus)
-    if not report.ok:
-        raise WeaksvError(f"generated corpus failed validation: {report.issues[:3]}")
+    issues = validate_corpus(corpus)
+    if issues:
+        raise WeaksvError(f"generated corpus failed validation: {issues[:3]}")
     trials = corpusmod.split_trials(corpus, cfg.n_target_trials, cfg.n_nontarget_trials, cfg.seed)
     out = cfg.out
     _snapshot_config(cfg, out)

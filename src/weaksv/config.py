@@ -159,16 +159,17 @@ def _parse_value(kind: str, raw: str, where: str):
 
 
 def _format_value(kind: str, value) -> str:
+    """The text _parse_value reads back as value (floats as repr, which round-trips)."""
     if kind == "range":
         return f"{value[0]}..{value[1]}"
     if kind == "schedule":
         if value.start == value.end:
-            return f"{value.start:g}"
-        return f"{value.start:g}->{value.end:g}"
+            return repr(value.start)
+        return f"{value.start!r}->{value.end!r}"
     if kind == "bool":
         return "true" if value else "false"
     if kind == "float":
-        return f"{value:g}"
+        return repr(value)
     return str(value)
 
 
@@ -216,7 +217,7 @@ class RunConfig:
     eval_p_target: float
     eval_c_miss: float
     eval_c_fa: float
-    text: str  # the configuration text, as config.snapshot records it
+    text: str  # the configuration text config.snapshot records (see load_run_config)
 
     def embedder_config(self) -> EmbedderConfig:
         return EmbedderConfig(self.synth.feat_dim, self.model_hidden, self.model_emb)
@@ -294,31 +295,39 @@ def build_run_config(values: dict[str, dict[str, object]], text: str) -> RunConf
 
 def load_run_config(path: str | Path | None, seed: int | None = None, out: str | None = None,
                     preset: str | None = None) -> RunConfig:
-    """The checked config of a file, or of the defaults rendered as text; seed, out and preset
-    override it, a preset as if the config named it (so [diar] keys the config sets still win)."""
+    """The checked config of a file, or of the defaults; seed, out and preset override it, a
+    preset as if the config named it (so [diar] keys the config sets still win). Its text,
+    the file's keys plus the seed and preset overrides, reloads to it; an out override is left
+    out, so runs of one config in different directories snapshot the same bytes."""
     try:
-        text = Path(path).read_text("utf-8") if path else None
+        text = Path(path).read_text("utf-8") if path else ""
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    values = parse_config_text(text or "")
-    for section, key, value in (("", "seed", seed), ("", "out", out), ("diar", "preset", preset)):
+    values = parse_config_text(text)
+    explicit = values["_explicit"]
+    for section, key, value in (("", "seed", seed), ("diar", "preset", preset)):
         if value is not None:
             values[section][key] = value
-    if text is None:
-        values[""]["out"] = str(Path(values[""]["out"]))
-        text = render_config(values)
-    return build_run_config(values, text)
+            explicit[section].add(key)
+    if out is not None:
+        values[""]["out"] = out
+        explicit[""].discard("out")
+    snapshot = render_config({sec: {k: values[sec][k] for k in keys} for sec, keys in explicit.items()})
+    return build_run_config(values, snapshot)
 
 
 def render_config(values: dict[str, dict[str, object]] | None = None) -> str:
-    """Config text with every key spelled out (defaults if none given)."""
+    """Config text of the keys values holds, in schema order (every key at its default if None)."""
+    if values is None:
+        values = {sec: {name: key.default for name, key in keys.items()} for sec, keys in SCHEMA.items()}
     lines: list[str] = []
     for section, keys in SCHEMA.items():
+        names = [name for name in keys if name in values.get(section, {})]
+        if not names:
+            continue
         if section:
             lines.append(f"[{section}]")
-        for name, key in keys.items():
-            value = values[section][name] if values else key.default
-            lines.append(f"{name} = {_format_value(key.kind, value)}")
+        lines += [f"{name} = {_format_value(keys[name].kind, values[section][name])}" for name in names]
         lines.append("")
     return "\n".join(lines)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Iterable
+from itertools import chain
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -159,61 +160,58 @@ class ValidationIssue:
     message: str
 
 
-@dataclass
-class ValidationReport:
-    issues: list[ValidationIssue] = field(default_factory=list)
+def validate_corpus(corpus: Corpus) -> list[ValidationIssue]:
+    """Every broken structural invariant, kind by kind; an empty list means all hold.
 
-    @property
-    def ok(self) -> bool:
-        return not self.issues
+    The contract behind the weak label: segments have frames, all finite;
+    every recording has clusters, none empty, that hold each segment at
+    most once and some speech of the recording's target; the targets are
+    exactly the speaker ids 0..n_speakers-1. The cluster checks run on the
+    flattened members, in less than half the time of a loop over them.
+    """
+    segments, recordings, n_speakers = corpus.segments, corpus.recordings, corpus.n_speakers
+    issues = [("EmptySegment", f"segment {sid} has no frames")
+              for sid in np.flatnonzero(np.diff(segments.bounds) < 1).tolist()]
+    issues += [("NonFiniteFeatures", f"segment {sid} contains NaN or inf") for sid in _non_finite_segments(segments)]
 
-    def add(self, kind: str, message: str) -> None:
-        self.issues.append(ValidationIssue(kind, message))
+    ids = [r.recording_id for r in recordings]
+    targets = np.array([r.target for r in recordings], dtype=np.int64)
+    n_clusters = np.array([len(r.clusters) for r in recordings], dtype=np.int64)
+    clusters = [cluster for r in recordings for cluster in r.clusters]
+    sizes = np.array([len(cluster) for cluster in clusters], dtype=np.int64)
+    members = np.fromiter(chain.from_iterable(clusters), np.int64, int(sizes.sum()))
+    cluster_owner = np.repeat(np.arange(len(recordings)), n_clusters)
+    owner = np.repeat(cluster_owner, sizes)  # member -> recording
+    first_cluster = np.cumsum(n_clusters) - n_clusters
 
-
-def validate_corpus(corpus: Corpus) -> ValidationReport:
-    """Check every structural invariant; an empty report means all hold."""
-    report = ValidationReport()
-    segments = corpus.segments
-    for sid in np.flatnonzero(np.diff(segments.bounds) < 1).tolist():
-        report.add("EmptySegment", f"segment {sid} has no frames")
-    for sid in _non_finite_segments(segments):
-        report.add("NonFiniteFeatures", f"segment {sid} contains NaN or inf")
-
-    oracle = segments.oracle.tolist()
-    targeted: set[int] = set()
-    seen_segments: set[int] = set()
-    for rec in corpus.recordings:
-        if not (0 <= rec.target < corpus.n_speakers):
-            report.add("BadTarget", f"recording {rec.recording_id} target {rec.target} outside 0..{corpus.n_speakers - 1}")
-        else:
-            targeted.add(rec.target)
-        if not rec.clusters:
-            report.add("EmptyRecording", f"recording {rec.recording_id} has no clusters")
-        has_target_speech = False
-        for cid, cluster in enumerate(rec.clusters):
-            if not cluster:
-                report.add("EmptyCluster", f"recording {rec.recording_id} cluster {cid} is empty")
-            for sid in cluster:
-                if not 0 <= sid < len(oracle):
-                    report.add("MissingSegment", f"recording {rec.recording_id} references missing segment {sid}")
-                    continue
-                if sid in seen_segments:
-                    report.add("DuplicateSegment", f"segment {sid} appears in more than one cluster")
-                seen_segments.add(sid)
-                if oracle[sid] == rec.target:
-                    has_target_speech = True
-        if not has_target_speech:
-            report.add("MissingTargetSpeech", f"recording {rec.recording_id} has no segment of its target {rec.target}")
-
-    for spk in range(corpus.n_speakers):
-        if spk not in targeted:
-            report.add("UntargetedSpeaker", f"speaker {spk} is the target of no recording")
-    return report
+    known = (targets >= 0) & (targets < n_speakers)
+    issues += [("BadTarget", f"recording {ids[i]} target {targets[i]} outside 0..{n_speakers - 1}")
+               for i in np.flatnonzero(~known).tolist()]
+    issues += [("EmptyRecording", f"recording {ids[i]} has no clusters")
+               for i in np.flatnonzero(n_clusters == 0).tolist()]
+    issues += [("EmptyCluster", f"recording {ids[i]} cluster {k - first_cluster[i]} is empty")
+               for k, i in zip(np.flatnonzero(sizes == 0).tolist(), cluster_owner[sizes == 0].tolist())]
+    present = (members >= 0) & (members < len(segments))
+    issues += [("MissingSegment", f"recording {ids[owner[j]]} references missing segment {members[j]}")
+               for j in np.flatnonzero(~present).tolist()]
+    issues += [("DuplicateSegment", f"segment {sid} appears in more than one cluster")
+               for sid in np.flatnonzero(np.bincount(members[present], minlength=len(segments)) > 1).tolist()]
+    speaks = present.copy()
+    speaks[present] = segments.oracle[members[present]] == targets[owner[present]]
+    issues += [("MissingTargetSpeech", f"recording {ids[i]} has no segment of its target {targets[i]}")
+               for i in np.flatnonzero(np.bincount(owner[speaks], minlength=len(recordings)) == 0).tolist()]
+    targeted = set(targets[known].tolist())
+    if len(targeted) < n_speakers:  # one issue: a loaded n_speakers is the largest target read plus one
+        first = next(spk for spk in range(n_speakers) if spk not in targeted)
+        issues.append(("UntargetedSpeaker", f"{n_speakers - len(targeted)} speaker(s), the first {first}, "
+                                            "are the target of no recording"))
+    return [ValidationIssue(kind, message) for kind, message in issues]
 
 
 def _non_finite_segments(segments: Segments) -> list[int]:
-    """Ids of segments holding a NaN or inf, ascending: one pass over the frame matrix."""
+    """Ids of segments holding a NaN or inf, ascending; the row-wise search runs only if one exists."""
+    if np.isfinite(segments.frames).all():  # about a third of the cost of the search
+        return []
     bad_rows = np.flatnonzero(~np.isfinite(segments.frames).all(axis=1))
     return np.unique(np.searchsorted(segments.bounds, bad_rows, side="right") - 1).tolist()
 
@@ -349,10 +347,9 @@ def load_manifest(directory: str | Path) -> Corpus:
 
     The frame matrix is a read-only view of the file's bytes. Raises
     CorruptArtifact for a damaged header, a body that is not whole rows,
-    a NaN or inf feature, a malformed index line, S ids other than
-    0..n-1 in order, segments that do not tile the frame matrix in id
-    order with at least one frame each, or a cluster member that is no
-    segment or sits in more than one cluster.
+    a malformed index line, S ids other than 0..n-1 in order, or
+    segments that do not tile the frame matrix in id order; then for the
+    first issue validate_corpus finds in the corpus read.
     """
     directory = Path(directory)
     feat_path, idx_path = directory / FEAT_NAME, directory / IDX_NAME
@@ -368,9 +365,6 @@ def load_manifest(directory: str | Path) -> Corpus:
         raise CorruptArtifact(
             f"{feat_path}: {len(raw) - 16} body bytes are not whole rows of {feat_dim} float32")
     frames = np.frombuffer(raw, dtype="<f4", offset=16).reshape(-1, feat_dim)
-    if not np.isfinite(frames).all():
-        row = int(np.argmin(np.isfinite(frames).all(axis=1)))
-        raise CorruptArtifact(f"{feat_path}: frame row {row} holds NaN or inf")
 
     recordings: list[Recording] = []
     seg_meta: list[tuple[int, int, int, int]] = []
@@ -391,8 +385,6 @@ def load_manifest(directory: str | Path) -> Corpus:
                 current.clusters[cid] = [int(s) for s in parts[2:]]
             elif kind == "R" and n_fields == 5 and parts[4] in ("train", "heldout"):
                 current = Recording(int(parts[1]), int(parts[2]), [], parts[4] == "heldout")
-                if current.target < 0:
-                    raise CorruptArtifact(f"negative target in {idx_path} line {lineno}")
                 current.clusters = [[] for _ in range(int(parts[3]))]
                 recordings.append(current)
             else:
@@ -402,7 +394,6 @@ def load_manifest(directory: str | Path) -> Corpus:
 
     try:
         meta = np.array(seg_meta, dtype=np.int64).reshape(-1, 4)
-        members = np.array([sid for rec in recordings for sid in rec.segment_ids()], dtype=np.int64)
     except OverflowError:
         raise CorruptArtifact(f"index field out of range in {idx_path}") from None
     n = meta.shape[0]
@@ -410,12 +401,12 @@ def load_manifest(directory: str | Path) -> Corpus:
     if misplaced.any():
         i = int(np.argmax(misplaced))
         raise CorruptArtifact(f"S record {i} of {idx_path} has id {seg_meta[i][0]}, not {i}")
-    # Segment i must cover rows bounds[i]:bounds[i+1], at least one, of the frame matrix.
+    # Segment i must cover rows bounds[i]:bounds[i+1] of the frame matrix.
     n_rows = frames.shape[0]
     n_frames, offsets = meta[:, 2], meta[:, 3]
     bounds = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.clip(n_frames, 0, n_rows), out=bounds[1:])  # clipped: the sum cannot overflow
-    bad = (n_frames < 1) | (n_frames > n_rows) | (offsets != bounds[:-1])
+    bad = (n_frames < 0) | (n_frames > n_rows) | (offsets != bounds[:-1])
     if bad.any():
         sid, _, count, offset = seg_meta[int(np.argmax(bad))]
         raise CorruptArtifact(f"segment {sid} ({count} frames at row {offset}) does not tile "
@@ -423,16 +414,16 @@ def load_manifest(directory: str | Path) -> Corpus:
     if bounds[-1] != n_rows:
         raise CorruptArtifact(
             f"the segments of {idx_path} cover {bounds[-1]} of the {n_rows} rows of {feat_path}")
-    if members.size and (members.min() < 0 or members.max() >= n):
-        stray = members[(members < 0) | (members >= n)][0]
-        raise CorruptArtifact(f"cluster member {stray} of {idx_path} is not an S record")
-    shared = np.bincount(members, minlength=n) > 1
-    if shared.any():
-        raise CorruptArtifact(f"segment {int(np.argmax(shared))} sits in more than one cluster of {idx_path}")
 
-    oracle = meta[:, 1].copy()
     n_speakers = max((r.target for r in recordings), default=-1) + 1
-    return Corpus(n_speakers, recordings, Segments(frames, bounds, oracle))
+    corpus = Corpus(n_speakers, recordings, Segments(frames, bounds, meta[:, 1].copy()))
+    try:
+        issues = validate_corpus(corpus)
+    except OverflowError:  # a target or cluster member past int64
+        raise CorruptArtifact(f"index field out of range in {idx_path}") from None
+    if issues:
+        raise CorruptArtifact(f"{directory}: {issues[0].kind}: {issues[0].message}")
+    return corpus
 
 
 def _index_line_problem(parts: list[str], current: Recording | None) -> str:

@@ -60,22 +60,6 @@ class LossConfig:
     aggregation: str = MAX
 
 
-
-def lse_tau(values: np.ndarray, tau: float) -> float:
-    """Mean-normalized soft maximum: tau * ln((1/N) sum exp(v/tau)).
-
-    Computed max-shifted for stability. Lies in (mean(v), max(v)] and at
-    least max(v) - tau*ln(N).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise EmptyInput("lse_tau of an empty vector")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    vmax = float(values.max())
-    return vmax + tau * float(np.log(np.exp((values - vmax) / tau).mean()))
-
-
 @dataclass
 class Aggregation:
     """Recording-level similarities plus what backward needs for routing.
@@ -135,14 +119,9 @@ def aggregate(
     raise ValueError(f"unknown aggregation {kind!r}")
 
 
-def aam_margin(c: float | np.ndarray, m: float) -> float | np.ndarray:
-    """cos(arccos(c) + m), computed without trig on the clamped cosine; elementwise."""
-    c = np.clip(c, -_COS_CLAMP, _COS_CLAMP)
-    return c * np.cos(m) - np.sqrt(1.0 - c * c) * np.sin(m)
-
-
 def _aam_margin_grad(c: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
-    """(psi, d psi / d c) elementwise; the derivative is zero outside the clamp range."""
+    """(psi, d psi / d c) elementwise, psi = cos(arccos(c) + m) computed without trig on the
+    clamped cosine; the derivative is zero outside the clamp range."""
     cc = np.clip(c, -_COS_CLAMP, _COS_CLAMP)
     root = np.sqrt(1.0 - cc * cc)
     psi = cc * np.cos(m) - root * np.sin(m)

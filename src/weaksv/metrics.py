@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import Corpus, Trial
 from .embedder import Checkpoint, forward_pooled
-from .errors import MissingArtifacts, SingleClass
+from .errors import CorruptArtifact, MissingArtifacts, SingleClass
 from .fileio import atomic_write
 
 
@@ -95,13 +95,19 @@ def save_scores(score_set: ScoreSet, trials: list[Trial], path: str | Path) -> N
 
 
 def load_scores(path: str | Path) -> ScoreSet:
+    """Read a scores file; CorruptArtifact for a line that is not two integers, a float and a 0/1 label."""
     scores, labels = [], []
-    for line in Path(path).read_text("utf-8").splitlines():
-        if line.strip():
-            _, _, s, lab = line.split("\t")
-            scores.append(float(s))
-            labels.append(lab == "1")
-    return ScoreSet(np.array(scores), np.array(labels))
+    for lineno, line in enumerate(Path(path).read_text("utf-8", errors="replace").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            enroll, test, score, label = line.split("\t")
+            int(enroll), int(test)  # ids are checked, not kept
+            labels.append({"0": False, "1": True}[label])
+            scores.append(float(score))
+        except (ValueError, KeyError):
+            raise CorruptArtifact(f"{path} line {lineno} is not <enroll id> <test id> <score> <0|1>") from None
+    return ScoreSet(np.array(scores), np.array(labels, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from weaksv.corpus import assign_heldout_split, split_trials
 from weaksv.diarize import PRESETS, apply_diarization
 from weaksv.embedder import EmbedderConfig, flatten_params, forward_pooled, init_params
 from weaksv.errors import DegenerateEmbedding, NoKnownExamples
-from weaksv.losses import extend_logits_unknown, lse_tau
+from weaksv.losses import LSE, aggregate, extend_logits_unknown
 from weaksv.metrics import ScoreSet, compute_eer, compute_mindcf, score_trials
 from weaksv.rng import Rng
 from weaksv.selection import score_train_segments, select_unknown_pool, self_label
@@ -101,6 +101,11 @@ def test_ac01_gradient_suite():
 # ---------------------------------------------------------------------------
 
 
+def _lse_pool(v, tau):
+    """The LSE pool of one bag as stage-1 training computes it."""
+    return aggregate(v[:, None], LSE, tau, offsets=[0]).c_rec[0, 0]
+
+
 def test_ac02_pooling_laws():
     rng = Rng.from_seed(2024, "acceptance-pool")
     taus = np.linspace(0.05, 2.0, 10)
@@ -108,10 +113,10 @@ def test_ac02_pooling_laws():
         n = 2 + rng.randint(15)  # N <= 16
         v = rng.floats(n) * 2.0 - 1.0
         tau = 0.05 + 1.95 * rng.float()
-        val = lse_tau(v, tau)
+        val = _lse_pool(v, tau)
         assert v.mean() < val <= v.max() + 1e-12
         assert abs(val - v.max()) <= tau * math.log(n) + 1e-12
-        series = [lse_tau(v, t) for t in taus]
+        series = [_lse_pool(v, t) for t in taus]
         for hot, cold in zip(series, series[1:]):
             assert cold <= hot + 1e-12
     print("AC2 pooling laws: PASS (1000 vectors, exact bounds)")

@@ -63,3 +63,21 @@ def test_tracer_counts_every_step_and_restores(corpus):
     assert unknown_steps > 0
     assert calls["losses.extend_unknown"] == unknown_steps
     assert calls.get("losses.segment_loss", 0) + unknown_steps == steps2
+
+
+def test_validation_is_traced_once_per_generated_corpus(tmp_path):
+    """load_manifest validates inside weaksv.corpus, out of the tracer's sight; gen's check stays traced."""
+    from workloads import WORKLOADS
+
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(WORKLOADS["pipeline"].configs["tiny"])
+    tracer = tracing.Tracer().install()
+    try:
+        calls = {}
+        for stage in ("gen", "diar"):
+            assert cli.main([stage, "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+            calls[stage] = {name: span[0] for name, span in tracer.spans.items()}
+    finally:
+        tracer.close()
+    assert calls["gen"]["corpus.validate"] == 1 and calls["gen"].get("corpus.load_manifest", 0) == 0
+    assert calls["diar"]["corpus.validate"] == 1 and calls["diar"]["corpus.load_manifest"] == 1

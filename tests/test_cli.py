@@ -312,14 +312,35 @@ def test_unreadable_config_is_exit_2(tmp_path, case, write):
     assert not (tmp_path / "run").exists()
 
 
-def test_snapshot_is_the_parsed_text(tmp_path):
+def _settings(cfg):
+    """A RunConfig's settings, without the run directory and the snapshot text."""
+    return {k: v for k, v in vars(cfg).items() if k not in ("out", "text")}
+
+
+def test_snapshot_reloads_to_the_run_config(tmp_path):
+    """config.snapshot holds the file's keys plus --seed/--preset, never an --out path."""
     cfg_path = tmp_path / "c.cfg"
-    cfg_path.write_text(SMALL + "# trailing comment\n")
-    assert main(["gen", "--config", str(cfg_path), "--out", str(tmp_path / "a"), "--seed", "5"]) == 0
-    assert (tmp_path / "a" / "config.snapshot").read_text() == cfg_path.read_text()
-    values = parse_config_text("")
-    values[""].update(seed=5, out=str(tmp_path / "b"))
-    assert load_run_config(None, seed=5, out=str(tmp_path / "b") + "/").text == render_config(values)
+    cfg_path.write_text("out = elsewhere\n" + SMALL + "[stage1]\nlr_max = 0.0123456789  # comment\n")
+    for sub in ("a", "b"):
+        assert main(["gen", "--config", str(cfg_path), "--out", str(tmp_path / sub), "--seed", "5"]) == 0
+    snapshot = tmp_path / "a" / "config.snapshot"
+    assert snapshot.read_bytes() == (tmp_path / "b" / "config.snapshot").read_bytes()
+    text = snapshot.read_text()
+    assert "seed = 5\n" in text and "out =" not in text and "comment" not in text
+    reloaded = load_run_config(snapshot)
+    assert _settings(reloaded) == _settings(load_run_config(cfg_path, seed=5))
+    assert (reloaded.seed, reloaded.stage1.lr_max) == (5, 0.0123456789)
+
+    # no config file: only the overrides, so the preset's own keys apply on reload
+    cfg = load_run_config(None, preset="pyannote-like", out=str(tmp_path / "c"))
+    assert cfg.text == "[diar]\npreset = pyannote-like\n"
+    cfg_path.write_text(cfg.text)
+    assert _settings(load_run_config(cfg_path)) == _settings(cfg)
+    assert (cfg.diar.purity, cfg.diar.split_factor) == (0.97, 1.2)
+    assert load_run_config(None).text == ""
+    # an out the file sets is recorded when no --out replaces it
+    cfg_path.write_text("out = elsewhere\n")
+    assert load_run_config(cfg_path).text == "out = elsewhere\n"
 
 
 def _patch_feat(run, offset, data):
@@ -368,6 +389,50 @@ def _edit_first(kind, edit):
     return lambda run: _edit_idx(run, apply)
 
 
+def _first_recording(lines):
+    """End (exclusive) of the first recording's R and C lines; save_manifest writes them first."""
+    return next(i for i, line in enumerate(lines[1:], 1) if not line.startswith("C "))
+
+
+def _empty_first_recording(text):
+    """Declare zero clusters on the first R line and drop its C lines."""
+    lines = text.splitlines()
+    f = lines[0].split()
+    return "\n".join([" ".join([*f[:3], "0", f[4]]), *lines[_first_recording(lines):]]) + "\n"
+
+
+def _retarget_first_recording(text):
+    """Give the first recording a target that none of its segments voices."""
+    lines = text.splitlines()
+    members = {int(sid) for line in lines[1:_first_recording(lines)] for sid in line.split()[2:]}
+    oracle = {int(f[1]): int(f[2]) for f in map(str.split, lines) if f[0] == "S"}
+    voiced = {oracle[sid] for sid in members}
+    target = min(set(range(len(voiced) + 1)) - voiced)
+    f = lines[0].split()
+    return "\n".join([" ".join([f[0], f[1], str(target), *f[3:]]), *lines[1:]]) + "\n"
+
+
+def _shift_speakers(text):
+    """Renumber every speaker s to s + 1 in targets and oracle labels: no recording targets 0."""
+    out = []
+    for f in map(str.split, text.splitlines()):
+        if f[0] in ("R", "S") and int(f[2]) >= 0:  # the target, the oracle label
+            f[2] = str(int(f[2]) + 1)
+        out.append(" ".join(f))
+    return "\n".join(out) + "\n"
+
+
+def _empty_first_segment(text):
+    """Give segment 0 no frames and its rows to segment 1, so the segments still tile."""
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("S "))
+    first, second = lines[i].split(), lines[i + 1].split()
+    second[3:] = [str(int(first[3]) + int(second[3])), first[4]]
+    first[3] = "0"
+    lines[i:i + 2] = [" ".join(first), " ".join(second)]
+    return "\n".join(lines) + "\n"
+
+
 CORRUPTIONS = {
     "bad_magic": lambda run: _patch_feat(run, 0, b"XXXX"),
     "bad_version": lambda run: _patch_feat(run, 4, struct.pack("<I", 99)),
@@ -388,6 +453,24 @@ CORRUPTIONS = {
     "index_not_utf8": lambda run: (run / "corpus.idx").write_bytes(
         (run / "corpus.idx").read_bytes().replace(b"S 1 ", b"S \xff ", 1)),
     "negative_target": _edit_first("R", lambda f: " ".join([f[0], f[1], "-1", *f[3:]])),
+    "extra_declared_cluster": _edit_first("R", lambda f: " ".join([*f[:3], str(int(f[3]) + 1), f[4]])),
+    "zero_cluster_recording": lambda run: _edit_idx(run, _empty_first_recording),
+    "retargeted_recording": lambda run: _edit_idx(run, _retarget_first_recording),
+    "untargeted_speaker": lambda run: _edit_idx(run, _shift_speakers),
+    "empty_segment": lambda run: _edit_idx(run, _empty_first_segment),
+}
+
+# the validate_corpus issue kind a corruption must be reported as
+CONTRACT_KINDS = {
+    "empty_segment": "EmptySegment",
+    "nan_feature": "NonFiniteFeatures",
+    "negative_target": "BadTarget",
+    "zero_cluster_recording": "EmptyRecording",
+    "extra_declared_cluster": "EmptyCluster",
+    "member_not_a_segment": "MissingSegment",
+    "member_in_two_clusters": "DuplicateSegment",
+    "retargeted_recording": "MissingTargetSpeech",
+    "untargeted_speaker": "UntargetedSpeaker",
 }
 
 
@@ -413,11 +496,13 @@ class TestCorruptArtifact:
         run = tmp_path / "run"
         shutil.copytree(clean, run)
         CORRUPTIONS[case](run)
-        _assert_reported_error(flags, "diar", cfg_path, run)
+        stderr = _assert_reported_error(flags, "diar", cfg_path, run)
+        if case in CONTRACT_KINDS:
+            assert f": {CONTRACT_KINDS[case]}: " in stderr, stderr
 
 
 def _assert_reported_error(flags, command, cfg_path, run):
-    """Run one CLI command in a fresh interpreter: exit 1, an error: line, no traceback."""
+    """Run one CLI command in a fresh interpreter: exit 1, an error: line, no traceback; returns stderr."""
     env = dict(os.environ, PYTHONPATH=str(Path(weaksv.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, *flags, "-m", "weaksv", command, "--config", str(cfg_path),
@@ -426,6 +511,7 @@ def _assert_reported_error(flags, command, cfg_path, run):
     assert proc.returncode == 1, proc.stderr
     assert any(line.startswith("error:") for line in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr
+    return proc.stderr
 
 
 def _prepend(line):

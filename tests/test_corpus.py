@@ -28,44 +28,44 @@ from conftest import constant_segments, make_segments, segment_features
 
 
 def test_wellformed_corpus_validates(tiny_corpus):
-    assert validate_corpus(tiny_corpus).ok
+    assert validate_corpus(tiny_corpus) == []
 
 
 def test_missing_target_speech_detected(tiny_corpus):
     # recording 1's only speech segment switched to the wrong speaker
     tiny_corpus.segments.oracle[3] = 1
-    report = validate_corpus(tiny_corpus)
-    assert any(i.kind == "MissingTargetSpeech" for i in report.issues)
+    issues = validate_corpus(tiny_corpus)
+    assert any(i.kind == "MissingTargetSpeech" for i in issues)
 
 
 def test_dangling_reference_detected(tiny_corpus):
     tiny_corpus.recordings[0].clusters[0].append(999)
-    report = validate_corpus(tiny_corpus)
-    assert any(i.kind == "MissingSegment" for i in report.issues)
+    issues = validate_corpus(tiny_corpus)
+    assert any(i.kind == "MissingSegment" for i in issues)
 
 
 def test_empty_cluster_detected(tiny_corpus):
     tiny_corpus.recordings[0].clusters.append([])
-    report = validate_corpus(tiny_corpus)
-    assert any(i.kind == "EmptyCluster" for i in report.issues)
+    issues = validate_corpus(tiny_corpus)
+    assert any(i.kind == "EmptyCluster" for i in issues)
 
 
 def test_duplicate_membership_detected(tiny_corpus):
     tiny_corpus.recordings[0].clusters[1].append(0)
-    report = validate_corpus(tiny_corpus)
-    assert any(i.kind == "DuplicateSegment" for i in report.issues)
+    issues = validate_corpus(tiny_corpus)
+    assert any(i.kind == "DuplicateSegment" for i in issues)
 
 
 def test_untargeted_speaker_detected(tiny_corpus):
     tiny_corpus.n_speakers = 3
-    report = validate_corpus(tiny_corpus)
-    assert any(i.kind == "UntargetedSpeaker" for i in report.issues)
+    issues = validate_corpus(tiny_corpus)
+    assert any(i.kind == "UntargetedSpeaker" for i in issues)
 
 
 def test_synthetic_corpora_validate():
     for seed in (1, 2):
         corpus = generate_corpus(SynthConfig(n_speakers=6, recordings_per_speaker=4, seed=seed))
-        assert validate_corpus(corpus).ok
+        assert validate_corpus(corpus) == []
 
 
 class TestNonFiniteFeatures:
@@ -73,18 +73,18 @@ class TestNonFiniteFeatures:
         # the table was joined from one array per segment
         segment_features(tiny_corpus.segments, 5)[1, 2] = np.nan
         segment_features(tiny_corpus.segments, 2)[0, 0] = -np.inf
-        report = validate_corpus(tiny_corpus)
-        assert [(i.kind, i.message) for i in report.issues] == [
+        issues = validate_corpus(tiny_corpus)
+        assert [(i.kind, i.message) for i in issues] == [
             ("NonFiniteFeatures", "segment 2 contains NaN or inf"),
             ("NonFiniteFeatures", "segment 5 contains NaN or inf")]
 
     def test_shared_frame_matrix(self):
         corpus = generate_corpus(SynthConfig(n_speakers=4, recordings_per_speaker=2, seed=8))
-        assert validate_corpus(corpus).ok
+        assert validate_corpus(corpus) == []
         segment_features(corpus.segments, 3)[-1, 0] = np.nan
         segment_features(corpus.segments, 11)[0, -1] = np.inf
-        report = validate_corpus(corpus)
-        assert [i.message for i in report.issues] == [
+        issues = validate_corpus(corpus)
+        assert [i.message for i in issues] == [
             "segment 3 contains NaN or inf", "segment 11 contains NaN or inf"]
 
     def test_load_manifest_rejects_nan(self, tmp_path, small_corpus):
@@ -93,7 +93,7 @@ class TestNonFiniteFeatures:
         raw = bytearray(feat.read_bytes())
         raw[16 + 4 * 45:16 + 4 * 46] = struct.pack("<f", float("nan"))
         feat.write_bytes(bytes(raw))
-        with pytest.raises(CorruptArtifact, match="row 2 holds NaN or inf"):
+        with pytest.raises(CorruptArtifact, match="segment 0 contains NaN or inf"):
             load_manifest(tmp_path)
 
 
@@ -305,6 +305,38 @@ def test_load_manifest_rejects_zero_feature_dim(tmp_path, tiny_corpus):
         load_manifest(tmp_path)
 
 
+def _untarget_speaker_1(corpus):
+    """Renumber speaker 1 to 2, so no recording targets speaker 1 of the loaded corpus."""
+    corpus.segments.oracle[corpus.segments.oracle == 1] = 2
+    for rec in corpus.recordings[2:]:
+        rec.target = 2
+
+
+# issue kind -> edit of tiny_corpus that breaks only that invariant (first)
+BROKEN_CONTRACTS = {
+    # segment 4's rows go to segment 5, so the segments still tile the matrix
+    "EmptySegment": lambda c: c.segments.bounds.__setitem__(5, c.segments.bounds[4]),
+    "NonFiniteFeatures": lambda c: c.segments.frames.__setitem__((13, 1), np.inf),
+    "BadTarget": lambda c: setattr(c.recordings[1], "target", -1),
+    "EmptyRecording": lambda c: setattr(c.recordings[1], "clusters", []),
+    "EmptyCluster": lambda c: c.recordings[0].clusters.append([]),
+    "MissingSegment": lambda c: c.recordings[0].clusters[0].append(99),
+    "DuplicateSegment": lambda c: c.recordings[0].clusters[1].append(0),
+    "MissingTargetSpeech": lambda c: setattr(c.recordings[1], "target", 1),
+    "UntargetedSpeaker": _untarget_speaker_1,
+}
+
+
+@pytest.mark.parametrize("kind", BROKEN_CONTRACTS)
+def test_load_manifest_runs_validate_corpus(tmp_path, tiny_corpus, kind):
+    save_manifest(tiny_corpus, tmp_path)
+    assert validate_corpus(load_manifest(tmp_path)) == []
+    BROKEN_CONTRACTS[kind](tiny_corpus)
+    save_manifest(tiny_corpus, tmp_path)
+    with pytest.raises(CorruptArtifact, match=f": {kind}: "):
+        load_manifest(tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # Property tests over random segment tables
 # ---------------------------------------------------------------------------
@@ -312,29 +344,35 @@ def test_load_manifest_rejects_zero_feature_dim(tmp_path, tiny_corpus):
 
 @st.composite
 def segment_tables(draw):
-    """A corpus over a random segment table: 1..12 segments, or more than POOL_BLOCK.
+    """A contract-valid corpus over a random segment table: 1..12 segments, or more than POOL_BLOCK.
 
     Frame counts are 1..6 and oracle labels known, UNKNOWN or NOISE. A
     random subset of the segments is split into recordings of one or two
     clusters; the rest belong to no cluster, as noise that diarization
-    dropped does.
+    dropped does. Targets are dense (each of the 1..3 speakers targets a
+    recording) and every recording's first member voices its target.
     """
     n = draw(st.one_of(st.integers(1, 12), st.integers(POOL_BLOCK + 1, POOL_BLOCK + 40)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = rng.uniform(0.01, 50)
     features = [(rng.standard_normal((k, 3)) * scale).astype(np.float32)
                 for k in rng.integers(1, 7, size=n)]
-    segments = make_segments(features, rng.integers(NOISE, 3, size=n))
     members = rng.permutation(n)[:rng.integers(1, n + 1)].tolist()
-    recordings = []
+    groups = []
     while members:
         k = int(rng.integers(1, 6))
-        take, members = members[:k], members[k:]
+        groups.append(members[:k])
+        members = members[k:]
+    n_speakers = int(rng.integers(1, min(3, len(groups)) + 1))
+    targets = rng.integers(n_speakers, size=len(groups))
+    targets[:n_speakers] = rng.permutation(n_speakers)
+    oracle = rng.integers(NOISE, n_speakers, size=n)
+    recordings = []
+    for take, target in zip(groups, targets.tolist()):
+        oracle[take[0]] = target
         clusters = [take[0::2], take[1::2]] if len(take) > 1 else [take]
-        recordings.append(Recording(len(recordings), int(rng.integers(3)), clusters,
-                                    heldout=bool(rng.integers(2))))
-    n_speakers = max(r.target for r in recordings) + 1
-    return Corpus(n_speakers, recordings, segments)
+        recordings.append(Recording(len(recordings), target, clusters, heldout=bool(rng.integers(2))))
+    return Corpus(n_speakers, recordings, make_segments(features, oracle))
 
 
 @settings(max_examples=25, deadline=None)
@@ -369,5 +407,70 @@ def test_validate_names_exactly_the_segments_with_non_finite_frames(corpus, data
         segments.frames[row, row % 3] = [np.nan, np.inf, -np.inf][row % 3]
     owner = np.repeat(np.arange(len(segments)), np.diff(segments.bounds))  # frame row -> segment
     want = sorted({int(owner[row]) for row in rows})
-    issues = [i.message for i in validate_corpus(corpus).issues if i.kind == "NonFiniteFeatures"]
+    issues = [i.message for i in validate_corpus(corpus) if i.kind == "NonFiniteFeatures"]
     assert issues == [f"segment {sid} contains NaN or inf" for sid in want]
+
+
+def _reference_issues(corpus):
+    """validate_corpus as plain loops over segments, recordings and members (the reference)."""
+    segments, recordings, n_speakers = corpus.segments, corpus.recordings, corpus.n_speakers
+    n = len(segments)
+    issues = [("EmptySegment", f"segment {sid} has no frames")
+              for sid in range(n) if segments.bounds[sid + 1] <= segments.bounds[sid]]
+    issues += [("NonFiniteFeatures", f"segment {sid} contains NaN or inf")
+               for sid in range(n) if not np.isfinite(segment_features(segments, sid)).all()]
+    issues += [("BadTarget", f"recording {r.recording_id} target {r.target} outside 0..{n_speakers - 1}")
+               for r in recordings if not 0 <= r.target < n_speakers]
+    issues += [("EmptyRecording", f"recording {r.recording_id} has no clusters")
+               for r in recordings if not r.clusters]
+    issues += [("EmptyCluster", f"recording {r.recording_id} cluster {cid} is empty")
+               for r in recordings for cid, cluster in enumerate(r.clusters) if not cluster]
+    issues += [("MissingSegment", f"recording {r.recording_id} references missing segment {sid}")
+               for r in recordings for sid in r.segment_ids() if not 0 <= sid < n]
+    uses = [0] * n
+    for r in recordings:
+        for sid in r.segment_ids():
+            if 0 <= sid < n:
+                uses[sid] += 1
+    issues += [("DuplicateSegment", f"segment {sid} appears in more than one cluster")
+               for sid in range(n) if uses[sid] > 1]
+    issues += [("MissingTargetSpeech", f"recording {r.recording_id} has no segment of its target {r.target}")
+               for r in recordings
+               if not any(0 <= sid < n and segments.oracle[sid] == r.target for sid in r.segment_ids())]
+    untargeted = [spk for spk in range(n_speakers) if all(r.target != spk for r in recordings)]
+    if untargeted:
+        issues.append(("UntargetedSpeaker", f"{len(untargeted)} speaker(s), the first {untargeted[0]}, "
+                                            "are the target of no recording"))
+    return issues
+
+
+def _break_contract(corpus, rng):
+    """One to three random breaks of the corpus contract, each of a random kind."""
+    segments, recordings = corpus.segments, corpus.recordings
+    for _ in range(int(rng.integers(1, 4))):
+        rec = recordings[int(rng.integers(len(recordings)))]
+        damage = int(rng.integers(7))
+        if damage == 0:
+            rec.target = int(rng.integers(-2, corpus.n_speakers + 2))
+        elif damage == 1:
+            rec.clusters = []
+        elif damage == 2:
+            rec.clusters.insert(int(rng.integers(len(rec.clusters) + 1)), [])
+        elif damage == 3 and rec.clusters:  # a stray, a shared or a repeated member
+            rec.clusters[int(rng.integers(len(rec.clusters)))].append(int(rng.integers(-2, len(segments) + 2)))
+        elif damage == 4:
+            corpus.n_speakers += int(rng.integers(1, 3))
+        elif damage == 5:
+            segments.frames[int(rng.integers(segments.frames.shape[0])), 0] = np.nan
+        elif damage == 6 and len(segments) > 1:  # segment sid's rows go to segment sid - 1
+            sid = int(rng.integers(1, len(segments)))
+            segments.bounds[sid] = segments.bounds[sid + 1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(segment_tables(), st.integers(0, 2**32 - 1), st.booleans())
+def test_validate_matches_loop_reference(corpus, seed, broken):
+    assert validate_corpus(corpus) == []
+    if broken:
+        _break_contract(corpus, np.random.default_rng(seed))
+    assert [(i.kind, i.message) for i in validate_corpus(corpus)] == _reference_issues(corpus)

@@ -9,11 +9,10 @@ from weaksv.losses import (
     LSE,
     MAX,
     Schedule,
-    aam_margin,
+    _aam_margin_grad,
     aggregate,
     extend_logits_unknown,
     extended_ce_loss,
-    lse_tau,
     segment_aam_loss,
     weak_recording_loss,
 )
@@ -22,33 +21,38 @@ from weaksv.rng import Rng
 finite_floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 
+def lse_pool(values, tau):
+    """The LSE pool of one bag, as stage-1 training runs it."""
+    return aggregate(np.asarray(values, dtype=np.float64)[:, None], LSE, tau, offsets=[0]).c_rec[0, 0]
+
+
 class TestLseTau:
     def test_constant_vector_is_identity(self):
         for tau in (0.01, 0.5, 3.0):
-            assert lse_tau(np.array([0.3, 0.3]), tau) == pytest.approx(0.3, abs=1e-12)
+            assert lse_pool(np.array([0.3, 0.3]), tau) == pytest.approx(0.3, abs=1e-12)
 
     def test_reference_value(self):
         # direct high-precision evaluation of the defining formula
         v = [0.9, -0.2, 0.4]
         expected = 0.5 * math.log((math.exp(1.8) + math.exp(-0.4) + math.exp(0.8)) / 3.0)
-        got = lse_tau(np.array(v), 0.5)
+        got = lse_pool(np.array(v), 0.5)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.5463, abs=1e-4)
 
     def test_small_tau_approaches_max(self):
-        got = lse_tau(np.array([0.9, -0.2, 0.4]), 0.01)
+        got = lse_pool(np.array([0.9, -0.2, 0.4]), 0.01)
         assert 0.9 - 0.011 <= got <= 0.9
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
-            lse_tau(np.array([]), 0.5)
+            lse_pool(np.array([]), 0.5)
 
     @settings(max_examples=200)
     @given(st.lists(finite_floats, min_size=2, max_size=16),
            st.floats(min_value=0.01, max_value=5.0))
     def test_bounds(self, values, tau):
         v = np.array(values)
-        got = lse_tau(v, tau)
+        got = lse_pool(v, tau)
         assert got <= v.max() + 1e-12
         assert got >= v.mean() - 1e-12
         assert got >= v.max() - tau * math.log(len(values)) - 1e-12
@@ -58,7 +62,7 @@ class TestLseTau:
     def test_monotone_nonincreasing_in_tau(self, values):
         v = np.array(values)
         taus = np.linspace(0.05, 2.0, 10)
-        outs = [lse_tau(v, t) for t in taus]
+        outs = [lse_pool(v, t) for t in taus]
         for a, b in zip(outs, outs[1:]):
             assert b <= a + 1e-12
 
@@ -113,21 +117,21 @@ class TestAggregate:
 class TestAamMargin:
     def test_zero_margin_is_identity(self):
         for c in (-0.9, -0.3, 0.0, 0.4, 0.99):
-            assert aam_margin(c, 0.0) == pytest.approx(c, abs=1e-12)
+            assert _aam_margin_grad(c, 0.0)[0] == pytest.approx(c, abs=1e-12)
 
     def test_saturated_cosine(self):
         # trig oracle: cos(arccos(clamped 1.0) + 0.2)
         expected = math.cos(math.acos(1.0 - 1e-7) + 0.2)
-        assert aam_margin(1.0, 0.2) == pytest.approx(expected, abs=1e-12)
-        assert aam_margin(1.0, 0.2) == pytest.approx(0.98007, abs=1e-4)
+        assert _aam_margin_grad(1.0, 0.2)[0] == pytest.approx(expected, abs=1e-12)
+        assert _aam_margin_grad(1.0, 0.2)[0] == pytest.approx(0.98007, abs=1e-4)
 
     def test_perpendicular_cosine(self):
-        assert aam_margin(0.0, 0.2) == pytest.approx(-math.sin(0.2), abs=1e-12)
-        assert aam_margin(0.0, 0.2) == pytest.approx(-0.19867, abs=1e-4)
+        assert _aam_margin_grad(0.0, 0.2)[0] == pytest.approx(-math.sin(0.2), abs=1e-12)
+        assert _aam_margin_grad(0.0, 0.2)[0] == pytest.approx(-0.19867, abs=1e-4)
 
     @given(st.floats(min_value=-0.99, max_value=0.99), st.floats(min_value=0.0, max_value=0.5))
     def test_matches_trig_form(self, c, m):
-        assert aam_margin(c, m) == pytest.approx(math.cos(math.acos(c) + m), abs=1e-9)
+        assert _aam_margin_grad(c, m)[0] == pytest.approx(math.cos(math.acos(c) + m), abs=1e-9)
 
 
 class TestWeakRecordingLoss:

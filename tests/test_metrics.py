@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from weaksv.corpus import Trial, assign_heldout_split, split_trials
 from weaksv.embedder import Checkpoint, EmbedderConfig, init_params
-from weaksv.errors import MissingArtifacts, SingleClass
+from weaksv.errors import CorruptArtifact, MissingArtifacts, SingleClass
 from weaksv.metrics import (
     ScoreSet,
     compute_eer,
@@ -164,6 +164,18 @@ class TestScoreTrials:
         loaded = load_scores(tmp_path / "scores.tsv")
         assert np.array_equal(loaded.scores, ss.scores)
         assert np.array_equal(loaded.labels, ss.labels)
+
+
+@pytest.mark.parametrize("line", [
+    b"0\t1\tx\t1", b"0\t1\t0.5\t2", b"0\t1\t0.5", b"0\t1\t0.5\t1\t1", b"0.5\t1\t0.5\t0",
+    b"0\t1\t0.5\t\xff", b"0\t\xff\t0.5\t1",
+], ids=["score_not_a_float", "label_2", "missing_field", "extra_field", "id_not_an_integer",
+        "label_not_utf8", "id_not_utf8"])
+def test_load_scores_rejects_malformed_line(tmp_path, line):
+    path = tmp_path / "scores.tsv"
+    path.write_bytes(b"3\t4\t0.25\t1\n" + line + b"\n")
+    with pytest.raises(CorruptArtifact, match="line 2"):
+        load_scores(path)
 
 
 class TestMakeReport:

@@ -124,7 +124,7 @@ class TestGenerateCorpus:
         assert all(ra.clusters == rb.clusters for ra, rb in zip(a.recordings, b.recordings))
 
     def test_validates(self, small_corpus):
-        assert validate_corpus(small_corpus).ok
+        assert validate_corpus(small_corpus) == []
 
     def test_noise_fraction_within_binomial_ci(self):
         # per-segment noise draws are iid; the rare forced-target rewrite
