@@ -14,7 +14,9 @@ Floats take the top 53 bits of a block; normals use Box-Muller on pairs
 of uniforms. A stream is reproducible given the same sequence of draw
 calls. Because a draw depends only on (key, counter), a caller may
 reserve normals calls on a stream (``skip_normals``) and draw many of
-them later in one array pass (``normals_at``) with the same values.
+them later in one array pass (``normals_at``) with the same values;
+``u64_at``, ``derive_keys`` and ``Rng.randints`` do the same for plain
+draws, child keys and successive ``randint`` calls.
 """
 
 from __future__ import annotations
@@ -66,6 +68,19 @@ def derive_key(key: int, *tokens: int | str) -> int:
         ti = fnv1a64(t) if isinstance(t, str) else (t & _MASK)
         k = mix64(((k + _GAMMA) & _MASK) ^ mix64(ti))
     return k
+
+
+def derive_keys(keys, tokens) -> np.ndarray:
+    """derive_key(keys[i], tokens[i]) over integer tokens in one array pass; keys may be one int."""
+    t = np.array(tokens, ndmin=1).astype(np.uint64)  # two's complement, as t & _MASK
+    k = np.broadcast_to(np.asarray(keys, dtype=np.uint64), t.shape)
+    return _mix64_array((k + np.uint64(_GAMMA)) ^ _mix64_array(t))
+
+
+def u64_at(keys, counters) -> np.ndarray:
+    """Rng(keys[i]).u64() drawn at counter counters[i], for all i in one pass; keys may be one int."""
+    ctr = np.array(counters, dtype=np.uint64, ndmin=1) + np.uint64(1)
+    return _mix64_array(np.asarray(keys, dtype=np.uint64) + ctr * np.uint64(_GAMMA))
 
 
 def _box_muller(u: np.ndarray) -> np.ndarray:
@@ -157,6 +172,13 @@ class Rng:
         if n <= 0:
             raise ValueError("randint bound must be positive")
         return self.u64() % n
+
+    def randints(self, bounds) -> np.ndarray:
+        """Successive randint(bounds[i]) calls, drawn in one block."""
+        bounds = np.array(bounds, dtype=np.int64, ndmin=1)
+        if bounds.size and bounds.min() <= 0:
+            raise ValueError("randint bound must be positive")
+        return (self._block(bounds.size) % bounds.astype(np.uint64)).astype(np.int64)
 
     def randrange(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] inclusive."""

@@ -222,11 +222,8 @@ def train_stage1(
         return plan_epoch_stage1(corpus, stage.batch_size, _epoch_seed(seed, "s1-epoch", epoch))
 
     def batch_of(batch):
-        sizes = [bag.size for bag in batch.bags]
-        targets = np.array([bag.target for bag in batch.bags])
-        batch_loss = recording_batch_loss(stage.loss.aggregation, stage.loss.scale,
-                                          np.cumsum([0] + sizes[:-1]), targets)
-        return [sid for bag in batch.bags for sid in bag.segment_ids], batch_loss
+        return batch.segment_ids, recording_batch_loss(stage.loss.aggregation, stage.loss.scale,
+                                                       batch.offsets, batch.targets)
 
     return _fit(corpus, stage, model, seed, "stage1", plan_epoch, batch_of, resume_from,
                 stop_after_epoch)
@@ -259,10 +256,7 @@ def train_stage2(
             mix_fraction=stage.unknown_mix_fraction if active else 0.0)
 
     def batch_of(batch):
-        known = np.array([r.known for r in batch.rows])
-        labels = np.array([r.label for r in batch.rows])
-        batch_loss = segment_batch_loss(stage.loss.scale, labels, known)
-        return [r.segment_id for r in batch.rows], batch_loss
+        return batch.segment_ids, segment_batch_loss(stage.loss.scale, batch.labels, batch.known)
 
     return _fit(corpus, stage, model, seed, "stage2", plan_epoch, batch_of, resume_from,
                 stop_after_epoch)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from weaksv import cli
+from weaksv import cli, trainer
 from weaksv.corpus import assign_heldout_split
 from weaksv.diarize import PRESETS, apply_diarization
 from weaksv.embedder import EmbedderConfig
@@ -41,6 +41,9 @@ def test_tracer_counts_every_step_and_restores(corpus):
     stage2 = StageConfig(epochs=3, batch_size=24, unknown_start_epoch=1)
 
     tracer = tracing.Tracer().install()
+    plans = []  # the stage-1 plans training receives, kept past the tracer's wrapper
+    traced_plan = trainer.plan_epoch_stage1
+    trainer.plan_epoch_stage1 = lambda *args: plans.append(traced_plan(*args)) or plans[-1]
     try:
         # looked up on the module at call time, as the CLI does
         cli.train_stage1(corpus, stage1, MODEL, seed=3)
@@ -54,6 +57,10 @@ def test_tracer_counts_every_step_and_restores(corpus):
     assert steps1 > 0 and steps2 > 0
     assert calls["trainer.stage1"] == 1 and calls["trainer.stage2"] == 1
     assert calls["batching.plan1"] == stage1.epochs and calls["batching.plan2"] == stage2.epochs
+    # the tracer counts bags through BagBatch.bags; training reads the batch arrays
+    assert len(plans) == stage1.epochs
+    assert tracer.counts["batching.bags"] == sum(len(b.offsets) for plan in plans for b in plan) > 0
+    assert tracer.counts["batching.bag_segments"] == sum(len(b.segment_ids) for plan in plans for b in plan)
     for span in ("embedder.forward", "embedder.backward", "trainer.sgd"):
         assert calls[span] == steps1 + steps2, span
     # stage 1: pooling plus the recording loss on every step

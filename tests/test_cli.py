@@ -379,6 +379,18 @@ def _share_first_member(text):
     return "\n".join(lines) + "\n"
 
 
+def _repeat_cluster_line(text):
+    """Repeat the first C line of two or more members, keeping only its first member.
+
+    A loader that let the repeat replace the cluster would drop the other
+    members from every cluster, and the corpus would still validate.
+    """
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("C ") and len(line.split()) > 3)
+    lines.insert(i + 1, " ".join(lines[i].split()[:3]))
+    return "\n".join(lines) + "\n"
+
+
 def _edit_first(kind, edit):
     """Rewrite the first index line of the given record kind."""
     def apply(text):
@@ -458,6 +470,7 @@ CORRUPTIONS = {
     "retargeted_recording": lambda run: _edit_idx(run, _retarget_first_recording),
     "untargeted_speaker": lambda run: _edit_idx(run, _shift_speakers),
     "empty_segment": lambda run: _edit_idx(run, _empty_first_segment),
+    "repeated_cluster_line": lambda run: _edit_idx(run, _repeat_cluster_line),
 }
 
 # the validate_corpus issue kind a corruption must be reported as

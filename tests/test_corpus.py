@@ -473,4 +473,6 @@ def test_validate_matches_loop_reference(corpus, seed, broken):
     assert validate_corpus(corpus) == []
     if broken:
         _break_contract(corpus, np.random.default_rng(seed))
+        # a corpus caches its cluster table, so the edited recordings go into a new one
+        corpus = Corpus(corpus.n_speakers, corpus.recordings, corpus.segments)
     assert [(i.kind, i.message) for i in validate_corpus(corpus)] == _reference_issues(corpus)

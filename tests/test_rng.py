@@ -1,7 +1,8 @@
 import numpy as np
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import example, given, strategies as st
 
-from weaksv.rng import Rng, derive_key, fnv1a64, mix64, normals_at
+from weaksv.rng import Rng, derive_key, derive_keys, fnv1a64, mix64, normals_at, u64_at
 
 
 def test_scalar_and_vector_streams_agree():
@@ -101,3 +102,54 @@ def test_skip_normals_reserves_the_draws_of_a_stream(key, sizes):
     assert reserved.u64() == drawn.u64()
     got = normals_at([key] * len(sizes), counters, sizes)
     assert got.tobytes() == np.concatenate([np.empty(0), *want]).tobytes()
+
+
+# Keys anywhere in 64 bits, and often at its top, where key + counter * GAMMA wraps.
+_keys = st.integers(min_value=0, max_value=2**64 - 1) | st.integers(min_value=2**64 - 8, max_value=2**64 - 1)
+
+
+@given(_keys, st.lists(st.integers(min_value=1, max_value=2**63 - 1), max_size=9))
+@example(2**64 - 1, [])
+@example(2**64 - 1, [1])
+@example(2**64 - 1, [1, 2])
+def test_randints_are_successive_randint_calls(key, bounds):
+    scalar, array = Rng(key), Rng(key)
+    want = [scalar.randint(n) for n in bounds]
+    got = array.randints(bounds)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert array.u64() == scalar.u64()  # the same counter afterwards
+
+
+def test_randints_rejects_a_bound_below_one():
+    with pytest.raises(ValueError):
+        Rng.from_seed(1).randints([3, 0, 2])
+
+
+@given(_keys, st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), max_size=6))
+@example(2**64 - 1, [])
+@example(2**64 - 1, [2**63 - 1])
+@example(2**64 - 2, [-1, 0])
+def test_derive_keys_match_derive_key(key, tokens):
+    want = [derive_key(key, t) for t in tokens]
+    assert derive_keys(key, np.array(tokens, dtype=np.int64)).tolist() == want
+    assert derive_keys(np.full(len(tokens), key, dtype=np.uint64), tokens).tolist() == want
+
+
+def test_derive_keys_take_uint64_tokens_near_the_top():
+    tokens = np.array([2**64 - 1, 2**64 - 2, 2**63], dtype=np.uint64)
+    assert derive_keys(7, tokens).tolist() == [derive_key(7, t) for t in tokens.tolist()]
+
+
+@given(st.lists(st.tuples(_keys, st.integers(min_value=0, max_value=2**62)), max_size=6))
+@example([])
+@example([(2**64 - 1, 0)])
+@example([(2**64 - 1, 2**62), (0, 0)])
+def test_u64_at_matches_a_stream_at_that_counter(draws):
+    want = [_stream_at(k, c).u64() for k, c in draws]
+    got = u64_at(np.array([k for k, _ in draws], dtype=np.uint64), [c for _, c in draws])
+    assert got.dtype == np.uint64 and got.tolist() == want
+
+
+def test_u64_at_one_key_many_counters():
+    rng = Rng(2**64 - 3)
+    assert u64_at(rng.key, np.arange(5)).tolist() == [rng.u64() for _ in range(5)]
