@@ -190,6 +190,23 @@ class TestExitCodes:
         finally:
             multiarray._set_madvise_hugepage(before)
 
+    @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads resident memory from /proc")
+    def test_freed_large_arrays_leave_resident_memory(self):
+        # freeing the first array would raise glibc's dynamic mmap threshold to
+        # 24 MiB, and the second would come from the heap and stay resident;
+        # with the thresholds the CLI fixes, both are mapped and unmapped
+        assert main(["schema"]) == 0
+
+        def resident():
+            return int(Path("/proc/self/statm").read_text().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+        first = np.ones(3 << 20)  # 24 MiB
+        del first
+        before = resident()
+        second = np.ones(2 << 20)  # 16 MiB, every page written
+        del second
+        assert resident() - before < 4 << 20
+
 
 def _edge_values(key):
     """(inside, outside) value pairs at each bound of key.allowed, one step apart."""
