@@ -2,8 +2,8 @@
 
 Usage (from the repository root):
 
-    python3 scripts/bench_record.py --label pr12_change
-    python3 scripts/bench_record.py --label pr12_parent --tree ../weaksv-parent
+    python3 scripts/bench_record.py --label parent --tree ../weaksv-parent
+    python3 scripts/bench_record.py --label change
 
 For every workload it runs the tree's `bench/run.py` twice at one seed:
 with `--trace 0` for the end-to-end metrics and with `--trace 1` for the
