@@ -22,7 +22,6 @@ On-disk layout (one directory):
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable
 from itertools import chain
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -134,18 +133,6 @@ class Corpus:
             members = np.fromiter(chain.from_iterable(clusters), np.int64, int(sizes.sum()))
             self._clusters = ClusterTable(rows[:, 0], rows[:, 1], rows[:, 2] == 1, rows[:, 3], sizes, members)
         return self._clusters
-
-
-def require_in_range(values: Iterable[int], limit: int, what: str, source: str) -> None:
-    """Raise CorruptArtifact unless every value lies in 0..limit-1.
-
-    Segment ids and labels read from a file index array rows (segments,
-    prototypes), so they are checked before use: a negative one would
-    silently select another row.
-    """
-    bad = next((v for v in values if not 0 <= v < limit), None)
-    if bad is not None:
-        raise CorruptArtifact(f"{source}: {what} {bad} outside 0..{limit - 1}")
 
 
 # Segments pooled per reduceat call: bounds the float64 copy of their frames.
@@ -478,15 +465,20 @@ def save_trials(trials: list[Trial], path: str | Path) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def load_trials(path: str | Path) -> list[Trial]:
-    """Read trials.tsv; CorruptArtifact for a line that is not two integers and a 0/1 label."""
+def load_trials(path: str | Path, n_segments: int) -> list[Trial]:
+    """Read trials.tsv; CorruptArtifact for a line that is not two segment ids in
+    0..n_segments-1 and a 0/1 label (an id indexes rows: a negative one would read another's)."""
     trials = []
     for lineno, line in enumerate(Path(path).read_text("utf-8", errors="replace").splitlines(), 1):
         if not line.strip():
             continue
         try:
             enroll, test, label = line.split("\t")
-            trials.append(Trial(int(enroll), int(test), {"0": False, "1": True}[label]))
+            trial = Trial(int(enroll), int(test), {"0": False, "1": True}[label])
         except (ValueError, KeyError):
-            raise CorruptArtifact(f"{path} line {lineno} is not <enroll id> <test id> <0|1>") from None
+            trial = None
+        if trial is None or not (0 <= trial.enroll_id < n_segments and 0 <= trial.test_id < n_segments):
+            raise CorruptArtifact(f"{path} line {lineno} is not <enroll id> <test id> <0|1> "
+                                  f"with ids in 0..{n_segments - 1}")
+        trials.append(trial)
     return trials

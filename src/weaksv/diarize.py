@@ -113,20 +113,6 @@ def _inject_impurity(
         clusters[ca][pa], clusters[cb][pb] = clusters[cb][pb], clusters[ca][pa]
 
 
-def cluster_purity(clusters: list[list[int]], oracle_of: dict[int, int]) -> list[float]:
-    """Per-cluster fraction of segments carrying the cluster's modal label."""
-    out = []
-    for cluster in clusters:
-        if not cluster:
-            raise EmptyRecording("cannot score an empty cluster")
-        counts: dict[int, int] = {}
-        for sid in cluster:
-            lab = oracle_of[sid]
-            counts[lab] = counts.get(lab, 0) + 1
-        out.append(max(counts.values()) / len(cluster))
-    return out
-
-
 def apply_diarization(corpus: Corpus, cfg: DiarConfig) -> Corpus:
     """Rewrite every recording's clusters; the segment table is shared unchanged.
 

@@ -14,10 +14,10 @@ differences in the test suite.
 
 Checkpoint format: header magic WMLC, u32 version, u32 feat_dim,
 u32 hidden_dim, u32 emb_dim, u32 n_speakers, then all parameters as
-little-endian float64 in PARAM_NAMES order. A trailing optimizer section
+little-endian float64 in PARAM_NAMES order, then the optimizer section
 (magic OPTS, u64 step, u32 epoch, 32-byte config hash, velocities in the
-same order) is appended by the trainer and ignored by embedding-only
-readers. A file of any other length is rejected as corrupt.
+same order) that training resumes from. Every checkpoint carries both;
+a file of any other length is rejected as corrupt.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def backward_pooled(d_emb: np.ndarray, cache: ForwardCache, params: dict[str, np
 class Checkpoint:
     config: EmbedderConfig
     params: dict[str, np.ndarray]  # PARAM_NAMES order
-    velocities: dict[str, np.ndarray] | None = None  # same keys as params
+    velocities: dict[str, np.ndarray] | None = None  # same keys as params; None only if never saved
     step: int = 0
     epoch: int = 0
     config_hash: bytes = b"\x00" * 32
@@ -151,9 +151,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     blob = bytearray(_HEADER.pack(CKPT_MAGIC, CKPT_VERSION, cfg.feat_dim, cfg.hidden_dim,
                                   cfg.emb_dim, ckpt.n_speakers))
     blob += flatten_params(ckpt.params).astype("<f8").tobytes()
-    if ckpt.velocities is not None:
-        blob += _OPT_HEADER.pack(OPT_MAGIC, ckpt.step, ckpt.epoch, ckpt.config_hash)
-        blob += flatten_params(ckpt.velocities).astype("<f8").tobytes()
+    blob += _OPT_HEADER.pack(OPT_MAGIC, ckpt.step, ckpt.epoch, ckpt.config_hash)
+    blob += flatten_params(ckpt.velocities).astype("<f8").tobytes()
     atomic_write(path, bytes(blob))
 
 
@@ -173,17 +172,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     cfg = EmbedderConfig(feat, hidden, emb)
     count = sum(math.prod(shape) for shape in _param_shapes(cfg, n_spk).values())
     opt_at = _HEADER.size + 8 * count
-    full = opt_at + _OPT_HEADER.size + 8 * count
-    if len(raw) not in (opt_at, full):
-        raise CorruptArtifact(f"{path}: {len(raw)} bytes, but its header implies {opt_at} "
-                              f"(parameters) or {full} (with optimizer state)")
+    size = opt_at + _OPT_HEADER.size + 8 * count
+    if len(raw) != size:
+        raise CorruptArtifact(f"{path}: {len(raw)} bytes, but its header implies {size}")
 
     def read_block(offset: int) -> dict[str, np.ndarray]:
         flat = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).astype(np.float64)
         return unflatten_params(flat, cfg, n_spk)
 
-    if len(raw) == opt_at:
-        return Checkpoint(cfg, read_block(_HEADER.size))
     magic, step, epoch, config_hash = _OPT_HEADER.unpack_from(raw, opt_at)
     if magic != OPT_MAGIC:
         raise CorruptArtifact(f"{path}: bad optimizer-section magic {magic!r}")

@@ -94,57 +94,55 @@ def save_scores(score_set: ScoreSet, trials: list[Trial], path: str | Path) -> N
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def load_scores(path: str | Path) -> ScoreSet:
-    """Read a scores file; CorruptArtifact for a line that is not two integers, a float and a 0/1 label."""
-    scores, labels = [], []
-    for lineno, line in enumerate(Path(path).read_text("utf-8", errors="replace").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            enroll, test, score, label = line.split("\t")
-            int(enroll), int(test)  # ids are checked, not kept
-            labels.append({"0": False, "1": True}[label])
-            scores.append(float(score))
-        except (ValueError, KeyError):
-            raise CorruptArtifact(f"{path} line {lineno} is not <enroll id> <test id> <score> <0|1>") from None
-    return ScoreSet(np.array(scores), np.array(labels, dtype=bool))
-
-
 # ---------------------------------------------------------------------------
 # Run reports
 # ---------------------------------------------------------------------------
 
 
 def _schedule_trace(metrics_csv: Path) -> dict:
-    rows = metrics_csv.read_text("utf-8").splitlines()[1:]
+    """Schedule and loss summary of a metrics CSV; CorruptArtifact unless it ends in a
+    newline and every row after the header is six numbers."""
+    text = metrics_csv.read_text("utf-8", errors="replace")
+    try:
+        rows = [[float(v) for v in line.split(",")] for line in text.splitlines()[1:]]
+    except ValueError:
+        rows = None
+    if rows is None or not text.endswith("\n") or any(len(row) != 6 for row in rows):
+        raise CorruptArtifact(f"{metrics_csv}: not newline-terminated rows of six numbers after the header")
     if not rows:
         return {}
-    first = rows[0].split(",")
-    last = rows[-1].split(",")
-    losses = [float(r.split(",")[5]) for r in rows]
+    first, last = rows[0], rows[-1]
+    losses = [row[5] for row in rows]
     return {
         "steps": len(rows),
-        "lr_first": float(first[2]), "lr_last": float(last[2]),
-        "margin_first": float(first[3]), "margin_last": float(last[3]),
-        "tau_first": float(first[4]), "tau_last": float(last[4]),
+        "lr_first": first[2], "lr_last": last[2],
+        "margin_first": first[3], "margin_last": last[3],
+        "tau_first": first[4], "tau_last": last[4],
         "loss_first": losses[0], "loss_last": losses[-1],
         "loss_mean_first10": sum(losses[:10]) / min(10, len(losses)),
         "loss_mean_last10": sum(losses[-10:]) / min(10, len(losses)),
     }
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text("utf-8"))
+    except ValueError:  # a decoding error too
+        raise CorruptArtifact(f"{path} is not valid JSON") from None
+
+
 def collect_run(run_dir: str | Path) -> dict:
-    """Everything reportable inside one run directory."""
+    """Everything reportable inside one run directory; CorruptArtifact for a damaged file."""
     run_dir = Path(run_dir)
     out: dict = {}
     evals = {}
     for path in sorted(run_dir.glob("eval_*.json")):
-        evals[path.stem.removeprefix("eval_")] = json.loads(path.read_text("utf-8"))
+        evals[path.stem.removeprefix("eval_")] = _read_json(path)
     if evals:
         out["evals"] = evals
     stats = run_dir / "selection_stats.json"
     if stats.exists():
-        out["selection"] = json.loads(stats.read_text("utf-8"))
+        out["selection"] = _read_json(stats)
     schedules = {}
     for path in sorted(run_dir.glob("metrics_*.csv")):
         schedules[path.stem.removeprefix("metrics_")] = _schedule_trace(path)

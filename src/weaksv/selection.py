@@ -200,11 +200,12 @@ def save_selection(result: SelectionResult, directory: str | Path) -> None:
     atomic_write(directory / "selection_stats.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _read_int_records(path: Path, keys: tuple[str, ...]) -> list[tuple[int, ...]]:
-    """The integer fields keys of every record of a JSON-lines file, in file order.
+def _read_int_records(path: Path, limits: dict[str, int]) -> list[tuple[int, ...]]:
+    """The fields named in limits of every record of a JSON-lines file, in file order.
 
     Raises CorruptArtifact for a line that is not a JSON object holding
-    every key with an integer value.
+    each field as an integer in 0..limit-1: ids and labels index rows, so
+    a negative one would silently select another row.
     """
     out = []
     for lineno, line in enumerate(path.read_text("utf-8", errors="replace").splitlines(), 1):
@@ -212,17 +213,18 @@ def _read_int_records(path: Path, keys: tuple[str, ...]) -> list[tuple[int, ...]
             continue
         try:
             rec = json.loads(line)
-            values = tuple(rec[key] for key in keys)
+            values = tuple(rec[key] for key in limits)
         except (ValueError, KeyError, TypeError):
             values = None
-        if values is None or any(type(v) is not int for v in values):
-            raise CorruptArtifact(f"{path} line {lineno} is not a record with integer {', '.join(keys)}")
+        if values is None or any(type(v) is not int or not 0 <= v < n for v, n in zip(values, limits.values())):
+            fields = ", ".join(f"{key} in 0..{n - 1}" for key, n in limits.items())
+            raise CorruptArtifact(f"{path} line {lineno} is not a record with integer {fields}")
         out.append(values)
     return out
 
 
-def load_selection(directory: str | Path) -> list[tuple[int, int]]:
-    return _read_int_records(Path(directory) / "selection.jsonl", ("segment_id", "label"))
+def load_selection(directory: str | Path, n_segments: int, n_speakers: int) -> list[tuple[int, int]]:
+    return _read_int_records(Path(directory) / "selection.jsonl", {"segment_id": n_segments, "label": n_speakers})
 
 
 def save_unknown_pool(pool: UnknownPool, directory: str | Path) -> None:
@@ -232,5 +234,5 @@ def save_unknown_pool(pool: UnknownPool, directory: str | Path) -> None:
     atomic_write(Path(directory) / "unknown_pool.jsonl", "\n".join(lines) + ("\n" if lines else ""))
 
 
-def load_unknown_pool(directory: str | Path) -> list[int]:
-    return [sid for sid, in _read_int_records(Path(directory) / "unknown_pool.jsonl", ("segment_id",))]
+def load_unknown_pool(directory: str | Path, n_segments: int) -> list[int]:
+    return [sid for sid, in _read_int_records(Path(directory) / "unknown_pool.jsonl", {"segment_id": n_segments})]

@@ -488,6 +488,7 @@ CORRUPTIONS = {
     "untargeted_speaker": lambda run: _edit_idx(run, _shift_speakers),
     "empty_segment": lambda run: _edit_idx(run, _empty_first_segment),
     "repeated_cluster_line": lambda run: _edit_idx(run, _repeat_cluster_line),
+    "feat_missing": lambda run: (run / "corpus.feat").unlink(),
 }
 
 # the validate_corpus issue kind a corruption must be reported as
@@ -531,12 +532,12 @@ class TestCorruptArtifact:
             assert f": {CONTRACT_KINDS[case]}: " in stderr, stderr
 
 
-def _assert_reported_error(flags, command, cfg_path, run):
+def _assert_reported_error(flags, command, cfg_path, run, *args):
     """Run one CLI command in a fresh interpreter: exit 1, an error: line, no traceback; returns stderr."""
     env = dict(os.environ, PYTHONPATH=str(Path(weaksv.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, *flags, "-m", "weaksv", command, "--config", str(cfg_path),
-         "--out", str(run)],
+         "--out", str(run), *args],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert any(line.startswith("error:") for line in proc.stderr.splitlines())
@@ -547,6 +548,9 @@ def _assert_reported_error(flags, command, cfg_path, run):
 def _prepend(line):
     return lambda data: line.encode() + b"\n" + data
 
+
+# eval of stage 2 alone, so the report reads the run's own eval_stage1.json
+EVAL_STAGE2 = "eval --checkpoint {run}/stage2.ckpt"
 
 # case -> (command, artifact, edit of its bytes); ids index the segment table,
 # so a negative or past-the-end one would read another segment's row
@@ -569,6 +573,9 @@ ARTIFACT_CORRUPTIONS = {
     "unknown_pool_id_past_end": ("train2", "unknown_pool.jsonl", _prepend('{"segment_id": 99999}')),
     "unknown_pool_negative_id": ("train2", "unknown_pool.jsonl", _prepend('{"segment_id": -1}')),
     "unknown_pool_non_integer": ("train2", "unknown_pool.jsonl", _prepend('{"segment_id": 0.5}')),
+    "metrics_cut_mid_row": ("eval", "metrics_stage1.csv", lambda data: data[:data.rindex(b",")]),
+    "eval_json_cut": (EVAL_STAGE2, "eval_stage1.json", lambda data: data[:len(data) // 2]),
+    "selection_stats_cut": ("eval", "selection_stats.json", lambda data: data[:len(data) // 2]),
 }
 
 
@@ -580,14 +587,22 @@ def test_bad_secondary_artifact_is_an_error(run_dir, tmp_path, capsys, case):
     (run / name).write_bytes(edit((run / name).read_bytes()))
     cfg_path = tmp_path / "unknown.cfg"  # train2 reads the unknown pool too
     cfg_path.write_text(SMALL + "\n[stage2]\nunknown_start_epoch = 2\n")
-    assert main([command, "--config", str(cfg_path), "--out", str(run)]) == 1
+    argv = [word.format(run=run) for word in command.split()]
+    assert main([*argv, "--config", str(cfg_path), "--out", str(run)]) == 1
     assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+
+
+def _optimizer_offset(raw):
+    """Where a checkpoint's optimizer section starts: after the 24-byte header and the parameters."""
+    feat, hidden, emb, n_speakers = struct.unpack_from("<4I", raw, 8)
+    return 24 + 8 * (hidden * feat + hidden + emb * hidden + emb + n_speakers * emb)
 
 
 CHECKPOINT_CORRUPTIONS = {
     "truncated": lambda raw: raw[:len(raw) // 2],
     "bad_magic": lambda raw: b"XXXX" + raw[4:],
     "trailing_bytes": lambda raw: raw + b"\x00" * 8,
+    "cut_at_optimizer": lambda raw: raw[:_optimizer_offset(raw)],
 }
 
 
@@ -598,6 +613,43 @@ def test_select_reports_corrupt_checkpoint(run_dir, tmp_path, case):
     ckpt = run / "stage1.ckpt"
     ckpt.write_bytes(CHECKPOINT_CORRUPTIONS[case](ckpt.read_bytes()))
     _assert_reported_error([], "select", run_dir.parent / "small.cfg", run)
+
+
+def test_checkpoint_that_is_a_directory_is_an_error(run_dir, tmp_path):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    (run / "stage1.ckpt").unlink()
+    (run / "stage1.ckpt").mkdir()
+    stderr = _assert_reported_error([], "select", run_dir.parent / "small.cfg", run)
+    assert f"error: {run / 'stage1.ckpt'}: " in stderr
+
+
+def test_gen_out_that_is_a_file_is_an_error(tmp_path):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(SMALL)
+    out = tmp_path / "run"
+    out.write_text("not a run directory\n")
+    _assert_reported_error([], "gen", cfg_path, out)
+    assert out.read_text() == "not a run directory\n"
+
+
+def _tree(run):
+    return {path.relative_to(run): path.read_bytes() for path in sorted(run.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("case", ["checkpoint_missing", "second_checkpoint_truncated"])
+def test_eval_reads_every_input_before_writing(run_dir, tmp_path, case):
+    """A failed eval leaves the run directory as it was: no new snapshot, scores or eval files."""
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    args = ["--seed", "5"]  # config.snapshot would change if eval wrote it
+    if case == "checkpoint_missing":
+        args += ["--checkpoint", str(run / "missing.ckpt")]
+    else:
+        (run / "stage2.ckpt").write_bytes((run / "stage2.ckpt").read_bytes()[:100])
+    before = _tree(run)
+    _assert_reported_error([], "eval", run_dir.parent / "small.cfg", run, *args)
+    assert _tree(run) == before
 
 
 class TestDeterminism:

@@ -212,7 +212,7 @@ def test_trials_tsv_round_trip(tmp_path, small_corpus):
     corpus = assign_heldout_split(small_corpus, 0.25, seed=4)
     trials = split_trials(corpus, 20, 20, seed=5)
     save_trials(trials, tmp_path / "trials.tsv")
-    assert load_trials(tmp_path / "trials.tsv") == trials
+    assert load_trials(tmp_path / "trials.tsv", len(corpus.segments)) == trials
 
 
 def _per_segment_means(segments):

@@ -134,20 +134,14 @@ class TestCheckpointIO:
             assert np.array_equal(loaded.params[name], ckpt.params[name])
             assert np.array_equal(loaded.velocities[name], ckpt.velocities[name])
 
-    def test_params_only_round_trip(self, tmp_path):
-        params = _random_model(8)
-        save_checkpoint(Checkpoint(CFG, params), tmp_path / "bare.ckpt")
-        loaded = load_checkpoint(tmp_path / "bare.ckpt")
-        assert loaded.velocities is None
-        assert np.array_equal(loaded.params["P"], params["P"])
-
     def test_rejects_wrong_magic(self, tmp_path):
         (tmp_path / "bad.ckpt").write_bytes(b"XXXX" + b"\x00" * 64)
         with pytest.raises(CorruptArtifact):
             load_checkpoint(tmp_path / "bad.ckpt")
 
     @pytest.mark.parametrize("case", ["short_header", "bad_version", "zero_dim", "truncated",
-                                      "truncated_optimizer", "trailing_bytes", "bad_opt_magic"])
+                                      "truncated_optimizer", "trailing_bytes", "bad_opt_magic",
+                                      "cut_at_optimizer"])
     def test_rejects_damage(self, tmp_path, case):
         save_checkpoint(self._checkpoint(), tmp_path / "model.ckpt")
         raw = bytearray((tmp_path / "model.ckpt").read_bytes())
@@ -161,6 +155,7 @@ class TestCheckpointIO:
             "truncated_optimizer": lambda: raw[:-8],
             "trailing_bytes": lambda: raw + b"\x00" * 8,
             "bad_opt_magic": lambda: raw[:opt_at] + b"XXXX" + raw[opt_at + 4:],
+            "cut_at_optimizer": lambda: raw[:opt_at],  # the parameters alone
         }[case]()
         (tmp_path / "model.ckpt").write_bytes(bytes(damaged))
         with pytest.raises(CorruptArtifact):

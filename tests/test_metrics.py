@@ -11,7 +11,6 @@ from weaksv.metrics import (
     ScoreSet,
     compute_eer,
     compute_mindcf,
-    load_scores,
     make_report,
     save_scores,
     score_trials,
@@ -161,21 +160,11 @@ class TestScoreTrials:
         corpus, trials, ckpt = setup
         ss = score_trials(ckpt, corpus, trials)
         save_scores(ss, trials, tmp_path / "scores.tsv")
-        loaded = load_scores(tmp_path / "scores.tsv")
-        assert np.array_equal(loaded.scores, ss.scores)
-        assert np.array_equal(loaded.labels, ss.labels)
-
-
-@pytest.mark.parametrize("line", [
-    b"0\t1\tx\t1", b"0\t1\t0.5\t2", b"0\t1\t0.5", b"0\t1\t0.5\t1\t1", b"0.5\t1\t0.5\t0",
-    b"0\t1\t0.5\t\xff", b"0\t\xff\t0.5\t1",
-], ids=["score_not_a_float", "label_2", "missing_field", "extra_field", "id_not_an_integer",
-        "label_not_utf8", "id_not_utf8"])
-def test_load_scores_rejects_malformed_line(tmp_path, line):
-    path = tmp_path / "scores.tsv"
-    path.write_bytes(b"3\t4\t0.25\t1\n" + line + b"\n")
-    with pytest.raises(CorruptArtifact, match="line 2"):
-        load_scores(path)
+        lines = (tmp_path / "scores.tsv").read_text().splitlines()
+        assert [line.split("\t") for line in lines] == [
+            [str(t.enroll_id), str(t.test_id), repr(float(s)), str(int(t.is_target))]
+            for t, s in zip(trials, ss.scores)]
+        assert [float(line.split("\t")[2]) for line in lines] == ss.scores.tolist()
 
 
 class TestMakeReport:
@@ -193,6 +182,20 @@ class TestMakeReport:
         assert report["selection"]["precision"] == 0.97
         assert report["schedules"]["stage1"]["steps"] == 2
         assert (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("name, data", [
+        ("eval_stage1.json", b'{"eer": 0.01, "min'),
+        ("eval_stage1.json", b'{"eer": "\xff"}'),
+        ("selection_stats.json", b""),
+        ("metrics_stage1.csv", b"step,epoch,lr,margin,tau,loss\n1,0,0.01,0.0,0.5\n"),
+        ("metrics_stage1.csv", b"step,epoch,lr,margin,tau,loss\n1,0,0.01,0.0,0.5,x\n"),
+        ("metrics_stage1.csv", b"step,epoch,lr,margin,tau,loss\n1,0,0.01,0.0,0.5,3.2"),
+    ], ids=["eval_cut", "eval_not_utf8", "stats_empty", "row_of_five", "loss_not_a_number", "row_cut"])
+    def test_damaged_file_rejected(self, tmp_path, name, data):
+        (tmp_path / name).write_bytes(data)
+        with pytest.raises(CorruptArtifact, match=name):
+            make_report(tmp_path)
+        assert not (tmp_path / "report.json").exists()
 
     def test_ablation_grid_rows(self, tmp_path):
         for name in ("m1", "m2", "m3", "m4", "m5", "m6"):

@@ -191,8 +191,8 @@ def test_selection_artifacts_round_trip(tmp_path, trained):
     pool = select_unknown_pool(scored, top_k=3, fraction=0.5)
     save_selection(result, tmp_path)
     save_unknown_pool(pool, tmp_path)
-    assert load_selection(tmp_path) == sorted(result.selected)
-    assert load_unknown_pool(tmp_path) == pool.segment_ids
+    assert load_selection(tmp_path, len(corpus.segments), corpus.n_speakers) == sorted(result.selected)
+    assert load_unknown_pool(tmp_path, len(corpus.segments)) == pool.segment_ids
     stats_text = (tmp_path / "selection_stats.json").read_text()
     assert '"precision"' in stats_text and '"recall"' in stats_text
 
