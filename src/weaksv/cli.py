@@ -26,11 +26,12 @@ from . import config as cfgmod
 from . import corpus as corpusmod
 from . import metrics as metricsmod
 from . import selection as selmod
-from .corpus import load_manifest, load_trials, save_manifest, save_oracle, save_trials, validate_corpus
+from .corpus import (load_manifest, load_trials, save_index, save_manifest, save_oracle, save_trials,
+                     validate_corpus)
 from .diarize import PRESETS, apply_diarization
 from .embedder import Checkpoint, load_checkpoint, save_checkpoint
-from .errors import ConfigError, MissingArtifacts, WeaksvError
-from .fileio import atomic_write
+from .errors import ConfigError, CorruptArtifact, MissingArtifacts, WeaksvError
+from .fileio import MMAP_THRESHOLD, atomic_write
 from .rng import derive_key, mix64
 from .synth import generate_corpus
 from .trainer import TrainResult, ablation_stage1_configs, save_metrics_csv, train_stage1, train_stage2
@@ -42,6 +43,13 @@ def _snapshot_config(cfg: cfgmod.RunConfig, out: Path) -> None:
 
 
 # Stage steps: the per-stage commands and ablate share them.
+
+def _check_checkpoint(ckpt: Checkpoint, path: Path, corpus: corpusmod.Corpus, speakers: bool) -> None:
+    """Reject a checkpoint whose feature dimension, or (if speakers) speaker count, is not the corpus's."""
+    if ckpt.config.feat_dim != corpus.feat_dim or (speakers and ckpt.n_speakers != corpus.n_speakers):
+        raise CorruptArtifact(f"{path} was trained on {ckpt.n_speakers} speakers and {ckpt.config.feat_dim}-dim "
+                              f"features, but the corpus has {corpus.n_speakers} and {corpus.feat_dim}")
+
 
 def _save_run(result: TrainResult, out: Path, stage: int) -> None:
     """Write a training stage's checkpoint and per-step metrics."""
@@ -105,7 +113,7 @@ def cmd_diar(cfg: cfgmod.RunConfig, args) -> None:
     diar = replace(cfg.diar, seed=derive_key(mix64(cfg.seed), "diar"))
     corpus = apply_diarization(load_manifest(out), diar)
     _snapshot_config(cfg, out)
-    save_manifest(corpus, out)
+    save_index(corpus, out)  # the segment table, and so corpus.feat, is unchanged
     n_clusters = sum(len(r.clusters) for r in corpus.recordings)
     print(f"diar: rewrote clusters for {len(corpus.recordings)} recordings ({n_clusters} clusters)")
 
@@ -121,8 +129,11 @@ def cmd_train1(cfg: cfgmod.RunConfig, args) -> None:
 
 def cmd_select(cfg: cfgmod.RunConfig, args) -> None:
     out = cfg.out
-    ckpt = load_checkpoint(out / "stage1.ckpt")
-    result, pool = _self_label(cfg, load_manifest(out), ckpt)
+    path = out / "stage1.ckpt"
+    ckpt = load_checkpoint(path)
+    corpus = load_manifest(out)
+    _check_checkpoint(ckpt, path, corpus, speakers=True)
+    result, pool = _self_label(cfg, corpus, ckpt)
     _snapshot_config(cfg, out)
     _save_selection(result, pool, out)
     st = result.stats
@@ -152,6 +163,8 @@ def cmd_eval(cfg: cfgmod.RunConfig, args) -> None:
     if not paths:
         raise MissingArtifacts(f"no stage checkpoints in {out}")
     checkpoints = [load_checkpoint(path) for path in paths]
+    for path, ckpt in zip(paths, checkpoints):
+        _check_checkpoint(ckpt, path, corpus, speakers=False)  # scoring reads embeddings only
     _snapshot_config(cfg, out)
     for path, ckpt in zip(paths, checkpoints):
         payload = _evaluate(cfg, corpus, trials, ckpt, path, out)
@@ -226,7 +239,7 @@ def _no_hugepage_advice() -> None:
 
 
 def _pin_malloc_thresholds() -> None:
-    """Fix glibc's mmap threshold at 4 MiB and its trim threshold at 32 MiB.
+    """Fix glibc's mmap threshold at MMAP_THRESHOLD (4 MiB) and its trim threshold at 32 MiB.
 
     glibc raises both each time a large mapped block is freed (the mmap
     threshold up to 32 MiB), and then serves such blocks from the heap,
@@ -245,7 +258,7 @@ def _pin_malloc_thresholds() -> None:
     except (OSError, AttributeError):
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-3, MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
     mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
 
 

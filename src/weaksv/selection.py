@@ -12,12 +12,12 @@ the target speaking), ranked by the unnormalized log-sum-exp of their
 scaled logits as a confidence score, truncated to the top fraction.
 
 Both read one scoring of the training segments (score_train_segments),
-built on one walk of the training recordings, which yields every
-segment's target next to its row: no per-segment recording lookup. The
-scoring embeds the rows ROW_BLOCK at a time and reduces each block's
-cosines to the per-row values the two read (predicted class, target
-cosine, target rank, logit log-sum-exp), so its scratch memory is
-O(ROW_BLOCK x speakers + rows), never rows x speakers. Per row the
+which takes every segment's target from the corpus's cluster table, next
+to its row: no per-segment recording lookup. The scoring embeds the rows
+ROW_BLOCK at a time and reduces each block's cosines to the per-row
+values the two read (predicted class, target cosine, target rank, logit
+log-sum-exp), so its scratch memory is O(ROW_BLOCK x speakers + rows),
+never rows x speakers. Per row the
 arithmetic (rank tie rule, max-shifted exp sum, math.log) is that of a
 row-by-row loop over the whole cosine matrix, so its results equal that
 loop's bit for bit.
@@ -95,9 +95,9 @@ def score_train_segments(corpus: Corpus, checkpoint: Checkpoint, scale: float = 
     product to BLAS gemv, whose last bit can differ from gemm's.
     """
     pooled = corpus.mean_frames()
+    members, member_targets = _train_members(corpus)
     owner_target = np.full(len(corpus.segments), -1, dtype=np.int64)
-    for rec in corpus.train_recordings():
-        owner_target[rec.segment_ids()] = rec.target
+    owner_target[members] = member_targets
     sids = np.flatnonzero(owner_target >= 0)
     targets = owner_target[sids]
     n, cols = len(sids), np.arange(checkpoint.n_speakers)
@@ -121,6 +121,14 @@ def score_train_segments(corpus: Corpus, checkpoint: Checkpoint, scale: float = 
     return ScoredSegments(sids, len(cols), targets, predicted, target_cosines, ranks, lse)
 
 
+def _train_members(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
+    """Every cluster member of a training recording and that recording's target, in cluster-table order."""
+    table = corpus.cluster_table()
+    owner = np.repeat(np.repeat(np.arange(table.ids.size), table.n_clusters), table.sizes)  # member -> recording
+    train = ~table.heldout[owner]
+    return table.members[train], table.targets[owner[train]]
+
+
 def self_label(corpus: Corpus, scored: ScoredSegments) -> SelectionResult:
     """Keep each diarized segment iff its argmax class equals the target."""
     rows = np.flatnonzero(scored.predicted == scored.targets)
@@ -134,26 +142,22 @@ def self_label(corpus: Corpus, scored: ScoredSegments) -> SelectionResult:
 
 def selection_stats(result: SelectionResult, corpus: Corpus) -> SelectionStats:
     """Precision/recall of the selection against the oracle labels."""
-    oracle = corpus.segments.oracle.tolist()
-    n_frames = np.diff(corpus.segments.bounds).tolist()
-    oracle_target: set[int] = set()
-    oracle_frames = 0
-    for rec in corpus.train_recordings():
-        for sid in rec.segment_ids():
-            if oracle[sid] == rec.target:
-                oracle_target.add(sid)
-                oracle_frames += n_frames[sid]
-    correct = sum(1 for sid, _ in result.selected if sid in oracle_target)
+    n_frames = np.diff(corpus.segments.bounds)
+    members, targets = _train_members(corpus)
+    hits = members[corpus.segments.oracle[members] == targets]  # oracle-positive: voices its recording's target
+    oracle_target = np.zeros(len(corpus.segments), dtype=bool)
+    oracle_target[hits] = True
+    n_oracle = int(np.count_nonzero(oracle_target))
+    selected = np.array([sid for sid, _ in result.selected], dtype=np.int64)
+    correct = int(np.count_nonzero(oracle_target[selected]))
     coverage: dict[int, int] = {}
-    frames = 0
-    for sid, label in result.selected:
+    for _, label in result.selected:
         coverage[label] = coverage.get(label, 0) + 1
-        frames += n_frames[sid]
     empty = not result.selected
     precision = 0.0 if empty else correct / len(result.selected)
-    recall = 0.0 if not oracle_target else correct / len(oracle_target)
-    return SelectionStats(precision, recall, len(result.selected), len(oracle_target),
-                          frames, oracle_frames, coverage, empty)
+    recall = 0.0 if not n_oracle else correct / n_oracle
+    return SelectionStats(precision, recall, len(result.selected), n_oracle,
+                          int(n_frames[selected].sum()), int(n_frames[hits].sum()), coverage, empty)
 
 
 def select_unknown_pool(scored: ScoredSegments, top_k: int = 10, fraction: float = 0.05) -> UnknownPool:

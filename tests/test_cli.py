@@ -592,6 +592,58 @@ def test_bad_secondary_artifact_is_an_error(run_dir, tmp_path, capsys, case):
     assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
 
 
+# a second tiny corpus -> SMALL with these edits; its stage-1 checkpoint must not pass as SMALL's
+OTHER_CORPORA = {
+    "more_speakers": [("n_speakers = 6", "n_speakers = 8")],
+    "fewer_speakers": [("n_speakers = 6", "n_speakers = 4")],
+    "other_feat_dim": [("[synth]\n", "[synth]\nfeat_dim = 12\n")],
+}
+
+
+@pytest.fixture(scope="module")
+def other_checkpoints(tmp_path_factory):
+    """name -> stage1.ckpt trained for one epoch on each of OTHER_CORPORA."""
+    root = tmp_path_factory.mktemp("other")
+    paths = {}
+    for name, edits in OTHER_CORPORA.items():
+        text = SMALL.replace("epochs = 8", "epochs = 1")
+        for old, new in edits:
+            text = text.replace(old, new)
+        cfg_path, out = root / f"{name}.cfg", root / name
+        cfg_path.write_text(text)
+        for cmd in ("gen", "train1"):
+            assert main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
+        paths[name] = out / "stage1.ckpt"
+    return paths
+
+
+@pytest.mark.parametrize("command, other", [
+    ("select", "more_speakers"),  # exited 0 with a selection by the other corpus's model
+    ("select", "fewer_speakers"),  # an IndexError traceback
+    ("select", "other_feat_dim"),
+    ("eval", "other_feat_dim"),  # a matmul traceback
+])
+def test_checkpoint_of_another_corpus_is_an_error(run_dir, other_checkpoints, tmp_path, capsys, command, other):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    shutil.copyfile(other_checkpoints[other], run / "stage1.ckpt")
+    before = _tree(run)
+    assert main([command, "--config", str(run_dir.parent / "small.cfg"), "--out", str(run), "--seed", "5"]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "stage1.ckpt was trained on" in errors[0], errors
+    assert _tree(run) == before
+
+
+def test_eval_scores_a_checkpoint_of_another_speaker_count(run_dir, other_checkpoints, tmp_path):
+    """Scoring reads embeddings only, so a checkpoint with the corpus's feature dimension is scored."""
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    other = other_checkpoints["more_speakers"]
+    assert main(["eval", "--config", str(run_dir.parent / "small.cfg"), "--out", str(run),
+                 "--checkpoint", str(other)]) == 0
+    assert json.loads((run / "eval_stage1.json").read_text())["checkpoint"] == "stage1.ckpt"
+
+
 def _optimizer_offset(raw):
     """Where a checkpoint's optimizer section starts: after the 24-byte header and the parameters."""
     feat, hidden, emb, n_speakers = struct.unpack_from("<4I", raw, 8)
