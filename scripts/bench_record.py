@@ -14,7 +14,12 @@ flipping at every step, and writes one file for each. The file holds:
   code digest, as the harness reports them;
 - per workload, `end_to_end`: the harness's metrics, plus `wall_s` and
   each CLI stage's time as the median and quartiles over the untraced
-  passes (from the harness's per-pass stage times);
+  passes (from the harness's per-pass stage times), and each CLI stage's
+  peak resident memory as `stage.<stage>_peak_rss_mib`. The harness runs
+  every stage of every pass in its own process, so its `peak_rss_mib`
+  shows only the largest; here each stage runs once more, on its own, in
+  a fresh interpreter on the tree's sources (`weaksv.cli.main`, as
+  `python -m weaksv` runs it), so every stage's peak shows;
 - per workload, `per_layer`: the traced run's spans and counts.
 
 It then compares the file with a previous one and lists in `flags`:
@@ -22,9 +27,9 @@ It then compares the file with a previous one and lists in `flags`:
   file's interquartile range;
 - every deterministic figure (counts, losses, quality, success rate)
   that differs at all.
-Figures the harness reports as one number with no spread (setup_s,
-peak_rss_mib and the per-layer timings) are listed as ratios under
-`ratios` and are not flagged: one run gives no range to compare with.
+Figures with one number and no spread (setup_s, the peak RSS figures
+and the per-layer timings) are listed as ratios under `ratios` and are
+not flagged: one run gives no range to compare with.
 The previous file is `--previous`, else the newest other BENCH_*.json
 beside it; with a parent tree, the change is compared with the parent's
 file, and the parent's file with that previous one. Two files are
@@ -36,16 +41,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import runpy
 import statistics
 import subprocess
 import sys
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("pipeline", "ablate", "scale")
-# Harness figures with a single value and no spread: compared as ratios only.
+# Name endings of figures with a single value and no spread: compared as ratios only.
 UNSPREAD = ("setup_s", "peak_rss_mib")
+# A CLI stage in a fresh interpreter that prints its peak resident memory in KiB. The peak is
+# VmHWM, the high-water mark of the process's own address space: ru_maxrss would also count
+# this script, since Linux carries that mark across exec.
+STAGE_CHILD = ("import sys; from weaksv.cli import main; code = main(sys.argv[1:]); "
+               "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0]); sys.exit(code)")
 
 
 def run_harness(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -56,6 +69,22 @@ def run_harness(tree: Path, workload: str, seed: int, seconds: float, trace: int
         cwd=tree, capture_output=True, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
     return json.loads(lines[-2]), json.loads(lines[-1])
+
+
+def stage_peaks(tree: Path, workload: str, seed: int) -> dict[str, float]:
+    """stage.<stage>_peak_rss_mib of each CLI stage of the tree's full-size workload, each run in a fresh process."""
+    spec = runpy.run_path(str(tree / "bench" / "workloads.py"))["WORKLOADS"][workload]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")])))
+    peaks = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        cfg_path, run = Path(scratch) / f"{workload}.cfg", Path(scratch) / "run"
+        cfg_path.write_text(spec.configs["full"], encoding="utf-8")
+        for stage, *extra in spec.stages:
+            proc = subprocess.run(
+                [sys.executable, "-c", STAGE_CHILD, stage, "--config", str(cfg_path), "--out", str(run),
+                 "--seed", str(seed), *extra], cwd=tree, env=env, capture_output=True, text=True, check=True)
+            peaks[f"stage.{stage}_peak_rss_mib"] = int(proc.stdout.split()[-1]) / 1024
+    return peaks
 
 
 def spread(values: list[float]) -> dict:
@@ -97,6 +126,7 @@ def record_trees(trees: dict[str, Path], seed: int, seconds: float) -> dict[str,
                 figures = docs[label]["workloads"].setdefault(workload, {})
                 if trace == 0:
                     figures.update(passes=record["passes"], end_to_end=end_to_end_figures(workload, record, result))
+                    figures["end_to_end"].update(stage_peaks(trees[label], workload, seed))
                 else:
                     figures.update(traced_passes=record["passes"], per_layer=per_layer_figures(workload, record, result))
             order.reverse()
@@ -126,7 +156,7 @@ def compare(new: dict, old: dict) -> tuple[list[str], dict[str, float]]:
                     if not was["q1"] <= value["median"] <= was["q3"]:
                         flags.append(f"{where}: median {value['median']:.4g} outside the previous "
                                      f"IQR {was['q1']:.4g}..{was['q3']:.4g} (median {was['median']:.4g})")
-                elif name in UNSPREAD or is_timing(name):
+                elif name.endswith(UNSPREAD) or is_timing(name):
                     if was:
                         ratios[where] = value / was
                 elif value != was:

@@ -26,12 +26,11 @@ from . import config as cfgmod
 from . import corpus as corpusmod
 from . import metrics as metricsmod
 from . import selection as selmod
-from .corpus import (load_manifest, load_trials, save_index, save_manifest, save_oracle, save_trials,
-                     validate_corpus)
+from .corpus import load_manifest, load_trials, save_manifest, save_oracle, save_trials, validate_corpus
 from .diarize import PRESETS, apply_diarization
 from .embedder import Checkpoint, load_checkpoint, save_checkpoint
 from .errors import ConfigError, CorruptArtifact, MissingArtifacts, WeaksvError
-from .fileio import MMAP_THRESHOLD, atomic_write
+from .fileio import atomic_write
 from .rng import derive_key, mix64
 from .synth import generate_corpus
 from .trainer import TrainResult, ablation_stage1_configs, save_metrics_csv, train_stage1, train_stage2
@@ -92,14 +91,23 @@ def _evaluate(cfg: cfgmod.RunConfig, corpus: corpusmod.Corpus, trials: list[corp
 
 # Commands: each takes the run configuration and the parsed arguments.
 
-def cmd_gen(cfg: cfgmod.RunConfig, args) -> None:
-    corpus = generate_corpus(cfg.synth)
+def _generate(cfg: cfgmod.RunConfig, feat) -> tuple[corpusmod.Corpus, list[corpusmod.Trial]]:
+    """Render the corpus into the open corpus.feat file feat, split it, check it and draw its trials."""
+    corpus = generate_corpus(cfg.synth, feat)
     corpus = corpusmod.assign_heldout_split(corpus, cfg.heldout_fraction, cfg.seed)
     issues = validate_corpus(corpus)
     if issues:
         raise WeaksvError(f"generated corpus failed validation: {issues[:3]}")
-    trials = corpusmod.split_trials(corpus, cfg.n_target_trials, cfg.n_nontarget_trials, cfg.seed)
+    return corpus, corpusmod.split_trials(corpus, cfg.n_target_trials, cfg.n_nontarget_trials, cfg.seed)
+
+
+def cmd_gen(cfg: cfgmod.RunConfig, args) -> None:
     out = cfg.out
+    out.mkdir(parents=True, exist_ok=True)
+    # the frames go to corpus.feat as they are rendered; the file is renamed into
+    # place only once the corpus is checked and its trials drawn, so a failed gen
+    # leaves no file behind
+    corpus, trials = atomic_write(out / corpusmod.FEAT_NAME, lambda feat: _generate(cfg, feat))
     _snapshot_config(cfg, out)
     save_manifest(corpus, out)
     save_oracle(corpus, out)
@@ -113,7 +121,7 @@ def cmd_diar(cfg: cfgmod.RunConfig, args) -> None:
     diar = replace(cfg.diar, seed=derive_key(mix64(cfg.seed), "diar"))
     corpus = apply_diarization(load_manifest(out), diar)
     _snapshot_config(cfg, out)
-    save_index(corpus, out)  # the segment table, and so corpus.feat, is unchanged
+    save_manifest(corpus, out)  # the segment table, and so corpus.feat, is unchanged
     n_clusters = sum(len(r.clusters) for r in corpus.recordings)
     print(f"diar: rewrote clusters for {len(corpus.recordings)} recordings ({n_clusters} clusters)")
 
@@ -236,6 +244,10 @@ def _no_hugepage_advice() -> None:
     """
     core = getattr(np, "_core", None) or np.core
     core.multiarray._set_madvise_hugepage(False)
+
+
+# malloc serves a block of this many bytes or more from freshly mapped pages.
+MMAP_THRESHOLD = 4 << 20
 
 
 def _pin_malloc_thresholds() -> None:

@@ -6,14 +6,15 @@ Per-segment oracle speaker identities are retained alongside for
 evaluation only; training code never consults them.
 
 Segments live in one table (`Segments`), indexed by segment id 0..n-1:
-a float32 (total_frames, feat_dim) frame matrix, an (n+1,) row-bounds
-array and an (n,) oracle array. The segments tile the matrix in id
-order: segment i is rows bounds[i]:bounds[i+1], bounds[0] is 0 and
-bounds[n] the row count, exactly as corpus.feat stores them. So an id
-is also a row of any per-segment array, such as the pooled means.
+an (n, feat_dim) float64 matrix of pooled frame means, an (n+1,)
+row-bounds array and an (n,) oracle array. Segment i is rows
+bounds[i]:bounds[i+1] of the frame matrix in corpus.feat, bounds[0] is 0
+and bounds[n] the row count. The frames themselves are never held in
+memory: they are pooled a block at a time as they are rendered (synth)
+or read (load_manifest), and every stage reads only the means.
 
 On-disk layout (one directory):
-  corpus.idx   line-oriented text: R/C/S records (see save_index)
+  corpus.idx   line-oriented text: R/C/S records (see save_manifest)
   corpus.feat  16-byte header + float32 little-endian frame matrix
   oracle.tsv   segment_id <tab> oracle_label (evaluation sidecar)
   trials.tsv   enroll_id <tab> test_id <tab> {0,1}
@@ -28,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptArtifact, EmptyInput, InsufficientSegments
-from .fileio import atomic_write, read_or_map
+from .errors import CorruptArtifact, InsufficientSegments
+from .fileio import atomic_write
 from .rng import Rng
 
 # Oracle label sentinels. Known speakers are dense ids 0..n_speakers-1;
@@ -48,9 +49,10 @@ TRIALS_NAME = "trials.tsv"
 
 @dataclass(eq=False)
 class Segments:
-    """The segment table: segment i is frames[bounds[i]:bounds[i+1]], oracle label oracle[i]."""
+    """The segment table: segment i has frame mean means[i], oracle label oracle[i] and, in
+    corpus.feat, frame rows bounds[i]:bounds[i+1]."""
 
-    frames: np.ndarray  # (total_frames, feat_dim) float32
+    means: np.ndarray  # (n, feat_dim) float64, read-only
     bounds: np.ndarray  # (n + 1,) int64, bounds[0] == 0, bounds[n] == total_frames
     oracle: np.ndarray  # (n,) int64
 
@@ -98,17 +100,15 @@ class Corpus:
     """n_speakers, the recordings and the segment table.
 
     A corpus is not edited after construction (diarization and splitting
-    build a new one), so its pooled means and cluster table are built on
-    first use and kept. A corpus made from a cluster table (from_table, as
-    load_manifest does) slices its Recording lists from that table on
-    first use instead.
+    build a new one), so its cluster table is built on first use and kept.
+    A corpus made from a cluster table (from_table, as load_manifest does)
+    slices its Recording lists from that table on first use instead.
     """
 
     def __init__(self, n_speakers: int, recordings: list[Recording] | None, segments: Segments):
         self.n_speakers = n_speakers
         self.segments = segments
         self._recordings = recordings
-        self._pooled: np.ndarray | None = None
         self._clusters: ClusterTable | None = None
 
     @classmethod
@@ -125,7 +125,7 @@ class Corpus:
 
     @property
     def feat_dim(self) -> int:
-        return self.segments.frames.shape[1]
+        return self.segments.means.shape[1]
 
     def train_recordings(self) -> list[Recording]:
         return [r for r in self.recordings if not r.heldout]
@@ -139,17 +139,13 @@ class Corpus:
     def mean_frames(self) -> np.ndarray:
         """Per-segment frame means as a float64 matrix; row i is segment i.
 
-        Features are fixed for the lifetime of a corpus, so pooled means
-        are computed once and reused by training and scoring. Every call
-        returns the same read-only matrix. Raises EmptyInput for a
-        segment without frames.
+        The segment table's means, pooled when the frames were rendered or
+        read: every call returns the same read-only matrix.
         """
-        if self._pooled is None:
-            self._pooled = _pool_means(self.segments)
-        return self._pooled
+        return self.segments.means
 
     def cluster_table(self) -> ClusterTable:
-        """The clusters as one ClusterTable, built on first use like mean_frames (or given to from_table).
+        """The clusters as one ClusterTable, built on first use and kept (or given to from_table).
 
         Raises OverflowError for an id, target or member past int64.
         """
@@ -163,30 +159,23 @@ class Corpus:
         return self._clusters
 
 
-# Segments pooled per reduceat call: bounds the float64 copy of their frames.
+# Segments pooled per block a load reads: bounds the block's float32 buffer and its float64 copy.
 POOL_BLOCK = 256
 
 
-def _pool_means(segments: Segments) -> np.ndarray:
-    """Frame means in segment-id order, one reduceat per block of segments.
+def pool_frames(frames: np.ndarray, lengths: np.ndarray, out: np.ndarray) -> None:
+    """Write to out the frame means of consecutive segments: segment i is the next lengths[i] rows of frames.
 
-    reduceat adds a block's rows in frame order and the division is by the
-    frame count, the same arithmetic as features.astype(float64).mean(0),
-    so the means are bitwise equal to it.
+    reduceat adds each segment's rows in frame order and the division is
+    by its frame count, the same arithmetic as
+    frames.astype(float64).mean(0) per segment, so the means are bitwise
+    equal to it. A segment without frames gets a mean of 0 (validate_corpus
+    reports it).
     """
-    bounds = segments.bounds
-    lengths = np.diff(bounds)
-    if lengths.size and lengths.min() < 1:
-        raise EmptyInput(f"segment {int(np.argmin(lengths))} has no frames")
-    mat = np.empty((len(segments), segments.frames.shape[1]), dtype=np.float64)
-    for a in range(0, len(segments), POOL_BLOCK):
-        b = min(a + POOL_BLOCK, len(segments))
-        out = mat[a:b]
-        block = segments.frames[bounds[a]:bounds[b]].astype(np.float64)
-        np.add.reduceat(block, bounds[a:b] - bounds[a], axis=0, out=out)
-        out /= lengths[a:b, None]
-    mat.flags.writeable = False
-    return mat
+    full = lengths > 0
+    out[~full] = 0.0
+    starts = np.cumsum(lengths) - lengths
+    out[full] = np.add.reduceat(frames.astype(np.float64), starts[full], axis=0) / lengths[full, None]
 
 
 @dataclass(frozen=True)
@@ -214,7 +203,9 @@ def validate_corpus(corpus: Corpus) -> list[ValidationIssue]:
     segments, n_speakers = corpus.segments, corpus.n_speakers
     issues = [("EmptySegment", f"segment {sid} has no frames")
               for sid in np.flatnonzero(np.diff(segments.bounds) < 1).tolist()]
-    issues += [("NonFiniteFeatures", f"segment {sid} contains NaN or inf") for sid in _non_finite_segments(segments)]
+    # a float64 sum of finite float32 frames cannot overflow, so a mean is finite exactly when its frames are
+    issues += [("NonFiniteFeatures", f"segment {sid} contains NaN or inf")
+               for sid in np.flatnonzero(~np.isfinite(segments.means).all(axis=1)).tolist()]
 
     table = corpus.cluster_table()
     ids, targets, n_clusters, sizes, members = (
@@ -245,20 +236,6 @@ def validate_corpus(corpus: Corpus) -> list[ValidationIssue]:
         issues.append(("UntargetedSpeaker", f"{n_speakers - len(targeted)} speaker(s), the first {first}, "
                                             "are the target of no recording"))
     return [ValidationIssue(kind, message) for kind, message in issues]
-
-
-def _non_finite_segments(segments: Segments) -> list[int]:
-    """Ids of segments holding a NaN or inf, ascending; the row-wise search runs only if one exists.
-
-    The sum is finite unless a value is not, or (for huge values) the sum
-    overflows, when the search finds no segment: unlike isfinite(frames),
-    it needs no temporary the size of the frame matrix.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # inf + -inf, or an overflow, are the answers sought
-        if np.isfinite(segments.frames.sum()):
-            return []
-    bad_rows = np.flatnonzero(~np.isfinite(segments.frames).all(axis=1))
-    return np.unique(np.searchsorted(segments.bounds, bad_rows, side="right") - 1).tolist()
 
 
 def assign_heldout_split(corpus: Corpus, heldout_fraction: float, seed: int) -> Corpus:
@@ -357,7 +334,7 @@ def split_trials(corpus: Corpus, n_target: int, n_nontarget: int, seed: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def save_index(corpus: Corpus, directory: str | Path) -> None:
+def save_manifest(corpus: Corpus, directory: str | Path) -> None:
     """Write corpus.idx, one record per line:
       R <recording_id> <target> <n_clusters> <train|heldout>
       C <cluster_id> <segment_id> ...
@@ -366,8 +343,14 @@ def save_index(corpus: Corpus, directory: str | Path) -> None:
     for every segment in id order, where <offset> is its first frame row
     inside corpus.feat. Fields are separated by one space. The lines are
     written as they are made, so no copy of the whole text is held.
+
+    corpus.feat is written only as the frames are rendered (see
+    synth.generate_corpus): its features are float32 little-endian,
+    row-major, in segment-id order, after the 16-byte feat_header.
     """
-    atomic_write(Path(directory) / IDX_NAME, (line.encode() for line in _index_lines(corpus)))
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    atomic_write(directory / IDX_NAME, (line.encode() for line in _index_lines(corpus)))
 
 
 def _index_lines(corpus: Corpus):
@@ -381,22 +364,13 @@ def _index_lines(corpus: Corpus):
         yield f"S {sid} {oracle} {end - start} {start}\n"
 
 
-def save_manifest(corpus: Corpus, directory: str | Path) -> None:
-    """Write corpus.idx (see save_index) and corpus.feat.
-
-    Features are stored float32 little-endian, row-major, in segment-id
-    order, after a 16-byte header (magic WMLF, version u32, feat_dim u32,
-    reserved u32).
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    save_index(corpus, directory)
-    header = FEAT_MAGIC + struct.pack("<III", FEAT_VERSION, corpus.feat_dim, 0)
-    atomic_write(directory / FEAT_NAME, [header, np.ascontiguousarray(corpus.segments.frames, dtype="<f4")])
+def feat_header(feat_dim: int) -> bytes:
+    """corpus.feat's 16 header bytes: magic WMLF, version u32, feat_dim u32, reserved u32."""
+    return FEAT_MAGIC + struct.pack("<III", FEAT_VERSION, feat_dim, 0)
 
 
 def load_manifest(directory: str | Path) -> Corpus:
-    """Read a corpus back; exact inverse of save_manifest.
+    """Read a corpus back from corpus.idx and corpus.feat.
 
     The checks run in this order, each raising CorruptArtifact:
     - the corpus.feat header: magic, version, a feat_dim of at least 1 and
@@ -405,11 +379,13 @@ def load_manifest(directory: str | Path) -> Corpus:
       _parse_index), naming the first bad line;
     - the tiling: S ids 0..n-1 in order, and segments that cover the
       frame matrix in id order;
+    - a body that reads in full;
     - the first issue validate_corpus finds in the corpus read.
     The index is parsed before the feature body is read, so the parse's
-    scratch arrays are freed before the frames arrive. The frame matrix
-    is a read-only view of the file's bytes (mapped, for a large file:
-    see read_or_map); the corpus's cluster table is the one the parse
+    scratch arrays are freed before the frames arrive. The body is then
+    read POOL_BLOCK whole segments at a time into one reused buffer, and
+    each block is pooled into the segments' means (see pool_frames); no
+    frame matrix is held. The corpus's cluster table is the one the parse
     built, and its Recording lists are sliced from that table.
     """
     directory = Path(directory)
@@ -447,13 +423,19 @@ def load_manifest(directory: str | Path) -> Corpus:
             raise CorruptArtifact(
                 f"the segments of {idx_path} cover {bounds[-1]} of the {n_rows} rows of {feat_path}")
 
-        body = read_or_map(feat, size)
-    if len(body) != size:
-        raise CorruptArtifact(f"{feat_path} changed while it was read")
-    frames = np.frombuffer(body, dtype="<f4", offset=16).reshape(n_rows, feat_dim)
+        feat.seek(16)
+        means = np.empty((n, feat_dim))
+        starts = bounds[:-1:POOL_BLOCK].tolist() + [n_rows]  # each block's first row, then the end
+        buffer = np.empty(max(np.diff(starts), default=0) * feat_dim, dtype="<f4")
+        for a, row_a, row_b in zip(range(0, n, POOL_BLOCK), starts, starts[1:]):
+            block = buffer[:(row_b - row_a) * feat_dim]
+            if feat.readinto(block) != block.nbytes:
+                raise CorruptArtifact(f"{feat_path} ended before its {n_rows} rows were read")
+            pool_frames(block.reshape(-1, feat_dim), n_frames[a:a + POOL_BLOCK], means[a:a + POOL_BLOCK])
+    means.flags.writeable = False
 
     n_speakers = int(table.targets.max(initial=-1)) + 1
-    corpus = Corpus.from_table(n_speakers, table, Segments(frames, bounds, meta[:, 1].copy()))
+    corpus = Corpus.from_table(n_speakers, table, Segments(means, bounds, meta[:, 1].copy()))
     issues = validate_corpus(corpus)
     if issues:
         raise CorruptArtifact(f"{directory}: {issues[0].kind}: {issues[0].message}")

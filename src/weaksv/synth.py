@@ -13,11 +13,11 @@ keyed by (seed, recording_id), so serial and parallel generation agree.
 It runs in two passes. The plan pass walks the recordings in order and
 makes each stream's scalar draws (segment plan, frame counts), only
 reserving the position of each normals call. The render pass then draws
-those normals for ~RENDER_BLOCK frames at a time in one array pass,
-lifts the block's latents in one call and writes the rows straight into
-one preallocated float32 (total_frames, feat_dim) matrix, which becomes
-the corpus's segment table. The values are bitwise those of rendering
-each segment on its own.
+those normals for ~RENDER_BLOCK frames at a time in one array pass and
+lifts the block's latents in one call. Each block's float32 frames are
+pooled into their segments' means at once and written to corpus.feat,
+then dropped: no frame matrix is ever held, and the corpus keeps only the
+means. The frames are bitwise those of rendering each segment on its own.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, NOISE, Recording, Segments, UNKNOWN
+from .corpus import Corpus, NOISE, Recording, Segments, UNKNOWN, feat_header, pool_frames
 from .rng import Rng, normals_at
 
 _LIFT_GAIN = 2.0
@@ -192,9 +192,8 @@ def _plan_corpus(cfg: SynthConfig) -> _Plan:
                  np.array(keys, dtype=np.uint64), np.array(counters), np.array(latent_counters))
 
 
-def _render(plan: _Plan, voices: np.ndarray, cfg: SynthConfig, lift: FeatureLift,
-            frames: np.ndarray) -> None:
-    """Render every segment into its rows of frames, RENDER_BLOCK frames at a time.
+def _render(plan: _Plan, voices: np.ndarray, cfg: SynthConfig, lift: FeatureLift):
+    """Yield (a, b, rows): segments a..b-1 rendered as float64 frame rows, RENDER_BLOCK frames at a time.
 
     Per segment the arithmetic is base + within_speaker_noise * noise
     under the lift, as for a segment rendered alone, so the rows are
@@ -217,24 +216,36 @@ def _render(plan: _Plan, voices: np.ndarray, cfg: SynthConfig, lift: FeatureLift
         bases[noise] = z[:n_noise * dim].reshape(n_noise, dim) / np.sqrt(dim)
         noise_frames = z[n_noise * dim:].reshape(-1, dim)
         latents = np.repeat(bases, n_frames, axis=0) + cfg.within_speaker_noise * noise_frames
-        out = frames[row_a:int(ends[b - 1])]
-        out[...] = lift.apply(latents)
+        rows = lift.apply(latents)
         # numpy hands a one-row product to BLAS gemv, whose sums may differ
         # in the last bit from gemm's: lift one-frame segments row by row
         single = (ends[a:b] - row_a - 1)[n_frames == 1]
         if single.size:
-            out[single] = lift.apply(latents[single, None, :])[:, 0]
+            rows[single] = lift.apply(latents[single, None, :])[:, 0]
+        yield a, b, rows
         a = b
 
 
-def generate_corpus(cfg: SynthConfig) -> Corpus:
-    """Full corpus: recordings, oracle-grouped initial clusters, features."""
+def generate_corpus(cfg: SynthConfig, feat=None) -> Corpus:
+    """Full corpus: recordings, oracle-grouped initial clusters, pooled features.
+
+    Each block of float32 frames is pooled into its segments' means and
+    then written to feat, if given (a file open for binary writing),
+    after corpus.feat's header: feat receives corpus.feat's bytes, and no
+    frame matrix is held.
+    """
     voices = generate_speakers(cfg.n_speakers + cfg.unknown_speaker_count, cfg.latent_dim, cfg.seed)
     lift = make_lift(cfg)
     plan = _plan_corpus(cfg)
-    frames = np.empty((int(plan.n_frames.sum()), cfg.feat_dim), dtype=np.float32)
-    _render(plan, np.stack([v.latent for v in voices]), cfg, lift, frames)
+    if feat is not None:
+        feat.write(feat_header(cfg.feat_dim))
+    means = np.empty((plan.n_frames.size, cfg.feat_dim))
+    for a, b, rows in _render(plan, np.stack([v.latent for v in voices]), cfg, lift):
+        frames = rows.astype("<f4")
+        pool_frames(frames, plan.n_frames[a:b], means[a:b])
+        if feat is not None:
+            feat.write(frames)
+    means.flags.writeable = False
 
     bounds = np.concatenate([[0], np.cumsum(plan.n_frames)])
-    segments = Segments(frames, bounds, np.array(plan.oracle, dtype=np.int64))
-    return Corpus(cfg.n_speakers, plan.recordings, segments)
+    return Corpus(cfg.n_speakers, plan.recordings, Segments(means, bounds, np.array(plan.oracle, dtype=np.int64)))

@@ -1,32 +1,73 @@
+import io
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from weaksv.corpus import Corpus, NOISE, Recording, Segments, UNKNOWN
+from weaksv.corpus import FEAT_MAGIC, FEAT_VERSION, Corpus, NOISE, Recording, Segments, UNKNOWN, save_manifest
 from weaksv.synth import SynthConfig, generate_corpus
 
 
+def segment_means(features):
+    """Reference pooling: each segment's frames averaged on their own in float64 (0 for a segment without frames)."""
+    return np.stack([f.astype(np.float64).mean(axis=0) if len(f) else np.zeros(f.shape[1]) for f in features])
+
+
 def make_segments(features, oracle):
-    """A segment table from per-segment (n_frames, feat_dim) arrays; ids follow list order."""
+    """A segment table from per-segment (n_frames, feat_dim) arrays; ids follow list order.
+
+    The means are segment_means(features); the frames themselves are not
+    kept (write_manifest stores them).
+    """
     bounds = np.concatenate([[0], np.cumsum([f.shape[0] for f in features])]).astype(np.int64)
-    return Segments(np.concatenate(features), bounds, np.array(oracle, dtype=np.int64))
+    means = segment_means(features)
+    means.flags.writeable = False
+    return Segments(means, bounds, np.array(oracle, dtype=np.int64))
 
 
-def segment_features(segments, sid):
-    """Segment sid's rows of the frame matrix (a view)."""
-    return segments.frames[segments.bounds[sid]:segments.bounds[sid + 1]]
+def feat_bytes(frames):
+    """corpus.feat for a (total_frames, feat_dim) frame matrix, built from the format: header, then float32 rows."""
+    return (FEAT_MAGIC + struct.pack("<III", FEAT_VERSION, frames.shape[1], 0)
+            + np.ascontiguousarray(frames, dtype="<f4").tobytes())
+
+
+def feat_frames(raw):
+    """The frame matrix stored in corpus.feat bytes raw (a read-only view)."""
+    return np.frombuffer(raw, dtype="<f4", offset=16).reshape(-1, struct.unpack("<I", raw[8:12])[0])
+
+
+def write_manifest(corpus, frames, directory):
+    """save_manifest(corpus, directory), plus a corpus.feat that holds the frame matrix frames."""
+    save_manifest(corpus, directory)
+    (Path(directory) / "corpus.feat").write_bytes(feat_bytes(frames))
+
+
+def generate_with_frames(cfg):
+    """generate_corpus(cfg), and the frame matrix it wrote as corpus.feat."""
+    feat = io.BytesIO()
+    corpus = generate_corpus(cfg, feat)
+    return corpus, feat_frames(feat.getvalue())
+
+
+def constant_features(values, n_frames=3, feat_dim=4):
+    """One (n_frames, feat_dim) float32 segment per value, filled with it."""
+    return [np.full((n_frames, feat_dim), v, dtype=np.float32) for v in values]
 
 
 def constant_segments(oracle, values=None, n_frames=3, feat_dim=4):
     """One (n_frames, feat_dim) float32 segment per oracle label, filled with its value."""
     values = [0.5] * len(oracle) if values is None else values
-    return make_segments([np.full((n_frames, feat_dim), v, dtype=np.float32) for v in values], oracle)
+    return make_segments(constant_features(values, n_frames, feat_dim), oracle)
+
+
+TINY_VALUES = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
 
 @pytest.fixture
 def tiny_corpus():
     """Two speakers, two recordings each, with one unknown and one noise segment."""
-    segments = constant_segments([0, 0, 1, 0, NOISE, 1, UNKNOWN, 1, 0],
-                                 [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+    segments = constant_segments([0, 0, 1, 0, NOISE, 1, UNKNOWN, 1, 0], TINY_VALUES)
     recordings = [
         Recording(0, 0, [[0, 1], [2]]),
         Recording(1, 0, [[3], [4]]),
@@ -36,11 +77,27 @@ def tiny_corpus():
     return Corpus(2, recordings, segments)
 
 
+@pytest.fixture
+def tiny_frames():
+    """tiny_corpus's frame matrix: three rows of four per segment, filled with its value."""
+    return np.concatenate(constant_features(TINY_VALUES))
+
+
 @pytest.fixture(scope="session")
-def small_corpus():
-    """A small but realistic generated corpus shared by slower tests."""
+def small_generated():
+    """A small but realistic generated corpus shared by slower tests, and its frame matrix."""
     cfg = SynthConfig(n_speakers=8, recordings_per_speaker=5, unknown_speaker_count=3, seed=555)
-    return generate_corpus(cfg)
+    return generate_with_frames(cfg)
+
+
+@pytest.fixture(scope="session")
+def small_corpus(small_generated):
+    return small_generated[0]
+
+
+@pytest.fixture(scope="session")
+def small_frames(small_generated):
+    return small_generated[1]
 
 
 # ---------------------------------------------------------------------------

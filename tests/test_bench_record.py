@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
 spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
 bench_record = importlib.util.module_from_spec(spec)
@@ -40,35 +42,77 @@ def test_previous_file_is_the_newest_other_record(tmp_path):
     assert bench_record.previous_file(out, "BENCH_x.json") == Path("BENCH_x.json")
 
 
-def _fake_harness(calls):
-    """A run_harness stand-in that logs (tree, workload, trace) and reports one two-pass run."""
+def _fake_harness(monkeypatch, calls):
+    """Stand-ins for run_harness, which logs (tree, workload, trace) and reports one two-pass run,
+    and for stage_peaks, which logs (tree, workload, "peaks")."""
     def run(tree, workload, seed, seconds, trace):
         calls.append((tree.name, workload, trace))
         record = {"env": {"tree": tree.name}, "passes": 2, "problems": [],
                   "stage_s_per_pass": [{"gen": 1.0, "eval": 2.0}, {"gen": 1.5, "eval": 2.5}]}
         metric = "wall_s" if trace == 0 else "trainer.steps1"
         return record, {"correct": True, "metrics": {metric: {"value": 7.0}}}
-    return run
+
+    def peaks(tree, workload, seed):
+        calls.append((tree.name, workload, "peaks"))
+        return {"stage.gen_peak_rss_mib": 40.0}
+
+    monkeypatch.setattr(bench_record, "run_harness", run)
+    monkeypatch.setattr(bench_record, "stage_peaks", peaks)
 
 
 def test_two_trees_alternate_with_the_first_flipping(monkeypatch, tmp_path):
     calls = []
-    monkeypatch.setattr(bench_record, "run_harness", _fake_harness(calls))
+    _fake_harness(monkeypatch, calls)
     trees = {"parent": tmp_path / "p", "change": tmp_path / "c"}
     docs = bench_record.record_trees(trees, seed=1, seconds=1.0)
     expected = []
     for k, (workload, trace) in enumerate((w, t) for w in bench_record.WORKLOADS for t in (0, 1)):
         order = ["p", "c"] if k % 2 == 0 else ["c", "p"]
-        expected += [(tree, workload, trace) for tree in order]
+        for tree in order:  # each tree's stage peaks follow its untraced run
+            expected += [(tree, workload, trace)] + ([(tree, workload, "peaks")] if trace == 0 else [])
     assert calls == expected
     for label in trees:
         figures = docs[label]["workloads"]["scale"]
         assert figures["end_to_end"]["wall_s"] == {"median": 3.5, "q1": 3.25, "q3": 3.75, "n": 2}
+        assert figures["end_to_end"]["stage.gen_peak_rss_mib"] == 40.0
         assert figures["per_layer"] == {"trainer.steps1": 7.0}
 
 
+def test_stage_peaks_are_ratios_not_flags():
+    old = {"workloads": {"scale": {"end_to_end": {"stage.gen_peak_rss_mib": 80.0}, "per_layer": {}}}}
+    new = {"workloads": {"scale": {"end_to_end": {"stage.gen_peak_rss_mib": 50.0}, "per_layer": {}}}}
+    assert bench_record.compare(new, old) == ([], {"scale stage.gen_peak_rss_mib": 50.0 / 80.0})
+
+
+def _stand_in_tree(root):
+    """A tree whose workload w runs a stand-in CLI: stage big fills 40 MiB, stage small nothing."""
+    (root / "bench").mkdir(parents=True)
+    (root / "bench" / "workloads.py").write_text(
+        "from dataclasses import dataclass\n\n\n@dataclass(frozen=True)\nclass Workload:\n"
+        "    stages: tuple\n    configs: dict\n\n\n"
+        "WORKLOADS = {'w': Workload((('big', '--flag'), ('small',)), {'full': 'x = 1\\n', 'tiny': ''})}\n")
+    package = root / "src" / "weaksv"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "from pathlib import Path\n\n\ndef main(argv):\n"
+        "    stage, _, cfg, _, out, _, seed, *extra = argv\n"
+        "    assert Path(cfg).read_text() == 'x = 1\\n' and seed == '5', argv\n"
+        "    data = b'x' * (40 << 20) if (stage, extra) == ('big', ['--flag']) else b''\n"
+        "    print(stage, len(data))\n"
+        "    return 0\n")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_stage_peaks_run_each_stage_in_a_fresh_process(tmp_path):
+    _stand_in_tree(tmp_path)
+    peaks = bench_record.stage_peaks(tmp_path, "w", seed=5)
+    assert list(peaks) == ["stage.big_peak_rss_mib", "stage.small_peak_rss_mib"]
+    assert peaks["stage.big_peak_rss_mib"] - peaks["stage.small_peak_rss_mib"] > 35
+
+
 def test_pair_writes_both_files_and_compares_the_change_with_the_parent(monkeypatch, tmp_path):
-    monkeypatch.setattr(bench_record, "run_harness", _fake_harness([]))
+    _fake_harness(monkeypatch, [])
     (tmp_path / "BENCH_old.json").write_text(json.dumps({"recorded_at": "2026-01-01T00:00:00Z", "workloads": {}}))
     assert bench_record.main(["--label", "new", "--tree", str(tmp_path), "--parent-label", "base",
                               "--parent-tree", str(tmp_path), "--out-dir", str(tmp_path), "--seconds", "1"]) == 0

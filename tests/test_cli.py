@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import weaksv
+import weaksv.cli
 from weaksv.cli import main
+from weaksv.corpus import ValidationIssue
 from weaksv.config import SCHEMA, load_run_config, parse_config_text, render_config, render_schema
 from weaksv.errors import ConfigError
 
@@ -687,6 +689,52 @@ def test_gen_out_that_is_a_file_is_an_error(tmp_path):
 
 def _tree(run):
     return {path.relative_to(run): path.read_bytes() for path in sorted(run.rglob("*")) if path.is_file()}
+
+
+def test_gen_that_fails_its_checks_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # gen renders corpus.feat inside its write, so the check must come before the rename
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(SMALL)
+    fresh, existing = tmp_path / "fresh", tmp_path / "existing"
+    assert main(["gen", "--config", str(cfg_path), "--out", str(existing)]) == 0
+    before = _tree(existing)
+    monkeypatch.setattr(weaksv.cli, "validate_corpus",
+                        lambda corpus: [ValidationIssue("EmptySegment", "segment 0 has no frames")])
+    for out in (fresh, existing):
+        assert main(["gen", "--config", str(cfg_path), "--out", str(out), "--seed", "7"]) == 1
+        assert "generated corpus failed validation" in capsys.readouterr().err
+    assert list(fresh.iterdir()) == []
+    assert sorted(p.name for p in existing.iterdir()) == sorted(str(name) for name in before)
+    assert _tree(existing) == before
+
+
+# A CLI command in a fresh interpreter that prints its peak resident memory in KiB. The
+# peak is VmHWM, the high-water mark of the process's own address space: ru_maxrss would
+# also count the process that started it, since Linux carries that mark across exec.
+_PEAK_CHILD = ("import sys; from weaksv.cli import main; code = main(sys.argv[1:]); "
+               "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0]); sys.exit(code)")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_peak_memory_does_not_follow_the_frame_matrix(tmp_path):
+    """gen and diar never hold the frame matrix: 4x the speakers grows corpus.feat by about 12 MB,
+    and each command's peak, taken in a fresh process, by less than half of that."""
+    env = dict(os.environ, PYTHONPATH=str(Path(weaksv.__file__).resolve().parents[1]))
+    peak, feat_size = {}, {}
+    for n_speakers in (40, 160):
+        cfg_path = tmp_path / f"n{n_speakers}.cfg"
+        cfg_path.write_text(f"[synth]\nn_speakers = {n_speakers}\n")
+        out = tmp_path / f"run{n_speakers}"
+        for cmd in ("gen", "diar"):
+            proc = subprocess.run([sys.executable, "-c", _PEAK_CHILD, cmd, "--config", str(cfg_path),
+                                   "--out", str(out)], capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            peak[cmd, n_speakers] = int(proc.stdout.split()[-1]) * 1024
+        feat_size[n_speakers] = (out / "corpus.feat").stat().st_size
+    growth = feat_size[160] - feat_size[40]
+    assert growth > 10 << 20
+    for cmd in ("gen", "diar"):
+        assert peak[cmd, 160] - peak[cmd, 40] < growth / 2, (cmd, peak, growth)
 
 
 @pytest.mark.parametrize("case", ["checkpoint_missing", "second_checkpoint_truncated"])

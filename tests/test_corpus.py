@@ -4,10 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import weaksv.corpus
-import weaksv.fileio
 from weaksv.corpus import (
     FEAT_MAGIC,
     FEAT_VERSION,
@@ -25,10 +24,12 @@ from weaksv.corpus import (
     split_trials,
     validate_corpus,
 )
-from weaksv.errors import CorruptArtifact, EmptyInput, InsufficientSegments
+from weaksv.errors import CorruptArtifact, InsufficientSegments
+from weaksv.fileio import atomic_write
 from weaksv.synth import SynthConfig, generate_corpus
 
-from conftest import constant_segments, make_segments, segment_features
+from conftest import (TINY_VALUES, constant_features, constant_segments, feat_frames, generate_with_frames,
+                      make_segments, segment_means, write_manifest)
 
 
 def test_wellformed_corpus_validates(tiny_corpus):
@@ -72,27 +73,47 @@ def test_synthetic_corpora_validate():
         assert validate_corpus(corpus) == []
 
 
+def _load_issues(directory):
+    """Every issue validate_corpus finds in the corpus load_manifest reads, which must reject it with the first."""
+    seen = []
+    real = weaksv.corpus.validate_corpus
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weaksv.corpus, "validate_corpus", lambda corpus: seen.extend(real(corpus)) or seen)
+        with pytest.raises(CorruptArtifact) as info:
+            load_manifest(directory)
+    assert seen and str(info.value).endswith(f": {seen[0].kind}: {seen[0].message}"), (info.value, seen)
+    return [(i.kind, i.message) for i in seen]
+
+
+def _segment_rows(frames, bounds, sid):
+    """Segment sid's rows of the frame matrix frames (a view)."""
+    return frames[bounds[sid]:bounds[sid + 1]]
+
+
 class TestNonFiniteFeatures:
-    def test_separate_arrays(self, tiny_corpus):
+    def test_separate_arrays(self, tmp_path, tiny_corpus, tiny_frames):
         # the table was joined from one array per segment
-        segment_features(tiny_corpus.segments, 5)[1, 2] = np.nan
-        segment_features(tiny_corpus.segments, 2)[0, 0] = -np.inf
-        issues = validate_corpus(tiny_corpus)
-        assert [(i.kind, i.message) for i in issues] == [
+        frames, bounds = tiny_frames, tiny_corpus.segments.bounds
+        _segment_rows(frames, bounds, 5)[1, 2] = np.nan
+        _segment_rows(frames, bounds, 2)[0, 0] = -np.inf
+        write_manifest(tiny_corpus, frames, tmp_path)
+        assert _load_issues(tmp_path) == [
             ("NonFiniteFeatures", "segment 2 contains NaN or inf"),
             ("NonFiniteFeatures", "segment 5 contains NaN or inf")]
 
-    def test_shared_frame_matrix(self):
-        corpus = generate_corpus(SynthConfig(n_speakers=4, recordings_per_speaker=2, seed=8))
-        assert validate_corpus(corpus) == []
-        segment_features(corpus.segments, 3)[-1, 0] = np.nan
-        segment_features(corpus.segments, 11)[0, -1] = np.inf
-        issues = validate_corpus(corpus)
-        assert [i.message for i in issues] == [
+    def test_shared_frame_matrix(self, tmp_path):
+        corpus, frames = generate_with_frames(SynthConfig(n_speakers=4, recordings_per_speaker=2, seed=8))
+        write_manifest(corpus, frames, tmp_path)
+        assert validate_corpus(load_manifest(tmp_path)) == []
+        frames, bounds = frames.copy(), corpus.segments.bounds
+        _segment_rows(frames, bounds, 3)[-1, 0] = np.nan
+        _segment_rows(frames, bounds, 11)[0, -1] = np.inf
+        write_manifest(corpus, frames, tmp_path)
+        assert [message for _, message in _load_issues(tmp_path)] == [
             "segment 3 contains NaN or inf", "segment 11 contains NaN or inf"]
 
-    def test_load_manifest_rejects_nan(self, tmp_path, small_corpus):
-        save_manifest(small_corpus, tmp_path)
+    def test_load_manifest_rejects_nan(self, tmp_path, small_corpus, small_frames):
+        write_manifest(small_corpus, small_frames, tmp_path)
         feat = tmp_path / "corpus.feat"
         raw = bytearray(feat.read_bytes())
         raw[16 + 4 * 45:16 + 4 * 46] = struct.pack("<f", float("nan"))
@@ -101,47 +122,32 @@ class TestNonFiniteFeatures:
             load_manifest(tmp_path)
 
 
-@pytest.mark.parametrize("threshold", [0, 2**62], ids=["mapped", "read"])
-def test_feature_body_mapped_or_read(tmp_path, small_corpus, monkeypatch, threshold):
-    monkeypatch.setattr(weaksv.fileio, "MMAP_THRESHOLD", threshold)
-    save_manifest(small_corpus, tmp_path)
-    loaded = load_manifest(tmp_path)
-    assert loaded.segments.frames.tobytes() == small_corpus.segments.frames.tobytes()
-    assert not loaded.segments.frames.flags.writeable
-    feat = tmp_path / "corpus.feat"
-    raw = bytearray(feat.read_bytes())
-    raw[-4:] = struct.pack("<f", float("inf"))
-    weaksv.fileio.atomic_write(feat, bytes(raw))  # a new file: the loaded corpus may map the old one
-    with pytest.raises(CorruptArtifact, match=f"segment {len(small_corpus.segments) - 1} contains NaN or inf"):
-        load_manifest(tmp_path)
-
-
-def _reference_feat_bytes(corpus):
+def _reference_feat_bytes(corpus, frames):
     """corpus.feat as a bytearray grown segment by segment."""
     blob = bytearray(FEAT_MAGIC)
     blob += struct.pack("<III", FEAT_VERSION, corpus.feat_dim, 0)
     for sid in range(len(corpus.segments)):
-        blob += np.ascontiguousarray(segment_features(corpus.segments, sid), dtype="<f4").tobytes()
+        blob += np.ascontiguousarray(_segment_rows(frames, corpus.segments.bounds, sid), dtype="<f4").tobytes()
     return bytes(blob)
 
 
-def test_save_manifest_feature_bytes(tmp_path, small_corpus, tiny_corpus):
-    save_manifest(small_corpus, tmp_path / "generated")
-    loaded = load_manifest(tmp_path / "generated")  # a read-only view of the file
+def test_save_manifest_feature_bytes(tmp_path, small_corpus, small_frames):
+    # corpus.feat is written as gen writes it: rendered into atomic_write's temp file
+    generated = tmp_path / "generated"
+    generated.mkdir()
+    cfg = SynthConfig(n_speakers=8, recordings_per_speaker=5, unknown_speaker_count=3, seed=555)
+    corpus = atomic_write(generated / "corpus.feat", lambda feat: generate_corpus(cfg, feat))
+    save_manifest(corpus, generated)
+    assert sorted(p.name for p in generated.iterdir()) == ["corpus.feat", "corpus.idx"]
+    assert (generated / "corpus.feat").read_bytes() == _reference_feat_bytes(small_corpus, small_frames)
+    loaded = load_manifest(generated)
     save_manifest(loaded, tmp_path / "loaded")
-    # a float64, column-major frame matrix is converted as it is written
-    frames = tiny_corpus.segments.frames
-    frames[12:15] = np.arange(12, dtype=np.float32).reshape(3, 4)
-    tiny_corpus.segments.frames = np.asfortranarray(frames.astype(np.float64))
-    save_manifest(tiny_corpus, tmp_path / "mixed")
-    for name, corpus in (("generated", small_corpus), ("loaded", loaded), ("mixed", tiny_corpus)):
-        assert (tmp_path / name / "corpus.feat").read_bytes() == _reference_feat_bytes(corpus), name
-    assert (tmp_path / "generated" / "corpus.idx").read_bytes() == (
-        tmp_path / "loaded" / "corpus.idx").read_bytes()
+    assert (generated / "corpus.idx").read_bytes() == (tmp_path / "loaded" / "corpus.idx").read_bytes()
+    assert not (tmp_path / "loaded" / "corpus.feat").exists()  # save_manifest writes the index alone
 
 
-def test_manifest_round_trip(tmp_path, small_corpus):
-    save_manifest(small_corpus, tmp_path)
+def test_manifest_round_trip(tmp_path, small_corpus, small_frames):
+    write_manifest(small_corpus, small_frames, tmp_path)
     loaded = load_manifest(tmp_path)
     assert loaded.n_speakers == small_corpus.n_speakers
     assert (loaded.segments.oracle == UNKNOWN).any() == (small_corpus.segments.oracle == UNKNOWN).any()
@@ -150,15 +156,15 @@ def test_manifest_round_trip(tmp_path, small_corpus):
         assert (a.recording_id, a.target, a.heldout) == (b.recording_id, b.target, b.heldout)
         assert a.clusters == b.clusters
     got, want = loaded.segments, small_corpus.segments
-    assert got.frames.dtype == np.float32
-    assert np.array_equal(got.frames, want.frames)  # bit-exact
+    assert got.means.dtype == np.float64
+    assert got.means.tobytes() == want.means.tobytes()  # bit-exact: gen and load pool alike
     assert np.array_equal(got.bounds, want.bounds)
     assert np.array_equal(got.oracle, want.oracle)
 
 
-def test_manifest_round_trip_preserves_heldout(tmp_path, small_corpus):
+def test_manifest_round_trip_preserves_heldout(tmp_path, small_corpus, small_frames):
     marked = assign_heldout_split(small_corpus, 0.2, seed=3)
-    save_manifest(marked, tmp_path)
+    write_manifest(marked, small_frames, tmp_path)
     loaded = load_manifest(tmp_path)
     assert {r.recording_id for r in loaded.heldout_recordings()} == {
         r.recording_id for r in marked.heldout_recordings()
@@ -168,13 +174,13 @@ def test_manifest_round_trip_preserves_heldout(tmp_path, small_corpus):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_manifest_round_trip_property(tmp_path_factory, seed):
-    corpus = generate_corpus(
+    corpus, frames = generate_with_frames(
         SynthConfig(n_speakers=3, recordings_per_speaker=2, segments_per_recording=(2, 4),
                     frames_per_segment=(1, 5), unknown_speaker_count=1, seed=seed))
     path = tmp_path_factory.mktemp("rt")
-    save_manifest(corpus, path)
+    write_manifest(corpus, frames, path)
     loaded = load_manifest(path)
-    assert np.array_equal(loaded.segments.frames, corpus.segments.frames)
+    assert loaded.segments.means.tobytes() == corpus.segments.means.tobytes()
     assert np.array_equal(loaded.segments.bounds, corpus.segments.bounds)
     assert [r.clusters for r in loaded.recordings] == [r.clusters for r in corpus.recordings]
 
@@ -234,56 +240,63 @@ def test_trials_tsv_round_trip(tmp_path, small_corpus):
     assert load_trials(tmp_path / "trials.tsv", len(corpus.segments)) == trials
 
 
-def _per_segment_means(segments):
-    """Reference: each segment's frames averaged on their own."""
-    return np.stack([segment_features(segments, sid).astype(np.float64).mean(axis=0)
-                     for sid in range(len(segments))])
-
-
-def test_mean_frames_matches_direct_average(tiny_corpus):
-    assert np.array_equal(tiny_corpus.mean_frames(), _per_segment_means(tiny_corpus.segments))
+def test_mean_frames_matches_direct_average(tmp_path, tiny_corpus, tiny_frames):
+    write_manifest(tiny_corpus, tiny_frames, tmp_path)
+    want = segment_means(constant_features(TINY_VALUES))
+    assert load_manifest(tmp_path).mean_frames().tobytes() == want.tobytes()
 
 
 def _ragged_corpus(n_segments, seed=0, feat_dim=5, empty=None):
-    """Segments of 1..40 frames (a third with one frame); segment `empty` has none."""
+    """(corpus, features): segments of 1..40 frames (a third with one frame); segment `empty` has none."""
     rng = np.random.default_rng(seed)
     features = []
     for sid in range(n_segments):
         n = 0 if sid == empty else 1 if rng.random() < 0.33 else int(rng.integers(2, 41))
         features.append((rng.standard_normal((n, feat_dim)) * rng.uniform(0.01, 50)).astype(np.float32))
-    return Corpus(1, [Recording(0, 0, [list(range(n_segments))])], make_segments(features, [0] * n_segments))
+    corpus = Corpus(1, [Recording(0, 0, [list(range(n_segments))])], make_segments(features, [0] * n_segments))
+    return corpus, features
+
+
+def _write_ragged(directory, n_segments, **kwargs):
+    corpus, features = _ragged_corpus(n_segments, **kwargs)
+    write_manifest(corpus, np.concatenate(features), directory)
+    return features
 
 
 class TestMeanFrames:
-    def test_bitwise_equal_to_per_segment_mean(self):
-        corpus = _ragged_corpus(2 * POOL_BLOCK + 37)
-        mat = corpus.mean_frames()
-        assert mat.shape == (len(corpus.segments), 5)
-        assert np.array_equal(mat, _per_segment_means(corpus.segments))
+    def test_bitwise_equal_to_per_segment_mean(self, tmp_path):
+        features = _write_ragged(tmp_path, 2 * POOL_BLOCK + 37)
+        mat = load_manifest(tmp_path).mean_frames()
+        assert mat.shape == (len(features), 5)
+        assert mat.tobytes() == segment_means(features).tobytes()
 
-    def test_second_call_returns_same_read_only_result(self):
-        corpus = _ragged_corpus(10)
+    def test_second_call_returns_same_read_only_result(self, tmp_path):
+        _write_ragged(tmp_path, 10)
+        corpus = load_manifest(tmp_path)
         mat = corpus.mean_frames()
         assert corpus.mean_frames() is mat
         with pytest.raises(ValueError):
             mat[0, 0] = 1.0
 
-    def test_zero_frame_segment_raises(self):
+    def test_zero_frame_segment_raises(self, tmp_path):
         victim = POOL_BLOCK + 2
-        corpus = _ragged_corpus(POOL_BLOCK + 5, empty=victim)
-        with pytest.raises(EmptyInput, match=f"segment {victim} "):
-            corpus.mean_frames()
+        _write_ragged(tmp_path, POOL_BLOCK + 5, empty=victim)
+        with pytest.raises(CorruptArtifact, match=f": EmptySegment: segment {victim} has no frames$"):
+            load_manifest(tmp_path)
 
-    def test_pooling_runs_once_per_corpus(self, monkeypatch):
+    def test_pooling_runs_once_per_corpus(self, tmp_path, monkeypatch):
+        # a load pools each block of POOL_BLOCK segments once; mean_frames pools nothing
         calls = []
-        real = weaksv.corpus._pool_means
-        monkeypatch.setattr(weaksv.corpus, "_pool_means", lambda *a: calls.append(1) or real(*a))
-        corpus = _ragged_corpus(20)
+        real = weaksv.corpus.pool_frames
+        monkeypatch.setattr(weaksv.corpus, "pool_frames", lambda *a: calls.append(len(a[1])) or real(*a))
+        _write_ragged(tmp_path, 2 * POOL_BLOCK + 5)
+        corpus = load_manifest(tmp_path)
+        assert calls == [POOL_BLOCK, POOL_BLOCK, 5]
         for _ in range(4):
             corpus.mean_frames()
-        assert len(calls) == 1
-        _ragged_corpus(20).mean_frames()
-        assert len(calls) == 2
+        assert len(calls) == 3
+        load_manifest(tmp_path).mean_frames()
+        assert len(calls) == 6
 
 
 def _replace_first(kind, fields):
@@ -306,16 +319,16 @@ def _replace_first(kind, fields):
     _replace_first("S", lambda f: " ".join([*f[:3], "-2", f[4]])),
 ], ids=["split", "extra_field", "negative_cluster", "cluster_past_declared", "float_segment",
         "offset_overflow", "negative_offset", "negative_frames"])
-def test_load_manifest_rejects_malformed_index(tmp_path, tiny_corpus, edit):
-    save_manifest(tiny_corpus, tmp_path)
+def test_load_manifest_rejects_malformed_index(tmp_path, tiny_corpus, tiny_frames, edit):
+    write_manifest(tiny_corpus, tiny_frames, tmp_path)
     idx = tmp_path / "corpus.idx"
     idx.write_text(edit(idx.read_text()))
     with pytest.raises(CorruptArtifact):
         load_manifest(tmp_path)
 
 
-def test_load_manifest_rejects_zero_feature_dim(tmp_path, tiny_corpus):
-    save_manifest(tiny_corpus, tmp_path)
+def test_load_manifest_rejects_zero_feature_dim(tmp_path, tiny_corpus, tiny_frames):
+    write_manifest(tiny_corpus, tiny_frames, tmp_path)
     feat = tmp_path / "corpus.feat"
     raw = bytearray(feat.read_bytes())
     raw[8:12] = bytes(4)
@@ -324,34 +337,34 @@ def test_load_manifest_rejects_zero_feature_dim(tmp_path, tiny_corpus):
         load_manifest(tmp_path)
 
 
-def _untarget_speaker_1(corpus):
+def _untarget_speaker_1(corpus, frames):
     """Renumber speaker 1 to 2, so no recording targets speaker 1 of the loaded corpus."""
     corpus.segments.oracle[corpus.segments.oracle == 1] = 2
     for rec in corpus.recordings[2:]:
         rec.target = 2
 
 
-# issue kind -> edit of tiny_corpus that breaks only that invariant (first)
+# issue kind -> edit of tiny_corpus and its frame matrix that breaks only that invariant (first)
 BROKEN_CONTRACTS = {
     # segment 4's rows go to segment 5, so the segments still tile the matrix
-    "EmptySegment": lambda c: c.segments.bounds.__setitem__(5, c.segments.bounds[4]),
-    "NonFiniteFeatures": lambda c: c.segments.frames.__setitem__((13, 1), np.inf),
-    "BadTarget": lambda c: setattr(c.recordings[1], "target", -1),
-    "EmptyRecording": lambda c: setattr(c.recordings[1], "clusters", []),
-    "EmptyCluster": lambda c: c.recordings[0].clusters.append([]),
-    "MissingSegment": lambda c: c.recordings[0].clusters[0].append(99),
-    "DuplicateSegment": lambda c: c.recordings[0].clusters[1].append(0),
-    "MissingTargetSpeech": lambda c: setattr(c.recordings[1], "target", 1),
+    "EmptySegment": lambda c, f: c.segments.bounds.__setitem__(5, c.segments.bounds[4]),
+    "NonFiniteFeatures": lambda c, f: f.__setitem__((13, 1), np.inf),
+    "BadTarget": lambda c, f: setattr(c.recordings[1], "target", -1),
+    "EmptyRecording": lambda c, f: setattr(c.recordings[1], "clusters", []),
+    "EmptyCluster": lambda c, f: c.recordings[0].clusters.append([]),
+    "MissingSegment": lambda c, f: c.recordings[0].clusters[0].append(99),
+    "DuplicateSegment": lambda c, f: c.recordings[0].clusters[1].append(0),
+    "MissingTargetSpeech": lambda c, f: setattr(c.recordings[1], "target", 1),
     "UntargetedSpeaker": _untarget_speaker_1,
 }
 
 
 @pytest.mark.parametrize("kind", BROKEN_CONTRACTS)
-def test_load_manifest_runs_validate_corpus(tmp_path, tiny_corpus, kind):
-    save_manifest(tiny_corpus, tmp_path)
+def test_load_manifest_runs_validate_corpus(tmp_path, tiny_corpus, tiny_frames, kind):
+    write_manifest(tiny_corpus, tiny_frames, tmp_path)
     assert validate_corpus(load_manifest(tmp_path)) == []
-    BROKEN_CONTRACTS[kind](tiny_corpus)
-    save_manifest(tiny_corpus, tmp_path)
+    BROKEN_CONTRACTS[kind](tiny_corpus, tiny_frames)
+    write_manifest(tiny_corpus, tiny_frames, tmp_path)
     with pytest.raises(CorruptArtifact, match=f": {kind}: "):
         load_manifest(tmp_path)
 
@@ -363,15 +376,16 @@ def test_load_manifest_runs_validate_corpus(tmp_path, tiny_corpus, kind):
 
 @st.composite
 def segment_tables(draw):
-    """A contract-valid corpus over a random segment table: 1..12 segments, or more than POOL_BLOCK.
+    """(corpus, frame matrix): a contract-valid corpus over a random segment table.
 
-    Frame counts are 1..6 and oracle labels known, UNKNOWN or NOISE. A
-    random subset of the segments is split into recordings of one or two
+    It has 1..12 segments, or more than POOL_BLOCK and up to two blocks
+    more. Frame counts are 1..6 and oracle labels known, UNKNOWN or NOISE.
+    A random subset of the segments is split into recordings of one or two
     clusters; the rest belong to no cluster, as noise that diarization
     dropped does. Targets are dense (each of the 1..3 speakers targets a
     recording) and every recording's first member voices its target.
     """
-    n = draw(st.one_of(st.integers(1, 12), st.integers(POOL_BLOCK + 1, POOL_BLOCK + 40)))
+    n = draw(st.one_of(st.integers(1, 12), st.integers(POOL_BLOCK + 1, 2 * POOL_BLOCK + 40)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = rng.uniform(0.01, 50)
     features = [(rng.standard_normal((k, 3)) * scale).astype(np.float32)
@@ -391,53 +405,88 @@ def segment_tables(draw):
         oracle[take[0]] = target
         clusters = [take[0::2], take[1::2]] if len(take) > 1 else [take]
         recordings.append(Recording(len(recordings), target, clusters, heldout=bool(rng.integers(2))))
-    return Corpus(n_speakers, recordings, make_segments(features, oracle))
+    return Corpus(n_speakers, recordings, make_segments(features, oracle)), np.concatenate(features)
+
+
+def _means_of(frames, bounds):
+    """Reference pooling of a frame matrix whose segment i is rows bounds[i]:bounds[i+1]."""
+    if len(bounds) == 1:
+        return np.zeros((0, frames.shape[1]))
+    return segment_means([frames[a:b] for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())])
 
 
 @settings(max_examples=25, deadline=None)
 @given(segment_tables())
-def test_segment_table_manifest_round_trip(tmp_path_factory, corpus):
+def test_segment_table_manifest_round_trip(tmp_path_factory, table):
+    corpus, frames = table
     first, second = tmp_path_factory.mktemp("first"), tmp_path_factory.mktemp("second")
-    save_manifest(corpus, first)
+    write_manifest(corpus, frames, first)
     loaded = load_manifest(first)
-    assert loaded.segments.frames.tobytes() == corpus.segments.frames.tobytes()
+    assert loaded.segments.means.tobytes() == corpus.segments.means.tobytes()
     assert loaded.segments.bounds.tolist() == corpus.segments.bounds.tolist()
     assert loaded.segments.oracle.tolist() == corpus.segments.oracle.tolist()
     assert [(r.recording_id, r.target, r.clusters, r.heldout) for r in loaded.recordings] == [
         (r.recording_id, r.target, r.clusters, r.heldout) for r in corpus.recordings]
     assert loaded.n_speakers == corpus.n_speakers
     save_manifest(loaded, second)
-    for name in ("corpus.idx", "corpus.feat"):
-        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    assert (first / "corpus.idx").read_bytes() == (second / "corpus.idx").read_bytes()
 
 
 @settings(max_examples=25, deadline=None)
 @given(segment_tables())
-def test_segment_table_mean_frames_is_per_segment_mean(corpus):
-    assert np.array_equal(corpus.mean_frames(), _per_segment_means(corpus.segments))
+def test_segment_table_mean_frames_is_per_segment_mean(tmp_path_factory, table):
+    # the loaded means are bitwise the per-segment means of the bytes written, across POOL_BLOCK blocks
+    corpus, frames = table
+    path = tmp_path_factory.mktemp("means")
+    write_manifest(corpus, frames, path)
+    written = feat_frames((path / "corpus.feat").read_bytes())
+    want = _means_of(written, corpus.segments.bounds)
+    assert load_manifest(path).mean_frames().tobytes() == want.tobytes()
 
 
 @settings(max_examples=25, deadline=None)
 @given(segment_tables(), st.data())
-def test_validate_names_exactly_the_segments_with_non_finite_frames(corpus, data):
-    segments = corpus.segments
-    rows = data.draw(st.sets(st.integers(0, segments.frames.shape[0] - 1), max_size=6))
+def test_validate_names_exactly_the_segments_with_non_finite_frames(tmp_path_factory, table, data):
+    corpus, frames = table
+    rows = data.draw(st.sets(st.integers(0, frames.shape[0] - 1), min_size=1, max_size=6))
     for row in rows:
-        segments.frames[row, row % 3] = [np.nan, np.inf, -np.inf][row % 3]
-    owner = np.repeat(np.arange(len(segments)), np.diff(segments.bounds))  # frame row -> segment
+        frames[row, row % 3] = [np.nan, np.inf, -np.inf][row % 3]
+    path = tmp_path_factory.mktemp("nonfinite")
+    write_manifest(corpus, frames, path)
+    owner = np.repeat(np.arange(len(corpus.segments)), np.diff(corpus.segments.bounds))  # frame row -> segment
     want = sorted({int(owner[row]) for row in rows})
-    issues = [i.message for i in validate_corpus(corpus) if i.kind == "NonFiniteFeatures"]
-    assert issues == [f"segment {sid} contains NaN or inf" for sid in want]
+    assert _load_issues(path) == [("NonFiniteFeatures", f"segment {sid} contains NaN or inf") for sid in want]
 
 
-def _reference_issues(corpus):
-    """validate_corpus as plain loops over segments, recordings and members (the reference)."""
+@settings(max_examples=25, deadline=None)
+@given(segment_tables(), st.data())
+def test_zero_frame_segment_is_the_first_issue(tmp_path_factory, table, data):
+    corpus, frames = table
+    n, bounds = len(corpus.segments), corpus.segments.bounds
+    assume(n > 1)
+    sid = data.draw(st.integers(0, n - 1))
+    if sid + 1 < n:
+        bounds[sid + 1] = bounds[sid]  # segment sid's rows go to the next segment
+    else:
+        bounds[sid] = bounds[sid + 1]  # the last segment's rows go to the one before it
+    for row in data.draw(st.sets(st.integers(0, frames.shape[0] - 1), max_size=3)):
+        frames[row, 0] = np.nan
+    path = tmp_path_factory.mktemp("empty")
+    write_manifest(corpus, frames, path)
+    assert _load_issues(path)[0] == ("EmptySegment", f"segment {sid} has no frames")
+
+
+def _reference_issues(corpus, frames):
+    """validate_corpus as plain loops over segments, recordings and members (the reference).
+
+    A segment's finiteness is read from its rows of the frame matrix frames.
+    """
     segments, recordings, n_speakers = corpus.segments, corpus.recordings, corpus.n_speakers
     n = len(segments)
     issues = [("EmptySegment", f"segment {sid} has no frames")
               for sid in range(n) if segments.bounds[sid + 1] <= segments.bounds[sid]]
     issues += [("NonFiniteFeatures", f"segment {sid} contains NaN or inf")
-               for sid in range(n) if not np.isfinite(segment_features(segments, sid)).all()]
+               for sid in range(n) if not np.isfinite(_segment_rows(frames, segments.bounds, sid)).all()]
     issues += [("BadTarget", f"recording {r.recording_id} target {r.target} outside 0..{n_speakers - 1}")
                for r in recordings if not 0 <= r.target < n_speakers]
     issues += [("EmptyRecording", f"recording {r.recording_id} has no clusters")
@@ -463,8 +512,8 @@ def _reference_issues(corpus):
     return issues
 
 
-def _break_contract(corpus, rng):
-    """One to three random breaks of the corpus contract, each of a random kind."""
+def _break_contract(corpus, frames, rng):
+    """One to three random breaks of the corpus contract and its frame matrix, each of a random kind."""
     segments, recordings = corpus.segments, corpus.recordings
     for _ in range(int(rng.integers(1, 4))):
         rec = recordings[int(rng.integers(len(recordings)))]
@@ -480,7 +529,7 @@ def _break_contract(corpus, rng):
         elif damage == 4:
             corpus.n_speakers += int(rng.integers(1, 3))
         elif damage == 5:
-            segments.frames[int(rng.integers(segments.frames.shape[0])), 0] = np.nan
+            frames[int(rng.integers(frames.shape[0])), 0] = np.nan
         elif damage == 6 and len(segments) > 1:  # segment sid's rows go to segment sid - 1
             sid = int(rng.integers(1, len(segments)))
             segments.bounds[sid] = segments.bounds[sid + 1]
@@ -488,13 +537,17 @@ def _break_contract(corpus, rng):
 
 @settings(max_examples=50, deadline=None)
 @given(segment_tables(), st.integers(0, 2**32 - 1), st.booleans())
-def test_validate_matches_loop_reference(corpus, seed, broken):
+def test_validate_matches_loop_reference(table, seed, broken):
+    corpus, frames = table
     assert validate_corpus(corpus) == []
     if broken:
-        _break_contract(corpus, np.random.default_rng(seed))
-        # a corpus caches its cluster table, so the edited recordings go into a new one
-        corpus = Corpus(corpus.n_speakers, corpus.recordings, corpus.segments)
-    assert [(i.kind, i.message) for i in validate_corpus(corpus)] == _reference_issues(corpus)
+        _break_contract(corpus, frames, np.random.default_rng(seed))
+        # a corpus caches its cluster table, so the edited recordings go into a new one, with
+        # the means pooled again from the edited frames and bounds, as a load would
+        segments = corpus.segments
+        segments = Segments(_means_of(frames, segments.bounds), segments.bounds, segments.oracle)
+        corpus = Corpus(corpus.n_speakers, corpus.recordings, segments)
+    assert [(i.kind, i.message) for i in validate_corpus(corpus)] == _reference_issues(corpus, frames)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +620,7 @@ def _reference_load_manifest(directory):
     if ((n_frames < 0) | (n_frames > n_rows) | (offsets != bounds[:-1])).any() or bounds[-1] != n_rows:
         raise CorruptArtifact("segments do not tile the frame matrix")
     n_speakers = max((r.target for r in recordings), default=-1) + 1
-    corpus = Corpus(n_speakers, recordings, Segments(frames, bounds, meta[:, 1].copy()))
+    corpus = Corpus(n_speakers, recordings, Segments(_means_of(frames, bounds), bounds, meta[:, 1].copy()))
     try:
         issues = validate_corpus(corpus)
     except OverflowError:
@@ -581,7 +634,7 @@ def _facts(corpus):
     """Everything a corpus holds, as plain values."""
     segments = corpus.segments
     return (corpus.n_speakers, [(r.recording_id, r.target, r.clusters, r.heldout) for r in corpus.recordings],
-            segments.frames.tobytes(), segments.bounds.tolist(), segments.oracle.tolist())
+            segments.means.tobytes(), segments.bounds.tolist(), segments.oracle.tolist())
 
 
 def _table_facts(table):
@@ -598,9 +651,10 @@ def _outcome(load, directory):
 
 @settings(max_examples=25, deadline=None)
 @given(segment_tables())
-def test_loaded_table_and_recordings_agree(tmp_path_factory, corpus):
+def test_loaded_table_and_recordings_agree(tmp_path_factory, table):
+    corpus, frames = table
     path = tmp_path_factory.mktemp("agree")
-    save_manifest(corpus, path)
+    write_manifest(corpus, frames, path)
     loaded = load_manifest(path)
     assert _facts(loaded) == _facts(corpus)
     rebuilt = Corpus(loaded.n_speakers, loaded.recordings, loaded.segments).cluster_table()
@@ -645,9 +699,9 @@ def _mutate(lines, mutation):
 
 @settings(max_examples=100, deadline=None)
 @given(segment_tables(), st.lists(index_mutations(), min_size=1, max_size=3))
-def test_parse_matches_line_reference_on_damaged_index(tmp_path_factory, corpus, mutations):
+def test_parse_matches_line_reference_on_damaged_index(tmp_path_factory, table, mutations):
     path = tmp_path_factory.mktemp("damaged")
-    save_manifest(corpus, path)
+    write_manifest(*table, path)
     idx = path / "corpus.idx"
     lines = idx.read_text().splitlines()
     for mutation in mutations:
@@ -671,10 +725,10 @@ def test_parse_matches_line_reference_on_damaged_index(tmp_path_factory, corpus,
     lambda text: text.replace("\n", "\r\n"),
     lambda text: text.replace("\nS 1 ", "\nS\xa01 ", 1),  # NO-BREAK SPACE
 ], ids=["plus_sign", "underscore", "non_ascii_digit", "crlf", "no_break_space"])
-def test_index_grammar_is_stricter_than_int(tmp_path, tiny_corpus, edit):
+def test_index_grammar_is_stricter_than_int(tmp_path, tiny_corpus, tiny_frames, edit):
     """Fields are -?[0-9]+ and only space, tab and newline separate them, though int() and
     str.split() accept more."""
-    save_manifest(tiny_corpus, tmp_path)
+    write_manifest(tiny_corpus, tiny_frames, tmp_path)
     idx = tmp_path / "corpus.idx"
     idx.write_text(edit(idx.read_text()), newline="")
     assert _facts(_reference_load_manifest(tmp_path)) == _facts(tiny_corpus)
@@ -691,8 +745,8 @@ def test_index_grammar_is_stricter_than_int(tmp_path, tiny_corpus, edit):
     (lambda lines: [*lines[:-1], lines[-1].rsplit(" ", 1)[0] + f" {2**63}"], "index field out of range in .* line 21$"),
     (lambda lines: [*lines[:-1], lines[-1].rsplit(" ", 1)[0] + f" {2**63 - 1}"], "segment 8 .* does not tile"),
 ], ids=["blank_lines_count", "cluster_order", "cluster_outside", "split", "record_type", "int64", "int64_max"])
-def test_index_errors_name_the_line(tmp_path, tiny_corpus, edit, message):
-    save_manifest(tiny_corpus, tmp_path)
+def test_index_errors_name_the_line(tmp_path, tiny_corpus, tiny_frames, edit, message):
+    write_manifest(tiny_corpus, tiny_frames, tmp_path)
     idx = tmp_path / "corpus.idx"
     idx.write_text("\n".join(edit(idx.read_text().splitlines())) + "\n")
     with pytest.raises(CorruptArtifact, match=message):

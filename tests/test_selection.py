@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import weaksv.corpus
 import weaksv.selection
 from weaksv.corpus import Corpus, assign_heldout_split
 from weaksv.diarize import PRESETS, apply_diarization
@@ -320,12 +319,10 @@ class TestArrayParity:
 def test_selection_makes_no_per_segment_lookups(trained, monkeypatch):
     corpus, ckpt = trained
     fresh = Corpus(corpus.n_speakers, corpus.recordings, corpus.segments)
-    lookups, poolings = [], []
-    real_recording, real_pool = Corpus.recording, weaksv.corpus._pool_means
+    lookups = []
+    real_recording = Corpus.recording
     monkeypatch.setattr(Corpus, "recording",
                         lambda self, rid: lookups.append(rid) or real_recording(self, rid))
-    monkeypatch.setattr(weaksv.corpus, "_pool_means",
-                        lambda *a: poolings.append(1) or real_pool(*a))
     row_block = _set_row_block(monkeypatch, corpus, "tail1")
     embedded, real_forward = [], weaksv.selection.forward_pooled
     monkeypatch.setattr(weaksv.selection, "forward_pooled",
@@ -335,7 +332,7 @@ def test_selection_makes_no_per_segment_lookups(trained, monkeypatch):
     select_unknown_pool(scored, top_k=3, fraction=0.5)
     pooled = fresh.mean_frames()
     assert lookups == []
-    assert len(poolings) == 1
+    assert pooled is corpus.segments.means  # the segment table's means: nothing is pooled again
     # one embedding pass over the training segments, in ascending id order,
     # serves both selections: every row exactly once, in blocks of at most
     # ROW_BLOCK rows but for the last, which takes in a one-row tail
@@ -352,7 +349,6 @@ def test_scoring_never_holds_the_cosine_matrix(monkeypatch):
     model = EmbedderConfig(feat_dim=20, hidden_dim=16, emb_dim=8)
     ckpt = Checkpoint(model, init_params(model, corpus.n_speakers, seed=3))
     monkeypatch.setattr(weaksv.selection, "ROW_BLOCK", 32)
-    corpus.mean_frames()  # cached per corpus; not part of the scoring
     n_rows = sum(len(rec.segment_ids()) for rec in corpus.train_recordings())
     matrix_bytes = n_rows * corpus.n_speakers * 8
     tracemalloc.start()

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from weaksv.synth import (
     make_lift,
 )
 
-from conftest import make_segments, segment_features
+from conftest import feat_bytes, feat_frames, generate_with_frames, make_segments, segment_means
 
 
 class TestGenerateSpeakers:
@@ -39,28 +41,28 @@ class TestRenderSegment:
     def test_noise_free_rendering_is_deterministic(self):
         cfg = SynthConfig(n_speakers=4, recordings_per_speaker=2, within_speaker_noise=1e-12,
                           unknown_speaker_count=0, noise_segment_prob=0.0, seed=5)
-        a, b = generate_corpus(cfg), generate_corpus(cfg)
+        (a, frames_a), (b, frames_b) = generate_with_frames(cfg), generate_with_frames(cfg)
         voices = generate_speakers(cfg.n_speakers, cfg.latent_dim, cfg.seed)
         lift = make_lift(cfg)
-        assert np.array_equal(a.segments.frames, b.segments.frames)
+        assert frames_a.tobytes() == frames_b.tobytes()
+        bounds = a.segments.bounds
         for sid, spk in enumerate(a.segments.oracle.tolist()):
             # effectively noiseless: every frame is the lifted latent
             lifted = lift.apply(voices[spk].latent[None, :])[0]
-            assert np.allclose(segment_features(a.segments, sid), lifted, atol=1e-6)
+            assert np.allclose(frames_a[bounds[sid]:bounds[sid + 1]], lifted, atol=1e-6)
 
     def test_distinct_speakers_render_distinct_features(self):
         cfg = SynthConfig(n_speakers=2, recordings_per_speaker=2, within_speaker_noise=1e-12,
                           noise_segment_prob=0.0, unknown_speaker_count=0, seed=1)
-        corpus = generate_corpus(cfg)
+        corpus, frames = generate_with_frames(cfg)
         speaker_of_row = np.repeat(corpus.segments.oracle, np.diff(corpus.segments.bounds))
-        a, b = (corpus.segments.frames[speaker_of_row == spk].mean(axis=0) for spk in (0, 1))
+        a, b = (frames[speaker_of_row == spk].mean(axis=0) for spk in (0, 1))
         cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
         assert 1.0 - cos > 1e-3
 
     def test_values_finite_and_bounded(self):
-        corpus = generate_corpus(SynthConfig(n_speakers=6, recordings_per_speaker=3,
-                                             frames_per_segment=(50, 50), seed=2))
-        frames = corpus.segments.frames
+        _, frames = generate_with_frames(SynthConfig(n_speakers=6, recordings_per_speaker=3,
+                                                     frames_per_segment=(50, 50), seed=2))
         assert frames.dtype == np.float32
         assert np.all(np.isfinite(frames))
         assert np.all(np.abs(frames) <= 1.0)  # tanh range
@@ -80,7 +82,7 @@ class TestRenderSegment:
         assert len(known) >= 1000
         hits = 0
         for sid in known:
-            mean = segment_features(corpus.segments, sid).astype(np.float64).mean(axis=0)
+            mean = corpus.mean_frames()[sid]
             pred = int(np.argmin(((centroids - mean) ** 2).sum(axis=1)))
             hits += pred == oracle[sid]
         assert hits / len(known) > 0.95
@@ -117,9 +119,9 @@ class TestGenerateCorpus:
 
     def test_generation_is_bit_identical(self):
         cfg = SynthConfig(n_speakers=5, recordings_per_speaker=3, seed=11)
-        a = generate_corpus(cfg)
-        b = generate_corpus(cfg)
-        assert np.array_equal(a.segments.frames, b.segments.frames)
+        (a, frames_a), (b, frames_b) = generate_with_frames(cfg), generate_with_frames(cfg)
+        assert frames_a.tobytes() == frames_b.tobytes()
+        assert a.segments.means.tobytes() == b.segments.means.tobytes()
         assert np.array_equal(a.segments.bounds, b.segments.bounds)
         assert all(ra.clusters == rb.clusters for ra, rb in zip(a.recordings, b.recordings))
 
@@ -150,7 +152,7 @@ def _reference_render_segment(voice, n_frames, cfg, rng, lift, dtype):
 
 
 def _reference_corpus(cfg, dtype=np.float32):
-    """Each segment rendered on its own, drawing from its recording's stream in turn."""
+    """(corpus, frame matrix): each segment rendered on its own, drawing from its recording's stream in turn."""
     voices = generate_speakers(cfg.n_speakers + cfg.unknown_speaker_count, cfg.latent_dim, cfg.seed)
     lift = make_lift(cfg)
     recordings, features, oracles = [], [], []
@@ -176,16 +178,20 @@ def _reference_corpus(cfg, dtype=np.float32):
             order += [s for s in (UNKNOWN, NOISE) if s in oracle]
             clusters = [m for lab in order if (m := [s for s, o in zip(sids, oracle) if o == lab])]
             recordings.append(Recording(rec_id, target, clusters))
-    return Corpus(cfg.n_speakers, recordings, make_segments(features, oracles))
+    return Corpus(cfg.n_speakers, recordings, make_segments(features, oracles)), np.concatenate(features)
 
 
 def _assert_same_corpus(got, want):
+    """got and want are (corpus, frame matrix) pairs."""
+    (got, got_frames), (want, want_frames) = got, want
     g, w = got.segments, want.segments
     assert g.bounds.tolist() == w.bounds.tolist()
     assert g.oracle.tolist() == w.oracle.tolist()
-    assert g.frames.dtype == w.frames.dtype and g.frames.shape == w.frames.shape
+    assert got_frames.dtype == want_frames.dtype and got_frames.shape == want_frames.shape
     for sid in range(len(w)):
-        assert segment_features(g, sid).tobytes() == segment_features(w, sid).tobytes(), sid
+        rows = slice(w.bounds[sid], w.bounds[sid + 1])
+        assert got_frames[rows].tobytes() == want_frames[rows].tobytes(), sid
+    assert g.means.tobytes() == w.means.tobytes()  # bitwise each segment's frames averaged on their own
     assert [(r.recording_id, r.target, r.clusters, r.heldout) for r in got.recordings] == [
         (r.recording_id, r.target, r.clusters, r.heldout) for r in want.recordings]
     assert got.n_speakers == want.n_speakers
@@ -211,11 +217,11 @@ class TestBlockParity:
     @pytest.mark.parametrize("name", PARITY_CONFIGS)
     def test_matches_per_segment_loop(self, name):
         cfg = PARITY_CONFIGS[name]
-        _assert_same_corpus(generate_corpus(cfg), _reference_corpus(cfg))
+        _assert_same_corpus(generate_with_frames(cfg), _reference_corpus(cfg))
 
     def test_default_corpus_spans_many_blocks(self):
         corpus = generate_corpus(SynthConfig())
-        total = corpus.segments.frames.shape[0]
+        total = corpus.segments.bounds[-1]
         assert total > 5 * weaksv.synth.RENDER_BLOCK
 
     # 1: every segment is longer than a block; 37: blocks end mid-recording
@@ -224,7 +230,7 @@ class TestBlockParity:
         cfg = SynthConfig(**_SMALL, frames_per_segment=(1, 40), seed=38)
         want = _reference_corpus(cfg)
         monkeypatch.setattr(weaksv.synth, "RENDER_BLOCK", block)
-        _assert_same_corpus(generate_corpus(cfg), want)
+        _assert_same_corpus(generate_with_frames(cfg), want)
 
     @pytest.mark.parametrize("name", ["one_frame", "short_segments", "latent3_odd_frames"])
     def test_float64_rows_match_per_segment_lift(self, name):
@@ -233,15 +239,22 @@ class TestBlockParity:
         cfg = PARITY_CONFIGS[name]
         plan = weaksv.synth._plan_corpus(cfg)
         voices = generate_speakers(cfg.n_speakers + cfg.unknown_speaker_count, cfg.latent_dim, cfg.seed)
-        frames = np.empty((int(plan.n_frames.sum()), cfg.feat_dim))
-        weaksv.synth._render(plan, np.stack([v.latent for v in voices]), cfg, make_lift(cfg), frames)
-        want = _reference_corpus(cfg, dtype=np.float64)
-        assert np.array_equal(frames, want.segments.frames)
+        blocks = list(weaksv.synth._render(plan, np.stack([v.latent for v in voices]), cfg, make_lift(cfg)))
+        assert [a for a, _, _ in blocks] == [0] + [b for _, b, _ in blocks[:-1]]
+        assert blocks[-1][1] == plan.n_frames.size
+        _, want = _reference_corpus(cfg, dtype=np.float64)
+        assert np.array_equal(np.concatenate([rows for _, _, rows in blocks]), want)
 
     def test_segments_are_consecutive_rows_of_one_frame_matrix(self):
-        corpus = generate_corpus(PARITY_CONFIGS["latent3_odd_frames"])
-        frames, bounds = corpus.segments.frames, corpus.segments.bounds
-        assert frames.dtype == np.float32 and frames.flags.c_contiguous
+        feat = io.BytesIO()
+        corpus = generate_corpus(PARITY_CONFIGS["latent3_odd_frames"], feat)
+        raw, bounds = feat.getvalue(), corpus.segments.bounds
+        frames = feat_frames(raw)
+        assert feat_bytes(frames) == raw  # the header, then float32 little-endian rows
         assert frames.shape == (bounds[-1], corpus.feat_dim)
         assert bounds.dtype == np.int64 and bounds.shape == (len(corpus.segments) + 1,)
         assert bounds[0] == 0 and np.all(np.diff(bounds) >= 1)
+        means = corpus.mean_frames()
+        assert means.dtype == np.float64 and means.shape == (len(corpus.segments), corpus.feat_dim)
+        assert not means.flags.writeable
+        assert means.tobytes() == segment_means(np.split(frames, bounds[1:-1])).tobytes()
