@@ -5,22 +5,26 @@ Usage (from the repository root):
     python3 scripts/bench_record.py --label change
     python3 scripts/bench_record.py --label change --parent-label parent --parent-tree ../weaksv-parent
 
-For every workload it runs the tree's `bench/run.py` twice at one seed:
-with `--trace 0` for the end-to-end metrics and with `--trace 1` for the
-per-layer ones. Given a parent tree as well, it records both trees in one
+For every workload it runs the tree's `bench/run.py` at one seed, with
+`--trace 0` for the end-to-end metrics and with `--trace 1` for the
+per-layer ones, each as ROUNDS (3) short runs that split `--seconds`
+between them. Given a parent tree as well, it records both trees in one
 invocation, alternating between them run by run with the first tree
-flipping at every step, and writes one file for each. The file holds:
+flipping at every step, so a burst of host load is spread over both
+trees; it writes one file for each. The file holds:
 - `env`: Python, numpy, BLAS and its thread settings, cores, commit and
   code digest, as the harness reports them;
-- per workload, `end_to_end`: the harness's metrics, plus `wall_s` and
-  each CLI stage's time as the median and quartiles over the untraced
-  passes (from the harness's per-pass stage times), and each CLI stage's
-  peak resident memory as `stage.<stage>_peak_rss_mib`. The harness runs
-  every stage of every pass in its own process, so its `peak_rss_mib`
-  shows only the largest; here each stage runs once more, on its own, in
-  a fresh interpreter on the tree's sources (`weaksv.cli.main`, as
+- per workload, `end_to_end`: the harness's metrics as the median over
+  the rounds, plus `wall_s` and each CLI stage's time as the median and
+  quartiles over the untraced passes of all rounds pooled (from the
+  harness's per-pass stage times), and each CLI stage's peak resident
+  memory as `stage.<stage>_peak_rss_mib`. The harness runs every stage of
+  every pass in one process, so its `peak_rss_mib` shows only the
+  largest; here each stage runs once more, on its own, in a fresh
+  interpreter on the tree's sources (`weaksv.cli.main`, as
   `python -m weaksv` runs it), so every stage's peak shows;
-- per workload, `per_layer`: the traced run's spans and counts.
+- per workload, `per_layer`: the traced rounds' spans and counts, each
+  the median over the rounds.
 
 It then compares the file with a previous one and lists in `flags`:
 - every timing with quartiles whose median lies outside the previous
@@ -29,7 +33,7 @@ It then compares the file with a previous one and lists in `flags`:
   that differs at all.
 Figures with one number and no spread (setup_s, the peak RSS figures
 and the per-layer timings) are listed as ratios under `ratios` and are
-not flagged: one run gives no range to compare with.
+not flagged: a median of three rounds gives no range to compare with.
 The previous file is `--previous`, else the newest other BENCH_*.json
 beside it; with a parent tree, the change is compared with the parent's
 file, and the parent's file with that previous one. Two files are
@@ -52,6 +56,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("pipeline", "ablate", "scale")
+ROUNDS = 3  # harness runs per tree, workload and trace mode
 # Name endings of figures with a single value and no spread: compared as ratios only.
 UNSPREAD = ("setup_s", "peak_rss_mib")
 # A CLI stage in a fresh interpreter that prints its peak resident memory in KiB. The peak is
@@ -92,44 +97,50 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def end_to_end_figures(workload: str, record: dict, result: dict) -> dict:
-    """The untraced run's metrics, plus wall_s and each stage's time as median and quartiles."""
-    if not result["correct"]:
-        raise SystemExit(f"{workload}: the untraced run failed: {record['problems'][:3]}")
-    passes = record["stage_s_per_pass"]
-    figures = {name: m["value"] for name, m in result["metrics"].items()}
+def round_metrics(workload: str, rounds: list[tuple[dict, dict]]) -> dict:
+    """Each metric of the harness runs (record, result) as the median over the runs; every run must pass."""
+    for record, result in rounds:
+        if not result["correct"]:
+            raise SystemExit(f"{workload}: a run failed: {record['problems'][:3]}")
+    return {name: statistics.median(result["metrics"][name]["value"] for _, result in rounds)
+            for name in rounds[0][1]["metrics"]}
+
+
+def end_to_end_figures(workload: str, rounds: list[tuple[dict, dict]]) -> dict:
+    """The untraced runs' metrics, plus wall_s and each stage's time as median and quartiles of the pooled passes."""
+    figures = round_metrics(workload, rounds)
+    passes = [p for record, _ in rounds for p in record["stage_s_per_pass"]]
     figures["wall_s"] = spread([sum(p.values()) for p in passes])
     figures.update({f"stage.{stage}_s": spread([p[stage] for p in passes]) for stage in passes[0]})
     return figures
 
 
-def per_layer_figures(workload: str, record: dict, result: dict) -> dict:
-    if not result["correct"]:
-        raise SystemExit(f"{workload}: the traced run failed: {record['problems'][:3]}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
-
-
 def record_trees(trees: dict[str, Path], seed: int, seconds: float) -> dict[str, dict]:
-    """label -> figures of every tree: an untraced, then a traced harness run per workload.
+    """label -> figures of every tree: ROUNDS untraced, then ROUNDS traced harness runs per workload.
 
     With two trees the runs alternate between them, and the tree that goes
     first flips at every step, so a host that speeds up or slows down
-    during the recording weighs on both trees alike.
+    during the recording weighs on both trees alike. Each tree's stage
+    peaks are taken after its untraced rounds.
     """
     docs = {label: {"label": label, "seed": seed, "seconds": seconds, "workloads": {}} for label in trees}
     order = list(trees)
     for workload in WORKLOADS:
         for trace in (0, 1):
+            rounds = {label: [] for label in trees}
+            for _ in range(ROUNDS):
+                for label in order:
+                    rounds[label].append(run_harness(trees[label], workload, seed, seconds / ROUNDS, trace))
+                order.reverse()
             for label in order:
-                record, result = run_harness(trees[label], workload, seed, seconds, trace)
-                docs[label].setdefault("env", record["env"])
+                docs[label].setdefault("env", rounds[label][0][0]["env"])
                 figures = docs[label]["workloads"].setdefault(workload, {})
+                passes = sum(record["passes"] for record, _ in rounds[label])
                 if trace == 0:
-                    figures.update(passes=record["passes"], end_to_end=end_to_end_figures(workload, record, result))
+                    figures.update(passes=passes, end_to_end=end_to_end_figures(workload, rounds[label]))
                     figures["end_to_end"].update(stage_peaks(trees[label], workload, seed))
                 else:
-                    figures.update(traced_passes=record["passes"], per_layer=per_layer_figures(workload, record, result))
-            order.reverse()
+                    figures.update(traced_passes=passes, per_layer=round_metrics(workload, rounds[label]))
         for label, doc in docs.items():
             print(f"{label} {workload}: wall_s median {doc['workloads'][workload]['end_to_end']['wall_s']['median']:.3f} s",
                   flush=True)

@@ -103,16 +103,22 @@ def _generate(cfg: cfgmod.RunConfig, feat) -> tuple[corpusmod.Corpus, list[corpu
 
 def cmd_gen(cfg: cfgmod.RunConfig, args) -> None:
     out = cfg.out
+    created = [path for path in (out, *out.parents) if not path.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
     # the frames go to corpus.feat as they are rendered; the file is renamed into
     # place only once the corpus is checked and its trials drawn, so a failed gen
-    # leaves no file behind
-    corpus, trials = atomic_write(out / corpusmod.FEAT_NAME, lambda feat: _generate(cfg, feat))
+    # leaves no file, nor a directory it made, behind
+    try:
+        corpus, trials = atomic_write(out / corpusmod.FEAT_NAME, lambda feat: _generate(cfg, feat))
+    except BaseException:
+        for path in created:
+            path.rmdir()
+        raise
     _snapshot_config(cfg, out)
     save_manifest(corpus, out)
     save_oracle(corpus, out)
     save_trials(trials, out / corpusmod.TRIALS_NAME)
-    print(f"gen: {len(corpus.recordings)} recordings, {len(corpus.segments)} segments, "
+    print(f"gen: {len(corpus.cluster_table().ids)} recordings, {len(corpus.segments)} segments, "
           f"{len(trials)} trials -> {out}")
 
 
@@ -122,8 +128,8 @@ def cmd_diar(cfg: cfgmod.RunConfig, args) -> None:
     corpus = apply_diarization(load_manifest(out), diar)
     _snapshot_config(cfg, out)
     save_manifest(corpus, out)  # the segment table, and so corpus.feat, is unchanged
-    n_clusters = sum(len(r.clusters) for r in corpus.recordings)
-    print(f"diar: rewrote clusters for {len(corpus.recordings)} recordings ({n_clusters} clusters)")
+    table = corpus.cluster_table()
+    print(f"diar: rewrote clusters for {len(table.ids)} recordings ({len(table.sizes)} clusters)")
 
 
 def cmd_train1(cfg: cfgmod.RunConfig, args) -> None:

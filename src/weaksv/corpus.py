@@ -14,7 +14,8 @@ memory: they are pooled a block at a time as they are rendered (synth)
 or read (load_manifest), and every stage reads only the means.
 
 On-disk layout (one directory):
-  corpus.idx   line-oriented text: R/C/S records (see save_manifest)
+  corpus.idx   40-byte header + int64 little-endian cluster table, oracle
+               labels and frame counts (see save_manifest)
   corpus.feat  16-byte header + float32 little-endian frame matrix
   oracle.tsv   segment_id <tab> oracle_label (evaluation sidecar)
   trials.tsv   enroll_id <tab> test_id <tab> {0,1}
@@ -40,6 +41,9 @@ NOISE = -2
 
 FEAT_MAGIC = b"WMLF"
 FEAT_VERSION = 1
+IDX_MAGIC = b"WIDX"
+IDX_VERSION = 1
+IDX_HEADER = struct.Struct("<4sI4Q")  # corpus.idx: magic, version, counts R, C, M, S
 
 IDX_NAME = "corpus.idx"
 FEAT_NAME = "corpus.feat"
@@ -145,7 +149,7 @@ class Corpus:
         return self.segments.means
 
     def cluster_table(self) -> ClusterTable:
-        """The clusters as one ClusterTable, built on first use and kept (or given to from_table).
+        """The clusters as one read-only ClusterTable, built on first use and kept (or given to from_table).
 
         Raises OverflowError for an id, target or member past int64.
         """
@@ -155,7 +159,10 @@ class Corpus:
             clusters = [cluster for r in self.recordings for cluster in r.clusters]
             sizes = np.array([len(cluster) for cluster in clusters], dtype=np.int64)
             members = np.fromiter(chain.from_iterable(clusters), np.int64, int(sizes.sum()))
-            self._clusters = ClusterTable(rows[:, 0], rows[:, 1], rows[:, 2] == 1, rows[:, 3], sizes, members)
+            arrays = (rows[:, 0], rows[:, 1], rows[:, 2] == 1, rows[:, 3], sizes, members)
+            for array in arrays:
+                array.flags.writeable = False
+            self._clusters = ClusterTable(*arrays)
         return self._clusters
 
 
@@ -335,14 +342,13 @@ def split_trials(corpus: Corpus, n_target: int, n_nontarget: int, seed: int) -> 
 
 
 def save_manifest(corpus: Corpus, directory: str | Path) -> None:
-    """Write corpus.idx, one record per line:
-      R <recording_id> <target> <n_clusters> <train|heldout>
-      C <cluster_id> <segment_id> ...
-    each recording (in id order) followed by its clusters, then
-      S <segment_id> <oracle> <n_frames> <offset>
-    for every segment in id order, where <offset> is its first frame row
-    inside corpus.feat. Fields are separated by one space. The lines are
-    written as they are made, so no copy of the whole text is held.
+    """Write corpus.idx from the cluster table and the segment table, in one atomic write.
+
+    The file is IDX_HEADER (40 bytes: magic WIDX, u32 version 1, then the
+    u64 counts R recordings, C clusters, M members and S segments) and
+    little-endian int64 arrays back to back, in table order: ids[R],
+    targets[R], heldout[R] (0 or 1), n_clusters[R], sizes[C], members[M],
+    oracle[S], n_frames[S].
 
     corpus.feat is written only as the frames are rendered (see
     synth.generate_corpus): its features are float32 little-endian,
@@ -350,18 +356,12 @@ def save_manifest(corpus: Corpus, directory: str | Path) -> None:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    atomic_write(directory / IDX_NAME, (line.encode() for line in _index_lines(corpus)))
-
-
-def _index_lines(corpus: Corpus):
-    for rec in sorted(corpus.recordings, key=lambda r: r.recording_id):
-        yield f"R {rec.recording_id} {rec.target} {len(rec.clusters)} {'heldout' if rec.heldout else 'train'}\n"
-        for cid, cluster in enumerate(rec.clusters):
-            yield f"C {cid} {' '.join(map(str, cluster))}\n"
-    segments = corpus.segments
-    starts, ends = segments.bounds[:-1].tolist(), segments.bounds[1:].tolist()
-    for sid, (oracle, start, end) in enumerate(zip(segments.oracle.tolist(), starts, ends)):
-        yield f"S {sid} {oracle} {end - start} {start}\n"
+    table, segments = corpus.cluster_table(), corpus.segments
+    arrays = (table.ids, table.targets, table.heldout, table.n_clusters, table.sizes, table.members,
+              segments.oracle, np.diff(segments.bounds))
+    header = IDX_HEADER.pack(IDX_MAGIC, IDX_VERSION, len(table.ids), len(table.sizes), len(table.members),
+                             len(segments))
+    atomic_write(directory / IDX_NAME, [header, *(np.ascontiguousarray(a, dtype="<i8") for a in arrays)])
 
 
 def feat_header(feat_dim: int) -> bytes:
@@ -375,21 +375,18 @@ def load_manifest(directory: str | Path) -> Corpus:
     The checks run in this order, each raising CorruptArtifact:
     - the corpus.feat header: magic, version, a feat_dim of at least 1 and
       a body of whole rows (read from the header and the file size);
-    - every corpus.idx line, in one array pass over the file (see
-      _parse_index), naming the first bad line;
-    - the tiling: S ids 0..n-1 in order, and segments that cover the
-      frame matrix in id order;
+    - the corpus.idx header and arrays (see _read_index): magic, version,
+      exact size, held-out flags, cluster counts and sizes, and frame
+      counts that tile the frame matrix;
     - a body that reads in full;
     - the first issue validate_corpus finds in the corpus read.
-    The index is parsed before the feature body is read, so the parse's
-    scratch arrays are freed before the frames arrive. The body is then
-    read POOL_BLOCK whole segments at a time into one reused buffer, and
-    each block is pooled into the segments' means (see pool_frames); no
-    frame matrix is held. The corpus's cluster table is the one the parse
-    built, and its Recording lists are sliced from that table.
+    The body is read POOL_BLOCK whole segments at a time into one reused
+    buffer, and each block is pooled into the segments' means (see
+    pool_frames); no frame matrix is held. The corpus's cluster table is
+    the index's arrays, and its Recording lists are sliced from that table.
     """
     directory = Path(directory)
-    feat_path, idx_path = directory / FEAT_NAME, directory / IDX_NAME
+    feat_path = directory / FEAT_NAME
     with feat_path.open("rb") as feat:
         head = feat.read(16)
         size = feat.seek(0, 2)
@@ -404,24 +401,10 @@ def load_manifest(directory: str | Path) -> Corpus:
             raise CorruptArtifact(f"{feat_path}: {size - 16} body bytes are not whole rows of {feat_dim} float32")
         n_rows = (size - 16) // (4 * feat_dim)
 
-        table, meta = _parse_index(idx_path.read_bytes(), idx_path)
-        n = meta.shape[0]
-        misplaced = meta[:, 0] != np.arange(n)
-        if misplaced.any():
-            i = int(np.argmax(misplaced))
-            raise CorruptArtifact(f"S record {i} of {idx_path} has id {meta[i, 0]}, not {i}")
-        # Segment i must cover rows bounds[i]:bounds[i+1] of the frame matrix.
-        n_frames, offsets = meta[:, 2], meta[:, 3]
+        table, oracle, n_frames = _read_index(directory / IDX_NAME, n_rows)
+        n = len(oracle)
         bounds = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.clip(n_frames, 0, n_rows), out=bounds[1:])  # clipped: the sum cannot overflow
-        bad = (n_frames < 0) | (n_frames > n_rows) | (offsets != bounds[:-1])
-        if bad.any():
-            sid, _, count, offset = meta[int(np.argmax(bad))].tolist()
-            raise CorruptArtifact(f"segment {sid} ({count} frames at row {offset}) does not tile "
-                                  f"the {n_rows} rows of {feat_path} in id order")
-        if bounds[-1] != n_rows:
-            raise CorruptArtifact(
-                f"the segments of {idx_path} cover {bounds[-1]} of the {n_rows} rows of {feat_path}")
+        np.cumsum(n_frames, out=bounds[1:])
 
         feat.seek(16)
         means = np.empty((n, feat_dim))
@@ -435,180 +418,48 @@ def load_manifest(directory: str | Path) -> Corpus:
     means.flags.writeable = False
 
     n_speakers = int(table.targets.max(initial=-1)) + 1
-    corpus = Corpus.from_table(n_speakers, table, Segments(means, bounds, meta[:, 1].copy()))
+    corpus = Corpus.from_table(n_speakers, table, Segments(means, bounds, oracle))
     issues = validate_corpus(corpus)
     if issues:
         raise CorruptArtifact(f"{directory}: {issues[0].kind}: {issues[0].message}")
     return corpus
 
 
-# Field bytes of corpus.idx: a field is a run of bytes other than space,
-# tab and newline; a record is the fields of one newline-ended line.
-_SPACE, _TAB, _NEWLINE, _MINUS, _ZERO = 32, 9, 10, 45, 48
-_SPLITS = (b"train", b"heldout")
-# Integer fields of at most this many digits are read by the array pass;
-# longer ones, which may not fit in int64, one at a time by int().
-_ARRAY_DIGITS = 18
+def _read_index(idx_path: Path, n_rows: int) -> tuple[ClusterTable, np.ndarray, np.ndarray]:
+    """corpus.idx as a ClusterTable, the oracle labels and the frame counts of segments over n_rows rows.
 
-# Why a record was rejected, in the order a record's checks run; 0 is a good record.
-(_OK, _UNKNOWN_TYPE, _C_FIRST, _FIELD_COUNT, _SPLIT, _NON_INTEGER, _CLUSTER_OUTSIDE,
- _CLUSTER_ORDER, _RANGE) = range(9)
-_PROBLEMS = ("", "unknown record type {type!r}", "C line before any R line", "wrong field count",
-             "unknown split {split!r}", "non-integer field", "cluster {cid} outside the declared count",
-             "cluster {cid} out of order ({due} due)", "index field out of range")
-
-
-def _parse_index(data: bytes, idx_path: Path) -> tuple[ClusterTable, np.ndarray]:
-    """corpus.idx as a ClusterTable and an (n_S, 4) int64 array of the S fields, in file order.
-
-    Works in array passes over the bytes, with per-byte scratch only in
-    bool and uint8: fields are the runs between spaces, tabs and
-    newlines, a record is the fields of one line, and a line without
-    fields is skipped. Every record is checked at once, and the first
-    bad one in the file raises CorruptArtifact with its line number: an
-    unknown record type; a C record before any R record; a field count
-    other than 5 (R, S) or under 2 (C); an R split other than train or
-    heldout; a field that is not -?[0-9]+; a C id outside its R record's
-    declared count, or other than the next of 0, 1, ...; a field outside
-    int64. A C record's owner is the last R record before it; S records
-    may stand anywhere. A declared cluster count below zero reads as
-    zero, and clusters declared past a recording's C records are empty
-    (validate_corpus rejects them).
+    Raises CorruptArtifact for a bad magic or version, a size other than
+    the counts give, a held-out flag other than 0 or 1, cluster counts or
+    sizes outside 0..C or 0..M or not adding up to C or M, and frame
+    counts outside 0..n_rows or not adding up to n_rows (each range comes
+    first, so no sum can wrap). The int64 arrays are read-only views of
+    the file's bytes.
     """
-    text = np.frombuffer(data, dtype=np.uint8)
-    gap = (text == _SPACE) | (text == _TAB) | (text == _NEWLINE)
-    edges = np.ones(text.size + 2, dtype=bool)  # gaps, with one before and one after the text
-    edges[1:-1] = gap
-    starts = np.flatnonzero(edges[:-2] & ~gap)  # a field starts after a gap and ends at one
-    ends = np.flatnonzero(~gap & edges[2:]) + 1
-    length = np.subtract(ends, starts, dtype=np.int32)
-    del edges
-    n = starts.size
-    # A record starts at the first field after a newline (or the file's start); after blank
-    # lines several newlines point at one field, and the last of them gives its line.
-    after = np.concatenate([[0], np.searchsorted(starts, np.flatnonzero(text == _NEWLINE))])
-    last = np.flatnonzero(np.diff(after, append=n + 1))
-    last = last[after[last] < n]
-    first, lineno = after[last], last + 1
-    n_fields = np.diff(first, append=n)
-    del after, last
-
-    # an integer field's only non-digit byte is a leading minus, and digits follow it
-    digit = text - np.uint8(_ZERO)  # a digit's value; any other byte reads above 9
-    stray = (digit > 9) & ~gap
-    minus = text[starts] == _MINUS
-    stray[starts[minus]] = False
-    stray[starts[first]] = False  # the record types, checked on their own: saves most of the search
-    integer = length > minus
-    integer[np.searchsorted(starts, np.flatnonzero(stray), side="right") - 1] = False
-    del gap, stray
-    values, wide = _integer_values(data, digit, ends, length - minus, minus, integer)
-    del digit
-
-    def field(k: int) -> np.ndarray:  # each record's field k, clipped to the last field
-        return np.minimum(first + k, n - 1)
-
-    kind = np.where(length[first] == 1, text[starts[first]], 0)
-    is_r, is_c, is_s = kind == ord("R"), kind == ord("C"), kind == ord("S")
-    owner = np.cumsum(is_r) - 1  # ordinal of the last R record at or before each record
-    r, c = np.flatnonzero(is_r), np.flatnonzero(is_c)
-    split = np.zeros(first.size, dtype=np.int8)  # R records: 1 train, 2 heldout, 0 neither
-    split[r] = _split_words(text, starts[field(4)[r]], length[field(4)[r]])
-    declared = np.maximum(values[field(3)[r]], 0)
-
-    # a C id must be inside its owner's declared count and next after the owner's C records before it
-    cid, has_owner = values[field(1)], owner >= 0
-    limit = np.zeros(first.size, dtype=np.int64)
-    limit[has_owner] = declared[owner[has_owner]]
-    rank = np.arange(c.size)
-    due = np.zeros(first.size, dtype=np.int64)
-    due[c] = rank - np.maximum.accumulate(np.where(np.diff(owner[c], prepend=-2) != 0, rank, 0))
-
-    # every field after the type must be an integer, but for R's split
-    not_integer = ~integer
-    not_integer[first] = False
-    not_integer[field(4)[r]] &= n_fields[r] != 5
-    problem = np.select([
-        ~(is_r | is_c | is_s),
-        is_c & ~has_owner,
-        (is_c & (n_fields < 2)) | ((is_r | is_s) & (n_fields != 5)),
-        is_r & (split == 0),
-        is_c & not_integer[field(1)],
-        is_c & wide[field(1)],
-        is_c & ((cid < 0) | (cid >= limit)),
-        is_c & (cid != due),
-        _flagged_records(not_integer, first),
-        _flagged_records(wide, first),
-    ], [_UNKNOWN_TYPE, _C_FIRST, _FIELD_COUNT, _SPLIT, _NON_INTEGER, _RANGE, _CLUSTER_OUTSIDE,
-        _CLUSTER_ORDER, _NON_INTEGER, _RANGE], _OK)
-    if problem.any():
-        rec = int(np.argmax(problem != _OK))
-
-        def word(k: int) -> str:
-            i = min(first[rec] + k, n - 1)
-            return data[starts[i]:ends[i]].decode("utf-8", errors="replace")
-
-        why = _PROBLEMS[problem[rec]].format(type=word(0), split=word(4), cid=cid[rec], due=due[rec])
-        raise CorruptArtifact(f"{why} in {idx_path} line {lineno[rec]}")
-
-    # a recording's clusters past its C records are empty, and one empty cluster stands for them all
-    n_clusters = np.minimum(declared, np.bincount(owner[c], minlength=r.size) + 1)
-    sizes = np.zeros(int(n_clusters.sum()), dtype=np.int64)
-    sizes[(np.cumsum(n_clusters) - n_clusters)[owner[c]] + cid[c]] = n_fields[c] - 2
-    in_c = np.zeros(n + 1, dtype=np.int8)  # +1 at a C record's first member, -1 past its last
-    in_c[first[c] + 2] += 1
-    in_c[first[c] + n_fields[c]] -= 1  # apart: a memberless record's two marks fall on one field
-    members = values[np.cumsum(in_c[:-1], dtype=np.int8) > 0]
-    table = ClusterTable(values[first[r] + 1], values[first[r] + 2], split[r] == 2, n_clusters, sizes, members)
-    s = np.flatnonzero(is_s)
-    return table, values[first[s, None] + np.arange(1, 5)]
-
-
-def _flagged_records(flags: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Per record: whether any of its fields is flagged (record i's fields start at first[i])."""
-    out = np.zeros(first.size, dtype=bool)
-    out[np.searchsorted(first, np.flatnonzero(flags), side="right") - 1] = True
-    return out
-
-
-def _integer_values(data: bytes, digit: np.ndarray, ends: np.ndarray, width: np.ndarray, minus: np.ndarray,
-                    integer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 value of each integer field, and whether it lies outside int64.
-
-    A field's digits are data[ends - width:ends], after a minus where
-    minus is set; the values of fields not flagged integer are left
-    unspecified. digit holds each byte's digit value. Up to _ARRAY_DIGITS
-    digits are read a right-aligned digit column at a time over all
-    fields, in int32 while no value can pass it; longer fields by int().
-    """
-    columns = min(int(width.max(where=integer, initial=0)), _ARRAY_DIGITS)
-    values = np.zeros(ends.size, dtype=np.int32 if columns <= 9 else np.int64)
-    at = np.empty_like(ends)
-    for k in range(columns, 0, -1):  # the digit k places from the end
-        np.subtract(ends, k, out=at)
-        values *= 10
-        values += digit.take(at, mode="clip") * (width >= k)
-    del at
-    values = values.astype(np.int64)
-    np.negative(values, out=values, where=minus)
-    wide = np.zeros(ends.size, dtype=bool)
-    for i in np.flatnonzero(integer & (width > _ARRAY_DIGITS)).tolist():
-        value = int(data[ends[i] - width[i]:ends[i]]) * (-1 if minus[i] else 1)
-        if -2**63 <= value < 2**63:
-            values[i] = value
-        else:
-            wide[i] = True
-    return values, wide
-
-
-def _split_words(text: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Per field text[starts:starts + lengths]: 1 if it reads train, 2 if heldout, else 0."""
-    out = np.zeros(starts.size, dtype=np.int8)
-    for code, word in enumerate(_SPLITS, 1):
-        letters = np.frombuffer(word, dtype=np.uint8)
-        at = np.minimum(starts[:, None] + np.arange(letters.size), max(text.size - 1, 0))
-        out[(lengths == letters.size) & (text[at] == letters).all(axis=1)] = code
-    return out
+    data = idx_path.read_bytes()
+    if data[:4] != IDX_MAGIC:
+        raise CorruptArtifact(f"bad index magic in {idx_path}")
+    if len(data) < IDX_HEADER.size:
+        raise CorruptArtifact(f"{idx_path} is shorter than its {IDX_HEADER.size}-byte header")
+    _, version, r, c, m, s = IDX_HEADER.unpack_from(data)
+    if version != IDX_VERSION:
+        raise CorruptArtifact(f"unsupported index version {version} in {idx_path}")
+    lengths = [r, r, r, r, c, m, s, s]
+    size = IDX_HEADER.size + 8 * sum(lengths)
+    if len(data) != size:
+        raise CorruptArtifact(f"{idx_path} holds {len(data)} bytes, not the {size} its counts R {r}, C {c}, "
+                              f"M {m}, S {s} give")
+    body = np.frombuffer(data, dtype="<i8", offset=IDX_HEADER.size)
+    ids, targets, heldout, n_clusters, sizes, members, oracle, n_frames = np.split(body, np.cumsum(lengths[:-1]))
+    stray = (heldout != 0) & (heldout != 1)
+    if stray.any():
+        raise CorruptArtifact(f"recording {ids[stray][0]} of {idx_path} has a held-out flag other than 0 or 1")
+    for name, values, total in (("cluster counts", n_clusters, c), ("cluster sizes", sizes, m),
+                                ("frame counts", n_frames, n_rows)):
+        if ((values < 0) | (values > total)).any() or values.sum() != total:
+            raise CorruptArtifact(f"the {name} of {idx_path} do not each lie in 0..{total} and add up to {total}")
+    flags = heldout == 1
+    flags.flags.writeable = False
+    return ClusterTable(ids, targets, flags, n_clusters, sizes, members), oracle, n_frames
 
 
 def save_oracle(corpus: Corpus, directory: str | Path) -> None:

@@ -43,6 +43,23 @@ def write_manifest(corpus, frames, directory):
     (Path(directory) / "corpus.feat").write_bytes(feat_bytes(frames))
 
 
+# corpus.idx's int64 arrays, in file order after its 40-byte header
+INDEX_ARRAYS = ("ids", "targets", "heldout", "n_clusters", "sizes", "members", "oracle", "n_frames")
+
+
+def edit_index(path, edit):
+    """Read corpus.idx at path into {name: writable int64 array}, let edit change the arrays (in place or by
+    replacing them in the dict), and write them back under a header that counts them. Built from the format."""
+    raw = Path(path).read_bytes()
+    r, c, m, s = struct.unpack_from("<4Q", raw, 8)
+    body = np.frombuffer(raw, dtype="<i8", offset=40).copy()
+    arrays = dict(zip(INDEX_ARRAYS, np.split(body, np.cumsum([r, r, r, r, c, m, s]))))
+    edit(arrays)
+    counts = [len(arrays[name]) for name in ("ids", "sizes", "members", "oracle")]
+    Path(path).write_bytes(b"WIDX" + struct.pack("<I4Q", 1, *counts)
+                           + b"".join(np.asarray(arrays[name], dtype="<i8").tobytes() for name in INDEX_ARRAYS))
+
+
 def generate_with_frames(cfg):
     """generate_corpus(cfg), and the frame matrix it wrote as corpus.feat."""
     feat = io.BytesIO()

@@ -43,14 +43,16 @@ def test_previous_file_is_the_newest_other_record(tmp_path):
 
 
 def _fake_harness(monkeypatch, calls):
-    """Stand-ins for run_harness, which logs (tree, workload, trace) and reports one two-pass run,
-    and for stage_peaks, which logs (tree, workload, "peaks")."""
+    """Stand-ins for run_harness, which logs (tree, workload, trace, seconds) and reports one two-pass run
+    whose metric reads 7, 9 and 8 on a tree's three rounds, and for stage_peaks, which logs (tree, workload,
+    "peaks")."""
     def run(tree, workload, seed, seconds, trace):
-        calls.append((tree.name, workload, trace))
+        calls.append((tree.name, workload, trace, seconds))
+        value = (7.0, 9.0, 8.0)[(sum(1 for call in calls if call[:3] == (tree.name, workload, trace)) - 1) % 3]
         record = {"env": {"tree": tree.name}, "passes": 2, "problems": [],
                   "stage_s_per_pass": [{"gen": 1.0, "eval": 2.0}, {"gen": 1.5, "eval": 2.5}]}
         metric = "wall_s" if trace == 0 else "trainer.steps1"
-        return record, {"correct": True, "metrics": {metric: {"value": 7.0}}}
+        return record, {"correct": True, "metrics": {metric: {"value": value}}}
 
     def peaks(tree, workload, seed):
         calls.append((tree.name, workload, "peaks"))
@@ -64,18 +66,24 @@ def test_two_trees_alternate_with_the_first_flipping(monkeypatch, tmp_path):
     calls = []
     _fake_harness(monkeypatch, calls)
     trees = {"parent": tmp_path / "p", "change": tmp_path / "c"}
-    docs = bench_record.record_trees(trees, seed=1, seconds=1.0)
-    expected = []
-    for k, (workload, trace) in enumerate((w, t) for w in bench_record.WORKLOADS for t in (0, 1)):
-        order = ["p", "c"] if k % 2 == 0 else ["c", "p"]
-        for tree in order:  # each tree's stage peaks follow its untraced run
-            expected += [(tree, workload, trace)] + ([(tree, workload, "peaks")] if trace == 0 else [])
+    docs = bench_record.record_trees(trees, seed=1, seconds=3.0)
+    expected, step = [], 0
+    for workload in bench_record.WORKLOADS:
+        for trace in (0, 1):
+            for _ in range(3):  # three rounds of one run per tree, each a third of the seconds
+                expected += [(tree, workload, trace, 1.0) for tree in (["p", "c"] if step % 2 == 0 else ["c", "p"])]
+                step += 1
+            if trace == 0:  # each tree's stage peaks follow its untraced rounds
+                expected += [(tree, workload, "peaks") for tree in (["p", "c"] if step % 2 == 0 else ["c", "p"])]
     assert calls == expected
     for label in trees:
         figures = docs[label]["workloads"]["scale"]
-        assert figures["end_to_end"]["wall_s"] == {"median": 3.5, "q1": 3.25, "q3": 3.75, "n": 2}
+        # the six passes of three rounds are pooled; one-value figures are the median over the rounds
+        assert figures["end_to_end"]["wall_s"] == {"median": 3.5, "q1": 3.0, "q3": 4.0, "n": 6}
+        assert figures["end_to_end"]["stage.gen_s"] == {"median": 1.25, "q1": 1.0, "q3": 1.5, "n": 6}
         assert figures["end_to_end"]["stage.gen_peak_rss_mib"] == 40.0
-        assert figures["per_layer"] == {"trainer.steps1": 7.0}
+        assert figures["per_layer"] == {"trainer.steps1": 8.0}
+        assert (figures["passes"], figures["traced_passes"]) == (6, 6)
 
 
 def test_stage_peaks_are_ratios_not_flags():

@@ -12,9 +12,11 @@ import pytest
 import weaksv
 import weaksv.cli
 from weaksv.cli import main
-from weaksv.corpus import ValidationIssue
+from weaksv.corpus import ValidationIssue, load_manifest
 from weaksv.config import SCHEMA, load_run_config, parse_config_text, render_config, render_schema
 from weaksv.errors import ConfigError
+
+from conftest import edit_index
 
 SMALL = """
 seed = 99
@@ -125,15 +127,15 @@ class TestPipeline:
         assert version == 1 and feat_dim == 20 and reserved == 0
         assert (len(raw) - 16) % (4 * feat_dim) == 0
 
-    def test_idx_line_grammar(self, run_dir):
-        for line in (run_dir / "corpus.idx").read_text().splitlines():
-            kind = line.split()[0]
-            assert kind in ("R", "C", "S")
-            if kind == "R":
-                parts = line.split()
-                assert len(parts) == 5 and parts[4] in ("train", "heldout")
-            if kind == "S":
-                assert len(line.split()) == 5
+    def test_idx_layout(self, run_dir):
+        raw = (run_dir / "corpus.idx").read_bytes()
+        magic, version, r, c, m, s = struct.unpack_from("<4sI4Q", raw)
+        corpus = load_manifest(run_dir)
+        table = corpus.cluster_table()
+        assert (magic, version) == (b"WIDX", 1)
+        members = sum(len(cluster) for rec in corpus.recordings for cluster in rec.clusters)
+        assert (r, c, m, s) == (len(corpus.recordings), len(table.sizes), members, len(corpus.segments))
+        assert len(raw) == 40 + 8 * (4 * r + c + m + 2 * s)
 
     def test_trials_format(self, run_dir):
         lines = (run_dir / "trials.tsv").read_text().splitlines()
@@ -370,8 +372,12 @@ def _patch_feat(run, offset, data):
 
 
 def _edit_idx(run, edit):
+    edit_index(run / "corpus.idx", edit)
+
+
+def _patch_idx(run, edit):
     path = run / "corpus.idx"
-    path.write_text(edit(path.read_text()))
+    path.write_bytes(edit(path.read_bytes()))
 
 
 def _truncate_feat(run, keep):
@@ -390,106 +396,78 @@ def _append_feat_row(run):
     path.write_bytes(raw + bytes(4 * _feat_dim(raw)))
 
 
-def _share_first_member(text):
+def _share_first_member(a):
     """Add the first cluster's first member to the second cluster too."""
-    lines = text.splitlines()
-    first, second = [i for i, line in enumerate(lines) if line.startswith("C ")][:2]
-    lines[second] += " " + lines[first].split()[2]
-    return "\n".join(lines) + "\n"
+    a["members"] = np.insert(a["members"], a["sizes"][0], a["members"][0])
+    a["sizes"][1] += 1
 
 
-def _repeat_cluster_line(text):
-    """Repeat the first C line of two or more members, keeping only its first member.
-
-    A loader that let the repeat replace the cluster would drop the other
-    members from every cluster, and the corpus would still validate.
-    """
-    lines = text.splitlines()
-    i = next(i for i, line in enumerate(lines) if line.startswith("C ") and len(line.split()) > 3)
-    lines.insert(i + 1, " ".join(lines[i].split()[:3]))
-    return "\n".join(lines) + "\n"
+def _add_member(a, member):
+    """Add member to the first cluster."""
+    a["members"] = np.insert(a["members"], a["sizes"][0], member)
+    a["sizes"][0] += 1
 
 
-def _edit_first(kind, edit):
-    """Rewrite the first index line of the given record kind."""
-    def apply(text):
-        lines = text.splitlines()
-        i = next(i for i, line in enumerate(lines) if line.startswith(kind + " "))
-        lines[i] = edit(lines[i].split())
-        return "\n".join(lines) + "\n"
-    return lambda run: _edit_idx(run, apply)
+def _add_empty_cluster(a):
+    """Give the first recording one more cluster, empty."""
+    a["sizes"] = np.insert(a["sizes"], a["n_clusters"][0], 0)
+    a["n_clusters"][0] += 1
 
 
-def _first_recording(lines):
-    """End (exclusive) of the first recording's R and C lines; save_manifest writes them first."""
-    return next(i for i, line in enumerate(lines[1:], 1) if not line.startswith("C "))
+def _empty_first_recording(a):
+    """Give the first recording zero clusters, dropping its clusters and their members."""
+    k = a["n_clusters"][0]
+    a["members"] = a["members"][a["sizes"][:k].sum():]
+    a["sizes"], a["n_clusters"][0] = a["sizes"][k:], 0
 
 
-def _empty_first_recording(text):
-    """Declare zero clusters on the first R line and drop its C lines."""
-    lines = text.splitlines()
-    f = lines[0].split()
-    return "\n".join([" ".join([*f[:3], "0", f[4]]), *lines[_first_recording(lines):]]) + "\n"
-
-
-def _retarget_first_recording(text):
+def _retarget_first_recording(a):
     """Give the first recording a target that none of its segments voices."""
-    lines = text.splitlines()
-    members = {int(sid) for line in lines[1:_first_recording(lines)] for sid in line.split()[2:]}
-    oracle = {int(f[1]): int(f[2]) for f in map(str.split, lines) if f[0] == "S"}
-    voiced = {oracle[sid] for sid in members}
-    target = min(set(range(len(voiced) + 1)) - voiced)
-    f = lines[0].split()
-    return "\n".join([" ".join([f[0], f[1], str(target), *f[3:]]), *lines[1:]]) + "\n"
+    voiced = set(a["oracle"][a["members"][:a["sizes"][:a["n_clusters"][0]].sum()]].tolist())
+    a["targets"][0] = min(set(range(len(voiced) + 1)) - voiced)
 
 
-def _shift_speakers(text):
+def _shift_speakers(a):
     """Renumber every speaker s to s + 1 in targets and oracle labels: no recording targets 0."""
-    out = []
-    for f in map(str.split, text.splitlines()):
-        if f[0] in ("R", "S") and int(f[2]) >= 0:  # the target, the oracle label
-            f[2] = str(int(f[2]) + 1)
-        out.append(" ".join(f))
-    return "\n".join(out) + "\n"
+    for name in ("targets", "oracle"):
+        a[name][a[name] >= 0] += 1
 
 
-def _empty_first_segment(text):
+def _empty_first_segment(a):
     """Give segment 0 no frames and its rows to segment 1, so the segments still tile."""
-    lines = text.splitlines()
-    i = next(i for i, line in enumerate(lines) if line.startswith("S "))
-    first, second = lines[i].split(), lines[i + 1].split()
-    second[3:] = [str(int(first[3]) + int(second[3])), first[4]]
-    first[3] = "0"
-    lines[i:i + 2] = [" ".join(first), " ".join(second)]
-    return "\n".join(lines) + "\n"
+    a["n_frames"][:2] = [0, a["n_frames"][:2].sum()]
+
+
+def _count_one_more_recording(raw):
+    """Raise the header's recording count by one."""
+    return raw[:8] + struct.pack("<Q", struct.unpack_from("<Q", raw, 8)[0] + 1) + raw[16:]
 
 
 CORRUPTIONS = {
     "bad_magic": lambda run: _patch_feat(run, 0, b"XXXX"),
     "bad_version": lambda run: _patch_feat(run, 4, struct.pack("<I", 99)),
-    "unknown_record": lambda run: _edit_idx(run, lambda text: text + "Q 1 2\n"),
-    "cluster_before_recording": lambda run: _edit_idx(run, lambda text: "C 0 1\n" + text),
+    "index_bad_magic": lambda run: _patch_idx(run, lambda raw: b"XXXX" + raw[4:]),
+    "index_bad_version": lambda run: _patch_idx(run, lambda raw: raw[:4] + struct.pack("<I", 99) + raw[8:]),
     "short_header": lambda run: _truncate_feat(run, lambda raw: 10),
     "ragged_body": lambda run: _truncate_feat(run, lambda raw: len(raw) - 3),
     "row_aligned_truncation": lambda run: _truncate_feat(
         run, lambda raw: len(raw) - 5 * 4 * _feat_dim(raw)),
-    "non_integer_field": _edit_first("R", lambda f: " ".join([f[0], "x", *f[2:]])),
-    "missing_field": _edit_first("S", lambda f: " ".join(f[:-1])),
-    "zero_frames": _edit_first("S", lambda f: " ".join([*f[:3], "0", f[4]])),
+    "index_cut_short": lambda run: _patch_idx(run, lambda raw: raw[:-8]),
+    "index_trailing_byte": lambda run: _patch_idx(run, lambda raw: raw + b"\0"),
+    "zero_frames": lambda run: _edit_idx(run, lambda a: a["n_frames"].__setitem__(0, 0)),
     "nan_feature": lambda run: _patch_feat(run, 16 + 4 * 7, struct.pack("<f", float("nan"))),
-    "duplicate_segment_id": lambda run: _edit_idx(run, lambda text: text.replace("\nS 1 ", "\nS 0 ", 1)),
-    "member_not_a_segment": _edit_first("C", lambda f: " ".join(f + ["99999"])),
+    "index_count_off": lambda run: _patch_idx(run, _count_one_more_recording),
+    "member_not_a_segment": lambda run: _edit_idx(run, lambda a: _add_member(a, 99999)),
     "member_in_two_clusters": lambda run: _edit_idx(run, _share_first_member),
     "trailing_frame_row": _append_feat_row,
-    "index_not_utf8": lambda run: (run / "corpus.idx").write_bytes(
-        (run / "corpus.idx").read_bytes().replace(b"S 1 ", b"S \xff ", 1)),
-    "negative_target": _edit_first("R", lambda f: " ".join([f[0], f[1], "-1", *f[3:]])),
-    "extra_declared_cluster": _edit_first("R", lambda f: " ".join([*f[:3], str(int(f[3]) + 1), f[4]])),
+    "heldout_flag_2": lambda run: _edit_idx(run, lambda a: a["heldout"].__setitem__(0, 2)),
+    "negative_target": lambda run: _edit_idx(run, lambda a: a["targets"].__setitem__(0, -1)),
+    "extra_declared_cluster": lambda run: _edit_idx(run, _add_empty_cluster),
     "zero_cluster_recording": lambda run: _edit_idx(run, _empty_first_recording),
     "retargeted_recording": lambda run: _edit_idx(run, _retarget_first_recording),
     "untargeted_speaker": lambda run: _edit_idx(run, _shift_speakers),
     "empty_segment": lambda run: _edit_idx(run, _empty_first_segment),
-    "repeated_cluster_line": lambda run: _edit_idx(run, _repeat_cluster_line),
+    "sizes_not_adding_up": lambda run: _edit_idx(run, lambda a: a["sizes"].__setitem__(0, a["sizes"][0] + 1)),
     "feat_missing": lambda run: (run / "corpus.feat").unlink(),
 }
 
@@ -522,7 +500,7 @@ class TestCorruptArtifact:
     # -O strips assert statements, so the checks must not rely on them
     @pytest.mark.parametrize("case, flags", [
         *(pytest.param(case, [], id=case) for case in CORRUPTIONS),
-        pytest.param("cluster_before_recording", ["-O"], id="cluster_before_recording-O"),
+        pytest.param("sizes_not_adding_up", ["-O"], id="sizes_not_adding_up-O"),
     ])
     def test_diar_reports_error(self, generated, tmp_path, case, flags):
         cfg_path, clean = generated
@@ -703,7 +681,7 @@ def test_gen_that_fails_its_checks_leaves_no_file(tmp_path, monkeypatch, capsys)
     for out in (fresh, existing):
         assert main(["gen", "--config", str(cfg_path), "--out", str(out), "--seed", "7"]) == 1
         assert "generated corpus failed validation" in capsys.readouterr().err
-    assert list(fresh.iterdir()) == []
+    assert not fresh.exists()
     assert sorted(p.name for p in existing.iterdir()) == sorted(str(name) for name in before)
     assert _tree(existing) == before
 
@@ -797,8 +775,6 @@ def test_diar_preset_flag(tmp_path):
     assert main(["gen", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert main(["diar", "--config", str(cfg_path), "--out", str(out),
                  "--preset", "pyannote-like"]) == 0
-    from weaksv.corpus import load_manifest
-
     corpus = load_manifest(out)
     assert max(len(r.clusters) for r in corpus.recordings) <= 4
 
@@ -813,8 +789,7 @@ def test_diar_preset_flag_keeps_explicit_keys(tmp_path):
         out = tmp_path / name
         assert main(["gen", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert main(["diar", "--config", str(cfg_path), "--out", str(out), *flags]) == 0
-        runs[name] = (out / "corpus.idx").read_text("utf-8")
-    from weaksv.corpus import load_manifest
+        runs[name] = (out / "corpus.idx").read_bytes()
 
     assert runs["flag"] == runs["named"]
     # the explicit cap, not the preset's 4, bounds the clusters

@@ -1,6 +1,4 @@
-import re
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +26,8 @@ from weaksv.errors import CorruptArtifact, InsufficientSegments
 from weaksv.fileio import atomic_write
 from weaksv.synth import SynthConfig, generate_corpus
 
-from conftest import (TINY_VALUES, constant_features, constant_segments, feat_frames, generate_with_frames,
-                      make_segments, segment_means, write_manifest)
+from conftest import (TINY_VALUES, constant_features, constant_segments, edit_index, feat_frames,
+                      generate_with_frames, make_segments, segment_means, write_manifest)
 
 
 def test_wellformed_corpus_validates(tiny_corpus):
@@ -299,31 +297,27 @@ class TestMeanFrames:
         assert len(calls) == 6
 
 
-def _replace_first(kind, fields):
-    def edit(text):
-        lines = text.splitlines()
-        i = next(i for i, line in enumerate(lines) if line.startswith(kind + " "))
-        lines[i] = fields(lines[i].split())
-        return "\n".join(lines) + "\n"
-    return edit
+# index edit -> the check that must reject it; edit_index rewrites the header to count the edited arrays
+MALFORMED_INDEX = {
+    "negative_cluster": (lambda a: a["n_clusters"].__setitem__(0, -1), "cluster counts"),
+    "cluster_past_declared": (lambda a: a["n_clusters"].__setitem__(0, a["n_clusters"][0] + 1), "cluster counts"),
+    "sizes_not_adding_up": (lambda a: a["sizes"].__setitem__(0, a["sizes"][0] + 1), "cluster sizes"),
+    "size_overflow": (lambda a: a["sizes"].__setitem__(0, 2**62), "cluster sizes"),
+    "split": (lambda a: a["heldout"].__setitem__(0, 2), "held-out flag other than 0 or 1"),
+    # segment 0's -2 frames and two more for segment 1: the sum still matches
+    "negative_frames": (lambda a: a["n_frames"].__setitem__(slice(0, 2), [-2, a["n_frames"][:2].sum() + 2]),
+                        "frame counts"),
+    # one more oracle label than frame counts: the header counts S from the labels
+    "extra_field": (lambda a: a.__setitem__("oracle", np.append(a["oracle"], 0)), "bytes, not the"),
+}
 
 
-@pytest.mark.parametrize("edit", [
-    _replace_first("R", lambda f: " ".join([*f[:4], "dev"])),
-    _replace_first("R", lambda f: " ".join(f + ["extra"])),
-    _replace_first("C", lambda f: " ".join(["C", "-1", *f[2:]])),
-    _replace_first("C", lambda f: " ".join(["C", "9", *f[2:]])),
-    _replace_first("C", lambda f: " ".join(["C", *f[1:], "7.5"])),
-    _replace_first("S", lambda f: " ".join([*f[:4], str(2**70)])),
-    _replace_first("S", lambda f: " ".join([*f[:4], "-1"])),
-    _replace_first("S", lambda f: " ".join([*f[:3], "-2", f[4]])),
-], ids=["split", "extra_field", "negative_cluster", "cluster_past_declared", "float_segment",
-        "offset_overflow", "negative_offset", "negative_frames"])
-def test_load_manifest_rejects_malformed_index(tmp_path, tiny_corpus, tiny_frames, edit):
+@pytest.mark.parametrize("case", MALFORMED_INDEX)
+def test_load_manifest_rejects_malformed_index(tmp_path, tiny_corpus, tiny_frames, case):
+    edit, message = MALFORMED_INDEX[case]
     write_manifest(tiny_corpus, tiny_frames, tmp_path)
-    idx = tmp_path / "corpus.idx"
-    idx.write_text(edit(idx.read_text()))
-    with pytest.raises(CorruptArtifact):
+    edit_index(tmp_path / "corpus.idx", edit)
+    with pytest.raises(CorruptArtifact, match=message):
         load_manifest(tmp_path)
 
 
@@ -364,7 +358,9 @@ def test_load_manifest_runs_validate_corpus(tmp_path, tiny_corpus, tiny_frames, 
     write_manifest(tiny_corpus, tiny_frames, tmp_path)
     assert validate_corpus(load_manifest(tmp_path)) == []
     BROKEN_CONTRACTS[kind](tiny_corpus, tiny_frames)
-    write_manifest(tiny_corpus, tiny_frames, tmp_path)
+    # the first save built and kept the cluster table, so the edited recordings go into a new corpus
+    broken = Corpus(tiny_corpus.n_speakers, tiny_corpus.recordings, tiny_corpus.segments)
+    write_manifest(broken, tiny_frames, tmp_path)
     with pytest.raises(CorruptArtifact, match=f": {kind}: "):
         load_manifest(tmp_path)
 
@@ -550,86 +546,6 @@ def test_validate_matches_loop_reference(table, seed, broken):
     assert [(i.kind, i.message) for i in validate_corpus(corpus)] == _reference_issues(corpus, frames)
 
 
-# ---------------------------------------------------------------------------
-# The index parse against the line-by-line reader it replaced
-# ---------------------------------------------------------------------------
-
-
-def _reference_load_manifest(directory):
-    """load_manifest as it read corpus.idx before the array parse: one line at a time.
-
-    One change from the original: a declared cluster count is capped at one
-    past the line count before its empty cluster lists are made. The
-    original made them all, so a count of 2**70 never returned. A recording
-    declaring more clusters than there are lines has an empty cluster, which
-    validate_corpus rejects either way, so the cap changes no outcome.
-    """
-    directory = Path(directory)
-    feat_path, idx_path = directory / "corpus.feat", directory / "corpus.idx"
-    raw = feat_path.read_bytes()
-    if raw[:4] != FEAT_MAGIC:
-        raise CorruptArtifact(f"bad feature-file magic in {feat_path}")
-    if len(raw) < 16:
-        raise CorruptArtifact(f"{feat_path} is shorter than its 16-byte header")
-    version, feat_dim, _ = struct.unpack("<III", raw[4:16])
-    if version != FEAT_VERSION:
-        raise CorruptArtifact(f"unsupported feature-file version {version} in {feat_path}")
-    if feat_dim < 1 or (len(raw) - 16) % (4 * feat_dim):
-        raise CorruptArtifact(f"{feat_path}: body bytes are not whole rows")
-    frames = np.frombuffer(raw, dtype="<f4", offset=16).reshape(-1, feat_dim)
-
-    recordings, seg_meta, current, next_cid = [], [], None, 0
-    lines = idx_path.read_text("utf-8", errors="replace").splitlines()
-    for lineno, line in enumerate(lines, 1):
-        parts = line.split()
-        if not parts:
-            continue
-        kind, n_fields = parts[0], len(parts)
-        try:
-            if kind == "S" and n_fields == 5:
-                seg_meta.append((int(parts[1]), int(parts[2]), int(parts[3]), int(parts[4])))
-            elif kind == "C" and n_fields >= 2 and current is not None:
-                cid = int(parts[1])
-                if not 0 <= cid < len(current.clusters):
-                    raise CorruptArtifact(f"cluster {cid} outside the declared count in {idx_path} line {lineno}")
-                if cid != next_cid:
-                    raise CorruptArtifact(f"cluster {cid} out of order ({next_cid} due) in {idx_path} line {lineno}")
-                current.clusters[cid] = [int(s) for s in parts[2:]]
-                next_cid += 1
-            elif kind == "R" and n_fields == 5 and parts[4] in ("train", "heldout"):
-                current = Recording(int(parts[1]), int(parts[2]), [], parts[4] == "heldout")
-                current.clusters = [[] for _ in range(min(int(parts[3]), len(lines) + 1))]
-                recordings.append(current)
-                next_cid = 0
-            else:
-                raise CorruptArtifact(f"bad record in {idx_path} line {lineno}")
-        except ValueError:
-            raise CorruptArtifact(f"non-integer field in {idx_path} line {lineno}") from None
-
-    try:
-        meta = np.array(seg_meta, dtype=np.int64).reshape(-1, 4)
-    except OverflowError:
-        raise CorruptArtifact(f"index field out of range in {idx_path}") from None
-    n = meta.shape[0]
-    if (meta[:, 0] != np.arange(n)).any():
-        raise CorruptArtifact("S ids out of order")
-    n_rows = frames.shape[0]
-    n_frames, offsets = meta[:, 2], meta[:, 3]
-    bounds = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.clip(n_frames, 0, n_rows), out=bounds[1:])
-    if ((n_frames < 0) | (n_frames > n_rows) | (offsets != bounds[:-1])).any() or bounds[-1] != n_rows:
-        raise CorruptArtifact("segments do not tile the frame matrix")
-    n_speakers = max((r.target for r in recordings), default=-1) + 1
-    corpus = Corpus(n_speakers, recordings, Segments(_means_of(frames, bounds), bounds, meta[:, 1].copy()))
-    try:
-        issues = validate_corpus(corpus)
-    except OverflowError:
-        raise CorruptArtifact(f"index field out of range in {idx_path}") from None
-    if issues:
-        raise CorruptArtifact(f"{directory}: {issues[0].kind}: {issues[0].message}")
-    return corpus
-
-
 def _facts(corpus):
     """Everything a corpus holds, as plain values."""
     segments = corpus.segments
@@ -639,14 +555,6 @@ def _facts(corpus):
 
 def _table_facts(table):
     return [a.tolist() for a in (table.ids, table.targets, table.heldout, table.n_clusters, table.sizes, table.members)]
-
-
-def _outcome(load, directory):
-    """The facts of the corpus load reads, or the message of the CorruptArtifact it raises."""
-    try:
-        return _facts(load(directory))
-    except CorruptArtifact as exc:
-        return str(exc)
 
 
 @settings(max_examples=25, deadline=None)
@@ -662,92 +570,50 @@ def test_loaded_table_and_recordings_agree(tmp_path_factory, table):
     assert _table_facts(rebuilt) == _table_facts(corpus.cluster_table())
 
 
-# fields that int() rejects as well; "+5" and "1_0" are in test_index_grammar_is_stricter_than_int
-NON_INTEGERS = ["x", "1.5", "--1", "1-", "-", "0x1f", "1e3", "\xff"]
+def test_cluster_table_is_read_only(tmp_path, small_corpus, small_frames):
+    write_manifest(small_corpus, small_frames, tmp_path)
+    for corpus in (load_manifest(tmp_path), small_corpus):
+        with pytest.raises(ValueError):
+            corpus.cluster_table().members[0] = 1
 
 
-@st.composite
-def index_mutations(draw):
-    """One edit of a saved index's lines: (kind, line, other line or field, replacement)."""
-    kind = draw(st.sampled_from(["drop", "duplicate", "swap", "field", "insert"]))
-    line, other = draw(st.integers(0, 10**6)), draw(st.integers(0, 10**6))
-    text = None
-    if kind == "field":
-        text = draw(st.one_of(st.sampled_from(NON_INTEGERS), st.sampled_from([str(2**70), str(-2**70)]),
-                              st.integers(-5, -1).map(str)))
-    elif kind == "insert":
-        text = draw(st.sampled_from(["", "   ", "\t", "Q 1 2", "c 0 1", "RR 0 0 1 train", "R 0 0 1 dev"]))
-    return kind, line, other, text
+# ---------------------------------------------------------------------------
+# Damage to corpus.idx
+# ---------------------------------------------------------------------------
 
 
-def _mutate(lines, mutation):
-    kind, line, other, text = mutation
-    i, j = line % len(lines), other % len(lines)
-    if kind == "drop":
-        del lines[i]
-    elif kind == "duplicate":
-        lines.insert(i, lines[i])
-    elif kind == "swap":
-        lines[i], lines[j] = lines[j], lines[i]
-    elif kind == "field":
-        fields = lines[i].split(" ")
-        fields[j % len(fields)] = text
-        lines[i] = " ".join(fields)
-    else:
-        lines.insert(i, text)
+def _flipped(raw, bit):
+    damaged = bytearray(raw)
+    damaged[bit // 8] ^= 1 << bit % 8
+    return bytes(damaged)
+
+
+def _load_or_reject(path, raw):
+    """Write raw as path's corpus.idx and load: the corpus, or None when load_manifest rejects it as corrupt."""
+    (path / "corpus.idx").write_bytes(raw)
+    try:
+        return load_manifest(path)
+    except CorruptArtifact:
+        return None
 
 
 @settings(max_examples=100, deadline=None)
-@given(segment_tables(), st.lists(index_mutations(), min_size=1, max_size=3))
-def test_parse_matches_line_reference_on_damaged_index(tmp_path_factory, table, mutations):
+@given(segment_tables(), st.data())
+def test_damaged_index_is_rejected_or_valid(tmp_path_factory, table, data):
+    """A cut, appended bytes or a bit flip in the header is rejected; a body bit flip is rejected or
+    loads a valid corpus. Any other exception fails the test."""
     path = tmp_path_factory.mktemp("damaged")
     write_manifest(*table, path)
-    idx = path / "corpus.idx"
-    lines = idx.read_text().splitlines()
-    for mutation in mutations:
-        _mutate(lines, mutation)
-    idx.write_bytes(("\n".join(lines) + "\n").encode("utf-8", errors="surrogateescape"))
-    got, want = _outcome(load_manifest, path), _outcome(_reference_load_manifest, path)
-    assert isinstance(got, str) == isinstance(want, str), (got, want)
-    if isinstance(want, str):
-        # a line-level error names the first bad line; the parse also checks int64 range per line
-        line_of = [int(m.group(1)) if (m := re.search(r" line (\d+)$", msg)) else None for msg in (got, want)]
-        if line_of[1] is not None:
-            assert line_of[0] is not None and line_of[0] <= line_of[1], (got, want)
-    else:
-        assert got == want
+    raw = (path / "corpus.idx").read_bytes()
+    cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+    assert _load_or_reject(path, raw[:cut]) is None
+    assert _load_or_reject(path, raw + data.draw(st.binary(min_size=1, max_size=9), label="tail")) is None
+    assert _load_or_reject(path, _flipped(raw, data.draw(st.integers(0, 40 * 8 - 1), label="header bit"))) is None
+    loaded = _load_or_reject(path, _flipped(raw, data.draw(st.integers(40 * 8, len(raw) * 8 - 1), label="body bit")))
+    assert loaded is None or validate_corpus(loaded) == []
 
 
-@pytest.mark.parametrize("edit", [
-    lambda text: text.replace("\nS 1 ", "\nS +1 ", 1),
-    lambda text: text.replace("\nS 1 ", "\nS 0_1 ", 1),
-    lambda text: text.replace("\nS 1 ", "\nS ١ ", 1),  # ARABIC-INDIC DIGIT ONE
-    lambda text: text.replace("\n", "\r\n"),
-    lambda text: text.replace("\nS 1 ", "\nS\xa01 ", 1),  # NO-BREAK SPACE
-], ids=["plus_sign", "underscore", "non_ascii_digit", "crlf", "no_break_space"])
-def test_index_grammar_is_stricter_than_int(tmp_path, tiny_corpus, tiny_frames, edit):
-    """Fields are -?[0-9]+ and only space, tab and newline separate them, though int() and
-    str.split() accept more."""
+def test_every_header_bit_flip_is_rejected(tmp_path, tiny_corpus, tiny_frames):
     write_manifest(tiny_corpus, tiny_frames, tmp_path)
-    idx = tmp_path / "corpus.idx"
-    idx.write_text(edit(idx.read_text()), newline="")
-    assert _facts(_reference_load_manifest(tmp_path)) == _facts(tiny_corpus)
-    with pytest.raises(CorruptArtifact, match=r" line \d+$"):
-        load_manifest(tmp_path)
-
-
-@pytest.mark.parametrize("edit, message", [
-    (lambda lines: ["", "  ", *lines[:3], "S x 0 3 0", *lines[3:]], "non-integer field in .* line 6$"),
-    (lambda lines: [lines[0], "C 1 0 1", *lines[1:]], r"cluster 1 out of order \(0 due\) in .* line 2$"),
-    (lambda lines: [*lines[:2], "C 5 9", *lines[2:]], "cluster 5 outside the declared count in .* line 3$"),
-    (lambda lines: [lines[0].replace("train", "dev"), *lines[1:]], "unknown split 'dev' in .* line 1$"),
-    (lambda lines: [*lines[:4], "Z 1", *lines[4:]], "unknown record type 'Z' in .* line 5$"),
-    (lambda lines: [*lines[:-1], lines[-1].rsplit(" ", 1)[0] + f" {2**63}"], "index field out of range in .* line 21$"),
-    (lambda lines: [*lines[:-1], lines[-1].rsplit(" ", 1)[0] + f" {2**63 - 1}"], "segment 8 .* does not tile"),
-], ids=["blank_lines_count", "cluster_order", "cluster_outside", "split", "record_type", "int64", "int64_max"])
-def test_index_errors_name_the_line(tmp_path, tiny_corpus, tiny_frames, edit, message):
-    write_manifest(tiny_corpus, tiny_frames, tmp_path)
-    idx = tmp_path / "corpus.idx"
-    idx.write_text("\n".join(edit(idx.read_text().splitlines())) + "\n")
-    with pytest.raises(CorruptArtifact, match=message):
-        load_manifest(tmp_path)
+    raw = (tmp_path / "corpus.idx").read_bytes()
+    assert [bit for bit in range(40 * 8) if _load_or_reject(tmp_path, _flipped(raw, bit)) is not None] == []
