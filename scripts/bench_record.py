@@ -24,13 +24,17 @@ trees; it writes one file for each. The file holds:
   interpreter on the tree's sources (`weaksv.cli.main`, as
   `python -m weaksv` runs it), so every stage's peak shows;
 - per workload, `per_layer`: the traced rounds' spans and counts, each
-  the median over the rounds.
+  the median over the rounds;
+- per workload, `quality`: EER, minDCF, selection precision and recall
+  of the untraced rounds' first good pass (each the median over the
+  rounds, though they are deterministic), apart from the timings and
+  counts.
 
 It then compares the file with a previous one and lists in `flags`:
 - every timing with quartiles whose median lies outside the previous
   file's interquartile range;
-- every deterministic figure (counts, losses, quality, success rate)
-  that differs at all.
+- every deterministic figure (counts, losses, the quality block, success
+  rate) that differs at all.
 Figures with one number and no spread (setup_s, the peak RSS figures
 and the per-layer timings) are listed as ratios under `ratios` and are
 not flagged: a median of three rounds gives no range to compare with.
@@ -139,8 +143,13 @@ def record_trees(trees: dict[str, Path], seed: int, seconds: float) -> dict[str,
                 if trace == 0:
                     figures.update(passes=passes, end_to_end=end_to_end_figures(workload, rounds[label]))
                     figures["end_to_end"].update(stage_peaks(trees[label], workload, seed))
+                    figures["quality"] = {name: statistics.median(record["quality"][name] for record, _ in
+                                                                  rounds[label])
+                                          for name in rounds[label][0][0]["quality"]}
                 else:
-                    figures.update(traced_passes=passes, per_layer=round_metrics(workload, rounds[label]))
+                    layers = round_metrics(workload, rounds[label])
+                    figures.update(traced_passes=passes,
+                                   per_layer={k: v for k, v in layers.items() if not k.startswith("quality.")})
         for label, doc in docs.items():
             print(f"{label} {workload}: wall_s median {doc['workloads'][workload]['end_to_end']['wall_s']['median']:.3f} s",
                   flush=True)
@@ -158,9 +167,9 @@ def compare(new: dict, old: dict) -> tuple[list[str], dict[str, float]]:
         before = old.get("workloads", {}).get(workload)
         if before is None:
             continue
-        for group in ("end_to_end", "per_layer"):
-            for name, value in figures[group].items():
-                if name not in before[group]:
+        for group in ("end_to_end", "per_layer", "quality"):
+            for name, value in figures.get(group, {}).items():
+                if name not in before.get(group, {}):
                     continue
                 was, where = before[group][name], f"{workload} {name}"
                 if isinstance(was, dict):

@@ -90,6 +90,14 @@ class ClusterTable:
     sizes: np.ndarray  # per cluster: member count
     members: np.ndarray  # segment ids, cluster by cluster
 
+    def __post_init__(self):
+        for array in vars(self).values():
+            array.flags.writeable = False
+
+    def owners(self) -> np.ndarray:
+        """Each member's recording, as its row in this table."""
+        return np.repeat(np.repeat(np.arange(self.ids.size), self.n_clusters), self.sizes)
+
     def recordings(self) -> list[Recording]:
         """The table as Recording objects; each cluster is a list sliced from members."""
         members = self.members.tolist()
@@ -104,9 +112,10 @@ class Corpus:
     """n_speakers, the recordings and the segment table.
 
     A corpus is not edited after construction (diarization and splitting
-    build a new one), so its cluster table is built on first use and kept.
-    A corpus made from a cluster table (from_table, as load_manifest does)
-    slices its Recording lists from that table on first use instead.
+    build a new one). The package makes every corpus from a cluster table
+    (from_table), and slices Recording lists from it only when they are
+    asked for; a corpus made from Recording lists builds its table on
+    first use and keeps it.
     """
 
     def __init__(self, n_speakers: int, recordings: list[Recording] | None, segments: Segments):
@@ -131,12 +140,6 @@ class Corpus:
     def feat_dim(self) -> int:
         return self.segments.means.shape[1]
 
-    def train_recordings(self) -> list[Recording]:
-        return [r for r in self.recordings if not r.heldout]
-
-    def heldout_recordings(self) -> list[Recording]:
-        return [r for r in self.recordings if r.heldout]
-
     def recording(self, recording_id: int) -> Recording:
         return self.recordings[int(np.flatnonzero(self.cluster_table().ids == recording_id)[0])]
 
@@ -159,10 +162,7 @@ class Corpus:
             clusters = [cluster for r in self.recordings for cluster in r.clusters]
             sizes = np.array([len(cluster) for cluster in clusters], dtype=np.int64)
             members = np.fromiter(chain.from_iterable(clusters), np.int64, int(sizes.sum()))
-            arrays = (rows[:, 0], rows[:, 1], rows[:, 2] == 1, rows[:, 3], sizes, members)
-            for array in arrays:
-                array.flags.writeable = False
-            self._clusters = ClusterTable(*arrays)
+            self._clusters = ClusterTable(rows[:, 0], rows[:, 1], rows[:, 2] == 1, rows[:, 3], sizes, members)
         return self._clusters
 
 
@@ -202,6 +202,7 @@ def validate_corpus(corpus: Corpus) -> list[ValidationIssue]:
     """Every broken structural invariant, kind by kind; an empty list means all hold.
 
     The contract behind the weak label: segments have frames, all finite;
+    recording ids are distinct (each keys its recording's random streams);
     every recording has clusters, none empty, that hold each segment at
     most once and some speech of the recording's target; the targets are
     exactly the speaker ids 0..n_speakers-1. The cluster checks run on the
@@ -221,6 +222,9 @@ def validate_corpus(corpus: Corpus) -> list[ValidationIssue]:
     owner = np.repeat(cluster_owner, sizes)  # member -> recording
     first_cluster = np.cumsum(n_clusters) - n_clusters
 
+    repeated, counts = np.unique(table.ids, return_counts=True)
+    issues += [("DuplicateRecording", f"recording id {rid} is used by {count} recordings")
+               for rid, count in zip(repeated[counts > 1].tolist(), counts[counts > 1].tolist())]
     known = (targets >= 0) & (targets < n_speakers)
     issues += [("BadTarget", f"recording {ids[i]} target {targets[i]} outside 0..{n_speakers - 1}")
                for i in np.flatnonzero(~known).tolist()]
@@ -250,23 +254,20 @@ def assign_heldout_split(corpus: Corpus, heldout_fraction: float, seed: int) -> 
 
     Deterministic given the seed; at least one recording per speaker is
     held out when the fraction is positive, and at least one stays in
-    training.
+    training. The corpus returned shares the cluster table's arrays but
+    the new held-out flags.
     """
-    by_speaker: dict[int, list[Recording]] = {}
-    for rec in corpus.recordings:
-        by_speaker.setdefault(rec.target, []).append(rec)
-    heldout_ids: set[int] = set()
-    for spk in sorted(by_speaker):
-        recs = sorted(by_speaker[spk], key=lambda r: r.recording_id)
+    table = corpus.cluster_table()
+    heldout = np.zeros(table.ids.size, dtype=bool)
+    by_speaker = np.lexsort((table.ids, table.targets))  # each speaker's recordings by id
+    for recs in np.split(by_speaker, np.flatnonzero(np.diff(table.targets[by_speaker])) + 1):
         if heldout_fraction <= 0 or len(recs) < 2:
             continue
-        k = max(1, round(heldout_fraction * len(recs)))
-        k = min(k, len(recs) - 1)
+        k = min(max(1, round(heldout_fraction * len(recs))), len(recs) - 1)
         order = list(range(len(recs)))
-        Rng.from_seed(seed, "heldout", spk).shuffle(order)
-        heldout_ids.update(recs[i].recording_id for i in order[:k])
-    recordings = [replace(rec, heldout=rec.recording_id in heldout_ids) for rec in corpus.recordings]
-    return Corpus(corpus.n_speakers, recordings, corpus.segments)
+        Rng.from_seed(seed, "heldout", int(table.targets[recs[0]])).shuffle(order)
+        heldout[recs[order[:k]]] = True
+    return Corpus.from_table(corpus.n_speakers, replace(table, heldout=heldout), corpus.segments)
 
 
 def split_trials(corpus: Corpus, n_target: int, n_nontarget: int, seed: int) -> list[Trial]:
@@ -277,14 +278,15 @@ def split_trials(corpus: Corpus, n_target: int, n_nontarget: int, seed: int) -> 
     InsufficientSegments when the requested counts cannot be met.
     """
     rng = Rng.from_seed(seed, "trials")
-    # speaker -> recording -> held-out segments with that oracle label
+    # speaker -> recording -> held-out segments with that oracle label, in cluster-table order
+    table, oracle = corpus.cluster_table(), corpus.segments.oracle
+    owner = table.owners()
+    held = np.flatnonzero(table.heldout[owner])
+    held = held[oracle[table.members[held]] >= 0]
     pools: dict[int, dict[int, list[int]]] = {}
-    oracle = corpus.segments.oracle.tolist()
-    for rec in corpus.heldout_recordings():
-        for sid in rec.segment_ids():
-            spk = oracle[sid]
-            if spk >= 0:
-                pools.setdefault(spk, {}).setdefault(rec.recording_id, []).append(sid)
+    sids = table.members[held]
+    for sid, spk, rid in zip(sids.tolist(), oracle[sids].tolist(), table.ids[owner[held]].tolist()):
+        pools.setdefault(spk, {}).setdefault(rid, []).append(sid)
 
     target_ready = sorted(s for s, recs in pools.items() if len(recs) >= 2)
     speakers = sorted(pools)
@@ -457,9 +459,7 @@ def _read_index(idx_path: Path, n_rows: int) -> tuple[ClusterTable, np.ndarray, 
                                 ("frame counts", n_frames, n_rows)):
         if ((values < 0) | (values > total)).any() or values.sum() != total:
             raise CorruptArtifact(f"the {name} of {idx_path} do not each lie in 0..{total} and add up to {total}")
-    flags = heldout == 1
-    flags.flags.writeable = False
-    return ClusterTable(ids, targets, flags, n_clusters, sizes, members), oracle, n_frames
+    return ClusterTable(ids, targets, heldout == 1, n_clusters, sizes, members), oracle, n_frames
 
 
 def save_oracle(corpus: Corpus, directory: str | Path) -> None:

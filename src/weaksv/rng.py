@@ -15,8 +15,9 @@ of uniforms. A stream is reproducible given the same sequence of draw
 calls. Because a draw depends only on (key, counter), a caller may
 reserve normals calls on a stream (``skip_normals``) and draw many of
 them later in one array pass (``normals_at``) with the same values;
-``u64_at``, ``derive_keys`` and ``Rng.randints`` do the same for plain
-draws, child keys and successive ``randint`` calls.
+``u64_at``, ``floats_at``, ``randints_at``, ``derive_keys`` and
+``Rng.randints`` do the same for plain draws, floats, randint calls,
+child keys and successive ``randint`` calls.
 """
 
 from __future__ import annotations
@@ -81,6 +82,16 @@ def u64_at(keys, counters) -> np.ndarray:
     """Rng(keys[i]).u64() drawn at counter counters[i], for all i in one pass; keys may be one int."""
     ctr = np.array(counters, dtype=np.uint64, ndmin=1) + np.uint64(1)
     return _mix64_array(np.asarray(keys, dtype=np.uint64) + ctr * np.uint64(_GAMMA))
+
+
+def floats_at(keys, counters) -> np.ndarray:
+    """Rng(keys[i]).float() drawn at counter counters[i], for all i in one pass."""
+    return (u64_at(keys, counters) >> np.uint64(11)) * _INV_2_53
+
+
+def randints_at(keys, counters, bounds) -> np.ndarray:
+    """Rng(keys[i]).randint(bounds[i]) drawn at counter counters[i], for all i in one pass."""
+    return (u64_at(keys, counters) % np.asarray(bounds, dtype=np.uint64)).astype(np.int64)
 
 
 def _box_muller(u: np.ndarray) -> np.ndarray:

@@ -124,7 +124,7 @@ def score_train_segments(corpus: Corpus, checkpoint: Checkpoint, scale: float = 
 def _train_members(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
     """Every cluster member of a training recording and that recording's target, in cluster-table order."""
     table = corpus.cluster_table()
-    owner = np.repeat(np.repeat(np.arange(table.ids.size), table.n_clusters), table.sizes)  # member -> recording
+    owner = table.owners()
     train = ~table.heldout[owner]
     return table.members[train], table.targets[owner[train]]
 

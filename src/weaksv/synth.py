@@ -10,14 +10,16 @@ every recording belongs to its target.
 
 Generation is deterministic: every recording draws from an RNG substream
 keyed by (seed, recording_id), so serial and parallel generation agree.
-It runs in two passes. The plan pass walks the recordings in order and
-makes each stream's scalar draws (segment plan, frame counts), only
-reserving the position of each normals call. The render pass then draws
-those normals for ~RENDER_BLOCK frames at a time in one array pass and
-lifts the block's latents in one call. Each block's float32 frames are
-pooled into their segments' means at once and written to corpus.feat,
-then dropped: no frame matrix is ever held, and the corpus keeps only the
-means. The frames are bitwise those of rendering each segment on its own.
+It runs in two passes. The plan pass makes every recording's draws
+(segment plan, frame counts) for all recordings at once, in array rounds
+at the (key, counter) pairs a recording-by-recording loop would use, and
+emits the cluster table; it only reserves the position of each normals
+call. The render pass then draws those normals for ~RENDER_BLOCK frames
+at a time in one array pass and lifts the block's latents in one call.
+Each block's float32 frames are pooled into their segments' means at
+once and written to corpus.feat, then dropped: no frame matrix is ever
+held, and the corpus keeps only the means. The frames are bitwise those
+of rendering each segment on its own.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, NOISE, Recording, Segments, UNKNOWN, feat_header, pool_frames
-from .rng import Rng, normals_at
+from .corpus import ClusterTable, Corpus, NOISE, Segments, UNKNOWN, feat_header, pool_frames
+from .rng import Rng, derive_keys, floats_at, normals_at, randints_at
 
 _LIFT_GAIN = 2.0
 _LIFT_BIAS_STD = 0.2
@@ -89,46 +91,13 @@ def make_lift(cfg: SynthConfig) -> FeatureLift:
     return FeatureLift(matrix, bias)
 
 
-def _segment_plan(cfg: SynthConfig, target: int, rng: Rng) -> tuple[list[int], list[int]]:
-    """Oracle labels and rendering identities for one recording.
-
-    Returns (oracle_labels, render_ids) where a render id is the index of
-    the voiceprint to render with (known ids first, then unknown-pool
-    ids), or NOISE for a non-speech segment.
-    """
-    n_seg = rng.randrange(*cfg.segments_per_recording)
-    n_dis = rng.randrange(*cfg.distractors_per_recording)
-    distractors: list[int] = []
-    for _ in range(n_dis):
-        if cfg.unknown_speaker_count > 0 and rng.float() < 0.5:
-            distractors.append(cfg.n_speakers + rng.randint(cfg.unknown_speaker_count))
-        else:
-            other = rng.randint(cfg.n_speakers - 1)
-            distractors.append(other + 1 if other >= target else other)
-    distractors = sorted(set(distractors))
-
-    render_ids: list[int] = []
-    for _ in range(n_seg):
-        if rng.float() < cfg.noise_segment_prob:
-            render_ids.append(NOISE)
-        elif not distractors or rng.float() < cfg.target_weight:
-            render_ids.append(target)
-        else:
-            render_ids.append(rng.choice(distractors))
-    if target not in render_ids:
-        render_ids[0] = target
-
-    oracle = [UNKNOWN if rid >= cfg.n_speakers else rid for rid in render_ids]
-    return oracle, render_ids
-
-
 # Frames rendered per block: bounds the float64 scratch of one block.
 RENDER_BLOCK = 4096
 
 
 @dataclass
 class _Plan:
-    """Pass-1 output: the recordings plus per-segment columns in segment-id order.
+    """Pass-1 output: the cluster table plus per-segment columns in segment-id order.
 
     `oracle` holds each segment's oracle label. Its frame noise is the
     normals(n_frames * latent_dim) call of stream `key` at `counter`; a
@@ -137,8 +106,8 @@ class _Plan:
     (-1 for speech).
     """
 
-    recordings: list[Recording]
-    oracle: list[int]
+    table: ClusterTable
+    oracle: np.ndarray
     render_id: np.ndarray
     n_frames: np.ndarray
     key: np.ndarray
@@ -149,47 +118,73 @@ class _Plan:
 def _plan_corpus(cfg: SynthConfig) -> _Plan:
     """Every recording's segments and their draw positions, without rendering.
 
-    Each recording's stream makes the same draws, in the same order, as
-    when its segments are rendered one by one; normals calls are only
-    reserved (Rng.skip_normals).
+    Recording r draws on stream Rng.from_seed(seed, "rec", r) what a loop
+    over its segments draws, in the same order: its segment and distractor
+    counts, then per distractor an optional unknown-pool coin and a speaker,
+    then per segment a noise coin, a target coin and a distractor pick as
+    far as each is needed, then per segment its frame count. Each draw is
+    made for all recordings at once (floats_at, randints_at), one round per
+    segment slot, at the counters the previous round left; normals calls
+    are only reserved. Initial clusters group a recording's segments by oracle
+    label: the target first, known distractors ascending, then UNKNOWN,
+    then NOISE.
     """
-    recordings: list[Recording] = []
-    oracles: list[int] = []
-    render_ids: list[int] = []
-    n_frames: list[int] = []
-    keys: list[int] = []
-    counters: list[int] = []
-    latent_counters: list[int] = []
-    for target in range(cfg.n_speakers):
-        for r in range(cfg.recordings_per_speaker):
-            rec_id = target * cfg.recordings_per_speaker + r
-            rng = Rng.from_seed(cfg.seed, "rec", rec_id)
-            oracle, rids = _segment_plan(cfg, target, rng)
-            for rid in rids:
-                n = rng.randrange(*cfg.frames_per_segment)
-                latent_counters.append(rng.skip_normals(cfg.latent_dim) if rid == NOISE else -1)
-                counters.append(rng.skip_normals(n * cfg.latent_dim))
-                n_frames.append(n)
-            render_ids += rids
-            keys += [rng.key] * len(rids)
+    n_rec, n_known, dim = cfg.n_speakers * cfg.recordings_per_speaker, cfg.n_speakers, cfg.latent_dim
+    ids = np.arange(n_rec, dtype=np.int64)
+    targets = ids // cfg.recordings_per_speaker
+    keys = derive_keys(Rng.from_seed(cfg.seed, "rec").key, ids)
+    (seg_lo, seg_hi), (dis_lo, dis_hi) = cfg.segments_per_recording, cfg.distractors_per_recording
+    n_seg = seg_lo + randints_at(keys, 0, seg_hi - seg_lo + 1)
+    n_dis = dis_lo + randints_at(keys, 1, dis_hi - dis_lo + 1)
 
-            # initial clusters group segments by oracle label: the target
-            # first, known distractors ascending, then UNKNOWN, then NOISE
-            sids = range(len(oracles), len(oracles) + len(oracle))
-            order: list[int] = [target]
-            order += sorted({l for l in oracle if l >= 0 and l != target})
-            for sentinel in (UNKNOWN, NOISE):
-                if sentinel in oracle:
-                    order.append(sentinel)
-            clusters: list[list[int]] = []
-            for lab in order:
-                members = [sid for sid, o in zip(sids, oracle) if o == lab]
-                if members:
-                    clusters.append(members)
-            oracles += oracle
-            recordings.append(Recording(rec_id, target, clusters))
-    return _Plan(recordings, oracles, np.array(render_ids), np.array(n_frames),
-                 np.array(keys, dtype=np.uint64), np.array(counters), np.array(latent_counters))
+    # each distractor takes a fixed number of draws, so all of them come at once
+    per = 2 if cfg.unknown_speaker_count > 0 else 1
+    ctr = 2 + per * np.arange(max(1, n_dis.max()))  # one column at least, for the picks below
+    other = randints_at(keys[:, None], ctr + per - 1, n_known - 1)
+    dis = other + (other >= targets[:, None])
+    if per == 2:
+        unknown = floats_at(keys[:, None], ctr) < 0.5
+        dis[unknown] = n_known + randints_at(keys[:, None], ctr + 1, cfg.unknown_speaker_count)[unknown]
+    # sorted(set(...)) of each row: duplicates and unused slots sort last as `pad`
+    pad = np.iinfo(np.int64).max
+    dis = np.sort(np.where(np.arange(dis.shape[1]) < n_dis[:, None], dis, pad), axis=1)
+    dis[:, 1:][dis[:, 1:] == dis[:, :-1]] = pad
+    dis = np.sort(dis, axis=1)
+    n_uniq = np.count_nonzero(dis != pad, axis=1)
+
+    ctr = 2 + per * n_dis
+    slots = np.arange(n_seg.max())
+    live = slots < n_seg[:, None]
+    render = np.empty((n_rec, slots.size), dtype=np.int64)
+    for s in slots:
+        noise = floats_at(keys, ctr) < cfg.noise_segment_prob
+        voiced = floats_at(keys, ctr + 1) < cfg.target_weight
+        pick = dis[ids, randints_at(keys, ctr + 2, np.maximum(n_uniq, 1))]
+        render[:, s] = np.where(noise, NOISE, np.where((n_uniq == 0) | voiced, targets, pick))
+        ctr += live[:, s] * np.where(noise | (n_uniq == 0), 1, np.where(voiced, 2, 3))
+    forced = ~((render == targets[:, None]) & live).any(axis=1)
+    render[forced, 0] = targets[forced]
+
+    n_frames, counter, latent_counter = (np.empty_like(render) for _ in range(3))
+    lo, hi = cfg.frames_per_segment
+    for s in slots:
+        n_frames[:, s] = n = lo + randints_at(keys, ctr, hi - lo + 1)
+        noise = render[:, s] == NOISE
+        latent_counter[:, s] = np.where(noise, ctr + 1, -1)
+        counter[:, s] = ctr + 1 + noise * 2 * ((dim + 1) // 2)
+        ctr = np.where(live[:, s], counter[:, s] + 2 * ((n * dim + 1) // 2), ctr)
+
+    render_id = render[live]
+    oracle = np.where(render_id >= n_known, UNKNOWN, render_id)
+    owner = np.repeat(ids, n_seg)
+    rank = np.where(oracle == targets[owner], -3, np.where(oracle < 0, n_known - oracle, oracle))
+    members = np.lexsort((rank, owner))
+    first = np.flatnonzero(np.diff(owner[members], prepend=-1) | np.diff(rank[members], prepend=-4))
+    table = ClusterTable(ids, targets, np.zeros(n_rec, dtype=bool),
+                         np.bincount(owner[members[first]], minlength=n_rec), np.diff(first, append=members.size),
+                         members)
+    return _Plan(table, oracle, render_id, n_frames[live], np.repeat(keys, n_seg), counter[live],
+                 latent_counter[live])
 
 
 def _render(plan: _Plan, voices: np.ndarray, cfg: SynthConfig, lift: FeatureLift):
@@ -227,7 +222,7 @@ def _render(plan: _Plan, voices: np.ndarray, cfg: SynthConfig, lift: FeatureLift
 
 
 def generate_corpus(cfg: SynthConfig, feat=None) -> Corpus:
-    """Full corpus: recordings, oracle-grouped initial clusters, pooled features.
+    """Full corpus: the cluster table of oracle-grouped initial clusters, and pooled features.
 
     Each block of float32 frames is pooled into its segments' means and
     then written to feat, if given (a file open for binary writing),
@@ -248,4 +243,4 @@ def generate_corpus(cfg: SynthConfig, feat=None) -> Corpus:
     means.flags.writeable = False
 
     bounds = np.concatenate([[0], np.cumsum(plan.n_frames)])
-    return Corpus(cfg.n_speakers, plan.recordings, Segments(means, bounds, np.array(plan.oracle, dtype=np.int64)))
+    return Corpus.from_table(cfg.n_speakers, plan.table, Segments(means, bounds, plan.oracle))

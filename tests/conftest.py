@@ -60,6 +60,16 @@ def edit_index(path, edit):
                            + b"".join(np.asarray(arrays[name], dtype="<i8").tobytes() for name in INDEX_ARRAYS))
 
 
+def train_recordings(corpus):
+    """corpus's recordings that are not held out, in table order."""
+    return [r for r in corpus.recordings if not r.heldout]
+
+
+def heldout_recordings(corpus):
+    """corpus's held-out recordings, in table order."""
+    return [r for r in corpus.recordings if r.heldout]
+
+
 def generate_with_frames(cfg):
     """generate_corpus(cfg), and the frame matrix it wrote as corpus.feat."""
     feat = io.BytesIO()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import constant_segments
+from conftest import constant_segments, heldout_recordings, train_recordings
 from weaksv.batching import Bag, plan_epoch_stage1, plan_epoch_stage2
 from weaksv.corpus import Corpus, Recording, UNKNOWN, assign_heldout_split
 from weaksv.diarize import PRESETS, apply_diarization
@@ -33,7 +33,7 @@ def build_bag(recording, rng):
 def reference_stage1(corpus, target_batch_size, seed):
     """plan_epoch_stage1 as a loop over recordings; each batch is a list of Bags."""
     rng = Rng.from_seed(seed, "plan1")
-    recordings = sorted(corpus.train_recordings(), key=lambda r: r.recording_id)
+    recordings = sorted(train_recordings(corpus), key=lambda r: r.recording_id)
     order = list(range(len(recordings)))
     rng.shuffle(order)
     batches, current = [], []
@@ -167,9 +167,9 @@ class TestPlanEpochStage1:
         corpus = assign_heldout_split(self._corpus(), 0.3, seed=1)
         batches = plan_epoch_stage1(corpus, 16, seed=10)
         seen = {b.recording_id for batch in batches for b in batch.bags}
-        heldout = {r.recording_id for r in corpus.heldout_recordings()}
+        heldout = {r.recording_id for r in heldout_recordings(corpus)}
         assert not seen & heldout
-        assert seen == {r.recording_id for r in corpus.train_recordings()}
+        assert seen == {r.recording_id for r in train_recordings(corpus)}
 
     def test_batch_arrays_are_the_bags(self):
         # training reads the arrays; the bags view must describe the same rows

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import train_recordings
 from weaksv import cli, trainer
 from weaksv.corpus import assign_heldout_split
 from weaksv.diarize import PRESETS, apply_diarization
@@ -33,9 +34,9 @@ def corpus(small_corpus):
 def test_tracer_counts_every_step_and_restores(corpus):
     points = tracing.patch_points()  # raises if a patched name no longer exists
     originals = [vars(owner)[attr] for owner, attr in points]
-    selected = [(sid, rec.target) for rec in corpus.train_recordings() for sid in rec.segment_ids()
+    selected = [(sid, rec.target) for rec in train_recordings(corpus) for sid in rec.segment_ids()
                 if corpus.segments.oracle[sid] == rec.target]
-    pool = [sid for rec in corpus.train_recordings() for sid in rec.segment_ids()
+    pool = [sid for rec in train_recordings(corpus) for sid in rec.segment_ids()
             if corpus.segments.oracle[sid] < 0]
     stage1 = StageConfig(epochs=2, batch_size=24)
     stage2 = StageConfig(epochs=3, batch_size=24, unknown_start_epoch=1)

@@ -12,10 +12,11 @@ bench_record = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_record)
 
 
-def _doc(wall, steps, setup, span, eer=1.0):
+def _doc(wall, steps, setup, span, eer=1.0, precision=0.9):
     return {"workloads": {"ablate": {
         "end_to_end": {"wall_s": bench_record.spread(wall), "setup_s": setup, "one_minus_eer_stage1": eer},
         "per_layer": {"trainer.steps1": steps, "batching.plan1_s": span},
+        "quality": {"sel_precision": precision},
     }}}
 
 
@@ -28,9 +29,9 @@ def test_flags_a_median_outside_the_previous_iqr_and_any_moved_count():
     inside = _doc([1.15, 1.2, 1.25], 100, 0.3, 0.1)
     assert bench_record.compare(inside, old) == ([], {"ablate setup_s": 0.3 / 0.2,
                                                       "ablate batching.plan1_s": 0.1 / 0.5})
-    flags, _ = bench_record.compare(_doc([0.8, 0.9, 1.0], 101, 0.2, 0.5, eer=0.99), old)
+    flags, _ = bench_record.compare(_doc([0.8, 0.9, 1.0], 101, 0.2, 0.5, eer=0.99, precision=0.8), old)
     assert [f.split(":")[0] for f in flags] == ["ablate wall_s", "ablate one_minus_eer_stage1",
-                                               "ablate trainer.steps1"]
+                                               "ablate trainer.steps1", "ablate sel_precision"]
 
 
 def test_previous_file_is_the_newest_other_record(tmp_path):
@@ -44,15 +45,16 @@ def test_previous_file_is_the_newest_other_record(tmp_path):
 
 def _fake_harness(monkeypatch, calls):
     """Stand-ins for run_harness, which logs (tree, workload, trace, seconds) and reports one two-pass run
-    whose metric reads 7, 9 and 8 on a tree's three rounds, and for stage_peaks, which logs (tree, workload,
+    whose metric and quality read 7, 9 and 8 on a tree's three rounds (a traced run also reports its
+    quality among its metrics, as the harness does), and for stage_peaks, which logs (tree, workload,
     "peaks")."""
     def run(tree, workload, seed, seconds, trace):
         calls.append((tree.name, workload, trace, seconds))
         value = (7.0, 9.0, 8.0)[(sum(1 for call in calls if call[:3] == (tree.name, workload, trace)) - 1) % 3]
-        record = {"env": {"tree": tree.name}, "passes": 2, "problems": [],
+        record = {"env": {"tree": tree.name}, "passes": 2, "problems": [], "quality": {"eer_stage1": value / 100},
                   "stage_s_per_pass": [{"gen": 1.0, "eval": 2.0}, {"gen": 1.5, "eval": 2.5}]}
-        metric = "wall_s" if trace == 0 else "trainer.steps1"
-        return record, {"correct": True, "metrics": {metric: {"value": value}}}
+        metrics = {"wall_s": value} if trace == 0 else {"trainer.steps1": value, "quality.eer_stage1": value / 100}
+        return record, {"correct": True, "metrics": {name: {"value": v} for name, v in metrics.items()}}
 
     def peaks(tree, workload, seed):
         calls.append((tree.name, workload, "peaks"))
@@ -82,7 +84,8 @@ def test_two_trees_alternate_with_the_first_flipping(monkeypatch, tmp_path):
         assert figures["end_to_end"]["wall_s"] == {"median": 3.5, "q1": 3.0, "q3": 4.0, "n": 6}
         assert figures["end_to_end"]["stage.gen_s"] == {"median": 1.25, "q1": 1.0, "q3": 1.5, "n": 6}
         assert figures["end_to_end"]["stage.gen_peak_rss_mib"] == 40.0
-        assert figures["per_layer"] == {"trainer.steps1": 8.0}
+        assert figures["per_layer"] == {"trainer.steps1": 8.0}  # the quality figures have a block of their own
+        assert figures["quality"] == {"eer_stage1": 0.08}
         assert (figures["passes"], figures["traced_passes"]) == (6, 6)
 
 

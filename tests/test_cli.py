@@ -462,6 +462,7 @@ CORRUPTIONS = {
     "trailing_frame_row": _append_feat_row,
     "heldout_flag_2": lambda run: _edit_idx(run, lambda a: a["heldout"].__setitem__(0, 2)),
     "negative_target": lambda run: _edit_idx(run, lambda a: a["targets"].__setitem__(0, -1)),
+    "duplicate_recording_id": lambda run: _edit_idx(run, lambda a: a["ids"].__setitem__(1, a["ids"][0])),
     "extra_declared_cluster": lambda run: _edit_idx(run, _add_empty_cluster),
     "zero_cluster_recording": lambda run: _edit_idx(run, _empty_first_recording),
     "retargeted_recording": lambda run: _edit_idx(run, _retarget_first_recording),
@@ -476,6 +477,7 @@ CONTRACT_KINDS = {
     "empty_segment": "EmptySegment",
     "nan_feature": "NonFiniteFeatures",
     "negative_target": "BadTarget",
+    "duplicate_recording_id": "DuplicateRecording",
     "zero_cluster_recording": "EmptyRecording",
     "extra_declared_cluster": "EmptyCluster",
     "member_not_a_segment": "MissingSegment",

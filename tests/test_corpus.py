@@ -27,7 +27,7 @@ from weaksv.fileio import atomic_write
 from weaksv.synth import SynthConfig, generate_corpus
 
 from conftest import (TINY_VALUES, constant_features, constant_segments, edit_index, feat_frames,
-                      generate_with_frames, make_segments, segment_means, write_manifest)
+                      generate_with_frames, heldout_recordings, make_segments, segment_means, write_manifest)
 
 
 def test_wellformed_corpus_validates(tiny_corpus):
@@ -164,8 +164,8 @@ def test_manifest_round_trip_preserves_heldout(tmp_path, small_corpus, small_fra
     marked = assign_heldout_split(small_corpus, 0.2, seed=3)
     write_manifest(marked, small_frames, tmp_path)
     loaded = load_manifest(tmp_path)
-    assert {r.recording_id for r in loaded.heldout_recordings()} == {
-        r.recording_id for r in marked.heldout_recordings()
+    assert {r.recording_id for r in heldout_recordings(loaded)} == {
+        r.recording_id for r in heldout_recordings(marked)
     }
 
 
@@ -209,7 +209,7 @@ class TestSplitTrials:
     def test_cross_recording_and_disjoint_from_training(self, small_corpus):
         corpus = self._held(small_corpus)
         trials = split_trials(corpus, 40, 40, seed=1)
-        heldout_ids = {s for r in corpus.heldout_recordings() for s in r.segment_ids()}
+        heldout_ids = {s for r in heldout_recordings(corpus) for s in r.segment_ids()}
         recording_of = {s: r.recording_id for r in corpus.recordings for s in r.segment_ids()}
         oracle = corpus.segments.oracle
         for t in trials:
@@ -343,6 +343,7 @@ BROKEN_CONTRACTS = {
     # segment 4's rows go to segment 5, so the segments still tile the matrix
     "EmptySegment": lambda c, f: c.segments.bounds.__setitem__(5, c.segments.bounds[4]),
     "NonFiniteFeatures": lambda c, f: f.__setitem__((13, 1), np.inf),
+    "DuplicateRecording": lambda c, f: setattr(c.recordings[1], "recording_id", 0),
     "BadTarget": lambda c, f: setattr(c.recordings[1], "target", -1),
     "EmptyRecording": lambda c, f: setattr(c.recordings[1], "clusters", []),
     "EmptyCluster": lambda c, f: c.recordings[0].clusters.append([]),
@@ -483,6 +484,9 @@ def _reference_issues(corpus, frames):
               for sid in range(n) if segments.bounds[sid + 1] <= segments.bounds[sid]]
     issues += [("NonFiniteFeatures", f"segment {sid} contains NaN or inf")
                for sid in range(n) if not np.isfinite(_segment_rows(frames, segments.bounds, sid)).all()]
+    ids = [r.recording_id for r in recordings]
+    issues += [("DuplicateRecording", f"recording id {rid} is used by {ids.count(rid)} recordings")
+               for rid in sorted(set(ids)) if ids.count(rid) > 1]
     issues += [("BadTarget", f"recording {r.recording_id} target {r.target} outside 0..{n_speakers - 1}")
                for r in recordings if not 0 <= r.target < n_speakers]
     issues += [("EmptyRecording", f"recording {r.recording_id} has no clusters")
@@ -513,7 +517,7 @@ def _break_contract(corpus, frames, rng):
     segments, recordings = corpus.segments, corpus.recordings
     for _ in range(int(rng.integers(1, 4))):
         rec = recordings[int(rng.integers(len(recordings)))]
-        damage = int(rng.integers(7))
+        damage = int(rng.integers(8))
         if damage == 0:
             rec.target = int(rng.integers(-2, corpus.n_speakers + 2))
         elif damage == 1:
@@ -529,6 +533,8 @@ def _break_contract(corpus, frames, rng):
         elif damage == 6 and len(segments) > 1:  # segment sid's rows go to segment sid - 1
             sid = int(rng.integers(1, len(segments)))
             segments.bounds[sid] = segments.bounds[sid + 1]
+        elif damage == 7:  # another recording's id
+            rec.recording_id = recordings[int(rng.integers(len(recordings)))].recording_id
 
 
 @settings(max_examples=50, deadline=None)

@@ -24,7 +24,7 @@ from weaksv.selection import (
 from weaksv.synth import SynthConfig, generate_corpus
 from weaksv.trainer import StageConfig, train_stage1
 
-from conftest import make_segments
+from conftest import heldout_recordings, make_segments, train_recordings
 
 MODEL = EmbedderConfig(feat_dim=20, hidden_dim=24, emb_dim=12)
 
@@ -78,7 +78,7 @@ class TestSelfLabel:
 
         result = self_label(corpus, score_train_segments(corpus, ckpt))
         selected_ids = {sid for sid, _ in result.selected}
-        for rec in corpus.train_recordings():
+        for rec in train_recordings(corpus):
             for sid in rec.segment_ids():
                 emb, _ = forward_pooled(pooled[sid][None, :], ckpt.params)
                 pred = int(np.argmax(emb[0] @ ckpt.params["P"].T))
@@ -91,7 +91,7 @@ class TestSelfLabel:
 
     def test_heldout_segments_never_selected(self, trained):
         corpus, ckpt = trained
-        heldout = {s for r in corpus.heldout_recordings() for s in r.segment_ids()}
+        heldout = {s for r in heldout_recordings(corpus) for s in r.segment_ids()}
         selected = self_label(corpus, score_train_segments(corpus, ckpt)).selected
         assert not {sid for sid, _ in selected} & heldout
 
@@ -107,14 +107,14 @@ class TestSelectionStats:
         corpus, _ = trained
         oracle_target = [
             (sid, rec.target)
-            for rec in corpus.train_recordings()
+            for rec in train_recordings(corpus)
             for sid in rec.segment_ids()
             if corpus.segments.oracle[sid] == rec.target
         ]
         # 10 selected, 9 correct: drop one correct and add one wrong label
         wrong = next(
             (sid, rec.target)
-            for rec in corpus.train_recordings()
+            for rec in train_recordings(corpus)
             for sid in rec.segment_ids()
             if corpus.segments.oracle[sid] != rec.target
         )
@@ -127,7 +127,7 @@ class TestSelectionStats:
         corpus, _ = trained
         everything = [
             (sid, rec.target)
-            for rec in corpus.train_recordings()
+            for rec in train_recordings(corpus)
             for sid in rec.segment_ids()
         ]
         stats = selection_stats(SelectionResult(everything), corpus)
@@ -202,7 +202,7 @@ def test_selection_artifacts_round_trip(tmp_path, trained):
 
 
 def _reference_cosines(corpus, ckpt):
-    sids = sorted(sid for rec in corpus.train_recordings() for sid in rec.segment_ids())
+    sids = sorted(sid for rec in train_recordings(corpus) for sid in rec.segment_ids())
     emb, _ = forward_pooled(corpus.mean_frames()[sids], ckpt.params)
     return sids, emb @ ckpt.params["P"].T
 
@@ -259,7 +259,7 @@ def _tied_checkpoint(ckpt):
 
 def _one_row_tail_block(corpus):
     """The smallest ROW_BLOCK of at least 5 that leaves a one-row last block."""
-    n_rows = sum(len(rec.segment_ids()) for rec in corpus.train_recordings())
+    n_rows = sum(len(rec.segment_ids()) for rec in train_recordings(corpus))
     return next(b for b in range(5, n_rows) if n_rows % b == 1)
 
 
@@ -349,7 +349,7 @@ def test_scoring_never_holds_the_cosine_matrix(monkeypatch):
     model = EmbedderConfig(feat_dim=20, hidden_dim=16, emb_dim=8)
     ckpt = Checkpoint(model, init_params(model, corpus.n_speakers, seed=3))
     monkeypatch.setattr(weaksv.selection, "ROW_BLOCK", 32)
-    n_rows = sum(len(rec.segment_ids()) for rec in corpus.train_recordings())
+    n_rows = sum(len(rec.segment_ids()) for rec in train_recordings(corpus))
     matrix_bytes = n_rows * corpus.n_speakers * 8
     tracemalloc.start()
     try:

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weaksv.corpus import NOISE, UNKNOWN, Corpus, Recording, validate_corpus
 from weaksv.rng import Rng
@@ -141,6 +142,123 @@ class TestGenerateCorpus:
 
 
 # ---------------------------------------------------------------------------
+# Reference plan: one recording and one draw at a time
+# ---------------------------------------------------------------------------
+
+
+def _segment_plan(cfg, target, rng):
+    """Oracle labels and rendering identities for one recording.
+
+    Returns (oracle_labels, render_ids) where a render id is the index of
+    the voiceprint to render with (known ids first, then unknown-pool
+    ids), or NOISE for a non-speech segment.
+    """
+    n_seg = rng.randrange(*cfg.segments_per_recording)
+    n_dis = rng.randrange(*cfg.distractors_per_recording)
+    distractors = []
+    for _ in range(n_dis):
+        if cfg.unknown_speaker_count > 0 and rng.float() < 0.5:
+            distractors.append(cfg.n_speakers + rng.randint(cfg.unknown_speaker_count))
+        else:
+            other = rng.randint(cfg.n_speakers - 1)
+            distractors.append(other + 1 if other >= target else other)
+    distractors = sorted(set(distractors))
+
+    render_ids = []
+    for _ in range(n_seg):
+        if rng.float() < cfg.noise_segment_prob:
+            render_ids.append(NOISE)
+        elif not distractors or rng.float() < cfg.target_weight:
+            render_ids.append(target)
+        else:
+            render_ids.append(rng.choice(distractors))
+    if target not in render_ids:
+        render_ids[0] = target
+
+    oracle = [UNKNOWN if rid >= cfg.n_speakers else rid for rid in render_ids]
+    return oracle, render_ids
+
+
+def _initial_clusters(sids, target, oracle):
+    """Segments sids grouped by oracle label: the target first, known distractors ascending, UNKNOWN, NOISE."""
+    order = [target] + sorted({l for l in oracle if l >= 0 and l != target})
+    order += [s for s in (UNKNOWN, NOISE) if s in oracle]
+    return [m for lab in order if (m := [s for s, o in zip(sids, oracle) if o == lab])]
+
+
+def _reference_plan(cfg):
+    """The plan pass as a loop over recordings: (recordings, per-segment columns as lists).
+
+    Each recording's stream makes the same draws, in the same order, as
+    when its segments are rendered one by one; normals calls are only
+    reserved (Rng.skip_normals).
+    """
+    recordings = []
+    columns = {name: [] for name in ("oracle", "render_id", "n_frames", "key", "counter", "latent_counter")}
+    for target in range(cfg.n_speakers):
+        for r in range(cfg.recordings_per_speaker):
+            rec_id = target * cfg.recordings_per_speaker + r
+            rng = Rng.from_seed(cfg.seed, "rec", rec_id)
+            oracle, rids = _segment_plan(cfg, target, rng)
+            sids = list(range(len(columns["oracle"]), len(columns["oracle"]) + len(oracle)))
+            for rid in rids:
+                n = rng.randrange(*cfg.frames_per_segment)
+                columns["latent_counter"].append(rng.skip_normals(cfg.latent_dim) if rid == NOISE else -1)
+                columns["counter"].append(rng.skip_normals(n * cfg.latent_dim))
+                columns["n_frames"].append(n)
+            columns["render_id"] += rids
+            columns["key"] += [rng.key] * len(rids)
+            columns["oracle"] += oracle
+            recordings.append(Recording(rec_id, target, _initial_clusters(sids, target, oracle)))
+    return recordings, columns
+
+
+def _table_lists(table):
+    return [a.tolist() for a in (table.ids, table.targets, table.heldout, table.n_clusters, table.sizes, table.members)]
+
+
+def _assert_plan_matches_reference(cfg):
+    plan = weaksv.synth._plan_corpus(cfg)
+    recordings, columns = _reference_plan(cfg)
+    for name, want in columns.items():
+        got = getattr(plan, name)
+        assert got.dtype == (np.uint64 if name == "key" else np.int64), name
+        assert got.tolist() == want, name
+    assert _table_lists(plan.table) == _table_lists(Corpus(cfg.n_speakers, recordings, None).cluster_table())
+
+
+PLAN_EDGES = {
+    "no_unknowns": SynthConfig(n_speakers=4, recordings_per_speaker=3, unknown_speaker_count=0, seed=41),
+    "no_distractors": SynthConfig(n_speakers=4, recordings_per_speaker=3, distractors_per_recording=(0, 0), seed=42),
+    "no_noise": SynthConfig(n_speakers=4, recordings_per_speaker=3, noise_segment_prob=0.0, seed=43),
+    "all_noise": SynthConfig(n_speakers=4, recordings_per_speaker=3, noise_segment_prob=1.0, seed=44),
+    "never_target": SynthConfig(n_speakers=4, recordings_per_speaker=3, target_weight=0.0,
+                                distractors_per_recording=(1, 3), seed=45),
+    "always_target": SynthConfig(n_speakers=4, recordings_per_speaker=3, target_weight=1.0, seed=46),
+    "one_segment": SynthConfig(n_speakers=4, recordings_per_speaker=3, segments_per_recording=(1, 1), seed=47),
+}
+
+
+class TestPlanParity:
+    @pytest.mark.parametrize("name", PLAN_EDGES)
+    def test_edge_configs_match_reference(self, name):
+        _assert_plan_matches_reference(PLAN_EDGES[name])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 3), st.integers(2, 5), st.integers(1, 4), st.integers(0, 5),
+           st.integers(0, 3), st.integers(0, 3), st.integers(0, 4),
+           st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+           st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), st.integers(0, 2**63 - 1))
+    def test_matches_reference(self, n_speakers, per_speaker, latent_dim, seg_lo, seg_extra, dis_lo, dis_extra,
+                               unknown, noise, target_weight, seed):
+        _assert_plan_matches_reference(SynthConfig(
+            n_speakers=n_speakers, recordings_per_speaker=per_speaker, latent_dim=latent_dim,
+            segments_per_recording=(seg_lo, seg_lo + seg_extra), frames_per_segment=(1, 6),
+            distractors_per_recording=(dis_lo, dis_lo + dis_extra), noise_segment_prob=noise,
+            unknown_speaker_count=unknown, target_weight=target_weight, seed=seed))
+
+
+# ---------------------------------------------------------------------------
 # Block rendering against the per-segment loop it replaced
 # ---------------------------------------------------------------------------
 
@@ -160,7 +278,7 @@ def _reference_corpus(cfg, dtype=np.float32):
         for r in range(cfg.recordings_per_speaker):
             rec_id = target * cfg.recordings_per_speaker + r
             rng = Rng.from_seed(cfg.seed, "rec", rec_id)
-            oracle, render_ids = weaksv.synth._segment_plan(cfg, target, rng)
+            oracle, render_ids = _segment_plan(cfg, target, rng)
             sids = list(range(len(oracles), len(oracles) + len(render_ids)))
             for rid in render_ids:
                 n_frames = rng.randrange(*cfg.frames_per_segment)
@@ -174,10 +292,7 @@ def _reference_corpus(cfg, dtype=np.float32):
                     feats = _reference_render_segment(voices[rid], n_frames, cfg, rng, lift, dtype)
                 features.append(feats)
             oracles += oracle
-            order = [target] + sorted({l for l in oracle if l >= 0 and l != target})
-            order += [s for s in (UNKNOWN, NOISE) if s in oracle]
-            clusters = [m for lab in order if (m := [s for s, o in zip(sids, oracle) if o == lab])]
-            recordings.append(Recording(rec_id, target, clusters))
+            recordings.append(Recording(rec_id, target, _initial_clusters(sids, target, oracle)))
     return Corpus(cfg.n_speakers, recordings, make_segments(features, oracles)), np.concatenate(features)
 
 

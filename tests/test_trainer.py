@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import train_recordings
 from weaksv.corpus import assign_heldout_split
 from weaksv.diarize import PRESETS, apply_diarization
 from weaksv.embedder import EmbedderConfig, load_checkpoint, save_checkpoint
@@ -146,11 +147,11 @@ class TestTrainStage1:
 @pytest.fixture(scope="module")
 def stage2_inputs(training_corpus):
     selected = []
-    for rec in training_corpus.train_recordings():
+    for rec in train_recordings(training_corpus):
         for sid in rec.segment_ids():
             if training_corpus.segments.oracle[sid] == rec.target:
                 selected.append((sid, rec.target))
-    pool = [sid for rec in training_corpus.train_recordings() for sid in rec.segment_ids()
+    pool = [sid for rec in train_recordings(training_corpus) for sid in rec.segment_ids()
             if training_corpus.segments.oracle[sid] < 0][:20]
     return selected, pool
 
