@@ -107,14 +107,14 @@ def plan_epoch_stage1(corpus: Corpus, target_batch_size: int, seed: int) -> list
     bad = (sizes == 0) | (sizes > 1.1 * target_batch_size)
     bad[bag_of_row[table.sizes[clusters] == 0]] = True
     if bad.any():  # the first in shuffled order, told as a bag-by-bag loop tells it
-        rec = corpus.recordings[order[np.argmax(bad)]]
-        empty = [cid for cid, cluster in enumerate(rec.clusters) if not cluster]
-        if not rec.clusters:
-            raise EmptyCluster(f"recording {rec.recording_id} has no clusters")
-        if empty:
-            raise EmptyCluster(f"recording {rec.recording_id} cluster {empty[0]} is empty")
-        raise BagTooLarge(f"recording {rec.recording_id} needs {len(rec.clusters)} segments, "
-                          f"over 1.1x target {target_batch_size}")
+        r = order[np.argmax(bad)]
+        rid, n = table.ids[r], table.n_clusters[r]
+        empty = np.flatnonzero(table.sizes[first_cluster[r]:first_cluster[r] + n] == 0)
+        if not n:
+            raise EmptyCluster(f"recording {rid} has no clusters")
+        if empty.size:
+            raise EmptyCluster(f"recording {rid} cluster {empty[0]} is empty")
+        raise BagTooLarge(f"recording {rid} needs {n} segments, over 1.1x target {target_batch_size}")
 
     # bag k draws on stream spawn("bag", its recording id), one draw per cluster
     keys = derive_keys(derive_key(rng.key, "bag"), table.ids[order])

@@ -1,7 +1,7 @@
 """Command-line pipeline over a run directory.
 
-Subcommands: gen, diar, train1, select, train2, eval, ablate, selfcheck,
-schema. The first six run the paper's chain one link each (corpus,
+Subcommands: gen, diar, train1, select, train2, eval, ablate, schema.
+The first six run the paper's chain one link each (corpus,
 diarization, stage 1, self-labeling, stage 2, scoring); ablate runs the
 same stage steps as a grid. A command reads its inputs from the run
 directory, each checked by the reader of its format, before it writes
@@ -224,20 +224,12 @@ def cmd_ablate(cfg: cfgmod.RunConfig, args) -> None:
     print(f"ablate: grid complete, report.json updated in {out}")
 
 
-def cmd_selfcheck(cfg, args) -> None:
-    """Fast internal consistency checks; raises on the first failure."""
-    from .selfcheck import run_selfcheck
-
-    run_selfcheck()
-
-
 def cmd_schema(cfg, args) -> None:
     print(cfgmod.render_schema())
 
 
 COMMANDS = {"gen": cmd_gen, "diar": cmd_diar, "train1": cmd_train1, "select": cmd_select,
-            "train2": cmd_train2, "eval": cmd_eval, "ablate": cmd_ablate,
-            "selfcheck": cmd_selfcheck, "schema": cmd_schema}
+            "train2": cmd_train2, "eval": cmd_eval, "ablate": cmd_ablate, "schema": cmd_schema}
 
 
 def _no_hugepage_advice() -> None:
@@ -297,7 +289,6 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("eval", parents=[run], help="score trials and refresh the run report").add_argument(
         "--checkpoint", default=None, help="checkpoint to score (default: all stage*.ckpt)")
     sub.add_parser("ablate", parents=[run], help="run the aggregation x margin grid and stage-2 comparisons")
-    sub.add_parser("selfcheck", help="quick gradient/pooling/metric consistency checks")
     sub.add_parser("schema", help="print the configuration schema")
 
     args = parser.parse_args(argv)
@@ -305,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     _pin_malloc_thresholds()
     try:
         cfg = None
-        if "config" in args:  # every command but selfcheck and schema runs on a configuration
+        if "config" in args:  # every command but schema runs on a configuration
             cfg = cfgmod.load_run_config(args.config, seed=args.seed, out=args.out,
                                          preset=getattr(args, "preset", None))
         COMMANDS[args.command](cfg, args)

@@ -191,10 +191,6 @@ class Rng:
             raise ValueError("randint bound must be positive")
         return (self._block(bounds.size) % bounds.astype(np.uint64)).astype(np.int64)
 
-    def randrange(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi] inclusive."""
-        return lo + self.randint(hi - lo + 1)
-
     def shuffle(self, seq: list) -> None:
         """In-place Fisher-Yates."""
         for i in range(len(seq) - 1, 0, -1):

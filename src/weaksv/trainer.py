@@ -6,9 +6,9 @@ the model, SGD with momentum, the warm-up + exponential-decay learning
 rate and the resumable checkpoint. `_fit` is the loop; each stage hands
 it its epoch plans and, per batch, the segment ids and a batch loss
 (cosines, margin, tau) -> (per-row losses, d loss / d cosines).
-`loss_and_grads` is the step's math, shared with `weaksv selfcheck` and
-the gradient tests. Also: per-epoch margin and temperature schedules and
-the stage-1 ablation grid.
+`loss_and_grads` is the step's math, which the gradient tests difference.
+Also: per-epoch margin and temperature schedules and the stage-1
+ablation grid.
 
 Runs are deterministic given (corpus, configs, seed): epoch plans derive
 their randomness from (seed, epoch), so resuming from an epoch-boundary

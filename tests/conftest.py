@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from weaksv.corpus import FEAT_MAGIC, FEAT_VERSION, Corpus, NOISE, Recording, Segments, UNKNOWN, save_manifest
+from weaksv.embedder import flatten_params, unflatten_params
 from weaksv.synth import SynthConfig, generate_corpus
+from weaksv.trainer import loss_and_grads, recording_batch_loss, segment_batch_loss
 
 
 def segment_means(features):
@@ -128,8 +130,34 @@ def small_frames(small_generated):
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference oracle for weaksv.selfcheck.composite_loss
+# One training step at a flat parameter vector, and its finite-difference oracle
 # ---------------------------------------------------------------------------
+
+
+def composite_loss(theta, cfg, n_speakers, xbar, path, *, target=0, s=30.0, m=0.1,
+                   tau=0.5, labels=None, known_mask=None, extra_col=None):
+    """(loss, flat analytic gradient) of one training step at parameters theta.
+
+    Runs the trainer's own step (loss_and_grads with a stage's batch loss).
+    path selects the batch loss: "max" or "lse" (stage 1, the rows form one
+    bag of recording label target), "stage2" (every row labelled target)
+    or "extended" (labels with known_mask; the unknown class). For the
+    extended path, extra_col (the detached appended logit column) must be
+    precomputed at the base point so differencing respects the
+    stop-gradient semantics.
+    """
+    n_rows = len(xbar)
+    if path in ("max", "lse"):
+        batch_loss = recording_batch_loss(path, s, np.zeros(1, dtype=np.intp), np.array([target]))
+    elif path == "stage2":
+        batch_loss = segment_batch_loss(s, np.full(n_rows, target), np.ones(n_rows, dtype=bool))
+    elif path == "extended":
+        batch_loss = segment_batch_loss(s, labels, known_mask,
+                                        None if extra_col is None else np.asarray(extra_col))
+    else:
+        raise ValueError(path)
+    loss, grads = loss_and_grads(unflatten_params(theta, cfg, n_speakers), xbar, batch_loss, m, tau)
+    return loss, flatten_params(grads)
 
 
 def central_difference(fn, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:

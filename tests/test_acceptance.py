@@ -25,12 +25,11 @@ from weaksv.losses import LSE, aggregate, extend_logits_unknown
 from weaksv.metrics import ScoreSet, compute_eer, compute_mindcf, score_trials
 from weaksv.rng import Rng
 from weaksv.selection import score_train_segments, select_unknown_pool, self_label
-from weaksv.selfcheck import composite_loss
 from weaksv.synth import SynthConfig, generate_corpus
 from weaksv.trainer import train_stage1, train_stage2
 from weaksv.config import load_run_config
 
-from conftest import central_difference, max_relative_error
+from conftest import central_difference, composite_loss, max_relative_error
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,11 @@ class TestGenerateCorpus:
 # ---------------------------------------------------------------------------
 
 
+def randrange(rng, lo, hi):
+    """Uniform integer in [lo, hi] inclusive, from one randint draw."""
+    return lo + rng.randint(hi - lo + 1)
+
+
 def _segment_plan(cfg, target, rng):
     """Oracle labels and rendering identities for one recording.
 
@@ -153,8 +158,8 @@ def _segment_plan(cfg, target, rng):
     the voiceprint to render with (known ids first, then unknown-pool
     ids), or NOISE for a non-speech segment.
     """
-    n_seg = rng.randrange(*cfg.segments_per_recording)
-    n_dis = rng.randrange(*cfg.distractors_per_recording)
+    n_seg = randrange(rng, *cfg.segments_per_recording)
+    n_dis = randrange(rng, *cfg.distractors_per_recording)
     distractors = []
     for _ in range(n_dis):
         if cfg.unknown_speaker_count > 0 and rng.float() < 0.5:
@@ -202,7 +207,7 @@ def _reference_plan(cfg):
             oracle, rids = _segment_plan(cfg, target, rng)
             sids = list(range(len(columns["oracle"]), len(columns["oracle"]) + len(oracle)))
             for rid in rids:
-                n = rng.randrange(*cfg.frames_per_segment)
+                n = randrange(rng, *cfg.frames_per_segment)
                 columns["latent_counter"].append(rng.skip_normals(cfg.latent_dim) if rid == NOISE else -1)
                 columns["counter"].append(rng.skip_normals(n * cfg.latent_dim))
                 columns["n_frames"].append(n)
@@ -281,7 +286,7 @@ def _reference_corpus(cfg, dtype=np.float32):
             oracle, render_ids = _segment_plan(cfg, target, rng)
             sids = list(range(len(oracles), len(oracles) + len(render_ids)))
             for rid in render_ids:
-                n_frames = rng.randrange(*cfg.frames_per_segment)
+                n_frames = randrange(rng, *cfg.frames_per_segment)
                 if rid == NOISE:
                     latent = rng.normals(cfg.latent_dim) / np.sqrt(cfg.latent_dim)
                     feats = lift.apply(latent[None, :].repeat(n_frames, 0)

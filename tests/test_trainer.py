@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import train_recordings
-from weaksv.corpus import assign_heldout_split
+from weaksv import trainer
+from weaksv.corpus import UNKNOWN, assign_heldout_split
 from weaksv.diarize import PRESETS, apply_diarization
 from weaksv.embedder import EmbedderConfig, load_checkpoint, save_checkpoint
 from weaksv.errors import ConfigError, NonFiniteGradient
@@ -14,6 +15,7 @@ from weaksv.trainer import (
     lr_at,
     save_metrics_csv,
     schedule_value,
+    segment_batch_loss,
     sgd_step,
     train_stage1,
     train_stage2,
@@ -114,7 +116,7 @@ class TestTrainStage1:
         norms = np.linalg.norm(result.checkpoint.params["P"], axis=1)
         assert np.allclose(norms, 1.0, atol=1e-9)
 
-    def test_schedules_logged(self, training_corpus):
+    def test_schedules_logged(self, training_corpus, stage2_inputs):
         cfg = StageConfig(
             loss=LossConfig(aggregation="lse", margin=Schedule(0.0, 0.2), tau=Schedule(0.5, 0.1)),
             epochs=3, batch_size=24)
@@ -124,12 +126,18 @@ class TestTrainStage1:
         assert result.metrics[0].margin == pytest.approx(0.0)
         assert result.metrics[-1].margin == pytest.approx(0.2)
         assert result.metrics[-1].lr == pytest.approx(cfg.lr_final)
+        # stage 2 trains on its own margin schedule, 0.1 -> 0.3
+        result = train_stage2(training_corpus, stage2_inputs[0], STAGE2, MODEL, seed=5)
+        assert result.metrics[0].margin == pytest.approx(0.1)
+        assert result.metrics[-1].margin == pytest.approx(0.3)
 
     def test_resume_requires_matching_config(self, training_corpus):
-        half = train_stage1(training_corpus, StageConfig(loss=STAGE1.loss, epochs=2,
-                                                         batch_size=24), MODEL, seed=6)
-        with pytest.raises(ConfigError):
-            train_stage1(training_corpus, STAGE1, MODEL, seed=6, resume_from=half.checkpoint)
+        half_cfg = StageConfig(loss=STAGE1.loss, epochs=2, batch_size=24)
+        half = train_stage1(training_corpus, half_cfg, MODEL, seed=6)
+        # another epoch count, then another seed, than the checkpoint was trained under
+        for stage, seed in ((STAGE1, 6), (half_cfg, 7)):
+            with pytest.raises(ConfigError):
+                train_stage1(training_corpus, stage, MODEL, seed=seed, resume_from=half.checkpoint)
 
     def test_resume_from_checkpoint_file(self, training_corpus, tmp_path):
         # train 4 epochs in one go vs. 2 + (checkpoint round trip) + 2
@@ -166,12 +174,21 @@ class TestTrainStage2:
         losses = [m.loss for m in result.metrics]
         assert np.mean(losses[-5:]) < np.mean(losses[:5])
 
-    def test_unknown_class_activates_mid_training(self, training_corpus, stage2_inputs):
+    def test_unknown_class_activates_mid_training(self, training_corpus, stage2_inputs, monkeypatch):
         selected, pool = stage2_inputs
         cfg = StageConfig(loss=STAGE2.loss, epochs=4, batch_size=32,
                           unknown_start_epoch=2, unknown_mix_fraction=0.1)
+        plans = []  # each epoch's plan as training receives it
+        planner = trainer.plan_epoch_stage2
+        monkeypatch.setattr(trainer, "plan_epoch_stage2",
+                            lambda *args, **kwargs: plans.append(planner(*args, **kwargs)) or plans[-1])
         result = train_stage2(training_corpus, selected, cfg, MODEL, seed=9, unknown_pool=pool)
         assert all(np.isfinite(m.loss) for m in result.metrics)
+        mixed = round(cfg.unknown_mix_fraction * cfg.batch_size)  # 3 unknown rows in every batch from epoch 2
+        assert len(plans) == cfg.epochs
+        for epoch, plan in enumerate(plans):
+            want = mixed if epoch >= cfg.unknown_start_epoch else 0
+            assert [int((~batch.known).sum()) for batch in plan] == [want] * len(plan), epoch
         # epoch sizes change once mixing starts: fewer known rows per batch
         b0 = sum(1 for m in result.metrics if m.epoch == 0)
         b2 = sum(1 for m in result.metrics if m.epoch == 2)
@@ -187,6 +204,19 @@ class TestTrainStage2:
     def test_empty_selection_rejected(self, training_corpus):
         with pytest.raises(ConfigError):
             train_stage2(training_corpus, [], STAGE2, MODEL, seed=11)
+
+
+@pytest.mark.parametrize("known", [[True] * 6, [True, False, True, True, False, True]],
+                         ids=["plain", "extended"])
+def test_segment_margin_raises_each_known_row_loss(known):
+    rng = np.random.default_rng(0)
+    cos = rng.uniform(-0.5, 0.5, size=(6, 4))
+    known = np.array(known)
+    labels = np.where(known, np.arange(6) % 4, UNKNOWN)
+    batch_loss = segment_batch_loss(30.0, labels, known)
+    with_margin, _ = batch_loss(cos, 0.2, 0.0)
+    without, _ = batch_loss(cos, 0.0, 0.0)
+    assert (with_margin[known] > without[known]).all()
 
 
 def test_ablation_grid_covers_all_variants():
