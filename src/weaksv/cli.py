@@ -127,7 +127,7 @@ def cmd_diar(cfg: cfgmod.RunConfig, args) -> None:
     diar = replace(cfg.diar, seed=derive_key(mix64(cfg.seed), "diar"))
     corpus = apply_diarization(load_manifest(out), diar)
     _snapshot_config(cfg, out)
-    save_manifest(corpus, out)  # the segment table, and so corpus.feat, is unchanged
+    save_manifest(corpus, out)  # new clusters; the segment table and its means are written back unchanged
     table = corpus.cluster_table()
     print(f"diar: rewrote clusters for {len(table.ids)} recordings ({len(table.sizes)} clusters)")
 

@@ -6,17 +6,18 @@ Per-segment oracle speaker identities are retained alongside for
 evaluation only; training code never consults them.
 
 Segments live in one table (`Segments`), indexed by segment id 0..n-1:
-an (n, feat_dim) float64 matrix of pooled frame means, an (n+1,)
-row-bounds array and an (n,) oracle array. Segment i is rows
-bounds[i]:bounds[i+1] of the frame matrix in corpus.feat, bounds[0] is 0
-and bounds[n] the row count. The frames themselves are never held in
-memory: they are pooled a block at a time as they are rendered (synth)
-or read (load_manifest), and every stage reads only the means.
+an (n, feat_dim) float64 matrix of pooled frame means, an (n,) frame
+count array and an (n,) oracle array; segment i's frames are the next
+n_frames[i] rows of corpus.feat. The frames themselves are never held in
+memory: gen pools them a block at a time as they are rendered, and every
+stage reads only the means, which corpus.idx stores.
 
 On-disk layout (one directory):
-  corpus.idx   40-byte header + int64 little-endian cluster table, oracle
-               labels and frame counts (see save_manifest)
-  corpus.feat  16-byte header + float32 little-endian frame matrix
+  corpus.idx   48-byte header + little-endian int64 cluster table, oracle
+               labels and frame counts, then the float64 means (see
+               save_manifest); a load reads this file alone
+  corpus.feat  16-byte header + float32 little-endian frame matrix: gen's
+               output, which no later stage reads
   oracle.tsv   segment_id <tab> oracle_label (evaluation sidecar)
   trials.tsv   enroll_id <tab> test_id <tab> {0,1}
 """
@@ -24,7 +25,6 @@ On-disk layout (one directory):
 from __future__ import annotations
 
 import struct
-from itertools import chain
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -42,8 +42,8 @@ NOISE = -2
 FEAT_MAGIC = b"WMLF"
 FEAT_VERSION = 1
 IDX_MAGIC = b"WIDX"
-IDX_VERSION = 1
-IDX_HEADER = struct.Struct("<4sI4Q")  # corpus.idx: magic, version, counts R, C, M, S
+IDX_VERSION = 2
+IDX_HEADER = struct.Struct("<4sI5Q")  # corpus.idx: magic, version, counts R, C, M, S, feature dimension D
 
 IDX_NAME = "corpus.idx"
 FEAT_NAME = "corpus.feat"
@@ -53,11 +53,10 @@ TRIALS_NAME = "trials.tsv"
 
 @dataclass(eq=False)
 class Segments:
-    """The segment table: segment i has frame mean means[i], oracle label oracle[i] and, in
-    corpus.feat, frame rows bounds[i]:bounds[i+1]."""
+    """The segment table: segment i has frame mean means[i], n_frames[i] frames and oracle label oracle[i]."""
 
     means: np.ndarray  # (n, feat_dim) float64, read-only
-    bounds: np.ndarray  # (n + 1,) int64, bounds[0] == 0, bounds[n] == total_frames
+    n_frames: np.ndarray  # (n,) int64
     oracle: np.ndarray  # (n,) int64
 
     def __len__(self) -> int:
@@ -108,66 +107,39 @@ class ClusterTable:
             self.ids.tolist(), self.targets.tolist(), self.heldout.tolist(), [0, *cuts], cuts)]
 
 
+@dataclass(frozen=True, eq=False)
 class Corpus:
-    """n_speakers, the recordings and the segment table.
+    """n_speakers, the cluster table and the segment table.
 
     A corpus is not edited after construction (diarization and splitting
-    build a new one). The package makes every corpus from a cluster table
-    (from_table), and slices Recording lists from it only when they are
-    asked for; a corpus made from Recording lists builds its table on
-    first use and keeps it.
+    build a new one); its Recording lists are sliced from the table.
     """
 
-    def __init__(self, n_speakers: int, recordings: list[Recording] | None, segments: Segments):
-        self.n_speakers = n_speakers
-        self.segments = segments
-        self._recordings = recordings
-        self._clusters: ClusterTable | None = None
-
-    @classmethod
-    def from_table(cls, n_speakers: int, table: ClusterTable, segments: Segments) -> Corpus:
-        corpus = cls(n_speakers, None, segments)
-        corpus._clusters = table
-        return corpus
+    n_speakers: int
+    table: ClusterTable
+    segments: Segments
 
     @property
     def recordings(self) -> list[Recording]:
-        if self._recordings is None:
-            self._recordings = self._clusters.recordings()
-        return self._recordings
+        return self.table.recordings()
 
     @property
     def feat_dim(self) -> int:
         return self.segments.means.shape[1]
 
     def recording(self, recording_id: int) -> Recording:
-        return self.recordings[int(np.flatnonzero(self.cluster_table().ids == recording_id)[0])]
+        return self.recordings[int(np.flatnonzero(self.table.ids == recording_id)[0])]
 
     def mean_frames(self) -> np.ndarray:
         """Per-segment frame means as a float64 matrix; row i is segment i.
 
-        The segment table's means, pooled when the frames were rendered or
-        read: every call returns the same read-only matrix.
+        The segment table's means, pooled when the frames were rendered:
+        every call returns the same read-only matrix.
         """
         return self.segments.means
 
     def cluster_table(self) -> ClusterTable:
-        """The clusters as one read-only ClusterTable, built on first use and kept (or given to from_table).
-
-        Raises OverflowError for an id, target or member past int64.
-        """
-        if self._clusters is None:
-            rows = np.array([(r.recording_id, r.target, r.heldout, len(r.clusters)) for r in self.recordings],
-                            dtype=np.int64).reshape(-1, 4)
-            clusters = [cluster for r in self.recordings for cluster in r.clusters]
-            sizes = np.array([len(cluster) for cluster in clusters], dtype=np.int64)
-            members = np.fromiter(chain.from_iterable(clusters), np.int64, int(sizes.sum()))
-            self._clusters = ClusterTable(rows[:, 0], rows[:, 1], rows[:, 2] == 1, rows[:, 3], sizes, members)
-        return self._clusters
-
-
-# Segments pooled per block a load reads: bounds the block's float32 buffer and its float64 copy.
-POOL_BLOCK = 256
+        return self.table
 
 
 def pool_frames(frames: np.ndarray, lengths: np.ndarray, out: np.ndarray) -> None:
@@ -210,8 +182,8 @@ def validate_corpus(corpus: Corpus) -> list[ValidationIssue]:
     """
     segments, n_speakers = corpus.segments, corpus.n_speakers
     issues = [("EmptySegment", f"segment {sid} has no frames")
-              for sid in np.flatnonzero(np.diff(segments.bounds) < 1).tolist()]
-    # a float64 sum of finite float32 frames cannot overflow, so a mean is finite exactly when its frames are
+              for sid in np.flatnonzero(segments.n_frames < 1).tolist()]
+    # a float64 sum of finite float32 frames cannot overflow, so gen's mean is finite exactly when its frames are
     issues += [("NonFiniteFeatures", f"segment {sid} contains NaN or inf")
                for sid in np.flatnonzero(~np.isfinite(segments.means).all(axis=1)).tolist()]
 
@@ -267,7 +239,7 @@ def assign_heldout_split(corpus: Corpus, heldout_fraction: float, seed: int) -> 
         order = list(range(len(recs)))
         Rng.from_seed(seed, "heldout", int(table.targets[recs[0]])).shuffle(order)
         heldout[recs[order[:k]]] = True
-    return Corpus.from_table(corpus.n_speakers, replace(table, heldout=heldout), corpus.segments)
+    return Corpus(corpus.n_speakers, replace(table, heldout=heldout), corpus.segments)
 
 
 def split_trials(corpus: Corpus, n_target: int, n_nontarget: int, seed: int) -> list[Trial]:
@@ -346,11 +318,12 @@ def split_trials(corpus: Corpus, n_target: int, n_nontarget: int, seed: int) -> 
 def save_manifest(corpus: Corpus, directory: str | Path) -> None:
     """Write corpus.idx from the cluster table and the segment table, in one atomic write.
 
-    The file is IDX_HEADER (40 bytes: magic WIDX, u32 version 1, then the
-    u64 counts R recordings, C clusters, M members and S segments) and
-    little-endian int64 arrays back to back, in table order: ids[R],
-    targets[R], heldout[R] (0 or 1), n_clusters[R], sizes[C], members[M],
-    oracle[S], n_frames[S].
+    The file is IDX_HEADER (48 bytes: magic WIDX, u32 version 2, then the
+    u64 counts R recordings, C clusters, M members, S segments and the
+    feature dimension D), then little-endian int64 arrays back to back, in
+    table order: ids[R], targets[R], heldout[R] (0 or 1), n_clusters[R],
+    sizes[C], members[M], oracle[S], n_frames[S]; then means[S·D] as
+    little-endian float64, row by row. Its size is 48 + 8·(4R + C + M + 2S + S·D).
 
     corpus.feat is written only as the frames are rendered (see
     synth.generate_corpus): its features are float32 little-endian,
@@ -360,10 +333,11 @@ def save_manifest(corpus: Corpus, directory: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     table, segments = corpus.cluster_table(), corpus.segments
     arrays = (table.ids, table.targets, table.heldout, table.n_clusters, table.sizes, table.members,
-              segments.oracle, np.diff(segments.bounds))
+              segments.oracle, segments.n_frames)
     header = IDX_HEADER.pack(IDX_MAGIC, IDX_VERSION, len(table.ids), len(table.sizes), len(table.members),
-                             len(segments))
-    atomic_write(directory / IDX_NAME, [header, *(np.ascontiguousarray(a, dtype="<i8") for a in arrays)])
+                             len(segments), corpus.feat_dim)
+    atomic_write(directory / IDX_NAME, [header, *(np.ascontiguousarray(a, dtype="<i8") for a in arrays),
+                                        np.ascontiguousarray(segments.means, dtype="<f8")])
 
 
 def feat_header(feat_dim: int) -> bytes:
@@ -372,94 +346,58 @@ def feat_header(feat_dim: int) -> bytes:
 
 
 def load_manifest(directory: str | Path) -> Corpus:
-    """Read a corpus back from corpus.idx and corpus.feat.
+    """Read a corpus back from corpus.idx alone; corpus.feat is not opened.
 
-    The checks run in this order, each raising CorruptArtifact:
-    - the corpus.feat header: magic, version, a feat_dim of at least 1 and
-      a body of whole rows (read from the header and the file size);
-    - the corpus.idx header and arrays (see _read_index): magic, version,
-      exact size, held-out flags, cluster counts and sizes, and frame
-      counts that tile the frame matrix;
-    - a body that reads in full;
-    - the first issue validate_corpus finds in the corpus read.
-    The body is read POOL_BLOCK whole segments at a time into one reused
-    buffer, and each block is pooled into the segments' means (see
-    pool_frames); no frame matrix is held. The corpus's cluster table is
-    the index's arrays, and its Recording lists are sliced from that table.
+    The index's format is checked first (see _read_index), then the first
+    issue validate_corpus finds in the corpus read raises CorruptArtifact.
+    The corpus's tables are read-only views of the file's bytes.
     """
     directory = Path(directory)
-    feat_path = directory / FEAT_NAME
-    with feat_path.open("rb") as feat:
-        head = feat.read(16)
-        size = feat.seek(0, 2)
-        if head[:4] != FEAT_MAGIC:
-            raise CorruptArtifact(f"bad feature-file magic in {feat_path}")
-        if len(head) < 16:
-            raise CorruptArtifact(f"{feat_path} is shorter than its 16-byte header")
-        version, feat_dim, _ = struct.unpack("<III", head[4:16])
-        if version != FEAT_VERSION:
-            raise CorruptArtifact(f"unsupported feature-file version {version} in {feat_path}")
-        if feat_dim < 1 or (size - 16) % (4 * feat_dim):
-            raise CorruptArtifact(f"{feat_path}: {size - 16} body bytes are not whole rows of {feat_dim} float32")
-        n_rows = (size - 16) // (4 * feat_dim)
-
-        table, oracle, n_frames = _read_index(directory / IDX_NAME, n_rows)
-        n = len(oracle)
-        bounds = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(n_frames, out=bounds[1:])
-
-        feat.seek(16)
-        means = np.empty((n, feat_dim))
-        starts = bounds[:-1:POOL_BLOCK].tolist() + [n_rows]  # each block's first row, then the end
-        buffer = np.empty(max(np.diff(starts), default=0) * feat_dim, dtype="<f4")
-        for a, row_a, row_b in zip(range(0, n, POOL_BLOCK), starts, starts[1:]):
-            block = buffer[:(row_b - row_a) * feat_dim]
-            if feat.readinto(block) != block.nbytes:
-                raise CorruptArtifact(f"{feat_path} ended before its {n_rows} rows were read")
-            pool_frames(block.reshape(-1, feat_dim), n_frames[a:a + POOL_BLOCK], means[a:a + POOL_BLOCK])
-    means.flags.writeable = False
-
-    n_speakers = int(table.targets.max(initial=-1)) + 1
-    corpus = Corpus.from_table(n_speakers, table, Segments(means, bounds, oracle))
+    table, segments = _read_index(directory / IDX_NAME)
+    corpus = Corpus(int(table.targets.max(initial=-1)) + 1, table, segments)
     issues = validate_corpus(corpus)
     if issues:
         raise CorruptArtifact(f"{directory}: {issues[0].kind}: {issues[0].message}")
     return corpus
 
 
-def _read_index(idx_path: Path, n_rows: int) -> tuple[ClusterTable, np.ndarray, np.ndarray]:
-    """corpus.idx as a ClusterTable, the oracle labels and the frame counts of segments over n_rows rows.
+def _read_index(idx_path: Path) -> tuple[ClusterTable, Segments]:
+    """corpus.idx as its cluster table and segment table, read-only views of the file's bytes.
 
     Raises CorruptArtifact for a bad magic or version, a size other than
-    the counts give, a held-out flag other than 0 or 1, cluster counts or
-    sizes outside 0..C or 0..M or not adding up to C or M, and frame
-    counts outside 0..n_rows or not adding up to n_rows (each range comes
-    first, so no sum can wrap). The int64 arrays are read-only views of
-    the file's bytes.
+    the counts give, a feature dimension of 0, a held-out flag other than
+    0 or 1, cluster counts or sizes outside 0..C or 0..M or not adding up
+    to C or M (each range comes first, so no sum can wrap), and frame
+    counts that are negative or so large that their sum could wrap.
     """
     data = idx_path.read_bytes()
     if data[:4] != IDX_MAGIC:
         raise CorruptArtifact(f"bad index magic in {idx_path}")
     if len(data) < IDX_HEADER.size:
         raise CorruptArtifact(f"{idx_path} is shorter than its {IDX_HEADER.size}-byte header")
-    _, version, r, c, m, s = IDX_HEADER.unpack_from(data)
+    _, version, r, c, m, s, d = IDX_HEADER.unpack_from(data)
     if version != IDX_VERSION:
         raise CorruptArtifact(f"unsupported index version {version} in {idx_path}")
     lengths = [r, r, r, r, c, m, s, s]
-    size = IDX_HEADER.size + 8 * sum(lengths)
+    size = IDX_HEADER.size + 8 * (sum(lengths) + s * d)
     if len(data) != size:
         raise CorruptArtifact(f"{idx_path} holds {len(data)} bytes, not the {size} its counts R {r}, C {c}, "
-                              f"M {m}, S {s} give")
-    body = np.frombuffer(data, dtype="<i8", offset=IDX_HEADER.size)
+                              f"M {m}, S {s}, D {d} give")
+    if d < 1:
+        raise CorruptArtifact(f"{idx_path} gives a feature dimension of 0")
+    body = np.frombuffer(data, dtype="<i8", offset=IDX_HEADER.size, count=sum(lengths))
     ids, targets, heldout, n_clusters, sizes, members, oracle, n_frames = np.split(body, np.cumsum(lengths[:-1]))
+    means = np.frombuffer(data, dtype="<f8", offset=IDX_HEADER.size + body.nbytes).reshape(s, d)
     stray = (heldout != 0) & (heldout != 1)
     if stray.any():
         raise CorruptArtifact(f"recording {ids[stray][0]} of {idx_path} has a held-out flag other than 0 or 1")
-    for name, values, total in (("cluster counts", n_clusters, c), ("cluster sizes", sizes, m),
-                                ("frame counts", n_frames, n_rows)):
+    for name, values, total in (("cluster counts", n_clusters, c), ("cluster sizes", sizes, m)):
         if ((values < 0) | (values > total)).any() or values.sum() != total:
             raise CorruptArtifact(f"the {name} of {idx_path} do not each lie in 0..{total} and add up to {total}")
-    return ClusterTable(ids, targets, heldout == 1, n_clusters, sizes, members), oracle, n_frames
+    limit = (2**63 - 1) // max(s, 1)  # S counts of at most this add up without wrapping int64
+    if ((n_frames < 0) | (n_frames > limit)).any():
+        raise CorruptArtifact(f"the frame counts of {idx_path} do not each lie in 0..{limit}")
+    return ClusterTable(ids, targets, heldout == 1, n_clusters, sizes, members), Segments(means, n_frames, oracle)
 
 
 def save_oracle(corpus: Corpus, directory: str | Path) -> None:

@@ -163,5 +163,5 @@ def apply_diarization(corpus: Corpus, cfg: DiarConfig) -> Corpus:
             sizes[a:a + len(merged)] = [len(c) for c in merged]
             keep[a + len(merged):b] = False
         n_clusters, sizes = np.minimum(n_clusters, cfg.max_clusters), sizes[keep]
-    return Corpus.from_table(corpus.n_speakers, replace(table, n_clusters=n_clusters, sizes=sizes, members=members),
-                             corpus.segments)
+    return Corpus(corpus.n_speakers, replace(table, n_clusters=n_clusters, sizes=sizes, members=members),
+                  corpus.segments)

@@ -142,7 +142,7 @@ def self_label(corpus: Corpus, scored: ScoredSegments) -> SelectionResult:
 
 def selection_stats(result: SelectionResult, corpus: Corpus) -> SelectionStats:
     """Precision/recall of the selection against the oracle labels."""
-    n_frames = np.diff(corpus.segments.bounds)
+    n_frames = corpus.segments.n_frames
     members, targets = _train_members(corpus)
     hits = members[corpus.segments.oracle[members] == targets]  # oracle-positive: voices its recording's target
     oracle_target = np.zeros(len(corpus.segments), dtype=bool)

@@ -241,6 +241,4 @@ def generate_corpus(cfg: SynthConfig, feat=None) -> Corpus:
         if feat is not None:
             feat.write(frames)
     means.flags.writeable = False
-
-    bounds = np.concatenate([[0], np.cumsum(plan.n_frames)])
-    return Corpus.from_table(cfg.n_speakers, plan.table, Segments(means, bounds, plan.oracle))
+    return Corpus(cfg.n_speakers, plan.table, Segments(means, plan.n_frames, plan.oracle))

@@ -1,11 +1,12 @@
 import io
 import struct
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from weaksv.corpus import FEAT_MAGIC, FEAT_VERSION, Corpus, NOISE, Recording, Segments, UNKNOWN, save_manifest
+from weaksv.corpus import FEAT_MAGIC, FEAT_VERSION, ClusterTable, Corpus, NOISE, Recording, Segments, UNKNOWN
 from weaksv.embedder import flatten_params, unflatten_params
 from weaksv.synth import SynthConfig, generate_corpus
 from weaksv.trainer import loss_and_grads, recording_batch_loss, segment_batch_loss
@@ -19,13 +20,28 @@ def segment_means(features):
 def make_segments(features, oracle):
     """A segment table from per-segment (n_frames, feat_dim) arrays; ids follow list order.
 
-    The means are segment_means(features); the frames themselves are not
-    kept (write_manifest stores them).
+    The means are segment_means(features), and n_frames the arrays' row
+    counts; the frames themselves are not kept.
     """
-    bounds = np.concatenate([[0], np.cumsum([f.shape[0] for f in features])]).astype(np.int64)
     means = segment_means(features)
     means.flags.writeable = False
-    return Segments(means, bounds, np.array(oracle, dtype=np.int64))
+    return Segments(means, np.array([f.shape[0] for f in features], dtype=np.int64), np.array(oracle, dtype=np.int64))
+
+
+def frame_bounds(segments):
+    """Each segment's first row in the frame matrix, then the row count: segment i is rows b[i]:b[i+1]."""
+    return np.concatenate([[0], np.cumsum(segments.n_frames)]).astype(np.int64)
+
+
+def corpus_of(n_speakers, recordings, segments):
+    """A Corpus whose cluster table holds the Recording list recordings, in list order."""
+    rows = np.array([(r.recording_id, r.target, r.heldout, len(r.clusters)) for r in recordings],
+                    dtype=np.int64).reshape(-1, 4)
+    clusters = [cluster for r in recordings for cluster in r.clusters]
+    sizes = np.array([len(cluster) for cluster in clusters], dtype=np.int64)
+    members = np.fromiter(chain.from_iterable(clusters), np.int64, int(sizes.sum()))
+    return Corpus(n_speakers, ClusterTable(rows[:, 0], rows[:, 1], rows[:, 2] == 1, rows[:, 3], sizes, members),
+                  segments)
 
 
 def feat_bytes(frames):
@@ -39,27 +55,25 @@ def feat_frames(raw):
     return np.frombuffer(raw, dtype="<f4", offset=16).reshape(-1, struct.unpack("<I", raw[8:12])[0])
 
 
-def write_manifest(corpus, frames, directory):
-    """save_manifest(corpus, directory), plus a corpus.feat that holds the frame matrix frames."""
-    save_manifest(corpus, directory)
-    (Path(directory) / "corpus.feat").write_bytes(feat_bytes(frames))
-
-
-# corpus.idx's int64 arrays, in file order after its 40-byte header
+# corpus.idx's int64 arrays, in file order after its 48-byte header; the float64 means follow them
 INDEX_ARRAYS = ("ids", "targets", "heldout", "n_clusters", "sizes", "members", "oracle", "n_frames")
 
 
 def edit_index(path, edit):
-    """Read corpus.idx at path into {name: writable int64 array}, let edit change the arrays (in place or by
-    replacing them in the dict), and write them back under a header that counts them. Built from the format."""
+    """Read corpus.idx at path into {name: writable array} (the int64 INDEX_ARRAYS, and "means" as an (S, D)
+    float64 matrix), let edit change them (in place or by replacing them in the dict), and write them back
+    under a header that counts them. Built from the format."""
     raw = Path(path).read_bytes()
-    r, c, m, s = struct.unpack_from("<4Q", raw, 8)
-    body = np.frombuffer(raw, dtype="<i8", offset=40).copy()
+    r, c, m, s, d = struct.unpack_from("<5Q", raw, 8)
+    n = 4 * r + c + m + 2 * s
+    body = np.frombuffer(raw, dtype="<i8", offset=48, count=n).copy()
     arrays = dict(zip(INDEX_ARRAYS, np.split(body, np.cumsum([r, r, r, r, c, m, s]))))
+    arrays["means"] = np.frombuffer(raw, dtype="<f8", offset=48 + 8 * n).reshape(s, d).copy()
     edit(arrays)
     counts = [len(arrays[name]) for name in ("ids", "sizes", "members", "oracle")]
-    Path(path).write_bytes(b"WIDX" + struct.pack("<I4Q", 1, *counts)
-                           + b"".join(np.asarray(arrays[name], dtype="<i8").tobytes() for name in INDEX_ARRAYS))
+    Path(path).write_bytes(b"WIDX" + struct.pack("<I5Q", 2, *counts, arrays["means"].shape[1])
+                           + b"".join(np.asarray(arrays[name], dtype="<i8").tobytes() for name in INDEX_ARRAYS)
+                           + np.asarray(arrays["means"], dtype="<f8").tobytes())
 
 
 def train_recordings(corpus):
@@ -93,23 +107,21 @@ def constant_segments(oracle, values=None, n_frames=3, feat_dim=4):
 TINY_VALUES = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
 
-@pytest.fixture
-def tiny_corpus():
-    """Two speakers, two recordings each, with one unknown and one noise segment."""
-    segments = constant_segments([0, 0, 1, 0, NOISE, 1, UNKNOWN, 1, 0], TINY_VALUES)
-    recordings = [
+def tiny_recordings():
+    """tiny_corpus's recordings, as a list to edit."""
+    return [
         Recording(0, 0, [[0, 1], [2]]),
         Recording(1, 0, [[3], [4]]),
         Recording(2, 1, [[5], [6]]),
         Recording(3, 1, [[7], [8]]),
     ]
-    return Corpus(2, recordings, segments)
 
 
 @pytest.fixture
-def tiny_frames():
-    """tiny_corpus's frame matrix: three rows of four per segment, filled with its value."""
-    return np.concatenate(constant_features(TINY_VALUES))
+def tiny_corpus():
+    """Two speakers, two recordings each, with one unknown and one noise segment."""
+    segments = constant_segments([0, 0, 1, 0, NOISE, 1, UNKNOWN, 1, 0], TINY_VALUES)
+    return corpus_of(2, tiny_recordings(), segments)
 
 
 @pytest.fixture(scope="session")

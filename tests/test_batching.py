@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import constant_segments, heldout_recordings, train_recordings
+from conftest import constant_segments, corpus_of, heldout_recordings, train_recordings
 from weaksv.batching import Bag, plan_epoch_stage1, plan_epoch_stage2
-from weaksv.corpus import Corpus, Recording, UNKNOWN, assign_heldout_split
+from weaksv.corpus import Recording, UNKNOWN, assign_heldout_split
 from weaksv.diarize import PRESETS, apply_diarization
 from weaksv.errors import BagTooLarge, EmptyCluster
 from weaksv.rng import Rng
@@ -85,7 +85,7 @@ def _outcome(plan, convert, *args, **kwargs):
 
 
 def _one_recording_corpus(clusters, n_segments):
-    return Corpus(1, [Recording(0, 0, clusters)], constant_segments([0] * n_segments))
+    return corpus_of(1, [Recording(0, 0, clusters)], constant_segments([0] * n_segments))
 
 
 def _small_corpus(seed, preset=None, heldout=0.0):
@@ -117,7 +117,7 @@ class TestBuildBag:
         # binomial 99% interval frozen at 500 +- 60 draws: 1000 recordings with
         # a two-member cluster each, one independent pick per bag stream
         recs = [Recording(i, 0, [[2 * i, 2 * i + 1]]) for i in range(1000)]
-        plan = plan_epoch_stage1(Corpus(1, recs, constant_segments([0] * 2000)), 64, seed=3)
+        plan = plan_epoch_stage1(corpus_of(1, recs, constant_segments([0] * 2000)), 64, seed=3)
         hits = sum(int((batch.segment_ids % 2 == 0).sum()) for batch in plan)
         assert 440 <= hits <= 560
 
@@ -148,7 +148,7 @@ class TestPlanEpochStage1:
 
     def test_unit_bags_pack_exactly(self):
         recs = [Recording(i, i % 2, [[i]]) for i in range(25)]
-        corpus = Corpus(2, recs, constant_segments([i % 2 for i in range(25)]))
+        corpus = corpus_of(2, recs, constant_segments([i % 2 for i in range(25)]))
         batches = plan_epoch_stage1(corpus, 10, seed=7)
         assert [b.size for b in batches] == [10, 10, 5]
 
@@ -240,7 +240,7 @@ class TestPlanEpochStage1:
                 rec.clusters.insert(seed % (len(rec.clusters) + 1), [])
             else:  # singleton clusters, past 1.1x the target
                 rec.clusters += [[sid] for sid in range(int(1.1 * target) + 1)]
-        corpus = Corpus(4, recordings, constant_segments([0]))
+        corpus = corpus_of(4, recordings, constant_segments([0]))
         got = _outcome(plan_epoch_stage1, _bags, corpus, target, seed)
         assert got == _outcome(reference_stage1, list, corpus, target, seed)
         assert got[0] in (EmptyCluster, BagTooLarge)

@@ -137,13 +137,15 @@ class TestPipeline:
 
     def test_idx_layout(self, run_dir):
         raw = (run_dir / "corpus.idx").read_bytes()
-        magic, version, r, c, m, s = struct.unpack_from("<4sI4Q", raw)
+        magic, version, r, c, m, s, d = struct.unpack_from("<4sI5Q", raw)
         corpus = load_manifest(run_dir)
         table = corpus.cluster_table()
-        assert (magic, version) == (b"WIDX", 1)
+        assert (magic, version, d) == (b"WIDX", 2, 20)
         members = sum(len(cluster) for rec in corpus.recordings for cluster in rec.clusters)
         assert (r, c, m, s) == (len(corpus.recordings), len(table.sizes), members, len(corpus.segments))
-        assert len(raw) == 40 + 8 * (4 * r + c + m + 2 * s)
+        assert len(raw) == 48 + 8 * (4 * r + c + m + 2 * s + s * d)
+        # the means close the file, as little-endian float64 rows
+        assert raw[-8 * s * d:] == np.ascontiguousarray(corpus.mean_frames(), dtype="<f8").tobytes()
 
     def test_trials_format(self, run_dir):
         lines = (run_dir / "trials.tsv").read_text().splitlines()
@@ -368,13 +370,6 @@ def test_snapshot_reloads_to_the_run_config(tmp_path):
     assert load_run_config(cfg_path).text == "out = elsewhere\n"
 
 
-def _patch_feat(run, offset, data):
-    path = run / "corpus.feat"
-    raw = bytearray(path.read_bytes())
-    raw[offset:offset + len(data)] = data
-    path.write_bytes(bytes(raw))
-
-
 def _edit_idx(run, edit):
     edit_index(run / "corpus.idx", edit)
 
@@ -382,22 +377,6 @@ def _edit_idx(run, edit):
 def _patch_idx(run, edit):
     path = run / "corpus.idx"
     path.write_bytes(edit(path.read_bytes()))
-
-
-def _truncate_feat(run, keep):
-    path = run / "corpus.feat"
-    raw = path.read_bytes()
-    path.write_bytes(raw[:keep(raw)])
-
-
-def _feat_dim(raw):
-    return struct.unpack("<I", raw[8:12])[0]
-
-
-def _append_feat_row(run):
-    path = run / "corpus.feat"
-    raw = path.read_bytes()
-    path.write_bytes(raw + bytes(4 * _feat_dim(raw)))
 
 
 def _share_first_member(a):
@@ -448,22 +427,18 @@ def _count_one_more_recording(raw):
 
 
 CORRUPTIONS = {
-    "bad_magic": lambda run: _patch_feat(run, 0, b"XXXX"),
-    "bad_version": lambda run: _patch_feat(run, 4, struct.pack("<I", 99)),
     "index_bad_magic": lambda run: _patch_idx(run, lambda raw: b"XXXX" + raw[4:]),
     "index_bad_version": lambda run: _patch_idx(run, lambda raw: raw[:4] + struct.pack("<I", 99) + raw[8:]),
-    "short_header": lambda run: _truncate_feat(run, lambda raw: 10),
-    "ragged_body": lambda run: _truncate_feat(run, lambda raw: len(raw) - 3),
-    "row_aligned_truncation": lambda run: _truncate_feat(
-        run, lambda raw: len(raw) - 5 * 4 * _feat_dim(raw)),
     "index_cut_short": lambda run: _patch_idx(run, lambda raw: raw[:-8]),
     "index_trailing_byte": lambda run: _patch_idx(run, lambda raw: raw + b"\0"),
     "zero_frames": lambda run: _edit_idx(run, lambda a: a["n_frames"].__setitem__(0, 0)),
-    "nan_feature": lambda run: _patch_feat(run, 16 + 4 * 7, struct.pack("<f", float("nan"))),
+    "negative_frame_count": lambda run: _edit_idx(run, lambda a: a["n_frames"].__setitem__(0, -1)),
+    "nan_feature": lambda run: _edit_idx(run, lambda a: a["means"].__setitem__((0, 7), np.nan)),
+    # header D = 0 and no means, so the file has the size its counts give
+    "zero_feat_dim": lambda run: _edit_idx(run, lambda a: a.__setitem__("means", a["means"][:, :0])),
     "index_count_off": lambda run: _patch_idx(run, _count_one_more_recording),
     "member_not_a_segment": lambda run: _edit_idx(run, lambda a: _add_member(a, 99999)),
     "member_in_two_clusters": lambda run: _edit_idx(run, _share_first_member),
-    "trailing_frame_row": _append_feat_row,
     "heldout_flag_2": lambda run: _edit_idx(run, lambda a: a["heldout"].__setitem__(0, 2)),
     "negative_target": lambda run: _edit_idx(run, lambda a: a["targets"].__setitem__(0, -1)),
     "duplicate_recording_id": lambda run: _edit_idx(run, lambda a: a["ids"].__setitem__(1, a["ids"][0])),
@@ -473,7 +448,6 @@ CORRUPTIONS = {
     "untargeted_speaker": lambda run: _edit_idx(run, _shift_speakers),
     "empty_segment": lambda run: _edit_idx(run, _empty_first_segment),
     "sizes_not_adding_up": lambda run: _edit_idx(run, lambda a: a["sizes"].__setitem__(0, a["sizes"][0] + 1)),
-    "feat_missing": lambda run: (run / "corpus.feat").unlink(),
 }
 
 # the validate_corpus issue kind a corruption must be reported as
@@ -673,6 +647,19 @@ def test_gen_out_that_is_a_file_is_an_error(tmp_path):
 
 def _tree(run):
     return {path.relative_to(run): path.read_bytes() for path in sorted(run.rglob("*")) if path.is_file()}
+
+
+def test_no_stage_after_gen_reads_corpus_feat(run_dir, tmp_path):
+    """corpus.idx holds what every later stage reads: without corpus.feat each runs to the same bytes."""
+    cfg_path = run_dir.parent / "small.cfg"
+    run = tmp_path / "run"
+    assert main(["gen", "--config", str(cfg_path), "--out", str(run)]) == 0
+    (run / "corpus.feat").unlink()
+    for cmd in ("diar", "train1", "select", "train2", "eval"):
+        assert main([cmd, "--config", str(cfg_path), "--out", str(run)]) == 0, cmd
+    clean = _tree(run_dir)
+    del clean[Path("corpus.feat")]
+    assert _tree(run) == clean
 
 
 def test_gen_that_fails_its_checks_leaves_no_file(tmp_path, monkeypatch, capsys):

@@ -1,22 +1,23 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import weaksv.corpus
+import weaksv.synth
 from weaksv.corpus import (
     FEAT_MAGIC,
     FEAT_VERSION,
     NOISE,
-    POOL_BLOCK,
     UNKNOWN,
-    Corpus,
     Recording,
     Segments,
     assign_heldout_split,
     load_manifest,
     load_trials,
+    pool_frames,
     save_manifest,
     save_trials,
     split_trials,
@@ -26,8 +27,8 @@ from weaksv.errors import CorruptArtifact, InsufficientSegments
 from weaksv.fileio import atomic_write
 from weaksv.synth import SynthConfig, generate_corpus
 
-from conftest import (TINY_VALUES, constant_features, constant_segments, edit_index, feat_frames,
-                      generate_with_frames, heldout_recordings, make_segments, segment_means, write_manifest)
+from conftest import (TINY_VALUES, constant_features, constant_segments, corpus_of, edit_index, frame_bounds,
+                      generate_with_frames, heldout_recordings, make_segments, segment_means, tiny_recordings)
 
 
 def test_wellformed_corpus_validates(tiny_corpus):
@@ -41,28 +42,37 @@ def test_missing_target_speech_detected(tiny_corpus):
     assert any(i.kind == "MissingTargetSpeech" for i in issues)
 
 
+def _tiny_with(tiny_corpus, edit):
+    """tiny_corpus with its recordings edited by edit (a list of Recording objects)."""
+    recordings = tiny_recordings()
+    edit(recordings)
+    return corpus_of(tiny_corpus.n_speakers, recordings, tiny_corpus.segments)
+
+
 def test_dangling_reference_detected(tiny_corpus):
-    tiny_corpus.recordings[0].clusters[0].append(999)
-    issues = validate_corpus(tiny_corpus)
+    issues = validate_corpus(_tiny_with(tiny_corpus, lambda recs: recs[0].clusters[0].append(999)))
     assert any(i.kind == "MissingSegment" for i in issues)
 
 
 def test_empty_cluster_detected(tiny_corpus):
-    tiny_corpus.recordings[0].clusters.append([])
-    issues = validate_corpus(tiny_corpus)
+    issues = validate_corpus(_tiny_with(tiny_corpus, lambda recs: recs[0].clusters.append([])))
     assert any(i.kind == "EmptyCluster" for i in issues)
 
 
 def test_duplicate_membership_detected(tiny_corpus):
-    tiny_corpus.recordings[0].clusters[1].append(0)
-    issues = validate_corpus(tiny_corpus)
+    issues = validate_corpus(_tiny_with(tiny_corpus, lambda recs: recs[0].clusters[1].append(0)))
     assert any(i.kind == "DuplicateSegment" for i in issues)
 
 
 def test_untargeted_speaker_detected(tiny_corpus):
-    tiny_corpus.n_speakers = 3
-    issues = validate_corpus(tiny_corpus)
+    issues = validate_corpus(replace(tiny_corpus, n_speakers=3))
     assert any(i.kind == "UntargetedSpeaker" for i in issues)
+
+
+def test_corpus_attributes_cannot_be_reassigned(tiny_corpus):
+    for name, value in (("n_speakers", 3), ("table", None), ("segments", None), ("recordings", [])):
+        with pytest.raises(AttributeError):
+            setattr(tiny_corpus, name, value)
 
 
 def test_synthetic_corpora_validate():
@@ -83,39 +93,48 @@ def _load_issues(directory):
     return [(i.kind, i.message) for i in seen]
 
 
-def _segment_rows(frames, bounds, sid):
+def _segment_rows(frames, segments, sid):
     """Segment sid's rows of the frame matrix frames (a view)."""
+    bounds = frame_bounds(segments)
     return frames[bounds[sid]:bounds[sid + 1]]
 
 
+def _pooled(corpus, frames):
+    """corpus with the means of the frame matrix frames, pooled by pool_frames as gen pools them."""
+    segments = corpus.segments
+    means = np.empty((len(segments), frames.shape[1]))
+    pool_frames(frames, segments.n_frames, means)
+    return replace(corpus, segments=Segments(means, segments.n_frames, segments.oracle))
+
+
 class TestNonFiniteFeatures:
-    def test_separate_arrays(self, tmp_path, tiny_corpus, tiny_frames):
+    """A non-finite frame makes gen's pooled mean non-finite, and a load of the index names its segment."""
+
+    def test_separate_arrays(self, tmp_path, tiny_corpus):
         # the table was joined from one array per segment
-        frames, bounds = tiny_frames, tiny_corpus.segments.bounds
-        _segment_rows(frames, bounds, 5)[1, 2] = np.nan
-        _segment_rows(frames, bounds, 2)[0, 0] = -np.inf
-        write_manifest(tiny_corpus, frames, tmp_path)
+        features = constant_features(TINY_VALUES)
+        features[5][1, 2] = np.nan
+        features[2][0, 0] = -np.inf
+        save_manifest(corpus_of(2, tiny_recordings(), make_segments(features, tiny_corpus.segments.oracle)), tmp_path)
         assert _load_issues(tmp_path) == [
             ("NonFiniteFeatures", "segment 2 contains NaN or inf"),
             ("NonFiniteFeatures", "segment 5 contains NaN or inf")]
 
     def test_shared_frame_matrix(self, tmp_path):
         corpus, frames = generate_with_frames(SynthConfig(n_speakers=4, recordings_per_speaker=2, seed=8))
-        write_manifest(corpus, frames, tmp_path)
+        save_manifest(corpus, tmp_path)
         assert validate_corpus(load_manifest(tmp_path)) == []
-        frames, bounds = frames.copy(), corpus.segments.bounds
-        _segment_rows(frames, bounds, 3)[-1, 0] = np.nan
-        _segment_rows(frames, bounds, 11)[0, -1] = np.inf
-        write_manifest(corpus, frames, tmp_path)
+        frames = frames.copy()
+        _segment_rows(frames, corpus.segments, 3)[-1, 0] = np.nan
+        _segment_rows(frames, corpus.segments, 11)[0, -1] = np.inf
+        save_manifest(_pooled(corpus, frames), tmp_path)
         assert [message for _, message in _load_issues(tmp_path)] == [
             "segment 3 contains NaN or inf", "segment 11 contains NaN or inf"]
 
-    def test_load_manifest_rejects_nan(self, tmp_path, small_corpus, small_frames):
-        write_manifest(small_corpus, small_frames, tmp_path)
-        feat = tmp_path / "corpus.feat"
-        raw = bytearray(feat.read_bytes())
-        raw[16 + 4 * 45:16 + 4 * 46] = struct.pack("<f", float("nan"))
-        feat.write_bytes(bytes(raw))
+    def test_load_manifest_rejects_nan(self, tmp_path, small_corpus):
+        # a NaN written straight into corpus.idx's means
+        save_manifest(small_corpus, tmp_path)
+        edit_index(tmp_path / "corpus.idx", lambda a: a["means"].__setitem__((0, 5), np.nan))
         with pytest.raises(CorruptArtifact, match="segment 0 contains NaN or inf"):
             load_manifest(tmp_path)
 
@@ -125,7 +144,7 @@ def _reference_feat_bytes(corpus, frames):
     blob = bytearray(FEAT_MAGIC)
     blob += struct.pack("<III", FEAT_VERSION, corpus.feat_dim, 0)
     for sid in range(len(corpus.segments)):
-        blob += np.ascontiguousarray(_segment_rows(frames, corpus.segments.bounds, sid), dtype="<f4").tobytes()
+        blob += np.ascontiguousarray(_segment_rows(frames, corpus.segments, sid), dtype="<f4").tobytes()
     return bytes(blob)
 
 
@@ -144,8 +163,8 @@ def test_save_manifest_feature_bytes(tmp_path, small_corpus, small_frames):
     assert not (tmp_path / "loaded" / "corpus.feat").exists()  # save_manifest writes the index alone
 
 
-def test_manifest_round_trip(tmp_path, small_corpus, small_frames):
-    write_manifest(small_corpus, small_frames, tmp_path)
+def test_manifest_round_trip(tmp_path, small_corpus):
+    save_manifest(small_corpus, tmp_path)
     loaded = load_manifest(tmp_path)
     assert loaded.n_speakers == small_corpus.n_speakers
     assert (loaded.segments.oracle == UNKNOWN).any() == (small_corpus.segments.oracle == UNKNOWN).any()
@@ -155,14 +174,15 @@ def test_manifest_round_trip(tmp_path, small_corpus, small_frames):
         assert a.clusters == b.clusters
     got, want = loaded.segments, small_corpus.segments
     assert got.means.dtype == np.float64
-    assert got.means.tobytes() == want.means.tobytes()  # bit-exact: gen and load pool alike
-    assert np.array_equal(got.bounds, want.bounds)
+    assert got.means.tobytes() == want.means.tobytes()  # bit-exact: the index stores gen's means
+    assert not got.means.flags.writeable and not got.means.flags.owndata  # a view of the file's bytes
+    assert np.array_equal(got.n_frames, want.n_frames)
     assert np.array_equal(got.oracle, want.oracle)
 
 
-def test_manifest_round_trip_preserves_heldout(tmp_path, small_corpus, small_frames):
+def test_manifest_round_trip_preserves_heldout(tmp_path, small_corpus):
     marked = assign_heldout_split(small_corpus, 0.2, seed=3)
-    write_manifest(marked, small_frames, tmp_path)
+    save_manifest(marked, tmp_path)
     loaded = load_manifest(tmp_path)
     assert {r.recording_id for r in heldout_recordings(loaded)} == {
         r.recording_id for r in heldout_recordings(marked)
@@ -172,14 +192,14 @@ def test_manifest_round_trip_preserves_heldout(tmp_path, small_corpus, small_fra
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_manifest_round_trip_property(tmp_path_factory, seed):
-    corpus, frames = generate_with_frames(
+    corpus = generate_corpus(
         SynthConfig(n_speakers=3, recordings_per_speaker=2, segments_per_recording=(2, 4),
                     frames_per_segment=(1, 5), unknown_speaker_count=1, seed=seed))
     path = tmp_path_factory.mktemp("rt")
-    write_manifest(corpus, frames, path)
+    save_manifest(corpus, path)
     loaded = load_manifest(path)
     assert loaded.segments.means.tobytes() == corpus.segments.means.tobytes()
-    assert np.array_equal(loaded.segments.bounds, corpus.segments.bounds)
+    assert np.array_equal(loaded.segments.n_frames, corpus.segments.n_frames)
     assert [r.clusters for r in loaded.recordings] == [r.clusters for r in corpus.recordings]
 
 
@@ -222,7 +242,7 @@ class TestSplitTrials:
     def test_insufficient_segments(self):
         # one speaker only: non-target pairs are impossible
         recordings = [Recording(r, 0, [[2 * r, 2 * r + 1]], heldout=r >= 2) for r in range(4)]
-        corpus = Corpus(1, recordings, constant_segments([0] * 8))
+        corpus = corpus_of(1, recordings, constant_segments([0] * 8))
         with pytest.raises(InsufficientSegments):
             split_trials(corpus, 5, 10, seed=3)
 
@@ -238,8 +258,8 @@ def test_trials_tsv_round_trip(tmp_path, small_corpus):
     assert load_trials(tmp_path / "trials.tsv", len(corpus.segments)) == trials
 
 
-def test_mean_frames_matches_direct_average(tmp_path, tiny_corpus, tiny_frames):
-    write_manifest(tiny_corpus, tiny_frames, tmp_path)
+def test_mean_frames_matches_direct_average(tmp_path, tiny_corpus):
+    save_manifest(tiny_corpus, tmp_path)
     want = segment_means(constant_features(TINY_VALUES))
     assert load_manifest(tmp_path).mean_frames().tobytes() == want.tobytes()
 
@@ -251,25 +271,31 @@ def _ragged_corpus(n_segments, seed=0, feat_dim=5, empty=None):
     for sid in range(n_segments):
         n = 0 if sid == empty else 1 if rng.random() < 0.33 else int(rng.integers(2, 41))
         features.append((rng.standard_normal((n, feat_dim)) * rng.uniform(0.01, 50)).astype(np.float32))
-    corpus = Corpus(1, [Recording(0, 0, [list(range(n_segments))])], make_segments(features, [0] * n_segments))
+    corpus = corpus_of(1, [Recording(0, 0, [list(range(n_segments))])], make_segments(features, [0] * n_segments))
     return corpus, features
 
 
-def _write_ragged(directory, n_segments, **kwargs):
+def _save_ragged(directory, n_segments, **kwargs):
     corpus, features = _ragged_corpus(n_segments, **kwargs)
-    write_manifest(corpus, np.concatenate(features), directory)
+    save_manifest(corpus, directory)
     return features
 
 
 class TestMeanFrames:
     def test_bitwise_equal_to_per_segment_mean(self, tmp_path):
-        features = _write_ragged(tmp_path, 2 * POOL_BLOCK + 37)
+        # gen's pooling of one frame matrix is each segment's frames averaged on their own, and a load returns it
+        corpus, features = _ragged_corpus(549)
+        lengths = np.array([len(f) for f in features])
+        pooled = np.empty((len(features), 5))
+        pool_frames(np.concatenate(features), lengths, pooled)
+        assert pooled.tobytes() == segment_means(features).tobytes()
+        save_manifest(corpus, tmp_path)
         mat = load_manifest(tmp_path).mean_frames()
         assert mat.shape == (len(features), 5)
-        assert mat.tobytes() == segment_means(features).tobytes()
+        assert mat.tobytes() == pooled.tobytes()
 
     def test_second_call_returns_same_read_only_result(self, tmp_path):
-        _write_ragged(tmp_path, 10)
+        _save_ragged(tmp_path, 10)
         corpus = load_manifest(tmp_path)
         mat = corpus.mean_frames()
         assert corpus.mean_frames() is mat
@@ -277,24 +303,27 @@ class TestMeanFrames:
             mat[0, 0] = 1.0
 
     def test_zero_frame_segment_raises(self, tmp_path):
-        victim = POOL_BLOCK + 2
-        _write_ragged(tmp_path, POOL_BLOCK + 5, empty=victim)
+        victim = 258
+        _save_ragged(tmp_path, 261, empty=victim)
         with pytest.raises(CorruptArtifact, match=f": EmptySegment: segment {victim} has no frames$"):
             load_manifest(tmp_path)
 
     def test_pooling_runs_once_per_corpus(self, tmp_path, monkeypatch):
-        # a load pools each block of POOL_BLOCK segments once; mean_frames pools nothing
+        # gen pools each rendered block once; a load and mean_frames pool nothing
         calls = []
         real = weaksv.corpus.pool_frames
-        monkeypatch.setattr(weaksv.corpus, "pool_frames", lambda *a: calls.append(len(a[1])) or real(*a))
-        _write_ragged(tmp_path, 2 * POOL_BLOCK + 5)
-        corpus = load_manifest(tmp_path)
-        assert calls == [POOL_BLOCK, POOL_BLOCK, 5]
+        counting = lambda *a: calls.append(len(a[1])) or real(*a)
+        monkeypatch.setattr(weaksv.synth, "pool_frames", counting)
+        monkeypatch.setattr(weaksv.corpus, "pool_frames", counting)
+        monkeypatch.setattr(weaksv.synth, "RENDER_BLOCK", 64)
+        corpus = generate_corpus(SynthConfig(n_speakers=3, recordings_per_speaker=2, seed=4))
+        assert len(calls) > 3 and sum(calls) == len(corpus.segments)
+        n_gen = len(calls)
+        save_manifest(corpus, tmp_path)
+        loaded = load_manifest(tmp_path)
         for _ in range(4):
-            corpus.mean_frames()
-        assert len(calls) == 3
-        load_manifest(tmp_path).mean_frames()
-        assert len(calls) == 6
+            loaded.mean_frames()
+        assert len(calls) == n_gen
 
 
 # index edit -> the check that must reject it; edit_index rewrites the header to count the edited arrays
@@ -307,61 +336,61 @@ MALFORMED_INDEX = {
     # segment 0's -2 frames and two more for segment 1: the sum still matches
     "negative_frames": (lambda a: a["n_frames"].__setitem__(slice(0, 2), [-2, a["n_frames"][:2].sum() + 2]),
                         "frame counts"),
+    # one count of 2**62 is past (2**63 - 1) // 9, the bound for tiny_corpus's 9 segments
+    "frame_count_overflow": (lambda a: a["n_frames"].__setitem__(0, 2**62), "frame counts"),
     # one more oracle label than frame counts: the header counts S from the labels
     "extra_field": (lambda a: a.__setitem__("oracle", np.append(a["oracle"], 0)), "bytes, not the"),
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED_INDEX)
-def test_load_manifest_rejects_malformed_index(tmp_path, tiny_corpus, tiny_frames, case):
+def test_load_manifest_rejects_malformed_index(tmp_path, tiny_corpus, case):
     edit, message = MALFORMED_INDEX[case]
-    write_manifest(tiny_corpus, tiny_frames, tmp_path)
+    save_manifest(tiny_corpus, tmp_path)
     edit_index(tmp_path / "corpus.idx", edit)
     with pytest.raises(CorruptArtifact, match=message):
         load_manifest(tmp_path)
 
 
-def test_load_manifest_rejects_zero_feature_dim(tmp_path, tiny_corpus, tiny_frames):
-    write_manifest(tiny_corpus, tiny_frames, tmp_path)
-    feat = tmp_path / "corpus.feat"
-    raw = bytearray(feat.read_bytes())
-    raw[8:12] = bytes(4)
-    feat.write_bytes(bytes(raw))
-    with pytest.raises(CorruptArtifact):
+def test_load_manifest_rejects_zero_feature_dim(tmp_path, tiny_corpus):
+    # header D = 0 and no means: the size the counts give is the file's
+    save_manifest(tiny_corpus, tmp_path)
+    edit_index(tmp_path / "corpus.idx", lambda a: a.__setitem__("means", np.zeros((len(a["oracle"]), 0))))
+    with pytest.raises(CorruptArtifact, match="feature dimension of 0"):
         load_manifest(tmp_path)
 
 
-def _untarget_speaker_1(corpus, frames):
+def _untarget_speaker_1(recordings, segments):
     """Renumber speaker 1 to 2, so no recording targets speaker 1 of the loaded corpus."""
-    corpus.segments.oracle[corpus.segments.oracle == 1] = 2
-    for rec in corpus.recordings[2:]:
+    segments.oracle[segments.oracle == 1] = 2
+    for rec in recordings[2:]:
         rec.target = 2
 
 
-# issue kind -> edit of tiny_corpus and its frame matrix that breaks only that invariant (first)
+# issue kind -> edit of tiny_corpus's recordings and segment table that breaks only that invariant (first)
 BROKEN_CONTRACTS = {
-    # segment 4's rows go to segment 5, so the segments still tile the matrix
-    "EmptySegment": lambda c, f: c.segments.bounds.__setitem__(5, c.segments.bounds[4]),
-    "NonFiniteFeatures": lambda c, f: f.__setitem__((13, 1), np.inf),
-    "DuplicateRecording": lambda c, f: setattr(c.recordings[1], "recording_id", 0),
-    "BadTarget": lambda c, f: setattr(c.recordings[1], "target", -1),
-    "EmptyRecording": lambda c, f: setattr(c.recordings[1], "clusters", []),
-    "EmptyCluster": lambda c, f: c.recordings[0].clusters.append([]),
-    "MissingSegment": lambda c, f: c.recordings[0].clusters[0].append(99),
-    "DuplicateSegment": lambda c, f: c.recordings[0].clusters[1].append(0),
-    "MissingTargetSpeech": lambda c, f: setattr(c.recordings[1], "target", 1),
+    # segment 4's frames go to segment 5
+    "EmptySegment": lambda r, s: s.n_frames.__setitem__(slice(4, 6), [0, s.n_frames[4] + s.n_frames[5]]),
+    "NonFiniteFeatures": lambda r, s: s.means.__setitem__((4, 1), np.inf),
+    "DuplicateRecording": lambda r, s: setattr(r[1], "recording_id", 0),
+    "BadTarget": lambda r, s: setattr(r[1], "target", -1),
+    "EmptyRecording": lambda r, s: setattr(r[1], "clusters", []),
+    "EmptyCluster": lambda r, s: r[0].clusters.append([]),
+    "MissingSegment": lambda r, s: r[0].clusters[0].append(99),
+    "DuplicateSegment": lambda r, s: r[0].clusters[1].append(0),
+    "MissingTargetSpeech": lambda r, s: setattr(r[1], "target", 1),
     "UntargetedSpeaker": _untarget_speaker_1,
 }
 
 
 @pytest.mark.parametrize("kind", BROKEN_CONTRACTS)
-def test_load_manifest_runs_validate_corpus(tmp_path, tiny_corpus, tiny_frames, kind):
-    write_manifest(tiny_corpus, tiny_frames, tmp_path)
+def test_load_manifest_runs_validate_corpus(tmp_path, tiny_corpus, kind):
+    save_manifest(tiny_corpus, tmp_path)
     assert validate_corpus(load_manifest(tmp_path)) == []
-    BROKEN_CONTRACTS[kind](tiny_corpus, tiny_frames)
-    # the first save built and kept the cluster table, so the edited recordings go into a new corpus
-    broken = Corpus(tiny_corpus.n_speakers, tiny_corpus.recordings, tiny_corpus.segments)
-    write_manifest(broken, tiny_frames, tmp_path)
+    recordings, s = tiny_recordings(), tiny_corpus.segments
+    segments = Segments(s.means.copy(), s.n_frames.copy(), s.oracle.copy())
+    BROKEN_CONTRACTS[kind](recordings, segments)
+    save_manifest(corpus_of(tiny_corpus.n_speakers, recordings, segments), tmp_path)
     with pytest.raises(CorruptArtifact, match=f": {kind}: "):
         load_manifest(tmp_path)
 
@@ -375,14 +404,13 @@ def test_load_manifest_runs_validate_corpus(tmp_path, tiny_corpus, tiny_frames, 
 def segment_tables(draw):
     """(corpus, frame matrix): a contract-valid corpus over a random segment table.
 
-    It has 1..12 segments, or more than POOL_BLOCK and up to two blocks
-    more. Frame counts are 1..6 and oracle labels known, UNKNOWN or NOISE.
+    It has 1..12 segments, or 257..552. Frame counts are 1..6 and oracle labels known, UNKNOWN or NOISE.
     A random subset of the segments is split into recordings of one or two
     clusters; the rest belong to no cluster, as noise that diarization
     dropped does. Targets are dense (each of the 1..3 speakers targets a
     recording) and every recording's first member voices its target.
     """
-    n = draw(st.one_of(st.integers(1, 12), st.integers(POOL_BLOCK + 1, 2 * POOL_BLOCK + 40)))
+    n = draw(st.one_of(st.integers(1, 12), st.integers(257, 552)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = rng.uniform(0.01, 50)
     features = [(rng.standard_normal((k, 3)) * scale).astype(np.float32)
@@ -402,14 +430,15 @@ def segment_tables(draw):
         oracle[take[0]] = target
         clusters = [take[0::2], take[1::2]] if len(take) > 1 else [take]
         recordings.append(Recording(len(recordings), target, clusters, heldout=bool(rng.integers(2))))
-    return Corpus(n_speakers, recordings, make_segments(features, oracle)), np.concatenate(features)
+    return corpus_of(n_speakers, recordings, make_segments(features, oracle)), np.concatenate(features)
 
 
-def _means_of(frames, bounds):
-    """Reference pooling of a frame matrix whose segment i is rows bounds[i]:bounds[i+1]."""
-    if len(bounds) == 1:
+def _means_of(frames, n_frames):
+    """Reference pooling of a frame matrix whose segment i is its next n_frames[i] rows."""
+    if len(n_frames) == 0:
         return np.zeros((0, frames.shape[1]))
-    return segment_means([frames[a:b] for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())])
+    bounds = np.concatenate([[0], np.cumsum(n_frames)]).tolist()
+    return segment_means([frames[a:b] for a, b in zip(bounds[:-1], bounds[1:])])
 
 
 @settings(max_examples=25, deadline=None)
@@ -417,10 +446,10 @@ def _means_of(frames, bounds):
 def test_segment_table_manifest_round_trip(tmp_path_factory, table):
     corpus, frames = table
     first, second = tmp_path_factory.mktemp("first"), tmp_path_factory.mktemp("second")
-    write_manifest(corpus, frames, first)
+    save_manifest(corpus, first)
     loaded = load_manifest(first)
     assert loaded.segments.means.tobytes() == corpus.segments.means.tobytes()
-    assert loaded.segments.bounds.tolist() == corpus.segments.bounds.tolist()
+    assert loaded.segments.n_frames.tolist() == corpus.segments.n_frames.tolist()
     assert loaded.segments.oracle.tolist() == corpus.segments.oracle.tolist()
     assert [(r.recording_id, r.target, r.clusters, r.heldout) for r in loaded.recordings] == [
         (r.recording_id, r.target, r.clusters, r.heldout) for r in corpus.recordings]
@@ -432,13 +461,13 @@ def test_segment_table_manifest_round_trip(tmp_path_factory, table):
 @settings(max_examples=25, deadline=None)
 @given(segment_tables())
 def test_segment_table_mean_frames_is_per_segment_mean(tmp_path_factory, table):
-    # the loaded means are bitwise the per-segment means of the bytes written, across POOL_BLOCK blocks
+    # gen's pooling of the frame matrix is bitwise the per-segment means, and a load returns them
     corpus, frames = table
+    pooled = _pooled(corpus, frames)
+    assert pooled.segments.means.tobytes() == _means_of(frames, corpus.segments.n_frames).tobytes()
     path = tmp_path_factory.mktemp("means")
-    write_manifest(corpus, frames, path)
-    written = feat_frames((path / "corpus.feat").read_bytes())
-    want = _means_of(written, corpus.segments.bounds)
-    assert load_manifest(path).mean_frames().tobytes() == want.tobytes()
+    save_manifest(pooled, path)
+    assert load_manifest(path).mean_frames().tobytes() == pooled.segments.means.tobytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -449,8 +478,8 @@ def test_validate_names_exactly_the_segments_with_non_finite_frames(tmp_path_fac
     for row in rows:
         frames[row, row % 3] = [np.nan, np.inf, -np.inf][row % 3]
     path = tmp_path_factory.mktemp("nonfinite")
-    write_manifest(corpus, frames, path)
-    owner = np.repeat(np.arange(len(corpus.segments)), np.diff(corpus.segments.bounds))  # frame row -> segment
+    save_manifest(_pooled(corpus, frames), path)
+    owner = np.repeat(np.arange(len(corpus.segments)), corpus.segments.n_frames)  # frame row -> segment
     want = sorted({int(owner[row]) for row in rows})
     assert _load_issues(path) == [("NonFiniteFeatures", f"segment {sid} contains NaN or inf") for sid in want]
 
@@ -459,17 +488,16 @@ def test_validate_names_exactly_the_segments_with_non_finite_frames(tmp_path_fac
 @given(segment_tables(), st.data())
 def test_zero_frame_segment_is_the_first_issue(tmp_path_factory, table, data):
     corpus, frames = table
-    n, bounds = len(corpus.segments), corpus.segments.bounds
+    n, n_frames = len(corpus.segments), corpus.segments.n_frames
     assume(n > 1)
     sid = data.draw(st.integers(0, n - 1))
-    if sid + 1 < n:
-        bounds[sid + 1] = bounds[sid]  # segment sid's rows go to the next segment
-    else:
-        bounds[sid] = bounds[sid + 1]  # the last segment's rows go to the one before it
+    other = sid + 1 if sid + 1 < n else sid - 1  # the last segment's frames go to the one before it
+    n_frames[other] += n_frames[sid]
+    n_frames[sid] = 0
     for row in data.draw(st.sets(st.integers(0, frames.shape[0] - 1), max_size=3)):
         frames[row, 0] = np.nan
     path = tmp_path_factory.mktemp("empty")
-    write_manifest(corpus, frames, path)
+    save_manifest(_pooled(corpus, frames), path)
     assert _load_issues(path)[0] == ("EmptySegment", f"segment {sid} has no frames")
 
 
@@ -481,9 +509,9 @@ def _reference_issues(corpus, frames):
     segments, recordings, n_speakers = corpus.segments, corpus.recordings, corpus.n_speakers
     n = len(segments)
     issues = [("EmptySegment", f"segment {sid} has no frames")
-              for sid in range(n) if segments.bounds[sid + 1] <= segments.bounds[sid]]
+              for sid in range(n) if segments.n_frames[sid] < 1]
     issues += [("NonFiniteFeatures", f"segment {sid} contains NaN or inf")
-               for sid in range(n) if not np.isfinite(_segment_rows(frames, segments.bounds, sid)).all()]
+               for sid in range(n) if not np.isfinite(_segment_rows(frames, segments, sid)).all()]
     ids = [r.recording_id for r in recordings]
     issues += [("DuplicateRecording", f"recording id {rid} is used by {ids.count(rid)} recordings")
                for rid in sorted(set(ids)) if ids.count(rid) > 1]
@@ -512,29 +540,33 @@ def _reference_issues(corpus, frames):
     return issues
 
 
-def _break_contract(corpus, frames, rng):
-    """One to three random breaks of the corpus contract and its frame matrix, each of a random kind."""
-    segments, recordings = corpus.segments, corpus.recordings
+def _break_contract(n_speakers, recordings, n_frames, frames, rng):
+    """One to three random breaks of the corpus contract and its frame matrix, each of a random kind.
+
+    The Recording list, frame counts and frames are edited in place; returns the new n_speakers.
+    """
     for _ in range(int(rng.integers(1, 4))):
         rec = recordings[int(rng.integers(len(recordings)))]
         damage = int(rng.integers(8))
         if damage == 0:
-            rec.target = int(rng.integers(-2, corpus.n_speakers + 2))
+            rec.target = int(rng.integers(-2, n_speakers + 2))
         elif damage == 1:
             rec.clusters = []
         elif damage == 2:
             rec.clusters.insert(int(rng.integers(len(rec.clusters) + 1)), [])
         elif damage == 3 and rec.clusters:  # a stray, a shared or a repeated member
-            rec.clusters[int(rng.integers(len(rec.clusters)))].append(int(rng.integers(-2, len(segments) + 2)))
+            rec.clusters[int(rng.integers(len(rec.clusters)))].append(int(rng.integers(-2, len(n_frames) + 2)))
         elif damage == 4:
-            corpus.n_speakers += int(rng.integers(1, 3))
+            n_speakers += int(rng.integers(1, 3))
         elif damage == 5:
             frames[int(rng.integers(frames.shape[0])), 0] = np.nan
-        elif damage == 6 and len(segments) > 1:  # segment sid's rows go to segment sid - 1
-            sid = int(rng.integers(1, len(segments)))
-            segments.bounds[sid] = segments.bounds[sid + 1]
+        elif damage == 6 and len(n_frames) > 1:  # segment sid's frames go to segment sid - 1
+            sid = int(rng.integers(1, len(n_frames)))
+            n_frames[sid - 1] += n_frames[sid]
+            n_frames[sid] = 0
         elif damage == 7:  # another recording's id
             rec.recording_id = recordings[int(rng.integers(len(recordings)))].recording_id
+    return n_speakers
 
 
 @settings(max_examples=50, deadline=None)
@@ -543,12 +575,11 @@ def test_validate_matches_loop_reference(table, seed, broken):
     corpus, frames = table
     assert validate_corpus(corpus) == []
     if broken:
-        _break_contract(corpus, frames, np.random.default_rng(seed))
-        # a corpus caches its cluster table, so the edited recordings go into a new one, with
-        # the means pooled again from the edited frames and bounds, as a load would
-        segments = corpus.segments
-        segments = Segments(_means_of(frames, segments.bounds), segments.bounds, segments.oracle)
-        corpus = Corpus(corpus.n_speakers, corpus.recordings, segments)
+        # the edited recordings, frame counts and frames make a new corpus, its means pooled as gen pools them
+        recordings, n_frames = corpus.recordings, corpus.segments.n_frames.copy()
+        n_speakers = _break_contract(corpus.n_speakers, recordings, n_frames, frames, np.random.default_rng(seed))
+        segments = Segments(_means_of(frames, n_frames), n_frames, corpus.segments.oracle)
+        corpus = corpus_of(n_speakers, recordings, segments)
     assert [(i.kind, i.message) for i in validate_corpus(corpus)] == _reference_issues(corpus, frames)
 
 
@@ -556,7 +587,7 @@ def _facts(corpus):
     """Everything a corpus holds, as plain values."""
     segments = corpus.segments
     return (corpus.n_speakers, [(r.recording_id, r.target, r.clusters, r.heldout) for r in corpus.recordings],
-            segments.means.tobytes(), segments.bounds.tolist(), segments.oracle.tolist())
+            segments.means.tobytes(), segments.n_frames.tolist(), segments.oracle.tolist())
 
 
 def _table_facts(table):
@@ -566,18 +597,18 @@ def _table_facts(table):
 @settings(max_examples=25, deadline=None)
 @given(segment_tables())
 def test_loaded_table_and_recordings_agree(tmp_path_factory, table):
-    corpus, frames = table
+    corpus, _ = table
     path = tmp_path_factory.mktemp("agree")
-    write_manifest(corpus, frames, path)
+    save_manifest(corpus, path)
     loaded = load_manifest(path)
     assert _facts(loaded) == _facts(corpus)
-    rebuilt = Corpus(loaded.n_speakers, loaded.recordings, loaded.segments).cluster_table()
+    rebuilt = corpus_of(loaded.n_speakers, loaded.recordings, loaded.segments).cluster_table()
     assert _table_facts(loaded.cluster_table()) == _table_facts(rebuilt)
     assert _table_facts(rebuilt) == _table_facts(corpus.cluster_table())
 
 
-def test_cluster_table_is_read_only(tmp_path, small_corpus, small_frames):
-    write_manifest(small_corpus, small_frames, tmp_path)
+def test_cluster_table_is_read_only(tmp_path, small_corpus):
+    save_manifest(small_corpus, tmp_path)
     for corpus in (load_manifest(tmp_path), small_corpus):
         with pytest.raises(ValueError):
             corpus.cluster_table().members[0] = 1
@@ -606,20 +637,20 @@ def _load_or_reject(path, raw):
 @settings(max_examples=100, deadline=None)
 @given(segment_tables(), st.data())
 def test_damaged_index_is_rejected_or_valid(tmp_path_factory, table, data):
-    """A cut, appended bytes or a bit flip in the header is rejected; a body bit flip is rejected or
-    loads a valid corpus. Any other exception fails the test."""
+    """A cut, appended bytes or a bit flip in the header is rejected; a body bit flip (in the int64
+    arrays or the float64 means) is rejected or loads a valid corpus. Any other exception fails the test."""
     path = tmp_path_factory.mktemp("damaged")
-    write_manifest(*table, path)
+    save_manifest(table[0], path)
     raw = (path / "corpus.idx").read_bytes()
     cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
     assert _load_or_reject(path, raw[:cut]) is None
     assert _load_or_reject(path, raw + data.draw(st.binary(min_size=1, max_size=9), label="tail")) is None
-    assert _load_or_reject(path, _flipped(raw, data.draw(st.integers(0, 40 * 8 - 1), label="header bit"))) is None
-    loaded = _load_or_reject(path, _flipped(raw, data.draw(st.integers(40 * 8, len(raw) * 8 - 1), label="body bit")))
+    assert _load_or_reject(path, _flipped(raw, data.draw(st.integers(0, 48 * 8 - 1), label="header bit"))) is None
+    loaded = _load_or_reject(path, _flipped(raw, data.draw(st.integers(48 * 8, len(raw) * 8 - 1), label="body bit")))
     assert loaded is None or validate_corpus(loaded) == []
 
 
-def test_every_header_bit_flip_is_rejected(tmp_path, tiny_corpus, tiny_frames):
-    write_manifest(tiny_corpus, tiny_frames, tmp_path)
+def test_every_header_bit_flip_is_rejected(tmp_path, tiny_corpus):
+    save_manifest(tiny_corpus, tmp_path)
     raw = (tmp_path / "corpus.idx").read_bytes()
-    assert [bit for bit in range(40 * 8) if _load_or_reject(tmp_path, _flipped(raw, bit)) is not None] == []
+    assert [bit for bit in range(48 * 8) if _load_or_reject(tmp_path, _flipped(raw, bit)) is not None] == []

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weaksv.corpus import NOISE, Corpus, Recording, validate_corpus
+from weaksv.corpus import NOISE, Recording, validate_corpus
 from weaksv.diarize import DiarConfig, PRESETS, apply_diarization
 from weaksv.errors import EmptyRecording
 from weaksv.rng import Rng
 from weaksv.synth import SynthConfig, generate_corpus
+
+from conftest import corpus_of
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +97,7 @@ def reference_apply(corpus, cfg):
                                        Rng.from_seed(cfg.seed, "diar", rec.recording_id)),
                   rec.heldout)
         for rec in corpus.recordings]
-    return Corpus(corpus.n_speakers, recordings, corpus.segments)
+    return corpus_of(corpus.n_speakers, recordings, corpus.segments)
 
 
 def _modal_shares(clusters, oracle):

@@ -24,7 +24,7 @@ from weaksv.selection import (
 from weaksv.synth import SynthConfig, generate_corpus
 from weaksv.trainer import StageConfig, train_stage1
 
-from conftest import heldout_recordings, make_segments, train_recordings
+from conftest import corpus_of, heldout_recordings, make_segments, train_recordings
 
 MODEL = EmbedderConfig(feat_dim=20, hidden_dim=24, emb_dim=12)
 
@@ -44,7 +44,7 @@ def _oracle_setup():
     noise, and the prototypes are the embeddings of those canonical
     vectors, so each segment scores cosine 1 with its own speaker.
     """
-    from weaksv.corpus import Corpus, Recording
+    from weaksv.corpus import Recording
 
     n_spk, feat = 3, 4
     canon = 0.1 + 0.8 * np.eye(n_spk, feat)
@@ -58,7 +58,7 @@ def _oracle_setup():
             features.append(np.tile(canon[spk], (3, 1)).astype(np.float32))
             oracle.append(spk)
         recordings.append(Recording(rec_id, target, clusters))
-    corpus = Corpus(n_spk, recordings, make_segments(features, oracle))
+    corpus = corpus_of(n_spk, recordings, make_segments(features, oracle))
 
     cfg = EmbedderConfig(feat_dim=feat, hidden_dim=5, emb_dim=4)
     params = init_params(cfg, n_spk, seed=0)
@@ -318,7 +318,7 @@ class TestArrayParity:
 
 def test_selection_makes_no_per_segment_lookups(trained, monkeypatch):
     corpus, ckpt = trained
-    fresh = Corpus(corpus.n_speakers, corpus.recordings, corpus.segments)
+    fresh = corpus_of(corpus.n_speakers, corpus.recordings, corpus.segments)
     lookups = []
     real_recording = Corpus.recording
     monkeypatch.setattr(Corpus, "recording",

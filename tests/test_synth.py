@@ -2,9 +2,9 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from weaksv.corpus import NOISE, UNKNOWN, Corpus, Recording, validate_corpus
+from weaksv.corpus import NOISE, UNKNOWN, Recording, save_manifest, validate_corpus
 from weaksv.rng import Rng
 import weaksv.synth
 from weaksv.synth import (
@@ -14,7 +14,8 @@ from weaksv.synth import (
     make_lift,
 )
 
-from conftest import feat_bytes, feat_frames, generate_with_frames, make_segments, segment_means
+from conftest import (corpus_of, feat_bytes, feat_frames, frame_bounds, generate_with_frames, make_segments,
+                      segment_means)
 
 
 class TestGenerateSpeakers:
@@ -46,7 +47,7 @@ class TestRenderSegment:
         voices = generate_speakers(cfg.n_speakers, cfg.latent_dim, cfg.seed)
         lift = make_lift(cfg)
         assert frames_a.tobytes() == frames_b.tobytes()
-        bounds = a.segments.bounds
+        bounds = frame_bounds(a.segments)
         for sid, spk in enumerate(a.segments.oracle.tolist()):
             # effectively noiseless: every frame is the lifted latent
             lifted = lift.apply(voices[spk].latent[None, :])[0]
@@ -56,7 +57,7 @@ class TestRenderSegment:
         cfg = SynthConfig(n_speakers=2, recordings_per_speaker=2, within_speaker_noise=1e-12,
                           noise_segment_prob=0.0, unknown_speaker_count=0, seed=1)
         corpus, frames = generate_with_frames(cfg)
-        speaker_of_row = np.repeat(corpus.segments.oracle, np.diff(corpus.segments.bounds))
+        speaker_of_row = np.repeat(corpus.segments.oracle, corpus.segments.n_frames)
         a, b = (frames[speaker_of_row == spk].mean(axis=0) for spk in (0, 1))
         cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
         assert 1.0 - cos > 1e-3
@@ -123,7 +124,7 @@ class TestGenerateCorpus:
         (a, frames_a), (b, frames_b) = generate_with_frames(cfg), generate_with_frames(cfg)
         assert frames_a.tobytes() == frames_b.tobytes()
         assert a.segments.means.tobytes() == b.segments.means.tobytes()
-        assert np.array_equal(a.segments.bounds, b.segments.bounds)
+        assert np.array_equal(a.segments.n_frames, b.segments.n_frames)
         assert all(ra.clusters == rb.clusters for ra, rb in zip(a.recordings, b.recordings))
 
     def test_validates(self, small_corpus):
@@ -229,7 +230,7 @@ def _assert_plan_matches_reference(cfg):
         got = getattr(plan, name)
         assert got.dtype == (np.uint64 if name == "key" else np.int64), name
         assert got.tolist() == want, name
-    assert _table_lists(plan.table) == _table_lists(Corpus(cfg.n_speakers, recordings, None).cluster_table())
+    assert _table_lists(plan.table) == _table_lists(corpus_of(cfg.n_speakers, recordings, None).cluster_table())
 
 
 PLAN_EDGES = {
@@ -298,18 +299,19 @@ def _reference_corpus(cfg, dtype=np.float32):
                 features.append(feats)
             oracles += oracle
             recordings.append(Recording(rec_id, target, _initial_clusters(sids, target, oracle)))
-    return Corpus(cfg.n_speakers, recordings, make_segments(features, oracles)), np.concatenate(features)
+    return corpus_of(cfg.n_speakers, recordings, make_segments(features, oracles)), np.concatenate(features)
 
 
 def _assert_same_corpus(got, want):
     """got and want are (corpus, frame matrix) pairs."""
     (got, got_frames), (want, want_frames) = got, want
     g, w = got.segments, want.segments
-    assert g.bounds.tolist() == w.bounds.tolist()
+    assert g.n_frames.tolist() == w.n_frames.tolist()
     assert g.oracle.tolist() == w.oracle.tolist()
     assert got_frames.dtype == want_frames.dtype and got_frames.shape == want_frames.shape
+    bounds = frame_bounds(w)
     for sid in range(len(w)):
-        rows = slice(w.bounds[sid], w.bounds[sid + 1])
+        rows = slice(bounds[sid], bounds[sid + 1])
         assert got_frames[rows].tobytes() == want_frames[rows].tobytes(), sid
     assert g.means.tobytes() == w.means.tobytes()  # bitwise each segment's frames averaged on their own
     assert [(r.recording_id, r.target, r.clusters, r.heldout) for r in got.recordings] == [
@@ -341,7 +343,7 @@ class TestBlockParity:
 
     def test_default_corpus_spans_many_blocks(self):
         corpus = generate_corpus(SynthConfig())
-        total = corpus.segments.bounds[-1]
+        total = corpus.segments.n_frames.sum()
         assert total > 5 * weaksv.synth.RENDER_BLOCK
 
     # 1: every segment is longer than a block; 37: blocks end mid-recording
@@ -368,13 +370,34 @@ class TestBlockParity:
     def test_segments_are_consecutive_rows_of_one_frame_matrix(self):
         feat = io.BytesIO()
         corpus = generate_corpus(PARITY_CONFIGS["latent3_odd_frames"], feat)
-        raw, bounds = feat.getvalue(), corpus.segments.bounds
+        raw, n_frames = feat.getvalue(), corpus.segments.n_frames
         frames = feat_frames(raw)
         assert feat_bytes(frames) == raw  # the header, then float32 little-endian rows
-        assert frames.shape == (bounds[-1], corpus.feat_dim)
-        assert bounds.dtype == np.int64 and bounds.shape == (len(corpus.segments) + 1,)
-        assert bounds[0] == 0 and np.all(np.diff(bounds) >= 1)
+        assert frames.shape == (n_frames.sum(), corpus.feat_dim)
+        assert n_frames.dtype == np.int64 and n_frames.shape == (len(corpus.segments),)
+        assert np.all(n_frames >= 1)
+        bounds = frame_bounds(corpus.segments)
         means = corpus.mean_frames()
         assert means.dtype == np.float64 and means.shape == (len(corpus.segments), corpus.feat_dim)
         assert not means.flags.writeable
         assert means.tobytes() == segment_means(np.split(frames, bounds[1:-1])).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 64), st.integers(2, 30), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_stored_means_are_the_frames_means(tmp_path_factory, block, max_frames, n_speakers, seed):
+    """corpus.idx stores, bit for bit, the means of the frames gen writes to corpus.feat."""
+    cfg = SynthConfig(n_speakers=n_speakers, recordings_per_speaker=3, frames_per_segment=(1, max_frames),
+                      unknown_speaker_count=2, seed=seed)
+    feat = io.BytesIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weaksv.synth, "RENDER_BLOCK", block)
+        corpus = generate_corpus(cfg, feat)
+    frames, bounds = feat_frames(feat.getvalue()), frame_bounds(corpus.segments)
+    # one-frame segments, and segments whose rows straddle a multiple of RENDER_BLOCK
+    assume((corpus.segments.n_frames == 1).any() and (bounds[:-1] // block != (bounds[1:] - 1) // block).any())
+    path = tmp_path_factory.mktemp("stored")
+    save_manifest(corpus, path)
+    raw = (path / "corpus.idx").read_bytes()
+    stored = raw[len(raw) - 8 * frames.shape[1] * len(corpus.segments):]  # the means close the file
+    assert stored == segment_means(np.split(frames, bounds[1:-1])).astype("<f8").tobytes()
