@@ -11,8 +11,9 @@ Each planner makes an epoch's draws in a few array passes over the
 corpus's cluster table, each at the (stream key, counter) a one-by-one
 loop uses, so the plans are bitwise those of Rng.shuffle and of a
 spawn("bag", recording_id) stream choosing per cluster. Batches hold the
-arrays training reads; BagBatch.bags builds Bag records on demand for
-the benchmark tracer's bag counts (bench/tracing.py) and the tests.
+arrays training reads, a stage-1 batch its bag map too; BagBatch.bags
+builds Bag records on demand for the benchmark tracer's bag counts
+(bench/tracing.py) and the tests.
 """
 
 from __future__ import annotations
@@ -39,12 +40,18 @@ class Bag:
 
 @dataclass(frozen=True, eq=False)
 class BagBatch:
-    """Bag k is segment_ids[offsets[k]:offsets[k + 1]] (the last runs to the end)."""
+    """Bag k is segment_ids[offsets[k]:offsets[k + 1]] (the last runs to the end).
+
+    sizes and bag_of_row are the bag map losses.aggregate reads: each bag's
+    row count and each row's bag.
+    """
 
     segment_ids: np.ndarray
     offsets: np.ndarray
     targets: np.ndarray
     recording_ids: np.ndarray
+    sizes: np.ndarray
+    bag_of_row: np.ndarray
 
     @property
     def size(self) -> int:
@@ -129,7 +136,8 @@ def plan_epoch_stage1(corpus: Corpus, target_batch_size: int, seed: int) -> list
         open_size += size
     rows = [*starts.tolist(), len(segment_ids)]
     return [BagBatch(segment_ids[rows[a]:rows[b]], starts[a:b] - starts[a], table.targets[order[a:b]],
-                     table.ids[order[a:b]]) for a, b in zip(cuts, [*cuts[1:], order.size])]
+                     table.ids[order[a:b]], sizes[a:b], bag_of_row[rows[a]:rows[b]] - a)
+            for a, b in zip(cuts, [*cuts[1:], order.size])]
 
 
 def plan_epoch_stage2(

@@ -33,7 +33,8 @@ from .errors import ConfigError, CorruptArtifact, MissingArtifacts, WeaksvError
 from .fileio import atomic_write
 from .rng import derive_key, mix64
 from .synth import generate_corpus
-from .trainer import TrainResult, ablation_stage1_configs, save_metrics_csv, train_stage1, train_stage2
+from .trainer import (TrainResult, ablation_stage1_configs, plan_stage1, save_metrics_csv, train_stage1,
+                      train_stage2)
 
 
 def _snapshot_config(cfg: cfgmod.RunConfig, out: Path) -> None:
@@ -196,15 +197,17 @@ def cmd_ablate(cfg: cfgmod.RunConfig, args) -> None:
     _snapshot_config(cfg, out)
 
     checkpoints = {}
+    plans = plan_stage1(corpus, cfg.stage1, cfg.seed)  # the variants differ in their loss alone
     for name, stage_cfg in ablation_stage1_configs(cfg.stage1).items():
         sub = out / "ablation" / name
         sub.mkdir(parents=True, exist_ok=True)
-        result = train_stage1(corpus, stage_cfg, model, cfg.seed)
+        result = train_stage1(corpus, stage_cfg, model, cfg.seed, plans=plans)
         _save_run(result, sub, 1)
         payload = _evaluate(cfg, corpus, trials, result.checkpoint, sub / "stage1.ckpt", sub)
         checkpoints[name] = result.checkpoint
         print(f"ablate {name}: aggregation={stage_cfg.loss.aggregation} "
               f"margin={stage_cfg.loss.margin.start:g} EER {payload['eer'] * 100:.2f}%")
+    del plans  # stage 2 has no use for them, so they stay out of its peak memory
 
     # stage-2 comparisons off the margin-free max-pooling run (m4); the
     # pool is ignored while unknown_start_epoch is negative

@@ -3,9 +3,10 @@ relu, L2-normalized output embeddings, and unit-norm speaker prototypes.
 
 Every trainable array lives in one ordered name -> array mapping, in
 PARAM_NAMES order: W1 (hidden, feat), b1, W2 (emb, hidden), b2 and the
-prototypes P (n_speakers, emb). The same mapping feeds forward/backward,
-the SGD update, checkpoints and, through flatten_params/unflatten_params,
-the finite-difference gradient checks.
+prototypes P (n_speakers, emb). Training keeps the mapping as named views
+of one flat vector (unflatten_params), so the SGD update runs once on the
+whole vector; the same mapping feeds forward/backward, checkpoints and,
+through flatten_params, the finite-difference gradient checks.
 
 forward_pooled/backward_pooled are pure functions of (params, input); the
 backward pass is exact analytic chain rule, including the normalization
@@ -98,33 +99,33 @@ def forward_pooled(xbar: np.ndarray, params: dict[str, np.ndarray]) -> tuple[np.
     xbar: (k, feat_dim) float64. Returns unit-norm embeddings (k, emb_dim)
     plus the cache needed for gradients.
     """
-    xbar = np.atleast_2d(np.asarray(xbar, dtype=np.float64))
-    a1 = xbar @ params["W1"].T + params["b1"]
+    a1 = xbar @ params["W1"].T
+    a1 += params["b1"]
     h = np.maximum(a1, 0.0)
-    z = h @ params["W2"].T + params["b2"]
-    norms = np.linalg.norm(z, axis=1)
-    if np.any(norms < _NORM_FLOOR):
+    z = h @ params["W2"].T
+    z += params["b2"]
+    norms = np.sqrt(np.add.reduce(z * z, axis=1))  # np.linalg.norm(z, axis=1)
+    if (norms < _NORM_FLOOR).any():
         raise DegenerateEmbedding("pre-normalization embedding norm below 1e-8")
     emb = z / norms[:, None]
     return emb, ForwardCache(xbar, a1, h, norms, emb)
 
 
-def backward_pooled(d_emb: np.ndarray, cache: ForwardCache, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Exact network gradients (W1, b1, W2, b2) from upstream d loss / d embedding.
+def backward_pooled(d_emb: np.ndarray, cache: ForwardCache, params: dict[str, np.ndarray],
+                    grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Exact network gradients from upstream d loss / d embedding, written into grads' W1, b1, W2, b2.
 
     The radial direction is annihilated by the normalization Jacobian:
-    dz = (d_emb - (d_emb . e) e) / ||z||.
+    dz = (d_emb - (d_emb . e) e) / ||z||. Returns grads.
     """
-    d_emb = np.atleast_2d(np.asarray(d_emb, dtype=np.float64))
-    radial = np.sum(d_emb * cache.emb, axis=1, keepdims=True)
+    radial = np.add.reduce(d_emb * cache.emb, axis=1, keepdims=True)
     dz = (d_emb - radial * cache.emb) / cache.norms[:, None]
-    dW2 = dz.T @ cache.h
-    db2 = dz.sum(axis=0)
-    dh = dz @ params["W2"]
-    da1 = dh * (cache.a1 > 0.0)
-    dW1 = da1.T @ cache.xbar
-    db1 = da1.sum(axis=0)
-    return {"W1": dW1, "b1": db1, "W2": dW2, "b2": db2}
+    np.matmul(dz.T, cache.h, out=grads["W2"])
+    np.add.reduce(dz, axis=0, out=grads["b2"])
+    da1 = dz @ params["W2"] * (cache.a1 > 0.0)
+    np.matmul(da1.T, cache.xbar, out=grads["W1"])
+    np.add.reduce(da1, axis=0, out=grads["b1"])
+    return grads
 
 
 # ---------------------------------------------------------------------------

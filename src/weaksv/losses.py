@@ -75,7 +75,6 @@ class Aggregation:
 
     def backward(self, d_rec: np.ndarray) -> np.ndarray:
         """d loss / d segment-cosines from d loss / d recording-cosines."""
-        d_rec = np.asarray(d_rec, dtype=np.float64)
         if self.kind == MAX:
             d_seg = np.zeros((self.bag_of_row.size, d_rec.shape[1]))
             # bags are disjoint row ranges, so no two bags write one cell
@@ -85,34 +84,38 @@ class Aggregation:
 
 
 def aggregate(
-    c_seg: np.ndarray, kind: str, tau: float | None = None, *, offsets: np.ndarray
+    c_seg: np.ndarray, kind: str, tau: float | None = None, *, offsets: np.ndarray,
+    sizes: np.ndarray | None = None, bag_of_row: np.ndarray | None = None
 ) -> Aggregation:
     """Per-class reduction of a (rows, n_classes) cosine matrix, bag by bag.
 
     offsets holds the first row of each bag (strictly increasing from 0).
-    MAX keeps, per bag and class, the first row attaining the maximum (the
-    np.argmax tie rule) so gradients flow only through it; LSE spreads
-    them with softmax(v/tau) weights.
+    sizes and bag_of_row are each bag's row count and each row's bag, as
+    the stage-1 planner builds them; without them they are built here,
+    and a bag without rows raises EmptyInput. MAX keeps, per bag and
+    class, the first row attaining the maximum (the np.argmax tie rule) so
+    gradients flow only through it; LSE spreads them with softmax(v/tau)
+    weights.
     """
-    c_seg = np.asarray(c_seg, dtype=np.float64)
     n_rows = c_seg.shape[0]
-    starts = np.asarray(offsets, dtype=np.intp).ravel()
-    if (n_rows < 1 or starts.size < 1 or starts[0] != 0 or starts[-1] >= n_rows
-            or np.any(np.diff(starts) <= 0)):
-        raise EmptyInput("empty bag")
-    sizes = np.diff(np.append(starts, n_rows))
-    bag_of_row = np.repeat(np.arange(starts.size), sizes)
-    vmax = np.maximum.reduceat(c_seg, starts, axis=0)
+    if bag_of_row is None:
+        offsets = np.asarray(offsets, dtype=np.intp).ravel()
+        if (n_rows < 1 or offsets.size < 1 or offsets[0] != 0 or offsets[-1] >= n_rows
+                or (np.diff(offsets) <= 0).any()):
+            raise EmptyInput("empty bag")
+        sizes = np.diff(np.append(offsets, n_rows))
+        bag_of_row = np.repeat(np.arange(offsets.size), sizes)
+    vmax = np.maximum.reduceat(c_seg, offsets, axis=0)
     if kind == MAX:
         rows = np.arange(n_rows)[:, None]
         hit = np.where(c_seg == vmax[bag_of_row], rows, n_rows)
-        idx = np.minimum.reduceat(hit, starts, axis=0)
+        idx = np.minimum.reduceat(hit, offsets, axis=0)
         return Aggregation(vmax, MAX, bag_of_row, argmax=idx)
     if kind == LSE:
         if tau is None or tau <= 0:
             raise ValueError("LSE aggregation needs a positive tau")
         ex = np.exp((c_seg - vmax[bag_of_row]) / tau)
-        sums = np.add.reduceat(ex, starts, axis=0)
+        sums = np.add.reduceat(ex, offsets, axis=0)
         c_rec = vmax + tau * np.log(sums / sizes[:, None])
         weights = ex / sums[bag_of_row]
         return Aggregation(c_rec, LSE, bag_of_row, weights=weights)
@@ -147,15 +150,13 @@ def weak_recording_loss(
     for non-target classes and s*psi(c) for the target. Returns per-row
     losses and d loss / d c_rec.
     """
-    c = np.asarray(c_rec, dtype=np.float64)
-    rows = np.arange(c.shape[0])
-    t = np.asarray(target, dtype=np.intp).reshape(-1)
-    psi, dpsi = _aam_margin_grad(c[rows, t], m)
-    logits = s * c
-    logits[rows, t] = s * psi
-    loss, p = _cross_entropy(logits, t)
+    rows = np.arange(c_rec.shape[0])
+    psi, dpsi = _aam_margin_grad(c_rec[rows, target], m)
+    logits = s * c_rec
+    logits[rows, target] = s * psi
+    loss, p = _cross_entropy(logits, target)
     d_rec = s * p
-    d_rec[rows, t] = s * (p[rows, t] - 1.0) * dpsi
+    d_rec[rows, target] = s * (p[rows, target] - 1.0) * dpsi
     return loss, d_rec
 
 
@@ -191,7 +192,7 @@ def extend_logits_unknown(
     if not known_mask.all():
         if known_rows.size == 0:
             raise NoKnownExamples("a batch of only unknown rows cannot anchor the extra class")
-        mean_target = _seq_mean([float(L[i, labels[i]]) for i in known_rows])
+        mean_target = _seq_mean(L[known_rows, labels[known_rows]].tolist())
         extra[~known_mask] = mean_target
     return np.concatenate([L, extra[:, None]], axis=1)
 

@@ -7,6 +7,8 @@ rate and the resumable checkpoint. `_fit` is the loop; each stage hands
 it its epoch plans and, per batch, the segment ids and a batch loss
 (cosines, margin, tau) -> (per-row losses, d loss / d cosines).
 `loss_and_grads` is the step's math, which the gradient tests difference.
+The parameters, their velocities and their gradients are named views of
+one flat vector each, so the SGD update is one pass over each vector.
 Also: per-epoch margin and temperature schedules and the stage-1
 ablation grid.
 
@@ -22,9 +24,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .batching import plan_epoch_stage1, plan_epoch_stage2
+from .batching import BagBatch, plan_epoch_stage1, plan_epoch_stage2
 from .corpus import Corpus
-from .embedder import Checkpoint, EmbedderConfig, backward_pooled, forward_pooled, init_params
+from .embedder import (Checkpoint, EmbedderConfig, backward_pooled, flatten_params, forward_pooled, init_params,
+                       unflatten_params)
 from .errors import ConfigError, NonFiniteGradient
 from .fileio import atomic_write
 from .losses import (
@@ -84,22 +87,19 @@ def schedule_value(epoch: int, total_epochs: int, schedule: Schedule) -> float:
     return schedule.at(epoch / total_epochs)
 
 
-def sgd_step(
-    arrays: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    velocities: dict[str, np.ndarray],
-    lr: float,
-    momentum: float,
-) -> None:
-    """In-place momentum update: v <- momentum*v - lr*g; p <- p + v."""
-    for name, p in arrays.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(f"gradient for {name} is not finite")
-        v = velocities[name]
-        v *= momentum
-        v -= lr * g
-        p += v
+def sgd_step(p: np.ndarray, g: np.ndarray, v: np.ndarray, lr: float, momentum: float,
+             grads: dict[str, np.ndarray]) -> None:
+    """In-place momentum update of flat vectors: v <- momentum*v - lr*g; p <- p + v.
+
+    grads holds g's named views. A non-finite g raises NonFiniteGradient,
+    naming the first non-finite view, before anything is written.
+    """
+    if not np.isfinite(g).all():
+        name = next(name for name, view in grads.items() if not np.isfinite(view).all())
+        raise NonFiniteGradient(f"gradient for {name} is not finite")
+    v *= momentum
+    v -= lr * g
+    p += v
 
 
 def config_fingerprint(stage: StageConfig, model: EmbedderConfig, seed: int, tag: str) -> bytes:
@@ -117,13 +117,15 @@ class TrainResult:
     metrics: list[StepMetrics]
 
 
-def recording_batch_loss(kind: str, s: float, offsets: np.ndarray, targets: np.ndarray):
+def recording_batch_loss(kind: str, s: float, offsets: np.ndarray, targets: np.ndarray,
+                         sizes: np.ndarray | None = None, bag_of_row: np.ndarray | None = None):
     """Stage 1: pool each bag's rows per class, then margin cross-entropy per bag.
 
-    offsets holds each bag's first row, targets its recording's label.
+    offsets holds each bag's first row, targets its recording's label;
+    sizes and bag_of_row, if given, are the planner's bag map.
     """
     def batch_loss(cos: np.ndarray, margin: float, tau: float):
-        agg = aggregate(cos, kind, tau, offsets=offsets)
+        agg = aggregate(cos, kind, tau, offsets=offsets, sizes=sizes, bag_of_row=bag_of_row)
         losses, d_rec = weak_recording_loss(agg.c_rec, targets, s, margin)
         return losses, agg.backward(d_rec)
 
@@ -151,37 +153,38 @@ def segment_batch_loss(s: float, labels: np.ndarray, known: np.ndarray,
 
 
 def loss_and_grads(params: dict[str, np.ndarray], xbar: np.ndarray, batch_loss,
-                   margin: float, tau: float) -> tuple[float, dict[str, np.ndarray]]:
-    """One training step's math: the batch's mean loss and its gradients, keyed like params."""
+                   margin: float, tau: float, grads: dict[str, np.ndarray]) -> float:
+    """One training step's math: the batch's mean loss; its gradients go into grads, keyed like params."""
     emb, cache = forward_pooled(xbar, params)
     losses, d_c = batch_loss(emb @ params["P"].T, margin, tau)
     d_c /= losses.shape[0]
-    grads = backward_pooled(d_c @ params["P"], cache, params)
-    grads["P"] = d_c.T @ emb
-    return float(losses.mean()), grads
+    backward_pooled(d_c @ params["P"], cache, params, grads)
+    np.matmul(d_c.T, emb, out=grads["P"])
+    return float(losses.mean())
 
 
 def _fit(corpus: Corpus, stage: StageConfig, model: EmbedderConfig, seed: int, tag: str,
-         plan_epoch, batch_of, resume_from: Checkpoint | None,
+         plans: list[list], batch_of, resume_from: Checkpoint | None,
          stop_after_epoch: int | None) -> TrainResult:
-    """SGD over the batches of plan_epoch(epoch); batch_of(batch) -> (segment ids, batch loss).
+    """SGD over the batches of plans[epoch]; batch_of(batch) -> (segment ids, batch loss).
 
     Only stage 1 pools with a temperature; stage 2 logs tau as 0.
     """
     pooled = corpus.mean_frames()
-    plans = [plan_epoch(e) for e in range(stage.epochs)]
     total_steps = sum(len(p) for p in plans)
     fingerprint = config_fingerprint(stage, model, seed, tag)
     if resume_from is not None:
         if resume_from.config_hash != fingerprint:
             raise ConfigError("checkpoint was produced under a different configuration")
-        params = {k: v.copy() for k, v in resume_from.params.items()}
-        velocities = {k: v.copy() for k, v in resume_from.velocities.items()}
-        step, start_epoch = resume_from.step, resume_from.epoch
+        n_speakers, step, start_epoch = resume_from.n_speakers, resume_from.step, resume_from.epoch
+        theta, velocity = flatten_params(resume_from.params), flatten_params(resume_from.velocities)
     else:
-        params = init_params(model, corpus.n_speakers, derive_key(mix64(seed), tag, "init"))
-        velocities = {k: np.zeros_like(v) for k, v in params.items()}
-        step, start_epoch = 0, 0
+        n_speakers, step, start_epoch = corpus.n_speakers, 0, 0
+        theta = flatten_params(init_params(model, n_speakers, derive_key(mix64(seed), tag, "init")))
+        velocity = np.zeros_like(theta)
+    gradient = np.empty_like(theta)
+    params, velocities, grads = (unflatten_params(flat, model, n_speakers) for flat in (theta, velocity, gradient))
+    P = params["P"]
     end_epoch = stage.epochs if stop_after_epoch is None else min(stage.epochs, stop_after_epoch)
 
     denom = max(1, stage.epochs - 1)
@@ -191,16 +194,21 @@ def _fit(corpus: Corpus, stage: StageConfig, model: EmbedderConfig, seed: int, t
         tau = schedule_value(epoch, denom, stage.loss.tau) if tag == "stage1" else 0.0
         for batch in plans[epoch]:
             segment_ids, batch_loss = batch_of(batch)
-            loss, grads = loss_and_grads(params, pooled[segment_ids], batch_loss, margin, tau)
+            loss = loss_and_grads(params, pooled[segment_ids], batch_loss, margin, tau, grads)
             if not np.isfinite(loss):
                 raise NonFiniteGradient(f"non-finite loss at step {step + 1}")
             step += 1
             lr = lr_at(step, stage, total_steps)
-            sgd_step(params, grads, velocities, lr, stage.momentum)
-            P = params["P"]
-            P /= np.linalg.norm(P, axis=1, keepdims=True)
+            sgd_step(theta, gradient, velocity, lr, stage.momentum, grads)
+            P /= np.sqrt(np.add.reduce(P * P, axis=1, keepdims=True))  # np.linalg.norm's expression
             metrics.append(StepMetrics(step, epoch, lr, margin, tau, loss))
     return TrainResult(Checkpoint(model, params, velocities, step, end_epoch, fingerprint), metrics)
+
+
+def plan_stage1(corpus: Corpus, stage: StageConfig, seed: int) -> list[list[BagBatch]]:
+    """Every epoch's stage-1 plan: a function of the corpus, batch size, epoch count and seed only."""
+    return [plan_epoch_stage1(corpus, stage.batch_size, _epoch_seed(seed, "s1-epoch", epoch))
+            for epoch in range(stage.epochs)]
 
 
 def train_stage1(
@@ -210,23 +218,22 @@ def train_stage1(
     seed: int,
     resume_from: Checkpoint | None = None,
     stop_after_epoch: int | None = None,
+    plans: list[list[BagBatch]] | None = None,
 ) -> TrainResult:
     """Multi-instance training on recording-level labels.
 
     stop_after_epoch pauses at an epoch boundary (schedules still span the
     full configured horizon); resuming from the returned checkpoint
-    reproduces the uninterrupted run exactly.
+    reproduces the uninterrupted run exactly. plans, if given, is
+    plan_stage1(corpus, stage, seed), made once for runs that share it.
     """
 
-    def plan_epoch(epoch):
-        return plan_epoch_stage1(corpus, stage.batch_size, _epoch_seed(seed, "s1-epoch", epoch))
-
     def batch_of(batch):
-        return batch.segment_ids, recording_batch_loss(stage.loss.aggregation, stage.loss.scale,
-                                                       batch.offsets, batch.targets)
+        return batch.segment_ids, recording_batch_loss(stage.loss.aggregation, stage.loss.scale, batch.offsets,
+                                                       batch.targets, batch.sizes, batch.bag_of_row)
 
-    return _fit(corpus, stage, model, seed, "stage1", plan_epoch, batch_of, resume_from,
-                stop_after_epoch)
+    return _fit(corpus, stage, model, seed, "stage1", plan_stage1(corpus, stage, seed) if plans is None else plans,
+                batch_of, resume_from, stop_after_epoch)
 
 
 def train_stage2(
@@ -258,8 +265,8 @@ def train_stage2(
     def batch_of(batch):
         return batch.segment_ids, segment_batch_loss(stage.loss.scale, batch.labels, batch.known)
 
-    return _fit(corpus, stage, model, seed, "stage2", plan_epoch, batch_of, resume_from,
-                stop_after_epoch)
+    return _fit(corpus, stage, model, seed, "stage2", [plan_epoch(e) for e in range(stage.epochs)], batch_of,
+                resume_from, stop_after_epoch)
 
 
 # ---------------------------------------------------------------------------

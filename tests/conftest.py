@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from weaksv.corpus import FEAT_MAGIC, FEAT_VERSION, ClusterTable, Corpus, NOISE, Recording, Segments, UNKNOWN
-from weaksv.embedder import flatten_params, unflatten_params
+from weaksv.embedder import unflatten_params
 from weaksv.synth import SynthConfig, generate_corpus
 from weaksv.trainer import loss_and_grads, recording_batch_loss, segment_batch_loss
 
@@ -168,8 +168,10 @@ def composite_loss(theta, cfg, n_speakers, xbar, path, *, target=0, s=30.0, m=0.
                                         None if extra_col is None else np.asarray(extra_col))
     else:
         raise ValueError(path)
-    loss, grads = loss_and_grads(unflatten_params(theta, cfg, n_speakers), xbar, batch_loss, m, tau)
-    return loss, flatten_params(grads)
+    grad = np.empty_like(theta)
+    loss = loss_and_grads(unflatten_params(theta, cfg, n_speakers), xbar, batch_loss, m, tau,
+                          unflatten_params(grad, cfg, n_speakers))
+    return loss, grad
 
 
 def central_difference(fn, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -27,6 +27,11 @@ def _random_model(seed):
     return init_params(CFG, 4, seed)
 
 
+def _backward(d_emb, cache, params):
+    """backward_pooled into fresh arrays: the network gradients W1, b1, W2, b2."""
+    return backward_pooled(d_emb, cache, params, {name: np.empty_like(params[name]) for name in PARAM_NAMES[:4]})
+
+
 def test_embedding_is_unit_norm():
     params = _random_model(0)
     xbar = Rng.from_seed(1).normals(8 * CFG.feat_dim).reshape(8, CFG.feat_dim)
@@ -69,14 +74,14 @@ class TestBackward:
         params = _random_model(1)
         xbar = Rng.from_seed(3).normals(3 * CFG.feat_dim).reshape(3, CFG.feat_dim)
         _, cache = forward_pooled(xbar, params)
-        grads = backward_pooled(np.zeros((3, CFG.emb_dim)), cache, params)
+        grads = _backward(np.zeros((3, CFG.emb_dim)), cache, params)
         assert all(np.all(g == 0.0) for g in grads.values())
 
     def test_radial_upstream_annihilated(self):
         params = _random_model(1)
         xbar = Rng.from_seed(4).normals(CFG.feat_dim)[None, :]
         emb, cache = forward_pooled(xbar, params)
-        grads = backward_pooled(2.5 * emb, cache, params)
+        grads = _backward(2.5 * emb, cache, params)
         for g in grads.values():
             assert np.max(np.abs(g)) < 1e-9
 
@@ -94,7 +99,7 @@ class TestBackward:
 
         theta = flatten_params(params)
         _, cache = forward_pooled(xbar, params)
-        grads = backward_pooled(probe, cache, params)
+        grads = _backward(probe, cache, params)
         grads["P"] = np.zeros_like(params["P"])
         analytic = flatten_params(grads)
         numeric = central_difference(scalar_loss, theta)

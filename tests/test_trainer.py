@@ -1,18 +1,38 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import train_recordings
 from weaksv import trainer
+from weaksv.batching import plan_epoch_stage1, plan_epoch_stage2
 from weaksv.corpus import UNKNOWN, assign_heldout_split
 from weaksv.diarize import PRESETS, apply_diarization
-from weaksv.embedder import EmbedderConfig, load_checkpoint, save_checkpoint
+from weaksv.embedder import (
+    PARAM_NAMES,
+    Checkpoint,
+    EmbedderConfig,
+    flatten_params,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+    unflatten_params,
+)
 from weaksv.errors import ConfigError, NonFiniteGradient
 from weaksv.losses import LossConfig, Schedule
+from weaksv.rng import derive_key, mix64
 from weaksv.trainer import (
     ABLATION_GRID,
     StageConfig,
+    StepMetrics,
+    TrainResult,
     ablation_stage1_configs,
+    config_fingerprint,
     lr_at,
+    plan_stage1,
+    recording_batch_loss,
     save_metrics_csv,
     schedule_value,
     segment_batch_loss,
@@ -60,32 +80,49 @@ class TestScheduleValue:
         assert schedule_value(5, 10, Schedule(0.5, 0.1)) == pytest.approx(0.3)
 
 
+def _sgd(p, g, v, lr, momentum):
+    """sgd_step on one-parameter flat vectors."""
+    sgd_step(p, g, v, lr, momentum, {"w": g})
+
+
 class TestSgdStep:
     def test_first_step(self):
-        p = {"w": np.array([1.0])}
-        v = {"w": np.zeros(1)}
-        sgd_step(p, {"w": np.array([1.0])}, v, lr=0.1, momentum=0.9)
-        assert p["w"][0] == pytest.approx(0.9)
+        p, v = np.array([1.0]), np.zeros(1)
+        _sgd(p, np.array([1.0]), v, lr=0.1, momentum=0.9)
+        assert p[0] == pytest.approx(0.9)
 
     def test_momentum_zero_is_plain_descent(self):
-        p = {"w": np.array([0.0])}
-        v = {"w": np.zeros(1)}
+        p, v = np.array([0.0]), np.zeros(1)
         for _ in range(3):
-            sgd_step(p, {"w": np.array([2.0])}, v, lr=0.5, momentum=0.0)
-        assert p["w"][0] == pytest.approx(-3.0)
+            _sgd(p, np.array([2.0]), v, lr=0.5, momentum=0.0)
+        assert p[0] == pytest.approx(-3.0)
 
     def test_two_step_recurrence(self):
         # hand-evaluated: dp = -0.1, then -0.19, total -0.29
-        p = {"w": np.array([0.0])}
-        v = {"w": np.zeros(1)}
-        sgd_step(p, {"w": np.array([1.0])}, v, lr=0.1, momentum=0.9)
-        sgd_step(p, {"w": np.array([1.0])}, v, lr=0.1, momentum=0.9)
-        assert p["w"][0] == pytest.approx(-0.29)
+        p, v = np.array([0.0]), np.zeros(1)
+        _sgd(p, np.array([1.0]), v, lr=0.1, momentum=0.9)
+        _sgd(p, np.array([1.0]), v, lr=0.1, momentum=0.9)
+        assert p[0] == pytest.approx(-0.29)
 
     def test_nonfinite_gradient_rejected(self):
         with pytest.raises(NonFiniteGradient):
-            sgd_step({"w": np.zeros(1)}, {"w": np.array([np.nan])},
-                     {"w": np.zeros(1)}, 0.1, 0.9)
+            _sgd(np.zeros(1), np.array([np.nan]), np.zeros(1), 0.1, 0.9)
+
+    @pytest.mark.parametrize("name", PARAM_NAMES)
+    def test_nonfinite_gradient_names_first_and_writes_nothing(self, name):
+        model = EmbedderConfig(feat_dim=3, hidden_dim=4, emb_dim=2)
+        p = flatten_params(init_params(model, 3, seed=1))
+        v = np.linspace(-1.0, 1.0, p.size)
+        g = np.ones_like(p)
+        grads = unflatten_params(g, model, 3)
+        grads[name].flat[-1] = np.nan
+        for later in PARAM_NAMES[PARAM_NAMES.index(name) + 1:]:  # a later inf must not be the one named
+            grads[later].flat[0] = np.inf
+        p0, v0, g0 = p.copy(), v.copy(), g.copy()
+        with pytest.raises(NonFiniteGradient, match=f"gradient for {name} is not finite"):
+            sgd_step(p, g, v, 0.1, 0.9, grads)
+        assert np.array_equal(p, p0) and np.array_equal(v, v0)
+        assert np.array_equal(g, g0, equal_nan=True)
 
 
 @pytest.fixture(scope="module")
@@ -238,3 +275,137 @@ def test_metrics_csv_round_trip(tmp_path, training_corpus):
     first = lines[1].split(",")
     assert int(first[0]) == 1
     assert float(first[5]) == result.metrics[0].loss
+
+
+# ---------------------------------------------------------------------------
+# Reference loop: the training step as a dict per parameter
+# ---------------------------------------------------------------------------
+
+
+def _reference_forward(xbar, params):
+    a1 = xbar @ params["W1"].T + params["b1"]
+    h = np.maximum(a1, 0.0)
+    z = h @ params["W2"].T + params["b2"]
+    norms = np.linalg.norm(z, axis=1)
+    emb = z / norms[:, None]
+    return emb, (xbar, a1, h, norms)
+
+
+def _reference_backward(d_emb, emb, cache, params):
+    xbar, a1, h, norms = cache
+    radial = np.sum(d_emb * emb, axis=1, keepdims=True)
+    dz = (d_emb - radial * emb) / norms[:, None]
+    da1 = (dz @ params["W2"]) * (a1 > 0.0)
+    return {"W1": da1.T @ xbar, "b1": da1.sum(axis=0), "W2": dz.T @ h, "b2": dz.sum(axis=0)}
+
+
+def _reference_sgd_step(arrays, grads, velocities, lr, momentum):
+    for name, p in arrays.items():
+        g = grads[name]
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteGradient(f"gradient for {name} is not finite")
+        v = velocities[name]
+        v *= momentum
+        v -= lr * g
+        p += v
+
+
+def reference_fit(corpus, stage, model, seed, tag, plans, batch_of):
+    """The uninterrupted training loop, one array per parameter and per velocity."""
+    pooled = corpus.mean_frames()
+    total_steps = sum(len(p) for p in plans)
+    params = init_params(model, corpus.n_speakers, derive_key(mix64(seed), tag, "init"))
+    velocities = {k: np.zeros_like(v) for k, v in params.items()}
+    step, metrics = 0, []
+    denom = max(1, stage.epochs - 1)
+    for epoch in range(stage.epochs):
+        margin = schedule_value(epoch, denom, stage.loss.margin)
+        tau = schedule_value(epoch, denom, stage.loss.tau) if tag == "stage1" else 0.0
+        for batch in plans[epoch]:
+            segment_ids, batch_loss = batch_of(batch)
+            emb, cache = _reference_forward(pooled[segment_ids], params)
+            losses, d_c = batch_loss(emb @ params["P"].T, margin, tau)
+            d_c /= losses.shape[0]
+            grads = _reference_backward(d_c @ params["P"], emb, cache, params)
+            grads["P"] = d_c.T @ emb
+            step += 1
+            lr = lr_at(step, stage, total_steps)
+            _reference_sgd_step(params, grads, velocities, lr, stage.momentum)
+            P = params["P"]
+            P /= np.linalg.norm(P, axis=1, keepdims=True)
+            metrics.append(StepMetrics(step, epoch, lr, margin, tau, float(losses.mean())))
+    fingerprint = config_fingerprint(stage, model, seed, tag)
+    return TrainResult(Checkpoint(model, params, velocities, step, stage.epochs, fingerprint), metrics)
+
+
+def reference_stage1(corpus, stage, model, seed):
+    """Stage 1 with aggregate deriving each batch's bag map from its offsets."""
+    plans = [plan_epoch_stage1(corpus, stage.batch_size, trainer._epoch_seed(seed, "s1-epoch", e))
+             for e in range(stage.epochs)]
+    return reference_fit(corpus, stage, model, seed, "stage1", plans, lambda b: (b.segment_ids, recording_batch_loss(
+        stage.loss.aggregation, stage.loss.scale, b.offsets, b.targets)))
+
+
+def reference_stage2(corpus, selected, stage, model, seed, unknown_pool):
+    def plan(epoch):
+        active = bool(unknown_pool) and 0 <= stage.unknown_start_epoch <= epoch
+        return plan_epoch_stage2(selected, stage.batch_size, trainer._epoch_seed(seed, "s2-epoch", epoch),
+                                 unknown_pool=unknown_pool if active else None,
+                                 mix_fraction=stage.unknown_mix_fraction if active else 0.0)
+
+    return reference_fit(corpus, stage, model, seed, "stage2", [plan(e) for e in range(stage.epochs)],
+                         lambda b: (b.segment_ids, segment_batch_loss(stage.loss.scale, b.labels, b.known)))
+
+
+def _ckpt_bytes(ckpt):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(ckpt, Path(tmp) / "run.ckpt")
+        return (Path(tmp) / "run.ckpt").read_bytes()
+
+
+def _assert_same_run(got, want):
+    assert _ckpt_bytes(got.checkpoint) == _ckpt_bytes(want.checkpoint)
+    assert got.metrics == want.metrics
+
+
+def _resumed(train, resume_epoch):
+    """train(stop_after_epoch=resume_epoch), its checkpoint through a file, then the rest of the run."""
+    first = train(stop_after_epoch=resume_epoch)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(first.checkpoint, Path(tmp) / "half.ckpt")
+        rest = train(resume_from=load_checkpoint(Path(tmp) / "half.ckpt"))
+    return TrainResult(rest.checkpoint, first.metrics + rest.metrics)
+
+
+class TestMatchesReferenceLoop:
+    @settings(max_examples=16, deadline=None)
+    @given(st.sampled_from(["max", "lse"]), st.sampled_from([0.0, 0.2]),
+           st.sampled_from([Schedule.fixed(0.5), Schedule(0.5, 0.1)]), st.integers(16, 40),
+           st.integers(0, 2**32 - 1), st.sampled_from([None, 1, 2]))
+    def test_stage1(self, training_corpus, kind, margin, tau, batch_size, seed, resume_epoch):
+        stage = StageConfig(loss=LossConfig(aggregation=kind, margin=Schedule.fixed(margin), tau=tau),
+                            epochs=3, batch_size=batch_size)
+        want = reference_stage1(training_corpus, stage, MODEL, seed)
+        if resume_epoch is None:
+            got = train_stage1(training_corpus, stage, MODEL, seed)
+        else:
+            got = _resumed(lambda **kw: train_stage1(training_corpus, stage, MODEL, seed, **kw), resume_epoch)
+        _assert_same_run(got, want)
+        # plans made once and handed in, as the ablation grid does
+        _assert_same_run(train_stage1(training_corpus, stage, MODEL, seed,
+                                      plans=plan_stage1(training_corpus, stage, seed)), want)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from([-1, 0, 2]), st.sampled_from([0.0, 0.2]), st.integers(16, 40),
+           st.integers(0, 2**32 - 1), st.sampled_from([None, 1, 3]))
+    def test_stage2(self, training_corpus, stage2_inputs, unknown_start, margin, batch_size, seed, resume_epoch):
+        selected, pool = stage2_inputs
+        stage = StageConfig(loss=LossConfig(margin=Schedule(margin, margin + 0.1)), epochs=4,
+                            batch_size=batch_size, unknown_start_epoch=unknown_start)
+        want = reference_stage2(training_corpus, selected, stage, MODEL, seed, pool)
+        if resume_epoch is None:
+            got = train_stage2(training_corpus, selected, stage, MODEL, seed, unknown_pool=pool)
+        else:
+            got = _resumed(lambda **kw: train_stage2(training_corpus, selected, stage, MODEL, seed,
+                                                     unknown_pool=pool, **kw), resume_epoch)
+        _assert_same_run(got, want)
