@@ -746,13 +746,16 @@ class TestDeterminism:
         assert (a / "corpus.feat").read_bytes() != (b / "corpus.feat").read_bytes()
 
 
-def test_ablate_emits_grid(tmp_path):
+def test_ablate_emits_grid(tmp_path, monkeypatch):
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(SMALL + "\n[stage1]\nepochs = 4\n")
     out = tmp_path / "run"
     for cmd in ("gen", "diar"):
         assert main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
+    plan_calls, plan = [], weaksv.trainer.plan_epoch_stage1
+    monkeypatch.setattr(weaksv.trainer, "plan_epoch_stage1", lambda *a: plan_calls.append(a) or plan(*a))
     assert main(["ablate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert len(plan_calls) == 4  # one plan per stage-1 epoch, shared by the six variants
     report = json.loads((out / "report.json").read_text())
     assert sorted(report["ablation"]) == [
         "m1", "m2", "m3", "m4", "m5", "m6", "stage2_plain", "stage2_unknown"]
