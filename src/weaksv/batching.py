@@ -95,7 +95,7 @@ def plan_epoch_stage1(corpus: Corpus, target_batch_size: int, seed: int) -> list
     recording in shuffled order without a bag raises EmptyCluster, or
     BagTooLarge when its bag would exceed 1.1x the target.
     """
-    table = corpus.cluster_table()
+    table = corpus.table
     rng = Rng.from_seed(seed, "plan1")
     train = np.flatnonzero(~table.heldout)
     train = train[np.argsort(table.ids[train], kind="stable")]  # by recording id

@@ -119,7 +119,7 @@ def cmd_gen(cfg: cfgmod.RunConfig, args) -> None:
     save_manifest(corpus, out)
     save_oracle(corpus, out)
     save_trials(trials, out / corpusmod.TRIALS_NAME)
-    print(f"gen: {len(corpus.cluster_table().ids)} recordings, {len(corpus.segments)} segments, "
+    print(f"gen: {len(corpus.table.ids)} recordings, {len(corpus.segments)} segments, "
           f"{len(trials)} trials -> {out}")
 
 
@@ -129,7 +129,7 @@ def cmd_diar(cfg: cfgmod.RunConfig, args) -> None:
     corpus = apply_diarization(load_manifest(out), diar)
     _snapshot_config(cfg, out)
     save_manifest(corpus, out)  # new clusters; the segment table and its means are written back unchanged
-    table = corpus.cluster_table()
+    table = corpus.table
     print(f"diar: rewrote clusters for {len(table.ids)} recordings ({len(table.sizes)} clusters)")
 
 
@@ -235,46 +235,6 @@ COMMANDS = {"gen": cmd_gen, "diar": cmd_diar, "train1": cmd_train1, "select": cm
             "train2": cmd_train2, "eval": cmd_eval, "ablate": cmd_ablate, "schema": cmd_schema}
 
 
-def _no_hugepage_advice() -> None:
-    """Stop numpy from asking the kernel for huge pages (madvise) on big arrays.
-
-    With the advice, arrays of 4 MiB and more are backed by 2 MiB pages when
-    the kernel has some free and khugepaged gets round to them, so the same
-    run's resident memory moved by whole huge pages from one process to the
-    next. Without it, memory use depends on the data alone.
-    """
-    core = getattr(np, "_core", None) or np.core
-    core.multiarray._set_madvise_hugepage(False)
-
-
-# malloc serves a block of this many bytes or more from freshly mapped pages.
-MMAP_THRESHOLD = 4 << 20
-
-
-def _pin_malloc_thresholds() -> None:
-    """Fix glibc's mmap threshold at MMAP_THRESHOLD (4 MiB) and its trim threshold at 32 MiB.
-
-    glibc raises both each time a large mapped block is freed (the mmap
-    threshold up to 32 MiB), and then serves such blocks from the heap,
-    where they stay resident after they are freed. So the same `scale`
-    pass peaked at about 92 or about 111 MiB depending on what the process
-    had freed before. Fixed thresholds turn that adjustment off: blocks of
-    4 MiB and more are always mapped and returned when freed, and smaller
-    ones reuse up to 32 MiB of heap, as they did with raised thresholds.
-    (At the 128 KiB default, mapping every mid-sized array made a `scale`
-    pass 50% slower.) Other C libraries are left as they are.
-    """
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-3, MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
-    mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="weaksv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -295,8 +255,6 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("schema", help="print the configuration schema")
 
     args = parser.parse_args(argv)
-    _no_hugepage_advice()
-    _pin_malloc_thresholds()
     try:
         cfg = None
         if "config" in args:  # every command but schema runs on a configuration

@@ -151,8 +151,6 @@ def _parse_value(kind: str, raw: str, where: str):
                 a, b = raw.split("->")
                 return Schedule(float(a), float(b))
             return Schedule.fixed(float(raw))
-    except ConfigError:
-        raise
     except Exception as exc:
         raise ConfigError(f"{where}: cannot parse {raw!r} as {kind}: {exc}") from exc
     raise ConfigError(f"{where}: unknown kind {kind}")

@@ -138,9 +138,6 @@ class Corpus:
         """
         return self.segments.means
 
-    def cluster_table(self) -> ClusterTable:
-        return self.table
-
 
 def pool_frames(frames: np.ndarray, lengths: np.ndarray, out: np.ndarray) -> None:
     """Write to out the frame means of consecutive segments: segment i is the next lengths[i] rows of frames.
@@ -178,7 +175,7 @@ def validate_corpus(corpus: Corpus) -> list[ValidationIssue]:
     every recording has clusters, none empty, that hold each segment at
     most once and some speech of the recording's target; the targets are
     exactly the speaker ids 0..n_speakers-1. The cluster checks run on the
-    corpus's cluster_table(), in less than half the time of a loop over them.
+    corpus's cluster table, in less than half the time of a loop over them.
     """
     segments, n_speakers = corpus.segments, corpus.n_speakers
     issues = [("EmptySegment", f"segment {sid} has no frames")
@@ -187,7 +184,7 @@ def validate_corpus(corpus: Corpus) -> list[ValidationIssue]:
     issues += [("NonFiniteFeatures", f"segment {sid} contains NaN or inf")
                for sid in np.flatnonzero(~np.isfinite(segments.means).all(axis=1)).tolist()]
 
-    table = corpus.cluster_table()
+    table = corpus.table
     ids, targets, n_clusters, sizes, members = (
         table.ids.tolist(), table.targets, table.n_clusters, table.sizes, table.members)
     cluster_owner = np.repeat(np.arange(len(ids)), n_clusters)
@@ -229,7 +226,7 @@ def assign_heldout_split(corpus: Corpus, heldout_fraction: float, seed: int) -> 
     training. The corpus returned shares the cluster table's arrays but
     the new held-out flags.
     """
-    table = corpus.cluster_table()
+    table = corpus.table
     heldout = np.zeros(table.ids.size, dtype=bool)
     by_speaker = np.lexsort((table.ids, table.targets))  # each speaker's recordings by id
     for recs in np.split(by_speaker, np.flatnonzero(np.diff(table.targets[by_speaker])) + 1):
@@ -251,7 +248,7 @@ def split_trials(corpus: Corpus, n_target: int, n_nontarget: int, seed: int) -> 
     """
     rng = Rng.from_seed(seed, "trials")
     # speaker -> recording -> held-out segments with that oracle label, in cluster-table order
-    table, oracle = corpus.cluster_table(), corpus.segments.oracle
+    table, oracle = corpus.table, corpus.segments.oracle
     owner = table.owners()
     held = np.flatnonzero(table.heldout[owner])
     held = held[oracle[table.members[held]] >= 0]
@@ -331,7 +328,7 @@ def save_manifest(corpus: Corpus, directory: str | Path) -> None:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    table, segments = corpus.cluster_table(), corpus.segments
+    table, segments = corpus.table, corpus.segments
     arrays = (table.ids, table.targets, table.heldout, table.n_clusters, table.sizes, table.members,
               segments.oracle, segments.n_frames)
     header = IDX_HEADER.pack(IDX_MAGIC, IDX_VERSION, len(table.ids), len(table.sizes), len(table.members),

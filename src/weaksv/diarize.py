@@ -84,7 +84,7 @@ def apply_diarization(corpus: Corpus, cfg: DiarConfig) -> Corpus:
     no cluster, as a manifest round trip reconstructs them. Raises
     EmptyRecording for a recording without segments to cluster.
     """
-    table, oracle = corpus.cluster_table(), corpus.segments.oracle
+    table, oracle = corpus.table, corpus.segments.oracle
     n_rec = table.ids.size
     keys = derive_keys(Rng.from_seed(cfg.seed, "diar").key, table.ids)
     owner = table.owners()

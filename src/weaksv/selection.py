@@ -123,7 +123,7 @@ def score_train_segments(corpus: Corpus, checkpoint: Checkpoint, scale: float = 
 
 def _train_members(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
     """Every cluster member of a training recording and that recording's target, in cluster-table order."""
-    table = corpus.cluster_table()
+    table = corpus.table
     owner = table.owners()
     train = ~table.heldout[owner]
     return table.members[train], table.targets[owner[train]]

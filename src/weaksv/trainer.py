@@ -80,13 +80,6 @@ def lr_at(step: int, stage: StageConfig, total_steps: int) -> float:
     return stage.lr_max * (stage.lr_final / stage.lr_max) ** frac
 
 
-def schedule_value(epoch: int, total_epochs: int, schedule: Schedule) -> float:
-    """Linear interpolation of a schedule across an epoch range."""
-    if total_epochs <= 0:
-        return schedule.end
-    return schedule.at(epoch / total_epochs)
-
-
 def sgd_step(p: np.ndarray, g: np.ndarray, v: np.ndarray, lr: float, momentum: float,
              grads: dict[str, np.ndarray]) -> None:
     """In-place momentum update of flat vectors: v <- momentum*v - lr*g; p <- p + v.
@@ -190,8 +183,8 @@ def _fit(corpus: Corpus, stage: StageConfig, model: EmbedderConfig, seed: int, t
     denom = max(1, stage.epochs - 1)
     metrics: list[StepMetrics] = []
     for epoch in range(start_epoch, end_epoch):
-        margin = schedule_value(epoch, denom, stage.loss.margin)
-        tau = schedule_value(epoch, denom, stage.loss.tau) if tag == "stage1" else 0.0
+        margin = stage.loss.margin.at(epoch / denom)
+        tau = stage.loss.tau.at(epoch / denom) if tag == "stage1" else 0.0
         for batch in plans[epoch]:
             segment_ids, batch_loss = batch_of(batch)
             loss = loss_and_grads(params, pooled[segment_ids], batch_loss, margin, tau, grads)

@@ -602,16 +602,16 @@ def test_loaded_table_and_recordings_agree(tmp_path_factory, table):
     save_manifest(corpus, path)
     loaded = load_manifest(path)
     assert _facts(loaded) == _facts(corpus)
-    rebuilt = corpus_of(loaded.n_speakers, loaded.recordings, loaded.segments).cluster_table()
-    assert _table_facts(loaded.cluster_table()) == _table_facts(rebuilt)
-    assert _table_facts(rebuilt) == _table_facts(corpus.cluster_table())
+    rebuilt = corpus_of(loaded.n_speakers, loaded.recordings, loaded.segments).table
+    assert _table_facts(loaded.table) == _table_facts(rebuilt)
+    assert _table_facts(rebuilt) == _table_facts(corpus.table)
 
 
 def test_cluster_table_is_read_only(tmp_path, small_corpus):
     save_manifest(small_corpus, tmp_path)
     for corpus in (load_manifest(tmp_path), small_corpus):
         with pytest.raises(ValueError):
-            corpus.cluster_table().members[0] = 1
+            corpus.table.members[0] = 1
 
 
 # ---------------------------------------------------------------------------

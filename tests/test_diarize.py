@@ -245,7 +245,7 @@ class TestApplyDiarization:
 
 
 def _table(corpus):
-    t = corpus.cluster_table()
+    t = corpus.table
     return [a.tolist() for a in (t.ids, t.targets, t.heldout, t.n_clusters, t.sizes, t.members)]
 
 

@@ -230,7 +230,7 @@ def _assert_plan_matches_reference(cfg):
         got = getattr(plan, name)
         assert got.dtype == (np.uint64 if name == "key" else np.int64), name
         assert got.tolist() == want, name
-    assert _table_lists(plan.table) == _table_lists(corpus_of(cfg.n_speakers, recordings, None).cluster_table())
+    assert _table_lists(plan.table) == _table_lists(corpus_of(cfg.n_speakers, recordings, None).table)
 
 
 PLAN_EDGES = {

@@ -34,7 +34,6 @@ from weaksv.trainer import (
     plan_stage1,
     recording_batch_loss,
     save_metrics_csv,
-    schedule_value,
     segment_batch_loss,
     sgd_step,
     train_stage1,
@@ -73,11 +72,11 @@ class TestLrSchedule:
 class TestScheduleValue:
     def test_endpoints(self):
         sched = Schedule(0.1, 0.3)
-        assert schedule_value(0, 10, sched) == pytest.approx(0.1)
-        assert schedule_value(10, 10, sched) == pytest.approx(0.3)
+        assert sched.at(0.0) == pytest.approx(0.1)
+        assert sched.at(1.0) == pytest.approx(0.3)
 
     def test_midpoint(self):
-        assert schedule_value(5, 10, Schedule(0.5, 0.1)) == pytest.approx(0.3)
+        assert Schedule(0.5, 0.1).at(0.5) == pytest.approx(0.3)
 
 
 def _sgd(p, g, v, lr, momentum):
@@ -319,8 +318,8 @@ def reference_fit(corpus, stage, model, seed, tag, plans, batch_of):
     step, metrics = 0, []
     denom = max(1, stage.epochs - 1)
     for epoch in range(stage.epochs):
-        margin = schedule_value(epoch, denom, stage.loss.margin)
-        tau = schedule_value(epoch, denom, stage.loss.tau) if tag == "stage1" else 0.0
+        margin = stage.loss.margin.at(epoch / denom)
+        tau = stage.loss.tau.at(epoch / denom) if tag == "stage1" else 0.0
         for batch in plans[epoch]:
             segment_ids, batch_loss = batch_of(batch)
             emb, cache = _reference_forward(pooled[segment_ids], params)
