@@ -141,32 +141,32 @@ def plan_epoch_stage1(corpus: Corpus, target_batch_size: int, seed: int) -> list
 
 
 def plan_epoch_stage2(
-    selected: list[tuple[int, int]],
+    selected: np.ndarray,
     target_batch_size: int,
     seed: int,
-    unknown_pool: list[int] | None = None,
+    unknown_pool: np.ndarray | None = None,
     mix_fraction: float = 0.0,
 ) -> list[SegmentBatch]:
-    """Fixed-size segment batches over (segment_id, label) pairs.
+    """Fixed-size segment batches over an (n, 2) int64 array of (segment_id, label) rows.
 
-    With an active unknown pool, each batch holds round(mix_fraction *
-    batch size) rows sampled from the pool (with replacement); that count
-    must stay below the batch size, as the run configuration's rules
-    require, so every batch keeps a known row. The pool draws follow the
-    shuffle's on the same stream, batch by batch.
+    With a pool of segment ids that has rows, each batch holds
+    round(mix_fraction * batch size) rows sampled from the pool (with
+    replacement); that count must stay below the batch size, as the run
+    configuration's rules require, so every batch keeps a known row. The
+    pool draws follow the shuffle's on the same stream, batch by batch.
     """
-    n_unknown = round(mix_fraction * target_batch_size) if unknown_pool else 0
+    pool = np.empty(0, dtype=np.int64) if unknown_pool is None else unknown_pool
+    n_unknown = round(mix_fraction * target_batch_size) if len(pool) else 0
     known_per_batch = target_batch_size - n_unknown
 
     rng = Rng.from_seed(seed, "plan2")
-    pairs = np.array(selected, dtype=np.int64).reshape(-1, 2)[_permutation(rng, len(selected))]
-    starts = range(0, len(pairs), known_per_batch)
-    pool = np.array(unknown_pool or [], dtype=np.int64)
+    rows = selected[_permutation(rng, len(selected))]
+    starts = range(0, len(rows), known_per_batch)
     drawn = pool[rng.randints(np.full(len(starts) * n_unknown, len(pool)))]
 
     batches: list[SegmentBatch] = []
     for b, start in enumerate(starts):
-        chunk = pairs[start:start + known_per_batch]
+        chunk = rows[start:start + known_per_batch]
         batches.append(SegmentBatch(
             np.concatenate([chunk[:, 0], drawn[b * n_unknown:(b + 1) * n_unknown]]),
             np.concatenate([chunk[:, 1], np.full(n_unknown, UNKNOWN, dtype=np.int64)]),

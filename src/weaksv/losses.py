@@ -15,7 +15,7 @@ for cosine inputs); its gradient is the softmax of v/tau, identical to
 the unnormalized form.
 
 Every function works on a whole mini-batch at once: `aggregate` pools
-all bags of a stage-1 batch given their start offsets, and the margin
+all bags of a stage-1 batch given the planner's bag map, and the margin
 losses take one row per bag or segment with a target per row. A
 training step therefore makes one loss call (two on stage-1 and
 unknown-class steps) instead of one per bag or row.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, NoKnownExamples
+from .errors import NoKnownExamples
 
 MAX = "max"
 LSE = "lse"
@@ -84,27 +84,18 @@ class Aggregation:
 
 
 def aggregate(
-    c_seg: np.ndarray, kind: str, tau: float | None = None, *, offsets: np.ndarray,
-    sizes: np.ndarray | None = None, bag_of_row: np.ndarray | None = None
+    c_seg: np.ndarray, kind: str, tau: float | None = None, *, offsets: np.ndarray, sizes: np.ndarray,
+    bag_of_row: np.ndarray
 ) -> Aggregation:
     """Per-class reduction of a (rows, n_classes) cosine matrix, bag by bag.
 
-    offsets holds the first row of each bag (strictly increasing from 0).
-    sizes and bag_of_row are each bag's row count and each row's bag, as
-    the stage-1 planner builds them; without them they are built here,
-    and a bag without rows raises EmptyInput. MAX keeps, per bag and
-    class, the first row attaining the maximum (the np.argmax tie rule) so
-    gradients flow only through it; LSE spreads them with softmax(v/tau)
-    weights.
+    offsets, sizes and bag_of_row are the stage-1 planner's bag map: each
+    bag's first row (strictly increasing from 0), its row count, and each
+    row's bag. MAX keeps, per bag and class, the first row attaining the
+    maximum (the np.argmax tie rule) so gradients flow only through it;
+    LSE spreads them with softmax(v/tau) weights.
     """
     n_rows = c_seg.shape[0]
-    if bag_of_row is None:
-        offsets = np.asarray(offsets, dtype=np.intp).ravel()
-        if (n_rows < 1 or offsets.size < 1 or offsets[0] != 0 or offsets[-1] >= n_rows
-                or (np.diff(offsets) <= 0).any()):
-            raise EmptyInput("empty bag")
-        sizes = np.diff(np.append(offsets, n_rows))
-        bag_of_row = np.repeat(np.arange(offsets.size), sizes)
     vmax = np.maximum.reduceat(c_seg, offsets, axis=0)
     if kind == MAX:
         rows = np.arange(n_rows)[:, None]

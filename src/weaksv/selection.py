@@ -21,13 +21,18 @@ never rows x speakers. Per row the
 arithmetic (rank tie rule, max-shifted exp sum, math.log) is that of a
 row-by-row loop over the whole cosine matrix, so its results equal that
 loop's bit for bit.
+
+The selection is an (n, 2) int64 array of (segment_id, label) rows in
+ascending segment id, with a parallel array of scores; the pool is
+three parallel arrays. Their JSON-lines files load back as the same
+id arrays, which the stage-2 planner reads as they are.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,18 +61,18 @@ class SelectionStats:
 
 @dataclass
 class SelectionResult:
-    # (segment_id, label); the label is always the recording's target
-    selected: list[tuple[int, int]]
-    scores: dict[int, float] = field(default_factory=dict)  # winning cosine
-    stats: SelectionStats | None = None
+    selected: np.ndarray  # (n, 2) int64 rows (segment_id, label) in ascending segment id; the label is the target
+    scores: np.ndarray  # each row's winning cosine
+    stats: SelectionStats
 
 
 @dataclass
 class UnknownPool:
-    # ordered by descending confidence
-    segment_ids: list[int]
-    lse_scores: dict[int, float] = field(default_factory=dict)
-    target_ranks: dict[int, int] = field(default_factory=dict)
+    """Parallel arrays, ordered by descending confidence."""
+
+    segment_ids: np.ndarray  # int64
+    lse_scores: np.ndarray
+    target_ranks: np.ndarray  # int64
 
 
 @dataclass
@@ -132,32 +137,25 @@ def _train_members(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
 def self_label(corpus: Corpus, scored: ScoredSegments) -> SelectionResult:
     """Keep each diarized segment iff its argmax class equals the target."""
     rows = np.flatnonzero(scored.predicted == scored.targets)
-    kept = scored.segment_ids[rows].tolist()
-    selected = list(zip(kept, scored.targets[rows].tolist()))
-    scores = dict(zip(kept, scored.target_cosines[rows].tolist()))
-    result = SelectionResult(selected, scores)
-    result.stats = selection_stats(result, corpus)
-    return result
+    selected = np.column_stack([scored.segment_ids[rows], scored.targets[rows]])
+    return SelectionResult(selected, scored.target_cosines[rows], selection_stats(selected, corpus))
 
 
-def selection_stats(result: SelectionResult, corpus: Corpus) -> SelectionStats:
-    """Precision/recall of the selection against the oracle labels."""
+def selection_stats(selected: np.ndarray, corpus: Corpus) -> SelectionStats:
+    """Precision/recall of the (segment_id, label) rows selected against the oracle labels."""
     n_frames = corpus.segments.n_frames
     members, targets = _train_members(corpus)
     hits = members[corpus.segments.oracle[members] == targets]  # oracle-positive: voices its recording's target
     oracle_target = np.zeros(len(corpus.segments), dtype=bool)
     oracle_target[hits] = True
     n_oracle = int(np.count_nonzero(oracle_target))
-    selected = np.array([sid for sid, _ in result.selected], dtype=np.int64)
-    correct = int(np.count_nonzero(oracle_target[selected]))
-    coverage: dict[int, int] = {}
-    for _, label in result.selected:
-        coverage[label] = coverage.get(label, 0) + 1
-    empty = not result.selected
-    precision = 0.0 if empty else correct / len(result.selected)
-    recall = 0.0 if not n_oracle else correct / n_oracle
-    return SelectionStats(precision, recall, len(result.selected), n_oracle,
-                          int(n_frames[selected].sum()), int(n_frames[hits].sum()), coverage, empty)
+    sids, n_selected = selected[:, 0], len(selected)
+    correct = int(np.count_nonzero(oracle_target[sids]))
+    labels, counts = np.unique(selected[:, 1], return_counts=True)
+    precision = correct / n_selected if n_selected else 0.0
+    recall = correct / n_oracle if n_oracle else 0.0
+    return SelectionStats(precision, recall, n_selected, n_oracle, int(n_frames[sids].sum()),
+                          int(n_frames[hits].sum()), dict(zip(labels.tolist(), counts.tolist())), not n_selected)
 
 
 def select_unknown_pool(scored: ScoredSegments, top_k: int = 10, fraction: float = 0.05) -> UnknownPool:
@@ -175,9 +173,7 @@ def select_unknown_pool(scored: ScoredSegments, top_k: int = 10, fraction: float
     # descending LSE, ties by ascending segment id
     rows = rows[np.lexsort((scored.segment_ids[rows], -scored.lse[rows]))]
     kept = rows[:math.ceil(fraction * rows.size)]
-    sids = scored.segment_ids[kept].tolist()
-    return UnknownPool(sids, dict(zip(sids, scored.lse[kept].tolist())),
-                       dict(zip(sids, scored.target_ranks[kept].tolist())))
+    return UnknownPool(scored.segment_ids[kept], scored.lse[kept], scored.target_ranks[kept])
 
 
 # ---------------------------------------------------------------------------
@@ -187,25 +183,16 @@ def select_unknown_pool(scored: ScoredSegments, top_k: int = 10, fraction: float
 
 def save_selection(result: SelectionResult, directory: str | Path) -> None:
     directory = Path(directory)
-    lines = [json.dumps({"segment_id": sid, "label": lab, "score": result.scores.get(sid)})
-             for sid, lab in sorted(result.selected)]
+    lines = [json.dumps({"segment_id": sid, "label": label, "score": score})
+             for (sid, label), score in zip(result.selected.tolist(), result.scores.tolist())]
     atomic_write(directory / "selection.jsonl", "\n".join(lines) + ("\n" if lines else ""))
-    st = result.stats
-    payload = {
-        "precision": st.precision,
-        "recall": st.recall,
-        "selected_count": st.selected_count,
-        "oracle_target_count": st.oracle_target_count,
-        "selected_frames": st.selected_frames,
-        "oracle_target_frames": st.oracle_target_frames,
-        "per_speaker_coverage": {str(k): v for k, v in sorted(st.per_speaker_coverage.items())},
-        "empty_selection": st.empty_selection,
-    }
+    payload = asdict(result.stats)
+    payload["per_speaker_coverage"] = {str(k): v for k, v in payload["per_speaker_coverage"].items()}
     atomic_write(directory / "selection_stats.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _read_int_records(path: Path, limits: dict[str, int]) -> list[tuple[int, ...]]:
-    """The fields named in limits of every record of a JSON-lines file, in file order.
+def _read_int_records(path: Path, limits: dict[str, int]) -> np.ndarray:
+    """The fields named in limits of every record of a JSON-lines file: an int64 row per record, in file order.
 
     Raises CorruptArtifact for a line that is not a JSON object holding
     each field as an integer in 0..limit-1: ids and labels index rows, so
@@ -224,19 +211,21 @@ def _read_int_records(path: Path, limits: dict[str, int]) -> list[tuple[int, ...
             fields = ", ".join(f"{key} in 0..{n - 1}" for key, n in limits.items())
             raise CorruptArtifact(f"{path} line {lineno} is not a record with integer {fields}")
         out.append(values)
-    return out
+    return np.array(out, dtype=np.int64).reshape(-1, len(limits))
 
 
-def load_selection(directory: str | Path, n_segments: int, n_speakers: int) -> list[tuple[int, int]]:
+def load_selection(directory: str | Path, n_segments: int, n_speakers: int) -> np.ndarray:
+    """selection.jsonl's (segment_id, label) rows, as the (n, 2) int64 array save_selection wrote."""
     return _read_int_records(Path(directory) / "selection.jsonl", {"segment_id": n_segments, "label": n_speakers})
 
 
 def save_unknown_pool(pool: UnknownPool, directory: str | Path) -> None:
-    lines = [json.dumps({"segment_id": sid, "lse_score": pool.lse_scores[sid],
-                         "target_rank": pool.target_ranks[sid]})
-             for sid in pool.segment_ids]
+    lines = [json.dumps({"segment_id": sid, "lse_score": lse, "target_rank": rank})
+             for sid, lse, rank in zip(pool.segment_ids.tolist(), pool.lse_scores.tolist(),
+                                       pool.target_ranks.tolist())]
     atomic_write(Path(directory) / "unknown_pool.jsonl", "\n".join(lines) + ("\n" if lines else ""))
 
 
-def load_unknown_pool(directory: str | Path, n_segments: int) -> list[int]:
-    return [sid for sid, in _read_int_records(Path(directory) / "unknown_pool.jsonl", {"segment_id": n_segments})]
+def load_unknown_pool(directory: str | Path, n_segments: int) -> np.ndarray:
+    """unknown_pool.jsonl's segment ids, in file order, as an int64 array."""
+    return _read_int_records(Path(directory) / "unknown_pool.jsonl", {"segment_id": n_segments})[:, 0]

@@ -28,7 +28,7 @@ from .batching import BagBatch, plan_epoch_stage1, plan_epoch_stage2
 from .corpus import Corpus
 from .embedder import (Checkpoint, EmbedderConfig, backward_pooled, flatten_params, forward_pooled, init_params,
                        unflatten_params)
-from .errors import ConfigError, NonFiniteGradient
+from .errors import ConfigError, EmptyInput, NonFiniteGradient
 from .fileio import atomic_write
 from .losses import (
     LossConfig,
@@ -110,12 +110,12 @@ class TrainResult:
     metrics: list[StepMetrics]
 
 
-def recording_batch_loss(kind: str, s: float, offsets: np.ndarray, targets: np.ndarray,
-                         sizes: np.ndarray | None = None, bag_of_row: np.ndarray | None = None):
+def recording_batch_loss(kind: str, s: float, targets: np.ndarray, offsets: np.ndarray, sizes: np.ndarray,
+                         bag_of_row: np.ndarray):
     """Stage 1: pool each bag's rows per class, then margin cross-entropy per bag.
 
-    offsets holds each bag's first row, targets its recording's label;
-    sizes and bag_of_row, if given, are the planner's bag map.
+    targets holds each bag's recording label; offsets, sizes and
+    bag_of_row are the planner's bag map (see losses.aggregate).
     """
     def batch_loss(cos: np.ndarray, margin: float, tau: float):
         agg = aggregate(cos, kind, tau, offsets=offsets, sizes=sizes, bag_of_row=bag_of_row)
@@ -222,8 +222,8 @@ def train_stage1(
     """
 
     def batch_of(batch):
-        return batch.segment_ids, recording_batch_loss(stage.loss.aggregation, stage.loss.scale, batch.offsets,
-                                                       batch.targets, batch.sizes, batch.bag_of_row)
+        return batch.segment_ids, recording_batch_loss(stage.loss.aggregation, stage.loss.scale, batch.targets,
+                                                       batch.offsets, batch.sizes, batch.bag_of_row)
 
     return _fit(corpus, stage, model, seed, "stage1", plan_stage1(corpus, stage, seed) if plans is None else plans,
                 batch_of, resume_from, stop_after_epoch)
@@ -231,29 +231,31 @@ def train_stage1(
 
 def train_stage2(
     corpus: Corpus,
-    selected: list[tuple[int, int]],
+    selected: np.ndarray,
     stage: StageConfig,
     model: EmbedderConfig,
     seed: int,
-    unknown_pool: list[int] | None = None,
+    unknown_pool: np.ndarray | None = None,
     resume_from: Checkpoint | None = None,
     stop_after_epoch: int | None = None,
 ) -> TrainResult:
     """Fully supervised per-segment training on self-labeled data.
 
-    From unknown_start_epoch on (if >= 0 and a pool is given), batches mix
+    selected holds (segment_id, label) rows and unknown_pool segment ids,
+    as selection.load_selection and load_unknown_pool return them. From
+    unknown_start_epoch on (if >= 0 and the pool has rows), batches mix
     unknown-pool rows and the loss switches to the extended cross-entropy
-    with the extra prototype-free class.
+    with the extra prototype-free class. An empty selection raises
+    EmptyInput.
     """
-    if not selected:
-        raise ConfigError("stage-2 selection is empty")
+    if not len(selected):
+        raise EmptyInput("stage-2 selection is empty")
 
     def plan_epoch(epoch):
-        active = bool(unknown_pool) and 0 <= stage.unknown_start_epoch <= epoch
-        return plan_epoch_stage2(
-            selected, stage.batch_size, _epoch_seed(seed, "s2-epoch", epoch),
-            unknown_pool=unknown_pool if active else None,
-            mix_fraction=stage.unknown_mix_fraction if active else 0.0)
+        active = 0 <= stage.unknown_start_epoch <= epoch
+        return plan_epoch_stage2(selected, stage.batch_size, _epoch_seed(seed, "s2-epoch", epoch),
+                                 unknown_pool=unknown_pool,
+                                 mix_fraction=stage.unknown_mix_fraction if active else 0.0)
 
     def batch_of(batch):
         return batch.segment_ids, segment_batch_loss(stage.loss.scale, batch.labels, batch.known)

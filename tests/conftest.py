@@ -146,6 +146,12 @@ def small_frames(small_generated):
 # ---------------------------------------------------------------------------
 
 
+def bag_map(sizes):
+    """The stage-1 planner's bag map for consecutive bags of these row counts, as aggregate's keyword arguments."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    return {"offsets": np.cumsum(sizes) - sizes, "sizes": sizes, "bag_of_row": np.repeat(np.arange(sizes.size), sizes)}
+
+
 def composite_loss(theta, cfg, n_speakers, xbar, path, *, target=0, s=30.0, m=0.1,
                    tau=0.5, labels=None, known_mask=None, extra_col=None):
     """(loss, flat analytic gradient) of one training step at parameters theta.
@@ -160,7 +166,7 @@ def composite_loss(theta, cfg, n_speakers, xbar, path, *, target=0, s=30.0, m=0.
     """
     n_rows = len(xbar)
     if path in ("max", "lse"):
-        batch_loss = recording_batch_loss(path, s, np.zeros(1, dtype=np.intp), np.array([target]))
+        batch_loss = recording_batch_loss(path, s, np.array([target]), **bag_map([n_rows]))
     elif path == "stage2":
         batch_loss = segment_batch_loss(s, np.full(n_rows, target), np.ones(n_rows, dtype=bool))
     elif path == "extended":

@@ -29,7 +29,7 @@ from weaksv.synth import SynthConfig, generate_corpus
 from weaksv.trainer import train_stage1, train_stage2
 from weaksv.config import load_run_config
 
-from conftest import central_difference, composite_loss, max_relative_error
+from conftest import bag_map, central_difference, composite_loss, max_relative_error
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,7 @@ def test_ac01_gradient_suite():
 
 def _lse_pool(v, tau):
     """The LSE pool of one bag as stage-1 training computes it."""
-    return aggregate(v[:, None], LSE, tau, offsets=[0]).c_rec[0, 0]
+    return aggregate(v[:, None], LSE, tau, **bag_map([len(v)])).c_rec[0, 0]
 
 
 def test_ac02_pooling_laws():

@@ -54,7 +54,8 @@ def reference_stage1(corpus, target_batch_size, seed):
 
 
 def reference_stage2(selected, target_batch_size, seed, unknown_pool=None, mix_fraction=0.0):
-    """plan_epoch_stage2 as a loop over rows; each batch is a list of (segment id, label, known)."""
+    """plan_epoch_stage2 as a loop over (segment id, label) pairs and a list of pool ids; each batch is a list
+    of (segment id, label, known)."""
     n_unknown = round(mix_fraction * target_batch_size) if unknown_pool else 0
     known_per_batch = target_batch_size - n_unknown
     rng = Rng.from_seed(seed, "plan2")
@@ -247,7 +248,7 @@ class TestPlanEpochStage1:
 
 
 class TestPlanEpochStage2:
-    SELECTED = [(i, i % 4) for i in range(1000)]
+    SELECTED = np.column_stack([np.arange(1000), np.arange(1000) % 4])
 
     def test_chunking(self):
         batches = plan_epoch_stage2(self.SELECTED, 100, seed=1)
@@ -257,26 +258,26 @@ class TestPlanEpochStage2:
     def test_epoch_covers_selection_once(self):
         batches = plan_epoch_stage2(self.SELECTED, 64, seed=2)
         seen = sorted(sid for b in batches for sid in b.segment_ids.tolist())
-        assert seen == [i for i, _ in self.SELECTED]
+        assert seen == self.SELECTED[:, 0].tolist()
 
     def test_unknown_mixing_counts(self):
-        pool = list(range(5000, 5040))
+        pool = np.arange(5000, 5040)
         batches = plan_epoch_stage2(self.SELECTED, 100, seed=3, unknown_pool=pool, mix_fraction=0.1)
         for batch in batches[:-1]:
             unknown = ~batch.known
             assert unknown.sum() == 10
             assert batch.size == 100
             assert (batch.labels[unknown] == UNKNOWN).all()
-            assert set(batch.segment_ids[unknown].tolist()) <= set(pool)
+            assert set(batch.segment_ids[unknown].tolist()) <= set(pool.tolist())
             assert batch.known.sum() >= 1
 
     def test_deterministic(self):
-        a = plan_epoch_stage2(self.SELECTED, 64, seed=6, unknown_pool=[1, 2, 3], mix_fraction=0.05)
-        b = plan_epoch_stage2(self.SELECTED, 64, seed=6, unknown_pool=[1, 2, 3], mix_fraction=0.05)
+        a = plan_epoch_stage2(self.SELECTED, 64, seed=6, unknown_pool=np.array([1, 2, 3]), mix_fraction=0.05)
+        b = plan_epoch_stage2(self.SELECTED, 64, seed=6, unknown_pool=np.array([1, 2, 3]), mix_fraction=0.05)
         assert _rows(a) == _rows(b)
 
     def test_batch_dtypes(self):
-        [batch] = plan_epoch_stage2(self.SELECTED[:50], 64, seed=7, unknown_pool=[1, 2], mix_fraction=0.1)
+        [batch] = plan_epoch_stage2(self.SELECTED[:50], 64, seed=7, unknown_pool=np.array([1, 2]), mix_fraction=0.1)
         assert batch.segment_ids.dtype == batch.labels.dtype == np.int64
         assert batch.known.dtype == bool
 
@@ -288,5 +289,6 @@ class TestPlanEpochStage2:
         selected = list(zip(draw.permutation(n_selected * 3)[:n_selected].tolist(),
                             draw.integers(0, 40, n_selected).tolist()))
         pool = draw.integers(10_000, 10_100, pool_size).tolist() or None
-        assert _rows(plan_epoch_stage2(selected, target, seed, unknown_pool=pool, mix_fraction=mix)) == \
-            reference_stage2(selected, target, seed, unknown_pool=pool, mix_fraction=mix)
+        planned = plan_epoch_stage2(np.array(selected, dtype=np.int64).reshape(-1, 2), target, seed,
+                                    unknown_pool=None if pool is None else np.array(pool), mix_fraction=mix)
+        assert _rows(planned) == reference_stage2(selected, target, seed, unknown_pool=pool, mix_fraction=mix)

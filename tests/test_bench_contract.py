@@ -11,6 +11,7 @@ without any error.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import train_recordings
@@ -34,10 +35,10 @@ def corpus(small_corpus):
 def test_tracer_counts_every_step_and_restores(corpus):
     points = tracing.patch_points()  # raises if a patched name no longer exists
     originals = [vars(owner)[attr] for owner, attr in points]
-    selected = [(sid, rec.target) for rec in train_recordings(corpus) for sid in rec.segment_ids()
-                if corpus.segments.oracle[sid] == rec.target]
-    pool = [sid for rec in train_recordings(corpus) for sid in rec.segment_ids()
-            if corpus.segments.oracle[sid] < 0]
+    selected = np.array([(sid, rec.target) for rec in train_recordings(corpus) for sid in rec.segment_ids()
+                         if corpus.segments.oracle[sid] == rec.target], dtype=np.int64)
+    pool = np.array([sid for rec in train_recordings(corpus) for sid in rec.segment_ids()
+                     if corpus.segments.oracle[sid] < 0], dtype=np.int64)
     stage1 = StageConfig(epochs=2, batch_size=24)
     stage2 = StageConfig(epochs=3, batch_size=24, unknown_start_epoch=1)
 

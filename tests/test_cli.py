@@ -177,6 +177,16 @@ class TestExitCodes:
         assert main(["gen", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert main(["train2", "--config", str(cfg_path), "--out", str(out)]) == 1
 
+    def test_train2_on_empty_selection_is_exit_1(self, run_dir, tmp_path, capsys):
+        """An empty selection.jsonl is a faulty input, not a configuration error."""
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        (run / "selection.jsonl").write_bytes(b"")
+        (run / "stage2.ckpt").unlink()
+        assert main(["train2", "--config", str(run_dir.parent / "small.cfg"), "--out", str(run)]) == 1
+        assert "error: stage-2 selection is empty" in capsys.readouterr().err.splitlines()
+        assert not (run / "stage2.ckpt").exists()
+
     def test_bad_config_is_exit_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[synth]\nn_speakers = banana\n")

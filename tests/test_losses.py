@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weaksv.errors import EmptyInput, NoKnownExamples
+from weaksv.errors import NoKnownExamples
 from weaksv.losses import (
     LSE,
     MAX,
@@ -18,12 +18,14 @@ from weaksv.losses import (
 )
 from weaksv.rng import Rng
 
+from conftest import bag_map
+
 finite_floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 
 def lse_pool(values, tau):
     """The LSE pool of one bag, as stage-1 training runs it."""
-    return aggregate(np.asarray(values, dtype=np.float64)[:, None], LSE, tau, offsets=[0]).c_rec[0, 0]
+    return aggregate(np.asarray(values, dtype=np.float64)[:, None], LSE, tau, **bag_map([len(values)])).c_rec[0, 0]
 
 
 class TestLseTau:
@@ -42,10 +44,6 @@ class TestLseTau:
     def test_small_tau_approaches_max(self):
         got = lse_pool(np.array([0.9, -0.2, 0.4]), 0.01)
         assert 0.9 - 0.011 <= got <= 0.9
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
-            lse_pool(np.array([]), 0.5)
 
     @settings(max_examples=200)
     @given(st.lists(finite_floats, min_size=2, max_size=16),
@@ -70,19 +68,19 @@ class TestLseTau:
 class TestAggregate:
     def test_single_row_is_identity(self):
         row = np.array([[0.4, -0.2, 0.1]])
-        assert np.allclose(aggregate(row, MAX, offsets=[0]).c_rec, row)
-        assert np.allclose(aggregate(row, LSE, 0.5, offsets=[0]).c_rec, row)
+        assert np.allclose(aggregate(row, MAX, **bag_map([1])).c_rec, row)
+        assert np.allclose(aggregate(row, LSE, 0.5, **bag_map([1])).c_rec, row)
 
     def test_max_per_class_with_argmax(self):
         c = np.array([[0.8, -0.1], [0.2, 0.5]])
-        agg = aggregate(c, MAX, offsets=[0])
+        agg = aggregate(c, MAX, **bag_map([2]))
         assert np.allclose(agg.c_rec, [[0.8, 0.5]])
         assert agg.argmax.tolist() == [[0, 1]]
 
     def test_lse_below_max_above_mean(self):
         c = np.array([[0.8, -0.1], [0.2, 0.5]])
-        mx = aggregate(c, MAX, offsets=[0]).c_rec
-        ls = aggregate(c, LSE, 0.5, offsets=[0]).c_rec
+        mx = aggregate(c, MAX, **bag_map([2])).c_rec
+        ls = aggregate(c, LSE, 0.5, **bag_map([2])).c_rec
         assert np.all(ls <= mx + 1e-12)
         assert np.all(ls >= c.mean(axis=0) - 1e-12)
 
@@ -95,19 +93,19 @@ class TestAggregate:
         perm = list(range(bag))
         rng.shuffle(perm)
         for kind, tau in ((MAX, None), (LSE, 0.3)):
-            a = aggregate(c, kind, tau, offsets=[0]).c_rec
-            b = aggregate(c[perm], kind, tau, offsets=[0]).c_rec
+            a = aggregate(c, kind, tau, **bag_map([bag])).c_rec
+            b = aggregate(c[perm], kind, tau, **bag_map([bag])).c_rec
             assert np.allclose(a, b, atol=1e-12)
 
     def test_max_routes_gradient_to_argmax_rows(self):
         c = np.array([[0.8, -0.1], [0.2, 0.5]])
-        agg = aggregate(c, MAX, offsets=[0])
+        agg = aggregate(c, MAX, **bag_map([2]))
         d = agg.backward(np.array([[1.0, 2.0]]))
         assert np.array_equal(d, [[1.0, 0.0], [0.0, 2.0]])
 
     def test_lse_gradient_is_columnwise_softmax(self):
         c = np.array([[0.8, -0.1], [0.2, 0.5]])
-        agg = aggregate(c, LSE, 0.5, offsets=[0])
+        agg = aggregate(c, LSE, 0.5, **bag_map([2]))
         d = agg.backward(np.ones((1, 2)))
         assert np.allclose(d.sum(axis=0), [1.0, 1.0])
         ref = np.exp(c / 0.5) / np.exp(c / 0.5).sum(axis=0, keepdims=True)
@@ -380,16 +378,12 @@ def segment_batches(draw):
     return c, sizes, np.array(targets), np.array(labels), m
 
 
-def _offsets(sizes):
-    return np.cumsum([0] + list(sizes[:-1]))
-
-
 class TestBatchedParity:
     @settings(max_examples=150, deadline=None)
     @given(segment_batches())
     def test_max_pooling_is_bitwise_equal(self, batch):
         c, sizes, targets, _, m = batch
-        agg = aggregate(c, MAX, offsets=_offsets(sizes))
+        agg = aggregate(c, MAX, **bag_map(sizes))
         losses, d_rec = weak_recording_loss(agg.c_rec, targets, 30.0, m)
         ref_losses, ref_d = ref_stage1(c, sizes, targets, MAX, None, 30.0, m)
         assert np.array_equal(losses, ref_losses)
@@ -399,7 +393,7 @@ class TestBatchedParity:
     @given(segment_batches(), st.floats(min_value=0.05, max_value=2.0))
     def test_lse_pooling_within_1e12(self, batch, tau):
         c, sizes, targets, _, m = batch
-        agg = aggregate(c, LSE, tau, offsets=_offsets(sizes))
+        agg = aggregate(c, LSE, tau, **bag_map(sizes))
         losses, d_rec = weak_recording_loss(agg.c_rec, targets, 30.0, m)
         ref_losses, ref_d = ref_stage1(c, sizes, targets, LSE, tau, 30.0, m)
         # the per-bag sums accumulate in another order; atol covers values near 0
@@ -432,27 +426,22 @@ class TestBatchedParity:
 
     def test_max_tie_routes_to_first_row_of_each_bag(self):
         c = np.array([[0.5, 0.1], [0.5, 0.3], [0.2, 0.3], [0.2, 0.3]])
-        agg = aggregate(c, MAX, offsets=[0, 2])
+        agg = aggregate(c, MAX, **bag_map([2, 2]))
         assert agg.argmax.tolist() == [[0, 1], [2, 2]]
         d = agg.backward(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert np.array_equal(d, [[1.0, 0.0], [0.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
-
-    @pytest.mark.parametrize("offsets", [[1, 2], [0, 2, 2], [0, 4], [0, 3, 1], []])
-    def test_bad_offsets_rejected(self, offsets):
-        with pytest.raises(EmptyInput):
-            aggregate(np.zeros((4, 2)), MAX, offsets=offsets)
 
     @pytest.mark.parametrize("kind", [MAX, LSE])
     def test_multi_bag_gradient_matches_finite_differences(self, kind):
         rng = Rng.from_seed(8)
         c = rng.floats(7 * 4).reshape(7, 4) * 1.8 - 0.9
-        offsets, targets = [0, 3, 4], np.array([2, 0, 3])
+        bags, targets = bag_map([3, 1, 3]), np.array([2, 0, 3])
 
         def total_loss(x):
-            agg = aggregate(x, kind, 0.3, offsets=offsets)
+            agg = aggregate(x, kind, 0.3, **bags)
             return weak_recording_loss(agg.c_rec, targets, 30.0, 0.15)[0].sum()
 
-        agg = aggregate(c, kind, 0.3, offsets=offsets)
+        agg = aggregate(c, kind, 0.3, **bags)
         grad = agg.backward(weak_recording_loss(agg.c_rec, targets, 30.0, 0.15)[1])
         h = 1e-7
         for i in range(c.shape[0]):

@@ -3,14 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import weaksv.selection
 from weaksv.corpus import Corpus, assign_heldout_split
 from weaksv.diarize import PRESETS, apply_diarization
 from weaksv.embedder import Checkpoint, EmbedderConfig, forward_pooled, init_params
-from weaksv.errors import ConfigError
+from weaksv.errors import ConfigError, CorruptArtifact
 from weaksv.selection import (
     SelectionResult,
+    SelectionStats,
     UnknownPool,
     load_selection,
     load_unknown_pool,
@@ -77,7 +79,7 @@ class TestSelfLabel:
         from weaksv.embedder import forward_pooled
 
         result = self_label(corpus, score_train_segments(corpus, ckpt))
-        selected_ids = {sid for sid, _ in result.selected}
+        selected_ids = set(result.selected[:, 0].tolist())
         for rec in train_recordings(corpus):
             for sid in rec.segment_ids():
                 emb, _ = forward_pooled(pooled[sid][None, :], ckpt.params)
@@ -86,14 +88,14 @@ class TestSelfLabel:
 
     def test_labels_are_recording_targets(self, trained):
         corpus, ckpt = trained
-        for sid, label in self_label(corpus, score_train_segments(corpus, ckpt)).selected:
+        for sid, label in self_label(corpus, score_train_segments(corpus, ckpt)).selected.tolist():
             assert label == _target_of(corpus, sid)
 
     def test_heldout_segments_never_selected(self, trained):
         corpus, ckpt = trained
         heldout = {s for r in heldout_recordings(corpus) for s in r.segment_ids()}
         selected = self_label(corpus, score_train_segments(corpus, ckpt)).selected
-        assert not {sid for sid, _ in selected} & heldout
+        assert not set(selected[:, 0].tolist()) & heldout
 
     def test_oracle_classifier_yields_perfect_stats(self):
         corpus, ckpt = _oracle_setup()
@@ -119,7 +121,7 @@ class TestSelectionStats:
             if corpus.segments.oracle[sid] != rec.target
         )
         chosen = oracle_target[:9] + [wrong]
-        stats = selection_stats(SelectionResult(chosen), corpus)
+        stats = selection_stats(np.array(chosen), corpus)
         assert stats.precision == pytest.approx(0.9)
         assert stats.recall == pytest.approx(9 / len(oracle_target))
 
@@ -130,12 +132,12 @@ class TestSelectionStats:
             for rec in train_recordings(corpus)
             for sid in rec.segment_ids()
         ]
-        stats = selection_stats(SelectionResult(everything), corpus)
+        stats = selection_stats(np.array(everything), corpus)
         assert stats.recall == 1.0
 
     def test_empty_selection_flagged(self, trained):
         corpus, _ = trained
-        stats = selection_stats(SelectionResult([]), corpus)
+        stats = selection_stats(np.empty((0, 2), dtype=np.int64), corpus)
         assert stats.empty_selection and stats.precision == 0.0
 
     def test_frames_counted(self, trained):
@@ -149,9 +151,9 @@ class TestUnknownPool:
     def test_disjoint_from_selection(self, trained):
         corpus, ckpt = trained
         scored = score_train_segments(corpus, ckpt)
-        selected = {sid for sid, _ in self_label(corpus, scored).selected}
+        selected = set(self_label(corpus, scored).selected[:, 0].tolist())
         pool = select_unknown_pool(scored, top_k=3, fraction=0.5)
-        assert not set(pool.segment_ids) & selected
+        assert not set(pool.segment_ids.tolist()) & selected
 
     def test_rank_filter(self, trained):
         corpus, ckpt = trained
@@ -159,7 +161,7 @@ class TestUnknownPool:
         pooled = corpus.mean_frames()
         from weaksv.embedder import forward_pooled
 
-        for sid in pool.segment_ids:
+        for sid in pool.segment_ids.tolist():
             target = _target_of(corpus, sid)
             emb, _ = forward_pooled(pooled[sid][None, :], ckpt.params)
             logits = 30.0 * (emb[0] @ ckpt.params["P"].T)
@@ -172,8 +174,8 @@ class TestUnknownPool:
         frac = select_unknown_pool(scored, top_k=3, fraction=0.25)
         expected = int(np.ceil(0.25 * len(full.segment_ids)))
         assert len(frac.segment_ids) == expected
-        assert frac.segment_ids == full.segment_ids[:expected]
-        scores = [full.lse_scores[s] for s in full.segment_ids]
+        assert np.array_equal(frac.segment_ids, full.segment_ids[:expected])
+        scores = full.lse_scores.tolist()
         assert scores == sorted(scores, reverse=True)
 
     def test_too_few_speakers_rejected(self, trained):
@@ -190,10 +192,97 @@ def test_selection_artifacts_round_trip(tmp_path, trained):
     pool = select_unknown_pool(scored, top_k=3, fraction=0.5)
     save_selection(result, tmp_path)
     save_unknown_pool(pool, tmp_path)
-    assert load_selection(tmp_path, len(corpus.segments), corpus.n_speakers) == sorted(result.selected)
-    assert load_unknown_pool(tmp_path, len(corpus.segments)) == pool.segment_ids
+    loaded = load_selection(tmp_path, len(corpus.segments), corpus.n_speakers)
+    assert loaded.dtype == np.int64 and np.array_equal(loaded, result.selected)
+    assert np.array_equal(load_unknown_pool(tmp_path, len(corpus.segments)), pool.segment_ids)
     stats_text = (tmp_path / "selection_stats.json").read_text()
     assert '"precision"' in stats_text and '"recall"' in stats_text
+
+
+# segment and speaker counts the generated artifacts index into
+N_SEGMENTS, N_SPEAKERS = 500, 12
+
+
+@st.composite
+def selections(draw):
+    """A SelectionResult as self_label makes one: rows in ascending segment id."""
+    sids = sorted(draw(st.sets(st.integers(0, N_SEGMENTS - 1), max_size=40)))
+    labels = draw(st.lists(st.integers(0, N_SPEAKERS - 1), min_size=len(sids), max_size=len(sids)))
+    selected = np.array([sids, labels], dtype=np.int64).T.reshape(-1, 2)
+    stats = SelectionStats(1.0, 0.5, len(sids), 2 * len(sids), 0, 0, {}, not sids)
+    cosines = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(sids), max_size=len(sids)))
+    return SelectionResult(selected, np.array(cosines), stats)
+
+
+@st.composite
+def pools(draw):
+    """An UnknownPool of distinct segment ids in any order."""
+    sids = draw(st.lists(st.integers(0, N_SEGMENTS - 1), unique=True, max_size=40))
+    n = len(sids)
+    return UnknownPool(np.array(sids, dtype=np.int64),
+                       np.array(draw(st.lists(st.floats(0.0, 200.0), min_size=n, max_size=n))),
+                       np.array(draw(st.lists(st.integers(0, N_SPEAKERS - 1), min_size=n, max_size=n)),
+                                dtype=np.int64))
+
+
+def _damaged(raw, data):
+    """raw cut at a drawn byte, or with one drawn bit flipped."""
+    if data.draw(st.booleans(), label="cut"):
+        return raw[:data.draw(st.integers(0, max(0, len(raw) - 1)), label="at")]
+    if not raw:
+        return raw
+    bit = data.draw(st.integers(0, len(raw) * 8 - 1), label="bit")
+    damaged = bytearray(raw)
+    damaged[bit // 8] ^= 1 << bit % 8
+    return bytes(damaged)
+
+
+def _load_damaged(load, path, raw):
+    """load(path) after writing raw: its array, or None when it rejects the file as corrupt."""
+    path.write_bytes(raw)
+    try:
+        return load()
+    except CorruptArtifact:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(selections(), st.data())
+def test_selection_file_round_trip_and_damage(tmp_path_factory, result, data):
+    """selection.jsonl loads back as the selected array; a cut or a bit flip is rejected or loads ids in range."""
+    directory = tmp_path_factory.mktemp("selection")
+    save_selection(result, directory)
+
+    def load():
+        return load_selection(directory, N_SEGMENTS, N_SPEAKERS)
+
+    loaded = load()
+    assert loaded.dtype == np.int64 and loaded.shape == result.selected.shape
+    assert np.array_equal(loaded, result.selected)
+    raw = (directory / "selection.jsonl").read_bytes()
+    got = _load_damaged(load, directory / "selection.jsonl", _damaged(raw, data))
+    if got is not None:
+        assert got.dtype == np.int64 and got.shape[1:] == (2,)
+        assert ((0 <= got) & (got < [N_SEGMENTS, N_SPEAKERS])).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(pools(), st.data())
+def test_unknown_pool_file_round_trip_and_damage(tmp_path_factory, pool, data):
+    """unknown_pool.jsonl loads back as the pool's ids; a cut or a bit flip is rejected or loads ids in range."""
+    directory = tmp_path_factory.mktemp("pool")
+    save_unknown_pool(pool, directory)
+
+    def load():
+        return load_unknown_pool(directory, N_SEGMENTS)
+
+    loaded = load()
+    assert loaded.dtype == np.int64 and np.array_equal(loaded, pool.segment_ids)
+    raw = (directory / "unknown_pool.jsonl").read_bytes()
+    got = _load_damaged(load, directory / "unknown_pool.jsonl", _damaged(raw, data))
+    if got is not None:
+        assert got.dtype == np.int64 and got.ndim == 1
+        assert ((0 <= got) & (got < N_SEGMENTS)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +304,12 @@ def _target_of(corpus, sid):
 def _reference_self_label(corpus, ckpt):
     sids, cosines = _reference_cosines(corpus, ckpt)
     preds = np.argmax(cosines, axis=1)
-    selected, scores = [], {}
+    selected, scores = [], []
     for i, sid in enumerate(sids):
         target = _target_of(corpus, sid)
         if int(preds[i]) == target:
-            selected.append((sid, target))
-            scores[sid] = float(cosines[i, target])
+            selected.append([sid, target])
+            scores.append(float(cosines[i, target]))
     return selected, scores
 
 
@@ -242,8 +331,7 @@ def _reference_unknown_pool(corpus, ckpt, top_k, fraction, scale=30.0):
         survivors.append((float(m + math.log(np.exp(row - m).sum())), sid, rank))
     survivors.sort(key=lambda t: (-t[0], t[1]))
     kept = survivors[:math.ceil(fraction * len(survivors))]
-    return UnknownPool([sid for _, sid, _ in kept], {sid: lse for lse, sid, _ in kept},
-                       {sid: rank for _, sid, rank in kept})
+    return [sid for _, sid, _ in kept], [lse for lse, _, _ in kept], [rank for _, _, rank in kept]
 
 
 def _tied_checkpoint(ckpt):
@@ -283,18 +371,18 @@ class TestArrayParity:
         corpus, ckpt = case
         _set_row_block(monkeypatch, corpus, row_block)
         got = select_unknown_pool(score_train_segments(corpus, ckpt), top_k=top_k, fraction=fraction)
-        want = _reference_unknown_pool(corpus, ckpt, top_k, fraction)
-        assert got.segment_ids == want.segment_ids
-        assert got.lse_scores == want.lse_scores
-        assert got.target_ranks == want.target_ranks
+        sids, lse_scores, target_ranks = _reference_unknown_pool(corpus, ckpt, top_k, fraction)
+        assert got.segment_ids.tolist() == sids
+        assert got.lse_scores.tolist() == lse_scores
+        assert got.target_ranks.tolist() == target_ranks
 
     def test_self_label_matches_row_loop(self, case):
         corpus, ckpt = case
         got = self_label(corpus, score_train_segments(corpus, ckpt))
         selected, scores = _reference_self_label(corpus, ckpt)
-        assert got.selected == selected
-        assert got.scores == scores
-        assert got.stats == selection_stats(SelectionResult(selected, scores), corpus)
+        assert got.selected.tolist() == selected
+        assert got.scores.tolist() == scores
+        assert got.stats == selection_stats(np.array(selected, dtype=np.int64).reshape(-1, 2), corpus)
 
     @pytest.mark.parametrize("row_block", [7, "tail1"])
     def test_self_label_in_blocks_matches_row_loop(self, case, monkeypatch, row_block):
@@ -302,8 +390,8 @@ class TestArrayParity:
         _set_row_block(monkeypatch, corpus, row_block)
         got = self_label(corpus, score_train_segments(corpus, ckpt))
         selected, scores = _reference_self_label(corpus, ckpt)
-        assert got.selected == selected
-        assert got.scores == scores
+        assert got.selected.tolist() == selected
+        assert got.scores.tolist() == scores
 
     def test_cases_cover_ties_and_several_blocks(self, trained):
         corpus, ckpt = trained

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import train_recordings
+from conftest import bag_map, train_recordings
 from weaksv import trainer
 from weaksv.batching import plan_epoch_stage1, plan_epoch_stage2
 from weaksv.corpus import UNKNOWN, assign_heldout_split
@@ -20,7 +20,7 @@ from weaksv.embedder import (
     save_checkpoint,
     unflatten_params,
 )
-from weaksv.errors import ConfigError, NonFiniteGradient
+from weaksv.errors import ConfigError, EmptyInput, NonFiniteGradient
 from weaksv.losses import LossConfig, Schedule
 from weaksv.rng import derive_key, mix64
 from weaksv.trainer import (
@@ -190,6 +190,7 @@ class TestTrainStage1:
 
 @pytest.fixture(scope="module")
 def stage2_inputs(training_corpus):
+    """The oracle-correct (segment_id, label) rows and 20 noise segment ids, as the arrays stage 2 reads."""
     selected = []
     for rec in train_recordings(training_corpus):
         for sid in rec.segment_ids():
@@ -197,7 +198,7 @@ def stage2_inputs(training_corpus):
                 selected.append((sid, rec.target))
     pool = [sid for rec in train_recordings(training_corpus) for sid in rec.segment_ids()
             if training_corpus.segments.oracle[sid] < 0][:20]
-    return selected, pool
+    return np.array(selected, dtype=np.int64), np.array(pool, dtype=np.int64)
 
 
 STAGE2 = StageConfig(loss=LossConfig(margin=Schedule(0.1, 0.3)), epochs=4, batch_size=32)
@@ -238,8 +239,8 @@ class TestTrainStage2:
         assert np.array_equal(no_pool.checkpoint.params["W1"], with_pool_off.checkpoint.params["W1"])
 
     def test_empty_selection_rejected(self, training_corpus):
-        with pytest.raises(ConfigError):
-            train_stage2(training_corpus, [], STAGE2, MODEL, seed=11)
+        with pytest.raises(EmptyInput):
+            train_stage2(training_corpus, np.empty((0, 2), dtype=np.int64), STAGE2, MODEL, seed=11)
 
 
 @pytest.mark.parametrize("known", [[True] * 6, [True, False, True, True, False, True]],
@@ -338,16 +339,16 @@ def reference_fit(corpus, stage, model, seed, tag, plans, batch_of):
 
 
 def reference_stage1(corpus, stage, model, seed):
-    """Stage 1 with aggregate deriving each batch's bag map from its offsets."""
+    """Stage 1 with each batch's bag map derived from its offsets alone."""
     plans = [plan_epoch_stage1(corpus, stage.batch_size, trainer._epoch_seed(seed, "s1-epoch", e))
              for e in range(stage.epochs)]
     return reference_fit(corpus, stage, model, seed, "stage1", plans, lambda b: (b.segment_ids, recording_batch_loss(
-        stage.loss.aggregation, stage.loss.scale, b.offsets, b.targets)))
+        stage.loss.aggregation, stage.loss.scale, b.targets, **bag_map(np.diff(b.offsets, append=b.size)))))
 
 
 def reference_stage2(corpus, selected, stage, model, seed, unknown_pool):
     def plan(epoch):
-        active = bool(unknown_pool) and 0 <= stage.unknown_start_epoch <= epoch
+        active = len(unknown_pool) > 0 and 0 <= stage.unknown_start_epoch <= epoch
         return plan_epoch_stage2(selected, stage.batch_size, trainer._epoch_seed(seed, "s2-epoch", epoch),
                                  unknown_pool=unknown_pool if active else None,
                                  mix_fraction=stage.unknown_mix_fraction if active else 0.0)
