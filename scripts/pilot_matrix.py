@@ -31,6 +31,7 @@ def run_seed(seed: int, cfg: RunConfig | None = None) -> dict:
     corpus = generate_corpus(cfg.synth)
     corpus = assign_heldout_split(corpus, cfg.heldout_fraction, seed)
     trials = split_trials(corpus, cfg.n_target_trials, cfg.n_nontarget_trials, seed)
+    is_target = trials[:, 2] == 1
     model = cfg.embedder_config()
 
     out: dict = {"seed": seed}
@@ -39,7 +40,7 @@ def run_seed(seed: int, cfg: RunConfig | None = None) -> dict:
         dcfg = replace(PRESETS[preset], seed=seed + 90000)
         diarized = apply_diarization(corpus, dcfg)
         result = train_stage1(diarized, cfg.stage1, model, seed)
-        eer = compute_eer(score_trials(result.checkpoint, diarized, trials))
+        eer = compute_eer(score_trials(result.checkpoint, diarized, trials), is_target)
         diar_runs[preset] = (diarized, result.checkpoint)
         out[f"stage1_{preset}"] = eer
 
@@ -52,12 +53,12 @@ def run_seed(seed: int, cfg: RunConfig | None = None) -> dict:
     out["pool_size"] = len(pool.segment_ids)
 
     plain = train_stage2(diarized, selection.selected, cfg.stage2, model, seed)
-    out["stage2_plain"] = compute_eer(score_trials(plain.checkpoint, diarized, trials))
+    out["stage2_plain"] = compute_eer(score_trials(plain.checkpoint, diarized, trials), is_target)
 
     unk_cfg = replace(cfg.stage2, unknown_start_epoch=cfg.stage2.epochs // 2)
     unk = train_stage2(diarized, selection.selected, unk_cfg, model, seed,
                        unknown_pool=pool.segment_ids)
-    out["stage2_unknown"] = compute_eer(score_trials(unk.checkpoint, diarized, trials))
+    out["stage2_unknown"] = compute_eer(score_trials(unk.checkpoint, diarized, trials), is_target)
     return out
 
 

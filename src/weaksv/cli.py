@@ -70,12 +70,13 @@ def _save_selection(result: selmod.SelectionResult, pool: selmod.UnknownPool, ou
     selmod.save_unknown_pool(pool, out)
 
 
-def _evaluate(cfg: cfgmod.RunConfig, corpus: corpusmod.Corpus, trials: list[corpusmod.Trial], ckpt: Checkpoint,
+def _evaluate(cfg: cfgmod.RunConfig, corpus: corpusmod.Corpus, trials: np.ndarray, ckpt: Checkpoint,
               ckpt_path: Path, out: Path) -> dict:
     """Score the trials with ckpt, the checkpoint at ckpt_path; write its scores and eval file."""
     scores = metricsmod.score_trials(ckpt, corpus, trials)
-    eer = metricsmod.compute_eer(scores)
-    mindcf = metricsmod.compute_mindcf(scores, cfg.eval_p_target, cfg.eval_c_miss, cfg.eval_c_fa)
+    is_target = trials[:, 2] == 1
+    eer = metricsmod.compute_eer(scores, is_target)
+    mindcf = metricsmod.compute_mindcf(scores, is_target, cfg.eval_p_target, cfg.eval_c_miss, cfg.eval_c_fa)
     stem = ckpt_path.stem
     metricsmod.save_scores(scores, trials, out / f"scores_{stem}.tsv")
     payload = {
@@ -83,8 +84,8 @@ def _evaluate(cfg: cfgmod.RunConfig, corpus: corpusmod.Corpus, trials: list[corp
         "eer": eer,
         "mindcf": mindcf,
         "p_target": cfg.eval_p_target,
-        "n_target": int(np.sum(scores.labels)),
-        "n_nontarget": int(np.sum(~scores.labels)),
+        "n_target": int(np.sum(is_target)),
+        "n_nontarget": int(np.sum(~is_target)),
     }
     atomic_write(out / f"eval_{stem}.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload
@@ -92,7 +93,7 @@ def _evaluate(cfg: cfgmod.RunConfig, corpus: corpusmod.Corpus, trials: list[corp
 
 # Commands: each takes the run configuration and the parsed arguments.
 
-def _generate(cfg: cfgmod.RunConfig, feat) -> tuple[corpusmod.Corpus, list[corpusmod.Trial]]:
+def _generate(cfg: cfgmod.RunConfig, feat) -> tuple[corpusmod.Corpus, np.ndarray]:
     """Render the corpus into the open corpus.feat file feat, split it, check it and draw its trials."""
     corpus = generate_corpus(cfg.synth, feat)
     corpus = corpusmod.assign_heldout_split(corpus, cfg.heldout_fraction, cfg.seed)

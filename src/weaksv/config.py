@@ -65,13 +65,12 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "n_nontarget": Key("int", 250, "[1, inf)", "different-speaker trials"),
     },
     "diar": {
-        "preset": Key("str", "baseline", "baseline | pyannote-like | custom",
+        "preset": Key("str", "baseline", " | ".join(PRESETS),
                       "simulated diarizer; keys set below override a preset"),
-        "purity": Key("float", 0.85, "(0, 1]", "cluster purity (custom preset)"),
-        "split_factor": Key("float", 2.0, "[1, inf)",
-                            "expected clusters per present speaker (custom preset)"),
-        "max_clusters": Key("int", 0, "[0, inf)", "cluster cap per recording, 0 = unlimited (custom preset)"),
-        "drop_noise": Key("bool", False, "", "remove pure-noise segments from clusters (custom preset)"),
+        "purity": Key("float", 0.85, "(0, 1]", "cluster purity"),
+        "split_factor": Key("float", 2.0, "[1, inf)", "expected clusters per present speaker"),
+        "max_clusters": Key("int", 0, "[0, inf)", "cluster cap per recording, 0 = unlimited"),
+        "drop_noise": Key("bool", False, "", "remove pure-noise segments from clusters"),
     },
     "model": {
         "hidden_dim": Key("int", 64, "[1, inf)", "hidden layer width"),
@@ -260,10 +259,9 @@ def build_run_config(values: dict[str, dict[str, object]], text: str) -> RunConf
     """The checked RunConfig of parsed values; text is what they were parsed from."""
     _check(values)
     v = values
-    preset, explicit = v["diar"]["preset"], v.get("_explicit", {}).get("diar", set())
     # a preset fixes each diarizer key the config does not set itself
-    diar = replace(PRESETS.get(preset, DiarConfig()), **{
-        k: x for k, x in v["diar"].items() if k != "preset" and (preset == "custom" or k in explicit)})
+    diar = replace(PRESETS[v["diar"]["preset"]],
+                   **{k: v["diar"][k] for k in v["_explicit"]["diar"] if k != "preset"})
 
     def stage(section: str) -> StageConfig:
         rest = dict(v[section])

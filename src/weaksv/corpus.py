@@ -12,6 +12,10 @@ n_frames[i] rows of corpus.feat. The frames themselves are never held in
 memory: gen pools them a block at a time as they are rendered, and every
 stage reads only the means, which corpus.idx stores.
 
+Verification trials are one (n, 3) int64 array of (enroll_id, test_id,
+is_target) rows, is_target 0 or 1: split_trials draws it, trials.tsv
+stores it row for row, and scoring reads it.
+
 On-disk layout (one directory):
   corpus.idx   48-byte header + little-endian int64 cluster table, oracle
                labels and frame counts, then the float64 means (see
@@ -19,7 +23,7 @@ On-disk layout (one directory):
   corpus.feat  16-byte header + float32 little-endian frame matrix: gen's
                output, which no later stage reads
   oracle.tsv   segment_id <tab> oracle_label (evaluation sidecar)
-  trials.tsv   enroll_id <tab> test_id <tab> {0,1}
+  trials.tsv   enroll_id <tab> test_id <tab> 0|1, one line per trial row
 """
 
 from __future__ import annotations
@@ -154,13 +158,6 @@ def pool_frames(frames: np.ndarray, lengths: np.ndarray, out: np.ndarray) -> Non
     out[full] = np.add.reduceat(frames.astype(np.float64), starts[full], axis=0) / lengths[full, None]
 
 
-@dataclass(frozen=True)
-class Trial:
-    enroll_id: int
-    test_id: int
-    is_target: bool
-
-
 @dataclass
 class ValidationIssue:
     kind: str
@@ -239,8 +236,9 @@ def assign_heldout_split(corpus: Corpus, heldout_fraction: float, seed: int) -> 
     return Corpus(corpus.n_speakers, replace(table, heldout=heldout), corpus.segments)
 
 
-def split_trials(corpus: Corpus, n_target: int, n_nontarget: int, seed: int) -> list[Trial]:
-    """Build verification trials from held-out recordings.
+def split_trials(corpus: Corpus, n_target: int, n_nontarget: int, seed: int) -> np.ndarray:
+    """Build verification trials from held-out recordings: an (n, 3) int64 array of
+    (enroll_id, test_id, is_target) rows, the n_target target trials first.
 
     Enroll and test sides always come from different recordings, and only
     segments whose oracle label is a known speaker are used. Raises
@@ -269,7 +267,7 @@ def split_trials(corpus: Corpus, n_target: int, n_nontarget: int, seed: int) -> 
         rid = rng.choice(recs)
         return rid, rng.choice(pools[spk][rid])
 
-    trials: list[Trial] = []
+    trials: list[tuple[int, int, int]] = []
     seen: set[tuple[int, int]] = set()
     attempts = 0
     limit = 200 * (n_target + n_nontarget) + 1000
@@ -284,7 +282,7 @@ def split_trials(corpus: Corpus, n_target: int, n_nontarget: int, seed: int) -> 
         if key in seen:
             continue
         seen.add(key)
-        trials.append(Trial(enroll, test, True))
+        trials.append((enroll, test, 1))
     n_made = 0
     while n_made < n_nontarget:
         if attempts > limit:
@@ -302,9 +300,9 @@ def split_trials(corpus: Corpus, n_target: int, n_nontarget: int, seed: int) -> 
         if key in seen:
             continue
         seen.add(key)
-        trials.append(Trial(enroll, test, False))
+        trials.append((enroll, test, 0))
         n_made += 1
-    return trials
+    return np.array(trials, dtype=np.int64).reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -403,25 +401,30 @@ def save_oracle(corpus: Corpus, directory: str | Path) -> None:
     atomic_write(directory / ORACLE_NAME, "\n".join(lines) + "\n")
 
 
-def save_trials(trials: list[Trial], path: str | Path) -> None:
-    lines = [f"{t.enroll_id}\t{t.test_id}\t{1 if t.is_target else 0}" for t in trials]
+def save_trials(trials: np.ndarray, path: str | Path) -> None:
+    """Write trials.tsv: one `enroll_id <tab> test_id <tab> 0|1` line per row of the (n, 3) trial array."""
+    lines = [f"{enroll}\t{test}\t{label}" for enroll, test, label in trials.tolist()]
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def load_trials(path: str | Path, n_segments: int) -> list[Trial]:
-    """Read trials.tsv; CorruptArtifact for a line that is not two segment ids in
-    0..n_segments-1 and a 0/1 label (an id indexes rows: a negative one would read another's)."""
-    trials = []
+def load_trials(path: str | Path, n_segments: int) -> np.ndarray:
+    """Read trials.tsv as an (n, 3) int64 array of (enroll_id, test_id, is_target) rows.
+
+    Blank lines are skipped. CorruptArtifact for any other line that is not
+    two segment ids in 0..n_segments-1 and the label text 0 or 1, tab
+    separated (an id indexes rows: a negative one would read another's).
+    """
+    rows = []
     for lineno, line in enumerate(Path(path).read_text("utf-8", errors="replace").splitlines(), 1):
         if not line.strip():
             continue
         try:
             enroll, test, label = line.split("\t")
-            trial = Trial(int(enroll), int(test), {"0": False, "1": True}[label])
+            row = (int(enroll), int(test), {"0": 0, "1": 1}[label])
         except (ValueError, KeyError):
-            trial = None
-        if trial is None or not (0 <= trial.enroll_id < n_segments and 0 <= trial.test_id < n_segments):
+            row = None
+        if row is None or not (0 <= row[0] < n_segments and 0 <= row[1] < n_segments):
             raise CorruptArtifact(f"{path} line {lineno} is not <enroll id> <test id> <0|1> "
                                   f"with ids in 0..{n_segments - 1}")
-        trials.append(trial)
-    return trials
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)

@@ -18,7 +18,8 @@ u32 hidden_dim, u32 emb_dim, u32 n_speakers, then all parameters as
 little-endian float64 in PARAM_NAMES order, then the optimizer section
 (magic OPTS, u64 step, u32 epoch, 32-byte config hash, velocities in the
 same order) that training resumes from. Every checkpoint carries both;
-a file of any other length is rejected as corrupt.
+a file of any other length, or holding a parameter or velocity that is
+not finite, is rejected as corrupt.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint, raising CorruptArtifact unless it is exactly well formed."""
+    """Read a checkpoint, raising CorruptArtifact unless it is exactly well formed and every value is finite."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise CorruptArtifact(f"{path}: {len(raw)} bytes, shorter than the {_HEADER.size}-byte header")
@@ -177,12 +178,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if len(raw) != size:
         raise CorruptArtifact(f"{path}: {len(raw)} bytes, but its header implies {size}")
 
-    def read_block(offset: int) -> dict[str, np.ndarray]:
+    def read_block(offset: int, what: str) -> dict[str, np.ndarray]:
         flat = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).astype(np.float64)
+        if not np.isfinite(flat).all():  # training never saves one: sgd_step rejects a non-finite gradient
+            raise CorruptArtifact(f"{path}: holds a {what} that is not finite")
         return unflatten_params(flat, cfg, n_spk)
 
     magic, step, epoch, config_hash = _OPT_HEADER.unpack_from(raw, opt_at)
     if magic != OPT_MAGIC:
         raise CorruptArtifact(f"{path}: bad optimizer-section magic {magic!r}")
-    return Checkpoint(cfg, read_block(_HEADER.size), read_block(opt_at + _OPT_HEADER.size),
+    return Checkpoint(cfg, read_block(_HEADER.size, "parameter"), read_block(opt_at + _OPT_HEADER.size, "velocity"),
                       step, epoch, config_hash)

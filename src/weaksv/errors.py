@@ -18,7 +18,7 @@ class EmptyRecording(WeaksvError):
 
 
 class InsufficientSegments(WeaksvError):
-    """Trial counts cannot be met with the held-out material available."""
+    """The requested trial counts cannot be met with the held-out material available."""
 
 
 class DegenerateEmbedding(WeaksvError):

@@ -5,53 +5,46 @@ operating points where the miss and false-acceptance curves cross; minDCF
 sweeps every distinct score plus the two trivial endpoints and normalizes
 by the cost of the better blind decision, min(p_target, 1 - p_target).
 Both are invariant under strictly increasing score transforms.
+
+Trials come as corpus.split_trials draws them, an (n, 3) int64 array of
+(enroll_id, test_id, is_target) rows; scores leave as an (n,) float64
+array, row for row. compute_eer and compute_mindcf take the scores with
+the bool array trials[:, 2] == 1.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, Trial
+from .corpus import Corpus
 from .embedder import Checkpoint, forward_pooled
 from .errors import CorruptArtifact, MissingArtifacts, SingleClass
 from .fileio import atomic_write
 
 
-@dataclass
-class ScoreSet:
-    scores: np.ndarray  # (n,)
-    labels: np.ndarray  # (n,) bool, True = target trial
+def score_trials(checkpoint: Checkpoint, corpus: Corpus, trials: np.ndarray) -> np.ndarray:
+    """Cosine between the embeddings of each trial's two segments, as an (n,) float64 array.
 
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=bool)
-        if self.scores.shape != self.labels.shape:
-            raise ValueError("scores and labels must be parallel")
-
-
-def score_trials(checkpoint: Checkpoint, corpus: Corpus, trials: list[Trial]) -> ScoreSet:
-    """Cosine between the embeddings of each trial's two segments."""
-    needed = sorted({t.enroll_id for t in trials} | {t.test_id for t in trials})
+    Each segment the (n, 3) trial array names is embedded once; each score
+    is one 1-D dot product of its two unit embeddings.
+    """
+    needed, index = np.unique(trials[:, :2], return_inverse=True)
     emb, _ = forward_pooled(corpus.mean_frames()[needed], checkpoint.params)
-    emb_of = {sid: emb[i] for i, sid in enumerate(needed)}
-    scores = np.array([float(emb_of[t.enroll_id] @ emb_of[t.test_id]) for t in trials])
-    labels = np.array([t.is_target for t in trials])
-    return ScoreSet(scores, labels)
+    return np.array([emb[a] @ emb[b] for a, b in index.reshape(-1, 2).tolist()], dtype=np.float64)
 
 
-def _rates(scores: np.ndarray, labels: np.ndarray):
+def _rates(scores: np.ndarray, is_target: np.ndarray):
     """Operating points over thresholds at -inf and every distinct score.
 
     Decision rule: accept when score >= threshold. Returns parallel
     arrays of P_miss (targets below threshold) and P_fa (non-targets at
     or above), ending at threshold +inf.
     """
-    tar = np.sort(scores[labels])
-    non = np.sort(scores[~labels])
+    tar = np.sort(scores[is_target])
+    non = np.sort(scores[~is_target])
     if tar.size == 0 or non.size == 0:
         raise SingleClass("need at least one target and one non-target trial")
     thresholds = np.unique(scores)
@@ -62,9 +55,9 @@ def _rates(scores: np.ndarray, labels: np.ndarray):
     return miss, fa
 
 
-def compute_eer(score_set: ScoreSet) -> float:
-    """Equal error rate in [0, 1]."""
-    miss, fa = _rates(score_set.scores, score_set.labels)
+def compute_eer(scores: np.ndarray, is_target: np.ndarray) -> float:
+    """Equal error rate in [0, 1] of scores, where the bool array is_target marks the target trials."""
+    miss, fa = _rates(scores, is_target)
     diff = miss - fa
     idx = int(np.argmax(diff >= 0.0))  # first crossing; diff starts at -1
     if diff[idx] == 0.0:
@@ -76,21 +69,19 @@ def compute_eer(score_set: ScoreSet) -> float:
     return float(m1 + t * (m2 - m1))
 
 
-def compute_mindcf(
-    score_set: ScoreSet, p_target: float = 0.05, c_miss: float = 1.0, c_fa: float = 1.0
-) -> float:
-    """Minimum normalized detection cost over all thresholds."""
-    miss, fa = _rates(score_set.scores, score_set.labels)
+def compute_mindcf(scores: np.ndarray, is_target: np.ndarray, p_target: float, c_miss: float,
+                   c_fa: float) -> float:
+    """Minimum normalized detection cost over all thresholds; is_target as for compute_eer."""
+    miss, fa = _rates(scores, is_target)
     costs = c_miss * p_target * miss + c_fa * (1.0 - p_target) * fa
     best = float(np.min(costs))
     return best / min(c_miss * p_target, c_fa * (1.0 - p_target))
 
 
-def save_scores(score_set: ScoreSet, trials: list[Trial], path: str | Path) -> None:
-    lines = [
-        f"{t.enroll_id}\t{t.test_id}\t{float(s)!r}\t{1 if t.is_target else 0}"
-        for t, s in zip(trials, score_set.scores)
-    ]
+def save_scores(scores: np.ndarray, trials: np.ndarray, path: str | Path) -> None:
+    """Write scores_*.tsv: per trial row, `enroll_id <tab> test_id <tab> score <tab> 0|1`, the score as repr."""
+    lines = [f"{enroll}\t{test}\t{score!r}\t{label}"
+             for (enroll, test, label), score in zip(trials.tolist(), scores.tolist())]
     atomic_write(path, "\n".join(lines) + "\n")
 
 

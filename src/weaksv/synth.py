@@ -1,6 +1,7 @@
 """Synthetic weakly-labeled corpus generator with known ground truth.
 
-Each speaker is a unit latent vector. A segment is rendered by adding
+Each speaker is a unit latent vector, one row of the (n, latent_dim)
+array generate_speakers returns. A segment is rendered by adding
 per-frame gaussian noise to the speaker latent and pushing every frame
 through a corpus-wide frozen affine lift followed by tanh, which makes
 the feature-to-speaker map non-linear. Recordings mix one target speaker
@@ -54,11 +55,6 @@ class SynthConfig:
 
 
 @dataclass(frozen=True)
-class VoicePrint:
-    latent: np.ndarray  # unit vector, (latent_dim,)
-
-
-@dataclass(frozen=True)
 class FeatureLift:
     """Frozen affine map latent -> feature space, applied under tanh."""
 
@@ -69,17 +65,18 @@ class FeatureLift:
         return np.tanh(latents @ self.matrix.T + self.bias)
 
 
-def generate_speakers(n: int, latent_dim: int, seed: int) -> list[VoicePrint]:
-    """n unit latent vectors, deterministic given seed, pairwise distinct."""
+def generate_speakers(n: int, latent_dim: int, seed: int) -> np.ndarray:
+    """An (n, latent_dim) array whose rows are the speakers' unit latents, deterministic given seed,
+    pairwise distinct."""
     rng = Rng.from_seed(seed, "speakers")
-    voices = []
-    for _ in range(n):
+    voices = np.empty((n, latent_dim))
+    for i in range(n):
         v = rng.normals(latent_dim)
         norm = float(np.linalg.norm(v))
         while norm < 1e-9:  # astronomically unlikely; redraw keeps the contract
             v = rng.normals(latent_dim)
             norm = float(np.linalg.norm(v))
-        voices.append(VoicePrint(v / norm))
+        voices[i] = v / norm
     return voices
 
 
@@ -101,9 +98,9 @@ class _Plan:
 
     `oracle` holds each segment's oracle label. Its frame noise is the
     normals(n_frames * latent_dim) call of stream `key` at `counter`; a
-    noise segment (`render_id` NOISE, else the voiceprint index) draws
-    its latent first, the normals(latent_dim) call at `latent_counter`
-    (-1 for speech).
+    noise segment (`render_id` NOISE, else the speaker's row of the
+    latents) draws its latent first, the normals(latent_dim) call at
+    `latent_counter` (-1 for speech).
     """
 
     table: ClusterTable
@@ -235,7 +232,7 @@ def generate_corpus(cfg: SynthConfig, feat=None) -> Corpus:
     if feat is not None:
         feat.write(feat_header(cfg.feat_dim))
     means = np.empty((plan.n_frames.size, cfg.feat_dim))
-    for a, b, rows in _render(plan, np.stack([v.latent for v in voices]), cfg, lift):
+    for a, b, rows in _render(plan, voices, cfg, lift):
         frames = rows.astype("<f4")
         pool_frames(frames, plan.n_frames[a:b], means[a:b])
         if feat is not None:

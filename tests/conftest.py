@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import struct
 from itertools import chain
@@ -10,6 +11,14 @@ from weaksv.corpus import FEAT_MAGIC, FEAT_VERSION, ClusterTable, Corpus, NOISE,
 from weaksv.embedder import unflatten_params
 from weaksv.synth import SynthConfig, generate_corpus
 from weaksv.trainer import loss_and_grads, recording_batch_loss, segment_batch_loss
+
+
+def load_script(name):
+    """scripts/<name>.py as a module (scripts/ is not a package)."""
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def segment_means(features):

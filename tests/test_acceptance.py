@@ -2,9 +2,9 @@
 
 Each test prints a PASS line with its headline numbers (visible under
 pytest -v -s or --capture=no); failures surface as ordinary assertion
-errors. Criteria 6-9 share one three-seed pipeline matrix fixture; the
-thresholds were fixed from the development pilot recorded in the README
-and are not tunable here.
+errors. Criteria 6-9 share one three-seed pipeline matrix fixture, which
+runs the pilot script's run_seed; the thresholds were fixed from that
+pilot, recorded in the README, and are not tunable here.
 """
 
 import itertools
@@ -17,19 +17,15 @@ import pytest
 
 from weaksv.batching import plan_epoch_stage1
 from weaksv.cli import main as cli_main
-from weaksv.corpus import assign_heldout_split, split_trials
 from weaksv.diarize import PRESETS, apply_diarization
 from weaksv.embedder import EmbedderConfig, flatten_params, forward_pooled, init_params
 from weaksv.errors import DegenerateEmbedding, NoKnownExamples
 from weaksv.losses import LSE, aggregate, extend_logits_unknown
-from weaksv.metrics import ScoreSet, compute_eer, compute_mindcf, score_trials
+from weaksv.metrics import compute_eer, compute_mindcf
 from weaksv.rng import Rng
-from weaksv.selection import score_train_segments, select_unknown_pool, self_label
 from weaksv.synth import SynthConfig, generate_corpus
-from weaksv.trainer import train_stage1, train_stage2
-from weaksv.config import load_run_config
 
-from conftest import bag_map, central_difference, composite_loss, max_relative_error
+from conftest import bag_map, central_difference, composite_loss, load_script, max_relative_error
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +194,9 @@ def test_ac04_metric_oracles():
             labels[0] = False
         if not labels.any():
             labels[0] = True
-        ss = ScoreSet(scores, labels)
-        assert abs(compute_eer(ss) - _oracle_eer(scores, labels)) <= 1e-9
-        assert abs(compute_mindcf(ss, 0.05) - _oracle_mindcf(scores, labels, 0.05)) <= 1e-9
-    hand = ScoreSet(np.array([0.6, 0.2, 0.5]), np.array([True, True, False]))
-    assert compute_mindcf(hand, p_target=0.05) == 0.5  # exact
+        assert abs(compute_eer(scores, labels) - _oracle_eer(scores, labels)) <= 1e-9
+        assert abs(compute_mindcf(scores, labels, 0.05, 1.0, 1.0) - _oracle_mindcf(scores, labels, 0.05)) <= 1e-9
+    assert compute_mindcf(np.array([0.6, 0.2, 0.5]), np.array([True, True, False]), 0.05, 1.0, 1.0) == 0.5  # exact
     print("AC4 metric oracles: PASS (100 sweeps within 1e-9, hand example exact)")
 
 
@@ -245,37 +239,13 @@ MATRIX_SEEDS = (101, 202, 303)
 @pytest.fixture(scope="module")
 def pipeline_matrix():
     """The default-config pipeline per seed, under both diarizers and both
-    stage-2 variants; shared by the end-to-end criteria."""
+    stage-2 variants (scripts/pilot_matrix.run_seed), timed; shared by the
+    end-to-end criteria."""
+    run_seed = load_script("pilot_matrix").run_seed
     rows = []
     for seed in MATRIX_SEEDS:
-        cfg = load_run_config(None, seed=seed)
         started = time.time()
-        corpus = generate_corpus(cfg.synth)
-        corpus = assign_heldout_split(corpus, cfg.heldout_fraction, seed)
-        trials = split_trials(corpus, cfg.n_target_trials, cfg.n_nontarget_trials, seed)
-        model = cfg.embedder_config()
-        row = {"seed": seed}
-
-        runs = {}
-        for preset in ("baseline", "pyannote-like"):
-            diarized = apply_diarization(corpus, replace(PRESETS[preset], seed=seed + 90_000))
-            result = train_stage1(diarized, cfg.stage1, model, seed)
-            runs[preset] = (diarized, result.checkpoint)
-            row[f"stage1_{preset}"] = compute_eer(score_trials(result.checkpoint, diarized, trials))
-
-        diarized, ckpt = runs["baseline"]
-        scored = score_train_segments(diarized, ckpt, cfg.stage1.loss.scale)
-        selection = self_label(diarized, scored)
-        pool = select_unknown_pool(scored, cfg.select_top_k, cfg.select_fraction)
-        row["precision"] = selection.stats.precision
-        row["recall"] = selection.stats.recall
-
-        plain = train_stage2(diarized, selection.selected, cfg.stage2, model, seed)
-        row["stage2"] = compute_eer(score_trials(plain.checkpoint, diarized, trials))
-        unk_cfg = replace(cfg.stage2, unknown_start_epoch=cfg.stage2.epochs // 2)
-        unk = train_stage2(diarized, selection.selected, unk_cfg, model, seed,
-                           unknown_pool=pool.segment_ids)
-        row["stage2_unknown"] = compute_eer(score_trials(unk.checkpoint, diarized, trials))
+        row = run_seed(seed)
         row["seconds"] = time.time() - started
         rows.append(row)
     return rows
@@ -298,7 +268,7 @@ def test_ac06_end_to_end_selection_quality(pipeline_matrix):
 
 def test_ac07_stage_ordering(pipeline_matrix):
     s1 = _mean(pipeline_matrix, "stage1_baseline")
-    s2 = _mean(pipeline_matrix, "stage2")
+    s2 = _mean(pipeline_matrix, "stage2_plain")
     assert s2 <= s1, (s1, s2)
     print(f"AC7 stage ordering: PASS (stage1 {s1 * 100:.2f}% -> stage2 {s2 * 100:.2f}%)")
 
@@ -312,7 +282,7 @@ def test_ac08_diarization_sensitivity(pipeline_matrix):
 
 
 def test_ac09_unknown_class_nondegradation(pipeline_matrix):
-    plain = _mean(pipeline_matrix, "stage2")
+    plain = _mean(pipeline_matrix, "stage2_plain")
     unk = _mean(pipeline_matrix, "stage2_unknown")
     assert unk <= plain + 0.003, (plain, unk)
     print(f"AC9 unknown-class variant: PASS (with {unk * 100:.2f}% vs "

@@ -14,6 +14,7 @@ import weaksv.cli
 from weaksv.cli import main
 from weaksv.corpus import ValidationIssue, load_manifest
 from weaksv.config import SCHEMA, load_run_config, parse_config_text, render_config, render_schema
+from weaksv.diarize import PRESETS
 from weaksv.errors import ConfigError
 from weaksv.losses import Schedule
 
@@ -88,6 +89,9 @@ class TestConfig:
         values = parse_config_text("[diar]\npreset = pyannote-like\nmax_clusters = 6\n")
         cfg3 = _build(values)
         assert cfg3.diar.max_clusters == 6 and cfg3.diar.drop_noise
+
+    def test_preset_choices_are_the_presets(self):
+        assert set(SCHEMA["diar"]["preset"].allowed.split(" | ")) == set(PRESETS)
 
     def test_render_round_trip(self):
         text = render_config()
@@ -260,7 +264,8 @@ BAD_CONFIGS = [
     ("stage2_negative_epochs", "[stage2]\nepochs = -1\n", "stage2.epochs"),
     ("p_target_zero", "[eval]\np_target = 0\n", "eval.p_target"),
     ("one_speaker", "[synth]\nn_speakers = 1\n", "synth.n_speakers"),
-    ("custom_purity_zero", "[diar]\npreset = custom\npurity = 0\n", "diar.purity"),
+    ("baseline_purity_zero", "[diar]\npreset = baseline\npurity = 0\n", "diar.purity"),
+    ("custom_preset", "[diar]\npreset = custom\n", "diar.preset"),
     ("preset_purity_zero", "[diar]\npurity = 0\n", "diar.purity"),
     ("momentum_above_one", "[stage1]\nmomentum = 1.5\n", "stage1.momentum"),
     ("lr_max_negative", "[stage1]\nlr_max = -1\n", "stage1.lr_max"),
@@ -620,6 +625,22 @@ def test_select_reports_corrupt_checkpoint(run_dir, tmp_path, case):
     ckpt = run / "stage1.ckpt"
     ckpt.write_bytes(CHECKPOINT_CORRUPTIONS[case](ckpt.read_bytes()))
     _assert_reported_error([], "select", run_dir.parent / "small.cfg", run)
+
+
+@pytest.mark.parametrize("command", ["select", "eval"])
+def test_checkpoint_holding_nan_is_an_error(run_dir, tmp_path, capsys, command):
+    """A NaN weight would score every trial NaN (an EER of 50%) and write `"score": NaN` selection lines."""
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    ckpt = run / "stage1.ckpt"
+    raw = bytearray(ckpt.read_bytes())
+    raw[24:32] = struct.pack("<d", float("nan"))  # the first W1 value, after the 24-byte header
+    ckpt.write_bytes(bytes(raw))
+    before = _tree(run)
+    assert main([command, "--config", str(run_dir.parent / "small.cfg"), "--out", str(run), "--seed", "5"]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "holds a parameter that is not finite" in errors[0], errors
+    assert _tree(run) == before
 
 
 def test_checkpoint_that_is_a_directory_is_an_error(run_dir, tmp_path):

@@ -221,10 +221,10 @@ class TestSplitTrials:
     def test_counts_and_determinism(self, small_corpus):
         corpus = self._held(small_corpus)
         trials = split_trials(corpus, 50, 50, seed=7)
-        assert len(trials) == 100
-        assert sum(t.is_target for t in trials) == 50
+        assert trials.shape == (100, 3) and trials.dtype == np.int64
+        assert trials[:, 2].tolist() == [1] * 50 + [0] * 50
         again = split_trials(corpus, 50, 50, seed=7)
-        assert trials == again
+        assert np.array_equal(trials, again)
 
     def test_cross_recording_and_disjoint_from_training(self, small_corpus):
         corpus = self._held(small_corpus)
@@ -232,12 +232,12 @@ class TestSplitTrials:
         heldout_ids = {s for r in heldout_recordings(corpus) for s in r.segment_ids()}
         recording_of = {s: r.recording_id for r in corpus.recordings for s in r.segment_ids()}
         oracle = corpus.segments.oracle
-        for t in trials:
-            assert t.enroll_id != t.test_id
-            assert recording_of[t.enroll_id] != recording_of[t.test_id]
-            assert t.enroll_id in heldout_ids and t.test_id in heldout_ids
-            same = oracle[t.enroll_id] == oracle[t.test_id]
-            assert same == t.is_target
+        for enroll, test, is_target in trials.tolist():
+            assert enroll != test
+            assert recording_of[enroll] != recording_of[test]
+            assert enroll in heldout_ids and test in heldout_ids
+            same = oracle[enroll] == oracle[test]
+            assert same == bool(is_target)
 
     def test_insufficient_segments(self):
         # one speaker only: non-target pairs are impossible
@@ -255,7 +255,63 @@ def test_trials_tsv_round_trip(tmp_path, small_corpus):
     corpus = assign_heldout_split(small_corpus, 0.25, seed=4)
     trials = split_trials(corpus, 20, 20, seed=5)
     save_trials(trials, tmp_path / "trials.tsv")
-    assert load_trials(tmp_path / "trials.tsv", len(corpus.segments)) == trials
+    loaded = load_trials(tmp_path / "trials.tsv", len(corpus.segments))
+    assert loaded.dtype == np.int64 and np.array_equal(loaded, trials)
+
+
+@st.composite
+def trial_arrays(draw):
+    """(n_segments, an (n, 3) int64 trial array over segment ids 0..n_segments-1)."""
+    n_segments = draw(st.integers(1, 10**12))
+    rows = draw(st.lists(st.tuples(st.integers(0, n_segments - 1), st.integers(0, n_segments - 1),
+                                   st.integers(0, 1)), max_size=30))
+    return n_segments, np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trial_arrays())
+def test_trials_tsv_round_trip_of_any_array(tmp_path_factory, case):
+    n_segments, trials = case
+    path = tmp_path_factory.mktemp("trials") / "trials.tsv"
+    save_trials(trials, path)
+    loaded = load_trials(path, n_segments)
+    assert loaded.dtype == np.int64 and loaded.shape == trials.shape and np.array_equal(loaded, trials)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trial_arrays(), st.data())
+def test_damaged_trials_tsv_is_rejected_or_in_range(tmp_path_factory, case, data):
+    """A trials.tsv cut at any byte, or with one bit flipped, raises CorruptArtifact or loads
+    rows whose ids lie in 0..n_segments-1 and whose labels are 0 or 1."""
+    n_segments, trials = case
+    path = tmp_path_factory.mktemp("damaged") / "trials.tsv"
+    save_trials(trials, path)
+    raw = bytearray(path.read_bytes())
+    if data.draw(st.booleans(), label="cut"):
+        raw = raw[:data.draw(st.integers(0, len(raw)), label="length")]
+    else:
+        raw[data.draw(st.integers(0, len(raw) - 1), label="byte")] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    path.write_bytes(bytes(raw))
+    try:
+        loaded = load_trials(path, n_segments)
+    except CorruptArtifact:
+        return
+    assert loaded.dtype == np.int64 and loaded.shape[1:] == (3,)
+    assert ((loaded[:, :2] >= 0) & (loaded[:, :2] < n_segments)).all()
+    assert np.isin(loaded[:, 2], (0, 1)).all()
+
+
+@pytest.mark.parametrize("line", [
+    "0\t1\t01", "0\t1\t+1", "0\t1\t1.0", "0\t1\t2",  # the label is the text 0 or 1
+    "-1\t1\t1", "0\t-1\t0", "5\t1\t1", "0\t5\t0",  # ids lie in 0..n-1, here n = 5
+    "0\t1", "0\t1\t1\t0",  # a missing field, an extra field
+], ids=["label_01", "label_plus_1", "label_1.0", "label_2", "enroll_minus_1", "test_minus_1", "enroll_n",
+        "test_n", "missing_field", "extra_field"])
+def test_load_trials_rejects_line(tmp_path, line):
+    path = tmp_path / "trials.tsv"
+    path.write_text(f"0\t1\t1\n{line}\n")
+    with pytest.raises(CorruptArtifact, match="line 2 "):
+        load_trials(path, 5)
 
 
 def test_mean_frames_matches_direct_average(tmp_path, tiny_corpus):

@@ -144,6 +144,16 @@ class TestCheckpointIO:
         with pytest.raises(CorruptArtifact):
             load_checkpoint(tmp_path / "bad.ckpt")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("block, name", [("parameter", "W1"), ("velocity", "P")])
+    def test_rejects_non_finite_value(self, tmp_path, block, name, value):
+        # training never saves such a value (sgd_step rejects a non-finite gradient), so it is damage
+        ckpt = self._checkpoint()
+        (ckpt.params if block == "parameter" else ckpt.velocities)[name].flat[0] = value
+        save_checkpoint(ckpt, tmp_path / "model.ckpt")
+        with pytest.raises(CorruptArtifact, match=f"holds a {block} that is not finite"):
+            load_checkpoint(tmp_path / "model.ckpt")
+
     @pytest.mark.parametrize("case", ["short_header", "bad_version", "zero_dim", "truncated",
                                       "truncated_optimizer", "trailing_bytes", "bad_opt_magic",
                                       "cut_at_optimizer"])

@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weaksv.corpus import Trial, assign_heldout_split, split_trials
+from weaksv.corpus import assign_heldout_split, split_trials
 from weaksv.embedder import Checkpoint, EmbedderConfig, init_params
 from weaksv.errors import CorruptArtifact, MissingArtifacts, SingleClass
-from weaksv.metrics import (
-    ScoreSet,
-    compute_eer,
-    compute_mindcf,
-    make_report,
-    save_scores,
-    score_trials,
-)
+from weaksv.metrics import compute_eer, compute_mindcf, make_report, save_scores, score_trials
 from weaksv.rng import Rng
 
 
@@ -59,30 +52,31 @@ def _random_scoreset(rng, n):
     return scores, labels
 
 
+# c_miss = c_fa = 1, the schema's defaults
+UNIT_COSTS = (1.0, 1.0)
+
+
 class TestComputeEer:
     def test_crossing_example(self):
-        ss = ScoreSet(np.array([0.9, 0.8, 0.1, 0.95]), np.array([True, True, False, False]))
-        assert compute_eer(ss) == pytest.approx(
-            brute_force_eer(ss.scores, ss.labels), abs=1e-12)
-        assert compute_eer(ss) == pytest.approx(0.5)
+        scores, labels = np.array([0.9, 0.8, 0.1, 0.95]), np.array([True, True, False, False])
+        assert compute_eer(scores, labels) == pytest.approx(brute_force_eer(scores, labels), abs=1e-12)
+        assert compute_eer(scores, labels) == pytest.approx(0.5)
 
     def test_perfect_separation(self):
-        ss = ScoreSet(np.array([0.9, 0.8, 0.1, 0.2]), np.array([True, True, False, False]))
-        assert compute_eer(ss) == 0.0
+        assert compute_eer(np.array([0.9, 0.8, 0.1, 0.2]), np.array([True, True, False, False])) == 0.0
 
     def test_inverted_labels_sweep_convention(self):
-        ss = ScoreSet(np.array([0.1, 0.2, 0.8, 0.9]), np.array([True, True, False, False]))
-        assert compute_eer(ss) == pytest.approx(1.0)
+        assert compute_eer(np.array([0.1, 0.2, 0.8, 0.9]), np.array([True, True, False, False])) == pytest.approx(1.0)
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClass):
-            compute_eer(ScoreSet(np.array([0.1, 0.2]), np.array([True, True])))
+            compute_eer(np.array([0.1, 0.2]), np.array([True, True]))
 
     def test_against_brute_force_sweep(self):
         rng = Rng.from_seed(123)
         for trial in range(60):
             scores, labels = _random_scoreset(rng, 20 + rng.randint(300))
-            got = compute_eer(ScoreSet(scores, labels))
+            got = compute_eer(scores, labels)
             assert got == pytest.approx(brute_force_eer(scores, labels), abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
@@ -90,8 +84,8 @@ class TestComputeEer:
     def test_invariant_under_increasing_transform(self, seed):
         rng = Rng.from_seed(seed)
         scores, labels = _random_scoreset(rng, 80)
-        base = compute_eer(ScoreSet(scores, labels))
-        warped = compute_eer(ScoreSet(np.tanh(3.0 * scores) + 0.1, labels))
+        base = compute_eer(scores, labels)
+        warped = compute_eer(np.tanh(3.0 * scores) + 0.1, labels)
         assert warped == pytest.approx(base, abs=1e-9)
 
 
@@ -99,28 +93,26 @@ class TestComputeMindcf:
     def test_hand_worked_example(self):
         # targets {0.6, 0.2}, non-target {0.5}: best threshold accepts only
         # 0.6, so cost = p * 0.5 and the normalized value is exactly 0.5
-        ss = ScoreSet(np.array([0.6, 0.2, 0.5]), np.array([True, True, False]))
-        assert compute_mindcf(ss, p_target=0.05) == 0.5
+        assert compute_mindcf(np.array([0.6, 0.2, 0.5]), np.array([True, True, False]), 0.05, *UNIT_COSTS) == 0.5
 
     def test_perfect_separation(self):
-        ss = ScoreSet(np.array([0.9, 0.8, 0.1]), np.array([True, True, False]))
-        assert compute_mindcf(ss, p_target=0.05) == 0.0
+        assert compute_mindcf(np.array([0.9, 0.8, 0.1]), np.array([True, True, False]), 0.05, *UNIT_COSTS) == 0.0
 
     def test_identical_scores_hit_trivial_bound(self):
-        ss = ScoreSet(np.array([0.3, 0.3, 0.3, 0.3]), np.array([True, True, False, False]))
-        assert compute_mindcf(ss, p_target=0.05) == pytest.approx(1.0)
+        scores, labels = np.array([0.3, 0.3, 0.3, 0.3]), np.array([True, True, False, False])
+        assert compute_mindcf(scores, labels, 0.05, *UNIT_COSTS) == pytest.approx(1.0)
 
     def test_normalized_at_most_one(self):
         rng = Rng.from_seed(5)
         for _ in range(40):
             scores, labels = _random_scoreset(rng, 50)
-            assert compute_mindcf(ScoreSet(scores, labels), 0.05) <= 1.0 + 1e-12
+            assert compute_mindcf(scores, labels, 0.05, *UNIT_COSTS) <= 1.0 + 1e-12
 
     def test_against_brute_force_sweep(self):
         rng = Rng.from_seed(321)
         for _ in range(60):
             scores, labels = _random_scoreset(rng, 20 + rng.randint(300))
-            got = compute_mindcf(ScoreSet(scores, labels), 0.05)
+            got = compute_mindcf(scores, labels, 0.05, *UNIT_COSTS)
             ref = brute_force_mindcf(scores, labels, 0.05)
             assert got == pytest.approx(ref, abs=1e-9)
 
@@ -129,8 +121,8 @@ class TestComputeMindcf:
     def test_invariant_under_increasing_transform(self, seed):
         rng = Rng.from_seed(seed)
         scores, labels = _random_scoreset(rng, 60)
-        base = compute_mindcf(ScoreSet(scores, labels), 0.05)
-        warped = compute_mindcf(ScoreSet(np.exp(scores), labels), 0.05)
+        base = compute_mindcf(scores, labels, 0.05, *UNIT_COSTS)
+        warped = compute_mindcf(np.exp(scores), labels, 0.05, *UNIT_COSTS)
         assert warped == pytest.approx(base, abs=1e-9)
 
 
@@ -146,25 +138,24 @@ def setup(small_corpus):
 class TestScoreTrials:
     def test_identical_segments_score_one(self, setup):
         corpus, _, ckpt = setup
-        trials = [Trial(0, 0, True)]
-        ss = score_trials(ckpt, corpus, trials)
-        assert ss.scores[0] == pytest.approx(1.0, abs=1e-6)
+        scores = score_trials(ckpt, corpus, np.array([[0, 0, 1]]))
+        assert scores[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_scores_bounded(self, setup):
         corpus, trials, ckpt = setup
-        ss = score_trials(ckpt, corpus, trials)
-        assert np.all(np.abs(ss.scores) <= 1.0 + 1e-9)
-        assert ss.labels.tolist() == [t.is_target for t in trials]
+        scores = score_trials(ckpt, corpus, trials)
+        assert scores.dtype == np.float64 and scores.shape == (len(trials),)
+        assert np.all(np.abs(scores) <= 1.0 + 1e-9)
 
     def test_scores_tsv_round_trip(self, setup, tmp_path):
         corpus, trials, ckpt = setup
-        ss = score_trials(ckpt, corpus, trials)
-        save_scores(ss, trials, tmp_path / "scores.tsv")
+        scores = score_trials(ckpt, corpus, trials)
+        save_scores(scores, trials, tmp_path / "scores.tsv")
         lines = (tmp_path / "scores.tsv").read_text().splitlines()
         assert [line.split("\t") for line in lines] == [
-            [str(t.enroll_id), str(t.test_id), repr(float(s)), str(int(t.is_target))]
-            for t, s in zip(trials, ss.scores)]
-        assert [float(line.split("\t")[2]) for line in lines] == ss.scores.tolist()
+            [str(enroll), str(test), repr(float(score)), str(label)]
+            for (enroll, test, label), score in zip(trials.tolist(), scores)]
+        assert [float(line.split("\t")[2]) for line in lines] == scores.tolist()
 
 
 class TestMakeReport:

@@ -4,14 +4,11 @@ The script calls the selection and trainer functions directly, so a
 signature change there breaks it; this test makes that a test failure.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 from weaksv.config import load_run_config
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "pilot_matrix.py"
+from conftest import load_script
 
 TINY = """
 [synth]
@@ -38,10 +35,7 @@ fraction = 0.5
 
 @pytest.fixture(scope="module")
 def pilot():
-    spec = importlib.util.spec_from_file_location("pilot_matrix", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script("pilot_matrix")
 
 
 def test_run_seed_on_a_tiny_config(pilot, tmp_path):

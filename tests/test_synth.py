@@ -21,19 +21,16 @@ from conftest import (corpus_of, feat_bytes, feat_frames, frame_bounds, generate
 class TestGenerateSpeakers:
     def test_unit_norm(self):
         voices = generate_speakers(2, 8, seed=1)
+        assert voices.shape == (2, 8) and voices.dtype == np.float64
         for v in voices:
-            assert abs(np.linalg.norm(v.latent) - 1.0) < 1e-6
+            assert abs(np.linalg.norm(v) - 1.0) < 1e-6
 
     def test_deterministic(self):
-        a = generate_speakers(5, 8, seed=1)
-        b = generate_speakers(5, 8, seed=1)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.latent, y.latent)
+        assert np.array_equal(generate_speakers(5, 8, seed=1), generate_speakers(5, 8, seed=1))
 
     def test_pairwise_distinct(self):
         # brute-force pairwise cosine check over a large draw
-        voices = generate_speakers(500, 8, seed=3)
-        mat = np.stack([v.latent for v in voices])
+        mat = generate_speakers(500, 8, seed=3)
         cos = mat @ mat.T
         np.fill_diagonal(cos, -1.0)
         assert cos.max() < 1.0 - 1e-6
@@ -50,7 +47,7 @@ class TestRenderSegment:
         bounds = frame_bounds(a.segments)
         for sid, spk in enumerate(a.segments.oracle.tolist()):
             # effectively noiseless: every frame is the lifted latent
-            lifted = lift.apply(voices[spk].latent[None, :])[0]
+            lifted = lift.apply(voices[spk][None, :])[0]
             assert np.allclose(frames_a[bounds[sid]:bounds[sid + 1]], lifted, atol=1e-6)
 
     def test_distinct_speakers_render_distinct_features(self):
@@ -78,7 +75,7 @@ class TestRenderSegment:
         voices = generate_speakers(cfg.n_speakers + cfg.unknown_speaker_count,
                                    cfg.latent_dim, cfg.seed)
         lift = make_lift(cfg)
-        centroids = np.stack([lift.apply(v.latent[None, :])[0] for v in voices[: cfg.n_speakers]])
+        centroids = np.stack([lift.apply(v[None, :])[0] for v in voices[: cfg.n_speakers]])
         oracle = corpus.segments.oracle.tolist()
         known = [sid for sid, spk in enumerate(oracle) if spk >= 0]
         assert len(known) >= 1000
@@ -271,7 +268,7 @@ class TestPlanParity:
 
 def _reference_render_segment(voice, n_frames, cfg, rng, lift, dtype):
     noise = rng.normals(n_frames * cfg.latent_dim).reshape(n_frames, cfg.latent_dim)
-    latents = voice.latent[None, :] + cfg.within_speaker_noise * noise
+    latents = voice[None, :] + cfg.within_speaker_noise * noise
     return lift.apply(latents).astype(dtype)
 
 
@@ -361,7 +358,7 @@ class TestBlockParity:
         cfg = PARITY_CONFIGS[name]
         plan = weaksv.synth._plan_corpus(cfg)
         voices = generate_speakers(cfg.n_speakers + cfg.unknown_speaker_count, cfg.latent_dim, cfg.seed)
-        blocks = list(weaksv.synth._render(plan, np.stack([v.latent for v in voices]), cfg, make_lift(cfg)))
+        blocks = list(weaksv.synth._render(plan, voices, cfg, make_lift(cfg)))
         assert [a for a, _, _ in blocks] == [0] + [b for _, b, _ in blocks[:-1]]
         assert blocks[-1][1] == plan.n_frames.size
         _, want = _reference_corpus(cfg, dtype=np.float64)
