@@ -7,15 +7,16 @@ Usage (from the repository root):
 
 For every workload it runs the tree's `bench/run.py` at one seed, with
 `--trace 0` for the end-to-end metrics and with `--trace 1` for the
-per-layer ones, each as ROUNDS (3) short runs that split `--seconds`
-between them. Given a parent tree as well, it records both trees in one
-invocation, alternating between them run by run with the first tree
-flipping at every step, so a burst of host load is spread over both
-trees; it writes one file for each. The file holds:
+per-layer ones, each as ROUNDS (10) short runs that split `--seconds`
+between them. Given a parent tree as well, it records both
+trees in one invocation, alternating between them run by run with the
+first tree flipping at every step, so a burst of host load is spread
+over both trees; it writes one file for each. The file holds:
 - `env`: Python, numpy, BLAS and its thread settings, cores, commit and
   code digest, as the harness reports them;
 - per workload, `end_to_end`: the harness's metrics as the median over
-  the rounds, plus `wall_s` and each CLI stage's time as the median and
+  the rounds (`rounds` keeps each round's setup_s and peak_rss_mib
+  too), plus `wall_s` and each CLI stage's time as the median and
   quartiles over the untraced passes of all rounds pooled (from the
   harness's per-pass stage times), and each CLI stage's peak resident
   memory as `stage.<stage>_peak_rss_mib`. The harness runs every stage of
@@ -37,7 +38,10 @@ It then compares the file with a previous one and lists in `flags`:
   rate) that differs at all.
 Figures with one number and no spread (setup_s, the peak RSS figures
 and the per-layer timings) are listed as ratios under `ratios` and are
-not flagged: a median of three rounds gives no range to compare with.
+not flagged: a median of a few rounds gives no range to compare with.
+With a parent tree, the change's file also counts under `won_rounds`, for
+each per-round figure, the rounds in which the change read lower than the
+parent's run of the same round, as "<won>/<rounds>".
 The previous file is `--previous`, else the newest other BENCH_*.json
 beside it; with a parent tree, the change is compared with the parent's
 file, and the parent's file with that previous one. Two files are
@@ -60,7 +64,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("pipeline", "ablate", "scale")
-ROUNDS = 3  # harness runs per tree, workload and trace mode
+ROUNDS = 10  # harness runs per tree, workload and trace mode: ten pairs for a gain claim
 # Name endings of figures with a single value and no spread: compared as ratios only.
 UNSPREAD = ("setup_s", "peak_rss_mib")
 # A CLI stage in a fresh interpreter that prints its peak resident memory in KiB. The peak is
@@ -127,7 +131,8 @@ def record_trees(trees: dict[str, Path], seed: int, seconds: float) -> dict[str,
     during the recording weighs on both trees alike. Each tree's stage
     peaks are taken after its untraced rounds.
     """
-    docs = {label: {"label": label, "seed": seed, "seconds": seconds, "workloads": {}} for label in trees}
+    docs = {label: {"label": label, "seed": seed, "seconds": seconds, "rounds": ROUNDS, "workloads": {}}
+            for label in trees}
     order = list(trees)
     for workload in WORKLOADS:
         for trace in (0, 1):
@@ -142,6 +147,8 @@ def record_trees(trees: dict[str, Path], seed: int, seconds: float) -> dict[str,
                 passes = sum(record["passes"] for record, _ in rounds[label])
                 if trace == 0:
                     figures.update(passes=passes, end_to_end=end_to_end_figures(workload, rounds[label]))
+                    figures["rounds"] = {name: [result["metrics"][name]["value"] for _, result in rounds[label]]
+                                         for name in rounds[label][0][1]["metrics"] if name.endswith(UNSPREAD)}
                     figures["end_to_end"].update(stage_peaks(trees[label], workload, seed))
                     figures["quality"] = {name: statistics.median(record["quality"][name] for record, _ in
                                                                   rounds[label])
@@ -184,6 +191,19 @@ def compare(new: dict, old: dict) -> tuple[list[str], dict[str, float]]:
     return flags, ratios
 
 
+def won_rounds(change: dict, parent: dict) -> dict[str, str]:
+    """Per workload and per-round figure, the rounds in which change read lower than parent, as "<won>/<rounds>".
+
+    Round i of both trees ran back to back, so each round is one pair.
+    """
+    won = {}
+    for workload, figures in change["workloads"].items():
+        for name, values in figures.get("rounds", {}).items():
+            base = parent["workloads"][workload]["rounds"][name]
+            won[f"{workload} {name}"] = f"{sum(new < old for new, old in zip(values, base))}/{len(values)}"
+    return won
+
+
 def previous_file(out: Path, explicit: str | None, skip: tuple[Path, ...] = ()) -> Path | None:
     """The BENCH file to compare out with: explicit, or the newest other one beside it but those in skip."""
     if explicit:
@@ -214,7 +234,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent-tree", default=None,
                         help="record this tree too, alternating with --tree, and compare --tree with it")
     parser.add_argument("--seed", type=int, default=101)
-    parser.add_argument("--seconds", type=float, default=20.0, help="--seconds of each harness run")
+    parser.add_argument("--seconds", type=float, default=20.0,
+                        help="--seconds that the rounds of one tree, workload and trace mode split between them")
     parser.add_argument("--out-dir", default=str(ROOT))
     parser.add_argument("--previous", default=None,
                         help="BENCH_*.json to compare with (the parent's file, with --parent-tree)")
@@ -230,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
     outs = {label: out_dir / f"BENCH_{label}.json" for label in trees}
     previous = previous_file(outs[args.label], args.previous, skip=tuple(outs.values()))
     if args.parent_tree is not None:
+        docs[args.label]["won_rounds"] = won = won_rounds(docs[args.label], docs[args.parent_label])
+        for where, count in won.items():
+            print(f"{args.label} read lower than {args.parent_label} in {count} rounds: {where}")
         write(docs[args.parent_label], outs[args.parent_label], previous)
         previous = outs[args.parent_label]
     write(docs[args.label], outs[args.label], previous)

@@ -181,6 +181,7 @@ def cmd_eval(cfg: cfgmod.RunConfig, args) -> None:
     checkpoints = [load_checkpoint(path) for path in paths]
     for path, ckpt in zip(paths, checkpoints):
         _check_checkpoint(ckpt, path, corpus, speakers=False)  # scoring reads embeddings only
+    metricsmod.check_report_inputs(out, skip={out / f"eval_{path.stem}.json" for path in paths})
     _snapshot_config(cfg, out)
     for path, ckpt in zip(paths, checkpoints):
         payload = _evaluate(cfg, corpus, trials, ckpt, path, out)
@@ -195,12 +196,16 @@ def cmd_ablate(cfg: cfgmod.RunConfig, args) -> None:
     corpus = load_manifest(out)
     trials = load_trials(out / corpusmod.TRIALS_NAME, len(corpus.segments))
     model = cfg.embedder_config()
+    variants = ablation_stage1_configs(cfg.stage1)
+    stage2_runs = (("stage2_plain", -1), ("stage2_unknown", max(0, cfg.stage2.epochs // 2)))
+    grid = out / "ablation"
+    metricsmod.check_report_inputs(out, skip={grid / name for name in [*variants, *(name for name, _ in stage2_runs)]})
     _snapshot_config(cfg, out)
 
     checkpoints = {}
     plans = plan_stage1(corpus, cfg.stage1, cfg.seed)  # the variants differ in their loss alone
-    for name, stage_cfg in ablation_stage1_configs(cfg.stage1).items():
-        sub = out / "ablation" / name
+    for name, stage_cfg in variants.items():
+        sub = grid / name
         sub.mkdir(parents=True, exist_ok=True)
         result = train_stage1(corpus, stage_cfg, model, cfg.seed, plans=plans)
         _save_run(result, sub, 1)
@@ -213,8 +218,8 @@ def cmd_ablate(cfg: cfgmod.RunConfig, args) -> None:
     # stage-2 comparisons off the margin-free max-pooling run (m4); the
     # pool is ignored while unknown_start_epoch is negative
     selection, pool = _self_label(cfg, corpus, checkpoints["m4"])
-    for name, unknown_start in (("stage2_plain", -1), ("stage2_unknown", max(0, cfg.stage2.epochs // 2))):
-        sub = out / "ablation" / name
+    for name, unknown_start in stage2_runs:
+        sub = grid / name
         sub.mkdir(parents=True, exist_ok=True)
         _save_selection(selection, pool, sub)
         stage_cfg = replace(cfg.stage2, unknown_start_epoch=unknown_start)

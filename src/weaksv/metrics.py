@@ -122,6 +122,25 @@ def _read_json(path: Path):
         raise CorruptArtifact(f"{path} is not valid JSON") from None
 
 
+def check_report_inputs(run_dir: str | Path, skip=frozenset()) -> None:
+    """Read and check every file make_report(run_dir) reads, but those in skip or in a directory in skip.
+
+    A command that rewrites some of the report's inputs calls this before
+    its first write, so a damaged other input fails it with the run
+    directory untouched; CorruptArtifact for a damaged file.
+    """
+    run_dir = Path(run_dir)
+    ablation_dir = run_dir / "ablation"
+    subs = sorted(sub for sub in ablation_dir.iterdir() if sub.is_dir()) if ablation_dir.is_dir() else []
+    for directory in (run_dir, *subs):
+        if directory in skip:
+            continue
+        for pattern in ("eval_*.json", "selection_stats.json", "metrics_*.csv"):
+            for path in sorted(directory.glob(pattern)):
+                if path not in skip:
+                    _schedule_trace(path) if path.suffix == ".csv" else _read_json(path)
+
+
 def collect_run(run_dir: str | Path) -> dict:
     """Everything reportable inside one run directory; CorruptArtifact for a damaged file."""
     run_dir = Path(run_dir)

@@ -45,15 +45,16 @@ def test_previous_file_is_the_newest_other_record(tmp_path):
 
 def _fake_harness(monkeypatch, calls):
     """Stand-ins for run_harness, which logs (tree, workload, trace, seconds) and reports one two-pass run
-    whose metric and quality read 7, 9 and 8 on a tree's three rounds (a traced run also reports its
-    quality among its metrics, as the harness does), and for stage_peaks, which logs (tree, workload,
-    "peaks")."""
+    whose metric and quality read 7, 9 and 8 on a tree's first three rounds, and so on (a traced run also
+    reports its quality among its metrics, as the harness does; an untraced run's peak_rss_mib reads one
+    more on a tree named p), and for stage_peaks, which logs (tree, workload, "peaks")."""
     def run(tree, workload, seed, seconds, trace):
         calls.append((tree.name, workload, trace, seconds))
         value = (7.0, 9.0, 8.0)[(sum(1 for call in calls if call[:3] == (tree.name, workload, trace)) - 1) % 3]
         record = {"env": {"tree": tree.name}, "passes": 2, "problems": [], "quality": {"eer_stage1": value / 100},
                   "stage_s_per_pass": [{"gen": 1.0, "eval": 2.0}, {"gen": 1.5, "eval": 2.5}]}
-        metrics = {"wall_s": value} if trace == 0 else {"trainer.steps1": value, "quality.eer_stage1": value / 100}
+        metrics = ({"wall_s": value, "peak_rss_mib": value + (tree.name == "p")} if trace == 0 else
+                   {"trainer.steps1": value, "quality.eer_stage1": value / 100})
         return record, {"correct": True, "metrics": {name: {"value": v} for name, v in metrics.items()}}
 
     def peaks(tree, workload, seed):
@@ -67,6 +68,7 @@ def _fake_harness(monkeypatch, calls):
 def test_two_trees_alternate_with_the_first_flipping(monkeypatch, tmp_path):
     calls = []
     _fake_harness(monkeypatch, calls)
+    monkeypatch.setattr(bench_record, "ROUNDS", 3)
     trees = {"parent": tmp_path / "p", "change": tmp_path / "c"}
     docs = bench_record.record_trees(trees, seed=1, seconds=3.0)
     expected, step = [], 0
@@ -84,9 +86,21 @@ def test_two_trees_alternate_with_the_first_flipping(monkeypatch, tmp_path):
         assert figures["end_to_end"]["wall_s"] == {"median": 3.5, "q1": 3.0, "q3": 4.0, "n": 6}
         assert figures["end_to_end"]["stage.gen_s"] == {"median": 1.25, "q1": 1.0, "q3": 1.5, "n": 6}
         assert figures["end_to_end"]["stage.gen_peak_rss_mib"] == 40.0
+        assert figures["rounds"] == {"peak_rss_mib": [7.0 + (label == "parent"), 9.0 + (label == "parent"),
+                                                      8.0 + (label == "parent")]}
         assert figures["per_layer"] == {"trainer.steps1": 8.0}  # the quality figures have a block of their own
         assert figures["quality"] == {"eer_stage1": 0.08}
         assert (figures["passes"], figures["traced_passes"]) == (6, 6)
+    assert bench_record.won_rounds(docs["change"], docs["parent"])["scale peak_rss_mib"] == "3/3"
+    assert bench_record.won_rounds(docs["parent"], docs["change"])["scale peak_rss_mib"] == "0/3"
+
+
+def test_won_rounds_counts_strictly_lower_rounds_pair_by_pair():
+    def doc(values):
+        return {"workloads": {"scale": {"rounds": {"peak_rss_mib": values}}}}
+
+    assert bench_record.won_rounds(doc([1.0, 2.0, 3.0, 4.0]), doc([2.0, 2.0, 2.0, 5.0])) == {
+        "scale peak_rss_mib": "2/4"}
 
 
 def test_stage_peaks_are_ratios_not_flags():
@@ -123,11 +137,18 @@ def test_stage_peaks_run_each_stage_in_a_fresh_process(tmp_path):
 
 
 def test_pair_writes_both_files_and_compares_the_change_with_the_parent(monkeypatch, tmp_path):
-    _fake_harness(monkeypatch, [])
     (tmp_path / "BENCH_old.json").write_text(json.dumps({"recorded_at": "2026-01-01T00:00:00Z", "workloads": {}}))
-    assert bench_record.main(["--label", "new", "--tree", str(tmp_path), "--parent-label", "base",
-                              "--parent-tree", str(tmp_path), "--out-dir", str(tmp_path), "--seconds", "1"]) == 0
+    calls = []
+    _fake_harness(monkeypatch, calls)
+    assert bench_record.main(["--label", "new", "--tree", str(tmp_path / "c"), "--parent-label", "base",
+                              "--parent-tree", str(tmp_path / "p"), "--out-dir", str(tmp_path), "--seconds", "1"]) == 0
+    rounds = bench_record.ROUNDS  # the runs of one tree, workload and trace mode split --seconds
+    assert sum(1 for call in calls if call[2:] == (0, 1 / rounds)) == rounds * 2 * len(bench_record.WORKLOADS)
     base = json.loads((tmp_path / "BENCH_base.json").read_text())
     new = json.loads((tmp_path / "BENCH_new.json").read_text())
     assert (base["compared_with"], new["compared_with"]) == ("BENCH_old.json", "BENCH_base.json")
+    assert base["rounds"] == new["rounds"] == rounds
+    assert len(new["workloads"]["scale"]["rounds"]["peak_rss_mib"]) == rounds
+    assert new["won_rounds"] == {f"{w} peak_rss_mib": f"{rounds}/{rounds}" for w in bench_record.WORKLOADS}
+    assert "won_rounds" not in base
     assert bench_record.previous_file(tmp_path / "BENCH_next.json", None).name == "BENCH_new.json"

@@ -739,6 +739,29 @@ def test_eval_reads_every_input_before_writing(run_dir, tmp_path, case):
     assert _tree(run) == before
 
 
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+def test_report_inputs_are_read_before_writing(run_dir, tmp_path, command):
+    """A damaged report input that the command does not write itself fails it before its first write."""
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    metrics = run / "metrics_stage1.csv"
+    metrics.write_bytes(metrics.read_bytes()[:-3])
+    before = _tree(run)
+    stderr = _assert_reported_error([], command, run_dir.parent / "small.cfg", run, "--seed", "5")
+    assert "metrics_stage1.csv" in stderr
+    assert _tree(run) == before
+
+
+def test_eval_rewrites_a_damaged_eval_file(run_dir, tmp_path):
+    """eval does not read the eval files it writes: a damaged one is replaced, and the report is the clean run's."""
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    damaged = run / "eval_stage1.json"
+    damaged.write_bytes(damaged.read_bytes()[:10])
+    assert main(["eval", "--config", str(run_dir.parent / "small.cfg"), "--out", str(run)]) == 0
+    assert _tree(run) == _tree(run_dir)
+
+
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_path = tmp_path / "c.cfg"

@@ -364,8 +364,8 @@ class TestArrayParity:
         corpus, ckpt = trained
         return corpus, _tied_checkpoint(ckpt) if request.param == "ties" else ckpt
 
-    # "tail1": a block size that leaves a one-row last block
-    @pytest.mark.parametrize("row_block", [weaksv.selection.ROW_BLOCK, 7, "tail1"])
+    # 1024: one block holds every row; "tail1": a block size that leaves a one-row last block
+    @pytest.mark.parametrize("row_block", [1024, 7, "tail1"])
     @pytest.mark.parametrize("top_k, fraction", [(1, 1.0), (3, 1.0), (3, 0.3), (5, 0.5)])
     def test_unknown_pool_matches_row_loop(self, case, monkeypatch, row_block, top_k, fraction):
         corpus, ckpt = case
@@ -430,21 +430,23 @@ def test_selection_makes_no_per_segment_lookups(trained, monkeypatch):
 
 
 def test_scoring_never_holds_the_cosine_matrix(monkeypatch):
-    """Selection's traced peak stays below half of a rows x speakers float64 matrix."""
-    corpus = generate_corpus(SynthConfig(n_speakers=64, recordings_per_speaker=3,
+    """Selection's traced peak stays below half of a rows x speakers float64 matrix, at a small block and at
+    the module's own ROW_BLOCK (at 1024 rows the peak here passed the bound)."""
+    corpus = generate_corpus(SynthConfig(n_speakers=64, recordings_per_speaker=8,
                                          segments_per_recording=(6, 8), frames_per_segment=(2, 3),
                                          unknown_speaker_count=0, seed=7))
     model = EmbedderConfig(feat_dim=20, hidden_dim=16, emb_dim=8)
     ckpt = Checkpoint(model, init_params(model, corpus.n_speakers, seed=3))
-    monkeypatch.setattr(weaksv.selection, "ROW_BLOCK", 32)
     n_rows = sum(len(rec.segment_ids()) for rec in train_recordings(corpus))
     matrix_bytes = n_rows * corpus.n_speakers * 8
-    tracemalloc.start()
-    try:
-        scored = score_train_segments(corpus, ckpt)
-        self_label(corpus, scored)
-        select_unknown_pool(scored, top_k=3, fraction=0.5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < matrix_bytes / 2, (peak, matrix_bytes)
+    for row_block in (32, weaksv.selection.ROW_BLOCK):
+        monkeypatch.setattr(weaksv.selection, "ROW_BLOCK", row_block)
+        tracemalloc.start()
+        try:
+            scored = score_train_segments(corpus, ckpt)
+            self_label(corpus, scored)
+            select_unknown_pool(scored, top_k=3, fraction=0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix_bytes / 2, (row_block, peak, matrix_bytes)

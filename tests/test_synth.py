@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -398,3 +399,29 @@ def test_stored_means_are_the_frames_means(tmp_path_factory, block, max_frames, 
     raw = (path / "corpus.idx").read_bytes()
     stored = raw[len(raw) - 8 * frames.shape[1] * len(corpus.segments):]  # the means close the file
     assert stored == segment_means(np.split(frames, bounds[1:-1])).astype("<f8").tobytes()
+
+
+def _traced_peak(fn):
+    """fn()'s peak of traced allocations (numpy reports its buffers to tracemalloc), in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_render_scratch_does_not_follow_the_frames():
+    """4x the frames per segment, at the same segments, moves gen's traced peak by less than one block's
+    lifted float64 rows: no frame matrix is held, and a block is RENDER_BLOCK frames whatever the segments."""
+    configs = [SynthConfig(n_speakers=40, recordings_per_speaker=4, frames_per_segment=frames, seed=5)
+               for frames in ((4, 8), (16, 32))]
+    corpora, peaks = [], []
+    for cfg in configs:
+        peaks.append(_traced_peak(lambda: corpora.append(generate_corpus(cfg))))
+    short, long = corpora
+    assert np.array_equal(short.segments.oracle, long.segments.oracle)
+    block_rows = weaksv.synth.RENDER_BLOCK * configs[0].feat_dim * 8
+    frame_growth = (long.segments.n_frames.sum() - short.segments.n_frames.sum()) * configs[0].feat_dim * 4
+    assert frame_growth > 10 * block_rows  # a held frame matrix would show
+    assert peaks[1] - peaks[0] < block_rows, (peaks, block_rows)
