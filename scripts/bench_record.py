@@ -13,7 +13,11 @@ trees in one invocation, alternating between them run by run with the
 first tree flipping at every step, so a burst of host load is spread
 over both trees; it writes one file for each. The file holds:
 - `env`: Python, numpy, BLAS and its thread settings, cores, commit and
-  code digest, as the harness reports them;
+  code digest, as the harness reports them, plus `kernel`: the OpenBLAS
+  core numpy's bundled library picked at run time (`openblas_core`, None
+  where the library has no `scipy_openblas_get_corename64_`) and numpy's
+  `simd_extensions` as `np.show_runtime()` reports them. The harness runs
+  under this interpreter, so these are its kernels too;
 - per workload, `end_to_end`: the harness's metrics as the median over
   the rounds (`rounds` keeps each round's setup_s and peak_rss_mib
   too), plus `wall_s` and each CLI stage's time as the median and
@@ -52,6 +56,7 @@ and best in one alternating invocation.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import runpy
@@ -61,6 +66,9 @@ import sys
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("pipeline", "ablate", "scale")
@@ -72,6 +80,22 @@ UNSPREAD = ("setup_s", "peak_rss_mib")
 # this script, since Linux carries that mark across exec.
 STAGE_CHILD = ("import sys; from weaksv.cli import main; code = main(sys.argv[1:]); "
                "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0]); sys.exit(code)")
+
+
+def kernel_fingerprint() -> dict:
+    """Which numerical kernels this interpreter's numpy runs: the OpenBLAS core and the SIMD targets."""
+    core = None
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):  # not loadable, or no such symbol
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+    simd = {"baseline": list(__cpu_baseline__),
+            "found": [target for target in __cpu_dispatch__ if __cpu_features__[target]],
+            "not_found": [target for target in __cpu_dispatch__ if not __cpu_features__[target]]}
+    return {"openblas_core": core, "simd_extensions": simd}
 
 
 def run_harness(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -134,6 +158,7 @@ def record_trees(trees: dict[str, Path], seed: int, seconds: float) -> dict[str,
     docs = {label: {"label": label, "seed": seed, "seconds": seconds, "rounds": ROUNDS, "workloads": {}}
             for label in trees}
     order = list(trees)
+    kernel = kernel_fingerprint()
     for workload in WORKLOADS:
         for trace in (0, 1):
             rounds = {label: [] for label in trees}
@@ -142,7 +167,7 @@ def record_trees(trees: dict[str, Path], seed: int, seconds: float) -> dict[str,
                     rounds[label].append(run_harness(trees[label], workload, seed, seconds / ROUNDS, trace))
                 order.reverse()
             for label in order:
-                docs[label].setdefault("env", rounds[label][0][0]["env"])
+                docs[label].setdefault("env", {**rounds[label][0][0]["env"], "kernel": kernel})
                 figures = docs[label]["workloads"].setdefault(workload, {})
                 passes = sum(record["passes"] for record, _ in rounds[label])
                 if trace == 0:

@@ -179,9 +179,14 @@ def cmd_eval(cfg: cfgmod.RunConfig, args) -> None:
     if not paths:
         raise MissingArtifacts(f"no stage checkpoints in {out}")
     checkpoints = [load_checkpoint(path) for path in paths]
+    report = metricsmod.collect_report(out, skip={out / f"eval_{path.stem}.json" for path in paths})
     for path, ckpt in zip(paths, checkpoints):
         _check_checkpoint(ckpt, path, corpus, speakers=False)  # scoring reads embeddings only
-    metricsmod.check_report_inputs(out, skip={out / f"eval_{path.stem}.json" for path in paths})
+        # this run's checkpoints log one metrics row per step, so a file cut at a row boundary has fewer;
+        # one from another directory, or without a metrics file, has no rows to check
+        rows = report.get("schedules", {}).get(path.stem, {"steps": ckpt.step}).get("steps", 0)
+        if path.resolve().parent == out.resolve() and rows != ckpt.step:
+            raise CorruptArtifact(f"{out}/metrics_{path.stem}.csv: {rows} rows, but {path.name} took {ckpt.step} steps")
     _snapshot_config(cfg, out)
     for path, ckpt in zip(paths, checkpoints):
         payload = _evaluate(cfg, corpus, trials, ckpt, path, out)
@@ -199,7 +204,7 @@ def cmd_ablate(cfg: cfgmod.RunConfig, args) -> None:
     variants = ablation_stage1_configs(cfg.stage1)
     stage2_runs = (("stage2_plain", -1), ("stage2_unknown", max(0, cfg.stage2.epochs // 2)))
     grid = out / "ablation"
-    metricsmod.check_report_inputs(out, skip={grid / name for name in [*variants, *(name for name, _ in stage2_runs)]})
+    metricsmod.collect_report(out, skip={grid / name for name in [*variants, *(name for name, _ in stage2_runs)]})
     _snapshot_config(cfg, out)
 
     checkpoints = {}

@@ -15,15 +15,19 @@ for cosine inputs); its gradient is the softmax of v/tau, identical to
 the unnormalized form.
 
 Every function works on a whole mini-batch at once: `aggregate` pools
-all bags of a stage-1 batch given the planner's bag map, and the margin
-losses take one row per bag or segment with a target per row. A
-training step therefore makes one loss call (two on stage-1 and
-unknown-class steps) instead of one per bag or row.
+all bags of a stage-1 batch given the planner's bag map and returns the
+pooled similarities with their backward closure, and the margin losses
+take one row per bag or segment with a target per row. A training step
+therefore makes one loss call (two on stage-1 and unknown-class steps)
+instead of one per bag or row. Inputs are float64 and bool arrays, and
+the pooling kind and a positive tau come from a checked configuration,
+so nothing here checks them again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,57 +64,40 @@ class LossConfig:
     aggregation: str = MAX
 
 
-@dataclass
-class Aggregation:
-    """Recording-level similarities plus what backward needs for routing.
-
-    Arrays are per bag: c_rec and argmax are (n_bags, n_classes).
-    """
+class Pooled(NamedTuple):
+    """(n_bags, n_classes) recording-level similarities, and d loss / d c_rec -> d loss / d c_seg."""
 
     c_rec: np.ndarray
-    kind: str
-    bag_of_row: np.ndarray  # (rows,) index of the bag each segment row belongs to
-    argmax: np.ndarray | None = None  # rows picked by MAX, shaped like c_rec
-    weights: np.ndarray | None = None  # (rows, n_classes) softmax weights for LSE
-
-    def backward(self, d_rec: np.ndarray) -> np.ndarray:
-        """d loss / d segment-cosines from d loss / d recording-cosines."""
-        if self.kind == MAX:
-            d_seg = np.zeros((self.bag_of_row.size, d_rec.shape[1]))
-            # bags are disjoint row ranges, so no two bags write one cell
-            d_seg[self.argmax, np.arange(d_rec.shape[1])] = d_rec
-            return d_seg
-        return self.weights * d_rec[self.bag_of_row]
+    backward: Callable[[np.ndarray], np.ndarray]
 
 
-def aggregate(
-    c_seg: np.ndarray, kind: str, tau: float | None = None, *, offsets: np.ndarray, sizes: np.ndarray,
-    bag_of_row: np.ndarray
-) -> Aggregation:
+def aggregate(c_seg: np.ndarray, kind: str, tau: float | None = None, *, offsets: np.ndarray, sizes: np.ndarray,
+              bag_of_row: np.ndarray) -> Pooled:
     """Per-class reduction of a (rows, n_classes) cosine matrix, bag by bag.
 
     offsets, sizes and bag_of_row are the stage-1 planner's bag map: each
     bag's first row (strictly increasing from 0), its row count, and each
     row's bag. MAX keeps, per bag and class, the first row attaining the
     maximum (the np.argmax tie rule) so gradients flow only through it;
-    LSE spreads them with softmax(v/tau) weights.
+    LSE (tau > 0) spreads them with softmax(v/tau) weights.
     """
-    n_rows = c_seg.shape[0]
     vmax = np.maximum.reduceat(c_seg, offsets, axis=0)
     if kind == MAX:
-        rows = np.arange(n_rows)[:, None]
-        hit = np.where(c_seg == vmax[bag_of_row], rows, n_rows)
-        idx = np.minimum.reduceat(hit, offsets, axis=0)
-        return Aggregation(vmax, MAX, bag_of_row, argmax=idx)
-    if kind == LSE:
-        if tau is None or tau <= 0:
-            raise ValueError("LSE aggregation needs a positive tau")
-        ex = np.exp((c_seg - vmax[bag_of_row]) / tau)
-        sums = np.add.reduceat(ex, offsets, axis=0)
-        c_rec = vmax + tau * np.log(sums / sizes[:, None])
-        weights = ex / sums[bag_of_row]
-        return Aggregation(c_rec, LSE, bag_of_row, weights=weights)
-    raise ValueError(f"unknown aggregation {kind!r}")
+        n_rows = c_seg.shape[0]
+        hit = np.where(c_seg == vmax[bag_of_row], np.arange(n_rows)[:, None], n_rows)
+        argmax = np.minimum.reduceat(hit, offsets, axis=0)
+
+        def backward(d_rec: np.ndarray) -> np.ndarray:
+            d_seg = np.zeros((n_rows, d_rec.shape[1]))
+            # bags are disjoint row ranges, so no two bags write one cell
+            d_seg[argmax, np.arange(d_rec.shape[1])] = d_rec
+            return d_seg
+
+        return Pooled(vmax, backward)
+    ex = np.exp((c_seg - vmax[bag_of_row]) / tau)
+    sums = np.add.reduceat(ex, offsets, axis=0)
+    weights = ex / sums[bag_of_row]
+    return Pooled(vmax + tau * np.log(sums / sizes[:, None]), lambda d_rec: weights * d_rec[bag_of_row])
 
 
 def _aam_margin_grad(c: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
@@ -175,9 +162,6 @@ def extend_logits_unknown(
     the known rows' target logits. The appended column is a constant with
     respect to differentiation.
     """
-    L = np.atleast_2d(np.asarray(L, dtype=np.float64))
-    labels = np.asarray(labels)
-    known_mask = np.asarray(known_mask, dtype=bool)
     known_rows = np.flatnonzero(known_mask)
     extra = np.zeros(L.shape[0])
     if not known_mask.all():
@@ -198,12 +182,10 @@ def extended_ce_loss(
     per-row losses and gradients with respect to the original logits L
     (the appended column is constant, so nothing flows through it).
     """
-    L_ext = np.atleast_2d(np.asarray(L_ext, dtype=np.float64))
-    known_mask = np.asarray(known_mask, dtype=bool)
     n_rows, n_ext = L_ext.shape
     n_classes = n_ext - 1
     known = np.flatnonzero(known_mask)
-    t = np.asarray(labels)[known_mask].astype(np.intp)
+    t = labels[known_mask].astype(np.intp)
     psi, dpsi = _aam_margin_grad(L_ext[known, t] / s, m)
     logits = L_ext.copy()
     logits[known, t] = s * psi

@@ -10,11 +10,15 @@ Trials come as corpus.split_trials draws them, an (n, 3) int64 array of
 (enroll_id, test_id, is_target) rows; scores leave as an (n,) float64
 array, row for row. compute_eer and compute_mindcf take the scores with
 the bool array trials[:, 2] == 1.
+
+collect_report is the one reader of a run report's inputs, and rejects a
+damaged file or a non-finite number; make_report writes what it returns.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -92,14 +96,15 @@ def save_scores(scores: np.ndarray, trials: np.ndarray, path: str | Path) -> Non
 
 def _schedule_trace(metrics_csv: Path) -> dict:
     """Schedule and loss summary of a metrics CSV; CorruptArtifact unless it ends in a
-    newline and every row after the header is six numbers."""
+    newline and every row after the header is six finite numbers."""
     text = metrics_csv.read_text("utf-8", errors="replace")
     try:
         rows = [[float(v) for v in line.split(",")] for line in text.splitlines()[1:]]
     except ValueError:
         rows = None
-    if rows is None or not text.endswith("\n") or any(len(row) != 6 for row in rows):
-        raise CorruptArtifact(f"{metrics_csv}: not newline-terminated rows of six numbers after the header")
+    if (rows is None or not text.endswith("\n")
+            or any(len(row) != 6 or not all(map(math.isfinite, row)) for row in rows)):
+        raise CorruptArtifact(f"{metrics_csv}: not newline-terminated rows of six finite numbers after the header")
     if not rows:
         return {}
     first, last = rows[0], rows[-1]
@@ -115,70 +120,57 @@ def _schedule_trace(metrics_csv: Path) -> dict:
     }
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def _read_json(path: Path):
+    """The JSON in path; CorruptArtifact for a decoding error or a non-finite number (NaN, Infinity, 1e999)."""
     try:
-        return json.loads(path.read_text("utf-8"))
+        return json.loads(path.read_text("utf-8"), parse_float=_finite, parse_constant=_finite)
     except ValueError:  # a decoding error too
-        raise CorruptArtifact(f"{path} is not valid JSON") from None
+        raise CorruptArtifact(f"{path} is not valid JSON of finite numbers") from None
 
 
-def check_report_inputs(run_dir: str | Path, skip=frozenset()) -> None:
-    """Read and check every file make_report(run_dir) reads, but those in skip or in a directory in skip.
-
-    A command that rewrites some of the report's inputs calls this before
-    its first write, so a damaged other input fails it with the run
-    directory untouched; CorruptArtifact for a damaged file.
-    """
-    run_dir = Path(run_dir)
-    ablation_dir = run_dir / "ablation"
-    subs = sorted(sub for sub in ablation_dir.iterdir() if sub.is_dir()) if ablation_dir.is_dir() else []
-    for directory in (run_dir, *subs):
-        if directory in skip:
-            continue
-        for pattern in ("eval_*.json", "selection_stats.json", "metrics_*.csv"):
-            for path in sorted(directory.glob(pattern)):
-                if path not in skip:
-                    _schedule_trace(path) if path.suffix == ".csv" else _read_json(path)
-
-
-def collect_run(run_dir: str | Path) -> dict:
-    """Everything reportable inside one run directory; CorruptArtifact for a damaged file."""
-    run_dir = Path(run_dir)
+def _collect_run(run_dir: Path, skip) -> dict:
+    """Everything reportable inside one run directory but the files in skip."""
     out: dict = {}
-    evals = {}
-    for path in sorted(run_dir.glob("eval_*.json")):
-        evals[path.stem.removeprefix("eval_")] = _read_json(path)
+    evals = {path.stem.removeprefix("eval_"): _read_json(path)
+             for path in sorted(run_dir.glob("eval_*.json")) if path not in skip}
     if evals:
         out["evals"] = evals
     stats = run_dir / "selection_stats.json"
-    if stats.exists():
+    if stats.exists() and stats not in skip:
         out["selection"] = _read_json(stats)
-    schedules = {}
-    for path in sorted(run_dir.glob("metrics_*.csv")):
-        schedules[path.stem.removeprefix("metrics_")] = _schedule_trace(path)
+    schedules = {path.stem.removeprefix("metrics_"): _schedule_trace(path)
+                 for path in sorted(run_dir.glob("metrics_*.csv")) if path not in skip}
     if schedules:
         out["schedules"] = schedules
     return out
 
 
-def make_report(run_dir: str | Path) -> dict:
-    """Consolidated report.json for a run directory.
-
-    Includes per-checkpoint EER/minDCF, selection stats, schedule traces,
-    and, when ablation subruns are present, the six-row stage-1 grid plus
-    the stage-2 comparison rows.
-    """
+def collect_report(run_dir: str | Path, skip=frozenset()) -> dict:
+    """What report.json holds for run_dir: per-checkpoint EER/minDCF, selection stats, schedule traces
+    and the ablation/<run> grid rows, read from every input but the files and runs in skip (those a
+    command rewrites, as it calls this before its first write); CorruptArtifact for a damaged file."""
     run_dir = Path(run_dir)
-    report = collect_run(run_dir)
+    report = _collect_run(run_dir, skip)
     ablation_dir = run_dir / "ablation"
     if ablation_dir.is_dir():
-        grid = {}
-        for sub in sorted(ablation_dir.iterdir()):
-            if sub.is_dir():
-                grid[sub.name] = collect_run(sub)
+        grid = {sub.name: _collect_run(sub, skip) for sub in sorted(ablation_dir.iterdir())
+                if sub.is_dir() and sub not in skip}
         if grid:
             report["ablation"] = grid
+    return report
+
+
+def make_report(run_dir: str | Path) -> dict:
+    """Write collect_report(run_dir) to run_dir/report.json and return it; MissingArtifacts if it is empty."""
+    report = collect_report(run_dir)
     if not report:
         raise MissingArtifacts(f"nothing to report in {run_dir}")
-    atomic_write(run_dir / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+    atomic_write(Path(run_dir) / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report

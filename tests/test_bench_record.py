@@ -4,6 +4,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
@@ -69,6 +70,7 @@ def test_two_trees_alternate_with_the_first_flipping(monkeypatch, tmp_path):
     calls = []
     _fake_harness(monkeypatch, calls)
     monkeypatch.setattr(bench_record, "ROUNDS", 3)
+    monkeypatch.setattr(bench_record, "kernel_fingerprint", lambda: {"openblas_core": "K"})
     trees = {"parent": tmp_path / "p", "change": tmp_path / "c"}
     docs = bench_record.record_trees(trees, seed=1, seconds=3.0)
     expected, step = [], 0
@@ -81,6 +83,7 @@ def test_two_trees_alternate_with_the_first_flipping(monkeypatch, tmp_path):
                 expected += [(tree, workload, "peaks") for tree in (["p", "c"] if step % 2 == 0 else ["c", "p"])]
     assert calls == expected
     for label in trees:
+        assert docs[label]["env"] == {"tree": trees[label].name, "kernel": {"openblas_core": "K"}}
         figures = docs[label]["workloads"]["scale"]
         # the six passes of three rounds are pooled; one-value figures are the median over the rounds
         assert figures["end_to_end"]["wall_s"] == {"median": 3.5, "q1": 3.0, "q3": 4.0, "n": 6}
@@ -93,6 +96,26 @@ def test_two_trees_alternate_with_the_first_flipping(monkeypatch, tmp_path):
         assert (figures["passes"], figures["traced_passes"]) == (6, 6)
     assert bench_record.won_rounds(docs["change"], docs["parent"])["scale peak_rss_mib"] == "3/3"
     assert bench_record.won_rounds(docs["parent"], docs["change"])["scale peak_rss_mib"] == "0/3"
+
+
+def test_kernel_fingerprint_names_the_openblas_core_and_the_simd_targets_show_runtime_reports(capsys):
+    kernel = bench_record.kernel_fingerprint()
+    assert kernel["openblas_core"] is None or (isinstance(kernel["openblas_core"], str) and kernel["openblas_core"])
+    simd = kernel["simd_extensions"]
+    assert sorted(simd) == ["baseline", "found", "not_found"]
+    assert not set(simd["found"]) & set(simd["not_found"])
+    np.show_runtime()
+    shown = capsys.readouterr().out
+    assert "'simd_extensions'" in shown
+    for target in [*simd["baseline"], *simd["found"], *simd["not_found"]]:
+        assert f"'{target}'" in shown
+
+
+def test_kernel_fingerprint_without_a_readable_openblas_has_no_core(monkeypatch, tmp_path):
+    (tmp_path / "numpy.libs").mkdir()
+    (tmp_path / "numpy.libs" / "libscipy_openblas64_-0.so").write_bytes(b"not a shared object")
+    monkeypatch.setattr(bench_record.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert bench_record.kernel_fingerprint()["openblas_core"] is None
 
 
 def test_won_rounds_counts_strictly_lower_rounds_pair_by_pair():

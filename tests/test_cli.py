@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -739,17 +740,46 @@ def test_eval_reads_every_input_before_writing(run_dir, tmp_path, case):
     assert _tree(run) == before
 
 
+def _replace_last_loss(data):
+    head, last = data.rstrip(b"\n").rsplit(b"\n", 1)
+    return head + b"\n" + last.rsplit(b",", 1)[0] + b",nan\n"
+
+
+def _set_json(key, constant):
+    return lambda data: re.sub(rb'("%s": )[^,}\n]+' % key.encode(), rb"\g<1>" + constant.encode(), data, count=1)
+
+
+# case -> (damaged file, damage, eval's extra arguments, whether ablate fails on it); eval rewrites the eval
+# files of the checkpoints it scores, ablate only its ablation/ runs, and only eval checks step counts
+REPORT_INPUT_DAMAGE = {
+    "metrics_cut_mid_row": ("metrics_stage1.csv", lambda data: data[:-3], [], True),
+    "metrics_loss_nan": ("metrics_stage1.csv", _replace_last_loss, [], True),
+    "eval_eer_nan": ("eval_stage1.json", _set_json("eer", "NaN"), ["--checkpoint", "stage2.ckpt"], True),
+    "selection_infinity": ("selection_stats.json", _set_json("precision", "Infinity"), [], True),
+    # the header and two rows: well-formed, but stage1.ckpt took more steps than two
+    "metrics_cut_at_row": ("metrics_stage1.csv", lambda data: b"".join(data.splitlines(keepends=True)[:3]), [],
+                           False),
+    "metrics_header_only": ("metrics_stage1.csv", lambda data: data.splitlines(keepends=True)[0], [], False),
+}
+
+
 @pytest.mark.parametrize("command", ["eval", "ablate"])
 def test_report_inputs_are_read_before_writing(run_dir, tmp_path, command):
     """A damaged report input that the command does not write itself fails it before its first write."""
-    run = tmp_path / "run"
-    shutil.copytree(run_dir, run)
-    metrics = run / "metrics_stage1.csv"
-    metrics.write_bytes(metrics.read_bytes()[:-3])
-    before = _tree(run)
-    stderr = _assert_reported_error([], command, run_dir.parent / "small.cfg", run, "--seed", "5")
-    assert "metrics_stage1.csv" in stderr
-    assert _tree(run) == before
+    for case, (name, damage, eval_args, ablate_reads) in REPORT_INPUT_DAMAGE.items():
+        if command == "ablate" and not ablate_reads:
+            continue
+        run = tmp_path / case
+        shutil.copytree(run_dir, run)
+        path = run / name
+        damaged = damage(path.read_bytes())
+        assert damaged != path.read_bytes(), case
+        path.write_bytes(damaged)
+        args = [arg if arg.startswith("--") else str(run / arg) for arg in eval_args] if command == "eval" else []
+        before = _tree(run)
+        stderr = _assert_reported_error([], command, run_dir.parent / "small.cfg", run, "--seed", "5", *args)
+        assert name in stderr, (case, stderr)
+        assert _tree(run) == before, case
 
 
 def test_eval_rewrites_a_damaged_eval_file(run_dir, tmp_path):

@@ -75,7 +75,8 @@ class TestAggregate:
         c = np.array([[0.8, -0.1], [0.2, 0.5]])
         agg = aggregate(c, MAX, **bag_map([2]))
         assert np.allclose(agg.c_rec, [[0.8, 0.5]])
-        assert agg.argmax.tolist() == [[0, 1]]
+        # the rows the max picked are the ones a unit gradient reaches
+        assert agg.backward(np.ones_like(agg.c_rec)).tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_lse_below_max_above_mean(self):
         c = np.array([[0.8, -0.1], [0.2, 0.5]])
@@ -427,7 +428,8 @@ class TestBatchedParity:
     def test_max_tie_routes_to_first_row_of_each_bag(self):
         c = np.array([[0.5, 0.1], [0.5, 0.3], [0.2, 0.3], [0.2, 0.3]])
         agg = aggregate(c, MAX, **bag_map([2, 2]))
-        assert agg.argmax.tolist() == [[0, 1], [2, 2]]
+        # the picked rows, per bag and class: [[0, 1], [2, 2]]
+        assert agg.backward(np.ones_like(agg.c_rec)).tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]]
         d = agg.backward(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert np.array_equal(d, [[1.0, 0.0], [0.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
 

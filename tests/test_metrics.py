@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from weaksv.corpus import assign_heldout_split, split_trials
 from weaksv.embedder import Checkpoint, EmbedderConfig, init_params
 from weaksv.errors import CorruptArtifact, MissingArtifacts, SingleClass
-from weaksv.metrics import compute_eer, compute_mindcf, make_report, save_scores, score_trials
+from weaksv.metrics import collect_report, compute_eer, compute_mindcf, make_report, save_scores, score_trials
 from weaksv.rng import Rng
 
 
@@ -181,12 +181,31 @@ class TestMakeReport:
         ("metrics_stage1.csv", b"step,epoch,lr,margin,tau,loss\n1,0,0.01,0.0,0.5\n"),
         ("metrics_stage1.csv", b"step,epoch,lr,margin,tau,loss\n1,0,0.01,0.0,0.5,x\n"),
         ("metrics_stage1.csv", b"step,epoch,lr,margin,tau,loss\n1,0,0.01,0.0,0.5,3.2"),
-    ], ids=["eval_cut", "eval_not_utf8", "stats_empty", "row_of_five", "loss_not_a_number", "row_cut"])
+        ("eval_stage1.json", b'{"eer": NaN}'),
+        ("eval_stage1.json", b'{"eer": 1e999}'),
+        ("selection_stats.json", b'{"precision": -Infinity}'),
+        ("metrics_stage1.csv", b"step,epoch,lr,margin,tau,loss\n1,0,0.01,0.0,0.5,nan\n"),
+        ("metrics_stage1.csv", b"step,epoch,lr,margin,tau,loss\n1,0,inf,0.0,0.5,3.2\n"),
+    ], ids=["eval_cut", "eval_not_utf8", "stats_empty", "row_of_five", "loss_not_a_number", "row_cut",
+            "eval_nan", "eval_overflow", "stats_minus_infinity", "loss_nan", "lr_inf"])
     def test_damaged_file_rejected(self, tmp_path, name, data):
         (tmp_path / name).write_bytes(data)
         with pytest.raises(CorruptArtifact, match=name):
             make_report(tmp_path)
         assert not (tmp_path / "report.json").exists()
+
+    def test_skipped_files_and_runs_are_not_read(self, tmp_path):
+        damaged = b'{"eer": NaN}'
+        (tmp_path / "eval_stage1.json").write_bytes(damaged)
+        (tmp_path / "eval_stage2.json").write_text(json.dumps({"eer": 0.01}))
+        run = tmp_path / "ablation" / "m1"
+        run.mkdir(parents=True)
+        (run / "metrics_stage1.csv").write_bytes(b"step,epoch,lr,margin,tau,loss\n1,0,0.01,0.0,0.5,x\n")
+        skip = {tmp_path / "eval_stage1.json", run}
+        assert collect_report(tmp_path, skip=skip) == {"evals": {"stage2": {"eer": 0.01}}}
+        for path in skip:
+            with pytest.raises(CorruptArtifact):
+                collect_report(tmp_path, skip=skip - {path})
 
     def test_ablation_grid_rows(self, tmp_path):
         for name in ("m1", "m2", "m3", "m4", "m5", "m6"):
