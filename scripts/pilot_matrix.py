@@ -32,31 +32,30 @@ def run_seed(seed: int, cfg: RunConfig | None = None) -> dict:
     corpus = assign_heldout_split(corpus, cfg.heldout_fraction, seed)
     trials = split_trials(corpus, cfg.n_target_trials, cfg.n_nontarget_trials, seed)
     is_target = trials[:, 2] == 1
-    model = cfg.embedder_config()
 
     out: dict = {"seed": seed}
     diar_runs = {}
     for preset in ("baseline", "pyannote-like"):
         dcfg = replace(PRESETS[preset], seed=seed + 90000)
         diarized = apply_diarization(corpus, dcfg)
-        result = train_stage1(diarized, cfg.stage1, model, seed)
+        result = train_stage1(diarized, cfg.stage1, cfg.model, seed)
         eer = compute_eer(score_trials(result.checkpoint, diarized, trials), is_target)
         diar_runs[preset] = (diarized, result.checkpoint)
         out[f"stage1_{preset}"] = eer
 
     diarized, ckpt = diar_runs["baseline"]
-    scored = score_train_segments(diarized, ckpt, cfg.stage1.loss.scale)
+    scored = score_train_segments(diarized, ckpt, cfg.stage1.scale)
     selection = self_label(diarized, scored)
     pool = select_unknown_pool(scored, cfg.select_top_k, cfg.select_fraction)
     out["precision"] = selection.stats.precision
     out["recall"] = selection.stats.recall
     out["pool_size"] = len(pool.segment_ids)
 
-    plain = train_stage2(diarized, selection.selected, cfg.stage2, model, seed)
+    plain = train_stage2(diarized, selection.selected, cfg.stage2, cfg.model, seed)
     out["stage2_plain"] = compute_eer(score_trials(plain.checkpoint, diarized, trials), is_target)
 
     unk_cfg = replace(cfg.stage2, unknown_start_epoch=cfg.stage2.epochs // 2)
-    unk = train_stage2(diarized, selection.selected, unk_cfg, model, seed,
+    unk = train_stage2(diarized, selection.selected, unk_cfg, cfg.model, seed,
                        unknown_pool=pool.segment_ids)
     out["stage2_unknown"] = compute_eer(score_trials(unk.checkpoint, diarized, trials), is_target)
     return out

@@ -60,7 +60,7 @@ def _save_run(result: TrainResult, out: Path, stage: int) -> None:
 def _self_label(cfg: cfgmod.RunConfig, corpus: corpusmod.Corpus,
                 ckpt: Checkpoint) -> tuple[selmod.SelectionResult, selmod.UnknownPool]:
     """Score the training segments with a stage-1 model, then self-label them and build the unknown pool."""
-    scored = selmod.score_train_segments(corpus, ckpt, cfg.stage1.loss.scale)
+    scored = selmod.score_train_segments(corpus, ckpt, cfg.stage1.scale)
     return (selmod.self_label(corpus, scored),
             selmod.select_unknown_pool(scored, cfg.select_top_k, cfg.select_fraction))
 
@@ -136,7 +136,7 @@ def cmd_diar(cfg: cfgmod.RunConfig, args) -> None:
 
 def cmd_train1(cfg: cfgmod.RunConfig, args) -> None:
     out = cfg.out
-    result = train_stage1(load_manifest(out), cfg.stage1, cfg.embedder_config(), cfg.seed)
+    result = train_stage1(load_manifest(out), cfg.stage1, cfg.model, cfg.seed)
     _snapshot_config(cfg, out)
     _save_run(result, out, 1)
     print(f"train1: {result.checkpoint.step} steps, "
@@ -163,8 +163,7 @@ def cmd_train2(cfg: cfgmod.RunConfig, args) -> None:
     n_segments = len(corpus.segments)
     selected = selmod.load_selection(out, n_segments, corpus.n_speakers)
     pool = selmod.load_unknown_pool(out, n_segments) if cfg.stage2.unknown_start_epoch >= 0 else None
-    result = train_stage2(corpus, selected, cfg.stage2, cfg.embedder_config(), cfg.seed,
-                          unknown_pool=pool)
+    result = train_stage2(corpus, selected, cfg.stage2, cfg.model, cfg.seed, unknown_pool=pool)
     _snapshot_config(cfg, out)
     _save_run(result, out, 2)
     print(f"train2: {result.checkpoint.step} steps, "
@@ -179,14 +178,9 @@ def cmd_eval(cfg: cfgmod.RunConfig, args) -> None:
     if not paths:
         raise MissingArtifacts(f"no stage checkpoints in {out}")
     checkpoints = [load_checkpoint(path) for path in paths]
-    report = metricsmod.collect_report(out, skip={out / f"eval_{path.stem}.json" for path in paths})
     for path, ckpt in zip(paths, checkpoints):
         _check_checkpoint(ckpt, path, corpus, speakers=False)  # scoring reads embeddings only
-        # this run's checkpoints log one metrics row per step, so a file cut at a row boundary has fewer;
-        # one from another directory, or without a metrics file, has no rows to check
-        rows = report.get("schedules", {}).get(path.stem, {"steps": ckpt.step}).get("steps", 0)
-        if path.resolve().parent == out.resolve() and rows != ckpt.step:
-            raise CorruptArtifact(f"{out}/metrics_{path.stem}.csv: {rows} rows, but {path.name} took {ckpt.step} steps")
+    metricsmod.collect_report(out, skip={out / f"eval_{path.stem}.json" for path in paths})
     _snapshot_config(cfg, out)
     for path, ckpt in zip(paths, checkpoints):
         payload = _evaluate(cfg, corpus, trials, ckpt, path, out)
@@ -200,7 +194,6 @@ def cmd_ablate(cfg: cfgmod.RunConfig, args) -> None:
     out = cfg.out
     corpus = load_manifest(out)
     trials = load_trials(out / corpusmod.TRIALS_NAME, len(corpus.segments))
-    model = cfg.embedder_config()
     variants = ablation_stage1_configs(cfg.stage1)
     stage2_runs = (("stage2_plain", -1), ("stage2_unknown", max(0, cfg.stage2.epochs // 2)))
     grid = out / "ablation"
@@ -212,12 +205,12 @@ def cmd_ablate(cfg: cfgmod.RunConfig, args) -> None:
     for name, stage_cfg in variants.items():
         sub = grid / name
         sub.mkdir(parents=True, exist_ok=True)
-        result = train_stage1(corpus, stage_cfg, model, cfg.seed, plans=plans)
+        result = train_stage1(corpus, stage_cfg, cfg.model, cfg.seed, plans=plans)
         _save_run(result, sub, 1)
         payload = _evaluate(cfg, corpus, trials, result.checkpoint, sub / "stage1.ckpt", sub)
         checkpoints[name] = result.checkpoint
-        print(f"ablate {name}: aggregation={stage_cfg.loss.aggregation} "
-              f"margin={stage_cfg.loss.margin.start:g} EER {payload['eer'] * 100:.2f}%")
+        print(f"ablate {name}: aggregation={stage_cfg.aggregation} "
+              f"margin={stage_cfg.margin.start:g} EER {payload['eer'] * 100:.2f}%")
     del plans  # stage 2 has no use for them, so they stay out of its peak memory
 
     # stage-2 comparisons off the margin-free max-pooling run (m4); the
@@ -228,8 +221,7 @@ def cmd_ablate(cfg: cfgmod.RunConfig, args) -> None:
         sub.mkdir(parents=True, exist_ok=True)
         _save_selection(selection, pool, sub)
         stage_cfg = replace(cfg.stage2, unknown_start_epoch=unknown_start)
-        result = train_stage2(corpus, selection.selected, stage_cfg, model, cfg.seed,
-                              unknown_pool=pool.segment_ids)
+        result = train_stage2(corpus, selection.selected, stage_cfg, cfg.model, cfg.seed, unknown_pool=pool.segment_ids)
         _save_run(result, sub, 2)
         payload = _evaluate(cfg, corpus, trials, result.checkpoint, sub / "stage2.ckpt", sub)
         print(f"ablate {name}: EER {payload['eer'] * 100:.2f}%")

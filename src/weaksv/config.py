@@ -5,6 +5,9 @@ key is schema-checked (unknown sections or keys are rejected) and typed:
 int, float, bool (true/false), str, range (`lo..hi`, inclusive), or
 schedule (`start->end`, or a single number for a constant).
 
+A parse holds only the keys the text sets; build_run_config applies the
+defaults, once, and hands each section on as one record of its keys.
+
 The schema alone decides which runs are valid: each value must lie in
 its key's allowed set and the values must satisfy CROSS_RULES. The
 modules that consume a config trust it and check nothing again.
@@ -21,7 +24,7 @@ from pathlib import Path
 from .diarize import DiarConfig, PRESETS
 from .embedder import EmbedderConfig
 from .errors import ConfigError
-from .losses import LossConfig, Schedule
+from .losses import Schedule
 from .synth import SynthConfig
 from .trainer import StageConfig
 
@@ -171,9 +174,8 @@ def _format_value(kind: str, value) -> str:
 
 
 def parse_config_text(text: str) -> dict[str, dict[str, object]]:
-    """Raw text -> {section: {key: typed value}} with defaults filled in."""
-    values = {sec: {k: key.default for k, key in keys.items()} for sec, keys in SCHEMA.items()}
-    explicit: dict[str, set[str]] = {sec: set() for sec in SCHEMA}
+    """Raw text -> {section: {key: typed value}}, holding only the keys the text sets."""
+    values: dict[str, dict[str, object]] = {}
     section = ""
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -190,9 +192,7 @@ def parse_config_text(text: str) -> dict[str, dict[str, object]]:
         if key not in SCHEMA[section]:
             where = f"[{section}]" if section else "top level"
             raise ConfigError(f"line {lineno}: unknown key {key!r} in {where}")
-        values[section][key] = _parse_value(SCHEMA[section][key].kind, raw, f"line {lineno}")
-        explicit[section].add(key)
-    values["_explicit"] = explicit  # type: ignore[assignment]
+        values.setdefault(section, {})[key] = _parse_value(SCHEMA[section][key].kind, raw, f"line {lineno}")
     return values
 
 
@@ -205,8 +205,7 @@ class RunConfig:
     n_target_trials: int
     n_nontarget_trials: int
     diar: DiarConfig
-    model_hidden: int
-    model_emb: int
+    model: EmbedderConfig
     stage1: StageConfig
     stage2: StageConfig
     select_top_k: int
@@ -215,9 +214,6 @@ class RunConfig:
     eval_c_miss: float
     eval_c_fa: float
     text: str  # the configuration text config.snapshot records (see load_run_config)
-
-    def embedder_config(self) -> EmbedderConfig:
-        return EmbedderConfig(self.synth.feat_dim, self.model_hidden, self.model_emb)
 
 
 def _allows(allowed: str, value) -> bool:
@@ -256,18 +252,12 @@ def _check(values: dict[str, dict[str, object]]) -> None:
 
 
 def build_run_config(values: dict[str, dict[str, object]], text: str) -> RunConfig:
-    """The checked RunConfig of parsed values; text is what they were parsed from."""
-    _check(values)
-    v = values
+    """The checked RunConfig of the keys a text sets, each other key at its default; text is that text."""
+    v = {sec: {name: key.default for name, key in keys.items()} | values.get(sec, {})
+         for sec, keys in SCHEMA.items()}
+    _check(v)
     # a preset fixes each diarizer key the config does not set itself
-    diar = replace(PRESETS[v["diar"]["preset"]],
-                   **{k: v["diar"][k] for k in v["_explicit"]["diar"] if k != "preset"})
-
-    def stage(section: str) -> StageConfig:
-        rest = dict(v[section])
-        loss = LossConfig(**{k: rest.pop(k) for k in ("scale", "margin", "tau", "aggregation") if k in rest})
-        return StageConfig(loss=loss, **rest)
-
+    diar = replace(PRESETS[v["diar"]["preset"]], **{k: x for k, x in values.get("diar", {}).items() if k != "preset"})
     return RunConfig(
         seed=v[""]["seed"],
         out=Path(v[""]["out"]),
@@ -276,10 +266,9 @@ def build_run_config(values: dict[str, dict[str, object]], text: str) -> RunConf
         n_target_trials=v["trials"]["n_target"],
         n_nontarget_trials=v["trials"]["n_nontarget"],
         diar=diar,
-        model_hidden=v["model"]["hidden_dim"],
-        model_emb=v["model"]["emb_dim"],
-        stage1=stage("stage1"),
-        stage2=stage("stage2"),
+        model=EmbedderConfig(v["synth"]["feat_dim"], **v["model"]),
+        stage1=StageConfig(**v["stage1"]),
+        stage2=StageConfig(**v["stage2"]),
         select_top_k=v["select"]["top_k"],
         select_fraction=v["select"]["fraction"],
         eval_p_target=v["eval"]["p_target"],
@@ -300,16 +289,13 @@ def load_run_config(path: str | Path | None, seed: int | None = None, out: str |
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     values = parse_config_text(text)
-    explicit = values["_explicit"]
     for section, key, value in (("", "seed", seed), ("diar", "preset", preset)):
         if value is not None:
-            values[section][key] = value
-            explicit[section].add(key)
+            values.setdefault(section, {})[key] = value
     if out is not None:
-        values[""]["out"] = out
-        explicit[""].discard("out")
-    snapshot = render_config({sec: {k: values[sec][k] for k in keys} for sec, keys in explicit.items()})
-    return build_run_config(values, snapshot)
+        values.get("", {}).pop("out", None)
+    cfg = build_run_config(values, render_config(values))
+    return cfg if out is None else replace(cfg, out=Path(out))
 
 
 def render_config(values: dict[str, dict[str, object]] | None = None) -> str:

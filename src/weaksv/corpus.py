@@ -167,10 +167,11 @@ class ValidationIssue:
 def validate_corpus(corpus: Corpus) -> list[ValidationIssue]:
     """Every broken structural invariant, kind by kind; an empty list means all hold.
 
-    The contract behind the weak label: segments have frames, all finite;
-    recording ids are distinct (each keys its recording's random streams);
-    every recording has clusters, none empty, that hold each segment at
-    most once and some speech of the recording's target; the targets are
+    The contract behind the weak label: segments have frames, all finite,
+    and an oracle label that is NOISE, UNKNOWN or a speaker id; recording
+    ids are distinct (each keys its recording's random streams); every
+    recording has clusters, none empty, that hold each segment at most
+    once and some speech of the recording's target; the targets are
     exactly the speaker ids 0..n_speakers-1. The cluster checks run on the
     corpus's cluster table, in less than half the time of a loop over them.
     """
@@ -180,6 +181,8 @@ def validate_corpus(corpus: Corpus) -> list[ValidationIssue]:
     # a float64 sum of finite float32 frames cannot overflow, so gen's mean is finite exactly when its frames are
     issues += [("NonFiniteFeatures", f"segment {sid} contains NaN or inf")
                for sid in np.flatnonzero(~np.isfinite(segments.means).all(axis=1)).tolist()]
+    issues += [("BadOracle", f"segment {sid} oracle label {segments.oracle[sid]} outside {NOISE}..{n_speakers - 1}")
+               for sid in np.flatnonzero((segments.oracle < NOISE) | (segments.oracle >= n_speakers)).tolist()]
 
     table = corpus.table
     ids, targets, n_clusters, sizes, members = (

@@ -35,7 +35,7 @@ class DiarConfig:
 
 
 PRESETS: dict[str, DiarConfig] = {
-    "baseline": DiarConfig(purity=0.85, split_factor=2.0, max_clusters=0, drop_noise=False),
+    "baseline": DiarConfig(),
     "pyannote-like": DiarConfig(purity=0.97, split_factor=1.2, max_clusters=4, drop_noise=True),
 }
 

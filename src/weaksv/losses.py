@@ -56,14 +56,6 @@ class Schedule:
         return self.start + (self.end - self.start) * fraction
 
 
-@dataclass(frozen=True)
-class LossConfig:
-    scale: float = 30.0
-    margin: Schedule = Schedule.fixed(0.0)
-    tau: Schedule = Schedule(0.5, 0.1)
-    aggregation: str = MAX
-
-
 class Pooled(NamedTuple):
     """(n_bags, n_classes) recording-level similarities, and d loss / d c_rec -> d loss / d c_seg."""
 

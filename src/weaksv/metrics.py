@@ -12,7 +12,8 @@ array, row for row. compute_eer and compute_mindcf take the scores with
 the bool array trials[:, 2] == 1.
 
 collect_report is the one reader of a run report's inputs, and rejects a
-damaged file or a non-finite number; make_report writes what it returns.
+damaged file, a non-finite number or a metrics_<stem>.csv whose rows are
+not <stem>.ckpt's steps; make_report writes what it returns.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus
-from .embedder import Checkpoint, forward_pooled
+from .embedder import Checkpoint, forward_pooled, load_checkpoint
 from .errors import CorruptArtifact, MissingArtifacts, SingleClass
 from .fileio import atomic_write
 
@@ -147,6 +148,10 @@ def _collect_run(run_dir: Path, skip) -> dict:
         out["selection"] = _read_json(stats)
     schedules = {path.stem.removeprefix("metrics_"): _schedule_trace(path)
                  for path in sorted(run_dir.glob("metrics_*.csv")) if path not in skip}
+    for stem, trace in schedules.items():  # one row per step, so a file cut at a row boundary falls short
+        ckpt, rows = run_dir / f"{stem}.ckpt", trace.get("steps", 0)
+        if ckpt.exists() and (steps := load_checkpoint(ckpt).step) != rows:
+            raise CorruptArtifact(f"{run_dir}/metrics_{stem}.csv: {rows} rows, but {ckpt.name} took {steps} steps")
     if schedules:
         out["schedules"] = schedules
     return out

@@ -162,7 +162,7 @@ def selection_stats(selected: np.ndarray, corpus: Corpus) -> SelectionStats:
                           int(n_frames[hits].sum()), dict(zip(labels.tolist(), counts.tolist())), not n_selected)
 
 
-def select_unknown_pool(scored: ScoredSegments, top_k: int = 10, fraction: float = 0.05) -> UnknownPool:
+def select_unknown_pool(scored: ScoredSegments, top_k: int, fraction: float) -> UnknownPool:
     """Confident non-target segments for the extra-class training data.
 
     Candidates are the diarized segments self-labeling rejected; any whose

@@ -9,8 +9,8 @@ it its epoch plans and, per batch, the segment ids and a batch loss
 `loss_and_grads` is the step's math, which the gradient tests difference.
 The parameters, their velocities and their gradients are named views of
 one flat vector each, so the SGD update is one pass over each vector.
-Also: per-epoch margin and temperature schedules and the stage-1
-ablation grid.
+A `StageConfig` is one [stage1] or [stage2] section of the run
+configuration, a field per key. Also: the stage-1 ablation grid.
 
 Runs are deterministic given (corpus, configs, seed): epoch plans derive
 their randomness from (seed, epoch), so resuming from an epoch-boundary
@@ -20,7 +20,7 @@ checkpoint reproduces the uninterrupted run bit for bit.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .embedder import (Checkpoint, EmbedderConfig, backward_pooled, flatten_para
 from .errors import ConfigError, EmptyInput, NonFiniteGradient
 from .fileio import atomic_write
 from .losses import (
-    LossConfig,
+    MAX,
     Schedule,
     aggregate,
     extend_logits_unknown,
@@ -44,7 +44,11 @@ from .rng import derive_key, mix64
 
 @dataclass(frozen=True)
 class StageConfig:
-    loss: LossConfig = field(default_factory=LossConfig)
+    # the schema's stage-1 defaults; aggregation and tau act in stage 1 only
+    aggregation: str = MAX
+    margin: Schedule = Schedule.fixed(0.0)
+    tau: Schedule = Schedule(0.5, 0.1)
+    scale: float = 30.0
     epochs: int = 30
     batch_size: int = 64
     lr_max: float = 0.05
@@ -183,8 +187,8 @@ def _fit(corpus: Corpus, stage: StageConfig, model: EmbedderConfig, seed: int, t
     denom = max(1, stage.epochs - 1)
     metrics: list[StepMetrics] = []
     for epoch in range(start_epoch, end_epoch):
-        margin = stage.loss.margin.at(epoch / denom)
-        tau = stage.loss.tau.at(epoch / denom) if tag == "stage1" else 0.0
+        margin = stage.margin.at(epoch / denom)
+        tau = stage.tau.at(epoch / denom) if tag == "stage1" else 0.0
         for batch in plans[epoch]:
             segment_ids, batch_loss = batch_of(batch)
             loss = loss_and_grads(params, pooled[segment_ids], batch_loss, margin, tau, grads)
@@ -222,7 +226,7 @@ def train_stage1(
     """
 
     def batch_of(batch):
-        return batch.segment_ids, recording_batch_loss(stage.loss.aggregation, stage.loss.scale, batch.targets,
+        return batch.segment_ids, recording_batch_loss(stage.aggregation, stage.scale, batch.targets,
                                                        batch.offsets, batch.sizes, batch.bag_of_row)
 
     return _fit(corpus, stage, model, seed, "stage1", plan_stage1(corpus, stage, seed) if plans is None else plans,
@@ -258,7 +262,7 @@ def train_stage2(
                                  mix_fraction=stage.unknown_mix_fraction if active else 0.0)
 
     def batch_of(batch):
-        return batch.segment_ids, segment_batch_loss(stage.loss.scale, batch.labels, batch.known)
+        return batch.segment_ids, segment_batch_loss(stage.scale, batch.labels, batch.known)
 
     return _fit(corpus, stage, model, seed, "stage2", [plan_epoch(e) for e in range(stage.epochs)], batch_of,
                 resume_from, stop_after_epoch)
@@ -282,11 +286,8 @@ ABLATION_GRID: list[tuple[str, str, Schedule, float]] = [
 
 def ablation_stage1_configs(base: StageConfig) -> dict[str, StageConfig]:
     """The six stage-1 variants: aggregation x margin grid."""
-    out = {}
-    for name, kind, tau, margin in ABLATION_GRID:
-        loss = replace(base.loss, aggregation=kind, tau=tau, margin=Schedule.fixed(margin))
-        out[name] = replace(base, loss=loss)
-    return out
+    return {name: replace(base, aggregation=kind, tau=tau, margin=Schedule.fixed(margin))
+            for name, kind, tau, margin in ABLATION_GRID}
 
 
 def save_metrics_csv(metrics: list[StepMetrics], path) -> None:

@@ -5,6 +5,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,12 @@ import weaksv.cli
 from weaksv.cli import main
 from weaksv.corpus import ValidationIssue, load_manifest
 from weaksv.config import SCHEMA, load_run_config, parse_config_text, render_config, render_schema
-from weaksv.diarize import PRESETS
+from weaksv.diarize import PRESETS, DiarConfig
+from weaksv.embedder import EmbedderConfig
 from weaksv.errors import ConfigError
 from weaksv.losses import Schedule
+from weaksv.synth import SynthConfig
+from weaksv.trainer import StageConfig
 
 from conftest import edit_index
 
@@ -61,7 +65,7 @@ class TestConfig:
         cfg = load_run_config(None)
         assert cfg.seed == 1234
         assert cfg.synth.n_speakers == 40
-        assert cfg.stage2.loss.margin == Schedule(0.1, 0.3)  # the pilot and acceptance bounds' calibration
+        assert cfg.stage2.margin == Schedule(0.1, 0.3)  # the pilot and acceptance bounds' calibration
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -98,6 +102,42 @@ class TestConfig:
         text = render_config()
         values = parse_config_text(text)
         assert values["synth"]["n_speakers"] == SCHEMA["synth"]["n_speakers"].default
+
+    def test_parse_holds_only_the_keys_the_text_sets(self):
+        assert parse_config_text("") == {}
+        assert parse_config_text("# no keys\n[synth]\n[stage2]\nepochs = 3\n") == {"stage2": {"epochs": 3}}
+
+    def test_stage_sections_are_stage_configs(self):
+        """Every [stage1] and [stage2] key is a StageConfig field; a non-default value of each reaches the record."""
+        assert {f.name for f in fields(StageConfig)} == set(SCHEMA["stage1"]) | set(SCHEMA["stage2"])
+        changed = {"aggregation": "lse", "margin": Schedule(0.05, 0.25), "tau": Schedule.fixed(0.3), "scale": 20.0,
+                   "epochs": 7, "batch_size": 16, "lr_max": 0.04, "lr_final": 0.001, "warmup_frac": 0.1,
+                   "momentum": 0.5, "unknown_start_epoch": 2, "unknown_mix_fraction": 0.2}
+        values = {sec: {name: changed[name] for name in SCHEMA[sec]} for sec in ("stage1", "stage2")}
+        assert all(value != SCHEMA[sec][name].default for sec, keys in values.items() for name, value in keys.items())
+        cfg = _build(parse_config_text(render_config(values)))
+        for sec, keys in values.items():
+            assert {name: getattr(getattr(cfg, sec), name) for name in keys} == keys, sec
+
+    def test_model_keys_and_feat_dim_reach_the_model(self):
+        assert {f.name for f in fields(EmbedderConfig)} == {"feat_dim", *SCHEMA["model"]}
+        cfg = _build(parse_config_text("[synth]\nfeat_dim = 12\n[model]\nhidden_dim = 5\nemb_dim = 3\n"))
+        assert cfg.model == EmbedderConfig(feat_dim=12, hidden_dim=5, emb_dim=3)
+
+    def test_record_defaults_are_the_schema_defaults(self):
+        """A record's own defaults are its section's; stage 2 states its epochs and margin, and diar's default
+        preset is DiarConfig()."""
+        def same(record, section):
+            keys = {name: key.default for name, key in SCHEMA[section].items() if name != "preset"}
+            assert {name: getattr(record, name) for name in keys} == keys, section
+
+        same(StageConfig(), "stage1")
+        same(replace(StageConfig(), epochs=20, margin=Schedule(0.1, 0.3)), "stage2")
+        same(SynthConfig(), "synth")
+        same(EmbedderConfig(), "model")
+        assert EmbedderConfig().feat_dim == SCHEMA["synth"]["feat_dim"].default
+        same(DiarConfig(), "diar")
+        assert PRESETS[SCHEMA["diar"]["preset"].default] == DiarConfig()
 
     def test_schema_file_is_current(self):
         schema = Path(__file__).resolve().parents[1] / "schema.txt"
@@ -448,6 +488,7 @@ CORRUPTIONS = {
     "retargeted_recording": lambda run: _edit_idx(run, _retarget_first_recording),
     "untargeted_speaker": lambda run: _edit_idx(run, _shift_speakers),
     "empty_segment": lambda run: _edit_idx(run, _empty_first_segment),
+    "oracle_past_speakers": lambda run: _edit_idx(run, lambda a: a["oracle"].__setitem__(0, 1000)),
     "sizes_not_adding_up": lambda run: _edit_idx(run, lambda a: a["sizes"].__setitem__(0, a["sizes"][0] + 1)),
 }
 
@@ -455,6 +496,7 @@ CORRUPTIONS = {
 CONTRACT_KINDS = {
     "empty_segment": "EmptySegment",
     "nan_feature": "NonFiniteFeatures",
+    "oracle_past_speakers": "BadOracle",
     "negative_target": "BadTarget",
     "duplicate_recording_id": "DuplicateRecording",
     "zero_cluster_recording": "EmptyRecording",
@@ -749,26 +791,23 @@ def _set_json(key, constant):
     return lambda data: re.sub(rb'("%s": )[^,}\n]+' % key.encode(), rb"\g<1>" + constant.encode(), data, count=1)
 
 
-# case -> (damaged file, damage, eval's extra arguments, whether ablate fails on it); eval rewrites the eval
-# files of the checkpoints it scores, ablate only its ablation/ runs, and only eval checks step counts
+# case -> (damaged file, damage, eval's extra arguments); eval rewrites the eval files of the checkpoints it
+# scores, ablate only its ablation/ runs
 REPORT_INPUT_DAMAGE = {
-    "metrics_cut_mid_row": ("metrics_stage1.csv", lambda data: data[:-3], [], True),
-    "metrics_loss_nan": ("metrics_stage1.csv", _replace_last_loss, [], True),
-    "eval_eer_nan": ("eval_stage1.json", _set_json("eer", "NaN"), ["--checkpoint", "stage2.ckpt"], True),
-    "selection_infinity": ("selection_stats.json", _set_json("precision", "Infinity"), [], True),
+    "metrics_cut_mid_row": ("metrics_stage1.csv", lambda data: data[:-3], []),
+    "metrics_loss_nan": ("metrics_stage1.csv", _replace_last_loss, []),
+    "eval_eer_nan": ("eval_stage1.json", _set_json("eer", "NaN"), ["--checkpoint", "stage2.ckpt"]),
+    "selection_infinity": ("selection_stats.json", _set_json("precision", "Infinity"), []),
     # the header and two rows: well-formed, but stage1.ckpt took more steps than two
-    "metrics_cut_at_row": ("metrics_stage1.csv", lambda data: b"".join(data.splitlines(keepends=True)[:3]), [],
-                           False),
-    "metrics_header_only": ("metrics_stage1.csv", lambda data: data.splitlines(keepends=True)[0], [], False),
+    "metrics_cut_at_row": ("metrics_stage1.csv", lambda data: b"".join(data.splitlines(keepends=True)[:3]), []),
+    "metrics_header_only": ("metrics_stage1.csv", lambda data: data.splitlines(keepends=True)[0], []),
 }
 
 
 @pytest.mark.parametrize("command", ["eval", "ablate"])
 def test_report_inputs_are_read_before_writing(run_dir, tmp_path, command):
     """A damaged report input that the command does not write itself fails it before its first write."""
-    for case, (name, damage, eval_args, ablate_reads) in REPORT_INPUT_DAMAGE.items():
-        if command == "ablate" and not ablate_reads:
-            continue
+    for case, (name, damage, eval_args) in REPORT_INPUT_DAMAGE.items():
         run = tmp_path / case
         shutil.copytree(run_dir, run)
         path = run / name

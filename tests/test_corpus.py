@@ -42,6 +42,14 @@ def test_missing_target_speech_detected(tiny_corpus):
     assert any(i.kind == "MissingTargetSpeech" for i in issues)
 
 
+def test_bad_oracle_detected(tiny_corpus):
+    # the noise segment 4 and the unknown segment 6 get labels past either end of NOISE..n_speakers-1
+    tiny_corpus.segments.oracle[[4, 6]] = [2, -3]
+    assert [(i.kind, i.message) for i in validate_corpus(tiny_corpus)] == [
+        ("BadOracle", "segment 4 oracle label 2 outside -2..1"),
+        ("BadOracle", "segment 6 oracle label -3 outside -2..1")]
+
+
 def _tiny_with(tiny_corpus, edit):
     """tiny_corpus with its recordings edited by edit (a list of Recording objects)."""
     recordings = tiny_recordings()
@@ -408,6 +416,15 @@ def test_load_manifest_rejects_malformed_index(tmp_path, tiny_corpus, case):
         load_manifest(tmp_path)
 
 
+@pytest.mark.parametrize("label", [1000, 8, -3])
+def test_load_manifest_rejects_oracle_outside_its_labels(tmp_path, small_corpus, label):
+    # small_corpus has 8 speakers: its labels are NOISE, UNKNOWN and 0..7
+    save_manifest(small_corpus, tmp_path)
+    edit_index(tmp_path / "corpus.idx", lambda a: a["oracle"].__setitem__(0, label))
+    with pytest.raises(CorruptArtifact, match=f": BadOracle: segment 0 oracle label {label} outside -2..7$"):
+        load_manifest(tmp_path)
+
+
 def test_load_manifest_rejects_zero_feature_dim(tmp_path, tiny_corpus):
     # header D = 0 and no means: the size the counts give is the file's
     save_manifest(tiny_corpus, tmp_path)
@@ -428,6 +445,7 @@ BROKEN_CONTRACTS = {
     # segment 4's frames go to segment 5
     "EmptySegment": lambda r, s: s.n_frames.__setitem__(slice(4, 6), [0, s.n_frames[4] + s.n_frames[5]]),
     "NonFiniteFeatures": lambda r, s: s.means.__setitem__((4, 1), np.inf),
+    "BadOracle": lambda r, s: s.oracle.__setitem__(4, 2),
     "DuplicateRecording": lambda r, s: setattr(r[1], "recording_id", 0),
     "BadTarget": lambda r, s: setattr(r[1], "target", -1),
     "EmptyRecording": lambda r, s: setattr(r[1], "clusters", []),
@@ -568,6 +586,8 @@ def _reference_issues(corpus, frames):
               for sid in range(n) if segments.n_frames[sid] < 1]
     issues += [("NonFiniteFeatures", f"segment {sid} contains NaN or inf")
                for sid in range(n) if not np.isfinite(_segment_rows(frames, segments, sid)).all()]
+    issues += [("BadOracle", f"segment {sid} oracle label {segments.oracle[sid]} outside {NOISE}..{n_speakers - 1}")
+               for sid in range(n) if not NOISE <= segments.oracle[sid] < n_speakers]
     ids = [r.recording_id for r in recordings]
     issues += [("DuplicateRecording", f"recording id {rid} is used by {ids.count(rid)} recordings")
                for rid in sorted(set(ids)) if ids.count(rid) > 1]
@@ -596,14 +616,14 @@ def _reference_issues(corpus, frames):
     return issues
 
 
-def _break_contract(n_speakers, recordings, n_frames, frames, rng):
+def _break_contract(n_speakers, recordings, n_frames, oracle, frames, rng):
     """One to three random breaks of the corpus contract and its frame matrix, each of a random kind.
 
-    The Recording list, frame counts and frames are edited in place; returns the new n_speakers.
+    The Recording list, frame counts, oracle labels and frames are edited in place; returns the new n_speakers.
     """
     for _ in range(int(rng.integers(1, 4))):
         rec = recordings[int(rng.integers(len(recordings)))]
-        damage = int(rng.integers(8))
+        damage = int(rng.integers(9))
         if damage == 0:
             rec.target = int(rng.integers(-2, n_speakers + 2))
         elif damage == 1:
@@ -622,6 +642,8 @@ def _break_contract(n_speakers, recordings, n_frames, frames, rng):
             n_frames[sid] = 0
         elif damage == 7:  # another recording's id
             rec.recording_id = recordings[int(rng.integers(len(recordings)))].recording_id
+        elif damage == 8:  # any label, in NOISE..n_speakers-1 or past either end
+            oracle[int(rng.integers(len(oracle)))] = int(rng.integers(NOISE - 2, n_speakers + 2))
     return n_speakers
 
 
@@ -632,9 +654,10 @@ def test_validate_matches_loop_reference(table, seed, broken):
     assert validate_corpus(corpus) == []
     if broken:
         # the edited recordings, frame counts and frames make a new corpus, its means pooled as gen pools them
-        recordings, n_frames = corpus.recordings, corpus.segments.n_frames.copy()
-        n_speakers = _break_contract(corpus.n_speakers, recordings, n_frames, frames, np.random.default_rng(seed))
-        segments = Segments(_means_of(frames, n_frames), n_frames, corpus.segments.oracle)
+        recordings, n_frames, oracle = corpus.recordings, corpus.segments.n_frames.copy(), corpus.segments.oracle.copy()
+        n_speakers = _break_contract(corpus.n_speakers, recordings, n_frames, oracle, frames,
+                                     np.random.default_rng(seed))
+        segments = Segments(_means_of(frames, n_frames), n_frames, oracle)
         corpus = corpus_of(n_speakers, recordings, segments)
     assert [(i.kind, i.message) for i in validate_corpus(corpus)] == _reference_issues(corpus, frames)
 

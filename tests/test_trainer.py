@@ -1,4 +1,5 @@
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from weaksv.embedder import (
     unflatten_params,
 )
 from weaksv.errors import ConfigError, EmptyInput, NonFiniteGradient
-from weaksv.losses import LossConfig, Schedule
+from weaksv.losses import Schedule
 from weaksv.rng import derive_key, mix64
 from weaksv.trainer import (
     ABLATION_GRID,
@@ -130,7 +131,7 @@ def training_corpus(small_corpus):
     return apply_diarization(corpus, PRESETS["baseline"])
 
 
-STAGE1 = StageConfig(loss=LossConfig(), epochs=4, batch_size=24)
+STAGE1 = StageConfig(epochs=4, batch_size=24)
 
 
 class TestTrainStage1:
@@ -153,9 +154,8 @@ class TestTrainStage1:
         assert np.allclose(norms, 1.0, atol=1e-9)
 
     def test_schedules_logged(self, training_corpus, stage2_inputs):
-        cfg = StageConfig(
-            loss=LossConfig(aggregation="lse", margin=Schedule(0.0, 0.2), tau=Schedule(0.5, 0.1)),
-            epochs=3, batch_size=24)
+        cfg = StageConfig(aggregation="lse", margin=Schedule(0.0, 0.2), tau=Schedule(0.5, 0.1), epochs=3,
+                          batch_size=24)
         result = train_stage1(training_corpus, cfg, MODEL, seed=5)
         assert result.metrics[0].tau == pytest.approx(0.5)
         assert result.metrics[-1].tau == pytest.approx(0.1)
@@ -168,7 +168,7 @@ class TestTrainStage1:
         assert result.metrics[-1].margin == pytest.approx(0.3)
 
     def test_resume_requires_matching_config(self, training_corpus):
-        half_cfg = StageConfig(loss=STAGE1.loss, epochs=2, batch_size=24)
+        half_cfg = replace(STAGE1, epochs=2)
         half = train_stage1(training_corpus, half_cfg, MODEL, seed=6)
         # another epoch count, then another seed, than the checkpoint was trained under
         for stage, seed in ((STAGE1, 6), (half_cfg, 7)):
@@ -201,7 +201,7 @@ def stage2_inputs(training_corpus):
     return np.array(selected, dtype=np.int64), np.array(pool, dtype=np.int64)
 
 
-STAGE2 = StageConfig(loss=LossConfig(margin=Schedule(0.1, 0.3)), epochs=4, batch_size=32)
+STAGE2 = StageConfig(margin=Schedule(0.1, 0.3), epochs=4, batch_size=32)
 
 
 class TestTrainStage2:
@@ -213,8 +213,7 @@ class TestTrainStage2:
 
     def test_unknown_class_activates_mid_training(self, training_corpus, stage2_inputs, monkeypatch):
         selected, pool = stage2_inputs
-        cfg = StageConfig(loss=STAGE2.loss, epochs=4, batch_size=32,
-                          unknown_start_epoch=2, unknown_mix_fraction=0.1)
+        cfg = replace(STAGE2, unknown_start_epoch=2, unknown_mix_fraction=0.1)
         plans = []  # each epoch's plan as training receives it
         planner = trainer.plan_epoch_stage2
         monkeypatch.setattr(trainer, "plan_epoch_stage2",
@@ -259,10 +258,10 @@ def test_segment_margin_raises_each_known_row_loss(known):
 def test_ablation_grid_covers_all_variants():
     cfgs = ablation_stage1_configs(StageConfig())
     assert list(cfgs) == ["m1", "m2", "m3", "m4", "m5", "m6"]
-    assert cfgs["m1"].loss.aggregation == "max" and cfgs["m1"].loss.margin.start == 0.1
-    assert cfgs["m4"].loss.aggregation == "max" and cfgs["m4"].loss.margin.start == 0.0
-    assert cfgs["m2"].loss.tau == Schedule.fixed(0.5)
-    assert cfgs["m3"].loss.tau == Schedule(0.5, 0.1)
+    assert cfgs["m1"].aggregation == "max" and cfgs["m1"].margin.start == 0.1
+    assert cfgs["m4"].aggregation == "max" and cfgs["m4"].margin.start == 0.0
+    assert cfgs["m2"].tau == Schedule.fixed(0.5)
+    assert cfgs["m3"].tau == Schedule(0.5, 0.1)
     assert len(ABLATION_GRID) == 6
 
 
@@ -319,8 +318,8 @@ def reference_fit(corpus, stage, model, seed, tag, plans, batch_of):
     step, metrics = 0, []
     denom = max(1, stage.epochs - 1)
     for epoch in range(stage.epochs):
-        margin = stage.loss.margin.at(epoch / denom)
-        tau = stage.loss.tau.at(epoch / denom) if tag == "stage1" else 0.0
+        margin = stage.margin.at(epoch / denom)
+        tau = stage.tau.at(epoch / denom) if tag == "stage1" else 0.0
         for batch in plans[epoch]:
             segment_ids, batch_loss = batch_of(batch)
             emb, cache = _reference_forward(pooled[segment_ids], params)
@@ -343,7 +342,7 @@ def reference_stage1(corpus, stage, model, seed):
     plans = [plan_epoch_stage1(corpus, stage.batch_size, trainer._epoch_seed(seed, "s1-epoch", e))
              for e in range(stage.epochs)]
     return reference_fit(corpus, stage, model, seed, "stage1", plans, lambda b: (b.segment_ids, recording_batch_loss(
-        stage.loss.aggregation, stage.loss.scale, b.targets, **bag_map(np.diff(b.offsets, append=b.size)))))
+        stage.aggregation, stage.scale, b.targets, **bag_map(np.diff(b.offsets, append=b.size)))))
 
 
 def reference_stage2(corpus, selected, stage, model, seed, unknown_pool):
@@ -354,7 +353,7 @@ def reference_stage2(corpus, selected, stage, model, seed, unknown_pool):
                                  mix_fraction=stage.unknown_mix_fraction if active else 0.0)
 
     return reference_fit(corpus, stage, model, seed, "stage2", [plan(e) for e in range(stage.epochs)],
-                         lambda b: (b.segment_ids, segment_batch_loss(stage.loss.scale, b.labels, b.known)))
+                         lambda b: (b.segment_ids, segment_batch_loss(stage.scale, b.labels, b.known)))
 
 
 def _ckpt_bytes(ckpt):
@@ -383,8 +382,8 @@ class TestMatchesReferenceLoop:
            st.sampled_from([Schedule.fixed(0.5), Schedule(0.5, 0.1)]), st.integers(16, 40),
            st.integers(0, 2**32 - 1), st.sampled_from([None, 1, 2]))
     def test_stage1(self, training_corpus, kind, margin, tau, batch_size, seed, resume_epoch):
-        stage = StageConfig(loss=LossConfig(aggregation=kind, margin=Schedule.fixed(margin), tau=tau),
-                            epochs=3, batch_size=batch_size)
+        stage = StageConfig(aggregation=kind, margin=Schedule.fixed(margin), tau=tau, epochs=3,
+                            batch_size=batch_size)
         want = reference_stage1(training_corpus, stage, MODEL, seed)
         if resume_epoch is None:
             got = train_stage1(training_corpus, stage, MODEL, seed)
@@ -400,7 +399,7 @@ class TestMatchesReferenceLoop:
            st.integers(0, 2**32 - 1), st.sampled_from([None, 1, 3]))
     def test_stage2(self, training_corpus, stage2_inputs, unknown_start, margin, batch_size, seed, resume_epoch):
         selected, pool = stage2_inputs
-        stage = StageConfig(loss=LossConfig(margin=Schedule(margin, margin + 0.1)), epochs=4,
+        stage = StageConfig(margin=Schedule(margin, margin + 0.1), epochs=4,
                             batch_size=batch_size, unknown_start_epoch=unknown_start)
         want = reference_stage2(training_corpus, selected, stage, MODEL, seed, pool)
         if resume_epoch is None:
