@@ -3,8 +3,8 @@
 For each seed: generate the default corpus, run both diarization presets,
 train stage 1 on each, self-label from the baseline run, train stage 2
 with and without the unknown class, and score everything on the same
-trial list. Prints the EER/precision/recall matrix the repository's
-acceptance thresholds were calibrated against.
+trial list, each step through `weaksv.cli`'s own. Prints the matrix the
+repository's acceptance thresholds were calibrated against.
 """
 
 from __future__ import annotations
@@ -13,52 +13,32 @@ import sys
 import time
 from dataclasses import replace
 
+from weaksv.cli import diarize, evaluate, generate, self_label, stage2_runs
 from weaksv.config import RunConfig, load_run_config
-from weaksv.corpus import assign_heldout_split, split_trials
-from weaksv.diarize import PRESETS, apply_diarization
-from weaksv.metrics import compute_eer, score_trials
-from weaksv.selection import score_train_segments, select_unknown_pool, self_label
-from weaksv.synth import generate_corpus
-from weaksv.trainer import train_stage1, train_stage2
+from weaksv.diarize import PRESETS
+from weaksv.trainer import train_stage1
 
 
 def run_seed(seed: int, cfg: RunConfig | None = None) -> dict:
-    """One seed's row of the matrix; cfg defaults to the default config at that seed."""
+    """One seed's row of the matrix; cfg defaults to the default config at that seed.
+
+    No matrix config sets a [diar] key, so replace(cfg, diar=PRESETS[p]) is the config
+    `weaksv diar --preset p` loads: a row is what gen, diar, train1, select, train2 and eval make of cfg."""
     if cfg is None:
         cfg = load_run_config(None, seed=seed)
     elif cfg.seed != seed:
         raise ValueError(f"cfg.seed = {cfg.seed} is not the row's seed {seed}")
-    corpus = generate_corpus(cfg.synth)
-    corpus = assign_heldout_split(corpus, cfg.heldout_fraction, seed)
-    trials = split_trials(corpus, cfg.n_target_trials, cfg.n_nontarget_trials, seed)
-    is_target = trials[:, 2] == 1
-
-    out: dict = {"seed": seed}
-    diar_runs = {}
-    for preset in ("baseline", "pyannote-like"):
-        dcfg = replace(PRESETS[preset], seed=seed + 90000)
-        diarized = apply_diarization(corpus, dcfg)
-        result = train_stage1(diarized, cfg.stage1, cfg.model, seed)
-        eer = compute_eer(score_trials(result.checkpoint, diarized, trials), is_target)
-        diar_runs[preset] = (diarized, result.checkpoint)
-        out[f"stage1_{preset}"] = eer
-
-    diarized, ckpt = diar_runs["baseline"]
-    scored = score_train_segments(diarized, ckpt, cfg.stage1.scale)
-    selection = self_label(diarized, scored)
-    pool = select_unknown_pool(scored, cfg.select_top_k, cfg.select_fraction)
-    out["precision"] = selection.stats.precision
-    out["recall"] = selection.stats.recall
-    out["pool_size"] = len(pool.segment_ids)
-
-    plain = train_stage2(diarized, selection.selected, cfg.stage2, cfg.model, seed)
-    out["stage2_plain"] = compute_eer(score_trials(plain.checkpoint, diarized, trials), is_target)
-
-    unk_cfg = replace(cfg.stage2, unknown_start_epoch=cfg.stage2.epochs // 2)
-    unk = train_stage2(diarized, selection.selected, unk_cfg, cfg.model, seed,
-                       unknown_pool=pool.segment_ids)
-    out["stage2_unknown"] = compute_eer(score_trials(unk.checkpoint, diarized, trials), is_target)
-    return out
+    corpus, trials = generate(cfg)
+    row: dict = {"seed": seed}
+    for preset in ("pyannote-like", "baseline"):  # the baseline run, last, goes on to stage 2
+        diarized = diarize(replace(cfg, diar=PRESETS[preset]), corpus)
+        ckpt = train_stage1(diarized, cfg.stage1, cfg.model, seed).checkpoint
+        row[f"stage1_{preset}"] = evaluate(cfg, diarized, trials, ckpt)[1]["eer"]
+    selection, pool = self_label(cfg, diarized, ckpt)
+    row.update(precision=selection.stats.precision, recall=selection.stats.recall, pool_size=len(pool.segment_ids))
+    for name, result in stage2_runs(cfg, diarized, selection, pool):
+        row[name] = evaluate(cfg, diarized, trials, result.checkpoint)[1]["eer"]
+    return row
 
 
 def main() -> int:

@@ -3,7 +3,9 @@
 Subcommands: gen, diar, train1, select, train2, eval, ablate, schema.
 The first six run the paper's chain one link each (corpus,
 diarization, stage 1, self-labeling, stage 2, scoring); ablate runs the
-same stage steps as a grid. A command reads its inputs from the run
+same stage steps as a grid, and scripts/pilot_matrix.py chains the
+public ones (generate, diarize, self_label, stage2_runs, evaluate) as
+the acceptance matrix. A command reads its inputs from the run
 directory, each checked by the reader of its format, before it writes
 any file; it then writes its own atomically (temp file + rename), plus a
 snapshot of the configuration it ran under. Exit codes: 0 success;
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from dataclasses import replace
 from pathlib import Path
 
@@ -42,7 +45,10 @@ def _snapshot_config(cfg: cfgmod.RunConfig, out: Path) -> None:
     atomic_write(out / "config.snapshot", cfg.text)
 
 
-# Stage steps: the per-stage commands and ablate share them.
+# Stage steps: the per-stage commands, ablate and scripts/pilot_matrix.py share them.
+
+STAGE2_RUNS = ("stage2_plain", "stage2_unknown")
+
 
 def _check_checkpoint(ckpt: Checkpoint, path: Path, corpus: corpusmod.Corpus, speakers: bool) -> None:
     """Reject a checkpoint whose feature dimension, or (if speakers) speaker count, is not the corpus's."""
@@ -57,8 +63,23 @@ def _save_run(result: TrainResult, out: Path, stage: int) -> None:
     save_metrics_csv(result.metrics, out / f"metrics_stage{stage}.csv")
 
 
-def _self_label(cfg: cfgmod.RunConfig, corpus: corpusmod.Corpus,
-                ckpt: Checkpoint) -> tuple[selmod.SelectionResult, selmod.UnknownPool]:
+def generate(cfg: cfgmod.RunConfig, feat=None) -> tuple[corpusmod.Corpus, np.ndarray]:
+    """Render the corpus (into the open corpus.feat file feat, if given), split it, check it and draw its trials."""
+    corpus = generate_corpus(cfg.synth, feat)
+    corpus = corpusmod.assign_heldout_split(corpus, cfg.heldout_fraction, cfg.seed)
+    issues = validate_corpus(corpus)
+    if issues:
+        raise WeaksvError(f"generated corpus failed validation: {issues[:3]}")
+    return corpus, corpusmod.split_trials(corpus, cfg.n_target_trials, cfg.n_nontarget_trials, cfg.seed)
+
+
+def diarize(cfg: cfgmod.RunConfig, corpus: corpusmod.Corpus) -> corpusmod.Corpus:
+    """The corpus with its clusters redrawn by the cfg.diar diarizer, seeded from the run seed."""
+    return apply_diarization(corpus, replace(cfg.diar, seed=derive_key(mix64(cfg.seed), "diar")))
+
+
+def self_label(cfg: cfgmod.RunConfig, corpus: corpusmod.Corpus,
+               ckpt: Checkpoint) -> tuple[selmod.SelectionResult, selmod.UnknownPool]:
     """Score the training segments with a stage-1 model, then self-label them and build the unknown pool."""
     scored = selmod.score_train_segments(corpus, ckpt, cfg.stage1.scale)
     return (selmod.self_label(corpus, scored),
@@ -70,38 +91,40 @@ def _save_selection(result: selmod.SelectionResult, pool: selmod.UnknownPool, ou
     selmod.save_unknown_pool(pool, out)
 
 
-def _evaluate(cfg: cfgmod.RunConfig, corpus: corpusmod.Corpus, trials: np.ndarray, ckpt: Checkpoint,
-              ckpt_path: Path, out: Path) -> dict:
-    """Score the trials with ckpt, the checkpoint at ckpt_path; write its scores and eval file."""
+def stage2_runs(cfg: cfgmod.RunConfig, corpus: corpusmod.Corpus, selection: selmod.SelectionResult,
+                pool: selmod.UnknownPool) -> Iterator[tuple[str, TrainResult]]:
+    """Stage 2 on the selection without the unknown class, then with it from epoch epochs // 2, as
+    (name, result) pairs named by STAGE2_RUNS; the pool is ignored while unknown_start_epoch is negative."""
+    for name, unknown_start in zip(STAGE2_RUNS, (-1, cfg.stage2.epochs // 2)):
+        stage = replace(cfg.stage2, unknown_start_epoch=unknown_start)
+        yield name, train_stage2(corpus, selection.selected, stage, cfg.model, cfg.seed, unknown_pool=pool.segment_ids)
+
+
+def evaluate(cfg: cfgmod.RunConfig, corpus: corpusmod.Corpus, trials: np.ndarray,
+             ckpt: Checkpoint) -> tuple[np.ndarray, dict]:
+    """Score the trials with ckpt: the scores and the EER/minDCF payload of its eval file."""
     scores = metricsmod.score_trials(ckpt, corpus, trials)
     is_target = trials[:, 2] == 1
-    eer = metricsmod.compute_eer(scores, is_target)
-    mindcf = metricsmod.compute_mindcf(scores, is_target, cfg.eval_p_target, cfg.eval_c_miss, cfg.eval_c_fa)
-    stem = ckpt_path.stem
-    metricsmod.save_scores(scores, trials, out / f"scores_{stem}.tsv")
-    payload = {
-        "checkpoint": ckpt_path.name,
-        "eer": eer,
-        "mindcf": mindcf,
+    return scores, {
+        "eer": metricsmod.compute_eer(scores, is_target),
+        "mindcf": metricsmod.compute_mindcf(scores, is_target, cfg.eval_p_target, cfg.eval_c_miss, cfg.eval_c_fa),
         "p_target": cfg.eval_p_target,
         "n_target": int(np.sum(is_target)),
         "n_nontarget": int(np.sum(~is_target)),
     }
-    atomic_write(out / f"eval_{stem}.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _evaluate(cfg: cfgmod.RunConfig, corpus: corpusmod.Corpus, trials: np.ndarray, ckpt: Checkpoint,
+              ckpt_path: Path, out: Path) -> dict:
+    """Score the trials with ckpt, the checkpoint at ckpt_path; write its scores and eval file."""
+    scores, payload = evaluate(cfg, corpus, trials, ckpt)
+    payload["checkpoint"] = ckpt_path.name
+    metricsmod.save_scores(scores, trials, out / f"scores_{ckpt_path.stem}.tsv")
+    atomic_write(out / f"eval_{ckpt_path.stem}.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload
 
 
 # Commands: each takes the run configuration and the parsed arguments.
-
-def _generate(cfg: cfgmod.RunConfig, feat) -> tuple[corpusmod.Corpus, np.ndarray]:
-    """Render the corpus into the open corpus.feat file feat, split it, check it and draw its trials."""
-    corpus = generate_corpus(cfg.synth, feat)
-    corpus = corpusmod.assign_heldout_split(corpus, cfg.heldout_fraction, cfg.seed)
-    issues = validate_corpus(corpus)
-    if issues:
-        raise WeaksvError(f"generated corpus failed validation: {issues[:3]}")
-    return corpus, corpusmod.split_trials(corpus, cfg.n_target_trials, cfg.n_nontarget_trials, cfg.seed)
-
 
 def cmd_gen(cfg: cfgmod.RunConfig, args) -> None:
     out = cfg.out
@@ -111,7 +134,7 @@ def cmd_gen(cfg: cfgmod.RunConfig, args) -> None:
     # place only once the corpus is checked and its trials drawn, so a failed gen
     # leaves no file, nor a directory it made, behind
     try:
-        corpus, trials = atomic_write(out / corpusmod.FEAT_NAME, lambda feat: _generate(cfg, feat))
+        corpus, trials = atomic_write(out / corpusmod.FEAT_NAME, lambda feat: generate(cfg, feat))
     except BaseException:
         for path in created:
             path.rmdir()
@@ -126,8 +149,7 @@ def cmd_gen(cfg: cfgmod.RunConfig, args) -> None:
 
 def cmd_diar(cfg: cfgmod.RunConfig, args) -> None:
     out = cfg.out
-    diar = replace(cfg.diar, seed=derive_key(mix64(cfg.seed), "diar"))
-    corpus = apply_diarization(load_manifest(out), diar)
+    corpus = diarize(cfg, load_manifest(out))
     _snapshot_config(cfg, out)
     save_manifest(corpus, out)  # new clusters; the segment table and its means are written back unchanged
     table = corpus.table
@@ -149,7 +171,7 @@ def cmd_select(cfg: cfgmod.RunConfig, args) -> None:
     ckpt = load_checkpoint(path)
     corpus = load_manifest(out)
     _check_checkpoint(ckpt, path, corpus, speakers=True)
-    result, pool = _self_label(cfg, corpus, ckpt)
+    result, pool = self_label(cfg, corpus, ckpt)
     _snapshot_config(cfg, out)
     _save_selection(result, pool, out)
     st = result.stats
@@ -160,9 +182,8 @@ def cmd_select(cfg: cfgmod.RunConfig, args) -> None:
 def cmd_train2(cfg: cfgmod.RunConfig, args) -> None:
     out = cfg.out
     corpus = load_manifest(out)
-    n_segments = len(corpus.segments)
-    selected = selmod.load_selection(out, n_segments, corpus.n_speakers)
-    pool = selmod.load_unknown_pool(out, n_segments) if cfg.stage2.unknown_start_epoch >= 0 else None
+    selected = selmod.load_selection(out, corpus)
+    pool = selmod.load_unknown_pool(out, len(corpus.segments)) if cfg.stage2.unknown_start_epoch >= 0 else None
     result = train_stage2(corpus, selected, cfg.stage2, cfg.model, cfg.seed, unknown_pool=pool)
     _snapshot_config(cfg, out)
     _save_run(result, out, 2)
@@ -173,7 +194,7 @@ def cmd_train2(cfg: cfgmod.RunConfig, args) -> None:
 def cmd_eval(cfg: cfgmod.RunConfig, args) -> None:
     out = cfg.out
     corpus = load_manifest(out)
-    trials = load_trials(out / corpusmod.TRIALS_NAME, len(corpus.segments))
+    trials = load_trials(out / corpusmod.TRIALS_NAME, corpus.segments.oracle)
     paths = [Path(args.checkpoint)] if args.checkpoint else sorted(out.glob("stage*.ckpt"))
     if not paths:
         raise MissingArtifacts(f"no stage checkpoints in {out}")
@@ -193,11 +214,10 @@ def cmd_ablate(cfg: cfgmod.RunConfig, args) -> None:
     """Stage-1 aggregation x margin grid plus stage-2 comparisons, each run evaluated in memory."""
     out = cfg.out
     corpus = load_manifest(out)
-    trials = load_trials(out / corpusmod.TRIALS_NAME, len(corpus.segments))
+    trials = load_trials(out / corpusmod.TRIALS_NAME, corpus.segments.oracle)
     variants = ablation_stage1_configs(cfg.stage1)
-    stage2_runs = (("stage2_plain", -1), ("stage2_unknown", max(0, cfg.stage2.epochs // 2)))
     grid = out / "ablation"
-    metricsmod.collect_report(out, skip={grid / name for name in [*variants, *(name for name, _ in stage2_runs)]})
+    metricsmod.collect_report(out, skip={grid / name for name in [*variants, *STAGE2_RUNS]})
     _snapshot_config(cfg, out)
 
     checkpoints = {}
@@ -213,15 +233,12 @@ def cmd_ablate(cfg: cfgmod.RunConfig, args) -> None:
               f"margin={stage_cfg.margin.start:g} EER {payload['eer'] * 100:.2f}%")
     del plans  # stage 2 has no use for them, so they stay out of its peak memory
 
-    # stage-2 comparisons off the margin-free max-pooling run (m4); the
-    # pool is ignored while unknown_start_epoch is negative
-    selection, pool = _self_label(cfg, corpus, checkpoints["m4"])
-    for name, unknown_start in stage2_runs:
+    # stage-2 comparisons off the margin-free max-pooling run (m4)
+    selection, pool = self_label(cfg, corpus, checkpoints["m4"])
+    for name, result in stage2_runs(cfg, corpus, selection, pool):
         sub = grid / name
         sub.mkdir(parents=True, exist_ok=True)
         _save_selection(selection, pool, sub)
-        stage_cfg = replace(cfg.stage2, unknown_start_epoch=unknown_start)
-        result = train_stage2(corpus, selection.selected, stage_cfg, cfg.model, cfg.seed, unknown_pool=pool.segment_ids)
         _save_run(result, sub, 2)
         payload = _evaluate(cfg, corpus, trials, result.checkpoint, sub / "stage2.ckpt", sub)
         print(f"ablate {name}: EER {payload['eer'] * 100:.2f}%")

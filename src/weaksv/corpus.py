@@ -410,13 +410,18 @@ def save_trials(trials: np.ndarray, path: str | Path) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def load_trials(path: str | Path, n_segments: int) -> np.ndarray:
+def load_trials(path: str | Path, oracle: np.ndarray) -> np.ndarray:
     """Read trials.tsv as an (n, 3) int64 array of (enroll_id, test_id, is_target) rows.
 
-    Blank lines are skipped. CorruptArtifact for any other line that is not
-    two segment ids in 0..n_segments-1 and the label text 0 or 1, tab
-    separated (an id indexes rows: a negative one would read another's).
+    oracle is the corpus's per-segment oracle labels. Blank lines are
+    skipped. CorruptArtifact for any other line that is not two segment
+    ids in 0..len(oracle)-1 and the label text 0 or 1, tab separated (an
+    id indexes rows: a negative one would read another's), and for a row
+    that split_trials could not have drawn: one with a segment of no known
+    speaker, or flagged as a target trial other than exactly when its two
+    segments' speakers match.
     """
+    n_segments = len(oracle)
     rows = []
     for lineno, line in enumerate(Path(path).read_text("utf-8", errors="replace").splitlines(), 1):
         if not line.strip():
@@ -430,4 +435,11 @@ def load_trials(path: str | Path, n_segments: int) -> np.ndarray:
             raise CorruptArtifact(f"{path} line {lineno} is not <enroll id> <test id> <0|1> "
                                   f"with ids in 0..{n_segments - 1}")
         rows.append(row)
-    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+    trials = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    enroll, test = oracle[trials[:, 0]], oracle[trials[:, 1]]
+    bad = np.flatnonzero((enroll < 0) | (test < 0) | ((enroll == test) != (trials[:, 2] == 1)))
+    if bad.size:
+        a, b, flag = trials[bad[0]].tolist()
+        raise CorruptArtifact(f"{path} holds the trial {a} {b} {flag} of oracle speakers {oracle[a]} and {oracle[b]}: "
+                              f"a trial pairs known speakers' segments and is a target trial exactly when they match")
+    return trials

@@ -218,9 +218,24 @@ def _read_int_records(path: Path, limits: dict[str, int]) -> np.ndarray:
     return np.array(out, dtype=np.int64).reshape(-1, len(limits))
 
 
-def load_selection(directory: str | Path, n_segments: int, n_speakers: int) -> np.ndarray:
-    """selection.jsonl's (segment_id, label) rows, as the (n, 2) int64 array save_selection wrote."""
-    return _read_int_records(Path(directory) / "selection.jsonl", {"segment_id": n_segments, "label": n_speakers})
+def load_selection(directory: str | Path, corpus: Corpus) -> np.ndarray:
+    """selection.jsonl's (segment_id, label) rows, as the (n, 2) int64 array save_selection wrote.
+
+    Besides the record checks, CorruptArtifact for a row that self_label
+    could not have made of corpus: one whose segment is no cluster member
+    of a training recording, or whose label is not that recording's target.
+    """
+    path = Path(directory) / "selection.jsonl"
+    selected = _read_int_records(path, {"segment_id": len(corpus.segments), "label": corpus.n_speakers})
+    members, targets = _train_members(corpus)
+    target_of = np.full(len(corpus.segments), -1, dtype=np.int64)  # -1: no training recording's member
+    target_of[members] = targets
+    bad = np.flatnonzero(target_of[selected[:, 0]] != selected[:, 1])
+    if bad.size:
+        sid, label = selected[bad[0]].tolist()
+        held = f"its recording's target is {target_of[sid]}" if target_of[sid] >= 0 else "no training recording has it"
+        raise CorruptArtifact(f"{path} labels segment {sid} as speaker {label}, but {held}")
+    return selected
 
 
 def save_unknown_pool(pool: UnknownPool, directory: str | Path) -> None:

@@ -3,8 +3,12 @@
 Each test prints a PASS line with its headline numbers (visible under
 pytest -v -s or --capture=no); failures surface as ordinary assertion
 errors. Criteria 6-9 share one three-seed pipeline matrix fixture, which
-runs the pilot script's run_seed; the thresholds were fixed from that
-pilot, recorded in the README, and are not tunable here.
+runs the pilot script's run_seed: the CLI's own stage steps, so the
+matrix judges the runs gen, diar, train1, select, train2 and eval make.
+The thresholds were fixed from an earlier pilot that seeded its diarizer
+apart from the CLI's derive_key(mix64(seed), "diar"); moving the pilot
+onto the CLI's chain moved no bound. The README records both pilots; the
+bounds are not tunable here.
 """
 
 import itertools
@@ -239,8 +243,8 @@ MATRIX_SEEDS = (101, 202, 303)
 @pytest.fixture(scope="module")
 def pipeline_matrix():
     """The default-config pipeline per seed, under both diarizers and both
-    stage-2 variants (scripts/pilot_matrix.run_seed), timed; shared by the
-    end-to-end criteria."""
+    stage-2 variants (scripts/pilot_matrix.run_seed, the CLI's stage steps),
+    timed; shared by the end-to-end criteria."""
     run_seed = load_script("pilot_matrix").run_seed
     rows = []
     for seed in MATRIX_SEEDS:
@@ -256,7 +260,8 @@ def _mean(rows, key):
 
 
 def test_ac06_end_to_end_selection_quality(pipeline_matrix):
-    # thresholds fixed from the pilot recorded in the README
+    # thresholds fixed from the first pilot recorded in the README, whose diarizer seed was
+    # not the CLI's; run_seed now runs the CLI's chain, and no bound moved with it
     for row in pipeline_matrix:
         assert row["precision"] >= 0.90, row
         assert row["recall"] >= 0.85, row

@@ -595,6 +595,56 @@ def test_bad_secondary_artifact_is_an_error(run_dir, tmp_path, capsys, case):
     assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
 
 
+def _flag_first_nontarget(run, data):
+    lines = data.splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.endswith(b"\t0\n"))
+    lines[at] = lines[at][:-2] + b"1\n"
+    return b"".join(lines)
+
+
+def _edit_first_selection(edit):
+    def damage(run, data):
+        first, rest = data.split(b"\n", 1)
+        record = json.loads(first)
+        edit(run, record)
+        return json.dumps(record).encode() + b"\n" + rest
+    return damage
+
+
+def _next_label(run, record):
+    record["label"] = (record["label"] + 1) % 6
+
+
+def _held_out_segment(run, record):  # a trial's enroll side is a held-out segment
+    record["segment_id"] = int((run / "trials.tsv").read_text().split("\t")[0])
+
+
+# case -> (commands, artifact, edit of its bytes given the run directory): rows that pass every range
+# check but contradict the corpus, as split_trials and self_label never write them
+CORPUS_CONTRADICTIONS = {
+    "trials_nontarget_flagged_1": (("eval", "ablate"), "trials.tsv", _flag_first_nontarget),
+    "selection_label_not_the_target": (("train2",), "selection.jsonl", _edit_first_selection(_next_label)),
+    "selection_segment_held_out": (("train2",), "selection.jsonl", _edit_first_selection(_held_out_segment)),
+}
+
+
+@pytest.mark.parametrize("case", CORPUS_CONTRADICTIONS)
+def test_row_contradicting_the_corpus_is_an_error(run_dir, tmp_path, case):
+    """Each command exits 1 with one error: line naming the file, and leaves the run directory as it was."""
+    commands, name, damage = CORPUS_CONTRADICTIONS[case]
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    path = run / name
+    damaged = damage(run, path.read_bytes())
+    assert damaged != path.read_bytes()
+    path.write_bytes(damaged)
+    before = _tree(run)
+    for command in commands:
+        stderr = _assert_reported_error([], command, run_dir.parent / "small.cfg", run, "--seed", "5")
+        assert len(stderr.splitlines()) == 1 and name in stderr, (command, stderr)
+        assert _tree(run) == before, command
+
+
 # a second tiny corpus -> SMALL with these edits; its stage-1 checkpoint must not pass as SMALL's
 OTHER_CORPORA = {
     "more_speakers": [("n_speakers = 6", "n_speakers = 8")],

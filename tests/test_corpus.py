@@ -263,26 +263,35 @@ def test_trials_tsv_round_trip(tmp_path, small_corpus):
     corpus = assign_heldout_split(small_corpus, 0.25, seed=4)
     trials = split_trials(corpus, 20, 20, seed=5)
     save_trials(trials, tmp_path / "trials.tsv")
-    loaded = load_trials(tmp_path / "trials.tsv", len(corpus.segments))
+    loaded = load_trials(tmp_path / "trials.tsv", corpus.segments.oracle)
     assert loaded.dtype == np.int64 and np.array_equal(loaded, trials)
 
 
 @st.composite
 def trial_arrays(draw):
-    """(n_segments, an (n, 3) int64 trial array over segment ids 0..n_segments-1)."""
-    n_segments = draw(st.integers(1, 10**12))
-    rows = draw(st.lists(st.tuples(st.integers(0, n_segments - 1), st.integers(0, n_segments - 1),
-                                   st.integers(0, 1)), max_size=30))
-    return n_segments, np.array(rows, dtype=np.int64).reshape(-1, 3)
+    """(an oracle label per segment, an (n, 3) int64 trial array over its known speakers' segments).
+
+    Each row's flag is 1 exactly when its two segments share an oracle speaker, as split_trials draws them.
+    """
+    oracle = np.array(draw(st.lists(st.integers(NOISE, 3), min_size=1, max_size=40)), dtype=np.int64)
+    known = np.flatnonzero(oracle >= 0).tolist()
+    pairs = draw(st.lists(st.tuples(st.sampled_from(known), st.sampled_from(known)), max_size=30)) if known else []
+    rows = [(a, b, int(oracle[a] == oracle[b])) for a, b in pairs]
+    return oracle, np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+def _obeys_the_oracle(trials, oracle):
+    enroll, test = oracle[trials[:, 0]], oracle[trials[:, 1]]
+    return bool(((enroll >= 0) & (test >= 0) & ((enroll == test) == (trials[:, 2] == 1))).all())
 
 
 @settings(max_examples=100, deadline=None)
 @given(trial_arrays())
 def test_trials_tsv_round_trip_of_any_array(tmp_path_factory, case):
-    n_segments, trials = case
+    oracle, trials = case
     path = tmp_path_factory.mktemp("trials") / "trials.tsv"
     save_trials(trials, path)
-    loaded = load_trials(path, n_segments)
+    loaded = load_trials(path, oracle)
     assert loaded.dtype == np.int64 and loaded.shape == trials.shape and np.array_equal(loaded, trials)
 
 
@@ -290,8 +299,9 @@ def test_trials_tsv_round_trip_of_any_array(tmp_path_factory, case):
 @given(trial_arrays(), st.data())
 def test_damaged_trials_tsv_is_rejected_or_in_range(tmp_path_factory, case, data):
     """A trials.tsv cut at any byte, or with one bit flipped, raises CorruptArtifact or loads
-    rows whose ids lie in 0..n_segments-1 and whose labels are 0 or 1."""
-    n_segments, trials = case
+    rows whose ids lie in 0..n_segments-1, whose labels are 0 or 1, and which pair known
+    speakers' segments flagged 1 exactly when their oracle speakers match."""
+    oracle, trials = case
     path = tmp_path_factory.mktemp("damaged") / "trials.tsv"
     save_trials(trials, path)
     raw = bytearray(path.read_bytes())
@@ -301,12 +311,17 @@ def test_damaged_trials_tsv_is_rejected_or_in_range(tmp_path_factory, case, data
         raw[data.draw(st.integers(0, len(raw) - 1), label="byte")] ^= 1 << data.draw(st.integers(0, 7), label="bit")
     path.write_bytes(bytes(raw))
     try:
-        loaded = load_trials(path, n_segments)
+        loaded = load_trials(path, oracle)
     except CorruptArtifact:
         return
     assert loaded.dtype == np.int64 and loaded.shape[1:] == (3,)
-    assert ((loaded[:, :2] >= 0) & (loaded[:, :2] < n_segments)).all()
+    assert ((loaded[:, :2] >= 0) & (loaded[:, :2] < len(oracle))).all()
     assert np.isin(loaded[:, 2], (0, 1)).all()
+    assert _obeys_the_oracle(loaded, oracle)
+
+
+# segments 0 and 1 voice speaker 0, segment 2 speaker 1; segment 3 an unknown speaker, 4 noise
+LINE_ORACLE = np.array([0, 0, 1, UNKNOWN, NOISE], dtype=np.int64)
 
 
 @pytest.mark.parametrize("line", [
@@ -319,7 +334,19 @@ def test_load_trials_rejects_line(tmp_path, line):
     path = tmp_path / "trials.tsv"
     path.write_text(f"0\t1\t1\n{line}\n")
     with pytest.raises(CorruptArtifact, match="line 2 "):
-        load_trials(path, 5)
+        load_trials(path, LINE_ORACLE)
+
+
+@pytest.mark.parametrize("row", ["0\t2\t1", "2\t1\t1", "0\t1\t0", "2\t2\t0", "0\t3\t0", "3\t3\t1", "4\t2\t0"],
+                         ids=["nontarget_flagged_1", "nontarget_flagged_1_reversed", "target_flagged_0",
+                              "same_segment_flagged_0", "unknown_speaker", "unknown_with_itself", "noise"])
+def test_load_trials_rejects_row_against_the_oracle(tmp_path, row):
+    path = tmp_path / "trials.tsv"
+    path.write_text("0\t1\t1\n2\t0\t0\n")
+    assert load_trials(path, LINE_ORACLE).tolist() == [[0, 1, 1], [2, 0, 0]]
+    path.write_text(f"0\t1\t1\n2\t0\t0\n{row}\n")
+    with pytest.raises(CorruptArtifact, match=f"trial {row.replace(chr(9), ' ')} of oracle speakers"):
+        load_trials(path, LINE_ORACLE)
 
 
 def test_mean_frames_matches_direct_average(tmp_path, tiny_corpus):

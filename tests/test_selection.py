@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weaksv.selection
-from weaksv.corpus import Corpus, assign_heldout_split
+from weaksv.corpus import ClusterTable, Corpus, assign_heldout_split
 from weaksv.diarize import PRESETS, apply_diarization
 from weaksv.embedder import Checkpoint, EmbedderConfig, forward_pooled, init_params
 from weaksv.errors import ConfigError, CorruptArtifact
@@ -26,7 +26,7 @@ from weaksv.selection import (
 from weaksv.synth import SynthConfig, generate_corpus
 from weaksv.trainer import StageConfig, train_stage1
 
-from conftest import corpus_of, heldout_recordings, make_segments, train_recordings
+from conftest import constant_segments, corpus_of, heldout_recordings, make_segments, train_recordings
 
 MODEL = EmbedderConfig(feat_dim=20, hidden_dim=24, emb_dim=12)
 
@@ -192,11 +192,30 @@ def test_selection_artifacts_round_trip(tmp_path, trained):
     pool = select_unknown_pool(scored, top_k=3, fraction=0.5)
     save_selection(result, tmp_path)
     save_unknown_pool(pool, tmp_path)
-    loaded = load_selection(tmp_path, len(corpus.segments), corpus.n_speakers)
+    loaded = load_selection(tmp_path, corpus)
     assert loaded.dtype == np.int64 and np.array_equal(loaded, result.selected)
     assert np.array_equal(load_unknown_pool(tmp_path, len(corpus.segments)), pool.segment_ids)
     stats_text = (tmp_path / "selection_stats.json").read_text()
     assert '"precision"' in stats_text and '"recall"' in stats_text
+
+
+@pytest.mark.parametrize("case", ["label_not_the_target", "segment_held_out"])
+def test_load_selection_rejects_a_row_self_label_could_not_make(tmp_path, trained, case):
+    corpus, _ = trained
+    train, held = train_recordings(corpus)[0], heldout_recordings(corpus)[0]
+    good = [(train.segment_ids()[0], train.target)]
+    bad = {"label_not_the_target": (train.segment_ids()[1], (train.target + 1) % corpus.n_speakers),
+           "segment_held_out": (held.segment_ids()[0], held.target)}[case]
+
+    def write(rows):
+        (tmp_path / "selection.jsonl").write_text(
+            "".join(f'{{"segment_id": {sid}, "label": {label}, "score": 0.5}}\n' for sid, label in rows))
+
+    write(good)
+    assert load_selection(tmp_path, corpus).tolist() == [list(good[0])]
+    write(good + [bad])
+    with pytest.raises(CorruptArtifact, match=f"labels segment {bad[0]} as speaker {bad[1]}"):
+        load_selection(tmp_path, corpus)
 
 
 # segment and speaker counts the generated artifacts index into
@@ -204,14 +223,38 @@ N_SEGMENTS, N_SPEAKERS = 500, 12
 
 
 @st.composite
+def tables(draw):
+    """A Corpus of N_SPEAKERS speakers: recordings of drawn targets and held-out flags, each with 1-3
+    clusters of 1-6 segments, the clusters holding a drawn order of all but up to 5 segment ids."""
+    n_recordings = draw(st.integers(1, 8))
+    n_clusters = draw(st.lists(st.integers(1, 3), min_size=n_recordings, max_size=n_recordings))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=sum(n_clusters), max_size=sum(n_clusters)))
+    n_segments = sum(sizes) + draw(st.integers(0, 5))
+    members = draw(st.permutations(range(n_segments)))[:sum(sizes)]
+    targets = draw(st.lists(st.integers(0, N_SPEAKERS - 1), min_size=n_recordings, max_size=n_recordings))
+    heldout = draw(st.lists(st.booleans(), min_size=n_recordings, max_size=n_recordings))
+    ids, targets, n_clusters, sizes, members = (np.array(values, dtype=np.int64) for values in (
+        range(n_recordings), targets, n_clusters, sizes, members))
+    table = ClusterTable(ids, targets, np.array(heldout, dtype=bool), n_clusters, sizes, members)
+    return Corpus(N_SPEAKERS, table, constant_segments([0] * n_segments))
+
+
+def _training_targets(corpus):
+    """Each training recording's segment ids -> that recording's target."""
+    return {sid: r.target for r in train_recordings(corpus) for sid in r.segment_ids()}
+
+
+@st.composite
 def selections(draw):
-    """A SelectionResult as self_label makes one: rows in ascending segment id."""
-    sids = sorted(draw(st.sets(st.integers(0, N_SEGMENTS - 1), max_size=40)))
-    labels = draw(st.lists(st.integers(0, N_SPEAKERS - 1), min_size=len(sids), max_size=len(sids)))
-    selected = np.array([sids, labels], dtype=np.int64).T.reshape(-1, 2)
+    """A corpus, and a SelectionResult as self_label makes one of it: training recordings' segments
+    labelled with their recording's target, in ascending segment id."""
+    corpus = draw(tables())
+    target_of = _training_targets(corpus)
+    sids = sorted(draw(st.sets(st.sampled_from(sorted(target_of)), max_size=40))) if target_of else []
+    selected = np.array([sids, [target_of[sid] for sid in sids]], dtype=np.int64).T.reshape(-1, 2)
     stats = SelectionStats(1.0, 0.5, len(sids), 2 * len(sids), 0, 0, {}, not sids)
     cosines = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(sids), max_size=len(sids)))
-    return SelectionResult(selected, np.array(cosines), stats)
+    return corpus, SelectionResult(selected, np.array(cosines), stats)
 
 
 @st.composite
@@ -248,13 +291,15 @@ def _load_damaged(load, path, raw):
 
 @settings(max_examples=150, deadline=None)
 @given(selections(), st.data())
-def test_selection_file_round_trip_and_damage(tmp_path_factory, result, data):
-    """selection.jsonl loads back as the selected array; a cut or a bit flip is rejected or loads ids in range."""
+def test_selection_file_round_trip_and_damage(tmp_path_factory, case, data):
+    """selection.jsonl loads back as the selected array; a cut or a bit flip is rejected or loads rows
+    of training recordings' segments labelled with their recording's target."""
+    corpus, result = case
     directory = tmp_path_factory.mktemp("selection")
     save_selection(result, directory)
 
     def load():
-        return load_selection(directory, N_SEGMENTS, N_SPEAKERS)
+        return load_selection(directory, corpus)
 
     loaded = load()
     assert loaded.dtype == np.int64 and loaded.shape == result.selected.shape
@@ -263,7 +308,9 @@ def test_selection_file_round_trip_and_damage(tmp_path_factory, result, data):
     got = _load_damaged(load, directory / "selection.jsonl", _damaged(raw, data))
     if got is not None:
         assert got.dtype == np.int64 and got.shape[1:] == (2,)
-        assert ((0 <= got) & (got < [N_SEGMENTS, N_SPEAKERS])).all()
+        assert ((0 <= got) & (got < [len(corpus.segments), N_SPEAKERS])).all()
+        target_of = _training_targets(corpus)
+        assert all(target_of.get(sid) == label for sid, label in got.tolist())
 
 
 @settings(max_examples=150, deadline=None)
