@@ -36,7 +36,7 @@ from .errors import ConfigError, CorruptArtifact, MissingArtifacts, WeaksvError
 from .fileio import atomic_write
 from .rng import derive_key, mix64
 from .synth import generate_corpus
-from .trainer import (TrainResult, ablation_stage1_configs, plan_stage1, save_metrics_csv, train_stage1,
+from .trainer import (TrainResult, ablation_stage1_configs, save_metrics_csv, train_stage1, train_stage1_grid,
                       train_stage2)
 
 
@@ -211,7 +211,12 @@ def cmd_eval(cfg: cfgmod.RunConfig, args) -> None:
 
 
 def cmd_ablate(cfg: cfgmod.RunConfig, args) -> None:
-    """Stage-1 aggregation x margin grid plus stage-2 comparisons, each run evaluated in memory."""
+    """Stage-1 aggregation x margin grid plus stage-2 comparisons, each run evaluated in memory.
+
+    The six stage-1 variants share one plan and train in lockstep as one
+    stack, all before any of their files is written, so a variant that
+    fails leaves no part of the grid behind.
+    """
     out = cfg.out
     corpus = load_manifest(out)
     trials = load_trials(out / corpusmod.TRIALS_NAME, corpus.segments.oracle)
@@ -221,17 +226,15 @@ def cmd_ablate(cfg: cfgmod.RunConfig, args) -> None:
     _snapshot_config(cfg, out)
 
     checkpoints = {}
-    plans = plan_stage1(corpus, cfg.stage1, cfg.seed)  # the variants differ in their loss alone
-    for name, stage_cfg in variants.items():
+    results = train_stage1_grid(corpus, list(variants.values()), cfg.model, cfg.seed)
+    for (name, stage_cfg), result in zip(variants.items(), results):
         sub = grid / name
         sub.mkdir(parents=True, exist_ok=True)
-        result = train_stage1(corpus, stage_cfg, cfg.model, cfg.seed, plans=plans)
         _save_run(result, sub, 1)
         payload = _evaluate(cfg, corpus, trials, result.checkpoint, sub / "stage1.ckpt", sub)
         checkpoints[name] = result.checkpoint
         print(f"ablate {name}: aggregation={stage_cfg.aggregation} "
               f"margin={stage_cfg.margin.start:g} EER {payload['eer'] * 100:.2f}%")
-    del plans  # stage 2 has no use for them, so they stay out of its peak memory
 
     # stage-2 comparisons off the margin-free max-pooling run (m4)
     selection, pool = self_label(cfg, corpus, checkpoints["m4"])

@@ -11,7 +11,12 @@ through flatten_params, the finite-difference gradient checks.
 forward_pooled/backward_pooled are pure functions of (params, input); the
 backward pass is exact analytic chain rule, including the normalization
 Jacobian (I - e e^T)/||z||, and is verified against central finite
-differences in the test suite.
+differences in the test suite. Both also take a stack of G models: a
+leading model axis on every parameter, gradient and activation (the
+(G, *shape) views unflatten_params makes of a (G, n) vector), over one
+shared input batch. Each model's slice is computed by the same BLAS call
+and reductions as on its own, so it matches the unstacked result bit for
+bit.
 
 Checkpoint format: header magic WMLC, u32 version, u32 feat_dim,
 u32 hidden_dim, u32 emb_dim, u32 n_speakers, then all parameters as
@@ -66,22 +71,25 @@ def flatten_params(params: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def unflatten_params(theta: np.ndarray, cfg: EmbedderConfig, n_speakers: int) -> dict[str, np.ndarray]:
-    """Inverse of flatten_params: views of theta, shaped per parameter."""
+    """Inverse of flatten_params: views of theta, shaped per parameter.
+
+    A (G, n) theta, one flat vector per model of a stack, gives (G, *shape) views.
+    """
     shapes = _param_shapes(cfg, n_speakers)
-    parts = np.split(np.asarray(theta, dtype=np.float64),
-                     np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1])
-    return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
+    theta = np.asarray(theta, dtype=np.float64)
+    parts = np.split(theta, np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1], axis=-1)
+    return {name: part.reshape(theta.shape[:-1] + shape) for (name, shape), part in zip(shapes.items(), parts)}
 
 
 @dataclass
 class ForwardCache:
     """Intermediates of forward_pooled, consumed by backward_pooled."""
 
-    xbar: np.ndarray  # (k, feat)
-    a1: np.ndarray  # pre-relu, (k, hidden)
-    h: np.ndarray  # (k, hidden)
-    norms: np.ndarray  # (k,)
-    emb: np.ndarray  # (k, emb)
+    xbar: np.ndarray  # (k, feat), shared by a stack's models
+    a1: np.ndarray  # pre-relu, ([G,] k, hidden)
+    h: np.ndarray  # ([G,] k, hidden)
+    norms: np.ndarray  # ([G,] k)
+    emb: np.ndarray  # ([G,] k, emb)
 
 
 def init_params(cfg: EmbedderConfig, n_speakers: int, seed: int) -> dict[str, np.ndarray]:
@@ -98,18 +106,20 @@ def forward_pooled(xbar: np.ndarray, params: dict[str, np.ndarray]) -> tuple[np.
     """Embed a batch of already frame-averaged feature vectors.
 
     xbar: (k, feat_dim) float64. Returns unit-norm embeddings (k, emb_dim)
-    plus the cache needed for gradients.
+    plus the cache needed for gradients. Parameters with a leading model
+    axis (a stack of G models) embed the one xbar with each model, giving
+    (G, k, emb_dim).
     """
-    a1 = xbar @ params["W1"].T
-    a1 += params["b1"]
+    a1 = xbar @ params["W1"].swapaxes(-1, -2)
+    a1 += params["b1"][..., None, :]
     h = np.maximum(a1, 0.0)
-    z = h @ params["W2"].T
-    z += params["b2"]
-    norms = np.sqrt(np.add.reduce(z * z, axis=1))  # np.linalg.norm(z, axis=1)
+    z = h @ params["W2"].swapaxes(-1, -2)
+    z += params["b2"][..., None, :]
+    norms = np.sqrt(np.add.reduce(z * z, axis=-1))  # np.linalg.norm(z, axis=-1)
     if (norms < _NORM_FLOOR).any():
         raise DegenerateEmbedding("pre-normalization embedding norm below 1e-8")
-    emb = z / norms[:, None]
-    return emb, ForwardCache(xbar, a1, h, norms, emb)
+    z /= norms[..., None]  # z is now the embedding
+    return z, ForwardCache(xbar, a1, h, norms, z)
 
 
 def backward_pooled(d_emb: np.ndarray, cache: ForwardCache, params: dict[str, np.ndarray],
@@ -117,15 +127,19 @@ def backward_pooled(d_emb: np.ndarray, cache: ForwardCache, params: dict[str, np
     """Exact network gradients from upstream d loss / d embedding, written into grads' W1, b1, W2, b2.
 
     The radial direction is annihilated by the normalization Jacobian:
-    dz = (d_emb - (d_emb . e) e) / ||z||. Returns grads.
+    dz = (d_emb - (d_emb . e) e) / ||z||. Like forward_pooled, it takes a
+    leading model axis on everything but the shared xbar. Returns grads.
     """
-    radial = np.add.reduce(d_emb * cache.emb, axis=1, keepdims=True)
-    dz = (d_emb - radial * cache.emb) / cache.norms[:, None]
-    np.matmul(dz.T, cache.h, out=grads["W2"])
-    np.add.reduce(dz, axis=0, out=grads["b2"])
-    da1 = dz @ params["W2"] * (cache.a1 > 0.0)
-    np.matmul(da1.T, cache.xbar, out=grads["W1"])
-    np.add.reduce(da1, axis=0, out=grads["b1"])
+    radial = np.add.reduce(d_emb * cache.emb, axis=-1, keepdims=True)
+    dz = radial * cache.emb
+    np.subtract(d_emb, dz, out=dz)
+    dz /= cache.norms[..., None]
+    np.matmul(dz.swapaxes(-1, -2), cache.h, out=grads["W2"])
+    np.add.reduce(dz, axis=-2, out=grads["b2"])
+    da1 = dz @ params["W2"]
+    da1 *= cache.a1 > 0.0
+    np.matmul(da1.swapaxes(-1, -2), cache.xbar, out=grads["W1"])
+    np.add.reduce(da1, axis=-2, out=grads["b1"])
     return grads
 
 

@@ -19,9 +19,13 @@ all bags of a stage-1 batch given the planner's bag map and returns the
 pooled similarities with their backward closure, and the margin losses
 take one row per bag or segment with a target per row. A training step
 therefore makes one loss call (two on stage-1 and unknown-class steps)
-instead of one per bag or row. Inputs are float64 and bool arrays, and
-the pooling kind and a positive tau come from a checked configuration,
-so nothing here checks them again.
+instead of one per bag or row. Pooling and the margin loss also take a
+stack of G models at once: cosines rows first, (rows, G, classes), with
+a tau and a margin per model, so that reduceat still runs over axis 0
+and every model's values are the ones its own 2-D call gives, to the
+bit. Inputs are float64 and bool arrays, and the pooling kind and a
+positive tau come from a checked configuration, so nothing here checks
+them again.
 """
 
 from __future__ import annotations
@@ -63,70 +67,76 @@ class Pooled(NamedTuple):
     backward: Callable[[np.ndarray], np.ndarray]
 
 
-def aggregate(c_seg: np.ndarray, kind: str, tau: float | None = None, *, offsets: np.ndarray, sizes: np.ndarray,
-              bag_of_row: np.ndarray) -> Pooled:
+def aggregate(c_seg: np.ndarray, kind: str, tau: float | np.ndarray | None = None, *, offsets: np.ndarray,
+              sizes: np.ndarray, bag_of_row: np.ndarray) -> Pooled:
     """Per-class reduction of a (rows, n_classes) cosine matrix, bag by bag.
 
     offsets, sizes and bag_of_row are the stage-1 planner's bag map: each
     bag's first row (strictly increasing from 0), its row count, and each
     row's bag. MAX keeps, per bag and class, the first row attaining the
     maximum (the np.argmax tie rule) so gradients flow only through it;
-    LSE (tau > 0) spreads them with softmax(v/tau) weights.
+    LSE (tau > 0) spreads them with softmax(v/tau) weights. A stack of G
+    models passes (rows, G, n_classes) cosines and a tau per model.
     """
     vmax = np.maximum.reduceat(c_seg, offsets, axis=0)
+    per_row = (-1,) + (1,) * (c_seg.ndim - 1)  # a row's value broadcast over its models and classes
     if kind == MAX:
         n_rows = c_seg.shape[0]
-        hit = np.where(c_seg == vmax[bag_of_row], np.arange(n_rows)[:, None], n_rows)
-        argmax = np.minimum.reduceat(hit, offsets, axis=0)
+        hit = np.where(c_seg == vmax[bag_of_row], np.arange(n_rows).reshape(per_row), n_rows)
+        argmax = np.minimum.reduceat(hit, offsets, axis=0).reshape(len(offsets), -1)
 
         def backward(d_rec: np.ndarray) -> np.ndarray:
-            d_seg = np.zeros((n_rows, d_rec.shape[1]))
+            d_seg = np.zeros(c_seg.shape)
             # bags are disjoint row ranges, so no two bags write one cell
-            d_seg[argmax, np.arange(d_rec.shape[1])] = d_rec
+            d_seg.reshape(n_rows, -1)[argmax, np.arange(argmax.shape[1])] = d_rec.reshape(argmax.shape)
             return d_seg
 
         return Pooled(vmax, backward)
+    if np.ndim(tau):  # one tau per model, broadcast over that model's classes
+        tau = tau[:, None]
     ex = np.exp((c_seg - vmax[bag_of_row]) / tau)
     sums = np.add.reduceat(ex, offsets, axis=0)
     weights = ex / sums[bag_of_row]
-    return Pooled(vmax + tau * np.log(sums / sizes[:, None]), lambda d_rec: weights * d_rec[bag_of_row])
+    return Pooled(vmax + tau * np.log(sums / sizes.reshape(per_row)), lambda d_rec: weights * d_rec[bag_of_row])
 
 
-def _aam_margin_grad(c: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
+def _aam_margin_grad(c: np.ndarray, m: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(psi, d psi / d c) elementwise, psi = cos(arccos(c) + m) computed without trig on the
     clamped cosine; the derivative is zero outside the clamp range."""
+    cos_m, sin_m = np.cos(m), np.sin(m)
     cc = np.clip(c, -_COS_CLAMP, _COS_CLAMP)
     root = np.sqrt(1.0 - cc * cc)
-    psi = cc * np.cos(m) - root * np.sin(m)
+    psi = cc * cos_m - root * sin_m
     outside = (c > _COS_CLAMP) | (c < -_COS_CLAMP)
-    return psi, np.where(outside, 0.0, np.cos(m) + cc / root * np.sin(m))
+    return psi, np.where(outside, 0.0, cos_m + cc / root * sin_m)
 
 
 def _cross_entropy(logits: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise softmax cross-entropy: (loss per row, softmax probabilities)."""
-    mx = logits.max(axis=1)
-    e = np.exp(logits - mx[:, None])
-    total = e.sum(axis=1)
-    loss = mx + np.log(total) - logits[np.arange(logits.shape[0]), target]
-    return loss, e / total[:, None]
+    mx = logits.max(axis=-1)
+    e = np.exp(logits - mx[..., None])
+    total = e.sum(axis=-1)
+    loss = mx + np.log(total) - logits[np.arange(logits.shape[0]), ..., target]
+    return loss, e / total[..., None]
 
 
 def weak_recording_loss(
-    c_rec: np.ndarray, target: np.ndarray, s: float, m: float
+    c_rec: np.ndarray, target: np.ndarray, s: float, m: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Margin cross-entropy on recording-level similarities.
 
-    c_rec is (rows, n_classes) with one target per row. Logits are s*c
-    for non-target classes and s*psi(c) for the target. Returns per-row
-    losses and d loss / d c_rec.
+    c_rec is (rows, n_classes) with one target per row, or (rows, G,
+    n_classes) for a stack of G models with a margin m per model. Logits
+    are s*c for non-target classes and s*psi(c) for the target. Returns
+    per-row losses, (rows,) or (rows, G), and d loss / d c_rec.
     """
     rows = np.arange(c_rec.shape[0])
-    psi, dpsi = _aam_margin_grad(c_rec[rows, target], m)
+    psi, dpsi = _aam_margin_grad(c_rec[rows, ..., target], m)
     logits = s * c_rec
-    logits[rows, target] = s * psi
+    logits[rows, ..., target] = s * psi
     loss, p = _cross_entropy(logits, target)
     d_rec = s * p
-    d_rec[rows, target] = s * (p[rows, target] - 1.0) * dpsi
+    d_rec[rows, ..., target] = s * (p[rows, ..., target] - 1.0) * dpsi
     return loss, d_rec
 
 

@@ -10,7 +10,16 @@ it its epoch plans and, per batch, the segment ids and a batch loss
 The parameters, their velocities and their gradients are named views of
 one flat vector each, so the SGD update is one pass over each vector.
 A `StageConfig` is one [stage1] or [stage2] section of the run
-configuration, a field per key. Also: the stage-1 ablation grid.
+configuration, a field per key.
+
+The loop steps a stack of G models on one plan in lockstep: the flat
+vectors gain a leading model axis, (G, n), and each batch is one gather,
+one forward, one loss call per pooling kind, one backward and one SGD
+update for the whole stack. The batch loss then takes the cosines rows
+first, (rows, G, classes), with a margin and tau per model. A stack of
+one is train_stage1 or train_stage2 and runs without the model axis; the
+stage-1 ablation grid is a stack of six (train_stage1_grid). Every model
+of a stack computes what it would alone, to the bit.
 
 Runs are deterministic given (corpus, configs, seed): epoch plans derive
 their randomness from (seed, epoch), so resuming from an epoch-boundary
@@ -20,7 +29,9 @@ checkpoint reproduces the uninterrupted run bit for bit.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -149,63 +160,116 @@ def segment_batch_loss(s: float, labels: np.ndarray, known: np.ndarray,
     return batch_loss
 
 
-def loss_and_grads(params: dict[str, np.ndarray], xbar: np.ndarray, batch_loss,
-                   margin: float, tau: float, grads: dict[str, np.ndarray]) -> float:
-    """One training step's math: the batch's mean loss; its gradients go into grads, keyed like params."""
-    emb, cache = forward_pooled(xbar, params)
-    losses, d_c = batch_loss(emb @ params["P"].T, margin, tau)
-    d_c /= losses.shape[0]
-    backward_pooled(d_c @ params["P"], cache, params, grads)
-    np.matmul(d_c.T, emb, out=grads["P"])
-    return float(losses.mean())
+def loss_and_grads(params: dict[str, np.ndarray], xbar: np.ndarray, batch_loss, margin, tau,
+                   grads: dict[str, np.ndarray]) -> float | np.ndarray:
+    """One training step's math: the batch's mean loss; its gradients go into grads, keyed like params.
 
-
-def _fit(corpus: Corpus, stage: StageConfig, model: EmbedderConfig, seed: int, tag: str,
-         plans: list[list], batch_of, resume_from: Checkpoint | None,
-         stop_after_epoch: int | None) -> TrainResult:
-    """SGD over the batches of plans[epoch]; batch_of(batch) -> (segment ids, batch loss).
-
-    Only stage 1 pools with a temperature; stage 2 logs tau as 0.
+    With a leading model axis on params and grads (a stack of G models),
+    margin and tau hold one value per model, the batch loss takes the
+    cosines rows first, (rows, G, classes), and the mean loss is one per
+    model, (G,).
     """
+    emb, cache = forward_pooled(xbar, params)
+    P = params["P"]
+    losses, d_c = batch_loss((emb @ P.swapaxes(-1, -2)).swapaxes(0, -2), margin, tau)
+    n_rows = losses.shape[0]
+    d_c = np.ascontiguousarray(d_c.swapaxes(0, -2))  # model first again, so each matmul stays on BLAS
+    d_c /= n_rows
+    backward_pooled(d_c @ P, cache, params, grads)
+    np.matmul(d_c.swapaxes(-1, -2), emb, out=grads["P"])
+    # each model's losses as one contiguous row, summed pairwise as losses.mean() sums them
+    return np.add.reduce(np.ascontiguousarray(losses.T), axis=-1) / n_rows
+
+
+def _fit(corpus: Corpus, stages: list[StageConfig], model: EmbedderConfig, seed: int, tag: str,
+         plans: list[list], batch_of, resume_from: Checkpoint | None = None,
+         stop_after_epoch: int | None = None) -> list[TrainResult]:
+    """SGD over the batches of plans[epoch] for a stack of models, one per stage, in lockstep.
+
+    batch_of(batch) -> (segment ids, batch loss). The stages may differ
+    only in what the batch loss reads from them per model (aggregation,
+    tau and margin); everything else comes from stages[0]. A stack of one
+    runs without the model axis; only a stack of one resumes. Only stage 1
+    pools with a temperature; stage 2 logs tau as 0. Returns one
+    TrainResult per stage.
+    """
+    stage, n_models = stages[0], len(stages)
     pooled = corpus.mean_frames()
     total_steps = sum(len(p) for p in plans)
-    fingerprint = config_fingerprint(stage, model, seed, tag)
+    fingerprints = [config_fingerprint(s, model, seed, tag) for s in stages]
     if resume_from is not None:
-        if resume_from.config_hash != fingerprint:
+        if resume_from.config_hash != fingerprints[0]:
             raise ConfigError("checkpoint was produced under a different configuration")
         n_speakers, step, start_epoch = resume_from.n_speakers, resume_from.step, resume_from.epoch
-        theta, velocity = flatten_params(resume_from.params), flatten_params(resume_from.velocities)
+        theta, velocity = flatten_params(resume_from.params)[None], flatten_params(resume_from.velocities)[None]
     else:
         n_speakers, step, start_epoch = corpus.n_speakers, 0, 0
-        theta = flatten_params(init_params(model, n_speakers, derive_key(mix64(seed), tag, "init")))
+        init = flatten_params(init_params(model, n_speakers, derive_key(mix64(seed), tag, "init")))
+        theta = np.tile(init, (n_models, 1))  # every model starts from the one draw
         velocity = np.zeros_like(theta)
     gradient = np.empty_like(theta)
-    params, velocities, grads = (unflatten_params(flat, model, n_speakers) for flat in (theta, velocity, gradient))
+    # the step's views: (G, *shape) per parameter, or the one model's own shapes
+    params, grads = (unflatten_params(flat if n_models > 1 else flat[0], model, n_speakers)
+                     for flat in (theta, gradient))
     P = params["P"]
     end_epoch = stage.epochs if stop_after_epoch is None else min(stage.epochs, stop_after_epoch)
 
     denom = max(1, stage.epochs - 1)
-    metrics: list[StepMetrics] = []
+    metrics: list[list[StepMetrics]] = [[] for _ in stages]
     for epoch in range(start_epoch, end_epoch):
-        margin = stage.margin.at(epoch / denom)
-        tau = stage.tau.at(epoch / denom) if tag == "stage1" else 0.0
+        margins = [s.margin.at(epoch / denom) for s in stages]
+        taus = [s.tau.at(epoch / denom) if tag == "stage1" else 0.0 for s in stages]
+        # a stack's losses take a value per model; a stack of one, the number itself
+        margin, tau = (margins[0], taus[0]) if n_models == 1 else (np.array(margins), np.array(taus))
         for batch in plans[epoch]:
             segment_ids, batch_loss = batch_of(batch)
-            loss = loss_and_grads(params, pooled[segment_ids], batch_loss, margin, tau, grads)
-            if not np.isfinite(loss):
+            losses = loss_and_grads(params, pooled[segment_ids], batch_loss, margin, tau, grads).reshape(-1).tolist()
+            if not all(map(math.isfinite, losses)):
                 raise NonFiniteGradient(f"non-finite loss at step {step + 1}")
             step += 1
             lr = lr_at(step, stage, total_steps)
             sgd_step(theta, gradient, velocity, lr, stage.momentum, grads)
-            P /= np.sqrt(np.add.reduce(P * P, axis=1, keepdims=True))  # np.linalg.norm's expression
-            metrics.append(StepMetrics(step, epoch, lr, margin, tau, loss))
-    return TrainResult(Checkpoint(model, params, velocities, step, end_epoch, fingerprint), metrics)
+            P /= np.sqrt(np.add.reduce(P * P, axis=-1, keepdims=True))  # np.linalg.norm's expression
+            for log, margin_g, tau_g, loss_g in zip(metrics, margins, taus, losses):
+                log.append(StepMetrics(step, epoch, lr, margin_g, tau_g, loss_g))
+    return [TrainResult(Checkpoint(model, unflatten_params(theta[g], model, n_speakers),
+                                   unflatten_params(velocity[g], model, n_speakers), step, end_epoch,
+                                   fingerprints[g]), metrics[g])
+            for g in range(n_models)]
 
 
 def plan_stage1(corpus: Corpus, stage: StageConfig, seed: int) -> list[list[BagBatch]]:
     """Every epoch's stage-1 plan: a function of the corpus, batch size, epoch count and seed only."""
     return [plan_epoch_stage1(corpus, stage.batch_size, _epoch_seed(seed, "s1-epoch", epoch))
             for epoch in range(stage.epochs)]
+
+
+def _stage1_batches(stages: list[StageConfig]):
+    """batch_of for a stage-1 stack: one recording loss per run of models that share a pooling kind."""
+    runs, start = [], 0
+    for kind, group in groupby(stage.aggregation for stage in stages):
+        stop = start + len(list(group))
+        runs.append((kind, slice(start, stop)))
+        start = stop
+    scale = stages[0].scale
+
+    def batch_of(batch):
+        losses = [(models, recording_batch_loss(kind, scale, batch.targets, batch.offsets, batch.sizes,
+                                                batch.bag_of_row)) for kind, models in runs]
+        if len(losses) == 1:
+            return batch.segment_ids, losses[0][1]
+
+        def batch_loss(cos: np.ndarray, margin: np.ndarray, tau: np.ndarray):
+            # d_cos rows first, as a view of model-first storage that the step reads back without a copy
+            per_bag, d_cos = [], np.empty((cos.shape[1], cos.shape[0], cos.shape[2])).swapaxes(0, 1)
+            for models, loss in losses:
+                bag_losses, d_cos[:, models] = loss(cos[:, models], margin[models], tau[models])
+                per_bag.append(bag_losses)
+            return np.concatenate(per_bag, axis=1), d_cos
+
+        return batch.segment_ids, batch_loss
+
+    return batch_of
 
 
 def train_stage1(
@@ -215,22 +279,35 @@ def train_stage1(
     seed: int,
     resume_from: Checkpoint | None = None,
     stop_after_epoch: int | None = None,
-    plans: list[list[BagBatch]] | None = None,
 ) -> TrainResult:
     """Multi-instance training on recording-level labels.
 
     stop_after_epoch pauses at an epoch boundary (schedules still span the
     full configured horizon); resuming from the returned checkpoint
-    reproduces the uninterrupted run exactly. plans, if given, is
-    plan_stage1(corpus, stage, seed), made once for runs that share it.
+    reproduces the uninterrupted run exactly.
     """
+    return _fit(corpus, [stage], model, seed, "stage1", plan_stage1(corpus, stage, seed), _stage1_batches([stage]),
+                resume_from, stop_after_epoch)[0]
 
-    def batch_of(batch):
-        return batch.segment_ids, recording_batch_loss(stage.aggregation, stage.scale, batch.targets,
-                                                       batch.offsets, batch.sizes, batch.bag_of_row)
 
-    return _fit(corpus, stage, model, seed, "stage1", plan_stage1(corpus, stage, seed) if plans is None else plans,
-                batch_of, resume_from, stop_after_epoch)
+def train_stage1_grid(corpus: Corpus, stages: list[StageConfig], model: EmbedderConfig,
+                      seed: int) -> list[TrainResult]:
+    """Stage-1 runs that differ only in aggregation, tau and margin, trained in lockstep as one stack.
+
+    Each result, in the order of stages, equals train_stage1(corpus,
+    stage, model, seed) bit for bit: the runs share the plan and the
+    initial draw, and each model steps on its own loss. Stages that differ
+    in any other field raise ValueError.
+    """
+    def shared(stage: StageConfig) -> StageConfig:
+        return replace(stage, aggregation=MAX, tau=Schedule.fixed(0.0), margin=Schedule.fixed(0.0))
+
+    if any(shared(stage) != shared(stages[0]) for stage in stages):
+        raise ValueError("the runs of a stage-1 grid may differ only in aggregation, tau and margin")
+    order = sorted(range(len(stages)), key=lambda i: stages[i].aggregation != MAX)  # one slice per kind
+    stack = [stages[i] for i in order]
+    results = _fit(corpus, stack, model, seed, "stage1", plan_stage1(corpus, stack[0], seed), _stage1_batches(stack))
+    return [results[order.index(i)] for i in range(len(stages))]
 
 
 def train_stage2(
@@ -264,8 +341,8 @@ def train_stage2(
     def batch_of(batch):
         return batch.segment_ids, segment_batch_loss(stage.scale, batch.labels, batch.known)
 
-    return _fit(corpus, stage, model, seed, "stage2", [plan_epoch(e) for e in range(stage.epochs)], batch_of,
-                resume_from, stop_after_epoch)
+    return _fit(corpus, [stage], model, seed, "stage2", [plan_epoch(e) for e in range(stage.epochs)], batch_of,
+                resume_from, stop_after_epoch)[0]
 
 
 # ---------------------------------------------------------------------------

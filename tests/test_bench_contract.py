@@ -74,6 +74,28 @@ def test_tracer_counts_every_step_and_restores(corpus):
     assert calls.get("losses.segment_loss", 0) + unknown_steps == steps2
 
 
+def test_tracer_counts_every_lockstep_step_of_the_grid(corpus):
+    """The ablation grid steps its six models as one stack: one forward, backward and SGD update per
+    lockstep step, and one pooling call per pooling kind, all through the traced names."""
+    points = tracing.patch_points()
+    originals = [vars(owner)[attr] for owner, attr in points]
+    stages = list(trainer.ablation_stage1_configs(StageConfig(epochs=2, batch_size=24)).values())
+
+    tracer = tracing.Tracer().install()
+    try:
+        results = trainer.train_stage1_grid(corpus, stages, MODEL, seed=3)
+    finally:
+        tracer.close()
+    assert all(vars(owner)[attr] is orig for (owner, attr), orig in zip(points, originals))
+
+    calls = {name: span[0] for name, span in tracer.spans.items()}
+    steps = len(results[0].metrics)
+    assert steps > 0 and all(len(result.metrics) == steps for result in results)
+    for span in ("embedder.forward", "embedder.backward", "trainer.sgd", "losses.aggregate"):
+        assert calls.get(span, 0) >= steps, span
+    assert calls["embedder.forward"] == calls["embedder.backward"] == calls["trainer.sgd"] == steps
+
+
 def test_validation_is_traced_once_per_generated_corpus(tmp_path):
     """load_manifest validates inside weaksv.corpus, out of the tracer's sight; gen's check stays traced."""
     from workloads import WORKLOADS

@@ -18,7 +18,7 @@ from weaksv.corpus import ValidationIssue, load_manifest
 from weaksv.config import SCHEMA, load_run_config, parse_config_text, render_config, render_schema
 from weaksv.diarize import PRESETS, DiarConfig
 from weaksv.embedder import EmbedderConfig
-from weaksv.errors import ConfigError
+from weaksv.errors import ConfigError, NonFiniteGradient
 from weaksv.losses import Schedule
 from weaksv.synth import SynthConfig
 from weaksv.trainer import StageConfig
@@ -920,6 +920,30 @@ def test_ablate_emits_grid(tmp_path, monkeypatch):
     for name in ("m1", "m6"):
         assert "stage1" in report["ablation"][name]["evals"]
     assert "stage2" in report["ablation"]["stage2_unknown"]["evals"]
+
+
+def test_ablate_that_fails_in_a_later_variant_writes_no_grid(tmp_path, monkeypatch, capsys):
+    """A loss that fails after one variant's full step count exits 1 and leaves no ablation/ tree."""
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(SMALL + "\n[stage1]\nepochs = 4\n")
+    out = tmp_path / "run"
+    for cmd in ("gen", "diar"):
+        assert main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
+    cfg = load_run_config(str(cfg_path), out=str(out))
+    steps = sum(len(plan) for plan in weaksv.trainer.plan_stage1(load_manifest(out), cfg.stage1, cfg.seed))
+    calls, aggregate = [], weaksv.trainer.aggregate
+
+    def fail_after_one_variant(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > steps:
+            raise NonFiniteGradient("non-finite loss injected")
+        return aggregate(*args, **kwargs)
+
+    monkeypatch.setattr(weaksv.trainer, "aggregate", fail_after_one_variant)
+    capsys.readouterr()
+    assert main(["ablate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: non-finite loss injected"]
+    assert not (out / "ablation").exists()
 
 
 def test_diar_preset_flag(tmp_path):

@@ -32,12 +32,12 @@ from weaksv.trainer import (
     ablation_stage1_configs,
     config_fingerprint,
     lr_at,
-    plan_stage1,
     recording_batch_loss,
     save_metrics_csv,
     segment_batch_loss,
     sgd_step,
     train_stage1,
+    train_stage1_grid,
     train_stage2,
 )
 
@@ -265,6 +265,12 @@ def test_ablation_grid_covers_all_variants():
     assert len(ABLATION_GRID) == 6
 
 
+@pytest.mark.parametrize("field", [{"epochs": 5}, {"batch_size": 16}, {"lr_max": 0.1}, {"scale": 20.0}])
+def test_grid_runs_share_all_but_the_loss(training_corpus, field):
+    with pytest.raises(ValueError, match="may differ only in aggregation, tau and margin"):
+        train_stage1_grid(training_corpus, [STAGE1, replace(STAGE1, aggregation="lse", **field)], MODEL, seed=3)
+
+
 def test_metrics_csv_round_trip(tmp_path, training_corpus):
     result = train_stage1(training_corpus, StageConfig(epochs=1, batch_size=24), MODEL, seed=12)
     save_metrics_csv(result.metrics, tmp_path / "metrics.csv")
@@ -390,9 +396,19 @@ class TestMatchesReferenceLoop:
         else:
             got = _resumed(lambda **kw: train_stage1(training_corpus, stage, MODEL, seed, **kw), resume_epoch)
         _assert_same_run(got, want)
-        # plans made once and handed in, as the ablation grid does
-        _assert_same_run(train_stage1(training_corpus, stage, MODEL, seed,
-                                      plans=plan_stage1(training_corpus, stage, seed)), want)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["max", "lse"]), st.sampled_from([0.0, 0.2]),
+                              st.sampled_from([Schedule.fixed(0.5), Schedule(0.5, 0.1)])), min_size=1, max_size=6),
+           st.integers(16, 40), st.integers(2, 3), st.integers(0, 2**32 - 1))
+    def test_stage1_grid(self, training_corpus, variants, batch_size, epochs, seed):
+        """Each run of a lockstep stack is the run the reference loop trains on its own."""
+        stages = [StageConfig(aggregation=kind, margin=Schedule.fixed(margin), tau=tau, epochs=epochs,
+                              batch_size=batch_size) for kind, margin, tau in variants]
+        got = train_stage1_grid(training_corpus, stages, MODEL, seed)
+        assert len(got) == len(stages)
+        for stage, result in zip(stages, got):
+            _assert_same_run(result, reference_stage1(training_corpus, stage, MODEL, seed))
 
     @settings(max_examples=12, deadline=None)
     @given(st.sampled_from([-1, 0, 2]), st.sampled_from([0.0, 0.2]), st.integers(16, 40),
